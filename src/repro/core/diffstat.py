@@ -63,10 +63,10 @@ def _slot_weight_drift(
 def _load_shards(ckpt: CheckpointPaths, world_size: int) -> list[dict] | None:
     """Every rank's shard payload, decoded once, or ``None`` if unavailable.
 
-    Decompressing a monolithic shard blob dominates the cost of a diff,
-    so each of the ``2 * world_size`` files is read exactly once and the
+    Decoding a monolithic shard blob dominates the cost of a diff, so
+    each of the ``2 * world_size`` files is read exactly once and the
     decoded payloads are shared across every slot's momentum pass (the
-    old per-slot reads decompressed the same files ``num_slots`` times —
+    old per-slot reads decoded the same files ``num_slots`` times —
     ~90% of ``llmtailor diff`` wall time on a sim-scale run).
     """
     try:

@@ -215,8 +215,8 @@ def _stream_extract(
     """Selectively read one shard, materializing only ``wanted`` groups.
 
     Returns ``(shard_subset, load_seconds, file_bytes)``.  The whole
-    compressed payload still streams through the decoder (the blob is
-    monolithic), but skipped groups never become numpy arrays.
+    file is still read and CRC-checked (the blob is monolithic), but
+    skipped groups are neither inflated nor turned into numpy arrays.
     """
     shard_path = _shard_path(source_dir, rank)
     if not shard_path.exists():
@@ -232,32 +232,15 @@ def _stream_extract(
             return wanted
         return None
 
-    # ``state`` is the shard's final section and its keys ascend, so the
-    # read stops — and stops decompressing — right after the last wanted
-    # group.  The whole-payload CRC is unreachable from a prefix, so
-    # every materialized group is instead checked against its own header
-    # ``crc32`` below (the per-item integrity model weight tensors
-    # already use); shards predating per-group CRCs fall back to a full
-    # drain so the payload CRC still applies.
+    # The read drains the whole file, so the container length and CRC
+    # hold here as on the serial path; each materialized group is
+    # additionally checked against its own header ``crc32`` below (the
+    # per-item integrity model weight tensors already use), which also
+    # catches tampering that re-wrote a self-consistent container.
     timer = WallTimer()
     with timer:
-        shard = read_blob_selected(
-            shard_path, want,
-            indexed_filter=indexed_filter,
-            stop_after=("state", max(wanted)),
-        )
-        headers = {h["index"]: h for h in shard.get("groups", [])}
-        # Fall back to a full pass (whole-payload CRC applies again) when
-        # the early-stopped prefix cannot stand on its own: shards whose
-        # headers predate per-group CRCs, or whose sections are not in
-        # ascending group order so the stop cut off wanted entries.
-        incomplete = any(
-            g not in shard.get("fp32_flat_groups", {}) or g not in shard.get("state", {})
-            for g in wanted
-        )
-        if incomplete or any("crc32" not in h for h in headers.values()):
-            shard = read_blob_selected(shard_path, want, indexed_filter=indexed_filter)
-            headers = {h["index"]: h for h in shard.get("groups", [])}
+        shard = read_blob_selected(shard_path, want, indexed_filter=indexed_filter)
+    headers = {h["index"]: h for h in shard.get("groups", [])}
     for g in wanted:
         header = headers.get(g)
         fp32 = shard.get("fp32_flat_groups", {}).get(g)
@@ -280,9 +263,10 @@ def read_shard_metadata(shard_path: str | Path) -> dict:
     Returns the shard dict with ``fp32_flat_groups`` absent and each
     ``state`` entry reduced to its scalars (``step``), while headers,
     hyperparams and top-level fields decode normally.  The pass still
-    streams the compressed payload but materializes no numpy arrays, so
-    it costs decompress bandwidth only — the serve group cache memoizes
-    it per file identity, making repeat requests metadata-free too.
+    reads and CRC-checks the whole file but inflates nothing and
+    materializes no numpy arrays, so it costs read bandwidth only — the
+    serve group cache memoizes it per file identity, making repeat
+    requests metadata-free too.
     """
 
     def want(path: tuple) -> bool:
@@ -387,8 +371,8 @@ def _merge_rank_shard_streaming(spec: dict[str, Any], rank: int) -> dict[str, An
             return _stream_extract_cached(cache, spec, rank, source_dir, wanted)
         return _stream_extract(spec, rank, source_dir, wanted)
 
-    # Threads only pay off when cores can decompress concurrently (zlib
-    # releases the GIL); never oversubscribe a small machine.  When the
+    # Threads only pay off when cores can inflate and CRC concurrently
+    # (zlib releases the GIL); never oversubscribe a small machine.  When the
     # rank-level process pool is active, ``stream_threads`` carries this
     # rank's share of the worker budget so the levels do not multiply.
     budget = int(spec.get("stream_threads", spec.get("workers", 1)))

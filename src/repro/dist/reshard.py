@@ -416,7 +416,7 @@ def _read_shard_metadata(path: Path) -> dict[str, Any]:
 
     Materializes headers, hyperparams, per-group step counters, and the
     non-canonical top-level keys; the array payloads are skipped in the
-    byte stream.  The full payload still flows through the decompressor,
+    byte stream without being inflated.  The read still drains the file,
     so the container CRC and length checks apply.
     """
 
@@ -445,10 +445,9 @@ def _selective_group_read(
 ) -> dict[str, Any]:
     """Materialize only ``wanted`` groups from one source shard.
 
-    Mirrors the merge engine's selective extract: early-stop right after
-    the last wanted group when every header carries a ``crc32`` (each
-    materialized group is then verified individually); fall back to a
-    full selective pass — container CRC applies — otherwise.
+    Mirrors the merge engine's selective extract: the read drains the
+    file (container length and CRC apply), and every materialized group
+    is then verified against its header ``crc32``.
     """
     if not shard_path.exists():
         raise ReshardError(f"missing optimizer shard for rank {rank}: {shard_path}")
@@ -463,19 +462,8 @@ def _selective_group_read(
             return wanted
         return None
 
-    shard = read_blob_selected(
-        shard_path, want,
-        indexed_filter=indexed_filter,
-        stop_after=("state", max(wanted)),
-    )
+    shard = read_blob_selected(shard_path, want, indexed_filter=indexed_filter)
     headers = {int(h["index"]): h for h in shard.get("groups", [])}
-    incomplete = any(
-        g not in shard.get("fp32_flat_groups", {}) or g not in shard.get("state", {})
-        for g in wanted
-    )
-    if incomplete or any("crc32" not in h for h in headers.values()):
-        shard = read_blob_selected(shard_path, want, indexed_filter=indexed_filter)
-        headers = {int(h["index"]): h for h in shard.get("groups", [])}
     _validate_payload(shard, source_world, rank, str(shard_path))
     for g in wanted:
         if g not in headers or g not in shard.get("fp32_flat_groups", {}):
@@ -693,7 +681,7 @@ def reshard_checkpoint(
     if stream:
         meta_path = paths.shard(0)
         meta = _read_shard_metadata(meta_path)
-        # The metadata pass decompresses shard 0 once more than the
+        # The metadata pass reads shard 0 once more than the
         # group transfers do — count it, so the report (and the cost
         # model's N + M - gcd + 1) stays honest.
         report.files_loaded += 1

@@ -84,9 +84,10 @@ def group_payload_crc(
     fp32: np.ndarray, exp_avg: np.ndarray, exp_avg_sq: np.ndarray
 ) -> int:
     """CRC-32 over one group's shard data (master + moments, in order)."""
-    crc = zlib.crc32(np.ascontiguousarray(fp32).tobytes())
-    crc = zlib.crc32(np.ascontiguousarray(exp_avg).tobytes(), crc)
-    return zlib.crc32(np.ascontiguousarray(exp_avg_sq).tobytes(), crc)
+    crc = 0
+    for arr in (fp32, exp_avg, exp_avg_sq):  # CRC the buffers in place, no copies
+        crc = zlib.crc32(np.ascontiguousarray(arr).reshape(-1).view(np.uint8), crc)
+    return crc
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Monolithic compressed container for optimizer shard files.
+"""Monolithic, byte-plane-compressed container for optimizer shard files.
 
 DeepSpeed serializes each rank's optimizer state as one pickled,
 compressed file; the whole file must be read and deserialized before any
@@ -11,29 +11,50 @@ Layout::
 
     8 bytes  magic b"REPROBLB"
     4 bytes  version (u32 LE)
-    1 byte   flags (bit 0: zlib-compressed payload)
-    8 bytes  payload length (u64 LE, compressed size)
-    8 bytes  uncompressed length (u64 LE)
-    4 bytes  CRC-32 of the *uncompressed* payload
+    1 byte   flags (bit 0: the payload is one zlib stream — v1 files only)
+    8 bytes  payload length on disk (u64 LE)
+    8 bytes  payload length after the bit-0 inflate (u64 LE; v2: the same)
+    4 bytes  CRC-32 of the payload after the bit-0 inflate
     ...      payload
 
 Payload encoding (tag-length-value):
 ``N`` none, ``T``/``F`` bool, ``I`` int64, ``D`` float64, ``S`` utf-8
 string, ``B`` raw bytes, ``L`` list, ``M`` dict (keys: str or int),
-``A`` ndarray (dtype-string, ndim, dims, raw C-order buffer).
+``A`` ndarray (dtype-string, ndim, dims, byte count, raw C-order buffer),
+``P`` planar ndarray (the ``A`` header, then one record per byte of the
+itemsize: codec u8 — 0 raw, 1 zlib — stored length u64, stored bytes).
+
+**Byte planes.**  A float's sign/exponent byte is the only one deflate
+can shrink; the mantissa bytes are noise.  ``P`` therefore transposes an
+array into ``itemsize`` planes (plane ``k`` holds byte ``k`` of every
+element) and decides *per plane, from the data* whether to deflate it:
+an order-0 entropy estimate on a fixed-size strided sample must predict
+at least a 10 % saving and the deflated plane must in fact be smaller.
+fp32 noise pays deflate on one byte in four, all-zero buffers collapse
+in every plane, and nothing depends on dtype names or endianness.
+Numeric arrays with itemsize >= 2 above ``_PLANAR_MIN_BYTES`` are
+written as ``P``, everything else as ``A``.
+
+**Versions.**  :func:`write_blob` writes version 2: flag bit 0 clear, the
+payload is the TLV stream itself.  Version 1 files (whole payload in one
+zlib stream, arrays under ``A`` only) stay readable by both readers.
 
 Because every value carries its length up front, the payload can also be
 decoded *selectively*: :func:`read_blob_selected` walks the TLV stream
-sequentially (decompressing in bounded chunks) and skips any subtree a
-predicate rejects, so a merge tool can pull a handful of parameter
-groups out of a multi-gigabyte shard without ever materializing the
-whole checkpoint.  Writes stream symmetrically: :func:`write_blob`
-pushes encoded chunks through an incremental compressor and patches the
-header afterwards, so no full payload buffer exists at any point.
+sequentially in bounded chunks and skips any subtree a predicate rejects
+(in a v2 file without inflating a byte of it), so a merge tool can pull a
+handful of parameter groups out of a multi-gigabyte shard without ever
+materializing the whole checkpoint.  Selective reads still read and
+verify the whole file: every byte enters the container CRC and the
+payload length is checked, exactly as in :func:`read_blob`.  Decoders
+raise :class:`CheckpointFormatError` on any malformed byte and never
+allocate from a declared length before that many bytes are present.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -54,32 +75,56 @@ __all__ = [
 ]
 
 MAGIC = b"REPROBLB"
-BLOB_VERSION = 1
-_FLAG_COMPRESSED = 0x01
-_HEADER_LEN = len(MAGIC) + 4 + 1 + 8 + 8 + 4
-# Small-value staging threshold for streaming writes; big tensor buffers
-# bypass staging entirely, so this also bounds the writer's peak memory.
-_WRITE_CHUNK = 256 << 10
-# Reads inflate in smaller steps so a ``stop_after`` early exit skips a
-# meaningful tail of the payload instead of having decompressed it all.
+BLOB_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
+_FLAG_COMPRESSED = 0x01  # v1: the whole payload is one zlib stream
+_HEADER = struct.Struct("<8sIBQQI")  # magic, version, flags, lengths, CRC
+# Streaming reads pull the file in steps of this size, so a selective
+# read's peak memory is the selected data plus one chunk.
 _READ_CHUNK = 128 << 10
 _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
+_PLANE = struct.Struct("<BQ")  # codec, stored length
+_PLANE_RAW, _PLANE_ZLIB = 0, 1
+# Below this an array's planes are too short for deflate to repay the
+# per-plane records and the transposition.
+_PLANAR_MIN_BYTES = 4 << 10
+# Entropy is estimated on at most this many bytes of a plane, strided
+# over its whole length so a zero head does not speak for a noisy tail.
+_SAMPLE = 4 << 10
+_MAX_PLANE_BITS = 8 * 0.90  # deflate only if the estimate saves >= 10 %
+# c*log2(c) for every possible symbol count of a sample.
+_C_LOG2_C = np.arange(_SAMPLE + 1) * np.log2(np.maximum(np.arange(_SAMPLE + 1), 1))
 
 
 # ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------
 
-def iter_encode(obj: Any) -> Iterator[bytes]:
-    """Yield the TLV encoding of ``obj`` as a chunk stream.
+def _pack_plane(plane: np.ndarray) -> bytes | None:
+    """The plane as a zlib stream when that is worth it, else ``None``."""
+    sample = plane[:: -(-plane.size // _SAMPLE)]
+    counts = np.bincount(sample, minlength=256)
+    bits = math.log2(sample.size) - float(_C_LOG2_C[counts].sum()) / sample.size
+    if bits > _MAX_PLANE_BITS:
+        return None
+    # Planes that pass are Huffman material (exponent bytes) or constant
+    # runs (never-stepped moments); Z_RLE codes both and skips LZ77
+    # matching, which finds nothing in either and costs ~1.4x the time.
+    deflater = zlib.compressobj(1, zlib.DEFLATED, zlib.MAX_WBITS, 9, zlib.Z_RLE)
+    packed = deflater.compress(plane) + deflater.flush()
+    return packed if len(packed) < plane.size else None
 
-    Large ndarray buffers are yielded as separate chunks, so a writer can
-    push them straight into a compressor without concatenating the whole
-    payload in memory first.
+
+def iter_encode(obj: Any) -> Iterator[bytes | memoryview]:
+    """Yield the TLV encoding of ``obj`` as a stream of bytes-like chunks.
+
+    Array data is yielded as separate chunks (raw byte planes as views of
+    one transposed copy), so a writer can push them straight to a file
+    without concatenating the whole payload in memory first.
     """
     if obj is None:
         yield b"N"
@@ -88,20 +133,20 @@ def iter_encode(obj: Any) -> Iterator[bytes]:
     elif obj is False:
         yield b"F"
     elif isinstance(obj, (int, np.integer)):
-        yield b"I" + struct.pack("<q", int(obj))
+        yield b"I" + _I64.pack(int(obj))
     elif isinstance(obj, (float, np.floating)):
-        yield b"D" + struct.pack("<d", float(obj))
+        yield b"D" + _F64.pack(float(obj))
     elif isinstance(obj, str):
         raw = obj.encode("utf-8")
-        yield b"S" + struct.pack("<I", len(raw)) + raw
+        yield b"S" + _U32.pack(len(raw)) + raw
     elif isinstance(obj, bytes):
-        yield b"B" + struct.pack("<Q", len(obj)) + obj
+        yield b"B" + _U64.pack(len(obj)) + obj
     elif isinstance(obj, (list, tuple)):
-        yield b"L" + struct.pack("<I", len(obj))
+        yield b"L" + _U32.pack(len(obj))
         for item in obj:
             yield from iter_encode(item)
     elif isinstance(obj, dict):
-        yield b"M" + struct.pack("<I", len(obj))
+        yield b"M" + _U32.pack(len(obj))
         for key, value in obj.items():
             if not isinstance(key, (str, int, np.integer)):
                 raise CheckpointFormatError(
@@ -110,19 +155,33 @@ def iter_encode(obj: Any) -> Iterator[bytes]:
             yield from iter_encode(int(key) if isinstance(key, np.integer) else key)
             yield from iter_encode(value)
     elif isinstance(obj, np.ndarray):
-        arr = np.ascontiguousarray(obj)
-        if obj.ndim == 0:  # ascontiguousarray promotes 0-dim to 1-D
-            arr = arr.reshape(())
+        arr = np.ascontiguousarray(obj).reshape(obj.shape)  # keeps 0-dim 0-dim
+        planar = (
+            arr.dtype.kind in "iufc"
+            and arr.itemsize >= 2
+            and arr.nbytes >= _PLANAR_MIN_BYTES
+        )
         dtype_str = arr.dtype.str.encode("ascii")
         yield (
-            b"A"
-            + struct.pack("<B", len(dtype_str))
+            (b"P" if planar else b"A")
+            + _U8.pack(len(dtype_str))
             + dtype_str
-            + struct.pack("<B", arr.ndim)
+            + _U8.pack(arr.ndim)
             + struct.pack(f"<{arr.ndim}q", *arr.shape)
-            + struct.pack("<Q", arr.nbytes)
+            + _U64.pack(arr.nbytes)
         )
-        yield arr.tobytes()
+        if not planar:
+            yield arr.tobytes()
+            return
+        planes = arr.reshape(-1).view(np.uint8).reshape(-1, arr.itemsize).T
+        for plane in np.ascontiguousarray(planes):
+            packed = _pack_plane(plane)
+            if packed is None:
+                yield _PLANE.pack(_PLANE_RAW, plane.size)
+                yield plane.data
+            else:
+                yield _PLANE.pack(_PLANE_ZLIB, len(packed))
+                yield packed
     else:
         raise CheckpointFormatError(f"cannot serialize object of type {type(obj).__name__}")
 
@@ -137,26 +196,85 @@ def encode(obj: Any) -> bytes:
 # ---------------------------------------------------------------------------
 
 class _Reader:
+    """Byte source over an in-memory payload; ``take`` returns views of it."""
+
     __slots__ = ("buf", "pos")
 
     def __init__(self, buf: bytes) -> None:
-        self.buf = buf
+        self.buf = memoryview(buf)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise CheckpointFormatError("blob payload truncated")
         chunk = self.buf[self.pos : self.pos + n]
         self.pos += n
         return chunk
 
-    def unpack(self, fmt: str) -> tuple:
-        size = struct.calcsize(fmt)
-        return struct.unpack(fmt, self.take(size))
+
+def _array_header(src) -> tuple[np.dtype, tuple, int]:
+    """Parse and validate the header ``A`` and ``P`` share: dtype, shape, nbytes."""
+    (dtype_len,) = _U8.unpack(src.take(1))
+    text = bytes(src.take(dtype_len))
+    try:
+        dtype = np.dtype(text.decode("ascii"))
+    except (TypeError, ValueError, SyntaxError) as exc:
+        raise CheckpointFormatError(f"unparsable blob array dtype {text!r}") from exc
+    # Only canonical fixed-size dtypes are ever written; anything else
+    # (object pointers, zero-width, comma/subarray spellings) is hostile.
+    if dtype.str.encode("ascii") != text or dtype.hasobject or dtype.itemsize == 0:
+        raise CheckpointFormatError(f"unsupported blob array dtype {text!r}")
+    (ndim,) = _U8.unpack(src.take(1))
+    shape = struct.unpack(f"<{ndim}q", src.take(8 * ndim))
+    (nbytes,) = _U64.unpack(src.take(8))
+    if min(shape, default=0) < 0 or math.prod(shape) * dtype.itemsize != nbytes:
+        raise CheckpointFormatError(
+            f"blob array size mismatch: shape {shape} of {dtype.str} vs {nbytes} bytes"
+        )
+    return dtype, shape, nbytes
 
 
-def _decode_one(r: _Reader) -> Any:
-    tag = r.take(1)
+def _plane_header(src, count: int) -> tuple[int, int]:
+    """One plane's ``(codec, stored length)``, checked against ``count``."""
+    codec, stored = _PLANE.unpack(src.take(_PLANE.size))
+    if codec == _PLANE_RAW:
+        plausible = stored == count
+    else:  # a deflate stream expands at most 1032:1
+        plausible = codec == _PLANE_ZLIB and count <= 1032 * stored
+    if not plausible:
+        raise CheckpointFormatError(
+            f"bad blob plane record (codec {codec}, {stored} bytes for {count})"
+        )
+    return codec, stored
+
+
+def _read_planes(src, itemsize: int, count: int) -> np.ndarray:
+    """Decode ``itemsize`` byte planes into a ``(count, itemsize)`` u8 array."""
+    planes = []
+    for _ in range(itemsize):
+        codec, stored = _plane_header(src, count)
+        plane = src.take(stored)
+        if codec == _PLANE_ZLIB:
+            # The stream must be whole (adler verified), end exactly at
+            # its stored length and inflate to exactly ``count`` bytes;
+            # max_length bounds the output whatever the stream claims.
+            inflater = zlib.decompressobj()
+            try:
+                plane = inflater.decompress(plane, count + 1)
+            except zlib.error as exc:
+                raise CheckpointFormatError(f"blob plane inflate failed: {exc}") from exc
+            if len(plane) != count or not inflater.eof or inflater.unused_data:
+                raise CheckpointFormatError("blob plane stream does not match its record")
+        planes.append(plane)
+    # Allocated only now: every plane has proven ``count`` bytes exist.
+    out = np.empty((count, itemsize), dtype=np.uint8)
+    for k, plane in enumerate(planes):
+        out[:, k] = np.frombuffer(plane, dtype=np.uint8)
+    return out
+
+
+def _decode_leaf(src, tag: bytes) -> Any:
+    """Decode one non-container value; shared by the bulk and streaming decoders."""
     if tag == b"N":
         return None
     if tag == b"T":
@@ -164,48 +282,59 @@ def _decode_one(r: _Reader) -> Any:
     if tag == b"F":
         return False
     if tag == b"I":
-        return r.unpack("<q")[0]
+        return _I64.unpack(src.take(8))[0]
     if tag == b"D":
-        return r.unpack("<d")[0]
+        return _F64.unpack(src.take(8))[0]
     if tag == b"S":
-        (n,) = r.unpack("<I")
-        return r.take(n).decode("utf-8")
+        (n,) = _U32.unpack(src.take(4))
+        try:
+            return str(src.take(n), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(f"blob string is not utf-8: {exc}") from exc
     if tag == b"B":
-        (n,) = r.unpack("<Q")
-        return r.take(n)
+        (n,) = _U64.unpack(src.take(8))
+        return bytes(src.take(n))
+    if tag == b"A" or tag == b"P":
+        dtype, shape, nbytes = _array_header(src)
+        if tag == b"A":
+            flat = np.frombuffer(src.take(nbytes), dtype=dtype).copy()
+        else:
+            flat = _read_planes(src, dtype.itemsize, nbytes // dtype.itemsize).view(dtype)
+        try:
+            return flat.reshape(shape)
+        except ValueError as exc:  # more dimensions than numpy supports
+            raise CheckpointFormatError(f"blob array shape rejected: {exc}") from exc
+    raise CheckpointFormatError(f"unknown blob tag {tag!r}")
+
+
+def _decode_key(key: Any) -> Any:
+    if not isinstance(key, (str, int)):
+        raise CheckpointFormatError(f"invalid blob dict key type {type(key).__name__}")
+    return key
+
+
+def _decode_one(r: _Reader) -> Any:
+    tag = bytes(r.take(1))
     if tag == b"L":
-        (n,) = r.unpack("<I")
+        (n,) = _U32.unpack(r.take(4))
         return [_decode_one(r) for _ in range(n)]
     if tag == b"M":
-        (n,) = r.unpack("<I")
+        (n,) = _U32.unpack(r.take(4))
         out: dict[Any, Any] = {}
         for _ in range(n):
-            key = _decode_one(r)
-            if not isinstance(key, (str, int)):
-                raise CheckpointFormatError(f"invalid blob dict key type {type(key).__name__}")
+            key = _decode_key(_decode_one(r))
             out[key] = _decode_one(r)
         return out
-    if tag == b"A":
-        (dtype_len,) = r.unpack("<B")
-        dtype = np.dtype(r.take(dtype_len).decode("ascii"))
-        (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}q") if ndim else ()
-        (nbytes,) = r.unpack("<Q")
-        raw = r.take(nbytes)
-        arr = np.frombuffer(raw, dtype=dtype)
-        expected = int(np.prod(shape)) if shape else 1
-        if arr.size != expected:
-            raise CheckpointFormatError(
-                f"blob array size mismatch: buffer has {arr.size}, shape wants {expected}"
-            )
-        return arr.reshape(shape).copy()
-    raise CheckpointFormatError(f"unknown blob tag {tag!r}")
+    return _decode_leaf(r, tag)
 
 
 def decode(payload: bytes) -> Any:
     """Decode one TLV payload produced by :func:`encode` back into Python objects."""
     r = _Reader(payload)
-    obj = _decode_one(r)
+    try:
+        obj = _decode_one(r)
+    except RecursionError as exc:
+        raise CheckpointFormatError("blob nesting too deep") from exc
     if r.pos != len(payload):
         raise CheckpointFormatError(f"blob has {len(payload) - r.pos} trailing bytes")
     return obj
@@ -216,90 +345,80 @@ def decode(payload: bytes) -> Any:
 # ---------------------------------------------------------------------------
 
 class _StreamSource:
-    """Sequential byte source over a (possibly compressed) blob payload.
+    """Sequential byte source over a blob payload on disk.
 
-    Decompresses in bounded chunks; the running CRC of the uncompressed
-    stream is folded in once per produced chunk (not per token read), so
+    Reads (and, for a v1 payload, inflates) in bounded chunks; the
+    running CRC is folded in once per chunk, not per token read, so
     selective reads keep :func:`read_blob`'s corruption detection at a
-    negligible per-value cost.  ``skip`` is pointer arithmetic within
-    the current chunk — skipped tensor buffers are never copied.
+    negligible per-value cost.  ``skip`` discards whole chunks without
+    copying them — skipped tensor data only ever passes through the CRC.
     """
 
     def __init__(self, fh, payload_len: int, compressed: bool) -> None:
         self._fh = fh
         self._remaining_file = payload_len
         self._inflater = zlib.decompressobj() if compressed else None
-        self._buf = bytearray()  # += amortizes; take() of an N-byte value stays O(N)
+        self._buf = b""
         self._pos = 0  # consumed prefix of _buf
         self.crc = 0
-        self.produced = 0  # uncompressed bytes that entered the buffer
-        self.consumed = 0  # uncompressed bytes handed out or skipped
+        self.consumed = 0  # payload bytes handed out or skipped
 
-    def _produce(self) -> bool:
-        """Decompress the next file chunk into the buffer; False at EOF."""
+    def _next_chunk(self, size: int) -> bytes | None:
+        """The next ``size`` file bytes as payload bytes; None at the end."""
         while True:
             if self._remaining_file <= 0:
+                chunk = b""
                 if self._inflater is not None and not self._inflater.eof:
-                    tail = self._inflater.flush()
-                    if tail:
-                        self._append(tail)
-                        return True
-                return False
-            chunk = self._fh.read(min(_READ_CHUNK, self._remaining_file))
-            if not chunk:
-                raise CheckpointFormatError("blob payload truncated")
-            self._remaining_file -= len(chunk)
-            if self._inflater is not None:
-                try:
-                    chunk = self._inflater.decompress(chunk)
-                except zlib.error as exc:
-                    raise CheckpointFormatError(f"decompression failed: {exc}") from exc
+                    chunk = self._inflater.flush()
                 if not chunk:
-                    continue  # compressed chunk produced no output yet
-            self._append(chunk)
-            return True
-
-    def _append(self, chunk: bytes) -> None:
-        self.crc = zlib.crc32(chunk, self.crc)
-        self.produced += len(chunk)
-        if self._pos:  # drop the consumed prefix before growing
-            del self._buf[: self._pos]
-            self._pos = 0
-        self._buf += chunk
+                    return None
+            else:
+                chunk = self._fh.read(min(size, self._remaining_file))
+                if not chunk:
+                    raise CheckpointFormatError("blob payload truncated")
+                self._remaining_file -= len(chunk)
+                if self._inflater is not None:
+                    try:
+                        chunk = self._inflater.decompress(chunk)
+                    except zlib.error as exc:
+                        raise CheckpointFormatError(f"decompression failed: {exc}") from exc
+                    if not chunk:
+                        continue  # compressed chunk produced no output yet
+            self.crc = zlib.crc32(chunk, self.crc)
+            return chunk
 
     def take(self, n: int) -> bytes:
-        while len(self._buf) - self._pos < n:
-            if not self._produce():
-                raise CheckpointFormatError("blob payload truncated")
-        out = bytes(self._buf[self._pos : self._pos + n])
-        self._pos += n
+        end = self._pos + n
+        if end > len(self._buf):
+            parts = [self._buf[self._pos :]]
+            have = len(parts[0])
+            while have < n:  # bounded by the bytes the file really holds
+                chunk = self._next_chunk(max(_READ_CHUNK, n - have))
+                if chunk is None:
+                    raise CheckpointFormatError("blob payload truncated")
+                parts.append(chunk)
+                have += len(chunk)
+            self._buf = b"".join(parts)
+            self._pos, end = 0, n
+        out = self._buf[self._pos : end]
+        self._pos = end
         self.consumed += n
         return out
 
     def skip(self, n: int) -> None:
         """Consume ``n`` bytes without retaining or copying them."""
         self.consumed += n
-        while n > 0:
-            avail = len(self._buf) - self._pos
-            if avail == 0:
-                if not self._produce():
-                    self.consumed -= n
-                    raise CheckpointFormatError("blob payload truncated")
-                continue
-            step = avail if avail < n else n
-            self._pos += step
-            n -= step
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+        avail = len(self._buf) - self._pos
+        while n > avail:
+            n -= avail
+            chunk = self._next_chunk(_READ_CHUNK)
+            if chunk is None:
+                raise CheckpointFormatError("blob payload truncated")
+            self._buf, self._pos, avail = chunk, 0, len(chunk)
+        self._pos += n
 
     def at_end(self) -> bool:
-        if len(self._buf) - self._pos > 0:
-            return False
-        try:
-            return not self._produce()
-        except CheckpointFormatError:
-            return True
+        return self._pos == len(self._buf) and self._next_chunk(1) is None
 
 
 def _skip_value(src: _StreamSource) -> None:
@@ -325,13 +444,11 @@ def _skip_value(src: _StreamSource) -> None:
             _skip_value(src)  # key
             _skip_value(src)  # value
     elif tag == b"A":
-        (dtype_len,) = _U8.unpack(src.take(1))
-        src.skip(dtype_len)
-        (ndim,) = _U8.unpack(src.take(1))
-        if ndim:
-            src.skip(8 * ndim)
-        (nbytes,) = _U64.unpack(src.take(8))
-        src.skip(nbytes)
+        src.skip(_array_header(src)[2])
+    elif tag == b"P":
+        dtype, _, nbytes = _array_header(src)
+        for _ in range(dtype.itemsize):
+            src.skip(_plane_header(src, nbytes // dtype.itemsize)[1])
     else:
         raise CheckpointFormatError(f"unknown blob tag {tag!r}")
 
@@ -339,18 +456,6 @@ def _skip_value(src: _StreamSource) -> None:
 # Distinguishes "element pruned by the indexed filter" from a literal
 # decoded None element, which must survive the filter untouched.
 _SKIPPED = object()
-
-
-class _EarlyStop(Exception):
-    """Internal: unwinds a selective decode once ``stop_after`` is met.
-
-    Each map frame catches it, grafts its partially built dict into the
-    carried value, and re-raises, so the top level receives the decoded
-    prefix of the document.
-    """
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
 
 
 def _decode_indexed_element(
@@ -375,9 +480,7 @@ def _decode_indexed_element(
     (n,) = _U32.unpack(src.take(4))
     out: dict[Any, Any] = {}
     for i in range(n):
-        key = _decode_selected(src, want, path)
-        if not isinstance(key, (str, int)):
-            raise CheckpointFormatError(f"invalid blob dict key type {type(key).__name__}")
+        key = _decode_key(_decode_selected(src, want, path))
         value = _decode_selected(src, want, path + (key,))
         out[key] = value
         if i == 0 and key == "index" and value not in keep:
@@ -393,11 +496,9 @@ def _decode_selected(
     want: Callable[[tuple], bool],
     path: tuple,
     indexed_filter: Callable[[tuple], "set | None"] | None = None,
-    stop_after: tuple | None = None,
 ) -> Any:
     """Decode one value, pruning map subtrees the predicate rejects."""
-    tag = src.take(1)
-    return _decode_value_of_tag(src, want, path, tag, indexed_filter, stop_after)
+    return _decode_value_of_tag(src, want, path, src.take(1), indexed_filter)
 
 
 def _decode_value_of_tag(
@@ -406,24 +507,7 @@ def _decode_value_of_tag(
     path: tuple,
     tag: bytes,
     indexed_filter: Callable[[tuple], "set | None"] | None = None,
-    stop_after: tuple | None = None,
 ) -> Any:
-    if tag == b"N":
-        return None
-    if tag == b"T":
-        return True
-    if tag == b"F":
-        return False
-    if tag == b"I":
-        return _I64.unpack(src.take(8))[0]
-    if tag == b"D":
-        return _F64.unpack(src.take(8))[0]
-    if tag == b"S":
-        (n,) = _U32.unpack(src.take(4))
-        return src.take(n).decode("utf-8")
-    if tag == b"B":
-        (n,) = _U64.unpack(src.take(8))
-        return src.take(n)
     if tag == b"L":
         (n,) = _U32.unpack(src.take(4))
         keep = indexed_filter(path) if indexed_filter is not None else None
@@ -442,127 +526,48 @@ def _decode_value_of_tag(
         (n,) = _U32.unpack(src.take(4))
         out: dict[Any, Any] = {}
         for _ in range(n):
-            key = _decode_selected(src, want, path)
-            if not isinstance(key, (str, int)):
-                raise CheckpointFormatError(
-                    f"invalid blob dict key type {type(key).__name__}"
-                )
+            key = _decode_key(_decode_selected(src, want, path))
             child = path + (key,)
             if want(child):
-                try:
-                    out[key] = _decode_selected(
-                        src, want, child, indexed_filter, stop_after
-                    )
-                except _EarlyStop as stop:
-                    out[key] = stop.value
-                    raise _EarlyStop(out) from None
-                if stop_after is not None and child == stop_after:
-                    raise _EarlyStop(out)
+                out[key] = _decode_selected(src, want, child, indexed_filter)
             else:
                 _skip_value(src)
         return out
-    if tag == b"A":
-        (dtype_len,) = _U8.unpack(src.take(1))
-        dtype = np.dtype(src.take(dtype_len).decode("ascii"))
-        (ndim,) = _U8.unpack(src.take(1))
-        shape = src.unpack(f"<{ndim}q") if ndim else ()
-        (nbytes,) = _U64.unpack(src.take(8))
-        raw = src.take(nbytes)
-        arr = np.frombuffer(raw, dtype=dtype)
-        expected = int(np.prod(shape)) if shape else 1
-        if arr.size != expected:
-            raise CheckpointFormatError(
-                f"blob array size mismatch: buffer has {arr.size}, shape wants {expected}"
-            )
-        return arr.reshape(shape).copy()
-    raise CheckpointFormatError(f"unknown blob tag {tag!r}")
+    return _decode_leaf(src, tag)
 
 
 # ---------------------------------------------------------------------------
 # File I/O
 # ---------------------------------------------------------------------------
 
-# Deflate strategy for blob payloads.  Blob content is dominated by fp32
-# optimizer state, which is nearly incompressible noise to LZ77 matching:
-# measured on sim-scale shard payloads, Z_RLE reaches the same ratio as
-# the default strategy at level 1 (0.924 vs 0.929) while compressing ~3x
-# faster — and it still catches the long zero runs of never-stepped
-# moment buffers, which Z_HUFFMAN_ONLY would not.  The output remains a
-# standard zlib stream, so readers (old and new) are unaffected.
-_DEFLATE_STRATEGY = zlib.Z_RLE
+def write_blob(path: str | Path, obj: Any) -> int:
+    """Serialize ``obj`` to a version-2 blob file; returns bytes written to disk.
 
-
-def write_blob(path: str | Path, obj: Any, *, compress: bool = True, level: int = 1) -> int:
-    """Serialize ``obj`` to a blob file; returns bytes written to disk.
-
-    The payload is streamed through an incremental compressor chunk by
-    chunk (the header is patched in place afterwards), so writing never
-    holds the full encoded payload in memory.  The emitted bytes form a
-    single deflate stream with one terminal flush (RLE strategy — see
-    ``_DEFLATE_STRATEGY``), decodable by any zlib inflater.
+    The encoded chunks stream straight to the file (the header is
+    patched in place afterwards), so writing never holds the full
+    payload in memory — only one transposed copy of the array in flight.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    flags = _FLAG_COMPRESSED if compress else 0
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
-        _write_blob_tmp(tmp, obj, flags, compress, level)
+        crc = 0
+        payload_len = 0
+        # A shard is hundreds of plane-sized chunks; the large buffer
+        # turns them into a handful of write syscalls.
+        with tmp.open("wb", buffering=1 << 20) as fh:
+            fh.write(b"\x00" * _HEADER.size)  # placeholder, patched below
+            for chunk in iter_encode(obj):
+                crc = zlib.crc32(chunk, crc)
+                payload_len += len(chunk)
+                fh.write(chunk)
+            fh.seek(0)
+            fh.write(_HEADER.pack(MAGIC, BLOB_VERSION, 0, payload_len, payload_len, crc))
     except BaseException:
         tmp.unlink(missing_ok=True)  # no orphan debris on failed saves
         raise
     tmp.replace(path)
-    return path.stat().st_size
-
-
-def _write_blob_tmp(tmp: Path, obj: Any, flags: int, compress: bool, level: int) -> None:
-    crc = 0
-    raw_len = 0
-    payload_len = 0
-    with tmp.open("wb") as fh:
-        fh.write(b"\x00" * _HEADER_LEN)  # placeholder, patched below
-        deflater = (
-            zlib.compressobj(level, zlib.DEFLATED, zlib.MAX_WBITS, 9, _DEFLATE_STRATEGY)
-            if compress
-            else None
-        )
-
-        def push(raw, *, final: bool = False) -> int:
-            out = b""
-            if deflater is not None:
-                if raw:
-                    out = deflater.compress(raw)
-                if final:
-                    out += deflater.flush()
-            else:
-                out = bytes(raw)
-            fh.write(out)
-            return len(out)
-
-        pending = bytearray()
-        for chunk in iter_encode(obj):
-            crc = zlib.crc32(chunk, crc)
-            raw_len += len(chunk)
-            if len(chunk) >= _WRITE_CHUNK:
-                # Large buffers (tensor data) go straight through without
-                # being staged — no payload-sized copies at any point.
-                if pending:
-                    payload_len += push(pending)
-                    pending = bytearray()
-                payload_len += push(chunk)
-            else:
-                pending += chunk
-                if len(pending) >= _WRITE_CHUNK:
-                    payload_len += push(pending)
-                    pending = bytearray()
-        payload_len += push(pending, final=True)
-        fh.seek(0)
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", BLOB_VERSION))
-        fh.write(struct.pack("<B", flags))
-        fh.write(struct.pack("<Q", payload_len))
-        fh.write(struct.pack("<Q", raw_len))
-        fh.write(struct.pack("<I", crc))
-        fh.flush()
+    return _HEADER.size + payload_len
 
 
 def _open_payload(path: Path):
@@ -571,20 +576,27 @@ def _open_payload(path: Path):
         raise CheckpointFormatError(f"blob file not found: {path}")
     fh = path.open("rb")
     try:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointFormatError(f"{path}: bad magic {magic!r} (not a repro blob)")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != BLOB_VERSION:
+        header = fh.read(_HEADER.size)
+        if header[: len(MAGIC)] != MAGIC:
+            raise CheckpointFormatError(
+                f"{path}: bad magic {header[: len(MAGIC)]!r} (not a repro blob)"
+            )
+        if len(header) != _HEADER.size:
+            raise CheckpointFormatError(f"{path}: truncated blob header")
+        _, version, flags, payload_len, raw_len, crc = _HEADER.unpack(header)
+        if version not in _READABLE_VERSIONS:
             raise CheckpointFormatError(f"{path}: unsupported blob version {version}")
-        (flags,) = struct.unpack("<B", fh.read(1))
-        (payload_len,) = struct.unpack("<Q", fh.read(8))
-        (raw_len,) = struct.unpack("<Q", fh.read(8))
-        (crc,) = struct.unpack("<I", fh.read(4))
-    except Exception:
+        # The declared length caps every later allocation, so it must be
+        # backed by the file before anything trusts it.
+        on_disk = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if payload_len != on_disk:
+            raise CheckpointFormatError(
+                f"{path}: truncated blob payload ({on_disk} bytes, header declares {payload_len})"
+            )
+    except BaseException:
         fh.close()
         raise
-    return fh, flags, payload_len, raw_len, crc
+    return fh, bool(flags & _FLAG_COMPRESSED), payload_len, raw_len, crc
 
 
 def read_blob_selected(
@@ -592,7 +604,6 @@ def read_blob_selected(
     want: Callable[[tuple], bool],
     *,
     indexed_filter: Callable[[tuple], "set | None"] | None = None,
-    stop_after: tuple | None = None,
 ) -> Any:
     """Decode a blob, materializing only subtrees the predicate accepts.
 
@@ -603,27 +614,21 @@ def read_blob_selected(
     *list* path (e.g. ``("groups",)``) to a set of wanted ``index``
     values: elements whose leading ``index`` key is not in the set are
     dropped after that one peek, which avoids walking the token-dense
-    header maps of unwanted groups.  The whole payload still flows
-    through the decompressor sequentially (the format is monolithic by
-    design — paper §5.4), but peak memory is bounded by the *selected*
-    data, not the shard size.  CRC and length checks match
-    :func:`read_blob`.
-
-    ``stop_after`` names a map-entry path after whose completed decode
-    the read returns immediately with the prefix decoded so far —
-    nothing past it is read or decompressed.  The trade-off is explicit:
-    an early-stopped read cannot verify the payload CRC or total length
-    (the unread tail carries them), exactly as if the file ended there.
+    header maps of unwanted groups.  The whole file is still read
+    sequentially (the format is monolithic by design — paper §5.4), but
+    peak memory is bounded by the *selected* data, not the shard size.
+    Every call reads to the end of the payload and applies the same
+    length and CRC checks as :func:`read_blob`, whatever was selected.
     """
     path = Path(path)
-    fh, flags, payload_len, raw_len, crc = _open_payload(path)
+    fh, compressed, payload_len, raw_len, crc = _open_payload(path)
     with fh:
-        src = _StreamSource(fh, payload_len, bool(flags & _FLAG_COMPRESSED))
+        src = _StreamSource(fh, payload_len, compressed)
         try:
-            obj = _decode_selected(src, want, (), indexed_filter, stop_after)
-        except _EarlyStop as stop:
-            return stop.value
-        if not src.at_end() or src.consumed != raw_len:
+            obj = _decode_selected(src, want, (), indexed_filter)
+        except RecursionError as exc:
+            raise CheckpointFormatError(f"{path}: blob nesting too deep") from exc
+        if src.consumed != raw_len or not src.at_end():
             raise CheckpointFormatError(
                 f"{path}: payload length mismatch ({src.consumed} vs {raw_len})"
             )
@@ -635,23 +640,12 @@ def read_blob_selected(
 def read_blob(path: str | Path) -> Any:
     """Read and fully deserialize a blob file (inherently non-lazy)."""
     path = Path(path)
-    if not path.exists():
-        raise CheckpointFormatError(f"blob file not found: {path}")
-    with path.open("rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointFormatError(f"{path}: bad magic {magic!r} (not a repro blob)")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != BLOB_VERSION:
-            raise CheckpointFormatError(f"{path}: unsupported blob version {version}")
-        (flags,) = struct.unpack("<B", fh.read(1))
-        (payload_len,) = struct.unpack("<Q", fh.read(8))
-        (raw_len,) = struct.unpack("<Q", fh.read(8))
-        (crc,) = struct.unpack("<I", fh.read(4))
+    fh, compressed, payload_len, raw_len, crc = _open_payload(path)
+    with fh:
         payload = fh.read(payload_len)
     if len(payload) != payload_len:
         raise CheckpointFormatError(f"{path}: truncated blob payload")
-    if flags & _FLAG_COMPRESSED:
+    if compressed:
         try:
             payload = zlib.decompress(payload)
         except zlib.error as exc:

@@ -13,6 +13,8 @@ fall back to the sequential backend.
 from __future__ import annotations
 
 import os
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +96,50 @@ def train_steps(model, engine, config, n_steps, *, seed=0):
         engine.step()
         losses.append(loss.item())
     return losses
+
+
+def _encode_blob_v1(obj) -> bytes:
+    """The version-1 TLV encoding: every ndarray under tag ``A``, no planes."""
+    if obj is None:
+        return b"N"
+    if obj is True or obj is False:
+        return b"T" if obj else b"F"
+    if isinstance(obj, (int, np.integer)):
+        return b"I" + struct.pack("<q", int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return b"D" + struct.pack("<d", float(obj))
+    if isinstance(obj, str):
+        raw = obj.encode("utf-8")
+        return b"S" + struct.pack("<I", len(raw)) + raw
+    if isinstance(obj, bytes):
+        return b"B" + struct.pack("<Q", len(obj)) + obj
+    if isinstance(obj, (list, tuple)):
+        return b"L" + struct.pack("<I", len(obj)) + b"".join(map(_encode_blob_v1, obj))
+    if isinstance(obj, dict):
+        items = b"".join(_encode_blob_v1(k) + _encode_blob_v1(v) for k, v in obj.items())
+        return b"M" + struct.pack("<I", len(obj)) + items
+    assert isinstance(obj, np.ndarray), type(obj)
+    dtype_str = obj.dtype.str.encode("ascii")
+    return (
+        b"A" + struct.pack("<B", len(dtype_str)) + dtype_str
+        + struct.pack("<B", obj.ndim) + struct.pack(f"<{obj.ndim}q", *obj.shape)
+        + struct.pack("<Q", obj.nbytes) + obj.tobytes()
+    )
+
+
+def write_blob_v1(path, obj, *, compress: bool = True) -> None:
+    """Test oracle: write ``obj`` as the version-1 container ``repro`` used to emit.
+
+    Whole payload in one zlib stream (header flag bit 0), arrays under
+    tag ``A`` only, CRC over the uncompressed payload.  Independent of
+    ``repro.io.blobfile`` so it pins the on-disk compatibility contract.
+    """
+    raw = _encode_blob_v1(obj)
+    payload = zlib.compress(raw, 1) if compress else raw
+    header = b"REPROBLB" + struct.pack(
+        "<IBQQI", 1, int(compress), len(payload), len(raw), zlib.crc32(raw)
+    )
+    Path(path).write_bytes(header + payload)
 
 
 @pytest.fixture

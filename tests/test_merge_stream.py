@@ -149,6 +149,75 @@ def test_stream_detects_tampered_group_serial_cannot(checkpoint_run, tmp_path):
         )
 
 
+def _full_trail(tmp_path, config, steps=(1, 2)):
+    model, engine = make_engine(config, world_size=2)
+    storage = Storage(tmp_path / "full-trail")
+    for step in steps:
+        train_steps(model, engine, config, 1, seed=step)
+        save_checkpoint(
+            storage, step=step, model=model, config=config, engine=engine,
+            trainer_state={"global_step": step}, strategy="full",
+        )
+    return storage
+
+
+def test_stream_rejects_corruption_outside_every_wanted_group(tmp_path, untied_config):
+    """A corrupt shard fails the streaming merge even where nothing is copied from.
+
+    Only ``norm`` (group 0, the head of the file) is taken from
+    checkpoint-1; the flipped byte sits in the last group's moments,
+    two thirds of a shard later.  A read that stopped after the last
+    wanted group would hand back intact data from a corrupt file.
+    """
+    from repro.util.errors import MergeError
+
+    storage = _full_trail(tmp_path, untied_config)
+    recipe = MergeRecipe(
+        base_checkpoint=storage.root / "checkpoint-2",
+        assignments={"norm": storage.root / "checkpoint-1"},
+        options=MergeOptions(verify=False, stream=True),
+    )
+    assert LLMTailor(recipe).merge(output=tmp_path / "clean") is not None
+    shard_path = CheckpointPaths(storage.root / "checkpoint-1").shard(1)
+    raw = bytearray(shard_path.read_bytes())
+    raw[-40] ^= 0xFF
+    shard_path.write_bytes(bytes(raw))
+    with pytest.raises((CheckpointFormatError, MergeError)):
+        LLMTailor(recipe).merge(output=tmp_path / "m")
+
+
+def test_mixed_v1_v2_trail_merges_byte_identically(tmp_path, untied_config):
+    """Shards written before blob v2 merge to the very same output files."""
+    from conftest import write_blob_v1
+
+    storage = _full_trail(tmp_path, untied_config, steps=(1, 2, 3))
+    slots = model_slots(untied_config)
+    recipe = MergeRecipe(
+        base_checkpoint=storage.root / "checkpoint-3",
+        assignments={
+            slot: storage.root / f"checkpoint-{1 + i % 3}"
+            for i, slot in enumerate(slots) if i % 3 != 2
+        },
+    )
+
+    def merged_files(tag: str, **options) -> dict[str, bytes]:
+        recipe.options = MergeOptions(verify=True, **options)
+        out = LLMTailor(recipe).merge(output=tmp_path / tag).output
+        return {
+            p.name: p.read_bytes() for p in sorted(out.dir.rglob("*"))
+            if p.is_file() and p.suffix in (".blob", ".tsr")
+        }
+
+    all_v2 = merged_files("v2")
+    assert len(all_v2) == 3  # weights + one shard per rank
+    for step, compress in ((1, True), (3, False)):  # the base included
+        for rank in range(2):
+            shard_path = CheckpointPaths(storage.root / f"checkpoint-{step}").shard(rank)
+            write_blob_v1(shard_path, read_blob(shard_path), compress=compress)
+    assert merged_files("mixed-serial") == all_v2
+    assert merged_files("mixed-stream", stream=True, workers=2) == all_v2
+
+
 def test_streamed_output_verifies_and_resumes(checkpoint_run, tmp_path):
     """A streamed Frankenstein checkpoint passes deep verification."""
     storage, _, _, config, _ = checkpoint_run
@@ -173,14 +242,7 @@ def test_stream_peak_memory_bounded(tmp_path, untied_config):
     all sources sum to one shard.
     """
     config = untied_config
-    model, engine = make_engine(config, world_size=2)
-    storage = Storage(tmp_path / "full-trail")
-    for step in (1, 2, 3):
-        train_steps(model, engine, config, 1, seed=step)
-        save_checkpoint(
-            storage, step=step, model=model, config=config, engine=engine,
-            trainer_state={"global_step": step}, strategy="full",
-        )
+    storage = _full_trail(tmp_path, config, steps=(1, 2, 3))
     slots = model_slots(config)
     recipe = MergeRecipe(
         base_checkpoint=storage.root / "checkpoint-3",
@@ -286,13 +348,28 @@ class TestSelectiveBlobReads:
         assert sel["groups"][0]["fields"] == [0, 1, 2, 3, 4]
         assert len(sel["hyperparams"]) == 6  # unfiltered list untouched
 
-    def test_stop_after_returns_prefix(self, blob):
+    def test_unselected_tail_corruption_detected(self, blob, tmp_path):
+        """Selecting only the head of a file does not excuse its tail.
+
+        The read drains the payload whatever the predicate wants, so a
+        flipped byte in a group nobody asked for still fails the
+        container CRC.
+        """
         path, _ = blob
-        sel = read_blob_selected(
-            path, lambda _p: True, stop_after=("fp32_flat_groups", 2)
-        )
-        assert sorted(sel["fp32_flat_groups"]) == [0, 1, 2]
-        assert "state" not in sel  # never reached
+        raw = bytearray(path.read_bytes())
+        raw[-40] ^= 0xFF  # inside state[5]["exp_avg"], the last value
+        bad = tmp_path / "bad.blob"
+        bad.write_bytes(bytes(raw))
+        wanted = {0}
+        with pytest.raises(CheckpointFormatError, match="CRC mismatch"):
+            read_blob_selected(
+                bad,
+                lambda p: not (
+                    len(p) == 2 and p[0] in ("fp32_flat_groups", "state")
+                    and p[1] not in wanted
+                ),
+                indexed_filter=lambda p: wanted if p == ("groups",) else None,
+            )
 
     def test_corruption_detected_without_stop(self, blob, tmp_path):
         path, _ = blob

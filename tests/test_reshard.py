@@ -204,6 +204,28 @@ def test_bit_rot_rejected(ckpt_factory, tmp_path):
         reshard_checkpoint(copy.output, tmp_path / "out-b", 1, stream=False)
 
 
+def test_stream_rejects_corruption_after_the_last_group(ckpt_factory, tmp_path):
+    """The streaming engine verifies the whole file, not just what it copies.
+
+    Shards carry non-canonical top-level keys through a reshard; here
+    one of them makes the tail of the file (past every group a target
+    rank wants) longer than a read chunk.  A flipped byte in that tail
+    must fail the container CRC of every selective read.
+    """
+    src = ckpt_factory("full", 2)
+    copy = reshard_checkpoint(src, tmp_path / "victim-tail", 2)
+    shard_path = CheckpointPaths(copy.output).shard(1)  # rank 0 feeds the metadata pass
+    doc = read_blob(shard_path)
+    doc["user_extra"] = np.random.default_rng(0).bytes(400_000)
+    write_blob(shard_path, doc)
+    reshard_checkpoint(copy.output, tmp_path / "clean", 1, stream=True)  # intact: fine
+    raw = bytearray(shard_path.read_bytes())
+    raw[-3] ^= 0xFF
+    shard_path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match="CRC mismatch"):
+        reshard_checkpoint(copy.output, tmp_path / "out", 1, stream=True)
+
+
 def test_step_disagreement_rejected(ckpt_factory, tmp_path):
     """Mixed-up shard files (diverging step counters) must not merge."""
     src = ckpt_factory("full", 2)
