@@ -4,10 +4,9 @@ The merge experiments measure consolidating shards *to one rank*; real
 fleets also resume on a different world size than they checkpointed
 with.  This scenario times the resharding engine over the shapes that
 matter: shrink (4→2), consolidate (4→1, the merge-degenerate case), and
-scatter (1→4), with the streaming engine against the materializing
-reference path.  The streaming engine trades a few extra selective
-reads (``N + M - gcd(N, M)`` loads instead of N) for never holding the
-full master state in memory.
+scatter (1→4).  Each runs on the one source-major sweep, which reads
+every source shard exactly once (asserted: ``files_loaded == N``) and
+never holds more than one source plus the open target.
 """
 
 from __future__ import annotations
@@ -45,53 +44,39 @@ def full_checkpoints(tmp_path_factory):
     return ws4, ws1
 
 
-def _record(key: str, mean: float) -> None:
-    _times[key] = mean
-    if len(_times) == 4:  # final parametrization: emit the comparison table
-        table = Table(["Reshard", "Engine", "Time (s)"],
+def _record(shape: str, mean: float) -> None:
+    _times[shape] = mean
+    if len(_times) == 3:  # final shape: emit the comparison table
+        table = Table(["Reshard", "Time (s)"],
                       title="Elastic resharding (llama3.2-1b-sim, 34 groups)")
         for name, seconds in _times.items():
-            shape, engine = name.rsplit(":", 1)
-            table.add_row([shape, engine, round(seconds, 4)])
+            table.add_row([name, round(seconds, 4)])
         emit("reshard_times", table.render())
 
 
-@pytest.mark.parametrize("mode", ["materialize", "stream"])
-def test_reshard_shrink_4_to_2(benchmark, full_checkpoints, tmp_path, mode):
-    """The elastic-fleet case neither merge nor scatter covers."""
-    ws4, _ = full_checkpoints
+def _bench(benchmark, source, tmp_path, target: int, source_world: int) -> None:
+    holder = {}
 
     def run():
-        out = tmp_path / f"shrink-{mode}-{next(_counter)}"
-        return reshard_checkpoint(ws4, out, 2, stream=mode == "stream", workers=2)
+        holder["report"] = reshard_checkpoint(
+            source, tmp_path / f"out-{next(_counter)}", target
+        )
 
     benchmark.pedantic(run, rounds=ROUNDS, iterations=1, warmup_rounds=WARMUP_ROUNDS)
-    _record(f"4->2:{mode}", benchmark.stats["mean"])
+    assert holder["report"].files_loaded == source_world  # one read per source shard
+    _record(f"{source_world}->{target}", benchmark.stats["mean"])
+
+
+def test_reshard_shrink_4_to_2(benchmark, full_checkpoints, tmp_path):
+    """The elastic-fleet case neither merge nor scatter covers."""
+    _bench(benchmark, full_checkpoints[0], tmp_path, 2, 4)
 
 
 def test_reshard_consolidate_4_to_1(benchmark, full_checkpoints, tmp_path):
     """N→1: the resharder degenerating to a full consolidation."""
-    ws4, _ = full_checkpoints
-
-    def run():
-        out = tmp_path / f"consolidate-{next(_counter)}"
-        return reshard_checkpoint(ws4, out, 1, stream=True)
-
-    benchmark.pedantic(run, rounds=ROUNDS, iterations=1, warmup_rounds=WARMUP_ROUNDS)
-    _record("4->1:stream", benchmark.stats["mean"])
+    _bench(benchmark, full_checkpoints[0], tmp_path, 1, 4)
 
 
 def test_reshard_scatter_1_to_4(benchmark, full_checkpoints, tmp_path):
     """1→M: growing a fleet from a consolidated checkpoint."""
-    _, ws1 = full_checkpoints
-    holder = {}
-
-    def run():
-        out = tmp_path / f"scatter-{next(_counter)}"
-        holder["report"] = reshard_checkpoint(ws1, out, 4, stream=True, workers=2)
-
-    benchmark.pedantic(run, rounds=ROUNDS, iterations=1, warmup_rounds=WARMUP_ROUNDS)
-    # Every target rank reads the single source shard (N + M - gcd = 4),
-    # plus the metadata pass over it.
-    assert holder["report"].files_loaded == 4 + 1
-    _record("1->4:stream", benchmark.stats["mean"])
+    _bench(benchmark, full_checkpoints[1], tmp_path, 4, 1)

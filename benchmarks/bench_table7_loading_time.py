@@ -13,9 +13,9 @@ checkpoints.  Key observations reproduced:
 * overall overhead scales with bytes loaded x files loaded.
 
 The ``parity-2-w4`` row extends the table past the paper: the same
-interleaved parity merge through the streaming engine with
-``--workers 4``, which must beat the serial parity row while parity
-remains the slowest layout overall (the §5.4 headline is preserved).
+interleaved parity merge with ``--workers 4``.  Parity must remain the
+slowest layout with or without the fan-out (the §5.4 headline); whether
+the pools pay for themselves at sim scale is reported, not asserted.
 
 Timings are real wall clock on real files at sim scale.
 """
@@ -96,8 +96,7 @@ def _recipe_for_split(storage: Storage, config, slots, n_parts: int, base_step: 
 
 
 def _parity_recipe(
-    storage: Storage, config, slots, cache_mode: str,
-    *, workers: int = 1, stream: bool = False,
+    storage: Storage, config, slots, cache_mode: str, *, workers: int = 1,
 ) -> MergeRecipe:
     L = config.num_hidden_layers
     odd = [f"layers.{i}" for i in range(L) if i % 2 == 1] + ["embed_tokens"]
@@ -105,9 +104,7 @@ def _parity_recipe(
     return MergeRecipe(
         base_checkpoint=storage.root / "checkpoint-5001",
         assignments=assignments,
-        options=MergeOptions(
-            workers=workers, cache_mode=cache_mode, verify=False, stream=stream
-        ),
+        options=MergeOptions(workers=workers, cache_mode=cache_mode, verify=False),
     )
 
 
@@ -133,9 +130,7 @@ def _run_case(trail, case: str, tmp_root: Path):
     elif case == "parity-2":
         recipe = _parity_recipe(storage, config, slots, cache_mode="none")
     elif case == "parity-2-w4":
-        recipe = _parity_recipe(
-            storage, config, slots, cache_mode="none", workers=4, stream=True
-        )
+        recipe = _parity_recipe(storage, config, slots, cache_mode="none", workers=4)
     elif case == "ckpts-8":
         recipe = _recipe_for_split(storage, config, slots, 8, 3000)
     elif case == "ckpts-N":
@@ -178,7 +173,7 @@ def test_table7_loading_time(benchmark, trails, tmp_path, model_name, case):
 
     if case in ("parity-2", "parity-2-w4") and merge_result is not None:
         # Interleaved parity loads one shard file per slot per rank,
-        # with or without the streaming engine.
+        # at any fan-out.
         assert merge_result.optimizer_files_loaded == len(slots) * WORLD
     if case == "ckpts-2" and merge_result is not None:
         assert merge_result.optimizer_files_loaded == 2 * WORLD
@@ -200,7 +195,7 @@ def test_table7_render(benchmark, trails):
                     continue
                 label = {"baseline-1": "Baseline: 1", "ckpts-2": "2",
                          "parity-2": "parity (2)",
-                         "parity-2-w4": "parity (2) stream w4",
+                         "parity-2-w4": "parity (2) w4",
                          "ckpts-8": "8", "ckpts-N": str(len(slots))}[case]
                 table.add_row([model_name, len(slots), label,
                                stats["files_loaded"], round(stats["seconds"], 4)])
@@ -226,21 +221,9 @@ def test_table7_render(benchmark, trails):
                 f"exceed straightforward {two['seconds']:.4f}s"
             )
             assert parity["bytes_loaded"] > two["bytes_loaded"]
-        if parity and parity_w4:
-            # The streaming engine with workers must speed parity up while
-            # parity stays the slowest strategy (headline preserved).  The
-            # 8B model's margin is large enough to assert strictly; the 1B
-            # merge is short enough that a single scheduler hiccup can eat
-            # its ~5-15% win, so it only asserts non-regression here — the
-            # committed BENCH baselines pin the improvement itself.
-            bound = 1.0 if model_name == "llama3.1-8b-sim" else 1.05
-            assert parity_w4["seconds"] < parity["seconds"] * bound, (
-                f"{model_name}: streaming parity w4 {parity_w4['seconds']:.4f}s "
-                f"should beat serial parity {parity['seconds']:.4f}s (x{bound})"
+        if parity_w4 and two:
+            assert parity_w4["seconds"] > two["seconds"], (
+                f"{model_name}: even fanned out, interleaved parity "
+                f"{parity_w4['seconds']:.4f}s should stay slower than the "
+                f"straightforward merge {two['seconds']:.4f}s"
             )
-            if two:
-                assert parity_w4["seconds"] > two["seconds"], (
-                    f"{model_name}: even streamed, interleaved parity "
-                    f"{parity_w4['seconds']:.4f}s should stay slower than the "
-                    f"straightforward merge {two['seconds']:.4f}s"
-                )

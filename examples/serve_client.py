@@ -49,7 +49,6 @@ def recipe_doc(run: Path) -> dict:
     return {
         "base_checkpoint": str(run / "checkpoint-24"),
         "slices": [{"slot": "layers.0-1", "source": str(run / "checkpoint-16")}],
-        "options": {"stream": True},
     }
 
 

@@ -14,7 +14,7 @@ Mirrors the paper artifact's workflow:
   partial-checkpoint trail and merge automatically (workflow T2);
 * ``llmtailor reshard CKPT_DIR -o OUT -w M`` — elastically re-partition
   a complete checkpoint's optimizer shards to a new world size (N→M,
-  streaming by default);
+  each source shard read once);
 * ``llmtailor verify CKPT_DIR`` — structural verification;
 * ``llmtailor describe CKPT_DIR`` — sizes and slot coverage;
 * ``llmtailor groups MODEL`` — print the tailored 2L+x group layout
@@ -30,8 +30,8 @@ Mirrors the paper artifact's workflow:
 * ``llmtailor client JOBFILE --socket PATH`` — submit a job file to a
   running service and wait for the results.
 
-``merge``/``auto-merge`` take ``--workers``/``--stream`` to drive the
-parallel streaming merge engine.
+``merge``/``auto-merge`` take ``--workers`` (fan-out over ranks and
+per-rank loads) and ``--cache-mode`` (Table 7's two load regimes).
 """
 
 from __future__ import annotations
@@ -111,8 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_merge.add_argument("-o", "--output", help="output checkpoint directory")
     p_merge.add_argument("--workers", type=int, default=None,
                          help="override recipe options.workers (parallel fan-out)")
-    p_merge.add_argument("--stream", action="store_true", default=None,
-                         help="use the streaming engine (bounded peak memory)")
     p_merge.add_argument("--cache-mode", choices=("per-checkpoint", "none"),
                          default=None, help="override recipe options.cache_mode")
 
@@ -121,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_auto.add_argument("--failure-step", type=int, default=None)
     p_auto.add_argument("-o", "--output", required=True)
     p_auto.add_argument("--workers", type=int, default=1)
-    p_auto.add_argument("--stream", action="store_true",
-                        help="use the streaming engine (bounded peak memory)")
     p_auto.add_argument(
         "--cache-mode", choices=("per-checkpoint", "none"), default="per-checkpoint"
     )
@@ -135,11 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="output checkpoint directory")
     p_reshard.add_argument("-w", "--target-world-size", type=int, required=True,
                            help="number of ranks the output should have")
-    p_reshard.add_argument("--workers", type=int, default=1,
-                           help="parallel target-rank transfers")
-    p_reshard.add_argument("--stream", action=argparse.BooleanOptionalAction,
-                           default=True,
-                           help="streaming engine (bounded peak memory; default on)")
 
     p_verify = sub.add_parser("verify", help="verify a checkpoint structurally")
     p_verify.add_argument("checkpoint", help="checkpoint directory")
@@ -165,13 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also estimate resharding a --world-size checkpoint "
                              "to M ranks")
     p_plan.add_argument("--workers", type=int, default=1,
-                        help="merge/reshard estimate: parallel workers")
-    # Default None so each estimate can apply its engine's own default:
-    # merge is serial unless --stream, reshard streams unless --no-stream
-    # (matching the `merge` and `reshard` commands themselves).
-    p_plan.add_argument("--stream", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="merge/reshard estimate: streaming engine")
+                        help="merge estimate: parallel workers")
     p_plan.add_argument("--cache-mode", choices=("per-checkpoint", "none"),
                         default="per-checkpoint", help="merge estimate: load policy")
     p_plan.add_argument("--faults", default=None, metavar="PLAN_YAML",
@@ -331,8 +316,6 @@ def _cmd_merge(args) -> int:
     overrides = {}
     if args.workers is not None:
         overrides["workers"] = args.workers
-    if args.stream is not None:
-        overrides["stream"] = args.stream
     if args.cache_mode is not None:
         overrides["cache_mode"] = args.cache_mode
     if overrides:
@@ -348,7 +331,6 @@ def _cmd_auto_merge(args) -> int:
         failure_step=args.failure_step,
         workers=args.workers,
         cache_mode=args.cache_mode,
-        stream=args.stream,
     )
     result = LLMTailor(recipe).merge(output=args.output)
     print(result.summary())
@@ -358,13 +340,7 @@ def _cmd_auto_merge(args) -> int:
 def _cmd_reshard(args) -> int:
     from .dist.reshard import reshard_checkpoint
 
-    report = reshard_checkpoint(
-        args.checkpoint,
-        args.output,
-        args.target_world_size,
-        stream=args.stream,
-        workers=args.workers,
-    )
+    report = reshard_checkpoint(args.checkpoint, args.output, args.target_world_size)
     print(report.summary())
     return 0
 
@@ -477,12 +453,10 @@ def _cmd_plan(args) -> int:
             num_checkpoints=args.merge_checkpoints,
             cache_mode=args.cache_mode,
             workers=args.workers,
-            stream=bool(args.stream),
         )
-        mode = "stream" if merge.stream else "serial"
         print(
             f"merge estimate ({merge.num_checkpoints} ckpts, {merge.cache_mode}, "
-            f"{mode}, workers={merge.workers}):"
+            f"workers={merge.workers}):"
         )
         print(f"  loads per rank         : {merge.loads_per_rank}")
         print(f"  bytes loaded           : {format_bytes(merge.bytes_loaded)}")
@@ -495,14 +469,11 @@ def _cmd_plan(args) -> int:
             config,
             source_world_size=args.world_size,
             target_world_size=args.reshard_to,
-            workers=args.workers,
-            stream=args.stream if args.stream is not None else True,
             topology=topology,
         )
-        mode = "stream" if reshard.stream else "materialize"
         print(
             f"reshard estimate ({reshard.source_world_size} -> "
-            f"{reshard.target_world_size} ranks, {mode}, workers={reshard.workers}):"
+            f"{reshard.target_world_size} ranks):"
         )
         print(f"  shard loads            : {reshard.loads}")
         print(f"  bytes loaded           : {format_bytes(reshard.bytes_loaded)}")

@@ -65,7 +65,6 @@ def recipe_from_run(
     workers: int = 1,
     cache_mode: str = "per-checkpoint",
     verify: bool = True,
-    stream: bool = False,
 ) -> MergeRecipe:
     """Build a merge recipe by scanning checkpoint manifests on disk."""
     run_root = Path(run_root)
@@ -80,9 +79,7 @@ def recipe_from_run(
     return MergeRecipe(
         base_checkpoint=base.dir,
         assignments=assignments,
-        options=MergeOptions(
-            workers=workers, cache_mode=cache_mode, verify=verify, stream=stream
-        ),
+        options=MergeOptions(workers=workers, cache_mode=cache_mode, verify=verify),
     )
 
 

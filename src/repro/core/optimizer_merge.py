@@ -2,43 +2,39 @@
 
 Per data-parallel rank ``r`` there is one monolithic shard blob per
 checkpoint; because optimizer state cannot be lazily loaded, building
-the merged rank-``r`` shard requires *fully loading* every source
+the merged rank-``r`` shard requires a *full pass* over every source
 checkpoint's rank-``r`` blob.  The tailored 2L+x group layout makes the
 copy itself trivial: a transformer layer owns exactly two group indices
 (computable from the config alone), so merging is "index, copy, insert".
 
-Two load policies reproduce the paper's Table 7 regimes:
+Every load is a selective read: it walks the monolithic shard
+sequentially (container length and CRC apply) but inflates and
+materializes only the parameter groups the plan takes from that source,
+each checked against its header ``crc32``.  Two load policies reproduce
+the paper's Table 7 regimes:
 
-* ``per-checkpoint`` — each distinct source blob is loaded once per rank
+* ``per-checkpoint`` — each distinct source blob is read once per rank
   (the "straightforward" mode: layers 1-16 from ckpt A, 17-32 from B);
-* ``none`` — the source blob is re-loaded for every slot (the
+* ``none`` — the source blob is re-read for every slot (the
   "interleaved parity" mode, which loads and discards checkpoints N
   times and dominates merge time).
 
-Ranks are processed in parallel with ``ProcessPoolExecutor`` (§4.2),
-falling back to in-process execution when multiprocessing is
-unavailable or ``workers == 1``.
-
-The *streaming* engine (``spec["stream"]``) replaces the full-blob
-decode with selective reads: each load walks the monolithic shard
-sequentially but materializes only the parameter groups the plan
-actually takes from that source, and the independent loads are fanned
-across a ``ThreadPoolExecutor``.  The merged shard it writes is
-bitwise-identical to the serial path at any world size; only peak
-memory (one output shard instead of every cached source) and decode
-work (wanted groups instead of all groups per load) change.
+Ranks are processed in parallel with ``ProcessPoolExecutor`` (§4.2) and
+a rank's independent loads fan across a ``ThreadPoolExecutor``; both
+share one worker budget and fall back to in-process execution when
+multiprocessing is unavailable or ``workers == 1``.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from ..dist.zero import SHARD_FORMAT_VERSION, group_payload_crc
-from ..io.blobfile import read_blob, read_blob_selected, write_blob
+from ..io.blobfile import read_blob_selected, write_blob
 from ..io.layout import CheckpointPaths, shard_filename
 from ..io.storage import GroupCache, group_key
 from ..nn.config import ModelConfig
@@ -58,9 +54,9 @@ __all__ = [
 ]
 
 # Cross-request group cache installed by the serve daemon (None outside
-# a service process).  The streaming engine consults it per shard load;
-# the one-shot CLI paths never install one, so their behaviour — and
-# their bitwise output, which the cache preserves by construction — is
+# a service process).  The engine consults it per shard load; the
+# one-shot CLI paths never install one, so their behaviour — and their
+# bitwise output, which the cache preserves by construction — is
 # unchanged.
 _GROUP_CACHE: GroupCache | None = None
 
@@ -69,7 +65,7 @@ def set_group_cache(cache: GroupCache | None) -> GroupCache | None:
     """Install (or clear) the process-wide merge group cache.
 
     Returns the previously installed cache so callers can restore it.
-    Only the in-process streaming path consults the cache; rank fan-out
+    Only in-process rank merges consult the cache; rank fan-out
     through a process pool cannot see it, so services that want cache
     hits run rank merges in threads (``workers=1`` per job).
     """
@@ -112,42 +108,6 @@ class RankMergeStats:
         return dict(self.__dict__)
 
 
-@dataclass
-class _ShardCache:
-    """Load policy implementation + accounting."""
-
-    rank: int
-    cache_mode: str
-    stats: RankMergeStats
-    _cache: dict[str, dict] = field(default_factory=dict)
-    _seen: set = field(default_factory=set)
-
-    def load(self, ckpt_dir: str) -> dict:
-        if self.cache_mode == "per-checkpoint" and ckpt_dir in self._cache:
-            return self._cache[ckpt_dir]
-        shard_path = _shard_path(ckpt_dir, self.rank)
-        if not shard_path.exists():
-            raise MergeError(f"missing optimizer shard for rank {self.rank}: {shard_path}")
-        timer = WallTimer()
-        with timer:
-            shard = read_blob(shard_path)
-        self.stats.load_seconds += timer.elapsed
-        self.stats.files_loaded += 1
-        self.stats.bytes_loaded += shard_path.stat().st_size
-        if ckpt_dir not in self._seen:
-            self._seen.add(ckpt_dir)
-            self.stats.checkpoints_touched += 1
-        if self.cache_mode == "per-checkpoint":
-            self._cache[ckpt_dir] = shard
-        return shard
-
-
-def _shard_path(ckpt_dir: str, rank: int) -> Path:
-    cp = CheckpointPaths(ckpt_dir)
-    step = cp.step
-    return Path(ckpt_dir) / f"global_step{step}" / shard_filename(rank)
-
-
 def _validate_shard(shard: dict, spec: dict[str, Any], source_dir: str, rank: int) -> None:
     if shard.get("format_version") != SHARD_FORMAT_VERSION:
         raise MergeError(
@@ -172,7 +132,7 @@ def _take_groups(
     fp32: dict[int, Any],
     state: dict[int, Any],
 ) -> None:
-    """Copy one slot's groups out of a loaded (or selected) shard."""
+    """Copy one slot's groups out of a selectively read shard."""
     available = {h["index"]: h for h in shard["groups"]}
     available_hyper = {h["index"]: h for h in shard.get("hyperparams", [])}
     for g in wanted:
@@ -191,10 +151,10 @@ def _take_groups(
         state[g] = shard["state"][g]
 
 
-def _stream_load_tasks(
+def _load_tasks(
     config: ModelConfig, spec: dict[str, Any]
 ) -> list[tuple[str, list[str]]]:
-    """The streaming load schedule: ``(source_dir, slots)`` per load.
+    """The load schedule: ``(source_dir, slots)`` per selective read.
 
     ``cache_mode="none"`` keeps the paper's interleaved one-load-per-slot
     sequence; ``per-checkpoint`` coalesces every slot taken from the same
@@ -209,7 +169,7 @@ def _stream_load_tasks(
     return list(by_source.items())
 
 
-def _stream_extract(
+def _extract(
     spec: dict[str, Any], rank: int, source_dir: str, wanted: set[int]
 ) -> tuple[dict, float, int]:
     """Selectively read one shard, materializing only ``wanted`` groups.
@@ -218,7 +178,7 @@ def _stream_extract(
     file is still read and CRC-checked (the blob is monolithic), but
     skipped groups are neither inflated nor turned into numpy arrays.
     """
-    shard_path = _shard_path(source_dir, rank)
+    shard_path = CheckpointPaths(source_dir).shard(rank)
     if not shard_path.exists():
         raise MergeError(f"missing optimizer shard for rank {rank}: {shard_path}")
 
@@ -233,10 +193,10 @@ def _stream_extract(
         return None
 
     # The read drains the whole file, so the container length and CRC
-    # hold here as on the serial path; each materialized group is
-    # additionally checked against its own header ``crc32`` below (the
-    # per-item integrity model weight tensors already use), which also
-    # catches tampering that re-wrote a self-consistent container.
+    # hold; each materialized group is additionally checked against its
+    # own header ``crc32`` below (the per-item integrity model weight
+    # tensors already use), which also catches tampering that re-wrote a
+    # self-consistent container.
     timer = WallTimer()
     with timer:
         shard = read_blob_selected(shard_path, want, indexed_filter=indexed_filter)
@@ -281,7 +241,7 @@ def read_shard_metadata(shard_path: str | Path) -> dict:
     return read_blob_selected(Path(shard_path), want)
 
 
-def _stream_extract_cached(
+def _extract_cached(
     cache: GroupCache, spec: dict[str, Any], rank: int, source_dir: str,
     wanted: set[int],
 ) -> tuple[dict, float, int]:
@@ -297,7 +257,7 @@ def _stream_extract_cached(
     metadata read from the source file or array content whose CRC
     matches what the source file declares.
     """
-    shard_path = _shard_path(source_dir, rank)
+    shard_path = CheckpointPaths(source_dir).shard(rank)
     if not shard_path.exists():
         raise MergeError(f"missing optimizer shard for rank {rank}: {shard_path}")
     timer = WallTimer()
@@ -310,7 +270,7 @@ def _stream_extract_cached(
         if world_size < 1 or any(
             g not in headers or "crc32" not in headers[g] for g in wanted
         ):
-            return _stream_extract(spec, rank, source_dir, wanted)
+            return _extract(spec, rank, source_dir, wanted)
         nbytes = shard_path.stat().st_size if fresh else 0
 
         fp32: dict[int, Any] = {}
@@ -331,7 +291,7 @@ def _stream_extract_cached(
         if missing:
             # The plain path CRC-verifies exactly the groups it decodes,
             # which is what licenses inserting them under a content key.
-            subset, _, sub_nbytes = _stream_extract(spec, rank, source_dir, missing)
+            subset, _, sub_nbytes = _extract(spec, rank, source_dir, missing)
             nbytes += sub_nbytes
             for g in missing:
                 fp32[g] = subset["fp32_flat_groups"][g]
@@ -354,12 +314,17 @@ def _stream_extract_cached(
     return shard, timer.elapsed, nbytes
 
 
-def _merge_rank_shard_streaming(spec: dict[str, Any], rank: int) -> dict[str, Any]:
-    """Streaming engine: selective group loads fanned across a thread pool."""
+def merge_rank_shard(spec: dict[str, Any], rank: int) -> dict[str, Any]:
+    """Build and write the merged shard for one rank; returns stats.
+
+    ``spec`` is the picklable plan description from
+    :meth:`MergePlan.to_worker_spec` plus ``global_step``.  Top-level so
+    ProcessPoolExecutor can pickle it.
+    """
     config = ModelConfig.from_dict(spec["config"])
     stats = RankMergeStats(rank=rank)
 
-    tasks = _stream_load_tasks(config, spec)
+    tasks = _load_tasks(config, spec)
     wanted_sets = [
         {g for slot in slots for g in groups_for_slot(config, slot)}
         for _, slots in tasks
@@ -368,14 +333,14 @@ def _merge_rank_shard_streaming(spec: dict[str, Any], rank: int) -> dict[str, An
 
     def extract(source_dir: str, wanted: set[int]) -> tuple[dict, float, int]:
         if cache is not None:
-            return _stream_extract_cached(cache, spec, rank, source_dir, wanted)
-        return _stream_extract(spec, rank, source_dir, wanted)
+            return _extract_cached(cache, spec, rank, source_dir, wanted)
+        return _extract(spec, rank, source_dir, wanted)
 
     # Threads only pay off when cores can inflate and CRC concurrently
     # (zlib releases the GIL); never oversubscribe a small machine.  When the
-    # rank-level process pool is active, ``stream_threads`` carries this
+    # rank-level process pool is active, ``load_threads`` carries this
     # rank's share of the worker budget so the levels do not multiply.
-    budget = int(spec.get("stream_threads", spec.get("workers", 1)))
+    budget = int(spec.get("load_threads", spec.get("workers", 1)))
     workers = worker_budget(budget, len(tasks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -409,54 +374,8 @@ def _merge_rank_shard_streaming(spec: dict[str, Any], rank: int) -> dict[str, An
                 groups_header, hyperparams, fp32, state,
             )
             stats.slots_copied += 1
-    return _write_merged_shard(spec, rank, config, stats, groups_header,
-                               hyperparams, fp32, state)
 
-
-def merge_rank_shard(spec: dict[str, Any], rank: int) -> dict[str, Any]:
-    """Build and write the merged shard for one rank; returns stats.
-
-    ``spec`` is the picklable plan description from
-    :meth:`MergePlan.to_worker_spec` plus ``global_step``.  Top-level so
-    ProcessPoolExecutor can pickle it.
-    """
-    if spec.get("stream"):
-        return _merge_rank_shard_streaming(spec, rank)
-    config = ModelConfig.from_dict(spec["config"])
-    stats = RankMergeStats(rank=rank)
-    cache = _ShardCache(rank=rank, cache_mode=spec["cache_mode"], stats=stats)
-
-    groups_header: dict[int, dict] = {}
-    hyperparams: dict[int, dict] = {}
-    fp32: dict[int, Any] = {}
-    state: dict[int, Any] = {}
-
-    # Iterate slot-by-slot in model order: with cache_mode="none" this is
-    # exactly the paper's interleaved load-and-discard sequence.
-    for slot in model_slots(config):
-        source_dir = spec["slot_sources"][slot]
-        shard = cache.load(source_dir)
-        _validate_shard(shard, spec, source_dir, rank)
-        _take_groups(
-            shard, source_dir, rank, slot, groups_for_slot(config, slot),
-            groups_header, hyperparams, fp32, state,
-        )
-        stats.slots_copied += 1
-    return _write_merged_shard(spec, rank, config, stats, groups_header,
-                               hyperparams, fp32, state)
-
-
-def _write_merged_shard(
-    spec: dict[str, Any],
-    rank: int,
-    config: ModelConfig,
-    stats: RankMergeStats,
-    groups_header: dict[int, dict],
-    hyperparams: dict[int, dict],
-    fp32: dict[int, Any],
-    state: dict[int, Any],
-) -> dict[str, Any]:
-    """Assemble the canonical merged payload and write it (both engines)."""
+    # Assemble the canonical merged payload and write it.
     num_groups = config.num_param_groups_tailored
     if set(groups_header) != set(range(num_groups)):
         missing = sorted(set(range(num_groups)) - set(groups_header))
@@ -505,9 +424,9 @@ def merge_optimizer_shards(
     results: list[dict[str, Any]]
     max_workers = worker_budget(workers, world_size)
     # Split the worker budget across the two levels of parallelism: with
-    # P rank processes in flight, each streaming rank gets workers/P
-    # threads, so total concurrency never exceeds the requested fan-out.
-    spec = dict(spec, stream_threads=max(1, workers // max(1, max_workers)))
+    # P rank processes in flight, each rank gets workers/P load threads,
+    # so total concurrency never exceeds the requested fan-out.
+    spec = dict(spec, load_threads=max(1, workers // max(1, max_workers)))
     jobs = [(spec, r) for r in range(world_size)]
     if max_workers > 1:
         try:

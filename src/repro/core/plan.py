@@ -59,10 +59,6 @@ class MergePlan:
             seen.setdefault(cp.dir, cp)
         return list(seen.values())
 
-    def group_load_order(self) -> list[int]:
-        """Group indices in on-disk (canonical) order — the write order."""
-        return list(range(self.num_groups))
-
     def describe(self) -> dict:
         """JSON-serializable plan summary (recorded in the output manifest)."""
         return {
@@ -74,7 +70,6 @@ class MergePlan:
             "options": {
                 "workers": self.options.workers,
                 "cache_mode": self.options.cache_mode,
-                "stream": self.options.stream,
             },
         }
 
@@ -85,7 +80,6 @@ class MergePlan:
             "world_size": self.world_size,
             "slot_sources": {s: str(cp.dir) for s, cp in self.slot_sources.items()},
             "cache_mode": self.options.cache_mode,
-            "stream": self.options.stream,
             "workers": self.options.workers,
             "output": str(self.output),
         }

@@ -47,18 +47,15 @@ _SLOT_RE = re.compile(r"^(layers\.(\d+)(-(\d+))?|embed_tokens|norm|lm_head)$")
 class MergeOptions:
     """Execution knobs for the merge engine.
 
-    ``stream`` selects the streaming engine: shards are consumed
-    group-by-group through selective blob reads and weight files are
-    piped tensor-by-tensor, bounding peak memory to roughly one output
-    shard instead of every loaded source checkpoint.  The output is
-    bitwise-identical to the default (fully materializing) path.
+    ``cache_mode`` picks the paper's Table 7 load regime (one selective
+    pass per distinct source, or one per slot); ``workers`` is the
+    fan-out budget shared by rank processes and per-rank load threads.
     """
 
     workers: int = 1
     cache_mode: str = "per-checkpoint"
     copy_configs_from: str = "base"  # "base" or an explicit checkpoint path
     verify: bool = True
-    stream: bool = False
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -110,7 +107,6 @@ class MergeRecipe:
             "cache_mode": self.options.cache_mode,
             "copy_configs_from": self.options.copy_configs_from,
             "verify": self.options.verify,
-            "stream": self.options.stream,
         }
         return miniyaml.dumps(doc)
 
@@ -182,7 +178,7 @@ def parse_recipe(doc: Any) -> MergeRecipe:
     opts_doc = doc.get("options") or {}
     if not isinstance(opts_doc, dict):
         raise RecipeError("'options' must be a mapping")
-    extra = set(opts_doc) - {"workers", "cache_mode", "copy_configs_from", "verify", "stream"}
+    extra = set(opts_doc) - {"workers", "cache_mode", "copy_configs_from", "verify"}
     if extra:
         raise RecipeError(f"unknown option keys: {sorted(extra)}")
     options = MergeOptions(
@@ -190,7 +186,6 @@ def parse_recipe(doc: Any) -> MergeRecipe:
         cache_mode=str(opts_doc.get("cache_mode", "per-checkpoint")),
         copy_configs_from=str(opts_doc.get("copy_configs_from", "base")),
         verify=bool(opts_doc.get("verify", True)),
-        stream=bool(opts_doc.get("stream", False)),
     )
 
     output = doc.get("output")

@@ -6,10 +6,9 @@ bytes of the tensors being copied ("lazy loading, as in the case of
 model weights" — paper §5.4).  Tensors pass through bit-exactly: they
 are already quantized to the storage dtype, so re-encoding is lossless.
 
-With ``plan.options.stream`` the merge pipes raw tensor bytes from the
-source readers straight into a :class:`TensorFileWriter`, one tensor in
-memory at a time, instead of materializing the whole merged state dict
-before writing.  Both paths emit byte-identical files.
+The merge pipes raw tensor bytes from the source readers straight into
+a :class:`TensorFileWriter`, one tensor in memory at a time; the merged
+state dict never exists as a whole.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..io.layout import CheckpointPaths, WEIGHTS_NAME
-from ..io.tensorfile import TensorFile, TensorFileWriter, write_tensorfile
+from ..io.tensorfile import TensorFile, TensorFileWriter
 from ..nn.slots import model_slots, slot_parameter_shapes
 from ..numerics.dtypes import DType, unpack_bits
 from ..util.errors import MergeError
@@ -88,33 +87,21 @@ def merge_weight_files(plan: MergePlan) -> WeightMergeStats:
     plan.output.mkdir(parents=True, exist_ok=True)
     target_dtype = plan.config.storage_dtype
 
-    if plan.options.stream:
-        # Streaming: raw bytes flow source -> writer, one tensor resident.
-        with TensorFileWriter(
-            plan.output / WEIGHTS_NAME, metadata=_merge_metadata(plan)
-        ) as writer:
-            for _slot, name, reader in _iter_slot_tensors(plan, stats):
-                raw, entry = reader.read_raw(name)
-                if entry["dtype"] == target_dtype.value:
-                    writer.add_raw(name, raw, entry)
-                else:  # stored at another precision: re-encode like serial,
-                    # decoding the bytes already fetched (no second read)
-                    src_dtype = DType.parse(entry["dtype"])
-                    decoded = unpack_bits(
-                        np.frombuffer(raw, dtype=src_dtype.packed_numpy), src_dtype
-                    ).reshape(entry["shape"])
-                    writer.add(name, decoded, target_dtype)
-        stats.bytes_written = (plan.output / WEIGHTS_NAME).stat().st_size
-    else:
-        merged: dict[str, np.ndarray] = {}
+    with TensorFileWriter(
+        plan.output / WEIGHTS_NAME, metadata=_merge_metadata(plan)
+    ) as writer:
         for _slot, name, reader in _iter_slot_tensors(plan, stats):
-            merged[name] = reader.read(name)  # lazy: reads only this tensor
-        stats.bytes_written = write_tensorfile(
-            plan.output / WEIGHTS_NAME,
-            merged,
-            dtype=target_dtype,
-            metadata=_merge_metadata(plan),
-        )
+            raw, entry = reader.read_raw(name)
+            if entry["dtype"] == target_dtype.value:
+                writer.add_raw(name, raw, entry)
+            else:  # stored at another precision: decode the bytes already
+                # fetched (no second read) and re-encode at the target dtype
+                src_dtype = DType.parse(entry["dtype"])
+                decoded = unpack_bits(
+                    np.frombuffer(raw, dtype=src_dtype.packed_numpy), src_dtype
+                ).reshape(entry["shape"])
+                writer.add(name, decoded, target_dtype)
+    stats.bytes_written = (plan.output / WEIGHTS_NAME).stat().st_size
     stats.seconds = timer.stop()
     return stats
 

@@ -13,7 +13,8 @@ in a single process:
 * :class:`ZeroStage3Engine` — per-rank AdamW over sharded fp32 masters,
   emitting/consuming the per-rank optimizer shard files LLMTailor merges;
 * :func:`reshard_checkpoint` / :func:`reshard_state_dicts` — elastic
-  N→M re-partitioning of those shard files (streaming, bounded memory);
+  N→M re-partitioning of those shard files (one read per source shard,
+  bounded memory);
 * :class:`FaultPlan` / :class:`ChaosComm` — deterministic fault
   injection (rank failures, node failures, joins, spot preemptions,
   stragglers, degraded links, bitrot) over the same machinery, with

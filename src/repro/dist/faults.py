@@ -19,9 +19,10 @@ fault-free reference run:
   bandwidth; ring collectives are paced by the slowest link, so every
   collective slows by ``1 / bandwidth_scale``;
 * ``bitrot(step, rank, group)`` — a checkpoint shard's group payload is
-  corrupted on disk after it is written.  The per-group CRCs introduced
-  with the streaming merge engine catch the corruption on the next read
-  and recovery re-reads from the surviving replica instead of silently
+  corrupted on disk after it is written.  Every reader that
+  materializes a group (engine load, merge, reshard) checks its
+  per-group CRC, so the corruption is caught on the next read and
+  recovery re-reads from the surviving replica instead of silently
   resuming from garbage;
 * ``rank_join(step)`` — a fresh rank becomes available after the step
   completes; the supervisor *grows* the world N→N+1 through the same

@@ -4,25 +4,23 @@ Real fleets rarely resume on the world size they checkpointed with: a
 training job that saved on N data-parallel ranks comes back on M
 (shrunk after a hardware loss, grown after a quota bump).  DeepSpeed's
 monolithic per-rank shard files make that a full
-gather-everything-then-rescatter operation; this module does it as a
-*streaming* transformation instead, built from the same primitives the
-merge engine uses (paper §4.2, §5.4):
+gather-everything-then-rescatter operation; this module does it as one
+*source-major sweep* instead (:func:`reshard_sweep`):
 
 * per-group shard math — :class:`~repro.dist.partition.GroupPartition`
   makes the N→M mapping a set of interval intersections in master
-  coordinates (``N + M - gcd(N, M)`` transfers per group);
-* selective TLV reads — :func:`~repro.io.blobfile.read_blob_selected`
-  materializes only the groups a target rank needs from each source
-  shard, with each group checked against its header ``crc32``;
-* the merge engine's worker budget — independent target-rank transfers
-  fan across a thread pool clamped by
-  :func:`repro.core.optimizer_merge.worker_budget`.
+  coordinates, so each source shard scatters into the one or two target
+  shards it overlaps;
+* every source shard is read exactly once (``N`` loads for any ``M``),
+  in rank order, and each of its groups is checked against its header
+  ``crc32`` before a byte is copied;
+* a target shard is emitted the moment the last source it overlaps has
+  been consumed.
 
-Peak memory is bounded by one *target* shard plus one source shard's
-selected groups per concurrent worker — never the full master state —
-so N→M stays cheap even when neither N nor M is 1.  ``N→1`` degenerates to a merge-style full
-consolidation and ``1→M`` to a scatter; both fall out of the same
-interval math.
+Peak memory is one decoded source shard plus the open target shard(s) —
+never the full master state — so N→M stays cheap even when neither N
+nor M is 1.  ``N→1`` degenerates to a merge-style full consolidation
+and ``1→M`` to a scatter; both fall out of the same interval math.
 
 The output is bitwise round-trippable: resharding N→M→N reproduces the
 original shard files exactly, because group padding is canonically zero
@@ -34,14 +32,14 @@ from __future__ import annotations
 
 import re
 import shutil
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..io.blobfile import read_blob, read_blob_selected, write_blob
+from ..io.blobfile import read_blob, write_blob
 from ..io.layout import CheckpointPaths, shard_filename
 from ..util.errors import ReshardError
 from ..util.timer import WallTimer
@@ -54,6 +52,7 @@ __all__ = [
     "reshard_checkpoint",
     "reshard_rank_state_dict",
     "reshard_state_dicts",
+    "reshard_sweep",
 ]
 
 # Top-level shard payload keys in canonical write order.  Everything
@@ -73,6 +72,8 @@ _CANONICAL_KEYS = (
     "fp32_flat_groups",
     "state",
 )
+
+
 @dataclass
 class ReshardReport:
     """Accounting for one N→M reshard."""
@@ -81,8 +82,6 @@ class ReshardReport:
     output: Path
     source_world_size: int
     target_world_size: int
-    stream: bool
-    workers: int
     num_groups: int
     files_loaded: int = 0
     bytes_loaded: int = 0
@@ -101,12 +100,10 @@ class ReshardReport:
 
     def summary(self) -> str:
         """Multi-line human-readable recap (world sizes, loads, bytes, time)."""
-        mode = "stream" if self.stream else "materialize"
         lines = [
             f"resharded checkpoint: {self.output}",
             f"  world size           : {self.source_world_size} -> "
             f"{self.target_world_size}",
-            f"  engine               : {mode}, workers={self.workers}",
             f"  groups per shard     : {self.num_groups}",
             f"  shard files loaded   : {self.files_loaded} "
             f"({self.bytes_loaded} bytes)",
@@ -115,7 +112,7 @@ class ReshardReport:
         ]
         if self.topology is not None:
             lines.insert(
-                3,
+                2,
                 f"  topology             : {self.topology} "
                 f"(intra {self.intra_bytes} B, inter {self.inter_bytes} B)",
             )
@@ -196,18 +193,6 @@ def _complete_headers(shard: Mapping[str, Any], origin: str) -> dict[int, dict]:
     return headers
 
 
-def _verify_group_crc(
-    header: Mapping[str, Any], arrays: Mapping[str, np.ndarray], g: int, origin: str
-) -> None:
-    if "crc32" not in header:
-        return  # pre-CRC shard: container-level checks already applied
-    actual = group_payload_crc(arrays["fp32"], arrays["exp_avg"], arrays["exp_avg_sq"])
-    if actual != int(header["crc32"]):
-        raise ReshardError(
-            f"{origin}: CRC mismatch for group {g} (corrupt optimizer state)"
-        )
-
-
 def _group_step(state_entry: Mapping[str, Any] | None, g: int, origin: str) -> int:
     if not state_entry or "step" not in state_entry:
         raise ReshardError(f"{origin}: group {g} state is missing its step counter")
@@ -215,7 +200,7 @@ def _group_step(state_entry: Mapping[str, Any] | None, g: int, origin: str) -> i
 
 
 # ---------------------------------------------------------------------------
-# Target payload assembly (shared by both engines)
+# Target payload assembly
 # ---------------------------------------------------------------------------
 
 def _target_payload(
@@ -259,328 +244,197 @@ def _extras(shard: Mapping[str, Any]) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# In-memory core
+# The source-major sweep
 # ---------------------------------------------------------------------------
 
-def _reshard_payloads(
-    shards: Sequence[Mapping[str, Any]],
-    target_world_size: int,
-    ranks: Sequence[int],
-    *,
-    consume: bool = False,
-) -> list[dict[str, Any]]:
-    """Re-partition N complete payloads, materializing only ``ranks``.
+class _Sweep:
+    """State of one N→M sweep: rank 0's metadata plus the open targets.
 
-    With ``consume`` the source payloads are destructively drained: each
-    group's arrays are dropped from every source dict once re-sliced, so
-    peak memory stays near one full optimizer state instead of two.
+    :meth:`scatter_next` pulls each source payload itself, so the
+    payload is a local of that one call — nothing keeps it alive while
+    its successor is being decoded.
     """
-    shards = list(shards)
-    if not shards:
-        raise ReshardError("reshard needs at least one source shard")
-    M = int(target_world_size)
-    if M < 1:
-        raise ReshardError(f"target world_size must be >= 1, got {target_world_size}")
-    N = len(shards)
-    headers_by_rank: list[dict[int, dict]] = []
-    for rank, shard in enumerate(shards):
-        _validate_payload(shard, N, rank, f"source rank {rank}")
-        headers_by_rank.append(_complete_headers(shard, f"source rank {rank}"))
 
-    ref = shards[0]
-    headers = headers_by_rank[0]
-    for rank, other in enumerate(headers_by_rank[1:], start=1):
-        if set(other) != set(headers):
+    def __init__(self, source_world_size: int, target_world_size: int) -> None:
+        self.N, self.M = source_world_size, target_world_size
+        self.targets: dict[int, tuple[dict[int, np.ndarray], dict[int, dict]]] = {}
+        self.emitted = 0
+
+    def _adopt_rank0(self, ref: Mapping[str, Any], headers: dict[int, dict]) -> None:
+        self.headers = headers
+        self.hyperparams = list(ref.get("hyperparams", []))
+        self.extras = _extras(ref)
+        self.steps = {
+            g: _group_step(ref.get("state", {}).get(g), g, "source rank 0")
+            for g in headers
+        }
+        self.partitions = {
+            g: (GroupPartition(int(h["numel"]), self.N), GroupPartition(int(h["numel"]), self.M))
+            for g, h in sorted(headers.items())
+        }
+        # Target m is complete once source ready[m] is in; the running
+        # maximum keeps emission in rank order even where tiny groups
+        # (numel < world size) would let a later target finish first.
+        self.ready: list[int] = []
+        for m in range(self.M):
+            last = max(
+                (r for src, dst in self.partitions.values()
+                 for r in dst.overlapping_ranks(m, src)),
+                default=0,
+            )
+            self.ready.append(max(last, self.ready[-1] if m else 0))
+
+    def _check_against_rank0(self, headers: dict[int, dict], origin: str) -> None:
+        if set(headers) != set(self.headers):
             raise ReshardError(
-                f"source rank {rank}: group set differs from rank 0 "
-                f"({len(other)} vs {len(headers)} groups) — the shards "
+                f"{origin}: group set differs from rank 0 "
+                f"({len(headers)} vs {len(self.headers)} groups) — the shards "
                 "belong to different checkpoints"
             )
-        for g, header in headers.items():
-            if int(other[g]["numel"]) != int(header["numel"]) or list(
-                other[g].get("param_names", [])
-            ) != list(header.get("param_names", [])):
+        for g, ref in self.headers.items():
+            if int(headers[g]["numel"]) != int(ref["numel"]) or list(
+                headers[g].get("param_names", [])
+            ) != list(ref.get("param_names", [])):
                 raise ReshardError(
-                    f"source rank {rank}: group {g} geometry differs from rank 0 — "
+                    f"{origin}: group {g} geometry differs from rank 0 — "
                     "the shards belong to different checkpoints"
                 )
 
-    hyperparams = list(ref.get("hyperparams", []))
-    extras = _extras(ref)
-
-    out_fp32: dict[int, dict[int, np.ndarray]] = {m: {} for m in ranks}
-    out_state: dict[int, dict[int, dict]] = {m: {} for m in ranks}
-    for g in sorted(headers):
-        numel = int(headers[g]["numel"])
-        src = GroupPartition(numel, N)
-        dst = GroupPartition(numel, M)
-        arrays_by_rank: list[dict[str, np.ndarray]] = []
-        steps = set()
-        for rank, shard in enumerate(shards):
-            origin = f"source rank {rank}"
-            entry = shard.get("state", {}).get(g) or {}
-            fp32 = shard.get("fp32_flat_groups", {}).get(g)
-            if fp32 is None or entry.get("exp_avg") is None or entry.get("exp_avg_sq") is None:
-                raise ReshardError(f"{origin}: group {g} state arrays are missing")
-            arrays = {
-                "fp32": np.asarray(fp32, dtype=np.float32),
-                "exp_avg": np.asarray(entry["exp_avg"], dtype=np.float32),
-                "exp_avg_sq": np.asarray(entry["exp_avg_sq"], dtype=np.float32),
+    def _open_target(self) -> tuple[dict[int, np.ndarray], dict[int, dict]]:
+        fp32: dict[int, np.ndarray] = {}
+        state: dict[int, dict] = {}
+        for g, (_, dst) in self.partitions.items():
+            fp32[g] = np.zeros(dst.shard_numel, dtype=np.float32)
+            state[g] = {
+                "step": self.steps[g],
+                "exp_avg": np.zeros(dst.shard_numel, dtype=np.float32),
+                "exp_avg_sq": np.zeros(dst.shard_numel, dtype=np.float32),
             }
-            _verify_group_crc(headers_by_rank[rank][g], arrays, g, origin)
-            steps.add(_group_step(entry, g, origin))
-            arrays_by_rank.append(arrays)
-            if consume:
-                shard["fp32_flat_groups"].pop(g, None)
-                entry.pop("exp_avg", None)
-                entry.pop("exp_avg_sq", None)
-        if len(steps) != 1:
-            raise ReshardError(
-                f"group {g}: step counters disagree across source ranks ({sorted(steps)})"
+        return fp32, state
+
+    def scatter_next(self, sources: Iterator[Mapping[str, Any]], rank: int) -> None:
+        """Pull source ``rank``, verify it, copy its intervals into the targets."""
+        origin = f"source rank {rank}"
+        shard = next(sources, None)
+        if shard is None:
+            raise ReshardError(f"reshard needs {self.N} source shards, got only {rank}")
+        _validate_payload(shard, self.N, rank, origin)
+        headers = _complete_headers(shard, origin)
+        if rank == 0:
+            self._adopt_rank0(shard, headers)
+        else:
+            self._check_against_rank0(headers, origin)
+        for g, (src, dst) in self.partitions.items():
+            entry = shard.get("state", {}).get(g) or {}
+            arrays = (
+                shard.get("fp32_flat_groups", {}).get(g),
+                entry.get("exp_avg"),
+                entry.get("exp_avg_sq"),
             )
-        step = steps.pop()
-        for m in ranks:
-            out_state[m][g] = {"step": step}
-        for key in ("fp32", "exp_avg", "exp_avg_sq"):
-            master = src.gather([arrays[key] for arrays in arrays_by_rank])
-            for m in ranks:
-                lo, hi = dst.master_bounds(m)
-                target = np.zeros(dst.shard_numel, dtype=np.float32)
-                target[: hi - lo] = master[lo:hi]
-                if key == "fp32":
-                    out_fp32[m][g] = target
-                else:
-                    out_state[m][g][key] = target
+            if any(a is None for a in arrays):
+                raise ReshardError(f"{origin}: group {g} state arrays are missing")
+            arrays = [np.asarray(a, dtype=np.float32) for a in arrays]
+            if any(a.shape != (src.shard_numel,) for a in arrays):
+                raise ReshardError(
+                    f"{origin}: group {g} arrays have shapes "
+                    f"{[a.shape for a in arrays]}, expected ({src.shard_numel},)"
+                )
+            # Pre-CRC shards carry no crc32: container checks already applied.
+            if "crc32" in headers[g] and group_payload_crc(*arrays) != int(headers[g]["crc32"]):
+                raise ReshardError(
+                    f"{origin}: CRC mismatch for group {g} (corrupt optimizer state)"
+                )
+            step = _group_step(entry, g, origin)
+            if step != self.steps[g]:
+                raise ReshardError(
+                    f"{origin}: group {g} step {step} disagrees with "
+                    f"rank 0's {self.steps[g]}"
+                )
+            src_lo, src_hi = src.master_bounds(rank)
+            src_base = src.bounds(rank)[0]
+            for m in src.overlapping_ranks(rank, dst):
+                if m not in self.targets:
+                    self.targets[m] = self._open_target()
+                fp32, state = self.targets[m]
+                dst_lo, dst_hi = dst.master_bounds(m)
+                lo, hi = max(src_lo, dst_lo), min(src_hi, dst_hi)
+                dst_base = dst.bounds(m)[0]
+                for out, arr in zip((fp32[g], state[g]["exp_avg"], state[g]["exp_avg_sq"]), arrays):
+                    out[lo - dst_base : hi - dst_base] = arr[lo - src_base : hi - src_base]
 
-    return [
-        _target_payload(m, M, headers, hyperparams, extras, out_fp32[m], out_state[m])
-        for m in ranks
-    ]
+    def completed(self, rank: int) -> Iterator[dict[str, Any]]:
+        """Target payloads whose last source is ``rank`` (or earlier)."""
+        while self.emitted < self.M and self.ready[self.emitted] <= rank:
+            m = self.emitted
+            self.emitted += 1
+            fp32, state = self.targets.pop(m, None) or self._open_target()
+            yield _target_payload(
+                m, self.M, self.headers, self.hyperparams, self.extras, fp32, state
+            )
 
 
-def reshard_state_dicts(
-    shards: Sequence[Mapping[str, Any]],
+def reshard_sweep(
+    sources: Iterable[Mapping[str, Any]],
+    source_world_size: int,
     target_world_size: int,
-    *,
-    consume: bool = False,
-) -> list[dict[str, Any]]:
-    """Re-partition N complete rank payloads into M (fully in memory).
+) -> Iterator[dict[str, Any]]:
+    """Re-partition N complete rank payloads into M, lazily on both sides.
 
-    The inverse-free core of the resharder: gather each group's padded
-    source slices, strip the padding, re-pad and re-slice for the target
-    world size, recomputing per-group CRCs.  Group padding is canonically
-    zero (the engine's gradients and moments vanish on the padded tail),
-    which is what makes N→M→N bitwise.
+    ``sources`` is iterated once, in rank order, one payload at a time —
+    pass a generator that reads each shard on demand and the sweep never
+    holds more than one source.  Every source is validated (format,
+    world size, rank, completeness), checked against rank 0 (group set,
+    geometry, per-group step counters) and CRC-verified group by group;
+    its master intervals are then scattered into the target shard(s)
+    they overlap.  Target payloads are yielded in rank order, each as
+    soon as the last source it overlaps has been consumed, so a caller
+    that drops each payload before asking for the next keeps peak
+    memory at one source shard plus the open target(s).
 
     Hyper-parameters and non-canonical top-level keys (``global_step``,
     ``merged_by``, ...) are taken from source rank 0 and replicated to
     every target rank: the engine writes the scheduler-driven reference
     optimizer's values — and identical extras — into all shards, so the
     ranks agree by construction and rank 0 wins on hand-made divergence.
-
-    This path materializes the full master state — use
-    :func:`reshard_checkpoint` with ``stream=True`` for the bounded-
-    memory file-to-file version, or :func:`reshard_rank_state_dict` for
-    a single target rank's payload.  ``consume`` destructively drains
-    the source payloads group by group as they are re-sliced, keeping
-    peak memory near one optimizer state instead of two — pass it when
-    the sources are not needed afterwards (the elastic reader does).
+    Group padding is canonically zero (the engine's gradients and
+    moments vanish on the padded tail), which is what makes N→M→N
+    bitwise.
     """
-    return _reshard_payloads(
-        shards, target_world_size, range(int(target_world_size)), consume=consume
-    )
+    N, M = int(source_world_size), int(target_world_size)
+    if N < 1:
+        raise ReshardError("reshard needs at least one source shard")
+    if M < 1:
+        raise ReshardError(f"target world_size must be >= 1, got {target_world_size}")
+    sources = iter(sources)
+    sweep = _Sweep(N, M)
+    for rank in range(N):
+        sweep.scatter_next(sources, rank)
+        yield from sweep.completed(rank)
+
+
+def reshard_state_dicts(
+    shards: Sequence[Mapping[str, Any]], target_world_size: int
+) -> list[dict[str, Any]]:
+    """Re-partition N complete rank payloads into M (all targets, in memory)."""
+    shards = list(shards)
+    return list(reshard_sweep(shards, len(shards), target_world_size))
 
 
 def reshard_rank_state_dict(
     shards: Sequence[Mapping[str, Any]], target_world_size: int, rank: int
 ) -> dict[str, Any]:
-    """One target rank's resharded payload, without building the other M-1.
+    """One target rank's resharded payload, stopping the sweep at ``rank``.
 
     The engine's elastic ``load_rank_state_dict(..., peers=...)`` path
-    uses this so a single-rank restore does not allocate every target
-    payload.  Callers restoring *all* ranks should call
-    :func:`reshard_state_dicts` once instead of this M times.
+    uses this.  Callers restoring *all* ranks should drain
+    :func:`reshard_sweep` once instead of calling this M times.
     """
-    M = int(target_world_size)
-    if not 0 <= rank < M:
-        raise ReshardError(f"target rank {rank} out of range for world_size {M}")
-    return _reshard_payloads(shards, M, [rank])[0]
-
-
-# ---------------------------------------------------------------------------
-# Streaming file-based engine
-# ---------------------------------------------------------------------------
-
-def _read_shard_metadata(path: Path) -> dict[str, Any]:
-    """Everything about a shard except its arrays, in one bounded pass.
-
-    Materializes headers, hyperparams, per-group step counters, and the
-    non-canonical top-level keys; the array payloads are skipped in the
-    byte stream without being inflated.  The read still drains the file,
-    so the container CRC and length checks apply.
-    """
-
-    def want(p: tuple) -> bool:
-        if len(p) == 2 and p[0] == "fp32_flat_groups":
-            return False
-        if len(p) == 3 and p[0] == "state" and p[2] != "step":
-            return False
-        return True
-
-    doc = read_blob_selected(path, want)
-    headers = _complete_headers(doc, str(path))
-    steps = {
-        g: _group_step(doc.get("state", {}).get(g), g, str(path)) for g in headers
-    }
-    return {
-        "headers": headers,
-        "hyperparams": list(doc.get("hyperparams", [])),
-        "extras": _extras(doc),
-        "steps": steps,
-    }
-
-
-def _selective_group_read(
-    shard_path: Path, source_world: int, rank: int, wanted: set[int]
-) -> dict[str, Any]:
-    """Materialize only ``wanted`` groups from one source shard.
-
-    Mirrors the merge engine's selective extract: the read drains the
-    file (container length and CRC apply), and every materialized group
-    is then verified against its header ``crc32``.
-    """
-    if not shard_path.exists():
-        raise ReshardError(f"missing optimizer shard for rank {rank}: {shard_path}")
-
-    def want(path: tuple) -> bool:
-        if len(path) == 2 and path[0] in ("fp32_flat_groups", "state"):
-            return path[1] in wanted
-        return True
-
-    def indexed_filter(path: tuple):
-        if path in (("groups",), ("hyperparams",)):
-            return wanted
-        return None
-
-    shard = read_blob_selected(shard_path, want, indexed_filter=indexed_filter)
-    headers = {int(h["index"]): h for h in shard.get("groups", [])}
-    _validate_payload(shard, source_world, rank, str(shard_path))
-    for g in wanted:
-        if g not in headers or g not in shard.get("fp32_flat_groups", {}):
-            raise ReshardError(f"{shard_path}: shard lacks group {g}")
-        entry = shard["state"].get(g) or {}
-        arrays = {
-            "fp32": shard["fp32_flat_groups"][g],
-            "exp_avg": entry.get("exp_avg"),
-            "exp_avg_sq": entry.get("exp_avg_sq"),
-        }
-        if any(v is None for v in arrays.values()):
-            raise ReshardError(f"{shard_path}: group {g} state arrays are missing")
-        _verify_group_crc(headers[g], arrays, g, str(shard_path))
-    return shard
-
-
-def _reshard_one_rank(
-    paths: CheckpointPaths,
-    out_optim_dir: Path,
-    meta: dict[str, Any],
-    source_world: int,
-    target_world: int,
-    m: int,
-    topology=None,
-) -> dict[str, Any]:
-    """Stream-build and write target rank ``m``'s shard; returns stats."""
-    headers: dict[int, dict] = meta["headers"]
-    partitions = {
-        g: (GroupPartition(int(h["numel"]), source_world),
-            GroupPartition(int(h["numel"]), target_world))
-        for g, h in headers.items()
-    }
-
-    # Which groups to pull from which source rank: interval intersections
-    # in master coordinates.  Proportional partitioning makes the pattern
-    # nearly identical across groups, so each target rank touches about
-    # (N + M - gcd(N, M)) / M source shards.
-    wanted_by_source: dict[int, set[int]] = {}
-    for g, (src, dst) in partitions.items():
-        for r in dst.overlapping_ranks(m, src):
-            wanted_by_source.setdefault(r, set()).add(g)
-
-    fp32: dict[int, np.ndarray] = {}
-    state: dict[int, dict] = {}
-    for g, (_, dst) in partitions.items():
-        fp32[g] = np.zeros(dst.shard_numel, dtype=np.float32)
-        state[g] = {
-            "step": meta["steps"][g],
-            "exp_avg": np.zeros(dst.shard_numel, dtype=np.float32),
-            "exp_avg_sq": np.zeros(dst.shard_numel, dtype=np.float32),
-        }
-
-    # Placement-aware read order: pull same-node source shards first so
-    # the slow inter-node links are touched last (and, on a saturated
-    # fabric, overlap with intra-node work).  Each source fills disjoint
-    # target intervals, so any order is bitwise-identical.
-    read_order = sorted(wanted_by_source)
-    if topology is not None:
-        read_order.sort(key=lambda r: topology.link_class(r, m) != "intra")
-
-    timer = WallTimer()
-    stats = {"rank": m, "files_loaded": 0, "bytes_loaded": 0, "bytes_written": 0}
-    with timer:
-        for r in read_order:
-            wanted = wanted_by_source[r]
-            shard_path = paths.shard(r)
-            shard = _selective_group_read(shard_path, source_world, r, wanted)
-            stats["files_loaded"] += 1
-            stats["bytes_loaded"] += shard_path.stat().st_size
-            if int(shard.get("num_total_groups", -1)) != len(headers):
-                raise ReshardError(
-                    f"{shard_path}: shard carries {shard.get('num_total_groups')} "
-                    f"groups, rank 0 carries {len(headers)} — the shards belong "
-                    "to different checkpoints"
-                )
-            src_headers = {int(h["index"]): h for h in shard["groups"]}
-            for g in sorted(wanted):
-                src, dst = partitions[g]
-                # Same cross-rank geometry contract as the materializing
-                # path: a foreign shard must fail, not interleave.
-                if int(src_headers[g]["numel"]) != src.numel or list(
-                    src_headers[g].get("param_names", [])
-                ) != list(headers[g].get("param_names", [])):
-                    raise ReshardError(
-                        f"{shard_path}: group {g} geometry differs from rank 0 — "
-                        "the shards belong to different checkpoints"
-                    )
-                step = _group_step(shard["state"].get(g), g, str(shard_path))
-                if step != meta["steps"][g]:
-                    raise ReshardError(
-                        f"{shard_path}: group {g} step {step} disagrees with "
-                        f"rank 0's {meta['steps'][g]}"
-                    )
-                src_lo, src_hi = src.master_bounds(r)
-                dst_lo, dst_hi = dst.master_bounds(m)
-                lo, hi = max(src_lo, dst_lo), min(src_hi, dst_hi)
-                if lo >= hi:
-                    continue
-                src_base = src.bounds(r)[0]
-                dst_base = dst.bounds(m)[0]
-                entry = shard["state"][g]
-                for key, source_arr in (
-                    ("fp32", shard["fp32_flat_groups"][g]),
-                    ("exp_avg", entry["exp_avg"]),
-                    ("exp_avg_sq", entry["exp_avg_sq"]),
-                ):
-                    target_arr = fp32[g] if key == "fp32" else state[g][key]
-                    target_arr[lo - dst_base : hi - dst_base] = np.asarray(
-                        source_arr, dtype=np.float32
-                    )[lo - src_base : hi - src_base]
-
-        payload = _target_payload(
-            m, target_world, headers, meta["hyperparams"], meta["extras"], fp32, state
+    if not 0 <= rank < int(target_world_size):
+        raise ReshardError(
+            f"target rank {rank} out of range for world_size {target_world_size}"
         )
-        stats["bytes_written"] = write_blob(out_optim_dir / shard_filename(m), payload)
-    stats["seconds"] = timer.elapsed
-    return stats
+    shards = list(shards)
+    return next(islice(reshard_sweep(shards, len(shards), target_world_size), rank, None))
 
 
 def reshard_checkpoint(
@@ -588,8 +442,6 @@ def reshard_checkpoint(
     output: str | Path,
     target_world_size: int,
     *,
-    stream: bool = True,
-    workers: int = 1,
     topology=None,
 ) -> ReshardReport:
     """Convert a complete checkpoint from world size N to M on disk.
@@ -597,23 +449,13 @@ def reshard_checkpoint(
     Weights and config/metadata files are carried over verbatim (the
     consolidated weight file is world-size independent); the manifest is
     rewritten with the target world size plus reshard provenance; the
-    optimizer shards are re-partitioned.
-
-    ``stream=True`` (the default) consumes source shards group-by-group
-    through selective reads and writes each target shard as soon as it
-    is assembled, bounding peak memory to roughly one target shard plus
-    one source shard per concurrent worker — the full master state
-    never exists in memory.
-    Independent target ranks fan across a thread pool sized by the merge
-    engine's worker budget.  ``stream=False`` materializes everything
-    through :func:`reshard_state_dicts` (the reference path; bitwise-
-    identical output).
+    optimizer shards are re-partitioned by :func:`reshard_sweep`, fed
+    one ``read_blob`` per source shard and drained one ``write_blob``
+    per target shard, so peak memory is one source shard plus the open
+    target — the full master state never exists in memory.
 
     With ``topology`` (a :class:`~repro.dist.topology.Topology`) the
-    streaming reads become placement-aware — each target rank pulls
-    same-node source shards before cross-node ones (bitwise-identical
-    output: sources fill disjoint intervals) — and the report carries
-    per-link-class logical byte totals
+    report carries per-link-class logical byte totals
     (:func:`placement_transfer_bytes`, matched exactly by
     :func:`repro.strategies.plan_reshard_cost`).
     """
@@ -672,73 +514,33 @@ def reshard_checkpoint(
         output=out_paths.dir,
         source_world_size=N,
         target_world_size=M,
-        stream=bool(stream),
-        workers=int(workers),
         num_groups=0,
         topology=None if topology is None else topology.shape,
     )
 
-    if stream:
-        meta_path = paths.shard(0)
-        meta = _read_shard_metadata(meta_path)
-        # The metadata pass reads shard 0 once more than the
-        # group transfers do — count it, so the report (and the cost
-        # model's N + M - gcd + 1) stays honest.
-        report.files_loaded += 1
-        report.bytes_loaded += meta_path.stat().st_size
-        report.num_groups = len(meta["headers"])
-        # Local import: optimizer_merge imports repro.dist at module load,
-        # so the shared budget helper must be resolved lazily here.
-        from ..core.optimizer_merge import worker_budget
-
-        pool_size = worker_budget(workers, M)
-        jobs = range(M)
-        if pool_size > 1:
-            with ThreadPoolExecutor(max_workers=pool_size) as pool:
-                results = list(
-                    pool.map(
-                        lambda m: _reshard_one_rank(
-                            paths, out_optim_dir, meta, N, M, m, topology
-                        ),
-                        jobs,
-                    )
-                )
-        else:
-            results = [
-                _reshard_one_rank(paths, out_optim_dir, meta, N, M, m, topology)
-                for m in jobs
-            ]
-        for stats in results:
-            report.files_loaded += stats["files_loaded"]
-            report.bytes_loaded += stats["bytes_loaded"]
-            report.bytes_written += stats["bytes_written"]
-            report.rank_seconds.append(stats["seconds"])
-        if topology is not None:
-            numels = [int(h["numel"]) for _, h in sorted(meta["headers"].items())]
-            report.intra_bytes, report.inter_bytes = placement_transfer_bytes(
-                numels, N, M, topology
-            )
-    else:
-        sources = []
+    def read_sources() -> Iterator[dict[str, Any]]:
         for r in range(N):
             shard_path = paths.shard(r)
             if not shard_path.exists():
                 raise ReshardError(f"missing optimizer shard for rank {r}: {shard_path}")
-            sources.append(read_blob(shard_path))
             report.files_loaded += 1
             report.bytes_loaded += shard_path.stat().st_size
-        if topology is not None:
-            numels = [
-                int(h["numel"])
-                for h in sorted(sources[0]["groups"], key=lambda h: int(h["index"]))
-            ]
-            report.intra_bytes, report.inter_bytes = placement_transfer_bytes(
-                numels, N, M, topology
-            )
-        payloads = reshard_state_dicts(sources, M, consume=True)
-        report.num_groups = int(payloads[0]["num_total_groups"]) if payloads else 0
-        for m, payload in enumerate(payloads):
+            yield read_blob(shard_path)
+
+    sweep = reshard_sweep(read_sources(), N, M)
+    for m in range(M):  # M >= 1: numels is bound below
+        timer = WallTimer()
+        with timer:
+            payload = next(sweep)
+            numels = [int(h["numel"]) for h in payload["groups"]]
             report.bytes_written += write_blob(out_optim_dir / shard_filename(m), payload)
+            del payload  # must not outlive the next source read
+        report.rank_seconds.append(timer.elapsed)
+    report.num_groups = len(numels)
+    if topology is not None:
+        report.intra_bytes, report.inter_bytes = placement_transfer_bytes(
+            numels, N, M, topology
+        )
 
     # Re-using an output directory from an earlier, larger-M reshard must
     # not leave stale higher-rank shard files behind the new manifest.
@@ -761,7 +563,6 @@ def reshard_checkpoint(
     out_manifest["reshard_provenance"] = {
         "source": str(paths.dir),
         "source_world_size": N,
-        "stream": bool(stream),
     }
     out_paths.write_manifest(out_manifest)
 

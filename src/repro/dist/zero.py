@@ -673,7 +673,7 @@ class ZeroStage3Engine:
         A shard written at a *different* world size is accepted when
         ``peers`` carries the complete set of source rank payloads (rank
         order): the engine reshards them N→world_size in memory via
-        :func:`repro.dist.reshard.reshard_state_dicts` and loads this
+        :func:`repro.dist.reshard.reshard_rank_state_dict` and loads this
         rank's slice.  Without ``peers`` a mismatch is an error — one
         mismatched shard alone cannot be re-partitioned.  This is also
         how a freshly *joined* rank is born: growing N→N+1 the

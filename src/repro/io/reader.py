@@ -6,8 +6,8 @@ enforces this via the manifest and gives an actionable error otherwise.
 
 Resume is *elastic*: a checkpoint written at world size N loads into an
 engine running at world size M — the reader reshards the optimizer
-payloads N→M in memory (:mod:`repro.dist.reshard`) before handing them
-to the engine.
+payloads N→M in memory (:func:`repro.dist.reshard.reshard_sweep`) as it
+hands them to the engine.
 """
 
 from __future__ import annotations
@@ -79,42 +79,27 @@ def load_checkpoint(
     if storage is not None:
         storage.charge_read(weights.total_nbytes(), files=1, category="checkpoint_read.weights")
 
-    # Optimizer shards: full files, one per rank (no lazy load).  When
-    # the checkpoint's world size differs from the engine's, reshard the
-    # payloads in memory first (elastic resume).
-    shard_bytes = 0
+    # Optimizer shards: full files, one per rank (no lazy load), read on
+    # demand so one is resident at a time.  When the checkpoint's world
+    # size differs from the engine's, the sweep reshards them on the way
+    # (elastic resume): one source shard plus the open target.
+    shards = (read_blob(paths.shard(r)) for r in range(source_world))
     if source_world != engine.world_size:
-        from ..dist.reshard import reshard_state_dicts  # avoid import cycle
+        from ..dist.reshard import reshard_sweep  # avoid import cycle
 
-        sources = []
-        for rank in range(source_world):
-            shard_path = paths.shard(rank)
-            sources.append(read_blob(shard_path))
-            shard_bytes += shard_path.stat().st_size
-        # consume=True drains the source arrays as they are re-sliced,
-        # so peak memory stays near one optimizer state, not two.
-        shards = iter(reshard_state_dicts(sources, engine.world_size, consume=True))
-        del sources
-    else:
-        def _read_shards():
-            nonlocal shard_bytes
-            for rank in range(engine.world_size):
-                shard_path = paths.shard(rank)
-                shard = read_blob(shard_path)  # one shard resident at a time
-                shard_bytes += shard_path.stat().st_size
-                yield shard
-
-        shards = _read_shards()
-    for rank, shard in enumerate(shards):
+        shards = reshard_sweep(shards, source_world, engine.world_size)
+    for rank in range(engine.world_size):
         # Re-materializing weights gathers every rank's shard, so defer
         # it until the last rank is in place instead of doing it N times.
+        # (next() as an argument: no name here keeps the payload alive
+        # while the following shard is decoded.)
         engine.load_rank_state_dict(
-            rank, shard, require_full=True,
+            rank, next(shards), require_full=True,
             materialize=rank == engine.world_size - 1,
         )
     if storage is not None:
         storage.charge_read(
-            shard_bytes,
+            sum(p.stat().st_size for p in paths.shard_paths(source_world)),
             files=source_world,
             parallel=source_world,
             decompress=True,

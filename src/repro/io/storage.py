@@ -21,7 +21,7 @@ The module also hosts the multi-tenant service's storage layer
 * :class:`GroupCache` — a thread-safe, byte-bounded LRU of *decoded*
   shard groups plus a per-file metadata memo, shared across requests by
   the serve worker pool and optionally backed by a :class:`BlobStore`.
-  The streaming merge engine consults it through
+  The merge engine consults it through
   :func:`repro.core.optimizer_merge.set_group_cache`.
 """
 

@@ -60,8 +60,8 @@ class TensorFileWriter:
     their one-sequential-write cost.  Either way the target is replaced
     atomically, and feeding the same tensors in the same order produces
     a byte-identical file to :func:`write_tensorfile`, which is itself
-    implemented on top of this class — the streaming merge paths rely on
-    that equivalence.
+    implemented on top of this class — the weight merge relies on that
+    equivalence.
     """
 
     SPILL_THRESHOLD = 64 << 20  # data sections beyond this go to disk

@@ -1,6 +1,6 @@
 """Checkpoint-merge-as-a-service: the ``llmtailor serve`` subsystem.
 
-Everything the paper's workflow needs — streaming merge, N→M reshard,
+Everything the paper's workflow needs — merge, N→M reshard,
 layer diff, and the analytic planners — exists as library calls; this
 package wraps them in a long-running multi-tenant asyncio daemon:
 

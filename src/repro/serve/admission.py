@@ -25,7 +25,6 @@ is instead of hammering the socket.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from typing import Any
@@ -171,23 +170,17 @@ def _reshard_cost(spec: JobSpec, storage: StorageCostModel) -> JobCost:
     N, sizes = _checkpoint_shards(ckpt)
     M = int(spec.params["target_world_size"])
     optim_bytes = sum(sizes)
-    stream = bool(spec.params.get("stream", True))
-    if stream:
-        loads = N + M - math.gcd(N, M) + 1
-        bytes_read = loads * (optim_bytes // max(1, N))
-    else:
-        loads = N
-        bytes_read = optim_bytes
     weight = _weight_nbytes(ckpt)
-    bytes_written = optim_bytes + weight
+    # The sweep reads each of the N source shards exactly once.
+    bytes_read = bytes_written = optim_bytes + weight
     seconds = storage.read_time(
-        bytes_read + weight, files=loads + 1, decompress=True
+        bytes_read, files=N + 1, decompress=True
     ) + storage.write_time(bytes_written, files=M + 1)
     return JobCost(
         kind="reshard",
-        bytes_read=bytes_read + weight,
+        bytes_read=bytes_read,
         bytes_written=bytes_written,
-        files=loads + 1,
+        files=N + 1,
         est_seconds=seconds,
     )
 

@@ -190,12 +190,10 @@ def _run_merge(job: Job, store: BlobStore | None) -> dict[str, Any]:
         recipe = parse_recipe(dict(params["recipe_doc"]))
     # The service's thread pool is the concurrency unit (sized by
     # worker_budget); inside a job the engine stays thread-based so the
-    # shared group cache remains visible.  Streaming is the default —
-    # it is the path the cross-request cache plugs into.
+    # shared group cache remains visible.
     options = dataclasses.replace(
         recipe.options,
         workers=int(params.get("workers", 1)),
-        stream=bool(params.get("stream", True)),
         cache_mode=str(params.get("cache_mode", recipe.options.cache_mode)),
     )
     recipe = dataclasses.replace(recipe, options=options)
@@ -230,8 +228,6 @@ def _run_reshard(job: Job, store: BlobStore | None) -> dict[str, Any]:
         params["checkpoint"],
         params["output"],
         int(params["target_world_size"]),
-        stream=bool(params.get("stream", True)),
-        workers=int(params.get("workers", 1)),
     )
     job.timeline.record(
         "resharded",

@@ -61,13 +61,18 @@ def replay_journal(path: str | Path) -> list[tuple[str, JobSpec]]:
 
     Reads the JSONL journal tolerantly: a torn final line (crash
     mid-write) is ignored, anything else malformed raises
-    :class:`~repro.util.errors.ConfigError` since silently skipping a
-    *valid-looking* but unparseable record could drop a tenant's job.
+    :class:`~repro.util.errors.ConfigError` (prefixed ``path:line``)
+    since silently skipping a *valid-looking* but unparseable record
+    could drop a tenant's job.  Only still-pending submits are
+    validated as jobs.
     """
     path = Path(path)
     if not path.exists():
         return []
-    pending: dict[str, JobSpec] = {}
+    # Pair submit/done first and validate only what is still pending:
+    # a finished job recorded under an older protocol (a param this
+    # version no longer accepts) must not stop the daemon from starting.
+    pending: dict[str, tuple[int, Any]] = {}
     lines = path.read_text(encoding="utf-8").splitlines()
     for i, line in enumerate(lines):
         if not line.strip():
@@ -79,11 +84,17 @@ def replay_journal(path: str | Path) -> list[tuple[str, JobSpec]]:
                 break  # torn final line from a crash mid-append
             raise ConfigError(f"{path}:{i + 1}: malformed journal line") from None
         event = record.get("event")
-        job_id = record.get("id")
+        job_id = str(record.get("id"))
         if event == "submit":
-            pending[str(job_id)] = parse_job(record.get("job") or {})
+            pending[job_id] = (i + 1, record.get("job") or {})
         elif event == "done":
-            pending.pop(str(job_id), None)
+            pending.pop(job_id, None)
         else:
             raise ConfigError(f"{path}:{i + 1}: unknown journal event {event!r}")
-    return list(pending.items())
+    replay = []
+    for job_id, (lineno, doc) in pending.items():
+        try:
+            replay.append((job_id, parse_job(doc)))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    return replay

@@ -20,11 +20,8 @@ Job kinds and their ``params`` (unknown keys are rejected so a typo'd
 option fails at submit, not silently at run time):
 
 * ``merge``   — ``recipe`` (YAML path) or ``recipe_doc`` (inline
-  mapping), optional ``output``, ``workers``, ``stream`` (default true:
-  the streaming engine is what the cross-request group cache plugs
-  into), ``cache_mode``;
-* ``reshard`` — ``checkpoint``, ``output``, ``target_world_size``,
-  optional ``workers``, ``stream``;
+  mapping), optional ``output``, ``workers``, ``cache_mode``;
+* ``reshard`` — ``checkpoint``, ``output``, ``target_world_size``;
 * ``diff``    — ``checkpoint_a``, ``checkpoint_b``, optional
   ``momentum``;
 * ``plan``    — ``model``, ``strategy``, optional ``interval``,
@@ -58,11 +55,11 @@ JOB_KINDS = ("merge", "reshard", "diff", "plan")
 # Allowed params per kind; values are the required subset.
 _PARAM_KEYS: dict[str, tuple[set, set]] = {
     "merge": (
-        {"recipe", "recipe_doc", "output", "workers", "stream", "cache_mode"},
+        {"recipe", "recipe_doc", "output", "workers", "cache_mode"},
         set(),  # recipe/recipe_doc checked separately (exactly one)
     ),
     "reshard": (
-        {"checkpoint", "output", "target_world_size", "workers", "stream"},
+        {"checkpoint", "output", "target_world_size"},
         {"checkpoint", "output", "target_world_size"},
     ),
     "diff": (

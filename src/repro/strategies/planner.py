@@ -214,11 +214,12 @@ class MergeCostPlan:
     """Analytic LLMTailor merge cost at paper scale (extends Table 7).
 
     Mirrors the real engine's knobs: ``cache_mode`` fixes the load
-    schedule (one load per checkpoint vs one per layer slot), ``workers``
-    fans rank shards across processes, and ``stream`` switches decode
-    cost from *every* group of every loaded shard to only the groups the
-    plan takes from that load.  I/O is charged through the same
-    :class:`StorageCostModel` the checkpoint planner uses.
+    schedule (one load per checkpoint vs one per layer slot) and
+    ``workers`` fans rank shards across processes.  Every load reads a
+    whole shard but decodes only the groups the plan takes from it, so
+    decode cost sums to one shard per rank whatever the schedule.  I/O
+    is charged through the same :class:`StorageCostModel` the
+    checkpoint planner uses.
     """
 
     model: str
@@ -226,7 +227,6 @@ class MergeCostPlan:
     num_checkpoints: int
     cache_mode: str
     workers: int
-    stream: bool
     loads_per_rank: int
     bytes_loaded: int
     bytes_decoded: int
@@ -245,7 +245,6 @@ def plan_merge_cost(
     num_checkpoints: int = 2,
     cache_mode: str = "per-checkpoint",
     workers: int = 1,
-    stream: bool = False,
     storage: StorageCostModel | None = None,
 ) -> MergeCostPlan:
     """Estimate the wall time of merging ``num_checkpoints`` sources.
@@ -262,9 +261,9 @@ def plan_merge_cost(
 
     loads_per_rank = len(slots) if cache_mode == "none" else max(1, num_checkpoints)
     bytes_loaded_rank = loads_per_rank * shard_bytes
-    # Serial decode materializes every group of every load; streaming only
-    # the groups taken from it — across all loads that sums to one shard.
-    bytes_decoded_rank = shard_bytes if stream else bytes_loaded_rank
+    # A load decodes only the groups taken from it — across all loads
+    # that sums to one shard.
+    bytes_decoded_rank = shard_bytes
 
     read_s = storage.read_time(bytes_loaded_rank, files=loads_per_rank, parallel=1)
     decode_s = bytes_decoded_rank / storage.decompress_bandwidth
@@ -285,7 +284,6 @@ def plan_merge_cost(
         num_checkpoints=num_checkpoints,
         cache_mode=cache_mode,
         workers=workers,
-        stream=stream,
         loads_per_rank=loads_per_rank,
         bytes_loaded=bytes_loaded_rank * world_size,
         bytes_decoded=bytes_decoded_rank * world_size,
@@ -298,21 +296,15 @@ def plan_merge_cost(
 class ReshardCostPlan:
     """Analytic elastic-reshard cost at paper scale.
 
-    Mirrors :func:`repro.dist.reshard.reshard_checkpoint`'s knobs.  The
-    streaming engine's load count follows from interval intersections of
-    two even partitions — ``N + M - gcd(N, M)`` group-transfer reads —
-    plus one metadata pass over source rank 0, fanned over ``workers``
-    target-rank transfers.  ``peak_bytes`` is the memory guarantee, not
-    a time input: one target shard plus one source shard *per concurrent
-    worker* when streaming, the whole optimizer state (plus one
-    target-rank copy) when materializing.
+    Mirrors :func:`repro.dist.reshard.reshard_checkpoint`: the sweep
+    reads every source shard exactly once (``loads == N`` for any M) and
+    writes M target shards.  ``peak_bytes`` is the memory guarantee, not
+    a time input: one source shard plus one target shard.
     """
 
     model: str
     source_world_size: int
     target_world_size: int
-    stream: bool
-    workers: int
     loads: int
     bytes_loaded: int
     bytes_written: int
@@ -340,8 +332,6 @@ def plan_reshard_cost(
     *,
     source_world_size: int = 8,
     target_world_size: int = 1,
-    workers: int = 1,
-    stream: bool = True,
     storage: StorageCostModel | None = None,
     topology=None,
     weight_decay: float = 0.01,
@@ -371,22 +361,9 @@ def plan_reshard_cost(
     src_shard = optim_bytes // N
     dst_shard = optim_bytes // M
 
-    parallel = min(workers, M)
-    if stream:
-        # One selective read per intersecting (target, source) rank
-        # pair, plus the headers/hyperparams metadata pass over rank 0.
-        loads = N + M - math.gcd(N, M) + 1
-        # Each concurrent target-rank transfer holds its own target
-        # shard plus one source shard's selected groups.
-        peak_bytes = parallel * (dst_shard + src_shard)
-    else:
-        loads = N
-        peak_bytes = optim_bytes + dst_shard
-    bytes_loaded = loads * src_shard
-    read_s = storage.read_time(
-        bytes_loaded, files=loads, parallel=parallel, decompress=True
-    )
-    write_s = storage.write_time(optim_bytes, files=M, parallel=parallel)
+    bytes_loaded = N * src_shard  # every source shard, exactly once
+    read_s = storage.read_time(bytes_loaded, files=N, decompress=True)
+    write_s = storage.write_time(optim_bytes, files=M)
     intra_bytes = inter_bytes = 0
     intra_s = inter_s = 0.0
     if topology is not None:
@@ -406,12 +383,10 @@ def plan_reshard_cost(
         model=config.name,
         source_world_size=N,
         target_world_size=M,
-        stream=bool(stream),
-        workers=int(workers),
-        loads=loads,
+        loads=N,
         bytes_loaded=bytes_loaded,
         bytes_written=dst_shard * M,
-        peak_bytes=peak_bytes,
+        peak_bytes=src_shard + dst_shard,
         seconds=read_s + write_s,
         topology=None if topology is None else topology.shape,
         intra_bytes=intra_bytes,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import struct
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -140,6 +141,66 @@ def write_blob_v1(path, obj, *, compress: bool = True) -> None:
         "<IBQQI", 1, int(compress), len(payload), len(raw), zlib.crc32(raw)
     )
     Path(path).write_bytes(header + payload)
+
+
+def reference_merged_shard(recipe, config, rank: int) -> dict:
+    """Test oracle: one merged rank shard built the serial way — a full
+    ``read_blob`` of each slot's source shard, then take that slot's groups."""
+    from repro.core.groups import groups_for_slot
+    from repro.io import CheckpointPaths, read_blob
+    from repro.nn import model_slots
+
+    out = {"groups": {}, "hyperparams": {}, "fp32_flat_groups": {}, "state": {}}
+    for slot in model_slots(config):
+        shard = read_blob(CheckpointPaths(recipe.source_for(slot)).shard(rank))
+        for key in ("groups", "hyperparams"):
+            shard[key] = {h["index"]: h for h in shard[key]}
+        for g in groups_for_slot(config, slot):
+            for key in out:
+                out[key][g] = shard[key][g]
+    out = {key: dict(sorted(part.items())) for key, part in out.items()}
+    return {
+        "format_version": shard["format_version"], "zero_stage": 3,
+        "world_size": shard["world_size"], "rank": rank,
+        "num_total_groups": len(out["groups"]),
+        "groups": list(out["groups"].values()),
+        "hyperparams": list(out["hyperparams"].values()),
+        "fp32_flat_groups": out["fp32_flat_groups"], "state": out["state"],
+        "global_step": CheckpointPaths(recipe.base_checkpoint).step, "merged_by": "llmtailor",
+    }
+
+
+def peak_outside_writes(monkeypatch, module, run) -> int:
+    """tracemalloc peak of ``run()``, not counting time inside ``module.write_blob``.
+
+    ``write_blob``'s fixed 1 MiB file buffer would drown a tiny-model
+    shard, and what the memory bounds are about — how many decoded
+    shards are alive at once — is decided before each write starts.
+    """
+    real, peaks = module.write_blob, []
+
+    def write(path, obj):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        try:
+            return real(path, obj)
+        finally:
+            tracemalloc.reset_peak()
+
+    monkeypatch.setattr(module, "write_blob", write)
+    tracemalloc.start()
+    try:
+        run()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    return max(peaks)
+
+
+def decoded_nbytes(shard: dict) -> int:
+    """Bytes of a rank payload's arrays (fp32 master + both moments)."""
+    return sum(a.nbytes for a in shard["fp32_flat_groups"].values()) + sum(
+        e["exp_avg"].nbytes + e["exp_avg_sq"].nbytes for e in shard["state"].values()
+    )
 
 
 @pytest.fixture

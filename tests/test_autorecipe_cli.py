@@ -114,33 +114,39 @@ class TestCLI:
         assert rc == 0
 
     def test_merge_command_stream_flags_match_serial(self, parity_trail, tmp_path, capsys):
-        """`merge --stream --workers` emits the identical checkpoint."""
+        """`merge --workers --cache-mode` emits the identical checkpoint;
+        the `--stream` switch is gone (one engine, nothing to select)."""
         recipe = recipe_from_run(parity_trail.storage.root, failure_step=14)
         recipe_path = tmp_path / "recipe.yaml"
         recipe.save(recipe_path)
         assert main(["merge", "-r", str(recipe_path), "-o", str(tmp_path / "s")]) == 0
         assert main([
             "merge", "-r", str(recipe_path), "-o", str(tmp_path / "t"),
-            "--stream", "--workers", "4", "--cache-mode", "per-checkpoint",
+            "--workers", "4", "--cache-mode", "none",
         ]) == 0
-        serial, streamed = CheckpointPaths(tmp_path / "s"), CheckpointPaths(tmp_path / "t")
-        assert serial.weights.read_bytes() == streamed.weights.read_bytes()
+        plain, fanned = CheckpointPaths(tmp_path / "s"), CheckpointPaths(tmp_path / "t")
+        assert plain.weights.read_bytes() == fanned.weights.read_bytes()
         for rank in range(2):
-            assert serial.shard(rank).read_bytes() == streamed.shard(rank).read_bytes()
+            assert plain.shard(rank).read_bytes() == fanned.shard(rank).read_bytes()
+        with pytest.raises(SystemExit):
+            main(["merge", "-r", str(recipe_path), "-o", str(tmp_path / "u"), "--stream"])
 
     def test_auto_merge_stream_flag(self, parity_trail, tmp_path, capsys):
-        out_dir = str(tmp_path / "cli-streamed")
-        rc = main([
+        """`auto-merge` takes `--workers`; the removed `--stream` is rejected."""
+        out_dir = str(tmp_path / "cli-fanned")
+        base = [
             "auto-merge", str(parity_trail.storage.root),
-            "--failure-step", "14", "-o", out_dir, "--stream", "--workers", "2",
-        ])
-        assert rc == 0
+            "--failure-step", "14", "-o", out_dir, "--workers", "2",
+        ]
+        assert main(base) == 0
         assert CheckpointPaths(out_dir).read_manifest()["complete"]
+        with pytest.raises(SystemExit):
+            main(base + ["--stream"])
 
     def test_plan_merge_estimate(self, capsys):
         rc = main([
             "plan", "llama3.1-8b", "parity", "--interval", "100", "--steps", "400",
-            "--merge-checkpoints", "2", "--stream", "--workers", "4",
+            "--merge-checkpoints", "2", "--workers", "4",
         ])
         assert rc == 0
         out = capsys.readouterr().out

@@ -1,16 +1,16 @@
-"""The streaming merge engine: bitwise equality with the serial path.
+"""The merge engine against its serial reference oracle.
 
-The contract under test (ISSUE 2 tentpole): with ``MergeOptions(stream=
-True)`` the merge consumes shards group-by-group through selective blob
-reads and pipes weight tensors through a streaming writer, yet every
-output byte — weights file and each rank's optimizer shard — is
-identical to the serial engine at any world size, for every checkpoint
-strategy's slot layout, with peak memory bounded below the serial path.
+The contract under test: the engine consumes shards through selective
+blob reads (only the groups the plan takes from a source are inflated)
+and pipes weight tensors through a streaming writer, yet every output
+byte — weights file and each rank's optimizer shard — equals what the
+serial algorithm produces (``conftest.reference_merged_shard``: full
+``read_blob`` of each source, take groups per slot) at any world size,
+for every checkpoint strategy's slot layout and both cache modes, with
+peak memory bounded by one source shard plus one output shard.
 """
 
 from __future__ import annotations
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,11 +18,15 @@ import pytest
 from repro.core import LLMTailor, MergeOptions, MergeRecipe, recipe_from_run
 from repro.io import CheckpointPaths, Storage, save_checkpoint
 from repro.io.blobfile import read_blob, read_blob_selected, write_blob
+from repro.io.tensorfile import TensorFile, write_tensorfile
 from repro.nn import model_slots
+from repro.nn.slots import slot_parameter_shapes
 from repro.strategies import build_strategy
-from repro.util.errors import CheckpointFormatError
+from repro.util.errors import CheckpointFormatError, MergeError
 
-from conftest import make_engine, train_steps
+from conftest import (
+    decoded_nbytes, make_engine, peak_outside_writes, reference_merged_shard, train_steps,
+)
 
 WORLD_SIZES = [1, 2, 4]
 STRATEGIES = ["parity", "magnitude", "filtered", "full"]
@@ -45,51 +49,37 @@ def _build_trail(tmp_path, config, strategy_name: str, world_size: int):
     return storage
 
 
-def _merge(storage, output, **options):
-    recipe = recipe_from_run(storage.root)
-    recipe.options = MergeOptions(verify=False, **options)
-    return LLMTailor(recipe).merge(output=output)
+def _assert_shards_equal_reference(result, recipe, config, world_size, scratch):
+    for rank in range(world_size):
+        write_blob(scratch, reference_merged_shard(recipe, config, rank))
+        assert result.output.shard(rank).read_bytes() == scratch.read_bytes(), (
+            f"rank {rank} shard differs from the serial reference"
+        )
 
 
 @pytest.mark.parametrize("world_size", WORLD_SIZES)
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_stream_bitwise_equals_serial(tmp_path, untied_config, strategy, world_size):
-    """Streamed output files are byte-for-byte the serial ones."""
-    storage = _build_trail(tmp_path, untied_config, strategy, world_size)
-    serial = _merge(storage, tmp_path / "serial")
-    streamed = _merge(storage, tmp_path / "streamed", stream=True, workers=3)
+    """Merged files are byte-for-byte what the serial reference builds."""
+    config = untied_config
+    storage = _build_trail(tmp_path, config, strategy, world_size)
+    recipe = recipe_from_run(storage.root)
+    recipe.options = MergeOptions(verify=False, workers=3)
+    merged = LLMTailor(recipe).merge(output=tmp_path / "merged")
 
-    assert serial.output.weights.read_bytes() == streamed.output.weights.read_bytes()
-    for rank in range(world_size):
-        assert (
-            serial.output.shard(rank).read_bytes()
-            == streamed.output.shard(rank).read_bytes()
-        ), f"rank {rank} shard differs ({strategy}, ws={world_size})"
-    # Identical load accounting: the engines follow the same schedule.
-    assert serial.optimizer_files_loaded == streamed.optimizer_files_loaded
-    assert serial.optimizer_bytes_loaded == streamed.optimizer_bytes_loaded
-
-
-@pytest.mark.parametrize("cache_mode", ["per-checkpoint", "none"])
-def test_stream_interleaved_matches_serial(checkpoint_run, tmp_path, cache_mode):
-    """Both cache modes agree byte-for-byte on the parity fixture."""
-    storage, _, _, config, _ = checkpoint_run
-    L = config.num_hidden_layers
-    odd = [f"layers.{i}" for i in range(L) if i % 2 == 1] + ["embed_tokens"]
-    recipe = MergeRecipe(
-        base_checkpoint=storage.root / "checkpoint-200",
-        assignments={s: storage.root / "checkpoint-100" for s in odd},
-        options=MergeOptions(cache_mode=cache_mode, verify=False),
+    _assert_shards_equal_reference(merged, recipe, config, world_size, tmp_path / "ref.blob")
+    # Weights: decode every tensor from its slot's source and re-encode.
+    tensors = {}
+    for slot, shapes in slot_parameter_shapes(config).items():
+        reader = TensorFile(CheckpointPaths(recipe.source_for(slot)).weights)
+        tensors.update({name: reader.read(name) for name in shapes})
+    write_tensorfile(
+        tmp_path / "ref.tsr", tensors, dtype=config.storage_dtype,
+        metadata=TensorFile(merged.output.weights).metadata,
     )
-    serial = LLMTailor(recipe).merge(output=tmp_path / "a")
-    recipe.options = MergeOptions(cache_mode=cache_mode, verify=False, stream=True)
-    streamed = LLMTailor(recipe).merge(output=tmp_path / "b")
-    for rank in range(2):
-        assert (
-            serial.output.shard(rank).read_bytes()
-            == streamed.output.shard(rank).read_bytes()
-        )
-    assert serial.optimizer_files_loaded == streamed.optimizer_files_loaded
+    assert merged.output.weights.read_bytes() == (tmp_path / "ref.tsr").read_bytes()
+    # One selective pass per distinct source per rank.
+    assert merged.optimizer_files_loaded == len(recipe.distinct_sources()) * world_size
 
 
 def _odd_parity_recipe(storage, config, **options):
@@ -102,37 +92,44 @@ def _odd_parity_recipe(storage, config, **options):
     )
 
 
-@pytest.mark.parametrize("stream", [False, True])
-def test_corrupt_shard_bytes_rejected_by_both_engines(checkpoint_run, tmp_path, stream):
-    """Bit-rot in the shard file must fail either engine.
+@pytest.mark.parametrize("cache_mode", ["per-checkpoint", "none"])
+def test_stream_interleaved_matches_serial(checkpoint_run, tmp_path, cache_mode):
+    """Both cache modes match the serial reference on the parity fixture."""
+    storage, _, _, config, _ = checkpoint_run
+    recipe = _odd_parity_recipe(storage, config, cache_mode=cache_mode)
+    merged = LLMTailor(recipe).merge(output=tmp_path / "m")
+    _assert_shards_equal_reference(merged, recipe, config, 2, tmp_path / "ref.blob")
+    # Table 7's two regimes: one load per source, or one per slot.
+    loads = 2 if cache_mode == "per-checkpoint" else len(model_slots(config))
+    assert merged.optimizer_files_loaded == loads * 2
 
-    The serial path relies on the whole-payload blob CRC; the streaming
-    path verifies each materialized group against its header ``crc32``
-    and surfaces decompressor errors, so corruption in copied data can
-    never flow silently into the merged checkpoint.
+
+def test_corrupt_shard_bytes_rejected(checkpoint_run, tmp_path):
+    """Bit-rot in a shard file must fail the merge.
+
+    Every selective read drains the file (container length + CRC) and
+    verifies each materialized group against its header ``crc32``, so
+    corruption in copied data can never flow silently into the merged
+    checkpoint.
     """
-    from repro.util.errors import MergeError
-
     storage, _, _, config, _ = checkpoint_run
     shard_path = CheckpointPaths(storage.root / "checkpoint-100").shard(0)
     raw = bytearray(shard_path.read_bytes())
     raw[-3] ^= 0xFF  # tail byte: inside the last group's state arrays
     shard_path.write_bytes(bytes(raw))
-    recipe = _odd_parity_recipe(storage, config, stream=stream)
     with pytest.raises((CheckpointFormatError, MergeError)):
-        LLMTailor(recipe).merge(output=tmp_path / "m")
+        LLMTailor(_odd_parity_recipe(storage, config)).merge(output=tmp_path / "m")
 
 
-def test_stream_detects_tampered_group_serial_cannot(checkpoint_run, tmp_path):
+def test_tampered_group_rejected(checkpoint_run, tmp_path):
     """Per-group CRCs catch tampering that re-wrote a valid container.
 
     Rewriting a shard with a modified fp32 array but the original group
-    header produces a self-consistent blob (payload CRC matches), which
-    the serial whole-file check cannot flag — but the streaming engine's
-    per-group verification does.
+    header produces a self-consistent blob (payload CRC matches); the
+    stale group ``crc32`` must stop the *default* merge — library and
+    CLI alike — the way a ``bitrot`` fault is meant to be caught.
     """
-    from repro.io import read_blob, write_blob
-    from repro.util.errors import MergeError
+    from repro.cli import main
 
     storage, _, _, config, _ = checkpoint_run
     shard_path = CheckpointPaths(storage.root / "checkpoint-100").shard(0)
@@ -141,12 +138,12 @@ def test_stream_detects_tampered_group_serial_cannot(checkpoint_run, tmp_path):
     doc["fp32_flat_groups"][tampered] = doc["fp32_flat_groups"][tampered] + 1.0
     write_blob(shard_path, doc)  # container CRC now valid again
 
-    serial = LLMTailor(_odd_parity_recipe(storage, config)).merge(output=tmp_path / "s")
-    assert serial is not None  # serial cannot see the stale group crc32
+    recipe = _odd_parity_recipe(storage, config)
     with pytest.raises(MergeError, match="CRC mismatch for group"):
-        LLMTailor(_odd_parity_recipe(storage, config, stream=True)).merge(
-            output=tmp_path / "t"
-        )
+        LLMTailor(recipe).merge(output=tmp_path / "lib")
+    recipe.save(tmp_path / "recipe.yaml")
+    with pytest.raises(MergeError, match="CRC mismatch for group"):
+        main(["merge", "-r", str(tmp_path / "recipe.yaml"), "-o", str(tmp_path / "cli")])
 
 
 def _full_trail(tmp_path, config, steps=(1, 2)):
@@ -162,20 +159,18 @@ def _full_trail(tmp_path, config, steps=(1, 2)):
 
 
 def test_stream_rejects_corruption_outside_every_wanted_group(tmp_path, untied_config):
-    """A corrupt shard fails the streaming merge even where nothing is copied from.
+    """A corrupt shard fails the merge even where nothing is copied from.
 
     Only ``norm`` (group 0, the head of the file) is taken from
     checkpoint-1; the flipped byte sits in the last group's moments,
     two thirds of a shard later.  A read that stopped after the last
     wanted group would hand back intact data from a corrupt file.
     """
-    from repro.util.errors import MergeError
-
     storage = _full_trail(tmp_path, untied_config)
     recipe = MergeRecipe(
         base_checkpoint=storage.root / "checkpoint-2",
         assignments={"norm": storage.root / "checkpoint-1"},
-        options=MergeOptions(verify=False, stream=True),
+        options=MergeOptions(verify=False),
     )
     assert LLMTailor(recipe).merge(output=tmp_path / "clean") is not None
     shard_path = CheckpointPaths(storage.root / "checkpoint-1").shard(1)
@@ -214,33 +209,30 @@ def test_mixed_v1_v2_trail_merges_byte_identically(tmp_path, untied_config):
         for rank in range(2):
             shard_path = CheckpointPaths(storage.root / f"checkpoint-{step}").shard(rank)
             write_blob_v1(shard_path, read_blob(shard_path), compress=compress)
-    assert merged_files("mixed-serial") == all_v2
-    assert merged_files("mixed-stream", stream=True, workers=2) == all_v2
+    assert merged_files("mixed") == all_v2
+    assert merged_files("mixed-w2", workers=2) == all_v2
 
 
 def test_streamed_output_verifies_and_resumes(checkpoint_run, tmp_path):
-    """A streamed Frankenstein checkpoint passes deep verification."""
+    """A Frankenstein checkpoint merged with fan-out passes deep verification."""
     storage, _, _, config, _ = checkpoint_run
-    L = config.num_hidden_layers
-    odd = [f"layers.{i}" for i in range(L) if i % 2 == 1] + ["embed_tokens"]
-    recipe = MergeRecipe(
-        base_checkpoint=storage.root / "checkpoint-200",
-        assignments={s: storage.root / "checkpoint-100" for s in odd},
-        options=MergeOptions(stream=True, workers=2),  # verify=True default
-    )
+    recipe = _odd_parity_recipe(storage, config, workers=2)
+    recipe.options = MergeOptions(workers=2)  # verify=True default
     result = LLMTailor(recipe).merge(output=tmp_path / "m")
     assert result.verify_report is not None and result.verify_report.ok
 
 
-def test_stream_peak_memory_bounded(tmp_path, untied_config):
-    """Streaming must allocate less at peak than full-blob caching.
+def test_stream_peak_memory_bounded(tmp_path, untied_config, monkeypatch):
+    """Peak allocation stays under one source shard plus one output shard.
 
-    The scenario where caching hurts: slots spread round-robin over
-    several *complete* checkpoints.  The serial per-checkpoint path
-    materializes every distinct source shard in full; the streaming
-    path only ever holds each source's *selected* groups, which across
-    all sources sum to one shard.
+    The scenario where caching whole shards would hurt: slots spread
+    round-robin over three *complete* checkpoints.  Each selective pass
+    holds only the groups taken from that source, which across all
+    sources sum to one output shard; decoding a whole source per pass
+    and keeping it (what the serial algorithm did) needs three.
     """
+    import repro.core.optimizer_merge as engine
+
     config = untied_config
     storage = _full_trail(tmp_path, config, steps=(1, 2, 3))
     slots = model_slots(config)
@@ -251,22 +243,17 @@ def test_stream_peak_memory_bounded(tmp_path, untied_config):
             for i, slot in enumerate(slots)
             if 1 + i % 3 != 3
         },
+        options=MergeOptions(verify=False),
     )
-
-    def peak(tag: str, **options) -> int:
-        recipe.options = MergeOptions(verify=False, **options)
-        tracemalloc.start()
-        try:
-            LLMTailor(recipe).merge(output=tmp_path / f"mem-{tag}")
-            _, peak_bytes = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak_bytes
-
-    serial_peak = peak("serial")
-    stream_peak = peak("stream", stream=True)
-    assert stream_peak < serial_peak, (
-        f"streaming peak {stream_peak} should undercut serial {serial_peak}"
+    shard_bytes = decoded_nbytes(
+        read_blob(CheckpointPaths(storage.root / "checkpoint-3").shard(0))
+    )
+    peak = peak_outside_writes(
+        monkeypatch, engine, lambda: LLMTailor(recipe).merge(output=tmp_path / "mem")
+    )
+    # Codec slack: one read chunk plus the plane buffers of a group.
+    assert peak <= 2 * shard_bytes + (64 << 10), (
+        f"merge peak {peak} exceeds one source + one output shard ({2 * shard_bytes})"
     )
 
 

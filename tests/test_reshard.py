@@ -8,28 +8,33 @@ size N into a bitwise-valid checkpoint at world size M, for any N, M ≥ 1:
   byte, for every strategy's trail merged into a complete checkpoint;
 * round trips are lossless — N→M→N reproduces the original shard files
   exactly;
-* the streaming engine equals the materializing reference path bitwise
-  while allocating strictly less at peak;
+* the sweep equals a gather-then-reslice oracle bitwise — on real
+  checkpoints and on synthetic payloads with ragged group sizes — while
+  reading every source shard exactly once and never holding more than
+  one source plus the open target;
 * corruption in any source group is rejected via its per-group CRC.
 """
 
 from __future__ import annotations
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.dist.reshard as reshard_module
 from repro.core import LLMTailor, MergeOptions, recipe_from_run, verify_checkpoint
 from repro.dist import GroupPartition, reshard_checkpoint, reshard_state_dicts
+from repro.dist.reshard import reshard_sweep
+from repro.dist.zero import SHARD_FORMAT_VERSION, group_payload_crc
 from repro.io import CheckpointPaths, Storage, save_checkpoint, load_checkpoint
-from repro.io.blobfile import read_blob, write_blob
+from repro.io.blobfile import encode, read_blob, write_blob
 from repro.nn import get_config
 from repro.strategies import build_strategy, plan_reshard_cost
 from repro.util.errors import CheckpointError, CheckpointFormatError, ReshardError
 
-from conftest import make_engine, train_steps
+from conftest import decoded_nbytes, make_engine, peak_outside_writes, train_steps
 
 WORLD_SIZES = [1, 2, 3, 4]
 STRATEGIES = ["parity", "magnitude", "filtered", "full"]
@@ -80,6 +85,38 @@ def _shards_bytes(paths: CheckpointPaths, world_size: int) -> list[bytes]:
     return [paths.shard(r).read_bytes() for r in range(world_size)]
 
 
+def _gather_reslice(sources: list[dict], M: int) -> list[dict]:
+    """Oracle: materialize each group's full master, re-pad, re-slice.
+
+    The textbook N→M algorithm (everything in memory at once), written
+    against :class:`GroupPartition` only — independent of the sweep.
+    """
+    ref, N = sources[0], len(sources)
+    targets = []
+    for m in range(M):
+        groups, fp32, state = [], {}, {}
+        for header in ref["groups"]:
+            g = header["index"]
+            src, dst = GroupPartition(header["numel"], N), GroupPartition(header["numel"], M)
+
+            def resliced(pick):
+                return dst.shards(src.gather([pick(s) for s in sources]))[m]
+
+            fp32[g] = resliced(lambda s: s["fp32_flat_groups"][g])
+            state[g] = {
+                "step": ref["state"][g]["step"],
+                "exp_avg": resliced(lambda s: s["state"][g]["exp_avg"]),
+                "exp_avg_sq": resliced(lambda s: s["state"][g]["exp_avg_sq"]),
+            }
+            crc = group_payload_crc(fp32[g], state[g]["exp_avg"], state[g]["exp_avg_sq"])
+            groups.append(dict(header, padded_numel=dst.padded_numel, crc32=crc))
+        targets.append(
+            {**ref, "world_size": M, "rank": m, "groups": groups,
+             "fp32_flat_groups": fp32, "state": state}
+        )
+    return targets
+
+
 # ---------------------------------------------------------------------------
 # Bitwise contracts
 # ---------------------------------------------------------------------------
@@ -112,8 +149,11 @@ def test_roundtrip_reproduces_original_shards(ckpt_factory, tmp_path, source, ta
     """N→M→N reproduces the original shard files bitwise (acceptance)."""
     src = ckpt_factory("full", source)
     original = _shards_bytes(src, source)
-    reshard_checkpoint(src, tmp_path / "mid", target)
-    reshard_checkpoint(tmp_path / "mid", tmp_path / "back", source)
+    there = reshard_checkpoint(src, tmp_path / "mid", target)
+    back_report = reshard_checkpoint(tmp_path / "mid", tmp_path / "back", source)
+    # Exactly one read per source shard, whatever the target world size.
+    assert (there.files_loaded, back_report.files_loaded) == (source, target)
+    assert len(there.rank_seconds) == target
     back = CheckpointPaths(tmp_path / "back")
     assert _shards_bytes(back, source) == original, (
         f"{source}->{target}->{source} round trip is not bitwise"
@@ -124,21 +164,74 @@ def test_roundtrip_reproduces_original_shards(ckpt_factory, tmp_path, source, ta
 
 @pytest.mark.parametrize("target", [1, 3])
 def test_stream_equals_materializing_engine(ckpt_factory, tmp_path, target):
-    """Both engines must emit identical bytes at any target world size."""
+    """The sweep's files equal the materializing oracle's, byte for byte."""
     src = ckpt_factory("parity", 2)
-    reshard_checkpoint(src, tmp_path / "s", target, stream=True, workers=3)
-    reshard_checkpoint(src, tmp_path / "m", target, stream=False)
-    assert _shards_bytes(CheckpointPaths(tmp_path / "s"), target) == _shards_bytes(
-        CheckpointPaths(tmp_path / "m"), target
-    )
+    reshard_checkpoint(src, tmp_path / "s", target)
+    sources = [read_blob(src.shard(r)) for r in range(2)]
+    for rank, payload in enumerate(_gather_reslice(sources, target)):
+        write_blob(tmp_path / "oracle.blob", payload)
+        assert (
+            CheckpointPaths(tmp_path / "s").shard(rank).read_bytes()
+            == (tmp_path / "oracle.blob").read_bytes()
+        )
+
+
+def _synthetic_sources(numels: list[int], world_size: int, seed: int) -> list[dict]:
+    """Complete rank payloads for groups of the given (ragged) sizes."""
+    rng = np.random.default_rng(seed)
+    parts = [GroupPartition(n, world_size) for n in numels]
+    masters = [
+        [p.shards(rng.standard_normal(p.numel).astype(np.float32)) for _ in range(3)]
+        for p in parts
+    ]
+    payloads = []
+    for rank in range(world_size):
+        arrays = {g: [kind[rank] for kind in masters[g]] for g in range(len(numels))}
+        payloads.append({
+            "format_version": SHARD_FORMAT_VERSION, "zero_stage": 3,
+            "world_size": world_size, "rank": rank, "num_total_groups": len(numels),
+            "groups": [
+                {"index": g, "numel": p.numel, "padded_numel": p.padded_numel,
+                 "param_names": [f"p{g}"], "crc32": group_payload_crc(*arrays[g])}
+                for g, p in enumerate(parts)
+            ],
+            "hyperparams": [{"index": g, "lr": 0.1 * (g + 1)} for g in range(len(numels))],
+            "fp32_flat_groups": {g: a[0] for g, a in arrays.items()},
+            "state": {
+                g: {"step": 7 + g, "exp_avg": a[1], "exp_avg_sq": a[2]}
+                for g, a in arrays.items()
+            },
+            "global_step": 7,
+        })
+    return payloads
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    numels=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+    source=st.integers(1, 6),
+    target=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_sweep_matches_oracle_on_ragged_groups(numels, source, target, seed):
+    """Any N, M in 1..6 and any group sizes, including numel < world size.
+
+    Tiny groups leave trailing ranks empty, so a later target can finish
+    before an earlier one and a second target can stay open across a
+    source boundary — shapes the file-based pairs never reach.
+    """
+    sources = _synthetic_sources(numels, source, seed)
+    swept = reshard_state_dicts(sources, target)
+    oracle = _gather_reslice(sources, target)
+    assert [encode(p) for p in swept] == [encode(p) for p in oracle]
+    back = reshard_state_dicts(swept, source)
+    assert [encode(p) for p in back] == [encode(p) for p in sources]
 
 
 def test_resharded_checkpoint_verifies(ckpt_factory, tmp_path):
     """The output passes structural verification at its new world size."""
     src = ckpt_factory("full", 2)
-    report = reshard_checkpoint(src, tmp_path / "v3", 3)
-    # N + M - gcd(N, M) group transfers + 1 metadata pass over rank 0.
-    assert report.files_loaded == (2 + 3 - 1) + 1
+    reshard_checkpoint(src, tmp_path / "v3", 3)
     verify = verify_checkpoint(tmp_path / "v3")
     assert verify.ok, verify.issues
 
@@ -147,29 +240,28 @@ def test_resharded_checkpoint_verifies(ckpt_factory, tmp_path):
 # Memory bound
 # ---------------------------------------------------------------------------
 
-def test_stream_peak_memory_below_full_materialization(ckpt_factory, tmp_path):
-    """Streaming must allocate strictly less at peak than materializing.
+def test_stream_peak_memory_below_full_materialization(ckpt_factory, tmp_path, monkeypatch):
+    """4→2 never holds more than one source shard plus the open target.
 
-    The materializing path holds every source payload plus the gathered
-    full master; the streaming path only ever holds one target shard
-    plus one source shard's selected groups.
+    An absolute bound, far below the full optimizer state (four source
+    shards): while source ``r+1`` is decoded, source ``r`` and every
+    already-written target must be gone.  A loop variable, an
+    ``enumerate`` tuple or a lingering payload that keeps one of them
+    alive through the next ``read_blob`` breaks it.
     """
     src = ckpt_factory("full", 4)
-
-    def peak(tag: str, stream: bool) -> int:
-        tracemalloc.start()
-        try:
-            reshard_checkpoint(src, tmp_path / f"mem-{tag}", 2, stream=stream)
-            _, peak_bytes = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak_bytes
-
-    materialize_peak = peak("mat", stream=False)
-    stream_peak = peak("stream", stream=True)
-    assert stream_peak < materialize_peak, (
-        f"streaming peak {stream_peak} should undercut materializing "
-        f"{materialize_peak}"
+    source_bytes = decoded_nbytes(read_blob(src.shard(0)))
+    target_bytes = 2 * source_bytes
+    peak = peak_outside_writes(
+        monkeypatch, reshard_module,
+        lambda: reshard_checkpoint(src, tmp_path / "mem", 2),
+    )
+    # Codec slack: read_blob holds the file's bytes while decoding them,
+    # and a tiny model's headers are not negligible next to its arrays.
+    slack = src.shard(0).stat().st_size + (128 << 10)
+    assert peak <= source_bytes + target_bytes + slack, (
+        f"reshard peak {peak} exceeds one source ({source_bytes}) + one target "
+        f"({target_bytes}) + slack ({slack})"
     )
 
 
@@ -191,7 +283,7 @@ def test_corrupted_group_rejected(ckpt_factory, tmp_path):
 
 
 def test_bit_rot_rejected(ckpt_factory, tmp_path):
-    """Raw bit flips fail the container checks on either engine."""
+    """Raw bit flips fail the container checks."""
     src = ckpt_factory("full", 2)
     copy = reshard_checkpoint(src, tmp_path / "victim2", 2)
     shard_path = CheckpointPaths(copy.output).shard(1)
@@ -199,31 +291,29 @@ def test_bit_rot_rejected(ckpt_factory, tmp_path):
     raw[-3] ^= 0xFF
     shard_path.write_bytes(bytes(raw))
     with pytest.raises((CheckpointFormatError, ReshardError)):
-        reshard_checkpoint(copy.output, tmp_path / "out-a", 1, stream=True)
-    with pytest.raises((CheckpointFormatError, ReshardError)):
-        reshard_checkpoint(copy.output, tmp_path / "out-b", 1, stream=False)
+        reshard_checkpoint(copy.output, tmp_path / "out", 1)
 
 
 def test_stream_rejects_corruption_after_the_last_group(ckpt_factory, tmp_path):
-    """The streaming engine verifies the whole file, not just what it copies.
+    """The whole file is verified, not just the groups that are copied.
 
     Shards carry non-canonical top-level keys through a reshard; here
-    one of them makes the tail of the file (past every group a target
-    rank wants) longer than a read chunk.  A flipped byte in that tail
-    must fail the container CRC of every selective read.
+    one of them makes the tail of the file (past every group) longer
+    than a read chunk.  A flipped byte in that tail must fail the
+    container CRC.
     """
     src = ckpt_factory("full", 2)
     copy = reshard_checkpoint(src, tmp_path / "victim-tail", 2)
-    shard_path = CheckpointPaths(copy.output).shard(1)  # rank 0 feeds the metadata pass
+    shard_path = CheckpointPaths(copy.output).shard(1)
     doc = read_blob(shard_path)
     doc["user_extra"] = np.random.default_rng(0).bytes(400_000)
     write_blob(shard_path, doc)
-    reshard_checkpoint(copy.output, tmp_path / "clean", 1, stream=True)  # intact: fine
+    reshard_checkpoint(copy.output, tmp_path / "clean", 1)  # intact: fine
     raw = bytearray(shard_path.read_bytes())
     raw[-3] ^= 0xFF
     shard_path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointFormatError, match="CRC mismatch"):
-        reshard_checkpoint(copy.output, tmp_path / "out", 1, stream=True)
+        reshard_checkpoint(copy.output, tmp_path / "out", 1)
 
 
 def test_step_disagreement_rejected(ckpt_factory, tmp_path):
@@ -236,7 +326,7 @@ def test_step_disagreement_rejected(ckpt_factory, tmp_path):
     doc["state"][g]["step"] = int(doc["state"][g]["step"]) + 7
     write_blob(shard_path, doc)
     with pytest.raises(ReshardError, match="step"):
-        reshard_checkpoint(copy.output, tmp_path / "out", 1, stream=True)
+        reshard_checkpoint(copy.output, tmp_path / "out", 1)
 
 
 def test_scheduler_staleness_does_not_break_roundtrip(tmp_path, untied_config):
@@ -266,12 +356,12 @@ def test_scheduler_staleness_does_not_break_roundtrip(tmp_path, untied_config):
     assert _shards_bytes(CheckpointPaths(tmp_path / "back"), 2) == original
 
 
-def test_foreign_shard_geometry_rejected_by_both_engines(ckpt_factory, tmp_path):
+def test_foreign_shard_geometry_rejected(ckpt_factory, tmp_path):
     """A shard whose group geometry diverges from rank 0 must not merge.
 
     The header tamper leaves the per-group CRCs valid (they cover only
     the arrays), so this is exactly the case the cross-rank geometry
-    check exists for — on the streaming path too.
+    check exists for.
     """
     src = ckpt_factory("full", 2)
     copy = reshard_checkpoint(src, tmp_path / "victim-geom", 2)
@@ -280,9 +370,7 @@ def test_foreign_shard_geometry_rejected_by_both_engines(ckpt_factory, tmp_path)
     doc["groups"][0]["param_names"] = list(doc["groups"][0]["param_names"]) + ["ghost"]
     write_blob(shard_path, doc)
     with pytest.raises(ReshardError, match="geometry differs"):
-        reshard_checkpoint(copy.output, tmp_path / "out-geom-s", 1, stream=True)
-    with pytest.raises(ReshardError, match="geometry differs"):
-        reshard_checkpoint(copy.output, tmp_path / "out-geom-m", 1, stream=False)
+        reshard_checkpoint(copy.output, tmp_path / "out-geom", 1)
 
 
 def test_aborted_reshard_leaves_no_complete_manifest(ckpt_factory, tmp_path):
@@ -295,11 +383,10 @@ def test_aborted_reshard_leaves_no_complete_manifest(ckpt_factory, tmp_path):
     src = ckpt_factory("full", 2)
     copy = reshard_checkpoint(src, tmp_path / "victim-abort", 2)
     CheckpointPaths(copy.output).shard(1).unlink()
-    for stream in (True, False):
-        out = tmp_path / f"out-abort-{stream}"
-        with pytest.raises(ReshardError):
-            reshard_checkpoint(copy.output, out, 3, stream=stream)
-        assert not CheckpointPaths(out).manifest.exists()
+    out = tmp_path / "out-abort"
+    with pytest.raises(ReshardError):
+        reshard_checkpoint(copy.output, out, 3)
+    assert not CheckpointPaths(out).manifest.exists()
 
 
 def test_partial_checkpoint_rejected(tmp_path, untied_config):
@@ -355,17 +442,29 @@ def test_checkpoint_named_output_rejects_step_conflict(ckpt_factory, tmp_path):
 
 
 def test_consume_drains_sources_without_changing_output(untied_config):
-    """consume=True (the elastic reader's mode) must be bit-identical."""
-    from repro.io.blobfile import encode
+    """Feeding the sweep lazily (the elastic reader's mode) is bit-identical.
 
+    The sweep must pull each source only when it needs it — target 0 of
+    a 2→3 reshard is out before source 1 is asked for — and drain the
+    iterator exactly once.
+    """
     model, engine = make_engine(untied_config, world_size=2)
     train_steps(model, engine, untied_config, 1)
-    sources = [engine.rank_state_dict(r) for r in range(2)]
     kept = reshard_state_dicts([engine.rank_state_dict(r) for r in range(2)], 3)
-    drained = reshard_state_dicts(sources, 3, consume=True)
-    for a, b in zip(kept, drained):
-        assert encode(a) == encode(b)
-    assert all(not s["fp32_flat_groups"] for s in sources)
+
+    pulled = []
+
+    def lazy_sources():
+        for r in range(2):
+            pulled.append(r)
+            yield engine.rank_state_dict(r)
+
+    sweep = reshard_sweep(lazy_sources(), 2, 3)
+    assert encode(next(sweep)) == encode(kept[0]) and pulled == [0]
+    assert [encode(p) for p in sweep] == [encode(p) for p in kept[1:]]
+    assert pulled == [0, 1]
+    with pytest.raises(ReshardError, match="got only 1"):
+        list(reshard_sweep(iter(kept[:1]), 3, 2))
 
 
 def test_bad_target_world_size_rejected(ckpt_factory, tmp_path):
@@ -463,11 +562,10 @@ def test_cli_reshard_roundtrip(ckpt_factory, tmp_path, capsys):
     src = ckpt_factory("full", 2)
     assert main([
         "reshard", str(src.dir), "-o", str(tmp_path / "m3"),
-        "--target-world-size", "3", "--workers", "2",
+        "--target-world-size", "3",
     ]) == 0
     assert main([
-        "reshard", str(tmp_path / "m3"), "-o", str(tmp_path / "back"),
-        "-w", "2", "--no-stream",
+        "reshard", str(tmp_path / "m3"), "-o", str(tmp_path / "back"), "-w", "2",
     ]) == 0
     out = capsys.readouterr().out
     assert "world size           : 2 -> 3" in out
@@ -475,32 +573,17 @@ def test_cli_reshard_roundtrip(ckpt_factory, tmp_path, capsys):
 
 
 def test_plan_reshard_cost_model():
-    import math
-
     config = get_config("llama3.1-8b")
-    stream = plan_reshard_cost(
-        config, source_world_size=8, target_world_size=3, workers=1, stream=True
-    )
-    mat = plan_reshard_cost(
-        config, source_world_size=8, target_world_size=3, workers=1, stream=False
-    )
-    assert stream.loads == 8 + 3 - math.gcd(8, 3) + 1  # + metadata pass
-    assert mat.loads == 8
-    # The memory guarantee is the whole point of the streaming engine.
-    assert stream.peak_bytes < mat.peak_bytes
-    assert stream.bytes_written == mat.bytes_written
-    for plan in (stream, mat):
-        assert plan.seconds > 0
-        assert plan.describe()["model"] == config.name
-    # Peak memory is per concurrent worker: each in-flight target-rank
-    # transfer holds its own target shard plus one source shard.
-    fanned = plan_reshard_cost(
-        config, source_world_size=8, target_world_size=3, workers=2, stream=True
-    )
-    assert fanned.peak_bytes == 2 * stream.peak_bytes
-    assert plan_reshard_cost(
-        config, source_world_size=8, target_world_size=3, workers=16, stream=True
-    ).peak_bytes == 3 * stream.peak_bytes  # clamped to M transfers
+    plan = plan_reshard_cost(config, source_world_size=8, target_world_size=3)
+    optim_bytes = plan.bytes_written  # 3 target shards == the whole state
+    assert plan.loads == 8  # one read per source shard, whatever M is
+    assert plan.bytes_loaded == 8 * (optim_bytes // 8)
+    # The memory guarantee: one source shard plus one target shard.
+    assert plan.peak_bytes == optim_bytes // 8 + optim_bytes // 3
+    assert plan.peak_bytes < optim_bytes
+    assert plan.seconds > 0
+    assert plan.describe()["model"] == config.name
+    assert "stream" not in plan.describe() and "workers" not in plan.describe()
 
 
 def test_cli_plan_reshard_estimate(capsys):
@@ -508,18 +591,18 @@ def test_cli_plan_reshard_estimate(capsys):
 
     assert main([
         "plan", "llama3.1-8b", "full", "--world-size", "8",
-        "--reshard-to", "2", "--stream", "--workers", "4",
+        "--reshard-to", "2", "--merge-checkpoints", "2", "--workers", "4",
     ]) == 0
     out = capsys.readouterr().out
-    assert "reshard estimate (8 -> 2 ranks, stream, workers=4)" in out
+    assert "reshard estimate (8 -> 2 ranks):" in out
+    assert "shard loads            : 8" in out
     assert "peak memory" in out
-
-    # The estimate's default engine must match `llmtailor reshard`'s
-    # (stream), while the merge estimate stays serial by default.
-    assert main([
-        "plan", "llama3.1-8b", "full", "--world-size", "8",
-        "--reshard-to", "2", "--merge-checkpoints", "2",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "reshard estimate (8 -> 2 ranks, stream, workers=1)" in out
-    assert "merge estimate (2 ckpts, per-checkpoint, serial, workers=1)" in out
+    assert "merge estimate (2 ckpts, per-checkpoint, workers=4)" in out
+    # The removed engine switches are gone from every command.
+    for argv in (
+        ["plan", "llama3.1-8b", "full", "--reshard-to", "2", "--stream"],
+        ["reshard", "x", "-o", "y", "-w", "2", "--no-stream"],
+        ["reshard", "x", "-o", "y", "-w", "2", "--workers", "2"],
+    ):
+        with pytest.raises(SystemExit):
+            main(argv)

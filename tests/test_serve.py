@@ -13,6 +13,7 @@ import asyncio
 import hashlib
 import json
 import os
+import re
 import shutil
 import tempfile
 import threading
@@ -71,7 +72,6 @@ def _recipe_doc(run: Path) -> dict:
     return {
         "base_checkpoint": str(run / "checkpoint-24"),
         "slices": [{"slot": "layers.0-1", "source": str(run / "checkpoint-16")}],
-        "options": {"stream": True},
     }
 
 
@@ -113,6 +113,11 @@ class TestProtocol:
             "recipe": "r.yaml", "recipe_doc": {}}},  # both recipe forms
         {"tenant": "a", "kind": "reshard", "params": {
             "checkpoint": "c", "output": "o", "target_world_size": 0}},
+        {"tenant": "a", "kind": "reshard", "params": {  # removed engine switch
+            "checkpoint": "c", "output": "o", "target_world_size": 2, "stream": True}},
+        {"tenant": "a", "kind": "reshard", "params": {  # removed fan-out
+            "checkpoint": "c", "output": "o", "target_world_size": 2, "workers": 2}},
+        {"tenant": "a", "kind": "merge", "params": {"recipe": "r.yaml", "stream": True}},
         {"tenant": "a", "kind": "plan", "priority": "high",
          "params": {"model": "m", "strategy": "full"}},
         {"tenant": "a", "kind": "plan", "surprise": 1,
@@ -217,7 +222,10 @@ class TestAdmission:
             "checkpoint": str(run_dir / "checkpoint-24"),
             "output": "/tmp/ignored", "target_world_size": 3,
         })
-        assert estimate_job_cost(spec) == estimate_job_cost(spec)
+        cost = estimate_job_cost(spec)
+        assert cost == estimate_job_cost(spec)
+        # One read per source shard (N = 2, any M) plus the weight file.
+        assert cost.files == 2 + 1
 
     def test_merge_cost_scales_with_cache_mode(self, run_dir):
         base = {"recipe_doc": _recipe_doc(run_dir)}
@@ -481,6 +489,33 @@ class TestJournal:
 
     def test_missing_journal_is_empty(self, tmp_path):
         assert replay_journal(tmp_path / "absent.jsonl") == []
+
+    @staticmethod
+    def _journal_with_removed_param(path, *, finished: bool) -> None:
+        """A reshard journaled by a daemon that still accepted ``stream``."""
+        job = {"tenant": "t", "kind": "reshard", "priority": 0, "params": {
+            "checkpoint": "c", "output": "o", "target_world_size": 2, "stream": True}}
+        records = [{"event": "submit", "id": "job-1", "job": _plan_spec().to_dict()},
+                   {"event": "submit", "id": "job-2", "job": job},
+                   {"event": "done", "id": "job-1", "status": "done"}]
+        if finished:
+            records.append({"event": "done", "id": "job-2", "status": "done"})
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+    def test_finished_job_with_removed_param_does_not_block_start(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        self._journal_with_removed_param(path, finished=True)
+        assert replay_journal(path) == []
+        sock = _short_socket()
+        with serve_in_thread(ServeConfig(socket_path=sock, journal_path=str(path))):
+            with ServeClient(sock) as client:
+                assert client.stats()["jobs"]["replayed"] == 0
+
+    def test_pending_job_with_removed_param_names_line_and_key(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        self._journal_with_removed_param(path, finished=False)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: .*'stream'"):
+            replay_journal(path)
 
 
 # ---------------------------------------------------------------------------
