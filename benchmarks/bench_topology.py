@@ -104,12 +104,9 @@ def _run_and_measure(benchmark, tmp_path, tag: str,
 
     def run():
         trainer = Trainer(_config(tmp_path, tag, topology))
-        try:
-            holder["result"] = trainer.train()
-            holder["bytes_by_op"] = dict(trainer.engine.comm.stats.bytes_by_op)
-            holder["run_dir"] = trainer.config.output_dir
-        finally:
-            trainer.close()
+        holder["result"] = trainer.train()
+        holder["bytes_by_op"] = dict(trainer.engine.comm.stats.bytes_by_op)
+        holder["run_dir"] = trainer.config.output_dir
 
     benchmark.pedantic(run, rounds=ROUNDS, iterations=1, warmup_rounds=WARMUP_ROUNDS)
     assert holder["result"].interrupted_at is None

@@ -99,12 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "runs the hierarchical communicator with "
                               "per-link-class byte accounting — results are "
                               "bitwise-identical to the flat ring")
-    p_train.add_argument("--comm-backend", choices=("auto", "sim", "mp"),
-                         default="auto",
-                         help="rank execution backend: 'sim' runs ranks "
-                              "sequentially in-process, 'mp' forks one worker "
-                              "per rank over shared memory (bitwise-identical, "
-                              "multi-core); 'auto' defers to $REPRO_COMM_BACKEND")
 
     p_merge = sub.add_parser("merge", help="merge checkpoints from a YAML recipe")
     p_merge.add_argument("-r", "--recipe", required=True, help="recipe YAML path")
@@ -280,7 +274,6 @@ def _cmd_train(args) -> int:
         checkpoint_interval=args.interval,
         max_checkpoints=args.max_checkpoints,
         compile=args.compile,
-        comm_backend=args.comm_backend,
         topology=topology,
     )
     if args.faults:
@@ -298,13 +291,10 @@ def _cmd_train(args) -> int:
             print(result.goodput.summary())
     else:
         trainer = Trainer(config)
-        try:
-            if args.resume:
-                step = trainer.resume_latest()
-                print(f"resumed from step {step}")
-            result = trainer.train()
-        finally:
-            trainer.close()
+        if args.resume:
+            step = trainer.resume_latest()
+            print(f"resumed from step {step}")
+        result = trainer.train()
         print(result.summary())
     return 0 if result.interrupted_at is None else 1
 

@@ -5,9 +5,6 @@ in a single process:
 
 * :class:`SimComm` — in-process collectives with ring-model byte
   accounting;
-* :class:`MpComm` — the same collectives over named shared-memory
-  segments with one long-lived forked worker process per rank (real
-  multi-core parallelism, bitwise-identical to :class:`SimComm`);
 * :class:`GroupPartition` (+ :func:`flatten_arrays` /
   :func:`unflatten_array`) — the flatten/pad/shard arithmetic;
 * :class:`ZeroStage3Engine` — per-rank AdamW over sharded fp32 masters,
@@ -20,14 +17,13 @@ in a single process:
   stragglers, degraded links, bitrot) over the same machinery, with
   penalized time accounting and :class:`GoodputReport` goodput
   bookkeeping;
-* :class:`Topology` / :class:`HierComm` / :class:`HierMpComm` —
-  hierarchical (nodes × ranks-per-node) process groups with per-link-
-  class byte accounting, bitwise-identical to the flat ring.
+* :class:`Topology` / :class:`HierComm` — hierarchical (nodes ×
+  ranks-per-node) process groups with per-link-class byte accounting,
+  bitwise-identical to the flat ring.
 """
 
 from .comm import CommStats, SimComm
 from .topology import HierComm, Topology
-from .mpcomm import HierMpComm, MpComm, SharedArena, mp_available, mp_unavailable_reason
 from .partition import GroupPartition, flatten_arrays, unflatten_array
 from .zero import SHARD_FORMAT_VERSION, GroupMeta, ZeroStage3Engine
 
@@ -66,10 +62,7 @@ __all__ = [
     "GroupMeta",
     "GroupPartition",
     "HierComm",
-    "HierMpComm",
-    "MpComm",
     "ReshardReport",
-    "SharedArena",
     "SHARD_FORMAT_VERSION",
     "SimComm",
     "Topology",
@@ -78,8 +71,6 @@ __all__ = [
     "degraded_link",
     "flatten_arrays",
     "inject_bitrot",
-    "mp_available",
-    "mp_unavailable_reason",
     "node_failure",
     "preemption",
     "rank_failure",

@@ -56,18 +56,11 @@ class CommStats:
 class SimComm:
     """A simulated communicator over ``world_size`` in-process ranks.
 
-    This class doubles as the *backend interface*: any communicator the
-    engine can drive exposes these collectives plus ``backend``/
-    ``close()``.  The shared-memory process-pool backend
-    (:class:`~repro.dist.mpcomm.MpComm`) subclasses it and inherits the
-    collectives verbatim — over shared pages the sequential arithmetic
-    *is* the parallel implementation, which is what keeps the two
-    backends bitwise-identical and their byte accounting in lockstep.
+    The *interface* any communicator the engine can drive exposes:
+    :class:`~repro.dist.topology.HierComm` subclasses it and overrides
+    only the charge hook, and :class:`~repro.dist.faults.ChaosComm`
+    wraps one by delegation.
     """
-
-    #: Which backend this communicator is (``"sim"`` or ``"mp"``);
-    #: :class:`~repro.dist.faults.ChaosComm` forwards it for wrapped comms.
-    backend = "sim"
 
     def __init__(self, world_size: int) -> None:
         if not isinstance(world_size, (int, np.integer)) or world_size < 1:
@@ -232,14 +225,6 @@ class SimComm:
             if buf.ctypes.data != dest.ctypes.data:
                 np.copyto(dest, buf)
         return out
-
-    def close(self) -> None:
-        """Release backend resources (no-op for the in-process backend).
-
-        Part of the backend interface: trainers call it unconditionally
-        when a run ends, and the process-pool backend overrides it to
-        stop workers and unlink shared-memory segments.
-        """
 
     def broadcast(self, buffer: np.ndarray, root: int = 0) -> list[np.ndarray]:
         """Every rank receives an independent copy of ``root``'s buffer."""

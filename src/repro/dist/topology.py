@@ -15,10 +15,10 @@ Two invariants anchor the design, both pinned by ``tests/test_topology.py``:
   inherited verbatim from :class:`~repro.dist.comm.SimComm` — same mean,
   same left-to-right accumulation order — so a hierarchical run produces
   bit-for-bit the same masters, moments, and bf16 weights as the flat
-  ring (the same contract ``AdamW(fused=True)`` and the mp backend
-  honour).  The hierarchy lives entirely in the *cost model*, exactly
-  like the flat ring-algorithm accounting is itself a model over
-  sequential in-process arithmetic.
+  ring (the same contract ``AdamW(fused=True)`` honours).  The
+  hierarchy lives entirely in the *cost model*, exactly like the flat
+  ring-algorithm accounting is itself a model over sequential
+  in-process arithmetic.
 * **Closed-form accounting.**  Each collective charges two suffixed ops,
   ``"<op>/intra"`` and ``"<op>/inter"``, with per-link-class bytes given
   by :meth:`Topology.collective_bytes`.  The planner
@@ -293,19 +293,17 @@ class Topology:
         )
 
 
-class _HierAccounting:
-    """Mixin overriding the charge hook with per-link-class accounting.
+class HierComm(SimComm):
+    """Topology-aware :class:`~repro.dist.comm.SimComm`.
 
-    Mixed in before a concrete communicator class (:class:`HierComm`,
-    :class:`~repro.dist.mpcomm.HierMpComm`); the host class must set
-    ``self.topology`` via :meth:`_bind_topology` after its own
-    ``__init__`` established ``world_size``.
+    Inherits every collective's arithmetic verbatim (bitwise-identical
+    results to the flat ring at any world size) and replaces only the
+    byte accounting with the hierarchical per-link-class model — see the
+    module docstring for the algebra and the identity argument.
     """
 
-    topology: Topology
-
-    def _bind_topology(self, topology: Topology) -> None:
-        """Validate and attach the topology (world size must fit capacity)."""
+    def __init__(self, world_size: int, topology: Topology) -> None:
+        super().__init__(world_size)
         if not isinstance(topology, Topology):
             raise DistError(
                 f"topology must be a Topology, got {type(topology).__name__}"
@@ -328,22 +326,6 @@ class _HierAccounting:
         split = self.topology.collective_bytes(op, nbytes, self.world_size)
         for link_class in LINK_CLASSES:
             self.stats.charge(f"{op}/{link_class}", split[link_class])
-
-
-class HierComm(_HierAccounting, SimComm):
-    """Topology-aware :class:`~repro.dist.comm.SimComm`.
-
-    Inherits every collective's arithmetic verbatim (bitwise-identical
-    results to the flat ring at any world size) and replaces only the
-    byte accounting with the hierarchical per-link-class model — see the
-    module docstring for the algebra and the identity argument.
-    """
-
-    backend = "sim"
-
-    def __init__(self, world_size: int, topology: Topology) -> None:
-        super().__init__(world_size)
-        self._bind_topology(topology)
 
     def __repr__(self) -> str:
         return (

@@ -15,17 +15,16 @@ anatomy — :meth:`ZeroStage3Engine.rank_state_dict` emits exactly the
 monolithic per-rank shard payload that LLMTailor's merge tool,
 checkpoint writer/reader, and verifier all operate on.
 
-The training step runs in one of two bitwise-identical modes.  The
-default ``fused=True`` pipeline owns persistent per-group buffers: a
-contiguous padded fp32 master buffer whose per-rank shards are slice
-views (gather = a slice), a padded gradient staging buffer the
-reduce-scatter slices in place, and a shared quantize scratch for the
-single vectorized re-quantize pass per group — so a step allocates
-nothing proportional to the model size.  ``fused=False`` preserves the
-original allocate-per-step implementation as the executable reference;
+The engine owns persistent per-group buffers: a contiguous padded fp32
+master buffer whose per-rank shards are slice views (gather = a slice),
+a padded gradient staging buffer the reduce-scatter slices in place, and
+a shared quantize scratch for the single vectorized re-quantize pass per
+group — so a step allocates nothing proportional to the model size.  The
+allocate-per-step formulation it replaced lives on as the
+``ReferenceZeroEngine`` test oracle (``tests/conftest.py``);
 ``tests/test_step_fused.py`` pins the two bit-for-bit against each
-other.  Because fused shards are *views*, any payload that outlives the
-step must copy (the copy-on-save rule in :meth:`rank_state_dict`).
+other.  Because shards are *views*, any payload that outlives the step
+must copy (the copy-on-save rule in :meth:`rank_state_dict`).
 
 Shard payload (``SHARD_FORMAT_VERSION``)::
 
@@ -44,17 +43,6 @@ Shard payload (``SHARD_FORMAT_VERSION``)::
 integrity that weight tensors get from the tensor-file format — which
 is what lets a selective reader verify exactly the groups it
 materializes without decoding the whole monolithic blob.
-
-With ``comm_backend="mp"`` the same fused layout is carved out of a
-named shared-memory arena (:class:`~repro.dist.mpcomm.SharedArena`)
-instead of private heap: masters, gradient staging, both moment buffers
-and the storage-precision parameter storage all become views into one
-segment, model parameters are re-pointed into it, and the per-rank
-AdamW + re-quantize work runs inside long-lived forked worker processes
-(:class:`~repro.dist.mpcomm.MpComm`).  The collectives, their byte
-accounting, and every checkpoint path stay the sequential code — the
-backends are bitwise-identical by construction and pinned so by
-``tests/test_mpcomm.py``.
 """
 
 from __future__ import annotations
@@ -130,8 +118,6 @@ class ZeroStage3Engine:
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
-        fused: bool = True,
-        comm_backend: str = "sim",
         topology=None,
     ) -> None:
         groups = list(groups)
@@ -144,46 +130,22 @@ class ZeroStage3Engine:
             )
         self.model = model
         self.config = config
-        self.comm_backend = str(comm_backend)
-        # _mp keeps the unwrapped pool handle: the trainer may later wrap
-        # self.comm in a ChaosComm, but worker management (dispatch, rank
-        # kills, shutdown) must bypass the fault-pricing layer.
-        self._mp = None
-        # With a topology the hierarchical communicator variants swap in;
-        # they inherit the flat collectives' arithmetic verbatim, so the
+        # With a topology the hierarchical communicator swaps in; it
+        # inherits the flat collectives' arithmetic verbatim, so the
         # choice only changes byte accounting, never results.
         self.topology = topology
-        if self.comm_backend == "mp":
-            if not fused:
-                raise ConfigError(
-                    "comm_backend='mp' requires fused=True: the process-pool "
-                    "backend shares the fused engine's persistent buffers"
-                )
-            from .mpcomm import HierMpComm, MpComm
-
-            if topology is None:
-                self.comm: SimComm = MpComm(world_size)  # validates world_size
-            else:
-                self.comm = HierMpComm(world_size, topology)
-            self._mp = self.comm
-        elif self.comm_backend == "sim":
-            if topology is None:
-                self.comm = SimComm(world_size)  # validates world_size
-            else:
-                from .topology import HierComm
-
-                self.comm = HierComm(world_size, topology)
+        if topology is None:
+            self.comm: SimComm = SimComm(world_size)  # validates world_size
         else:
-            raise ConfigError(
-                f"unknown comm_backend {comm_backend!r} (expected 'sim' or 'mp')"
-            )
+            from .topology import HierComm
+
+            self.comm = HierComm(world_size, topology)
         self.world_size = self.comm.world_size
         self._dtype: DType = config.storage_dtype
-        self.fused = bool(fused)
 
         self._params: list[list[Tensor]] = []
         self._shard_params: list[list[Tensor]] = []  # [group][rank]
-        # Fused-mode persistent buffers, one per group:
+        # Persistent buffers, one per group:
         #   _master_bufs[g]  padded fp32 masters; every rank's shard is a
         #                    slice view, so gather is ``buf[:numel]``
         #   _grad_bufs[g]    padded fp32 gradient staging buffer; the
@@ -191,10 +153,8 @@ class ZeroStage3Engine:
         # plus one shared quantize scratch sized to the largest group.
         self._master_bufs: list[np.ndarray] = []
         self._grad_bufs: list[np.ndarray] = []
-        self._quant_buf: np.ndarray = np.zeros(0, dtype=np.float32)
         metas: list[GroupMeta] = []
         seen: set[int] = set()
-        master_flats: list[np.ndarray] = []
         for index, group in enumerate(groups):
             params = list(group.get("params", ()))
             names = tuple(group.get("param_names", ()))
@@ -222,65 +182,19 @@ class ZeroStage3Engine:
                 )
             )
             self._params.append(params)
-            # fp32 masters: shard the flattened initial weights per rank.
-            master_flats.append(flatten_arrays([p.data for p in params]))
-        self.group_meta: tuple[GroupMeta, ...] = tuple(metas)
-
-        # mp backend: one named shared arena holds every buffer a worker
-        # touches — masters, grad staging, both moment buffers, and the
-        # storage-precision parameter storage (model parameters are
-        # re-pointed into it below, so forward passes anywhere read the
-        # weights the workers just re-quantized).  Sized exactly, carved
-        # before the workers fork.
-        self._param_flats: list[np.ndarray] = []
-        self._moment_bufs: list[tuple[np.ndarray, np.ndarray]] = []
-        arena = None
-        if self._mp is not None:
-            from .mpcomm import SharedArena
-
-            total = 0
-            for meta in self.group_meta:
-                padded = (meta.partition.padded_numel,)
-                total += 4 * SharedArena.aligned_nbytes(padded)
-                total += SharedArena.aligned_nbytes((meta.numel,))
-            arena = self._mp.create_arena(max(total, 64), tag="engine")
-        for g, meta in enumerate(self.group_meta):
-            partition = meta.partition
-            if not self.fused:
-                self._shard_params.append(
-                    [Tensor(shard) for shard in partition.shards(master_flats[g])]
-                )
-                continue
-            if arena is not None:
-                master_buf = arena.alloc((partition.padded_numel,))
-                partition.pad(master_flats[g], out=master_buf)
-                grad_buf = arena.alloc((partition.padded_numel,))
-                flat = arena.alloc((meta.numel,))
-                offset = 0
-                for p in self._params[g]:
-                    n = p.data.size
-                    p.data = flat[offset : offset + n].reshape(p.data.shape)
-                    offset += n
-                self._param_flats.append(flat)
-                self._moment_bufs.append(
-                    (
-                        arena.alloc((partition.padded_numel,)),
-                        arena.alloc((partition.padded_numel,)),
-                    )
-                )
-            else:
-                master_buf = partition.pad(master_flats[g])
-                grad_buf = np.zeros(partition.padded_numel, dtype=np.float32)
+            # fp32 masters: the flattened initial weights, padded; each
+            # rank's shard is a view into the one buffer.
+            master_buf = partition.pad(flatten_arrays([p.data for p in params]))
             self._master_bufs.append(master_buf)
-            self._grad_bufs.append(grad_buf)
+            self._grad_bufs.append(np.zeros(partition.padded_numel, dtype=np.float32))
             self._shard_params.append(
                 [Tensor(view) for view in partition.shard_views(master_buf)]
             )
-        if self.fused:
-            max_padded = max(m.partition.padded_numel for m in self.group_meta)
-            self._quant_buf = np.zeros(max_padded, dtype=np.float32)
+        self.group_meta: tuple[GroupMeta, ...] = tuple(metas)
+        max_padded = max(m.partition.padded_numel for m in self.group_meta)
+        self._quant_buf: np.ndarray = np.zeros(max_padded, dtype=np.float32)
         # id(param) -> grad staging slice, built on demand by
-        # grad_donation_views() (fused mode only).
+        # grad_donation_views().
         self._donated: dict[int, np.ndarray] = {}
 
         # One AdamW per rank over that rank's shard of every group.
@@ -296,29 +210,10 @@ class ZeroStage3Engine:
                 }
                 for g, meta in enumerate(self.group_meta)
             ]
-            self.optimizers.append(
-                AdamW(rank_groups, lr=lr, betas=betas, eps=eps, fused=self.fused)
-            )
+            self.optimizers.append(AdamW(rank_groups, lr=lr, betas=betas, eps=eps))
 
         # Schedulers drive rank 0; engine.step() mirrors its LR everywhere.
         self.reference_optimizer: AdamW = self.optimizers[0]
-
-        # mp backend: pre-seed every rank's optimizer state with views
-        # into the shared moment buffers.  AdamW's fused update writes
-        # moments strictly in place (``out=``), so worker updates land in
-        # shared memory where the parent's checkpoint saves read them.
-        # Pre-seeded zeros are bitwise-identical to the lazy zero init.
-        if self._mp is not None:
-            for g, meta in enumerate(self.group_meta):
-                exp_avg, exp_avg_sq = self._moment_bufs[g]
-                for rank in range(self.world_size):
-                    lo, hi = meta.partition.bounds(rank)
-                    param = self._shard_params[g][rank]
-                    self.optimizers[rank].state[id(param)] = {
-                        "step": 0,
-                        "exp_avg": exp_avg[lo:hi],
-                        "exp_avg_sq": exp_avg_sq[lo:hi],
-                    }
 
         # Model weights are the storage-precision image of the masters.
         for g in range(len(self.group_meta)):
@@ -329,58 +224,42 @@ class ZeroStage3Engine:
     def _gathered_master(self, g: int) -> np.ndarray:
         """The group's unpadded fp32 master vector.
 
-        Fused mode returns a zero-copy view into the group's contiguous
-        master buffer (callers that persist it must copy — see
-        :meth:`rank_state_dict`); reference mode concatenates a copy.
+        A zero-copy view into the group's contiguous master buffer
+        (callers that persist it must copy — see :meth:`rank_state_dict`).
         """
-        meta = self.group_meta[g]
-        if self.fused:
-            return self._master_bufs[g][: meta.numel]
-        return meta.partition.gather([t.data for t in self._shard_params[g]])
+        return self._master_bufs[g][: self.group_meta[g].numel]
 
     def _materialize_group(self, g: int, *, via_comm: bool = False) -> None:
         """Write ``quantize(master)`` back into the group's model weights."""
         meta = self.group_meta[g]
-        if self.fused:
-            if via_comm:
-                # Shards are views into the master buffer, so the gather
-                # moves no data — only the ring-model bytes are charged.
-                self.comm.all_gather_into(
-                    [t.data for t in self._shard_params[g]], self._master_bufs[g]
-                )
-            master = self._master_bufs[g][: meta.numel]
-            # One vectorized quantize pass per group into the shared
-            # scratch, then zero-copy reshaped views per parameter.
-            quantized = quantize(master, self._dtype, out=self._quant_buf[: meta.numel])
-            offset = 0
-            for param in self._params[g]:
-                n = param.data.size
-                param.data[...] = quantized[offset : offset + n].reshape(param.data.shape)
-                offset += n
-            return
         if via_comm:
-            padded = self.comm.all_gather([t.data for t in self._shard_params[g]])
-            master = padded[: meta.numel]
-        else:
-            master = self._gathered_master(g)
-        for param, view in zip(self._params[g], unflatten_array(master, meta.shapes)):
-            param.data[...] = quantize(view, self._dtype)
+            # Shards are views into the master buffer, so the gather
+            # moves no data — only the ring-model bytes are charged.
+            self.comm.all_gather_into(
+                [t.data for t in self._shard_params[g]], self._master_bufs[g]
+            )
+        # One vectorized quantize pass per group into the shared
+        # scratch, then zero-copy reshaped views per parameter.
+        quantized = quantize(
+            self._gathered_master(g), self._dtype, out=self._quant_buf[: meta.numel]
+        )
+        offset = 0
+        for param in self._params[g]:
+            n = param.data.size
+            param.data[...] = quantized[offset : offset + n].reshape(param.data.shape)
+            offset += n
 
     # -- training ----------------------------------------------------------
 
     def grad_donation_views(self) -> dict[int, np.ndarray]:
-        """Per-parameter views into the grad staging buffers (fused only).
+        """Per-parameter views into the grad staging buffers.
 
         Maps ``id(param)`` to the parameter-shaped slice of the group's
         persistent reduce-scatter staging buffer.  A caller (the backward
         tape) that writes gradients straight into these views makes them
         the collective's inputs with no flatten-copy: :meth:`step`
         recognizes a donated ``p.grad`` by identity and skips the copy.
-        Reference (non-fused) mode has no persistent staging buffers and
-        returns an empty mapping, which disables donation cleanly.
         """
-        if not self.fused:
-            return {}
         if not self._donated:
             for g, params in enumerate(self._params):
                 buf = self._grad_bufs[g]
@@ -410,46 +289,34 @@ class ZeroStage3Engine:
                 group["lr"] = ref_group["lr"]
 
         stepped: list[int] = []
-        for g, meta in enumerate(self.group_meta):
-            params = self._params[g]
+        for g, params in enumerate(self._params):
             if all(p.grad is None for p in params):
                 continue  # untouched group: AdamW would skip it too
-            if self.fused:
-                # Flatten straight into the persistent padded buffer (the
-                # tail is zero by construction and never written).
-                buf = self._grad_bufs[g]
-                offset = 0
-                for p in params:
-                    n = p.data.size
-                    if p.grad is None:
-                        buf[offset : offset + n] = 0.0
-                    elif p.grad is self._donated.get(id(p)):
-                        pass  # tape-donated: already accumulated in place
-                    else:
-                        np.copyto(buf[offset : offset + n], p.grad.reshape(-1))
-                    offset += n
-                # Every simulated rank holds the same (already averaged)
-                # gradient; the in-place reduce-scatter hands each rank a
-                # slice view of the buffer instead of a copy.
-                shards = self.comm.reduce_scatter_mean_into(
-                    [buf] * self.world_size, out=buf
-                )
-            else:
-                grads = [
-                    p.grad if p.grad is not None else np.zeros_like(p.data)
-                    for p in params
-                ]
-                padded = meta.partition.pad(flatten_arrays(grads))
-                shards = self.comm.reduce_scatter_mean([padded] * self.world_size)
+            # Flatten straight into the persistent padded buffer (the
+            # tail is zero by construction and never written).
+            buf = self._grad_bufs[g]
+            offset = 0
+            for p in params:
+                n = p.data.size
+                if p.grad is None:
+                    buf[offset : offset + n] = 0.0
+                elif p.grad is self._donated.get(id(p)):
+                    pass  # tape-donated: already accumulated in place
+                else:
+                    np.copyto(buf[offset : offset + n], p.grad.reshape(-1))
+                offset += n
+            # Every simulated rank holds the same (already averaged)
+            # gradient; the in-place reduce-scatter hands each rank a
+            # slice view of the buffer instead of a copy.
+            shards = self.comm.reduce_scatter_mean_into(
+                [buf] * self.world_size, out=buf
+            )
             for rank, shard in enumerate(shards):
                 self._shard_params[g][rank].grad = shard
             stepped.append(g)
 
-        if self._mp is not None:
-            self._mp_step(stepped)
-        else:
-            for opt in self.optimizers:
-                opt.step()
+        for opt in self.optimizers:
+            opt.step()
 
         # Consume the shard gradients: a group skipped on the *next* step
         # must not be re-updated with this step's stale gradient.
@@ -458,102 +325,7 @@ class ZeroStage3Engine:
                 t.grad = None
 
         for g in stepped:
-            if self._mp is not None:
-                # The workers already updated the masters and re-quantized
-                # the weights in shared memory; the gather moves no data
-                # (shards are views) — only the ring-model bytes are
-                # charged, matching the sequential call sequence exactly.
-                self.comm.all_gather_into(
-                    [t.data for t in self._shard_params[g]], self._master_bufs[g]
-                )
-            else:
-                self._materialize_group(g, via_comm=True)
-
-    # -- mp worker pool ----------------------------------------------------
-
-    def _hyper_payload(self) -> list[dict[str, Any]]:
-        """Per-group hyperparameters from the scheduler-driven reference."""
-        return [
-            {
-                "lr": float(group["lr"]),
-                "betas": tuple(float(b) for b in group["betas"]),
-                "eps": float(group["eps"]),
-                "weight_decay": float(group["weight_decay"]),
-            }
-            for group in self.reference_optimizer.param_groups
-        ]
-
-    def start_workers(self, program_factory=None) -> None:
-        """Fork the rank workers (mp backend; no-op otherwise).
-
-        ``program_factory(rank, barrier)`` builds the worker-side command
-        object; the default serves the engine-level commands
-        (``optim_step``/``sync_state``), and the trainer passes an
-        extended program that adds the forward/backward command.  Called
-        lazily by :meth:`step`, so engines that only ever load or save
-        never pay for a pool.
-        """
-        if self._mp is None or self._mp.started:
-            return
-        if program_factory is None:
-            engine = self
-
-            def program_factory(rank, barrier):
-                return _EngineRankProgram(engine, rank, barrier)
-
-        self._mp.start(program_factory)
-
-    def _mp_step(self, stepped: list[int]) -> None:
-        """Dispatch the optimizer/re-quantize phase to the rank workers.
-
-        The parent mirrors the ``step`` counters afterwards so its own
-        optimizer state (which checkpoint saves read) tracks the workers'
-        — moments and masters need no mirroring, they live in shared
-        memory.
-        """
-        self.start_workers()
-        if not stepped:
-            return
-        self._mp.dispatch("optim_step", list(stepped), self._hyper_payload())
-        for rank in range(self.world_size):
-            opt = self.optimizers[rank]
-            for g in stepped:
-                opt.state[id(self._shard_params[g][rank])]["step"] += 1
-
-    def _sync_mp_state(self) -> None:
-        """Push restored step counters/hyperparams to running workers."""
-        if self._mp is None or not self._mp.started:
-            return
-        steps = [
-            [
-                int(self.optimizers[r].state[id(self._shard_params[g][r])]["step"])
-                for g in range(len(self.group_meta))
-            ]
-            for r in range(self.world_size)
-        ]
-        self._mp.dispatch("sync_state", steps, self._hyper_payload())
-
-    def terminate_rank(self, rank: int) -> None:
-        """Map a simulated rank death onto the backend.
-
-        With the mp backend the rank's worker process is terminated
-        (SIGTERM); the sequential backend has no per-rank resources, so
-        this is a no-op there.  The elastic shrink that follows builds a
-        fresh engine at N-1 — a dead rank is never limped around.
-        """
-        if self._mp is not None and self._mp.started:
-            self._mp.kill_rank(rank)
-
-    def close(self) -> None:
-        """Release backend resources (workers + shared segments).
-
-        Idempotent, and safe to call while results are still being read:
-        parent-side arrays stay mapped, so checkpoint saves and state
-        inspection keep working after close — only the worker pool and
-        the ``/dev/shm`` names are gone.
-        """
-        if self._mp is not None:
-            self._mp.close()
+            self._materialize_group(g, via_comm=True)
 
     # -- state access ------------------------------------------------------
 
@@ -618,9 +390,9 @@ class ZeroStage3Engine:
                     "weight_decay": float(group["weight_decay"]),
                 }
             )
-        # Copy-on-save: in fused mode the shard tensors are views into the
-        # group's live master buffer, which the next step mutates in place
-        # — a payload holding views would silently change after save.
+        # Copy-on-save: the shard tensors are views into the group's live
+        # master buffer, which the next step mutates in place — a payload
+        # holding views would silently change after save.
         fp32_flat_groups = {
             g: self._shard_params[g][rank].data.copy() for g in selected
         }
@@ -804,16 +576,7 @@ class ZeroStage3Engine:
             fp32, restored = staged[g]
             param = self._shard_params[g][rank]
             param.data[...] = fp32
-            if self._mp is None:
-                opt.state[id(param)] = restored
-            else:
-                # The pre-seeded entry's moments are views into the shared
-                # arena; copy *into* them (never replace) so running — or
-                # future — workers keep seeing the restored state.
-                entry = opt.state[id(param)]
-                entry["step"] = restored["step"]
-                entry["exp_avg"][...] = restored["exp_avg"]
-                entry["exp_avg_sq"][...] = restored["exp_avg_sq"]
+            opt.state[id(param)] = restored
 
             hyper = hyper_by_index.get(g)
             if hyper:
@@ -830,73 +593,8 @@ class ZeroStage3Engine:
             if materialize:
                 self._materialize_group(g)
 
-        # Step counters are worker-local ints (unlike the shared-memory
-        # moments), so a load into a live pool must be pushed explicitly.
-        self._sync_mp_state()
-
     def __repr__(self) -> str:
         return (
             f"ZeroStage3Engine(model={self.config.name!r}, "
             f"world_size={self.world_size}, groups={len(self.group_meta)})"
         )
-
-
-class _EngineRankProgram:
-    """Worker-side command set for one rank of an mp-backed engine.
-
-    Instantiated *inside* the forked worker, closing over the engine the
-    child inherited — object identities (``id(param)`` state keys,
-    buffer views) are the parent's, and every array the commands touch
-    lives in the shared arena, so results land where the parent (and the
-    other workers) read them.
-    """
-
-    def __init__(self, engine: ZeroStage3Engine, rank: int, barrier) -> None:
-        self.engine = engine
-        self.rank = rank
-        self.barrier = barrier
-
-    def _apply_hypers(self, hypers: list[dict[str, Any]]) -> None:
-        opt = self.engine.optimizers[self.rank]
-        for group, hp in zip(opt.param_groups, hypers):
-            group["lr"] = hp["lr"]
-            group["betas"] = tuple(hp["betas"])
-            group["eps"] = hp["eps"]
-            group["weight_decay"] = hp["weight_decay"]
-
-    def optim_step(self, stepped: list[int], hypers: list[dict[str, Any]]) -> None:
-        """One rank's AdamW over the reduced shard grads, then re-quantize.
-
-        Reads only this rank's shard slice of each stepped group's
-        staging buffer (written by the parent — or the fold phase of the
-        trainer program — before this command was dispatched, so pipe
-        ordering is the only synchronization needed), updates the
-        rank's master/moment shards in place, and re-quantizes its
-        ``master_bounds`` chunk of the storage-precision weights.
-        Chunked re-quantize is elementwise, hence bitwise-identical to
-        the sequential single-pass quantize.
-        """
-        eng, rank = self.engine, self.rank
-        self._apply_hypers(hypers)
-        opt = eng.optimizers[rank]
-        for g in stepped:
-            lo, hi = eng.group_meta[g].partition.bounds(rank)
-            eng._shard_params[g][rank].grad = eng._grad_bufs[g][lo:hi]
-        opt.step()
-        for g in stepped:
-            eng._shard_params[g][rank].grad = None
-            mlo, mhi = eng.group_meta[g].partition.master_bounds(rank)
-            if mhi > mlo:
-                quantize(
-                    eng._master_bufs[g][mlo:mhi],
-                    eng._dtype,
-                    out=eng._param_flats[g][mlo:mhi],
-                )
-
-    def sync_state(self, steps: list[list[int]], hypers: list[dict[str, Any]]) -> None:
-        """Adopt restored step counters/hyperparams after a parent-side load."""
-        eng, rank = self.engine, self.rank
-        self._apply_hypers(hypers)
-        opt = eng.optimizers[rank]
-        for g, step in enumerate(steps[rank]):
-            opt.state[id(eng._shard_params[g][rank])]["step"] = int(step)

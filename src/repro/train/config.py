@@ -8,7 +8,6 @@ Serialized into every checkpoint as ``training_args.json``.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -17,7 +16,6 @@ from ..util.errors import ConfigError
 __all__ = ["TrainConfig"]
 
 _TASKS = ("cpt", "sft")
-_COMM_BACKENDS = ("auto", "sim", "mp")
 
 
 @dataclass
@@ -32,13 +30,6 @@ class TrainConfig:
     world_size: int = 2
     micro_batch_size: int = 2
     grad_accum_steps: int = 2
-    # Rank execution backend: "sim" runs every rank sequentially in this
-    # process, "mp" runs one forked worker process per rank over shared
-    # memory (repro.dist.mpcomm; bitwise-identical, multi-core wall
-    # clock).  "auto" defers to $REPRO_COMM_BACKEND, defaulting to "sim"
-    # — which is how CI's mp leg flips the whole suite without touching
-    # configs.
-    comm_backend: str = "auto"
     # Cluster topology (repro.dist.topology.Topology.to_dict() form, or
     # None for the flat ring).  With a topology the engine runs the
     # hierarchical communicator — bitwise-identical results, per-link-
@@ -63,7 +54,7 @@ class TrainConfig:
     total_steps: int = 100
     # Record the backward pass once and replay it on later steps
     # (repro.autograd.compile).  Bitwise-identical to the interpreted
-    # backward; opt-in like the engine's fused=True.
+    # backward; opt-in.
     compile: bool = False
 
     # Checkpointing.
@@ -87,16 +78,13 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.task not in _TASKS:
             raise ConfigError(f"task must be one of {_TASKS}, got {self.task!r}")
-        if self.comm_backend not in _COMM_BACKENDS:
-            raise ConfigError(
-                f"comm_backend must be one of {_COMM_BACKENDS}, "
-                f"got {self.comm_backend!r}"
-            )
         for name in ("world_size", "micro_batch_size", "grad_accum_steps", "total_steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.checkpoint_interval < 1:
-            raise ConfigError(f"checkpoint_interval must be >= 1")
+            raise ConfigError(
+                f"checkpoint_interval must be >= 1, got {self.checkpoint_interval}"
+            )
         if self.failure_step is not None and not (0 < self.failure_step <= self.total_steps):
             raise ConfigError(
                 f"failure_step {self.failure_step} outside (0, {self.total_steps}]"
@@ -108,24 +96,6 @@ class TrainConfig:
                     f"world_size {self.world_size} exceeds topology "
                     f"{topo.shape} capacity {topo.world_size}"
                 )
-
-    @property
-    def resolved_comm_backend(self) -> str:
-        """The backend to actually run: ``auto`` reads ``$REPRO_COMM_BACKEND``.
-
-        Resolution happens at trainer-build time, not config-build time,
-        so a config serialized into ``training_args.json`` as ``auto``
-        stays portable — the backend is an execution detail (the two are
-        bitwise-identical), never part of a checkpoint's semantics.
-        """
-        if self.comm_backend != "auto":
-            return self.comm_backend
-        env = os.environ.get("REPRO_COMM_BACKEND", "sim") or "sim"
-        if env not in ("sim", "mp"):
-            raise ConfigError(
-                f"REPRO_COMM_BACKEND must be 'sim' or 'mp', got {env!r}"
-            )
-        return env
 
     @property
     def resolved_topology(self):

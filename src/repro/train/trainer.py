@@ -45,7 +45,7 @@ from ..dist.faults import (
     GoodputReport,
     repair_from_replicas,
 )
-from ..dist.zero import ZeroStage3Engine, _EngineRankProgram
+from ..dist.zero import ZeroStage3Engine
 from ..io.layout import CheckpointPaths, checkpoint_dir, list_checkpoint_steps, read_latest
 from ..io.reader import load_checkpoint
 from ..io.storage import Storage
@@ -177,16 +177,8 @@ class Trainer:
             lr=config.lr,
             betas=config.betas,
             eps=config.eps,
-            comm_backend=config.resolved_comm_backend,
             topology=config.resolved_topology,
         )
-        # mp-backend lazy state: the gradient slot arena and the worker
-        # pool are built by _mp_setup() on the first training step, so a
-        # trainer that only loads or evaluates never forks a pool.
-        self._mp_params: list[tuple] | None = None
-        self._mp_by_group: list[list[tuple[int, int, int]]] | None = None
-        self._mp_slots: list[np.ndarray] | None = None
-        self._mp_presence: np.ndarray | None = None
         self.scheduler = build_scheduler(
             config.scheduler,
             self.engine.reference_optimizer,
@@ -200,9 +192,7 @@ class Trainer:
         # staging buffers, so the tape's terminal writes are the
         # collective's inputs.
         self.tape: BackwardTape | None = None
-        if config.compile and self.engine.comm_backend != "mp":
-            # With the mp backend the parent never runs a backward pass;
-            # each worker owns a private (non-donating) tape instead.
+        if config.compile:
             self.tape = BackwardTape(donate=self.engine.grad_donation_views())
 
         self.strategy = build_strategy(
@@ -273,21 +263,18 @@ class Trainer:
             self.engine.comm.set_step(step)
         self.engine.zero_grad()
         n_micro = cfg.world_size * cfg.grad_accum_steps
-        if self.engine.comm_backend == "mp":
-            total_loss = self._mp_forward_backward(step)
-        else:
-            total_loss = 0.0
-            for rank in range(cfg.world_size):
-                for accum in range(cfg.grad_accum_steps):
-                    batch = self._micro_batch(step, rank, accum)
-                    if self.tape is not None:
-                        with self.tape.capture():
-                            loss = self.model.loss(batch.input_ids, batch.labels)
-                        self.tape.backward(loss)
-                    else:
+        total_loss = 0.0
+        for rank in range(cfg.world_size):
+            for accum in range(cfg.grad_accum_steps):
+                batch = self._micro_batch(step, rank, accum)
+                if self.tape is not None:
+                    with self.tape.capture():
                         loss = self.model.loss(batch.input_ids, batch.labels)
-                        loss.backward()
-                    total_loss += loss.item()
+                    self.tape.backward(loss)
+                else:
+                    loss = self.model.loss(batch.input_ids, batch.labels)
+                    loss.backward()
+                total_loss += loss.item()
         # Average accumulated gradients over all micro-batches.
         inv = 1.0 / n_micro
         for p in self.model.parameters():
@@ -307,116 +294,6 @@ class Trainer:
                     (slowdown - 1.0) * cfg.sim_step_seconds, "fault_straggler"
                 )
         return total_loss / n_micro
-
-    # -- mp backend: parallel forward/backward -------------------------------------------
-
-    def _mp_setup(self) -> None:
-        """Carve the gradient slot arena and fork the rank workers.
-
-        The arena holds, per group, one fp32 slot row per *global
-        micro-batch* (``world_size * grad_accum_steps`` rows) plus one
-        uint8 presence plane marking which (micro-batch, parameter)
-        cells carry a gradient.  It must be fully carved before the
-        fork — workers see the arrays only through inherited mappings.
-        """
-        eng = self.engine
-        cfg = self.config
-        n_slots = cfg.world_size * cfg.grad_accum_steps
-        params: list[tuple] = []
-        by_group: list[list[tuple[int, int, int]]] = []
-        for g, group_params in enumerate(eng._params):
-            rows: list[tuple[int, int, int]] = []
-            off = 0
-            for p in group_params:
-                n = int(p.data.size)
-                rows.append((len(params), off, n))
-                params.append((p, g, off, n))
-                off += n
-            by_group.append(rows)
-        from ..dist.mpcomm import SharedArena
-
-        total = SharedArena.aligned_nbytes((n_slots, len(params)), np.uint8)
-        for meta in eng.group_meta:
-            total += SharedArena.aligned_nbytes((n_slots, meta.numel))
-        arena = eng._mp.create_arena(max(total, 64), tag="trainer")
-        self._mp_params = params
-        self._mp_by_group = by_group
-        self._mp_slots = [arena.alloc((n_slots, meta.numel)) for meta in eng.group_meta]
-        self._mp_presence = arena.alloc((n_slots, len(params)), np.uint8)
-        trainer = self
-
-        def program_factory(rank, barrier):
-            return _TrainerRankProgram(trainer, rank, barrier)
-
-        eng.start_workers(program_factory)
-
-    def _mp_forward_backward(self, step: int) -> float:
-        """Run the step's micro-batches on the rank workers.
-
-        The bitwise contract with the sequential loop: every gradient is
-        the fold of the *same contribution stream in the same order* —
-        workers publish each micro-batch's per-parameter contributions,
-        barrier, then each worker folds its own ``master_bounds`` chunk
-        of the staging buffers left-to-right over the global micro order
-        ``rank * grad_accum_steps + accum`` (the sequential loop order).
-        Chunking is elementwise, so the chunked fold is bit-for-bit the
-        sequential accumulation.
-
-        Parameters whose gradient arrives in several pieces *within one
-        backward* (a tied embedding: lm-head matmul + embedding scatter)
-        cannot be folded from per-batch sums — float addition is not
-        associative — so workers ship those contributions individually
-        over the reply pipe and the parent replays the exact interleaved
-        stream here.  Losses are summed in the sequential visit order.
-        """
-        eng = self.engine
-        mp = eng._mp
-        if self._mp_params is None:
-            self._mp_setup()
-        elif not mp.started:
-            mp.start()  # restart after close(): same program, same mapped pages
-        accum_steps = self.config.grad_accum_steps
-        replies = mp.dispatch("fwd_bwd", step, accum_steps)
-        presence = self._mp_presence
-        merged: dict[int, dict[int, list[np.ndarray]]] = {}
-        for rank, (_, extras) in enumerate(replies):
-            for idx, by_accum in extras.items():
-                rows = merged.setdefault(idx, {})
-                for accum, contribs in by_accum.items():
-                    rows[rank * accum_steps + accum] = contribs
-        for idx, rows in merged.items():
-            p, g, off, n = self._mp_params[idx]
-            if presence[:, idx].any():
-                raise TrainingError(
-                    f"parameter {idx} produced both shared-slot and piped "
-                    "gradient contributions; micro-batch graphs disagree"
-                )
-            dst: np.ndarray | None = None
-            for m in sorted(rows):
-                for contrib in rows[m]:
-                    if dst is None:
-                        dst = eng._grad_bufs[g][off : off + n].reshape(p.data.shape)
-                        np.copyto(dst, contrib)
-                    else:
-                        dst += contrib
-        donated = eng.grad_donation_views()
-        present = presence.any(axis=0)
-        for idx, (p, g, off, n) in enumerate(self._mp_params):
-            p.grad = donated[id(p)] if (present[idx] or idx in merged) else None
-        total = 0.0
-        for losses, _ in replies:
-            for value in losses:
-                total += value
-        return total
-
-    def close(self) -> None:
-        """Release backend resources (mp workers and shared segments).
-
-        No-op for the sequential backend.  Idempotent, and training may
-        continue afterwards: the next step re-forks the pool over the
-        still-mapped pages.
-        """
-        self.engine.close()
 
     # -- checkpointing --------------------------------------------------------------------
 
@@ -446,7 +323,8 @@ class Trainer:
         Returns a :class:`TrainResult`; an injected failure is reported
         via ``interrupted_at`` rather than propagating.
         """
-        target = min(until_step or self.config.total_steps, self.config.total_steps)
+        total = self.config.total_steps
+        target = total if until_step is None else min(until_step, total)
         for cb in self.callbacks:
             cb.on_train_start(self)
         interrupted: int | None = None
@@ -464,15 +342,12 @@ class Trainer:
             interrupted = failure.step
             failed_rank = getattr(failure, "rank", None)
             rank_joined = isinstance(failure, RankJoin)
-            if failed_rank is not None:
-                # Map the simulated death onto the backend: with the mp
-                # backend the rank's worker process is SIGTERMed; the
-                # supervisor's elastic shrink builds a fresh pool at N-1.
-                self.engine.terminate_rank(failed_rank)
         for cb in self.callbacks:
             cb.on_train_end(self)
 
-        final_train = self.state.recent_loss() or float("nan")
+        final_train = self.state.recent_loss()
+        if final_train is None:
+            final_train = float("nan")
         final_eval = self.eval_loss()
         clock = self.storage.clock.snapshot()
         comm = self.engine.comm.stats
@@ -557,175 +432,6 @@ class Trainer:
 
 
 # ---------------------------------------------------------------------------
-# mp backend: worker-side program
-# ---------------------------------------------------------------------------
-
-# Active gradient tap (worker processes only): maps id(param) -> list of
-# stashed contributions for the backward pass currently running.  None
-# outside a tapped backward, so the patched accumulation sites cost one
-# None-check in any other context.
-_tap_store: dict[int, list[np.ndarray]] | None = None
-_tap_installed = False
-
-
-def _install_grad_tap() -> None:
-    """Patch the two leaf-gradient accumulation sites with a stash-and-reset
-    wrapper so each contribution is captured *individually*.
-
-    Both the interpreted :meth:`Tensor._accum` and the compiled tape's
-    ``_LeafSink.put`` accumulate a later contribution with
-    ``p.grad += g``; the wrapper moves the existing ``p.grad`` aside and
-    lets the original first-contribution path run instead, so after the
-    backward the stash plus ``p.grad`` hold every contribution exactly
-    as the original code normalized it (dtype cast, unbroadcast, copy —
-    bit-for-bit).  The fold then replays ``copyto`` + ``+=`` over the
-    full stream, reproducing the sequential interleave.  Installed only
-    inside forked mp workers; the parent process never sees the patch.
-    """
-    global _tap_installed
-    if _tap_installed:
-        return
-    _tap_installed = True
-
-    from ..autograd import compile as _compile_mod
-    from ..autograd.tensor import Tensor as _Tensor
-
-    orig_accum = _Tensor._accum
-
-    def tapped_accum(self, g, owned=False):
-        store = _tap_store
-        if store is not None:
-            stash = store.get(id(self))
-            if stash is not None and self.grad is not None:
-                stash.append(self.grad)
-                self.grad = None
-        orig_accum(self, g, owned)
-
-    _Tensor._accum = tapped_accum
-
-    orig_put = _compile_mod._LeafSink.put
-
-    def tapped_put(self, g, owned=False, scratch=False):
-        store = _tap_store
-        if store is not None:
-            param = self.param
-            stash = store.get(id(param))
-            if stash is not None and param.grad is not None:
-                stash.append(param.grad)
-                param.grad = None
-        orig_put(self, g, owned, scratch)
-
-    _compile_mod._LeafSink.put = tapped_put
-
-
-class _TrainerRankProgram(_EngineRankProgram):
-    """Worker-side command set for one rank of an mp-backed trainer.
-
-    Extends the engine program (``optim_step``/``sync_state``) with the
-    forward/backward command.  Instantiated inside the forked worker, so
-    it closes over the fully built trainer the child inherited — model,
-    dataset, donation views and the shared slot arena are the parent's
-    own objects through fork inheritance.
-    """
-
-    def __init__(self, trainer: Trainer, rank: int, barrier) -> None:
-        super().__init__(trainer.engine, rank, barrier)
-        self.trainer = trainer
-        # Private replay tape per worker; gradients flow through the slot
-        # buffers (not donation), so the tape never aliases shared state.
-        self.tape: BackwardTape | None = (
-            BackwardTape() if trainer.config.compile else None
-        )
-        _install_grad_tap()
-        self._store: dict[int, list[np.ndarray]] = {
-            id(p): [] for (p, _, _, _) in trainer._mp_params
-        }
-
-    def fwd_bwd(self, step: int, accum_steps: int):
-        """Run this rank's micro-batches; publish, barrier, fold.
-
-        Single-contribution gradients go into the shared slot rows
-        (``m = rank * accum_steps + accum``) with a presence flag — the
-        flag, not a zero-filled buffer, is what keeps an absent gradient
-        from flipping signed zeros in the fold.  Multi-contribution
-        gradients are returned through the pipe for the parent to fold
-        (see :meth:`Trainer._mp_forward_backward`).  After the barrier,
-        every worker folds its own ``master_bounds`` chunk of the
-        staging buffers in global micro order.
-        """
-        global _tap_store
-        t = self.trainer
-        eng, rank = self.engine, self.rank
-        model = t.model
-        slots, presence = t._mp_slots, t._mp_presence
-        row0 = rank * accum_steps
-        presence[row0 : row0 + accum_steps, :] = 0
-        losses: list[float] = []
-        extras: dict[int, dict[int, list[np.ndarray]]] = {}
-        for accum in range(accum_steps):
-            for p in model.parameters():
-                p.grad = None
-            for stash in self._store.values():
-                stash.clear()
-            batch = t._micro_batch(step, rank, accum)
-            _tap_store = self._store
-            try:
-                if self.tape is not None:
-                    with self.tape.capture():
-                        loss = model.loss(batch.input_ids, batch.labels)
-                    self.tape.backward(loss)
-                else:
-                    loss = model.loss(batch.input_ids, batch.labels)
-                    loss.backward()
-            finally:
-                _tap_store = None
-            losses.append(loss.item())
-            m = row0 + accum
-            for idx, (p, g, off, n) in enumerate(t._mp_params):
-                stash = self._store[id(p)]
-                if stash:
-                    # Multi-contribution parameter (tied embedding): ship
-                    # every piece; the parent replays the exact stream.
-                    extras.setdefault(idx, {})[accum] = [*stash, p.grad]
-                elif p.grad is not None:
-                    dst = slots[g][m, off : off + n].reshape(p.grad.shape)
-                    np.copyto(dst, p.grad)
-                    presence[m, idx] = 1
-        self.barrier.wait(timeout=eng._mp.timeout)
-        self._fold(accum_steps)
-        return losses, extras
-
-    def _fold(self, accum_steps: int) -> None:
-        """Fold this rank's chunk of the slot gradients into the staging
-        buffers, left-to-right over the global micro order — the same
-        order and the same ufuncs as the sequential accumulation, so the
-        result is bitwise-identical; chunking across ranks only splits
-        elementwise work."""
-        t, eng, rank = self.trainer, self.engine, self.rank
-        n_slots = eng.world_size * accum_steps
-        presence = t._mp_presence
-        for g, meta in enumerate(eng.group_meta):
-            lo, hi = meta.partition.master_bounds(rank)
-            if hi <= lo:
-                continue
-            buf = eng._grad_bufs[g]
-            slot = t._mp_slots[g]
-            for idx, off, n in t._mp_by_group[g]:
-                a, b = max(off, lo), min(off + n, hi)
-                if a >= b:
-                    continue
-                dst: np.ndarray | None = None
-                for m in range(n_slots):
-                    if not presence[m, idx]:
-                        continue
-                    if dst is None:
-                        dst = buf[a:b]
-                        np.copyto(dst, slot[m, a:b])
-                    else:
-                        dst += slot[m, a:b]
-
-
-# ---------------------------------------------------------------------------
 # Chaos supervisor: multi-leg runs under a fault plan
 # ---------------------------------------------------------------------------
 
@@ -752,8 +458,7 @@ class ChaosSupervisor:
     is synced to a complete checkpoint at the join step (reusing the
     step's own checkpoint when the leg just wrote one), the world grows
     N→N+1, and the new leg resumes through the elastic reshard path —
-    no steps are lost, the newcomer enters as the highest rank, and mp
-    worker pools are rebuilt lazily at the grown size.
+    no steps are lost and the newcomer enters as the highest rank.
 
     Because training math is world-size invariant and the data order is
     a pure function of ``(seed, step, rank)``, a chaos run that fails at
@@ -830,16 +535,15 @@ class ChaosSupervisor:
             event_step = results[-1].interrupted_at
             if results[-1].rank_joined:
                 grown = cfg.world_size + 1
-                # Sync the current world to a complete checkpoint before
-                # the leg's resources go away; its clock/byte deltas are
-                # folded back into the leg's already-snapshotted result.
+                # Sync the current world to a complete checkpoint; its
+                # clock/byte deltas are folded back into the leg's
+                # already-snapshotted result.
                 source = self._join_checkpoint(trainer, event_step)
                 results[-1].clock = trainer.storage.clock.snapshot()
                 results[-1].total_checkpoint_bytes = (
                     trainer.storage.stats.category_bytes("checkpoint_write")
                 )
                 results[-1].checkpoints = list(trainer.state.checkpoints_written)
-                trainer.close()
                 log.warning(
                     "supervisor: rank joined at step %d; growing world %d -> %d",
                     event_step, cfg.world_size, grown,
@@ -863,11 +567,6 @@ class ChaosSupervisor:
                     source=source.dir.name, grow=True,
                 )
             else:
-                # The dead leg's backend resources go away with the leg:
-                # any surviving mp workers are stopped and its shared
-                # segments unlinked before the shrunk replacement carves
-                # its own.
-                trainer.close()
                 survivors = cfg.world_size - 1
                 if survivors < 1:  # pragma: no cover - plan.validate() forbids it
                     raise TrainingError(
@@ -890,10 +589,6 @@ class ChaosSupervisor:
                     resumed_from=resume_step, lost_steps=lost, source=resume_source,
                 )
             results.append(trainer.train(until_step))
-        # Final leg: stop workers and unlink segments eagerly (the
-        # /dev/shm leak check polices this).  Parent-side state stays
-        # readable, and further training would transparently re-fork.
-        trainer.close()
         self.trainer = trainer
         return self._aggregate(results)
 
@@ -939,8 +634,7 @@ class ChaosSupervisor:
 
         Reuses the join step's own checkpoint when the interrupted leg
         just wrote a complete one; otherwise writes a full sync
-        checkpoint now (the "old" world is still live — under mp its
-        state is readable through the shared pages).  Sync-write time
+        checkpoint now (the "old" world is still live).  Sync-write time
         is charged as recovery I/O: it exists only because the fleet is
         growing.
         """

@@ -2,17 +2,10 @@
 
 Heavy artifacts (trained models with checkpoint trails) are built once
 per session and reused read-only across tests.
-
-The suite honors ``REPRO_COMM_BACKEND=mp`` (CI's ``tests-mp`` leg):
-every trainer built from a default ``comm_backend="auto"`` config then
-runs its ranks in forked shared-memory workers.  The session-finish
-hook asserts workers actually spawned, so that leg can never silently
-fall back to the sequential backend.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 import tracemalloc
 import zlib
@@ -21,39 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.autograd import Tensor
 from repro.core.groups import tailored_param_groups
-from repro.dist import ZeroStage3Engine, mp_available, mp_unavailable_reason
+from repro.dist import GroupPartition, SimComm, ZeroStage3Engine, flatten_arrays, unflatten_array
 from repro.io import Storage, save_checkpoint
 from repro.nn import build_model, get_config
+from repro.numerics import quantize
+from repro.optim import AdamW
 from repro.train import TrainConfig, Trainer
-
-_MP_ENV = os.environ.get("REPRO_COMM_BACKEND", "") == "mp"
-
-
-def pytest_collection_modifyitems(config, items):
-    # An mp-gated session on a platform without fork/shared_memory skips
-    # everything up front (clean skip, not a silent sequential run).
-    if _MP_ENV and not mp_available():
-        marker = pytest.mark.skip(
-            reason=f"REPRO_COMM_BACKEND=mp but {mp_unavailable_reason()}"
-        )
-        for item in items:
-            item.add_marker(marker)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if not _MP_ENV or not mp_available() or exitstatus != 0:
-        return
-    if session.testscollected < 50:
-        return  # a hand-picked subset may legitimately never build a trainer
-    from repro.dist import mpcomm
-
-    if mpcomm.WORKERS_SPAWNED == 0:
-        session.exitstatus = 1
-        raise pytest.UsageError(
-            "REPRO_COMM_BACKEND=mp was set but no worker process was ever "
-            "forked — the mp leg silently ran the sequential backend"
-        )
 
 
 @pytest.fixture
@@ -97,6 +65,53 @@ def train_steps(model, engine, config, n_steps, *, seed=0):
         engine.step()
         losses.append(loss.item())
     return losses
+
+
+class ReferenceZeroEngine:
+    """Test oracle: the allocate-per-step ZeRO-3 step the engine's buffers replaced — flatten, pad,
+    reduce-scatter, ``AdamW(fused=False)`` on owned shard copies, all-gather, per-param quantize."""
+
+    def __init__(self, model, config, groups, *, world_size=1, lr=1e-3):
+        self.comm, self._dtype = SimComm(world_size), config.storage_dtype
+        self._names = [g["param_names"] for g in groups]
+        self._params = [list(g["params"]) for g in groups]
+        flats = [flatten_arrays([p.data for p in ps]) for ps in self._params]
+        self._parts = [GroupPartition(flat.size, world_size) for flat in flats]
+        self._shards = [[Tensor(s) for s in pt.shards(fl)] for pt, fl in zip(self._parts, flats)]
+        per_group = [{**g, "params": shards} for g, shards in zip(groups, self._shards)]
+        self.reference_optimizer = AdamW(per_group, lr=lr, fused=False)
+        self._requantize(range(len(groups)), np.concatenate)
+
+    def _masters(self, g, gather=np.concatenate):
+        flat = gather([t.data for t in self._shards[g]])[: self._parts[g].numel]
+        return unflatten_array(flat, [p.data.shape for p in self._params[g]])
+
+    def _requantize(self, touched, gather):
+        for g in touched:
+            for p, master in zip(self._params[g], self._masters(g, gather)):
+                p.data[...] = quantize(master, self._dtype)
+
+    def zero_grad(self):
+        for t in sum(self._params + self._shards, []):
+            t.grad = None
+
+    def step(self):
+        stepped = [g for g, ps in enumerate(self._params) if any(p.grad is not None for p in ps)]
+        for g in stepped:
+            grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in self._params[g]]
+            padded = [self._parts[g].pad(flatten_arrays(grads))] * self.comm.world_size
+            for t, shard in zip(self._shards[g], self.comm.reduce_scatter_mean(padded)):
+                t.grad = shard
+        self.reference_optimizer.step()
+        self._requantize(stepped, self.comm.all_gather)
+
+    def master_state_dict(self):
+        return {n: m for g, ns in enumerate(self._names) for n, m in zip(ns, self._masters(g))}
+
+    def rank_state_dict(self, rank):
+        mine, fresh = [s[rank] for s in self._shards], dict(step=0, exp_avg=0.0, exp_avg_sq=0.0)
+        state = {g: self.reference_optimizer.state.get(id(t), fresh) for g, t in enumerate(mine)}
+        return {"fp32_flat_groups": {g: t.data for g, t in enumerate(mine)}, "state": state}
 
 
 def _encode_blob_v1(obj) -> bytes:

@@ -22,15 +22,18 @@ from repro.nn import build_model
 from repro.optim.lr_scheduler import WarmupCosine
 from repro.util.errors import GradError
 
+from conftest import ReferenceZeroEngine
+
 
 def _taped_pair(config, world_size, *, lr=1e-3, seed=1):
-    """Same-seed (model, engine, tape) twins: one compiled, one interpreted."""
+    """Same-seed (model, engine, tape) twins: one compiled into the engine's
+    donated buffers, one interpreted into the allocate-per-step oracle."""
     pair = []
     for compiled in (True, False):
         model = build_model(config, seed=seed)
-        engine = ZeroStage3Engine(
+        engine = (ZeroStage3Engine if compiled else ReferenceZeroEngine)(
             model, config, tailored_param_groups(model, config, 0.01),
-            world_size=world_size, lr=lr, fused=True,
+            world_size=world_size, lr=lr,
         )
         tape = BackwardTape(donate=engine.grad_donation_views()) if compiled else None
         pair.append((model, engine, tape))
@@ -175,7 +178,7 @@ class TestDonation:
         model = build_model(untied_config, seed=1)
         engine = ZeroStage3Engine(
             model, untied_config, tailored_param_groups(model, untied_config, 0.01),
-            world_size=2, lr=1e-3, fused=True,
+            world_size=2, lr=1e-3,
         )
         views = engine.grad_donation_views()
         params = [p for group in engine._params for p in group]
@@ -185,19 +188,11 @@ class TestDonation:
             assert view.shape == p.data.shape
             assert any(np.shares_memory(view, buf) for buf in engine._grad_bufs)
 
-    def test_reference_engine_returns_empty(self, untied_config):
-        model = build_model(untied_config, seed=1)
-        engine = ZeroStage3Engine(
-            model, untied_config, tailored_param_groups(model, untied_config, 0.01),
-            world_size=2, lr=1e-3, fused=False,
-        )
-        assert engine.grad_donation_views() == {}
-
     def test_taped_backward_lands_in_donated_views(self, untied_config):
         model = build_model(untied_config, seed=1)
         engine = ZeroStage3Engine(
             model, untied_config, tailored_param_groups(model, untied_config, 0.01),
-            world_size=2, lr=1e-3, fused=True,
+            world_size=2, lr=1e-3,
         )
         views = engine.grad_donation_views()
         tape = BackwardTape(donate=views)

@@ -2,7 +2,8 @@
 
 The fused pipeline (persistent master/grad buffers, view shards, in-place
 AdamW, vectorized re-quantize) must be *bitwise* indistinguishable from
-the reference allocate-per-step implementation it replaced — losses,
+the reference allocate-per-step implementation it replaced (kept as the
+``ReferenceZeroEngine`` oracle in ``conftest.py``) — losses,
 masters, and moments — across world sizes, with and without a scheduler,
 and through steps that skip parameter groups.  A tracemalloc bound pins
 the "zero-allocation" claim: per-step allocations must not scale with the
@@ -25,20 +26,20 @@ from repro.optim import AdamW
 from repro.optim.lr_scheduler import WarmupCosine
 from repro.util.errors import DistError
 
-from conftest import make_engine, train_steps
+from conftest import ReferenceZeroEngine, make_engine, train_steps
 
 
 def _engine_pair(config, world_size, *, lr=1e-3, seed=1):
-    """Same-seed (model, engine) twins: one fused, one reference."""
+    """Same-seed (model, engine) twins: the engine and the reference oracle."""
     mf = build_model(config, seed=seed)
     ef = ZeroStage3Engine(
         mf, config, tailored_param_groups(mf, config, 0.01),
-        world_size=world_size, lr=lr, fused=True,
+        world_size=world_size, lr=lr,
     )
     mr = build_model(config, seed=seed)
-    er = ZeroStage3Engine(
+    er = ReferenceZeroEngine(
         mr, config, tailored_param_groups(mr, config, 0.01),
-        world_size=world_size, lr=lr, fused=False,
+        world_size=world_size, lr=lr,
     )
     return (mf, ef), (mr, er)
 
@@ -149,7 +150,6 @@ class TestFusedMatchesReference:
 class TestFusedInternals:
     def test_shards_are_views_into_master_buffer(self, untied_config):
         _, engine = make_engine(untied_config, world_size=2)
-        assert engine.fused
         for g, meta in enumerate(engine.group_meta):
             buf = engine._master_bufs[g]
             for rank, tensor in enumerate(engine._shard_params[g]):
@@ -168,7 +168,7 @@ class TestFusedInternals:
             np.testing.assert_array_equal(arr, frozen[g])
             assert not np.array_equal(arr, engine._shard_params[g][0].data)
 
-    def test_gathered_master_is_view_in_fused_mode(self, untied_config):
+    def test_gathered_master_is_view(self, untied_config):
         _, engine = make_engine(untied_config, world_size=2)
         master = engine._gathered_master(0)
         assert np.shares_memory(master, engine._master_bufs[0])

@@ -7,8 +7,8 @@ world size — the hierarchy lives entirely in the cost model.  The
 property battery sweeps cluster shapes over world sizes 2–8 and pins
 every collective's per-link-class byte accounting to the closed-form
 2D algebra; the trainer-level tests extend the identity through chaos
-recovery, the compiled tape, and the mp backend; the validation tests
-close the dangling degraded-link gap.
+recovery and the compiled tape; the validation tests close the dangling
+degraded-link gap.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.dist.faults import (
     rank_failure,
     rank_join,
 )
-from repro.dist.mpcomm import mp_available, mp_unavailable_reason
 from repro.dist.reshard import placement_transfer_bytes
 from repro.dist.topology import LINK_CLASSES
 from repro.io import CheckpointPaths
@@ -358,29 +357,6 @@ class TestTrainerBitwise:
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
         assert cfg.resolved_topology == topo
         assert topo_config(tmp_path, topology=None).resolved_topology is None
-
-
-@pytest.mark.skipif(not mp_available(),
-                    reason=f"mp backend unavailable: {mp_unavailable_reason()}")
-class TestTopologyMpBackend:
-    def test_mp_hier_bitwise_equal_to_sim_hier(self, tmp_path):
-        topo = Topology(nodes=2, ranks_per_node=2)
-        sim = Trainer(topo_config(tmp_path / "sim", topology=topo,
-                                  comm_backend="sim"))
-        sim.train()
-        mp = Trainer(topo_config(tmp_path / "mp", topology=topo,
-                                 comm_backend="mp"))
-        try:
-            mp.train()
-            assert mp.engine.comm.backend == "mp"
-            assert_states_equal(
-                sim.engine.master_state_dict(), mp.engine.master_state_dict()
-            )
-            assert_states_equal(sim.model.state_dict(), mp.model.state_dict())
-            assert (sim.engine.comm.stats.bytes_by_op
-                    == mp.engine.comm.stats.bytes_by_op)
-        finally:
-            mp.close()
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.io import CheckpointPaths, list_checkpoint_steps, read_latest
+import repro.dist
+from repro.cli import main
+from repro.dist import ZeroStage3Engine, reshard_checkpoint
+from repro.io import (
+    CheckpointPaths,
+    checkpoint_dir,
+    list_checkpoint_steps,
+    load_checkpoint,
+    read_latest,
+)
 from repro.train import TrainConfig, Trainer
+from repro.util.jsonio import read_json, write_json_atomic
 from repro.util.errors import ConfigError, TrainingError
 
 
@@ -29,6 +42,8 @@ class TestConfig:
             TrainConfig(total_steps=0)
         with pytest.raises(ConfigError):
             TrainConfig(total_steps=10, failure_step=11)
+        with pytest.raises(ConfigError, match="got 0"):
+            TrainConfig(checkpoint_interval=0)
 
     def test_derived_quantities(self):
         cfg = TrainConfig(world_size=2, micro_batch_size=3, grad_accum_steps=4, seq_len=10)
@@ -75,6 +90,64 @@ class TestTrainingLoop:
         result = Trainer(cfg).train()
         assert result.final_step == 6
         assert np.isfinite(result.final_train_loss)
+
+
+    def test_until_step_zero_runs_no_steps(self, tmp_path):
+        trainer = Trainer(quick_config(tmp_path, checkpoint_interval=1))
+        result = trainer.train(until_step=0)
+        assert result.final_step == trainer.state.global_step == 0
+        assert result.checkpoints == []
+        assert list_checkpoint_steps(trainer.storage.root) == []
+
+    def test_recent_loss_of_exactly_zero_is_reported(self, tmp_path, monkeypatch):
+        trainer = Trainer(quick_config(tmp_path, total_steps=1, checkpoint_interval=10))
+        monkeypatch.setattr(trainer.state, "recent_loss", lambda: 0.0)
+        assert trainer.train().final_train_loss == 0.0
+
+
+class TestRetiredSurface:
+    """The ``mp`` process-pool backend and the engine's ``fused=False``
+    layout left with no shim — and checkpoints written while the
+    ``comm_backend`` config key existed keep loading."""
+
+    def test_backend_and_engine_switches_are_gone(self, tmp_path, monkeypatch):
+        retired = ("Mp", "HierMp", "SharedArena", "mp_")
+        assert [n for n in repro.dist.__all__ if n.startswith(retired)] == []
+        engine_params = inspect.signature(ZeroStage3Engine).parameters
+        assert not {"fused", "comm_backend"} & set(engine_params)
+        with pytest.raises(TypeError):
+            TrainConfig(comm_backend="sim")
+        with pytest.raises(ConfigError, match="comm_backend"):
+            TrainConfig.from_dict({"comm_backend": "auto"})
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "-o", str(tmp_path / "cli"), "--comm-backend", "sim"])
+        assert exit_info.value.code == 2
+        monkeypatch.setenv("REPRO_COMM_BACKEND", "mp")
+        assert Trainer(quick_config(tmp_path, total_steps=2)).train().final_step == 2
+        assert not list(Path("/dev/shm").glob("repro-mp-*"))
+
+    def test_checkpoint_carrying_the_retired_key_is_accepted(self, tmp_path):
+        """``training_args.json`` is carried, never parsed back into a
+        ``TrainConfig`` — so the extra key is inert on every read path."""
+        cfg = quick_config(
+            tmp_path, total_steps=8, checkpoint_strategy="parity", checkpoint_interval=4,
+        )
+        trainer = Trainer(cfg)
+        trainer.train()
+        for step in list_checkpoint_steps(trainer.storage.root):
+            args_path = checkpoint_dir(trainer.storage.root, step).training_args
+            write_json_atomic(args_path, {**read_json(args_path), "comm_backend": "auto"})
+
+        merged = CheckpointPaths(trainer.auto_recover(8))  # merge, then resume_from
+        assert trainer.state.global_step == 8
+        loaded = load_checkpoint(
+            merged, model=trainer.model, config=trainer.model_config, engine=trainer.engine,
+        )
+        assert loaded.training_args["comm_backend"] == "auto"
+        assert main(["verify", str(merged.dir)]) == 0
+        reshard_checkpoint(merged, tmp_path / "ws3", 3)
+        grown = Trainer(cfg.replace(world_size=3, output_dir=str(tmp_path / "grown")))
+        assert grown.resume_from(tmp_path / "ws3") == 8
 
 
 class TestDeterminism:
