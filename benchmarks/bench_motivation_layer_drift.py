@@ -24,7 +24,7 @@ def test_motivation_nonuniform_layer_updates(benchmark, tmp_path):
             checkpoint_strategy="full", checkpoint_interval=20,
             output_dir=str(tmp_path / "run"), world_size=2,
             micro_batch_size=2, grad_accum_steps=1, seq_len=48,
-            log_every=20, compile=True,
+            log_every=20,
         )
         trainer = Trainer(cfg)
         trainer.train()

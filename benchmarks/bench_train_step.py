@@ -31,14 +31,12 @@ _PER_WS: dict[int, dict] = {}
 
 
 def _train_config(tmp_path, *, world_size: int, total_steps: int,
-                  checkpoint_interval: int = 10_000,
-                  compile: bool = True) -> TrainConfig:
+                  checkpoint_interval: int = 10_000) -> TrainConfig:
     return TrainConfig(
         model="llama3.2-1b-sim", task="cpt", total_steps=total_steps,
         checkpoint_strategy="full", checkpoint_interval=checkpoint_interval,
         output_dir=str(tmp_path / f"run-ws{world_size}"), world_size=world_size,
         micro_batch_size=2, grad_accum_steps=1, seq_len=48, log_every=10_000,
-        compile=compile,
     )
 
 
@@ -77,32 +75,6 @@ def _bench_steps(benchmark, tmp_path, world_size: int) -> None:
 @pytest.mark.parametrize("world_size", [1, 2, 4])
 def test_train_step_ws(benchmark, tmp_path, world_size):
     _bench_steps(benchmark, tmp_path, world_size)
-
-
-def test_train_step_ws2_interpreted(benchmark, tmp_path):
-    """The ws=2 workload with the tape compiler off (compiled-vs-interpreted
-    reference pair; the parametrized benches above run compiled)."""
-
-    def run():
-        cfg = _train_config(tmp_path, world_size=2, total_steps=STEPS,
-                            compile=False)
-        trainer = Trainer(cfg)
-        result = trainer.train()
-        assert result.final_step == STEPS
-        return result
-
-    benchmark.pedantic(run, rounds=ROUNDS, iterations=1, warmup_rounds=WARMUP_ROUNDS)
-    interpreted = benchmark.stats["min"] / STEPS
-    compiled = _PER_WS.get(2, {}).get("per_step")
-    table = Table(
-        ["Backward", "Per-step (ms, best)", "Speedup"],
-        title=f"Tape compiler, llama3.2-1b-sim ws=2, {STEPS} steps",
-    )
-    if compiled:
-        table.add_row(["compiled (tape replay)", round(compiled * 1e3, 2),
-                       f"{interpreted / compiled:.2f}x"])
-    table.add_row(["interpreted", round(interpreted * 1e3, 2), "1.00x"])
-    emit("train_step_compile", table.render())
 
 
 def test_train_step_drift_trail(benchmark, tmp_path):

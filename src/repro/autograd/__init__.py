@@ -1,4 +1,11 @@
-"""Tape-based reverse-mode autograd over NumPy (the PyTorch substitute)."""
+"""Tape-based reverse-mode autograd over NumPy (the PyTorch substitute).
+
+Every differentiable op declares its one VJP in the op registry
+(:mod:`repro.autograd.tensor`, :mod:`repro.autograd.functional`);
+:meth:`Tensor.backward` is the one backward entry point, sweeping the
+graph interpreted or — for a root captured by a :class:`BackwardTape`
+round — replaying the recorded program over the same VJPs.
+"""
 
 from .compile import BackwardTape, TapeStats
 from .functional import (

@@ -1,24 +1,27 @@
 """Backward-tape compiler: record the interpreted backward once, replay it.
 
 Every training step re-builds an *identical* autograd graph — same ops,
-same shapes, same parameters — and the interpreted :meth:`Tensor.backward`
-pays for that sameness on every call: a DFS topological sort, closure
-dispatch, and a fresh allocation for every intermediate gradient.  This
-module removes the per-step cost with the trace-once/replay-many structure
-production training stacks use for their step loop (and that HIPS autograd
-pioneered: a primitive-VJP registry over a replayable node graph):
+same shapes, same parameters — and the interpreted sweep pays for that
+sameness on every call: a DFS topological sort, per-node dispatch, and a
+fresh allocation for every intermediate gradient.  This module removes
+the per-step cost with the trace-once/replay-many structure production
+training stacks use for their step loop (and that HIPS autograd
+pioneered: a primitive-VJP registry over a replayable node graph).  It
+holds no gradient math: every entry of a compiled program calls the op's
+one VJP from the registry (:class:`~repro.autograd.tensor.Op`), the same
+function the interpreted sweep calls.
 
 * **Record.**  Under :meth:`BackwardTape.capture` the tensor layer appends
   every grad-bearing node to the tape in creation order.  The first
-  :meth:`BackwardTape.backward` runs the ordinary interpreted sweep while
-  logging the execution order, then compiles a program: one entry per
-  executed VJP, each either a registered *kernel* (the closure's exact
-  arithmetic re-expressed as ``out=`` ufunc calls into buffers allocated
-  once, at compile time) or a fallback that calls the op's own closure.
-  Dead branches — captured nodes the loss never consumes — are pruned
-  here: they bind and verify, but never execute.
+  ``backward()`` on a captured root runs the ordinary interpreted sweep,
+  notes the execution order, then compiles a program: one entry per
+  executed VJP, given the scratch buffers the op declares (allocated
+  once, at compile time) so its ``out=`` ufunc calls stop allocating.  An
+  op that declares none, or an entry whose operands rule them out, runs
+  the same VJP allocating.  Dead branches — captured nodes the loss never
+  consumes — are pruned here: they bind and verify, but never execute.
 * **Guard.**  Later rounds are bound against a structural signature
-  (per node: VJP code object, shape, dtype, and parent identity — graph
+  (per node: op identity, shape, dtype, and parent identity — graph
   wiring by index, leaf parameters by object identity).  Any mismatch
   invalidates the program and falls back to re-recording, so a shape
   change, a swapped parameter, or a ``no_grad`` region appearing
@@ -28,8 +31,8 @@ pioneered: a primitive-VJP registry over a replayable node graph):
   **bitwise-identical** to the interpreted sweep — the same canary
   discipline as ``AdamW(fused=True)``:
 
-  - kernels issue the *same ufuncs on the same operands in the same
-    order* as the closures they replace (``out=`` never changes values);
+  - a VJP issues the *same ufuncs on the same operands in the same
+    order* with and without buffers (``out=`` never changes values);
   - gradients accumulate in the *recorded execution order* — float
     addition is commutative but not associative, so ``(a + b) + c`` must
     not become ``(a + c) + b`` (the committed reassociation canary in
@@ -39,7 +42,7 @@ pioneered: a primitive-VJP registry over a replayable node graph):
     because ``0.0 + (-0.0)`` is ``+0.0`` and would flip signed zeros the
     interpreted first-write preserves.
 
-Composition with the fused ZeRO-3 engine: construct the tape with
+Composition with the ZeRO-3 engine: construct the tape with
 ``donate=engine.grad_donation_views()`` and each parameter's gradient is
 written straight into its slice of the engine's persistent reduce-scatter
 staging buffer — the tape's terminal outputs *are* the collective's
@@ -50,16 +53,14 @@ donated gradients.
 from __future__ import annotations
 
 import contextlib
-import types
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
-from ..util.errors import GradError, ShapeError
-from . import functional as F
+from ..util.errors import GradError
 from . import tensor as _tensor_mod
-from .tensor import Tensor
+from .tensor import Tensor, _backprop, _seed, _sweep, _toposort, unbroadcast
 
 __all__ = ["BackwardTape", "TapeStats"]
 
@@ -78,61 +79,46 @@ __all__ = ["BackwardTape", "TapeStats"]
 _SET, _INIT, _ACC = 0, 1, 2
 
 
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Unbroadcast ``g`` to ``shape`` — the same reduction (same ufuncs,
-    same order) as the inline path in :meth:`Tensor._accum`."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
 class _SlotSink:
     """Compiled accumulation target for one intermediate node's gradient."""
 
-    __slots__ = ("bound", "j", "mode", "buf", "shape", "dtype")
+    __slots__ = ("bound", "j", "mode", "fresh", "buf", "shape", "dtype")
 
-    def __init__(self, bound, j, mode, shape, dtype):
+    def __init__(self, bound, j, mode, fresh, shape, dtype):
         self.bound = bound
         self.j = j
         self.mode = mode
+        # The producing op's flag for this parent.  In a compiled entry a
+        # fresh value may be the entry's scratch buffer: reused across
+        # steps but exclusive within one, so a slot may adopt it like an
+        # owned array (the next step rewrites it only after this step
+        # fully consumed it).
+        self.fresh = fresh
         self.shape = shape
         self.dtype = dtype
-        # _INIT may need exclusive storage for non-owned values (views);
-        # allocated lazily so owned-only producers never pay for it.
+        # _INIT may need exclusive storage for views of ``g``; allocated
+        # lazily so producers of fresh values never pay for it.
         self.buf: np.ndarray | None = None
 
-    def put(self, g: np.ndarray, owned: bool = False, scratch: bool = False) -> None:
-        """Accumulate one contribution (mirrors ``Tensor._accum`` values).
-
-        ``owned`` has the interpreter's meaning (fresh array, nobody else
-        references it).  ``scratch`` marks a kernel's private per-entry
-        buffer: reused across steps but exclusive within one, so a slot
-        may adopt it like an owned value (the next step rewrites it only
-        after the previous step fully consumed it).
-        """
+    def put(self, g: np.ndarray) -> None:
+        """Accumulate one contribution (mirrors ``Tensor._accum`` values)."""
         node = self.bound[self.j]
+        fresh = self.fresh
         if g.dtype != self.dtype:
             g = np.asarray(g, dtype=self.dtype)
-            owned = True
+            fresh = True
         if g.shape != self.shape:
-            g = _reduce_to(g, self.shape)
-            owned = True
+            g = unbroadcast(g, self.shape)
+            fresh = True
         mode = self.mode
-        if mode == _SET:
+        if mode == _SET or (mode == _INIT and fresh):
             node.grad = g
         elif mode == _INIT:
-            if owned or scratch:
-                node.grad = g
-            else:
-                buf = self.buf
-                if buf is None:
-                    buf = self.buf = np.empty(self.shape, dtype=self.dtype)
-                np.copyto(buf, g)
-                node.grad = buf
+            buf = self.buf
+            if buf is None:
+                buf = self.buf = np.empty(self.shape, dtype=self.dtype)
+            np.copyto(buf, g)
+            node.grad = buf
         else:
             node.grad += g
 
@@ -141,9 +127,10 @@ class _LeafSink:
     """Compiled accumulation target for a leaf parameter's gradient.
 
     Leaf gradients outlive the round (they accumulate across
-    micro-batches), so unlike slots they never adopt kernel scratch.
-    With a donated view the first contribution is copied straight into
-    the engine's staging buffer; ``+=`` then accumulates in place there.
+    micro-batches), so unlike slots they never adopt what may be an
+    entry's scratch.  With a donated view the first contribution is
+    copied straight into the engine's staging buffer; ``+=`` then
+    accumulates in place there.
     """
 
     __slots__ = ("param", "view", "shape", "dtype")
@@ -154,458 +141,44 @@ class _LeafSink:
         self.shape = param.data.shape
         self.dtype = param.data.dtype
 
-    def put(self, g: np.ndarray, owned: bool = False, scratch: bool = False) -> None:
+    def put(self, g: np.ndarray) -> None:
         """Accumulate one contribution (mirrors ``Tensor._accum`` values)."""
         p = self.param
         if g.dtype != self.dtype:
             g = np.asarray(g, dtype=self.dtype)
-            owned = True
         if g.shape != self.shape:
-            g = _reduce_to(g, self.shape)
-            owned = True
-        if p.grad is None:
-            if self.view is not None:
-                np.copyto(self.view, g)
-                p.grad = self.view
-            else:
-                p.grad = g if (owned and not scratch) else g.copy()
-        else:
+            g = unbroadcast(g, self.shape)
+        if p.grad is not None:
             p.grad += g
-
-
-# ---------------------------------------------------------------------------
-# kernel registry
-# ---------------------------------------------------------------------------
-
-def _backward_code(func: Callable) -> types.CodeType:
-    """The code object of the ``backward`` closure nested in ``func``.
-
-    Closure code objects are per-op constants shared by every instance,
-    which makes them stable registry keys and cheap signature entries.
-    """
-    for const in func.__code__.co_consts:
-        if isinstance(const, types.CodeType) and const.co_name == "backward":
-            return const
-    raise GradError(f"no backward closure found in {getattr(func, '__qualname__', func)!r}")
-
-
-class _Uncompilable(Exception):
-    """Raised by a kernel factory that cannot compile this entry (falls
-    back to the op's own closure — always correct, just interpreted)."""
-
-
-class _Ctx:
-    """Per-entry compile context handed to kernel factories."""
-
-    __slots__ = ("tape", "i", "rec", "bound", "node")
-
-    def __init__(self, tape: "BackwardTape", i: int):
-        self.tape = tape
-        self.i = i
-        self.rec = tape._records[i]
-        self.bound = tape._bound
-        # The record-graph node: intact during compile, used to read
-        # structurally-constant closure cells (axes, cached index arrays).
-        self.node = tape._bound[i]
-
-    def sink(self, j: int):
-        spec = self.rec[3][j]
-        kind = spec[0]
-        if kind == "n":
-            tj = spec[1]
-            mode = self.tape._plan[(self.i, j)]
-            t_rec = self.tape._records[tj]
-            return _SlotSink(self.bound, tj, mode, t_rec[1], t_rec[2])
-        if kind == "l":
-            p = spec[1]
-            return _LeafSink(p, self.tape._donated_view(p))
-        return None  # constant operand: no gradient flows
-
-    def cells(self, *names: str) -> tuple[int, ...]:
-        fv = self.rec[0].co_freevars
-        try:
-            return tuple(fv.index(n) for n in names)
-        except ValueError as err:  # pragma: no cover - registry/op drift
-            raise _Uncompilable(str(err)) from err
-
-    def record_cell(self, name: str) -> Any:
-        """The value a record-graph closure captured for ``name``."""
-        bk = self.node._backward
-        idx = bk.__code__.co_freevars.index(name)
-        return bk.__closure__[idx].cell_contents
-
-    def parent_shape(self, j: int) -> tuple[int, ...]:
-        spec = self.rec[3][j]
-        if spec[0] == "n":
-            return self.tape._records[spec[1]][1]
-        if spec[0] == "l":
-            return spec[1].data.shape
-        return spec[1]
-
-    def uniform_dtype(self) -> Any:
-        """The entry's dtype, required to be shared by all grad-bearing
-        operands (mixed-precision entries stay interpreted so NumPy's
-        promotion rules keep applying)."""
-        dtype = self.rec[2]
-        for j, spec in enumerate(self.rec[3]):
-            if spec[0] == "n":
-                if self.tape._records[spec[1]][2] != dtype:
-                    raise _Uncompilable("mixed dtypes")
-            elif spec[0] == "l":
-                if spec[1].data.dtype != dtype:
-                    raise _Uncompilable("mixed dtypes")
-        return dtype
-
-
-def _k_add(ctx: _Ctx):
-    s0, s1 = ctx.sink(0), ctx.sink(1)
-    bound, i = ctx.bound, ctx.i
-
-    def run():
-        g = bound[i].grad
-        if s0 is not None:
-            s0.put(g)
-        if s1 is not None:
-            s1.put(g)
-
-    return run
-
-
-def _k_neg(ctx: _Ctx):
-    s0 = ctx.sink(0)
-    if s0 is None:
-        raise _Uncompilable("no grad-bearing operand")
-    dtype = ctx.uniform_dtype()
-    buf = np.empty(ctx.rec[1], dtype=dtype)
-    bound, i = ctx.bound, ctx.i
-
-    def run():
-        np.negative(bound[i].grad, out=buf)
-        s0.put(buf, scratch=True)
-
-    return run
-
-
-def _k_sub(ctx: _Ctx):
-    s0, s1 = ctx.sink(0), ctx.sink(1)
-    dtype = ctx.uniform_dtype()
-    buf = np.empty(ctx.rec[1], dtype=dtype) if s1 is not None else None
-    bound, i = ctx.bound, ctx.i
-
-    def run():
-        g = bound[i].grad
-        if s0 is not None:
-            s0.put(g)
-        if s1 is not None:
-            np.negative(g, out=buf)
-            s1.put(buf, scratch=True)
-
-    return run
-
-
-def _k_mul(ctx: _Ctx):
-    s0, s1 = ctx.sink(0), ctx.sink(1)
-    dtype = ctx.uniform_dtype()
-    shape = ctx.rec[1]
-    b0 = np.empty(shape, dtype=dtype) if s0 is not None else None
-    b1 = np.empty(shape, dtype=dtype) if s1 is not None else None
-    bound, i = ctx.bound, ctx.i
-
-    def run():
-        node = bound[i]
-        g = node.grad
-        prev = node._prev
-        if s0 is not None:
-            np.multiply(g, prev[1].data, out=b0)
-            s0.put(b0, scratch=True)
-        if s1 is not None:
-            np.multiply(g, prev[0].data, out=b1)
-            s1.put(b1, scratch=True)
-
-    return run
-
-
-def _k_matmul(ctx: _Ctx):
-    a_shape, b_shape = ctx.parent_shape(0), ctx.parent_shape(1)
-    out_shape = ctx.rec[1]
-    if len(a_shape) < 2 or len(b_shape) < 2 or len(out_shape) < 2:
-        raise _Uncompilable("1-D matmul operands take the outer-product path")
-    dtype = ctx.uniform_dtype()
-    s0, s1 = ctx.sink(0), ctx.sink(1)
-    ga_shape = np.broadcast_shapes(out_shape[:-2], b_shape[:-2]) + (
-        out_shape[-2], b_shape[-2],
-    )
-    gb_shape = np.broadcast_shapes(out_shape[:-2], a_shape[:-2]) + (
-        a_shape[-1], out_shape[-1],
-    )
-    b0 = np.empty(ga_shape, dtype=dtype) if s0 is not None else None
-    b1 = np.empty(gb_shape, dtype=dtype) if s1 is not None else None
-    bound, i = ctx.bound, ctx.i
-
-    def run():
-        node = bound[i]
-        g = node.grad
-        prev = node._prev
-        if s0 is not None:
-            np.matmul(g, prev[1].data.swapaxes(-1, -2), out=b0)
-            s0.put(b0, scratch=True)
-        if s1 is not None:
-            np.matmul(prev[0].data.swapaxes(-1, -2), g, out=b1)
-            s1.put(b1, scratch=True)
-
-    return run
-
-
-def _k_transpose(ctx: _Ctx):
-    s0 = ctx.sink(0)
-    if s0 is None:
-        raise _Uncompilable("no grad-bearing operand")
-    axes_rec = tuple(ctx.record_cell("axes"))
-    inv = tuple(int(a) for a in np.argsort(axes_rec))
-    (ax_i,) = ctx.cells("axes")
-    bound, i = ctx.bound, ctx.i
-
-    def run():
-        node = bound[i]
-        axes = node._backward.__closure__[ax_i].cell_contents
-        if axes == axes_rec:
-            s0.put(node.grad.transpose(inv))
-        else:  # same shapes, different permutation: recompute, stay correct
-            s0.put(node.grad.transpose(np.argsort(axes)))
-
-    return run
-
-
-def _k_reshape(ctx: _Ctx):
-    s0 = ctx.sink(0)
-    if s0 is None:
-        raise _Uncompilable("no grad-bearing operand")
-    original = tuple(ctx.record_cell("original"))
-    bound, i = ctx.bound, ctx.i
-
-    def run():
-        s0.put(bound[i].grad.reshape(original))
-
-    return run
-
-
-def _k_swapaxes(ctx: _Ctx):
-    s0 = ctx.sink(0)
-    if s0 is None:
-        raise _Uncompilable("no grad-bearing operand")
-    a_i, b_i = ctx.cells("a", "b")
-    bound, i = ctx.bound, ctx.i
-
-    def run():
-        node = bound[i]
-        cells = node._backward.__closure__
-        s0.put(np.swapaxes(node.grad, cells[a_i].cell_contents, cells[b_i].cell_contents))
-
-    return run
-
-
-def _k_softmax(ctx: _Ctx):
-    s0 = ctx.sink(0)
-    if s0 is None:
-        raise _Uncompilable("no grad-bearing operand")
-    dtype = ctx.uniform_dtype()
-    (ax_i, od_i) = ctx.cells("axis", "out_data")
-    buf = np.empty(ctx.rec[1], dtype=dtype)
-    bound, i = ctx.bound, ctx.i
-
-    def run():
-        node = bound[i]
-        g = node.grad
-        cells = node._backward.__closure__
-        axis = cells[ax_i].cell_contents
-        out_data = cells[od_i].cell_contents
-        np.multiply(g, out_data, out=buf)
-        dot = buf.sum(axis=axis, keepdims=True)
-        np.subtract(g, dot, out=buf)
-        np.multiply(out_data, buf, out=buf)
-        s0.put(buf, scratch=True)
-
-    return run
-
-
-def _k_silu(ctx: _Ctx):
-    s0 = ctx.sink(0)
-    if s0 is None:
-        raise _Uncompilable("no grad-bearing operand")
-    dtype = ctx.uniform_dtype()
-    (sig_i,) = ctx.cells("sig")
-    shape = ctx.rec[1]
-    b0 = np.empty(shape, dtype=dtype)
-    b1 = np.empty(shape, dtype=dtype)
-    bound, i = ctx.bound, ctx.i
-
-    def run():
-        node = bound[i]
-        g = node.grad
-        sig = node._backward.__closure__[sig_i].cell_contents
-        xd = node._prev[0].data
-        # g * (sig + x*sig*(1-sig)), ufunc-for-ufunc as the closure.
-        np.multiply(xd, sig, out=b0)
-        np.subtract(1.0, sig, out=b1)
-        np.multiply(b0, b1, out=b0)
-        np.add(sig, b0, out=b0)
-        np.multiply(g, b0, out=b0)
-        s0.put(b0, scratch=True)
-
-    return run
-
-
-def _k_rms_norm(ctx: _Ctx):
-    sx, sw = ctx.sink(0), ctx.sink(1)
-    dtype = ctx.uniform_dtype()
-    inv_i, normed_i = ctx.cells("inv", "normed")
-    shape = ctx.rec[1]
-    n = shape[-1]
-    b0 = np.empty(shape, dtype=dtype)
-    b1 = np.empty(shape, dtype=dtype)
-    bound, i = ctx.bound, ctx.i
-
-    def run():
-        node = bound[i]
-        g = node.grad
-        cells = node._backward.__closure__
-        inv = cells[inv_i].cell_contents
-        normed = cells[normed_i].cell_contents
-        prev = node._prev
-        # Closure order: weight first, then x.
-        if sw is not None:
-            np.multiply(g, normed, out=b0)
-            sw.put(b0.reshape(-1, n).sum(axis=0), owned=True)
-        if sx is not None:
-            xd = prev[0].data
-            np.multiply(g, prev[1].data, out=b0)  # gw
-            np.multiply(b0, xd, out=b1)
-            dot = b1.sum(axis=-1, keepdims=True)
-            np.multiply(inv, b0, out=b0)  # inv * gw
-            np.multiply((inv**3 / n) * dot, xd, out=b1)
-            np.subtract(b0, b1, out=b0)
-            sx.put(b0, scratch=True)
-
-    return run
-
-
-def _k_embedding(ctx: _Ctx):
-    sink = ctx.sink(0)
-    if sink is None:
-        raise _Uncompilable("no grad-bearing operand")
-    dtype = ctx.uniform_dtype()
-    (ids_i,) = ctx.cells("ids")
-    w_shape = ctx.parent_shape(0)
-    if len(w_shape) != 2:
-        raise _Uncompilable("embedding weight must be 2-D")
-    cols = w_shape[1]
-    leaf = isinstance(sink, _LeafSink)
-    sc: list[np.ndarray | None] = [None]
-    bound, i = ctx.bound, ctx.i
-
-    def run():
-        node = bound[i]
-        g = node.grad
-        ids = node._backward.__closure__[ids_i].cell_contents
-        flat_ids = ids.reshape(-1)
-        g2 = g.reshape(-1, cols)
-        if leaf and sink.param.grad is None and sink.view is not None:
-            # First contribution, donated: scatter-add straight into the
-            # engine's staging slice (zeroed first, like zeros_like).
-            view = sink.view
-            view[...] = 0.0
-            np.add.at(view, flat_ids, g2)
-            sink.param.grad = view
+        elif self.view is not None:
+            np.copyto(self.view, g)
+            p.grad = self.view
         else:
-            buf = sc[0]
-            if buf is None:
-                buf = sc[0] = np.empty(w_shape, dtype=dtype)
-            buf[...] = 0.0
-            np.add.at(buf, flat_ids, g2)
-            sink.put(buf, scratch=True)
-
-    return run
+            p.grad = g.copy()
 
 
-def _k_cross_entropy(ctx: _Ctx):
-    s0 = ctx.sink(0)
-    if s0 is None:
-        raise _Uncompilable("no grad-bearing operand")
-    dtype = ctx.uniform_dtype()
-    lp_i, st_i, v_i, c_i = ctx.cells("log_probs", "safe_targets", "valid", "count")
-    logits_shape = ctx.parent_shape(0)
-    lp_shape = ctx.record_cell("log_probs").shape
-    buf = np.empty(lp_shape, dtype=dtype)
-    rows = np.arange(lp_shape[0])
-    bound, i = ctx.bound, ctx.i
+def _buffered_entry(bound: list[Tensor], i: int, vjp, bufs: tuple, puts: tuple):
+    """One compiled VJP: ``bufs`` are its scratch, ``puts`` one sink's
+    ``put`` per parent (``None`` where no gradient flows)."""
 
     def run():
         node = bound[i]
-        g = node.grad
-        cells = node._backward.__closure__
-        np.exp(cells[lp_i].cell_contents, out=buf)
-        buf[rows, cells[st_i].cell_contents] -= 1.0
-        np.multiply(
-            buf,
-            (cells[v_i].cell_contents / cells[c_i].cell_contents)[:, None],
-            out=buf,
-        )
-        np.multiply(buf, np.asarray(g), out=buf)
-        s0.put(buf.reshape(logits_shape), scratch=True)
+        for put, g in zip(puts, vjp(node, node.grad, bufs)):
+            if put is not None:
+                put(g)
 
     return run
 
 
-def _k_apply_rope(ctx: _Ctx):
-    s0 = ctx.sink(0)
-    if s0 is None:
-        raise _Uncompilable("no grad-bearing operand")
-    dtype = ctx.uniform_dtype()
-    cos_i, sin_i = ctx.cells("cos", "sin")
-    shape = ctx.rec[1]
-    half = shape[-1] // 2
-    b0 = np.empty(shape, dtype=dtype)
-    b1 = np.empty(shape, dtype=dtype)
-    b2 = np.empty(shape, dtype=dtype)
-    bound, i = ctx.bound, ctx.i
+def _allocating_entry(bound: list[Tensor], i: int):
+    """One VJP replayed as the interpreted sweep runs it."""
 
     def run():
         node = bound[i]
-        g = node.grad
-        cells = node._backward.__closure__
-        # g*cos + rotate_half_t(g*sin), with the concatenate spelled as
-        # two half-writes into a persistent buffer.
-        np.multiply(g, cells[cos_i].cell_contents, out=b0)
-        np.multiply(g, cells[sin_i].cell_contents, out=b1)
-        b2[..., :half] = b1[..., half:]
-        np.negative(b1[..., :half], out=b2[..., half:])
-        np.add(b0, b2, out=b0)
-        s0.put(b0, scratch=True)
+        if node.grad is not None:
+            _backprop(node)
 
     return run
-
-
-_KERNELS: dict[types.CodeType, Callable[[_Ctx], Callable[[], None]]] = {}
-
-
-def _register(host: Callable, factory: Callable[[_Ctx], Callable[[], None]]) -> None:
-    _KERNELS[_backward_code(host)] = factory
-
-
-_register(Tensor.__add__, _k_add)
-_register(Tensor.__neg__, _k_neg)
-_register(Tensor.__sub__, _k_sub)
-_register(Tensor.__mul__, _k_mul)
-_register(Tensor.__matmul__, _k_matmul)
-_register(Tensor.transpose, _k_transpose)
-_register(Tensor.reshape, _k_reshape)
-_register(Tensor.swapaxes, _k_swapaxes)
-_register(F.softmax, _k_softmax)
-_register(F.silu, _k_silu)
-_register(F.rms_norm, _k_rms_norm)
-_register(F.embedding, _k_embedding)
-_register(F.cross_entropy, _k_cross_entropy)
-_register(F.apply_rope, _k_apply_rope)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +193,7 @@ class TapeStats:
     replays: int = 0
     invalidations: int = 0
     interpreted: int = 0  # rounds run fully interpreted (tape disabled)
-    kernel_fallbacks: int = 0  # compiled entries using the op's own closure
+    kernel_fallbacks: int = 0  # compiled entries running without scratch buffers
     last_invalidation: str | None = None
     disabled_reason: str | None = None
 
@@ -628,21 +201,24 @@ class TapeStats:
 class BackwardTape:
     """Record a step function's backward pass once, then replay it.
 
-    Usage: wrap each forward in :meth:`capture`, then call
-    :meth:`backward` on the loss instead of ``loss.backward()``::
+    Usage: wrap each forward in :meth:`capture`; ``backward()`` on the
+    loss it built then runs through the tape::
 
         tape = BackwardTape(donate=engine.grad_donation_views())
         with tape.capture():
             loss = model.loss(ids, labels)
-        tape.backward(loss)
+        loss.backward()
 
     The first round records and compiles; later rounds verify the graph
     signature and replay.  Any structural change (shapes, ops, parameter
     identity, graph size) invalidates the program and re-records — replay
     is bitwise-identical to the interpreted backward or it does not run.
+    A round is live from :meth:`capture` until its first ``backward()``
+    on a captured root; a root the round did not capture is swept as if
+    there were no tape.
 
     ``donate`` maps ``id(param)`` to a NumPy view that should receive the
-    parameter's gradient in place (the fused engine's staging slices).
+    parameter's gradient in place (the engine's staging slices).
     """
 
     def __init__(self, donate: dict[int, np.ndarray] | None = None) -> None:
@@ -651,12 +227,8 @@ class BackwardTape:
         # over (list, index), so rebinding is just refilling the list.
         self._bound: list[Tensor] = []
         self._records: list[tuple] | None = None
-        self._order: list[int] | None = None
-        self._plan: dict[tuple[int, int], int] | None = None
         self._program: list[Callable[[], None]] | None = None
         self._root_idx: int | None = None
-        self._capturing = False
-        self._captured_round = False
         self._disabled: str | None = None
         self.stats = TapeStats()
 
@@ -669,20 +241,18 @@ class BackwardTape:
 
     @contextlib.contextmanager
     def capture(self):
-        """Capture graph construction for the next :meth:`backward`."""
-        if self._capturing:
+        """Capture graph construction for this round's ``backward()``."""
+        if _tensor_mod._tape_sink is self._bound:
             raise GradError("BackwardTape.capture() cannot be nested")
         if _tensor_mod._tape_sink is not None:
             raise GradError("another BackwardTape capture is already active")
         del self._bound[:]
-        self._capturing = True
         _tensor_mod._tape_sink = self._bound
+        _tensor_mod._tape_round = self._backward
         try:
             yield self
         finally:
             _tensor_mod._tape_sink = None
-            self._capturing = False
-            self._captured_round = True
 
     def invalidate(self, reason: str = "manual") -> None:
         """Drop the compiled program; the next round re-records."""
@@ -690,49 +260,45 @@ class BackwardTape:
             self.stats.invalidations += 1
             self.stats.last_invalidation = reason
         self._records = None
-        self._order = None
-        self._plan = None
         self._program = None
         self._root_idx = None
 
-    def backward(self, root: Tensor, grad: np.ndarray | None = None) -> None:
-        """Run the captured round's backward pass from ``root``.
+    # -- internals ----------------------------------------------------------
+
+    def _backward(self, root: Tensor, grad: np.ndarray | None) -> bool:
+        """The live round's backward pass, if it captured ``root``.
 
         Records on the first round (or after an invalidation), replays
         when the captured graph matches the recorded signature, and runs
-        the ordinary interpreted sweep when the tape is disabled (graphs
-        it cannot bind, e.g. nodes created outside the capture).
+        the ordinary interpreted sweep when the tape is disabled (a graph
+        it cannot bind: grad nodes created outside the capture).
         """
-        if not self._captured_round:
-            raise GradError(
-                "BackwardTape.backward() requires a capture() round first"
-            )
+        bound = self._bound
+        if not any(node is root for node in reversed(bound)):
+            return False
         try:
-            if self._disabled is not None:
-                self.stats.interpreted += 1
-                root.backward(grad)
-            elif self._program is None:
-                self._record(root, grad)
-            else:
+            if self._disabled is None and self._program is not None:
                 reason = self._mismatch(root)
                 if reason is None:
-                    self._seed(root, grad)
-                    for fn in self._program:
-                        fn()
+                    _seed(root, grad)
+                    for run in self._program:
+                        run()
                     self.stats.replays += 1
-                else:
-                    self.invalidate(reason)
-                    self._record(root, grad)
+                    return True
+                self.invalidate(reason)
+            if self._disabled is not None or not self._record(root, grad):
+                self.stats.interpreted += 1
+                _seed(root, grad)
+                _sweep(_toposort(root))
         finally:
-            self._captured_round = False
-            # Break closure<->node reference cycles (the interpreted sweep
-            # does this as it executes) and drop the round's graph.
-            for node in self._bound:
+            # The round is spent.  Drop its graph the way the interpreted
+            # sweep does as it executes, so holding the loss holds nothing.
+            _tensor_mod._tape_sink = _tensor_mod._tape_round = None
+            for node in bound:
                 node._backward = None
-                node._prev = ()
-            del self._bound[:]
-
-    # -- internals ----------------------------------------------------------
+                node._saved = node._prev = ()
+            del bound[:]
+        return True
 
     def _donated_view(self, p: Tensor) -> np.ndarray | None:
         view = self._donate.get(id(p))
@@ -740,66 +306,18 @@ class BackwardTape:
             return None
         return view
 
-    def _disable(self, reason: str) -> None:
-        self.invalidate(reason)
-        self._disabled = reason
-        self.stats.disabled_reason = reason
-
-    @staticmethod
-    def _seed(root: Tensor, grad: np.ndarray | None) -> None:
-        """Seed ``root.grad`` exactly as :meth:`Tensor.backward` does."""
-        if not root.requires_grad:
-            raise GradError("backward() on a tensor that does not require grad")
-        if grad is None:
-            if root.data.size != 1:
-                raise GradError(
-                    f"backward() without an explicit gradient requires a scalar; "
-                    f"got shape {root.shape}"
-                )
-            grad = np.ones_like(root.data)
-        grad = np.asarray(grad, dtype=root.data.dtype)
-        if grad.shape != root.data.shape:
-            raise ShapeError(
-                f"gradient shape {grad.shape} != tensor shape {root.shape}"
-            )
-        if root.grad is None:
-            root.grad = grad.copy()
-        else:
-            root.grad += grad
-
-    def _record(self, root: Tensor, grad: np.ndarray | None) -> None:
+    def _record(self, root: Tensor, grad: np.ndarray | None) -> bool:
+        """Sweep interpreted and compile a program from what ran; ``False``
+        (tape disabled, nothing run) when the graph reaches outside the capture."""
         bound = self._bound
         index = {id(n): i for i, n in enumerate(bound)}
-        root_idx = index.get(id(root))
-        if root_idx is None:
-            self._disable("backward() root was not created during capture()")
-            self.stats.interpreted += 1
-            root.backward(grad)
-            return
-
-        # The interpreter's DFS, verbatim — reachability prunes captured
-        # nodes the root never consumes (dead branches).
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._prev:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
-        for node in topo:
-            if node._backward is not None and id(node) not in index:
-                self._disable("graph contains grad nodes created outside capture()")
-                self.stats.interpreted += 1
-                root.backward(grad)
-                return
+        # Reachability prunes captured nodes the root never consumes.
+        topo = _toposort(root)
+        if any(n._backward is not None and id(n) not in index for n in topo):
+            reason = "graph contains grad nodes created outside capture()"
+            self.invalidate(reason)
+            self._disabled = self.stats.disabled_reason = reason
+            return False
 
         # Structural signature over the full captured list (dead branches
         # included: they must re-bind for the graph to count as "the same").
@@ -814,72 +332,71 @@ class BackwardTape:
                     parents.append(("l", p))
                 else:
                     parents.append(("c", p.data.shape))
-            records.append(
-                (
-                    node._backward.__code__ if node._backward is not None else None,
-                    node.data.shape,
-                    node.data.dtype,
-                    tuple(parents),
-                )
-            )
+            records.append((node._backward, node.data.shape, node.data.dtype, tuple(parents)))
         self._records = records
-        self._root_idx = root_idx
+        self._root_idx = index[id(root)]
 
-        # Execute interpreted, logging the execution order the replay
-        # must reproduce (accumulation order is part of bitwise identity).
-        self._seed(root, grad)
-        order: list[int] = []
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                order.append(index[id(node)])
-                node._backward(node.grad)
-        self._order = order
-        self._compile()
+        # Execute interpreted; the order the sweep ran in is the order the
+        # replay must reproduce (accumulation order is part of bitwise
+        # identity).  The graph is kept for _compile to size buffers from.
+        _seed(root, grad)
+        _sweep(topo, release=False)
+        order = [index[id(n)] for n in reversed(topo)
+                 if n._backward is not None and n.grad is not None]
+        # Let go of the round's gradients before the program's buffers are
+        # allocated, or the record round's peak holds both.
+        for node in bound:
+            node.grad = None
+        self._compile(order)
         self.stats.records += 1
+        return True
 
-    def _compile(self) -> None:
+    def _compile(self, order: list[int]) -> None:
         """Build the replay program from the recorded execution order."""
-        records, order = self._records, self._order
-        assert records is not None and order is not None
+        bound, records = self._bound, self._records
 
         # Contribution schedule: per accumulation target, how many
         # contributions arrive and which occurrence is first — this is
         # what lets sinks adopt/copy/+= exactly like the interpreter.
+        targets = [
+            (i, j, spec)
+            for i in order
+            for j, spec in enumerate(records[i][3])
+            if spec[0] != "c"
+        ]
         totals: dict[tuple, int] = {}
-        occurrences: list[tuple[int, int, tuple]] = []
-        for i in order:
-            for j, spec in enumerate(records[i][3]):
-                kind = spec[0]
-                if kind == "n":
-                    key = ("n", spec[1])
-                elif kind == "l":
-                    key = ("l", id(spec[1]))
-                else:
-                    continue
-                occurrences.append((i, j, key))
-                totals[key] = totals.get(key, 0) + 1
-        plan: dict[tuple[int, int], int] = {}
-        seen: dict[tuple, int] = {}
-        for i, j, key in occurrences:
-            c = seen.get(key, 0)
-            plan[(i, j)] = _SET if totals[key] == 1 else (_INIT if c == 0 else _ACC)
-            seen[key] = c + 1
-        self._plan = plan
+        for _, _, spec in targets:
+            totals[spec] = totals.get(spec, 0) + 1
+        modes: dict[tuple[int, int], int] = {}
+        seen: set[tuple] = set()
+        for i, j, spec in targets:
+            modes[i, j] = _SET if totals[spec] == 1 else (_ACC if spec in seen else _INIT)
+            seen.add(spec)
 
-        bound = self._bound
         program: list[Callable[[], None]] = []
         for i in order:
-            factory = _KERNELS.get(records[i][0])
-            entry: Callable[[], None] | None = None
-            if factory is not None:
-                try:
-                    entry = factory(_Ctx(self, i))
-                except _Uncompilable:
-                    entry = None
-            if entry is None:
+            op, _, dtype, parents = records[i]
+            node = bound[i]
+            # Mixed-precision entries run allocating, so NumPy's promotion
+            # rules keep applying.
+            uniform = all(p.data.dtype == dtype for p in node._prev if p.requires_grad)
+            shapes = op.bufs(node) if uniform and op.bufs is not None else None
+            if shapes is None:
                 self.stats.kernel_fallbacks += 1
-                entry = _make_fallback(bound, i)
-            program.append(entry)
+                program.append(_allocating_entry(bound, i))
+                continue
+            puts = []
+            for j, (spec, fresh) in enumerate(zip(parents, op.fresh)):
+                if spec[0] == "n":
+                    _, shape, slot_dtype, _ = records[spec[1]]
+                    put = _SlotSink(bound, spec[1], modes[i, j], fresh, shape, slot_dtype).put
+                elif spec[0] == "l":
+                    put = _LeafSink(spec[1], self._donated_view(spec[1])).put
+                else:
+                    put = None  # constant operand: no gradient flows
+                puts.append(put)
+            bufs = tuple(None if s is None else np.empty(s, dtype=dtype) for s in shapes)
+            program.append(_buffered_entry(bound, i, op.vjp, bufs, tuple(puts)))
         self._program = program
 
     def _mismatch(self, root: Tensor) -> str | None:
@@ -889,16 +406,14 @@ class BackwardTape:
         matches and the compiled program may replay.
         """
         bound, records = self._bound, self._records
-        assert records is not None
         if len(bound) != len(records):
             return f"graph size changed ({len(records)} -> {len(bound)} nodes)"
         if bound[self._root_idx] is not root:
             return "backward() root is not the recorded root node"
         for i, node in enumerate(bound):
-            code, shape, dtype, parents = records[i]
-            bk = node._backward
-            if (bk.__code__ if bk is not None else None) is not code:
-                return f"op changed at node {i}"
+            op, shape, dtype, parents = records[i]
+            if node._backward is not op:
+                return f"op changed at node {i} ({op} -> {node._backward})"
             data = node.data
             if data.shape != shape:
                 return f"shape changed at node {i} ({shape} -> {data.shape})"
@@ -918,12 +433,3 @@ class BackwardTape:
                 elif p.requires_grad or p.data.shape != spec[1]:
                     return f"constant operand changed at node {i}"
         return None
-
-
-def _make_fallback(bound: list[Tensor], i: int) -> Callable[[], None]:
-    def run():
-        node = bound[i]
-        if node.grad is not None:
-            node._backward(node.grad)
-
-    return run

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..util.errors import ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, _like_out, defvjp
 
 __all__ = [
     "softmax",
@@ -32,18 +32,28 @@ __all__ = [
 IGNORE_INDEX = -100
 
 
+@defvjp(bufs=_like_out(1))
+def _softmax(node, g, out):
+    # d softmax: s * (g - sum(g * s))
+    (axis,) = node._saved
+    s = node.data
+    t = np.multiply(g, s, out=out[0])
+    dot = t.sum(axis=axis, keepdims=True)
+    np.subtract(g, dot, out=t)
+    return (np.multiply(s, t, out=t),)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Normalized exponentials along ``axis`` (stable: max-shifted)."""
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=axis, keepdims=True)
+    return Tensor._make(exp / exp.sum(axis=axis, keepdims=True), (x,), _softmax, (axis,))
 
-    def backward(g: np.ndarray) -> None:
-        # d softmax: s * (g - sum(g * s))
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        x._accum(out_data * (g - dot), owned=True)
 
-    return Tensor._make(out_data, (x,), backward)
+@defvjp()
+def _log_softmax(node, g, out):
+    axis, probs = node._saved
+    return (g - probs * g.sum(axis=axis, keepdims=True),)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -51,12 +61,17 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out_data = shifted - lse
-    probs = np.exp(out_data)
+    return Tensor._make(out_data, (x,), _log_softmax, (axis, np.exp(out_data)))
 
-    def backward(g: np.ndarray) -> None:
-        x._accum(g - probs * g.sum(axis=axis, keepdims=True), owned=True)
 
-    return Tensor._make(out_data, (x,), backward)
+@defvjp(bufs=lambda node: (node._saved[0].shape,))
+def _cross_entropy(node, g, out):
+    log_probs, rows, safe_targets, valid, count = node._saved
+    grad = np.exp(log_probs, out=out[0])
+    grad[rows, safe_targets] -= 1.0
+    np.multiply(grad, (valid / count)[:, None], out=grad)
+    np.multiply(grad, np.asarray(g), out=grad)  # scalar chain factor
+    return (grad.reshape(node._prev[0].data.shape),)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = IGNORE_INDEX) -> Tensor:
@@ -85,55 +100,69 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = IGNOR
     log_probs = shifted - lse
 
     safe_targets = np.where(valid, flat_targets, 0)
-    picked = log_probs[np.arange(flat_targets.size), safe_targets]
-    loss = -(picked * valid).sum() / count
+    rows = np.arange(flat_targets.size)
+    loss = -(log_probs[rows, safe_targets] * valid).sum() / count
     out_data = np.asarray(loss, dtype=logits.data.dtype)
+    saved = (log_probs, rows, safe_targets, valid, count)
+    return Tensor._make(out_data, (logits,), _cross_entropy, saved)
 
-    def backward(g: np.ndarray) -> None:
-        grad = np.exp(log_probs)
-        grad[np.arange(flat_targets.size), safe_targets] -= 1.0
-        grad *= (valid / count)[:, None]
-        grad *= np.asarray(g)  # scalar chain factor
-        logits._accum(grad.reshape(logits.shape), owned=True)
 
-    return Tensor._make(out_data, (logits,), backward)
+@defvjp(bufs=_like_out(2))
+def _silu(node, g, out):
+    # g * (sig + x * sig * (1 - sig))
+    (sig,) = node._saved
+    t = np.multiply(node._prev[0].data, sig, out=out[0])
+    u = np.subtract(1.0, sig, out=out[1])
+    np.multiply(t, u, out=t)
+    np.add(sig, t, out=t)
+    return (np.multiply(g, t, out=t),)
 
 
 def silu(x: Tensor) -> Tensor:
     """SiLU / swish: ``x * sigmoid(x)`` (the Llama MLP activation)."""
     sig = 0.5 * (np.tanh(0.5 * x.data) + 1.0)
-    out_data = x.data * sig
-
-    def backward(g: np.ndarray) -> None:
-        x._accum(g * (sig + x.data * sig * (1.0 - sig)), owned=True)
-
-    return Tensor._make(out_data, (x,), backward)
+    return Tensor._make(x.data * sig, (x,), _silu, (sig,))
 
 
 def relu(x: Tensor) -> Tensor:
     """Element-wise rectifier ``max(x, 0)``."""
     mask = x.data > 0
-    out_data = x.data * mask
+    return Tensor._make(x.data * mask, (x,), Tensor._mask, (mask,))
 
-    def backward(g: np.ndarray) -> None:
-        x._accum(g * mask, owned=True)
 
-    return Tensor._make(out_data, (x,), backward)
+@defvjp()
+def _gelu(node, g, out):
+    c, t = node._saved
+    x = node._prev[0].data
+    d_inner = c * (1.0 + 3 * 0.044715 * x**2)
+    dt = (1.0 - t * t) * d_inner
+    return (g * (0.5 * (1.0 + t) + 0.5 * x * dt),)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Tanh-approximated GELU (as used by GPT-style MLPs)."""
-    c = np.sqrt(2.0 / np.pi).astype(x.data.dtype) if hasattr(np.sqrt(2.0 / np.pi), "astype") else np.sqrt(2.0 / np.pi)
-    inner = c * (x.data + 0.044715 * x.data**3)
-    t = np.tanh(inner)
-    out_data = 0.5 * x.data * (1.0 + t)
+    c = np.sqrt(2.0 / np.pi).astype(x.data.dtype)
+    t = np.tanh(c * (x.data + 0.044715 * x.data**3))
+    return Tensor._make(0.5 * x.data * (1.0 + t), (x,), _gelu, (c, t))
 
-    def backward(g: np.ndarray) -> None:
-        d_inner = c * (1.0 + 3 * 0.044715 * x.data**2)
-        dt = (1.0 - t * t) * d_inner
-        x._accum(g * (0.5 * (1.0 + t) + 0.5 * x.data * dt), owned=True)
 
-    return Tensor._make(out_data, (x,), backward)
+@defvjp(bufs=_like_out(2))
+def _rms_norm(node, g, out):
+    x, weight = node._prev
+    inv, normed = node._saved
+    n = g.shape[-1]
+    gx = gweight = None
+    if weight.requires_grad:
+        gweight = np.multiply(g, normed, out=out[0]).reshape(-1, n).sum(axis=0)
+    if x.requires_grad:
+        # inv * gw - (inv**3 / n) * sum(gw * x) * x, with gw = g * weight
+        gw = np.multiply(g, weight.data, out=out[0])
+        t = np.multiply(gw, x.data, out=out[1])
+        dot = t.sum(axis=-1, keepdims=True)
+        np.multiply(inv, gw, out=gw)
+        np.multiply((inv**3 / n) * dot, x.data, out=t)
+        gx = np.subtract(gw, t, out=gw)
+    return gx, gweight
 
 
 def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
@@ -146,18 +175,25 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
     ms = (x.data * x.data).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(ms + eps)
     normed = x.data * inv
-    out_data = normed * weight.data
+    return Tensor._make(normed * weight.data, (x, weight), _rms_norm, (inv, normed))
 
-    def backward(g: np.ndarray) -> None:
-        if weight.requires_grad:
-            weight._accum((g * normed).reshape(-1, x.shape[-1]).sum(axis=0), owned=True)
-        if x.requires_grad:
-            gw = g * weight.data
-            n = x.shape[-1]
-            dot = (gw * x.data).sum(axis=-1, keepdims=True)
-            x._accum(inv * gw - (inv**3 / n) * dot * x.data, owned=True)
 
-    return Tensor._make(out_data, (x, weight), backward)
+@defvjp()
+def _layer_norm(node, g, out):
+    x, weight, bias = node._prev
+    inv, normed = node._saved
+    n = g.shape[-1]
+    gx = gweight = gbias = None
+    if weight.requires_grad:
+        gweight = (g * normed).reshape(-1, n).sum(axis=0)
+    if bias.requires_grad:
+        gbias = g.reshape(-1, n).sum(axis=0)
+    if x.requires_grad:
+        gw = g * weight.data
+        mean_g = gw.mean(axis=-1, keepdims=True)
+        mean_gx = (gw * normed).mean(axis=-1, keepdims=True)
+        gx = inv * (gw - mean_g - normed * mean_gx)
+    return gx, gweight, gbias
 
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -168,20 +204,20 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     inv = 1.0 / np.sqrt(var + eps)
     normed = xc * inv
     out_data = normed * weight.data + bias.data
+    return Tensor._make(out_data, (x, weight, bias), _layer_norm, (inv, normed))
 
-    def backward(g: np.ndarray) -> None:
-        n = x.shape[-1]
-        if weight.requires_grad:
-            weight._accum((g * normed).reshape(-1, n).sum(axis=0), owned=True)
-        if bias.requires_grad:
-            bias._accum(g.reshape(-1, n).sum(axis=0), owned=True)
-        if x.requires_grad:
-            gw = g * weight.data
-            mean_g = gw.mean(axis=-1, keepdims=True)
-            mean_gx = (gw * normed).mean(axis=-1, keepdims=True)
-            x._accum(inv * (gw - mean_g - normed * mean_gx), owned=True)
 
-    return Tensor._make(out_data, (x, weight, bias), backward)
+@defvjp(bufs=lambda node: (node._prev[0].data.shape,))
+def _embedding(node, g, out):
+    (ids,) = node._saved
+    weight = node._prev[0].data
+    full = out[0]
+    if full is None:
+        full = np.zeros_like(weight)
+    else:
+        full[...] = 0.0
+    np.add.at(full, ids.reshape(-1), g.reshape(-1, weight.shape[1]))
+    return (full,)
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
@@ -189,16 +225,7 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     if ids.dtype.kind not in "iu":
         raise ShapeError(f"embedding ids must be integers, got dtype {ids.dtype}")
-    out_data = weight.data[ids]
-
-    def backward(g: np.ndarray) -> None:
-        if not weight.requires_grad:
-            return
-        full = np.zeros_like(weight.data)
-        np.add.at(full, ids.reshape(-1), g.reshape(-1, weight.data.shape[1]))
-        weight._accum(full, owned=True)
-
-    return Tensor._make(out_data, (weight,), backward)
+    return Tensor._make(weight.data[ids], (weight,), _embedding, (ids,))
 
 
 def rope_cache(seq_len: int, head_dim: int, base: float = 10000.0, dtype=np.float32):
@@ -222,10 +249,18 @@ def _rotate_half(x: np.ndarray) -> np.ndarray:
     return np.concatenate([-x[..., half:], x[..., :half]], axis=-1)
 
 
-def _rotate_half_t(x: np.ndarray) -> np.ndarray:
-    """Transpose of the rotate-half linear map (for backward)."""
-    half = x.shape[-1] // 2
-    return np.concatenate([x[..., half:], -x[..., :half]], axis=-1)
+@defvjp(bufs=_like_out(3))
+def _apply_rope(node, g, out):
+    # g * cos + R^T(g * sin), R^T the transpose of the rotate-half map:
+    # concatenate([y[..., half:], -y[..., :half]]) written as two half-writes.
+    cos, sin = node._saved
+    half = g.shape[-1] // 2
+    t = np.multiply(g, cos, out=out[0])
+    y = np.multiply(g, sin, out=out[1])
+    rot = np.empty_like(y) if out[2] is None else out[2]
+    rot[..., :half] = y[..., half:]
+    np.negative(y[..., :half], out=rot[..., half:])
+    return (np.add(t, rot, out=t),)
 
 
 def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
@@ -235,11 +270,7 @@ def apply_rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     inverse rotation (the map is orthogonal).
     """
     out_data = x.data * cos + _rotate_half(x.data) * sin
-
-    def backward(g: np.ndarray) -> None:
-        x._accum(g * cos + _rotate_half_t(g * sin), owned=True)
-
-    return Tensor._make(out_data, (x,), backward)
+    return Tensor._make(out_data, (x,), _apply_rope, (cos, sin))
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
@@ -250,9 +281,4 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
         raise ShapeError(f"dropout probability must be < 1, got {p}")
     keep = 1.0 - p
     mask = (rng.random(x.shape) < keep).astype(x.data.dtype) / keep
-    out_data = x.data * mask
-
-    def backward(g: np.ndarray) -> None:
-        x._accum(g * mask, owned=True)
-
-    return Tensor._make(out_data, (x,), backward)
+    return Tensor._make(x.data * mask, (x,), Tensor._mask, (mask,))

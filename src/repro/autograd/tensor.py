@@ -2,9 +2,12 @@
 
 A deliberately small tape-based autograd engine — the substrate standing
 in for PyTorch.  Tensors wrap ``numpy.ndarray`` data; every differentiable
-operation records a backward closure; :meth:`Tensor.backward` runs a
-topological sweep and accumulates gradients into ``.grad`` (plain NumPy
-arrays, never Tensors).
+operation stores an :class:`Op` record (its one VJP, declared with
+:func:`defvjp` next to the forward) plus the tuple it saved;
+:meth:`Tensor.backward` — the one public backward — runs a topological
+sweep and accumulates gradients into ``.grad`` (plain NumPy arrays, never
+Tensors), or hands a root captured by a live
+:class:`~repro.autograd.compile.BackwardTape` round to that tape.
 
 Design choices (following the HPC guides: vectorise, avoid copies):
 
@@ -19,6 +22,7 @@ Design choices (following the HPC guides: vectorise, avoid copies):
 from __future__ import annotations
 
 import contextlib
+import itertools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -29,11 +33,15 @@ __all__ = ["Tensor", "no_grad", "is_grad_enabled", "cat", "stack"]
 
 _grad_enabled: bool = True
 
-# When a BackwardTape capture is active (see repro.autograd.compile) this
-# is the tape's node list; _make appends every grad-bearing node it
-# creates, so creation order doubles as a valid topological order for
-# binding a recorded backward program to a freshly built graph.
+# Set by a BackwardTape (see repro.autograd.compile).  While its capture
+# is open, _tape_sink is the tape's node list: _make appends every
+# grad-bearing node it creates, so creation order doubles as a valid
+# topological order for binding a recorded backward program to a freshly
+# built graph.  From capture() until the round's backward has run,
+# _tape_round is the tape's entry point: Tensor.backward offers it every
+# root, and it returns False for one the round did not capture.
 _tape_sink: list["Tensor"] | None = None
+_tape_round: Callable[["Tensor", np.ndarray | None], bool] | None = None
 
 
 @contextlib.contextmanager
@@ -63,7 +71,12 @@ def _as_array(data, dtype=None) -> np.ndarray:
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce a gradient back to the shape of a broadcast operand."""
+    """Reduce a gradient back to the shape of a broadcast operand.
+
+    Whenever ``grad.shape != shape`` at least one reduction runs, so the
+    result is a freshly allocated array (the trailing reshape is a view
+    of it).
+    """
     if grad.shape == shape:
         return grad
     # Sum out leading dimensions added by broadcasting.
@@ -77,10 +90,72 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+# -- the op registry -----------------------------------------------------------
+
+class Op:
+    """One differentiable op's backward rule, shared by every node it makes.
+
+    ``vjp(node, g, out)`` returns one gradient per parent of ``node``
+    (``None`` where none flows) from the incoming ``g``, the forward
+    result ``node.data``, the operands ``node._prev`` and the tuple the
+    forward saved, ``node._saved``.  It is written in ``out=`` ufunc
+    form: the interpreted sweep passes :data:`_ALLOCATE` and NumPy
+    allocates each result; a compiled tape passes the buffers
+    ``bufs(node)`` sized once — the same ufuncs on the same operands in
+    the same order either way, hence the same bits.
+
+    ``fresh`` says, per parent (or with one bool for all of them),
+    whether that gradient is a newly computed array that the first
+    accumulation may adopt, or the incoming ``g`` / a view of it, which
+    must be copied.
+
+    ``bufs(node)`` is the tuple of scratch-buffer shapes ``vjp`` indexes
+    as ``out[k]`` (``None`` for one this node does not need), or ``None``
+    when this node's operands take a path that cannot write into
+    buffers.  Ops that leave ``bufs`` unset always run allocating.
+    """
+
+    __slots__ = ("name", "vjp", "fresh", "bufs")
+
+    def __init__(self, vjp, fresh, bufs) -> None:
+        self.name = vjp.__name__.lstrip("_")
+        self.vjp = vjp
+        self.fresh = fresh if isinstance(fresh, tuple) else itertools.repeat(fresh)
+        self.bufs = bufs
+
+    def __repr__(self) -> str:
+        return f"Op({self.name})"
+
+
+def defvjp(*, fresh: bool | tuple[bool, ...] = True, bufs=None):
+    """Declare the decorated function as an op's one VJP (see :class:`Op`)."""
+    return lambda vjp: Op(vjp, fresh, bufs)
+
+
+# What the interpreted sweep passes as ``out``: every ufunc allocates.
+# As long as the largest ``bufs`` declaration (apply_rope's three).
+_ALLOCATE = (None, None, None)
+
+
+def _views(node) -> tuple:
+    """``bufs`` of an op whose gradients are ``g`` or views of it."""
+    return ()
+
+
+def _like_out(count: int):
+    """``bufs`` of an op that needs ``count`` buffers shaped like its result."""
+    return lambda node: (node.data.shape,) * count
+
+
+def _like_out_per_parent(node) -> tuple:
+    """``bufs`` with one result-shaped buffer per grad-requiring parent."""
+    return tuple(node.data.shape if p.requires_grad else None for p in node._prev)
+
+
 class Tensor:
     """A NumPy array plus an optional autograd tape node."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_saved", "_prev", "name")
 
     def __init__(
         self,
@@ -93,7 +168,8 @@ class Tensor:
         self.data: np.ndarray = _as_array(data, dtype)
         self.grad: np.ndarray | None = None
         self.requires_grad: bool = bool(requires_grad)
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._backward: Op | None = None
+        self._saved: tuple = ()
         self._prev: tuple[Tensor, ...] = ()
         self.name = name
 
@@ -148,7 +224,8 @@ class Tensor:
     def _make(
         data: np.ndarray,
         parents: Sequence["Tensor"],
-        backward: Callable[[np.ndarray], None] | None,
+        op: Op,
+        saved: tuple = (),
     ) -> "Tensor":
         requires = _grad_enabled and any(p.requires_grad for p in parents)
         # Hot path: ops always hand us a float ndarray, so skip __init__'s
@@ -161,24 +238,29 @@ class Tensor:
         )
         out.grad = None
         out.requires_grad = requires
-        out._backward = backward if requires else None
-        out._prev = tuple(parents) if requires else ()
         out.name = None
-        if _tape_sink is not None and out._backward is not None:
-            _tape_sink.append(out)
+        if requires:
+            out._backward = op
+            out._saved = saved
+            out._prev = tuple(parents)
+            if _tape_sink is not None:
+                _tape_sink.append(out)
+        else:
+            out._backward = None
+            out._saved = out._prev = ()
         return out
 
     def _accum(self, g: np.ndarray, owned: bool = False) -> None:
         """Accumulate ``g`` into ``self.grad``.
 
-        ``owned=True`` is a closure's promise that ``g`` is a freshly
-        allocated array nobody else references (the overwhelmingly common
-        case: ufunc results computed inside the backward closure), which
-        lets the first accumulation adopt the array instead of defensively
-        copying it.  Closures that pass a *shared* or *view* gradient
-        (add/sub reusing the incoming ``g``, reshape/transpose/slice
-        views, read-only ``broadcast_to`` results) keep the default and
-        get the copy.  Values are bitwise-unchanged either way.
+        ``owned=True`` is the op's promise (its ``fresh`` flag) that ``g``
+        is a freshly allocated array nobody else references (the
+        overwhelmingly common case: ufunc results computed inside the
+        VJP), which lets the first accumulation adopt the array instead
+        of defensively copying it.  VJPs that pass a *shared* or *view*
+        gradient (add/sub reusing the incoming ``g``, reshape/transpose/
+        slice views, read-only ``broadcast_to`` results) are not fresh
+        and get the copy.  Values are bitwise-unchanged either way.
         """
         if not self.requires_grad:
             return
@@ -186,64 +268,25 @@ class Tensor:
         if not isinstance(g, np.ndarray) or g.dtype != data.dtype:
             g = np.asarray(g, dtype=data.dtype)
             owned = True  # the cast allocated a fresh array
-        shape = data.shape
-        if g.shape != shape:
-            # Inline unbroadcast so ownership tracks whether a reduction
-            # actually allocated (a pure reshape view would not).
-            extra = g.ndim - len(shape)
-            if extra > 0:
-                g = g.sum(axis=tuple(range(extra)))
-                owned = True
-            axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-            if axes:
-                g = g.sum(axis=axes, keepdims=True)
-                owned = True
-            g = g.reshape(shape)  # view of the reduction; ownership unchanged
+        if g.shape != data.shape:
+            g = unbroadcast(g, data.shape)
+            owned = True
         if self.grad is None:
             self.grad = g if owned else g.copy()
         else:
             self.grad += g
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor through the recorded graph."""
-        if not self.requires_grad:
-            raise GradError("backward() on a tensor that does not require grad")
-        if grad is None:
-            if self.data.size != 1:
-                raise GradError(
-                    f"backward() without an explicit gradient requires a scalar; got shape {self.shape}"
-                )
-            grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=self.data.dtype)
-        if grad.shape != self.data.shape:
-            raise ShapeError(f"gradient shape {grad.shape} != tensor shape {self.shape}")
+        """Backpropagate from this tensor through the recorded graph.
 
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._prev:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
-
-        if self.grad is None:
-            self.grad = grad.copy()
-        else:
-            self.grad += grad
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                # Release the closure so intermediate buffers can be freed.
-                node._backward = None
-                node._prev = ()
+        The one public backward: a root captured by a live
+        :class:`~repro.autograd.compile.BackwardTape` round runs that
+        tape (record, or guard then replay); any other root runs the
+        interpreted sweep.
+        """
+        if _tape_round is None or not _tape_round(self, grad):
+            _seed(self, grad)
+            _sweep(_toposort(self))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -252,163 +295,174 @@ class Tensor:
             np.asarray(other, dtype=self.data.dtype)
         )
 
+    @defvjp(fresh=False, bufs=_views)
+    def _add(node, g, out):
+        return g, g
+
     def __add__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out_data = self.data + other.data
-
-        def backward(g: np.ndarray) -> None:
-            self._accum(g)
-            other._accum(g)
-
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(self.data + other.data, (self, other), Tensor._add)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Tensor":
-        def backward(g: np.ndarray) -> None:
-            self._accum(-g, owned=True)
+    @defvjp(bufs=_like_out(1))
+    def _neg(node, g, out):
+        return (np.negative(g, out=out[0]),)
 
-        return Tensor._make(-self.data, (self,), backward)
+    def __neg__(self) -> "Tensor":
+        return Tensor._make(-self.data, (self,), Tensor._neg)
+
+    @defvjp(
+        fresh=(False, True),
+        bufs=lambda node: (node.data.shape if node._prev[1].requires_grad else None,),
+    )
+    def _sub(node, g, out):
+        return g, np.negative(g, out=out[0]) if node._prev[1].requires_grad else None
 
     def __sub__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out_data = self.data - other.data
-
-        def backward(g: np.ndarray) -> None:
-            self._accum(g)
-            other._accum(-g, owned=True)
-
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(self.data - other.data, (self, other), Tensor._sub)
 
     def __rsub__(self, other) -> "Tensor":
         return self._coerce(other) - self
 
+    @defvjp(bufs=_like_out_per_parent)
+    def _mul(node, g, out):
+        a, b = node._prev
+        return (
+            np.multiply(g, b.data, out=out[0]) if a.requires_grad else None,
+            np.multiply(g, a.data, out=out[1]) if b.requires_grad else None,
+        )
+
     def __mul__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out_data = self.data * other.data
-
-        def backward(g: np.ndarray) -> None:
-            self._accum(g * other.data, owned=True)
-            other._accum(g * self.data, owned=True)
-
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(self.data * other.data, (self, other), Tensor._mul)
 
     __rmul__ = __mul__
 
+    @defvjp()
+    def _div(node, g, out):
+        a, b = node._prev
+        return g / b.data, -g * a.data / (b.data * b.data)
+
     def __truediv__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out_data = self.data / other.data
-
-        def backward(g: np.ndarray) -> None:
-            self._accum(g / other.data, owned=True)
-            other._accum(-g * self.data / (other.data * other.data), owned=True)
-
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(self.data / other.data, (self, other), Tensor._div)
 
     def __rtruediv__(self, other) -> "Tensor":
         return self._coerce(other) / self
 
+    @defvjp()
+    def _pow(node, g, out):
+        (exponent,) = node._saved
+        if np.ndim(exponent) == 0 and exponent == 0:
+            # x**0 is constant, also at x == 0, where the general
+            # formula reads 0 * 0**-1 = nan.
+            return (np.zeros_like(g),)
+        return (g * exponent * node._prev[0].data ** (exponent - 1),)
+
     def __pow__(self, exponent: float) -> "Tensor":
         if isinstance(exponent, Tensor):
             raise GradError("tensor exponents are not supported; use exp/log")
-        out_data = self.data**exponent
+        return Tensor._make(self.data**exponent, (self,), Tensor._pow, (exponent,))
 
-        def backward(g: np.ndarray) -> None:
-            self._accum(g * exponent * self.data ** (exponent - 1), owned=True)
+    def _matmul_bufs(node):
+        a, b = node._prev
+        if a.data.ndim < 2 or b.data.ndim < 2:
+            return None  # 1-D operands take the outer-product path
+        out = node.data.shape
+        return (
+            np.broadcast_shapes(out[:-2], b.shape[:-2]) + (out[-2], b.shape[-2])
+            if a.requires_grad else None,
+            np.broadcast_shapes(out[:-2], a.shape[:-2]) + (a.shape[-1], out[-1])
+            if b.requires_grad else None,
+        )
 
-        return Tensor._make(out_data, (self,), backward)
+    @defvjp(bufs=_matmul_bufs)
+    def _matmul(node, g, out):
+        a, b = node._prev
+        ga = gb = None
+        if a.requires_grad:
+            if b.data.ndim == 1:
+                ga = np.multiply.outer(g, b.data) if g.ndim else g * b.data
+            else:
+                ga = np.matmul(g, b.data.swapaxes(-1, -2), out=out[0])
+        if b.requires_grad:
+            if a.data.ndim == 1:
+                gb = np.multiply.outer(a.data, g)
+            else:
+                gb = np.matmul(a.data.swapaxes(-1, -2), g, out=out[1])
+        return ga, gb
 
     def __matmul__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out_data = self.data @ other.data
-        a, b = self, other
-
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                if b.data.ndim == 1:
-                    ga = np.multiply.outer(g, b.data) if g.ndim else g * b.data
-                else:
-                    ga = g @ b.data.swapaxes(-1, -2)
-                a._accum(ga, owned=True)
-            if b.requires_grad:
-                if a.data.ndim == 1:
-                    gb = np.multiply.outer(a.data, g)
-                else:
-                    gb = a.data.swapaxes(-1, -2) @ g
-                b._accum(gb, owned=True)
-
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(self.data @ other.data, (self, other), Tensor._matmul)
 
     # -- elementwise functions --------------------------------------------------
 
+    @defvjp()
+    def _exp(node, g, out):
+        return (g * node.data,)
+
     def exp(self) -> "Tensor":
         """Element-wise natural exponential."""
-        out_data = np.exp(self.data)
+        return Tensor._make(np.exp(self.data), (self,), Tensor._exp)
 
-        def backward(g: np.ndarray) -> None:
-            self._accum(g * out_data, owned=True)
-
-        return Tensor._make(out_data, (self,), backward)
+    @defvjp()
+    def _log(node, g, out):
+        return (g / node._prev[0].data,)
 
     def log(self) -> "Tensor":
         """Element-wise natural logarithm."""
-        out_data = np.log(self.data)
+        return Tensor._make(np.log(self.data), (self,), Tensor._log)
 
-        def backward(g: np.ndarray) -> None:
-            self._accum(g / self.data, owned=True)
-
-        return Tensor._make(out_data, (self,), backward)
+    @defvjp()
+    def _sqrt(node, g, out):
+        return (g * 0.5 / node.data,)
 
     def sqrt(self) -> "Tensor":
         """Element-wise square root."""
-        out_data = np.sqrt(self.data)
+        return Tensor._make(np.sqrt(self.data), (self,), Tensor._sqrt)
 
-        def backward(g: np.ndarray) -> None:
-            self._accum(g * 0.5 / out_data, owned=True)
-
-        return Tensor._make(out_data, (self,), backward)
+    @defvjp()
+    def _tanh(node, g, out):
+        return (g * (1.0 - node.data * node.data),)
 
     def tanh(self) -> "Tensor":
         """Element-wise hyperbolic tangent."""
-        out_data = np.tanh(self.data)
+        return Tensor._make(np.tanh(self.data), (self,), Tensor._tanh)
 
-        def backward(g: np.ndarray) -> None:
-            self._accum(g * (1.0 - out_data * out_data), owned=True)
-
-        return Tensor._make(out_data, (self,), backward)
+    @defvjp()
+    def _sigmoid(node, g, out):
+        return (g * node.data * (1.0 - node.data),)
 
     def sigmoid(self) -> "Tensor":
-        # Numerically stable logistic via tanh.
         """Element-wise logistic function ``1 / (1 + exp(-x))``."""
-        out_data = 0.5 * (np.tanh(0.5 * self.data) + 1.0)
+        # Numerically stable logistic via tanh.
+        return Tensor._make(0.5 * (np.tanh(0.5 * self.data) + 1.0), (self,), Tensor._sigmoid)
 
-        def backward(g: np.ndarray) -> None:
-            self._accum(g * out_data * (1.0 - out_data), owned=True)
-
-        return Tensor._make(out_data, (self,), backward)
+    @defvjp()
+    def _abs(node, g, out):
+        return (g * np.sign(node._prev[0].data),)
 
     def abs(self) -> "Tensor":
         """Element-wise absolute value."""
-        out_data = np.abs(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            self._accum(g * np.sign(self.data), owned=True)
-
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(np.abs(self.data), (self,), Tensor._abs)
 
     # -- reductions ---------------------------------------------------------------
+
+    @defvjp(fresh=False)
+    def _sum(node, g, out):
+        axis, keepdims = node._saved
+        grad = np.asarray(g)
+        if axis is not None and not keepdims:
+            grad = np.expand_dims(grad, axis=axis)
+        return (np.broadcast_to(grad, node._prev[0].data.shape),)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Sum over ``axis`` (or all elements)."""
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(g: np.ndarray) -> None:
-            grad = np.asarray(g)
-            if axis is not None and not keepdims:
-                grad = np.expand_dims(grad, axis=axis)
-            self._accum(np.broadcast_to(grad, self.data.shape))
-
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(out_data, (self,), Tensor._sum, (axis, keepdims))
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Mean over ``axis`` (or all elements), with gradient spread evenly."""
@@ -423,17 +477,22 @@ class Tensor:
 
     # -- shape manipulation ----------------------------------------------------------
 
+    @defvjp(fresh=False, bufs=_views)
+    def _reshape(node, g, out):
+        return (g.reshape(node._prev[0].data.shape),)
+
     def reshape(self, *shape) -> "Tensor":
         """A reshaped graph-tracked view with the same total size."""
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        original = self.data.shape
-        out_data = self.data.reshape(shape)
+        return Tensor._make(self.data.reshape(shape), (self,), Tensor._reshape)
 
-        def backward(g: np.ndarray) -> None:
-            self._accum(g.reshape(original))
-
-        return Tensor._make(out_data, (self,), backward)
+    @defvjp(fresh=False, bufs=_views)
+    def _transpose(node, g, out):
+        (axes,) = node._saved
+        # The inverse permutation (an argsort) is worked out here, not in
+        # the forward: it only matters on the grad-requiring path.
+        return (g.transpose(sorted(range(len(axes)), key=axes.__getitem__)),)
 
     def transpose(self, *axes) -> "Tensor":
         """Permute axes (default: reverse them), tracked for gradients."""
@@ -441,66 +500,52 @@ class Tensor:
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.data.ndim)))
-        out_data = self.data.transpose(axes)
+        return Tensor._make(self.data.transpose(axes), (self,), Tensor._transpose, (axes,))
 
-        def backward(g: np.ndarray) -> None:
-            # argsort deferred into the closure: it only matters on the
-            # grad-requiring path, and forward calls dominate.
-            self._accum(g.transpose(np.argsort(axes)))
-
-        return Tensor._make(out_data, (self,), backward)
+    @defvjp(fresh=False, bufs=_views)
+    def _swapaxes(node, g, out):
+        return (np.swapaxes(g, *node._saved),)
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
         """Interchange two axes, tracked for gradients."""
-        out_data = np.swapaxes(self.data, a, b)
-
-        def backward(g: np.ndarray) -> None:
-            self._accum(np.swapaxes(g, a, b))
-
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(np.swapaxes(self.data, a, b), (self,), Tensor._swapaxes, (a, b))
 
     @property
     def T(self) -> "Tensor":
         """The matrix transpose, as a graph-tracked view (alias of ``transpose()``)."""
         return self.transpose()
 
+    @defvjp()
+    def _getitem(node, g, out):
+        (idx,) = node._saved
+        full = np.zeros_like(node._prev[0].data)
+        if _is_fancy(idx):
+            np.add.at(full, idx, g)
+        else:
+            full[idx] = g
+        return (full,)
+
     def __getitem__(self, idx) -> "Tensor":
-        out_data = self.data[idx]
-        uses_fancy = _is_fancy(idx)
-
-        def backward(g: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            full = np.zeros_like(self.data)
-            if uses_fancy:
-                np.add.at(full, idx, g)
-            else:
-                full[idx] = g
-            self._accum(full, owned=True)
-
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(self.data[idx], (self,), Tensor._getitem, (idx,))
 
     # -- misc ------------------------------------------------------------------------
 
+    @defvjp()
+    def _mask(node, g, out):
+        """Shared by every op whose gradient is ``g`` gated by a saved mask."""
+        return (g * node._saved[0],)
+
     def clip(self, low: float, high: float) -> "Tensor":
-        """Element-wise clamp into ``[min_value, max_value]``."""
-        out_data = np.clip(self.data, low, high)
+        """Element-wise clamp into ``[low, high]`` (gradient flows inside it)."""
         mask = (self.data >= low) & (self.data <= high)
-
-        def backward(g: np.ndarray) -> None:
-            self._accum(g * mask, owned=True)
-
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(np.clip(self.data, low, high), (self,), Tensor._mask, (mask,))
 
     def maximum(self, other: float) -> "Tensor":
-        """Element-wise maximum against another tensor or scalar."""
-        out_data = np.maximum(self.data, other)
+        """Element-wise maximum against the scalar ``other``."""
+        if isinstance(other, Tensor):
+            raise GradError("tensor operands are not supported by maximum(); pass a scalar")
         mask = self.data > other
-
-        def backward(g: np.ndarray) -> None:
-            self._accum(g * mask, owned=True)
-
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(np.maximum(self.data, other), (self,), Tensor._mask, (mask,))
 
 
 def _item_err(t: Tensor):
@@ -524,32 +569,99 @@ def _is_fancy(idx) -> bool:
     return False
 
 
+# -- the interpreted backward ------------------------------------------------------
+
+def _seed(root: Tensor, grad: np.ndarray | None) -> None:
+    """Validate ``grad`` (default: ones for a scalar) and write it into ``root.grad``."""
+    if not root.requires_grad:
+        raise GradError("backward() on a tensor that does not require grad")
+    if grad is None:
+        if root.data.size != 1:
+            raise GradError(
+                f"backward() without an explicit gradient requires a scalar; got shape {root.shape}"
+            )
+        grad = np.ones_like(root.data)
+    grad = np.asarray(grad, dtype=root.data.dtype)
+    if grad.shape != root.data.shape:
+        raise ShapeError(f"gradient shape {grad.shape} != tensor shape {root.shape}")
+    if root.grad is None:
+        root.grad = grad.copy()
+    else:
+        root.grad += grad
+
+
+def _toposort(root: Tensor) -> list[Tensor]:
+    """Every tensor ``root`` depends on, parents before consumers (iterative DFS)."""
+    topo: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._prev:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    return topo
+
+
+def _backprop(node: Tensor) -> None:
+    """Run ``node``'s VJP, allocating, and accumulate into its parents."""
+    op = node._backward
+    for parent, g, fresh in zip(node._prev, op.vjp(node, node.grad, _ALLOCATE), op.fresh):
+        if g is not None:
+            parent._accum(g, fresh)
+
+
+def _sweep(topo: list[Tensor], release: bool = True) -> None:
+    """Backpropagate through ``topo`` in reverse, from gradients already seeded.
+
+    ``release`` drops each node's op, saved tuple and parents once it has
+    run, so intermediate buffers free as the sweep proceeds; a tape's
+    record round keeps them to size its buffers from.
+    """
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            _backprop(node)
+            if release:
+                node._backward = None
+                node._saved = node._prev = ()
+
+
+@defvjp(fresh=False)
+def _cat(node, g, out):
+    axis, offsets = node._saved
+    slicer = [slice(None)] * g.ndim
+    grads = []
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        slicer[axis] = slice(lo, hi)
+        grads.append(g[tuple(slicer)])
+    return grads
+
+
 def cat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along an axis (differentiable)."""
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("cat() of an empty sequence")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    return Tensor._make(out_data, tensors, _cat, (axis, offsets))
 
-    def backward(g: np.ndarray) -> None:
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            slicer = [slice(None)] * g.ndim
-            slicer[axis] = slice(lo, hi)
-            t._accum(g[tuple(slicer)])
 
-    return Tensor._make(out_data, tensors, backward)
+@defvjp(fresh=False)
+def _stack(node, g, out):
+    (axis,) = node._saved
+    return [np.squeeze(part, axis=axis) for part in np.split(g, len(node._prev), axis=axis)]
 
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis (differentiable)."""
     tensors = list(tensors)
     out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g: np.ndarray) -> None:
-        parts = np.split(g, len(tensors), axis=axis)
-        for t, part in zip(tensors, parts):
-            t._accum(np.squeeze(part, axis=axis))
-
-    return Tensor._make(out_data, tensors, backward)
+    return Tensor._make(out_data, tensors, _stack, (axis,))

@@ -91,9 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "with --faults, continue a chaos soak from its "
                               "last leg's checkpoint with the remaining "
                               "fault schedule")
-    p_train.add_argument("--compile", action="store_true",
-                         help="record the backward pass once and replay it "
-                              "(bitwise-identical; see docs/autograd.md)")
     p_train.add_argument("--topology", default=None, metavar="CLUSTER_YAML",
                          help="cluster topology YAML (see docs/topology.md); "
                               "runs the hierarchical communicator with "
@@ -273,7 +270,6 @@ def _cmd_train(args) -> int:
         checkpoint_strategy=args.strategy,
         checkpoint_interval=args.interval,
         max_checkpoints=args.max_checkpoints,
-        compile=args.compile,
         topology=topology,
     )
     if args.faults:

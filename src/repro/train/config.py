@@ -52,10 +52,6 @@ class TrainConfig:
     scheduler: str = "warmup_cosine"
     warmup_steps: int = 10
     total_steps: int = 100
-    # Record the backward pass once and replay it on later steps
-    # (repro.autograd.compile).  Bitwise-identical to the interpreted
-    # backward; opt-in.
-    compile: bool = False
 
     # Checkpointing.
     checkpoint_strategy: str = "full"

@@ -6,7 +6,10 @@ Responsibilities:
   param groups → ZeRO engine → scheduler → strategy callbacks);
 * run deterministic steps — the batch at step ``t`` is a pure function
   of ``(seed, t, rank, accum_index)``, so resumed runs replay the exact
-  data order of uninterrupted ones;
+  data order of uninterrupted ones; every micro-batch's forward is one
+  :class:`~repro.autograd.compile.BackwardTape` capture round, so its
+  ``loss.backward()`` records once and replays afterwards (bitwise the
+  interpreted sweep), gradients landing in the engine's staging buffers;
 * write full/partial checkpoints per the strategy, with simulated-clock
   charging for compute and I/O;
 * resume from any *complete* checkpoint (including LLMTailor merges),
@@ -186,14 +189,12 @@ class Trainer:
             total_steps=config.total_steps,
         )
 
-        # Opt-in backward-tape compiler: record the first micro-batch's
-        # backward, replay it for every later one (bitwise-identical).
-        # Gradients are donated straight into the engine's reduce-scatter
-        # staging buffers, so the tape's terminal writes are the
-        # collective's inputs.
-        self.tape: BackwardTape | None = None
-        if config.compile:
-            self.tape = BackwardTape(donate=self.engine.grad_donation_views())
+        # Backward-tape compiler: record the first micro-batch's backward,
+        # replay it for every later one (bitwise-identical).  Gradients
+        # are donated straight into the engine's reduce-scatter staging
+        # buffers, so the tape's terminal writes are the collective's
+        # inputs.
+        self.tape = BackwardTape(donate=self.engine.grad_donation_views())
 
         self.strategy = build_strategy(
             config.checkpoint_strategy,
@@ -255,7 +256,11 @@ class Trainer:
         return self.dataset.batch_at_step(step, self.config.micro_batch_size, tag=tag)
 
     def train_step(self, step: int) -> float:
-        """Forward/backward over every rank's micro-batches, then update."""
+        """Forward/backward over every rank's micro-batches, then update.
+
+        Each micro-batch is one tape round: the forward is captured and
+        ``loss.backward()`` runs through :attr:`tape`.
+        """
         cfg = self.config
         if self.fault_plan is not None:
             # Position the fault schedule before the step's collectives
@@ -267,13 +272,9 @@ class Trainer:
         for rank in range(cfg.world_size):
             for accum in range(cfg.grad_accum_steps):
                 batch = self._micro_batch(step, rank, accum)
-                if self.tape is not None:
-                    with self.tape.capture():
-                        loss = self.model.loss(batch.input_ids, batch.labels)
-                    self.tape.backward(loss)
-                else:
+                with self.tape.capture():
                     loss = self.model.loss(batch.input_ids, batch.labels)
-                    loss.backward()
+                loss.backward()
                 total_loss += loss.item()
         # Average accumulated gradients over all micro-batches.
         inv = 1.0 / n_micro

@@ -14,20 +14,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.autograd import BackwardTape, Tensor, no_grad, silu
+from repro.autograd import BackwardTape, TapeStats, Tensor, gelu, no_grad, silu
 from repro.autograd.gradcheck import numerical_grad
 from repro.core.groups import tailored_param_groups
 from repro.dist import ZeroStage3Engine
-from repro.nn import build_model
+from repro.nn import build_model, get_config
 from repro.optim.lr_scheduler import WarmupCosine
+from repro.train import TrainConfig, Trainer
 from repro.util.errors import GradError
 
-from conftest import ReferenceZeroEngine
+from conftest import ReferenceZeroEngine, interpreted_oracle
 
 
 def _taped_pair(config, world_size, *, lr=1e-3, seed=1):
     """Same-seed (model, engine, tape) twins: one compiled into the engine's
-    donated buffers, one interpreted into the allocate-per-step oracle."""
+    donated buffers, one interpreted (its tape disabled) into the
+    allocate-per-step oracle."""
     pair = []
     for compiled in (True, False):
         model = build_model(config, seed=seed)
@@ -35,19 +37,18 @@ def _taped_pair(config, world_size, *, lr=1e-3, seed=1):
             model, config, tailored_param_groups(model, config, 0.01),
             world_size=world_size, lr=lr,
         )
-        tape = BackwardTape(donate=engine.grad_donation_views()) if compiled else None
+        tape = (
+            BackwardTape(donate=engine.grad_donation_views()) if compiled
+            else interpreted_oracle(BackwardTape())
+        )
         pair.append((model, engine, tape))
     return pair
 
 
 def _backward(model, tape, ids, labels):
-    if tape is not None:
-        with tape.capture():
-            loss = model.loss(ids, labels)
-        tape.backward(loss)
-    else:
+    with tape.capture():
         loss = model.loss(ids, labels)
-        loss.backward()
+    loss.backward()
     return loss
 
 
@@ -82,7 +83,7 @@ class TestCompiledMatchesInterpreted:
     @pytest.mark.parametrize("world_size", [1, 2, 4])
     @pytest.mark.parametrize("with_scheduler", [False, True])
     def test_bitwise_identical_training(self, untied_config, world_size, with_scheduler):
-        (mc, ec, tape), (mi, ei, _) = _taped_pair(untied_config, world_size)
+        (mc, ec, tape), (mi, ei, oracle) = _taped_pair(untied_config, world_size)
         scheds = []
         if with_scheduler:
             scheds = [
@@ -94,7 +95,7 @@ class TestCompiledMatchesInterpreted:
         labels = np.roll(ids, -1, axis=1)
         for _ in range(6):
             losses = []
-            for model, engine, t in ((mc, ec, tape), (mi, ei, None)):
+            for model, engine, t in ((mc, ec, tape), (mi, ei, oracle)):
                 engine.zero_grad()
                 loss = _backward(model, t, ids, labels)
                 engine.step()
@@ -110,13 +111,14 @@ class TestCompiledMatchesInterpreted:
         assert tape.stats.replays == 5
         assert tape.stats.kernel_fallbacks == 0
         assert tape.compiled
+        assert (oracle.stats.interpreted, oracle.stats.records) == (7, 0)
 
     @pytest.mark.parametrize("world_size", [1, 2, 4])
     def test_partial_group_steps_interleaved(self, untied_config, world_size):
         """Taped steps compose with manual partial-group steps: a step
         whose gradients were set by hand (not donated) must behave
         identically, and the taped step after it must re-donate."""
-        (mc, ec, tape), (mi, ei, _) = _taped_pair(untied_config, world_size)
+        (mc, ec, tape), (mi, ei, oracle) = _taped_pair(untied_config, world_size)
         rng = np.random.default_rng(3)
         grads = {}
 
@@ -140,17 +142,17 @@ class TestCompiledMatchesInterpreted:
         n_groups = len(ec.group_meta)
         for touched in ([0, 1], [], [n_groups - 1], list(range(0, n_groups, 2))):
             taped_step(mc, ec, tape)
-            taped_step(mi, ei, None)
+            taped_step(mi, ei, oracle)
             partial_step(ec, touched)
             partial_step(ei, touched)
         taped_step(mc, ec, tape)
-        taped_step(mi, ei, None)
+        taped_step(mi, ei, oracle)
         _assert_engines_bitwise_equal(ec, ei)
 
     def test_micro_batch_accumulation(self, untied_config):
         """Multiple capture rounds per step accumulate into the donated
         staging views exactly like interpreted ``+=`` on fresh arrays."""
-        (mc, ec, tape), (mi, ei, _) = _taped_pair(untied_config, 2)
+        (mc, ec, tape), (mi, ei, oracle) = _taped_pair(untied_config, 2)
         data_rng = np.random.default_rng(23)
         batches = [
             data_rng.integers(0, untied_config.vocab_size, size=(2, 16))
@@ -162,7 +164,7 @@ class TestCompiledMatchesInterpreted:
             for ids in batches:
                 labels = np.roll(ids, -1, axis=1)
                 la = _backward(mc, tape, ids, labels)
-                lb = _backward(mi, None, ids, labels)
+                lb = _backward(mi, oracle, ids, labels)
                 assert la.item() == lb.item()
             for model in (mc, mi):
                 for p in model.parameters():
@@ -216,7 +218,7 @@ class TestTapeLifecycle:
         x = Tensor(np.asarray(x_data, dtype=np.float64))
         with tape.capture():
             loss = ((w * x) * (w * x)).sum()
-        tape.backward(loss)
+        loss.backward()
         return loss
 
     def test_shape_change_invalidates_and_rerecords(self):
@@ -231,7 +233,7 @@ class TestTapeLifecycle:
         x = Tensor(np.asarray([1.0, 2.0], dtype=np.float64))
         with tape.capture():
             loss = ((w.reshape((2, 2)) @ x) * (w.reshape((2, 2)) @ x)).sum()
-        tape.backward(loss)
+        loss.backward()
         assert tape.stats.invalidations == 1
         assert tape.stats.records == 2
         assert "changed" in tape.stats.last_invalidation
@@ -272,7 +274,7 @@ class TestTapeLifecycle:
                     loss = (h * scale.data.item()).sum()
                 else:
                     loss = (h * (h * h).sum().data.item()).sum()
-            tape.backward(loss)
+            loss.backward()
             return w.grad.copy()
 
         g0 = round_(False)
@@ -297,7 +299,17 @@ class TestTapeLifecycle:
         with tape.capture():
             pass  # nothing recorded
         loss = (w * w).sum()  # built outside the capture window
-        tape.backward(loss)
+        loss.backward()
+        # A root the round did not capture is none of the tape's business.
+        assert tape.stats == TapeStats()
+        np.testing.assert_array_equal(w.grad, 2.0 * np.ones(3))
+        # A captured root over a graph that reaches outside the capture
+        # cannot be bound by creation order: the tape disables itself.
+        w.grad = None
+        sq = w * w
+        with tape.capture():
+            loss = sq.sum()
+        loss.backward()
         assert tape.stats.disabled_reason is not None
         assert tape.stats.interpreted == 1
         np.testing.assert_array_equal(w.grad, 2.0 * np.ones(3))
@@ -305,15 +317,25 @@ class TestTapeLifecycle:
         w.grad = None
         with tape.capture():
             loss = (w * w).sum()
-        tape.backward(loss)
+        loss.backward()
         assert tape.stats.interpreted == 2
         np.testing.assert_array_equal(w.grad, 2.0 * np.ones(3))
 
-    def test_backward_requires_capture_round(self):
+    def test_round_is_spent_by_its_first_backward(self):
+        """``backward()`` inside the capture block runs the tape too; a
+        second ``backward()`` on the same root finds no live round."""
+        w = Tensor(np.arange(3.0), requires_grad=True)
         tape = BackwardTape()
-        w = Tensor(np.ones(2), requires_grad=True)
-        with pytest.raises(GradError, match="capture"):
-            tape.backward((w * w).sum())
+        for _ in range(2):
+            w.grad = None
+            with tape.capture():
+                loss = (w * w).sum()
+                loss.backward()
+            np.testing.assert_array_equal(w.grad, 2.0 * np.arange(3.0))
+        assert (tape.stats.records, tape.stats.replays) == (1, 1)
+        loss.backward()  # graph already released: seeds the root, reaches nothing
+        assert (tape.stats.records, tape.stats.replays) == (1, 1)
+        np.testing.assert_array_equal(w.grad, 2.0 * np.arange(3.0))
 
     def test_nested_capture_raises(self):
         tape = BackwardTape()
@@ -356,7 +378,7 @@ class TestBitwiseCanaries:
             x.grad = None
             with tape.capture():
                 loss = (x * float(c0) + x * float(c1) + x * float(c2)).sum()
-            tape.backward(loss)
+            loss.backward()
             return x.grad.copy()
 
         x = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
@@ -381,7 +403,7 @@ class TestBitwiseCanaries:
             x.grad = None
             with tape.capture():
                 loss = (x * (-0.0) + x * (-0.0)).sum()
-            tape.backward(loss)
+            loss.backward()
             return x.grad.copy()
 
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
@@ -395,35 +417,40 @@ class TestBitwiseCanaries:
 
 class TestGradcheckOverReplay:
     def test_replayed_tape_matches_numerical_gradient(self):
+        """Through record + replay, for an op that declares scratch
+        buffers (silu) and a cold one replayed allocating (gelu)."""
         rng = np.random.default_rng(0)
         w1 = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
         w2 = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
         x_data = rng.standard_normal((2, 4))
 
-        def forward(params):
-            a, b = params
-            x = Tensor(x_data)
-            return (silu(x @ a) @ b).sum()
+        # ``sum`` is cold too, hence one allocating entry under silu.
+        for activation, allocating in ((silu, 1), (gelu, 2)):
+            def forward(params):
+                a, b = params
+                x = Tensor(x_data)
+                return (activation(x @ a) @ b).sum()
 
-        tape = BackwardTape()
+            tape = BackwardTape()
 
-        def taped_grads():
-            w1.grad = None
-            w2.grad = None
-            with tape.capture():
-                loss = forward([w1, w2])
-            tape.backward(loss)
-            return w1.grad.copy(), w2.grad.copy()
+            def taped_grads():
+                w1.grad = None
+                w2.grad = None
+                with tape.capture():
+                    loss = forward([w1, w2])
+                loss.backward()
+                return w1.grad.copy(), w2.grad.copy()
 
-        g_rec = taped_grads()
-        g_rep = taped_grads()
-        assert tape.stats.replays == 1
-        for a, b in zip(g_rec, g_rep):
-            np.testing.assert_array_equal(a, b)
-        for idx, (t, g) in enumerate(zip((w1, w2), g_rep)):
-            num = numerical_grad(forward, [w1, w2], idx)
-            np.testing.assert_allclose(g, num, rtol=1e-4, atol=1e-6,
-                                       err_msg=f"param {idx}")
+            g_rec = taped_grads()
+            g_rep = taped_grads()
+            assert tape.stats.replays == 1
+            assert tape.stats.kernel_fallbacks == allocating
+            for a, b in zip(g_rec, g_rep):
+                np.testing.assert_array_equal(a, b)
+            for idx, g in enumerate(g_rep):
+                num = numerical_grad(forward, [w1, w2], idx)
+                np.testing.assert_allclose(g, num, rtol=1e-4, atol=1e-6,
+                                           err_msg=f"{activation.__name__} param {idx}")
 
 
 class TestReplayAllocations:
@@ -453,7 +480,7 @@ class TestReplayAllocations:
             with tape.capture():
                 loss = model.loss(ids, labels)
             tracemalloc.start()
-            tape.backward(loss)
+            loss.backward()
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             return peak
@@ -466,21 +493,46 @@ class TestReplayAllocations:
             f"replay peak {peak_replay} not well under interpreted {peak_interp}"
         )
 
+    def test_record_round_peak_close_to_interpreted(self):
+        """The record round lets go of its interpreted gradients before
+        the program's buffers are allocated: its forward + backward peak
+        stays near the interpreted one instead of holding both."""
+        config = get_config("llama3.2-1b-sim")
+        ids = np.random.default_rng(0).integers(0, config.vocab_size, size=(2, 48))
+        labels = np.roll(ids, -1, axis=1)
 
-class TestConfigAndCli:
-    def test_train_config_roundtrip(self):
-        from repro.train import TrainConfig
+        def round_peak(tape):
+            model = build_model(config, seed=1)
+            tracemalloc.start()
+            with tape.capture():
+                loss = model.loss(ids, labels)
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            return peak
 
-        cfg = TrainConfig(compile=True)
-        assert TrainConfig.from_dict(cfg.to_dict()).compile is True
-        assert TrainConfig().compile is False
+        interpreted = round_peak(interpreted_oracle(BackwardTape()))
+        tape = BackwardTape()
+        recorded = round_peak(tape)
+        assert tape.stats.records == 1
+        assert recorded <= 1.2 * interpreted, f"{recorded} vs interpreted {interpreted}"
 
-    def test_cli_train_compile_flag(self, tmp_path, capsys):
-        from repro.cli import main
 
-        rc = main([
-            "train", "-o", str(tmp_path / "run"), "--model", "tiny-untied",
-            "--steps", "2", "--interval", "10", "--compile",
-        ])
-        assert rc == 0
-        assert "completed at step 2" in capsys.readouterr().out
+class TestRegistryCoversTraining:
+    @pytest.mark.parametrize("task", ["cpt", "sft"])
+    @pytest.mark.parametrize("model", [
+        "llama3.2-1b-sim", "llama3.1-8b-sim", "qwen2.5-7b-sim",
+        "tiny-untied", "tiny-tied", "tiny-qwen",
+    ])
+    def test_every_entry_buffered_on_builtin_models(self, tmp_path, model, task):
+        """Every op a built-in model's training graph executes declares
+        its scratch buffers, and the graph is the same every step."""
+        trainer = Trainer(TrainConfig(
+            model=model, task=task, total_steps=3, checkpoint_interval=10,
+            output_dir=str(tmp_path), world_size=1, micro_batch_size=1,
+            grad_accum_steps=1, seq_len=32, log_every=10,
+        ))
+        trainer.train()
+        stats = trainer.tape.stats
+        assert (stats.records, stats.replays) == (1, 2)
+        assert (stats.kernel_fallbacks, stats.invalidations, stats.interpreted) == (0, 0, 0)

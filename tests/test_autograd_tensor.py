@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,19 @@ class TestGradCheckPrimitives:
         check_gradients(lambda ts: (-ts[0]).sum(), [a])
         check_gradients(lambda ts: (ts[0] ** 3).sum(), [a])
 
+    def test_pow_gradient_at_zero(self):
+        """d/dx x**0 is 0 everywhere — also at x == 0, where the general
+        formula reads 0 * 0**-1 = nan (with two RuntimeWarnings)."""
+        g = np.array([2.0, 3.0, 5.0])
+        x = Tensor(np.array([0.0, 1.5, -2.0]), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (x ** 0).backward(g)
+        np.testing.assert_array_equal(x.grad, np.zeros(3))
+        x.grad = None
+        (x ** 1).backward(g)
+        np.testing.assert_array_equal(x.grad, g)
+
     def test_matmul_2d(self, rng):
         a = t64((3, 4), rng)
         b = t64((4, 2), rng)
@@ -151,6 +166,8 @@ class TestGradCheckPrimitives:
         check_gradients(lambda ts: ts[0].abs().sum(), [x], eps=1e-7)
         check_gradients(lambda ts: ts[0].clip(-0.5, 0.5).sum(), [x])
         check_gradients(lambda ts: ts[0].maximum(0.0).sum(), [x])
+        with pytest.raises(GradError, match="scalar"):
+            x.maximum(Tensor(np.zeros(6)))
 
     def test_sum_axes(self, rng):
         x = t64((3, 4, 5), rng)

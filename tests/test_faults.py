@@ -37,6 +37,8 @@ from repro.util.errors import (
     TrainingError,
 )
 
+from conftest import interpreted_oracle
+
 
 def chaos_config(tmp_path, **overrides) -> TrainConfig:
     base = dict(
@@ -468,17 +470,17 @@ class TestGrowInvariant:
     wins it back.  Either way the chaos run's final masters, Adam
     moments, and bf16 weights must be bitwise equal to an uninterrupted
     reference resumed from the last recovery point at the final world
-    size — interpreted and compiled.
+    size — the reference taped like the chaos legs, or the interpreted
+    oracle.
     """
 
-    @pytest.mark.parametrize("compile", [False, True])
+    @pytest.mark.parametrize("taped_reference", [False, True])
     @pytest.mark.parametrize("trajectory", sorted(GROW_TRAJECTORIES))
-    def test_grow_then_shrink_bitwise(self, tmp_path, trajectory, compile):
+    def test_grow_then_shrink_bitwise(self, tmp_path, trajectory, taped_reference):
         world_size, events, final_ws = GROW_TRAJECTORIES[trajectory]
         plan = FaultPlan(events=events)
         cfg = chaos_config(
             tmp_path / "chaos", world_size=world_size, total_steps=14,
-            compile=compile,
         )
         supervisor = ChaosSupervisor(cfg, plan)
         result = supervisor.run()
@@ -494,9 +496,10 @@ class TestGrowInvariant:
         ref = Trainer(
             chaos_config(
                 tmp_path / "ref", world_size=final_ws, total_steps=14,
-                compile=compile,
             )
         )
+        if not taped_reference:
+            interpreted_oracle(ref.tape)
         source = supervisor.trainer.storage.root / recovery["source"]
         assert ref.resume_from(CheckpointPaths(source)) == recovery["resumed_from"]
         ref_result = ref.train()

@@ -41,6 +41,8 @@ from repro.strategies import (
 from repro.train import ChaosSupervisor, TrainConfig, Trainer
 from repro.util.errors import ConfigError, DistError
 
+from conftest import interpreted_oracle
+
 REL = 1e-9
 
 
@@ -330,10 +332,12 @@ class TestTrainerBitwise:
 
     def test_compiled_equals_interpreted_under_topology(self, tmp_path):
         topo = Topology(nodes=2, ranks_per_node=2)
-        interp = Trainer(topo_config(tmp_path / "i", topology=topo, compile=False))
+        interp = Trainer(topo_config(tmp_path / "i", topology=topo))
+        interpreted_oracle(interp.tape)
         interp.train()
-        compiled = Trainer(topo_config(tmp_path / "c", topology=topo, compile=True))
+        compiled = Trainer(topo_config(tmp_path / "c", topology=topo))
         compiled.train()
+        assert compiled.tape.stats.replays and not interp.tape.stats.replays
         assert_trainers_bitwise(interp, compiled)
 
     def test_live_bytes_match_planner(self, tmp_path):
@@ -364,14 +368,15 @@ class TestTrainerBitwise:
 # ---------------------------------------------------------------------------
 
 class TestChaosUnderTopology:
-    @pytest.mark.parametrize("compile", [False, True])
-    def test_grow_then_shrink_bitwise(self, tmp_path, compile):
-        """2→3→2 chaos under 2x2 == clean reference at the final world."""
+    @pytest.mark.parametrize("taped_reference", [False, True])
+    def test_grow_then_shrink_bitwise(self, tmp_path, taped_reference):
+        """2→3→2 chaos under 2x2 == clean reference at the final world
+        (the reference taped like the chaos legs, or the interpreted oracle)."""
         topo = Topology(nodes=2, ranks_per_node=2)
         plan = FaultPlan(events=(rank_join(6), rank_failure(10, 2)))
         cfg = topo_config(
             tmp_path / "chaos", topology=topo, world_size=2, total_steps=14,
-            checkpoint_interval=4, compile=compile,
+            checkpoint_interval=4,
         )
         supervisor = ChaosSupervisor(cfg, plan)
         result = supervisor.run()
@@ -382,8 +387,10 @@ class TestChaosUnderTopology:
         recovery = [e for e in timeline.events if e["kind"] == "recovery"][-1]
         ref = Trainer(topo_config(
             tmp_path / "ref", topology=topo, world_size=2, total_steps=14,
-            checkpoint_interval=4, compile=compile,
+            checkpoint_interval=4,
         ))
+        if not taped_reference:
+            interpreted_oracle(ref.tape)
         source = supervisor.trainer.storage.root / recovery["source"]
         assert ref.resume_from(CheckpointPaths(source)) == recovery["resumed_from"]
         assert ref.train().interrupted_at is None

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import repro.dist
+from repro.autograd import BackwardTape
 from repro.cli import main
 from repro.dist import ZeroStage3Engine, reshard_checkpoint
 from repro.io import (
@@ -106,22 +107,28 @@ class TestTrainingLoop:
 
 
 class TestRetiredSurface:
-    """The ``mp`` process-pool backend and the engine's ``fused=False``
-    layout left with no shim — and checkpoints written while the
-    ``comm_backend`` config key existed keep loading."""
+    """The ``mp`` process-pool backend, the engine's ``fused=False``
+    layout and the tape's ``compile`` switch left with no shim — and
+    checkpoints written while the ``comm_backend`` / ``compile`` config
+    keys existed keep loading."""
 
     def test_backend_and_engine_switches_are_gone(self, tmp_path, monkeypatch):
         retired = ("Mp", "HierMp", "SharedArena", "mp_")
         assert [n for n in repro.dist.__all__ if n.startswith(retired)] == []
         engine_params = inspect.signature(ZeroStage3Engine).parameters
         assert not {"fused", "comm_backend"} & set(engine_params)
-        with pytest.raises(TypeError):
-            TrainConfig(comm_backend="sim")
-        with pytest.raises(ConfigError, match="comm_backend"):
-            TrainConfig.from_dict({"comm_backend": "auto"})
-        with pytest.raises(SystemExit) as exit_info:
-            main(["train", "-o", str(tmp_path / "cli"), "--comm-backend", "sim"])
-        assert exit_info.value.code == 2
+        assert not hasattr(BackwardTape, "backward")
+        for key, value, flag in (
+            ("comm_backend", "auto", ["--comm-backend", "sim"]),
+            ("compile", False, ["--compile"]),
+        ):
+            with pytest.raises(TypeError):
+                TrainConfig(**{key: value})
+            with pytest.raises(ConfigError, match=key):
+                TrainConfig.from_dict({key: value})
+            with pytest.raises(SystemExit) as exit_info:
+                main(["train", "-o", str(tmp_path / "cli"), *flag])
+            assert exit_info.value.code == 2
         monkeypatch.setenv("REPRO_COMM_BACKEND", "mp")
         assert Trainer(quick_config(tmp_path, total_steps=2)).train().final_step == 2
         assert not list(Path("/dev/shm").glob("repro-mp-*"))
@@ -136,7 +143,9 @@ class TestRetiredSurface:
         trainer.train()
         for step in list_checkpoint_steps(trainer.storage.root):
             args_path = checkpoint_dir(trainer.storage.root, step).training_args
-            write_json_atomic(args_path, {**read_json(args_path), "comm_backend": "auto"})
+            write_json_atomic(
+                args_path, {**read_json(args_path), "comm_backend": "auto", "compile": False}
+            )
 
         merged = CheckpointPaths(trainer.auto_recover(8))  # merge, then resume_from
         assert trainer.state.global_step == 8
@@ -144,6 +153,7 @@ class TestRetiredSurface:
             merged, model=trainer.model, config=trainer.model_config, engine=trainer.engine,
         )
         assert loaded.training_args["comm_backend"] == "auto"
+        assert loaded.training_args["compile"] is False
         assert main(["verify", str(merged.dir)]) == 0
         reshard_checkpoint(merged, tmp_path / "ws3", 3)
         grown = Trainer(cfg.replace(world_size=3, output_dir=str(tmp_path / "grown")))
