@@ -1,20 +1,18 @@
 #!/usr/bin/env python3
 """Long-horizon elasticity soak: thousands of steps of seeded preemption
-churn, cross-checked against the analytic planner.
+churn, cross-checked against the planner's dry run.
 
 Runs ``llmtailor``'s chaos supervisor over a
 :meth:`FaultPlan.sample_preemption_trace` schedule (exponential
 interarrival + restore) for ``--steps`` steps, then asserts that the
-live goodput report agrees with the config-only
-:func:`repro.strategies.plan_fault_cost` prediction:
+live goodput report *equals* the config-only
+:func:`repro.strategies.plan_fault_cost` dry run — the same supervisor
+over a null leg — with ``==``, no tolerance: lost (replayed) steps,
+reshard loads, grow count, recovery sources, and goodput (useful steps
+per busy sim-second).
 
-* lost (replayed) steps — exact;
-* reshard loads — exact;
-* grow count — exact;
-* goodput (useful steps / busy sim-second) — to 1e-6 relative.
-
-Any disagreement means the live supervisor and the planner have drifted
-apart — the repo's goodput SLO numbers can no longer be trusted — so
+Any disagreement means the null leg no longer charges what a live leg
+charges — the repo's goodput SLO numbers can no longer be trusted — so
 the script exits 1 and prints both sides.  Deterministic end to end:
 one seed pins the trace, the data order, and every recovery decision.
 
@@ -27,8 +25,6 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
-
-REL_TOL = 1e-6
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -47,6 +43,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="cluster shape, e.g. 2x2: soak under the "
                         "hierarchical communicator and hold the planner to "
                         "the same parity bar per link class")
+    parser.add_argument("--strategy", default="full",
+                        choices=("full", "parity", "filtered"),
+                        help="checkpoint strategy of the soaked run and of "
+                        "its dry run (selective trails recover by auto-merge)")
     parser.add_argument("-o", "--output", default=None,
                         help="run directory (default: a temp dir)")
     args = parser.parse_args(argv)
@@ -79,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     output = args.output or tempfile.mkdtemp(prefix="soak-faults-")
     config = TrainConfig(
         model="tiny-untied", task="cpt", total_steps=args.steps,
-        checkpoint_strategy="full", checkpoint_interval=args.interval,
+        checkpoint_strategy=args.strategy, checkpoint_interval=args.interval,
         output_dir=output, world_size=args.world_size,
         micro_batch_size=1, grad_accum_steps=1, seq_len=16,
         log_every=max(1, args.steps // 10),
@@ -98,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     cost = plan_fault_cost(
         supervisor.trainer.model_config, plan, world_size=args.world_size,
         total_steps=args.steps, checkpoint_interval=args.interval,
-        topology=topology,
+        strategy=args.strategy, topology=topology,
     )
     print("predicted:", cost.goodput_report().summary())
 
@@ -116,17 +116,22 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             f"grows: planned {cost.num_joins}, live {timeline.grows}"
         )
-    if abs(cost.goodput - live.goodput) > REL_TOL * max(live.goodput, 1e-12):
+    live_sources = [e["source"] for e in timeline.events if e["kind"] == "recovery"]
+    if list(cost.recovery_sources) != live_sources:
         failures.append(
-            f"goodput: planned {cost.goodput!r}, live {live.goodput!r} "
-            f"(rel tol {REL_TOL})"
+            f"recovery sources: planned {list(cost.recovery_sources)}, "
+            f"live {live_sources}"
+        )
+    if cost.goodput != live.goodput:
+        failures.append(
+            f"goodput: planned {cost.goodput!r}, live {live.goodput!r}"
         )
     if failures:
         print("FAIL: live run and planner disagree:")
         for line in failures:
             print("  -", line)
         return 1
-    print(f"OK: planner matches live goodput {live.goodput:.6f} "
+    print(f"OK: dry run equals live goodput {live.goodput:.6f} "
           f"({timeline.recoveries} recoveries, {timeline.grows} grows)")
     return 0
 

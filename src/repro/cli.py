@@ -151,8 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--cache-mode", choices=("per-checkpoint", "none"),
                         default="per-checkpoint", help="merge estimate: load policy")
     p_plan.add_argument("--faults", default=None, metavar="PLAN_YAML",
-                        help="also estimate the cost of a fault-injection plan "
-                             "(expected lost steps, reshard traffic, slowdown)")
+                        help="also dry-run a fault-injection plan under "
+                             "STRATEGY/--interval (recovery sources, lost "
+                             "steps, reshard traffic, slowdown)")
     p_plan.add_argument("--topology", default=None, metavar="CLUSTER_YAML",
                         help="cluster topology YAML: split the traffic, "
                              "reshard, and fault estimates into intra-node "
@@ -479,13 +480,15 @@ def _cmd_plan(args) -> int:
         faults = plan_fault_cost(
             config, fault_plan, world_size=args.world_size,
             total_steps=args.steps, checkpoint_interval=args.interval,
-            topology=topology,
+            strategy=args.strategy, topology=topology,
         )
         print(
-            f"fault-plan estimate ({faults.num_failures} failure(s), "
-            f"{faults.num_joins} join(s), "
+            f"fault-plan estimate ({faults.strategy} dry run, "
+            f"{faults.num_failures} failure(s), {faults.num_joins} join(s), "
             f"world {faults.world_size} -> {faults.final_world_size}):"
         )
+        sources = ", ".join(s or "init" for s in faults.recovery_sources)
+        print(f"  recovery sources       : {sources or '-'}")
         print(f"  lost (replayed) steps  : {faults.lost_steps}")
         print(f"  executed steps         : {faults.executed_steps} "
               f"(of {faults.total_steps})")

@@ -15,9 +15,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
-from ..io.layout import checkpoint_dir, list_checkpoint_steps
+from ..io.layout import RunIndex, checkpoint_dir
 from ..nn.config import ModelConfig
-from ..nn.slots import model_slots
 from ..util.errors import MergeError
 from ..util.jsonio import read_json
 from .recipe import MergeOptions, MergeRecipe
@@ -29,33 +28,24 @@ def latest_slot_coverage(
     run_root: str | Path, failure_step: int | None = None
 ) -> tuple[dict[str, int], ModelConfig]:
     """Map each slot to the newest checkpoint step (<= failure) carrying it."""
-    run_root = Path(run_root)
-    steps = list_checkpoint_steps(run_root)
-    if failure_step is not None:
-        steps = [s for s in steps if s <= failure_step]
-    if not steps:
-        raise MergeError(
-            f"no usable checkpoints under {run_root}"
-            + (f" at or before step {failure_step}" if failure_step is not None else "")
-        )
+    index = RunIndex(run_root)
+    coverage = index.slot_coverage(failure_step)
+    first = checkpoint_dir(run_root, index.steps(failure_step)[0])
+    return coverage, ModelConfig.from_dict(read_json(first.config))
 
-    config: ModelConfig | None = None
-    coverage: dict[str, int] = {}
-    for step in steps:  # ascending: later checkpoints overwrite earlier
-        paths = checkpoint_dir(run_root, step)
-        manifest = paths.read_manifest()
-        if config is None:
-            config = ModelConfig.from_dict(read_json(paths.config))
-        for slot in manifest.get("slots", []):
-            coverage[slot] = step
-    assert config is not None
-    missing = [s for s in model_slots(config) if s not in coverage]
-    if missing:
-        raise MergeError(
-            f"slots {missing[:6]} were never checkpointed before step "
-            f"{failure_step}; recovery is impossible — checkpoint strategy bug?"
-        )
-    return coverage, config
+
+def _recipe(run_root: Path, coverage: dict[str, int], options: MergeOptions) -> MergeRecipe:
+    """Base = the newest contributing checkpoint; the rest are assignments."""
+    base_step = max(coverage.values())
+    return MergeRecipe(
+        base_checkpoint=checkpoint_dir(run_root, base_step).dir,
+        assignments={
+            slot: checkpoint_dir(run_root, step).dir
+            for slot, step in coverage.items()
+            if step != base_step
+        },
+        options=options,
+    )
 
 
 def recipe_from_run(
@@ -67,20 +57,9 @@ def recipe_from_run(
     verify: bool = True,
 ) -> MergeRecipe:
     """Build a merge recipe by scanning checkpoint manifests on disk."""
-    run_root = Path(run_root)
-    coverage, config = latest_slot_coverage(run_root, failure_step)
-    base_step = max(coverage.values())
-    base = checkpoint_dir(run_root, base_step)
-    assignments = {
-        slot: checkpoint_dir(run_root, step).dir
-        for slot, step in coverage.items()
-        if step != base_step
-    }
-    return MergeRecipe(
-        base_checkpoint=base.dir,
-        assignments=assignments,
-        options=MergeOptions(workers=workers, cache_mode=cache_mode, verify=verify),
-    )
+    coverage = RunIndex(run_root).slot_coverage(failure_step)
+    options = MergeOptions(workers=workers, cache_mode=cache_mode, verify=verify)
+    return _recipe(Path(run_root), coverage, options)
 
 
 def recipe_from_decision_log(
@@ -116,15 +95,4 @@ def recipe_from_decision_log(
         raise MergeError(
             f"decision log {log_path} covers no existing checkpoints under {run_root}"
         )
-    base_step = max(coverage.values())
-    base = checkpoint_dir(run_root, base_step)
-    assignments = {
-        slot: checkpoint_dir(run_root, step).dir
-        for slot, step in coverage.items()
-        if step != base_step
-    }
-    return MergeRecipe(
-        base_checkpoint=base.dir,
-        assignments=assignments,
-        options=MergeOptions(workers=workers, cache_mode=cache_mode),
-    )
+    return _recipe(run_root, coverage, MergeOptions(workers=workers, cache_mode=cache_mode))

@@ -21,6 +21,7 @@ in any checkpoint without extra metadata.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..nn.config import ModelConfig
@@ -32,6 +33,7 @@ from ..util.errors import ConfigError
 
 __all__ = [
     "GroupSpec",
+    "group_numels",
     "tailored_group_specs",
     "tailored_param_groups",
     "groups_for_slot",
@@ -113,6 +115,15 @@ def tailored_group_specs(config: ModelConfig, weight_decay: float = 0.01) -> lis
     if sorted(seen) != sorted(parameter_shapes(config)):
         raise ConfigError("tailored groups do not cover the parameter set exactly")
     return specs
+
+
+def group_numels(config: ModelConfig, weight_decay: float = 0.01) -> list[int]:
+    """Element count of every tailored group, in group order (config only)."""
+    shapes = parameter_shapes(config)
+    return [
+        sum(math.prod(shapes[name]) for name in spec.param_names)
+        for spec in tailored_group_specs(config, weight_decay)
+    ]
 
 
 def tailored_param_groups(

@@ -42,6 +42,7 @@ from ..nn.slots import model_slots
 from ..util.errors import MergeError
 from ..util.timer import WallTimer
 from .groups import groups_for_slot
+from .plan import load_schedule
 
 __all__ = [
     "RankMergeStats",
@@ -149,24 +150,6 @@ def _take_groups(
         hyperparams[g] = available_hyper.get(g, {})
         fp32[g] = shard["fp32_flat_groups"][g]
         state[g] = shard["state"][g]
-
-
-def _load_tasks(
-    config: ModelConfig, spec: dict[str, Any]
-) -> list[tuple[str, list[str]]]:
-    """The load schedule: ``(source_dir, slots)`` per selective read.
-
-    ``cache_mode="none"`` keeps the paper's interleaved one-load-per-slot
-    sequence; ``per-checkpoint`` coalesces every slot taken from the same
-    source into a single selective pass over that shard.
-    """
-    slots = model_slots(config)
-    if spec["cache_mode"] == "none":
-        return [(spec["slot_sources"][slot], [slot]) for slot in slots]
-    by_source: dict[str, list[str]] = {}
-    for slot in slots:
-        by_source.setdefault(spec["slot_sources"][slot], []).append(slot)
-    return list(by_source.items())
 
 
 def _extract(
@@ -324,7 +307,9 @@ def merge_rank_shard(spec: dict[str, Any], rank: int) -> dict[str, Any]:
     config = ModelConfig.from_dict(spec["config"])
     stats = RankMergeStats(rank=rank)
 
-    tasks = _load_tasks(config, spec)
+    tasks = load_schedule(
+        model_slots(config), spec["slot_sources"].__getitem__, spec["cache_mode"]
+    )
     wanted_sets = [
         {g for slot in slots for g in groups_for_slot(config, slot)}
         for _, slots in tasks

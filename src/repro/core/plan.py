@@ -27,7 +27,24 @@ from ..util.jsonio import read_json
 from .groups import slot_of_group
 from .recipe import MergeOptions, MergeRecipe
 
-__all__ = ["MergePlan", "resolve_plan"]
+__all__ = ["MergePlan", "load_schedule", "resolve_plan"]
+
+
+def load_schedule(slots, source_of, cache_mode: str) -> list[tuple]:
+    """The merge load schedule: one ``(source, slots)`` selective read each.
+
+    ``cache_mode="none"`` keeps the paper's interleaved one-load-per-slot
+    sequence; ``per-checkpoint`` coalesces every slot taken from the same
+    source into one pass over that shard.  The engine executes it per
+    rank, admission control sums file sizes over it, and
+    :func:`~repro.strategies.planner.plan_merge_cost` counts it.
+    """
+    if cache_mode == "none":
+        return [(source_of(slot), [slot]) for slot in slots]
+    by_source: dict = {}
+    for slot in slots:
+        by_source.setdefault(source_of(slot), []).append(slot)
+    return list(by_source.items())
 
 
 @dataclass

@@ -60,11 +60,6 @@ class MergeResult:
         return sum(s.bytes_loaded for s in self.rank_stats)
 
     @property
-    def optimizer_load_seconds(self) -> float:
-        """Wall seconds spent loading shard files (summed over ranks)."""
-        return sum(s.load_seconds for s in self.rank_stats)
-
-    @property
     def checkpoints_included(self) -> int:
         """Number of distinct source checkpoints the merge read."""
         return len({v for v in self.plan["slot_sources"].values()})

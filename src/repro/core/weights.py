@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..io.layout import CheckpointPaths, WEIGHTS_NAME
+from ..io.layout import WEIGHTS_NAME
 from ..io.tensorfile import TensorFile, TensorFileWriter
 from ..nn.slots import model_slots, slot_parameter_shapes
 from ..numerics.dtypes import DType, unpack_bits
@@ -105,16 +105,3 @@ def merge_weight_files(plan: MergePlan) -> WeightMergeStats:
     stats.seconds = timer.stop()
     return stats
 
-
-def weights_equal_to_source(
-    output_dir: CheckpointPaths, slot: str, source: CheckpointPaths, config
-) -> bool:
-    """Bitwise check: the merged slot equals the source slot's tensors."""
-    out_reader = TensorFile(output_dir.weights)
-    src_reader = TensorFile(source.weights)
-    for name in slot_parameter_shapes(config)[slot]:
-        a, _ = out_reader.read_raw(name)
-        b, _ = src_reader.read_raw(name)
-        if a != b:
-            return False
-    return True

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..util.errors import DistError
 
-__all__ = ["CommStats", "SimComm"]
+__all__ = ["CommStats", "SimComm", "make_comm"]
 
 
 @dataclass
@@ -241,3 +241,14 @@ class SimComm:
             f"SimComm(world_size={self.world_size}, "
             f"total_bytes={self.stats.total_bytes():.0f})"
         )
+
+
+def make_comm(world_size: int, topology=None) -> SimComm:
+    """The communicator for a world: the flat ring, or — under a
+    :class:`~repro.dist.topology.Topology` — the hierarchical one (same
+    arithmetic, per-link-class byte accounting)."""
+    if topology is None:
+        return SimComm(world_size)
+    from .topology import HierComm  # subclasses SimComm: import lazily
+
+    return HierComm(world_size, topology)

@@ -1,65 +1,38 @@
 """Deterministic fault injection for the simulated ZeRO-3 fleet.
 
-Production data-parallel training is defined by its failures: ranks die
-mid-step, nodes turn into stragglers, links degrade, and storage flips
-bits.  This module is the repo's chaos engine — a *seeded,
-schedule-based* :class:`FaultPlan` that drives the same deterministic
-machinery the happy path uses, so every failure scenario is exactly
-reproducible and every recovery can be pinned bitwise against a
-fault-free reference run:
+The repo's chaos engine: a *seeded, schedule-based* :class:`FaultPlan`
+drives the same deterministic machinery the happy path uses, so every
+failure scenario is exactly reproducible and every recovery can be
+pinned bitwise against a fault-free reference (``docs/faults.md``):
 
-* ``rank_failure(step, rank)`` — the rank dies after the step completes;
-  the supervisor loop in :mod:`repro.train.trainer` shrinks the world
-  N→N-1 and resumes elastically (PR-3 resharding) from the last
-  checkpoint;
-* ``straggler(step, rank, slowdown)`` — the rank runs ``slowdown``×
-  slower for a window of steps; a synchronous data-parallel step is
-  paced by its slowest rank, so the whole world is charged the penalty;
-* ``degraded_link(src, dst, bandwidth_scale)`` — one ring link loses
-  bandwidth; ring collectives are paced by the slowest link, so every
-  collective slows by ``1 / bandwidth_scale``;
-* ``bitrot(step, rank, group)`` — a checkpoint shard's group payload is
-  corrupted on disk after it is written.  Every reader that
-  materializes a group (engine load, merge, reshard) checks its
-  per-group CRC, so the corruption is caught on the next read and
-  recovery re-reads from the surviving replica instead of silently
-  resuming from garbage;
-* ``rank_join(step)`` — a fresh rank becomes available after the step
-  completes; the supervisor *grows* the world N→N+1 through the same
-  elastic reshard path shrink uses (checkpoint at ws N → resume at
-  ws N+1);
-* ``preemption(step, rank, restore_after)`` — spot-instance semantics:
-  the rank is reclaimed after ``step`` (a ``rank_failure``) and
-  replacement capacity arrives ``restore_after`` steps later (a
-  ``rank_join``).  :meth:`FaultPlan.sample_preemption_trace` generates
-  seeded long-horizon preemption churn with exponential interarrival
-  and restore delays;
-* ``node_failure(step, node)`` — a whole node is lost: under a
-  :class:`~repro.dist.topology.Topology` the event expands to one
-  ``rank_failure`` per rank the node hosts, all at the same step, and
-  the supervisor shrinks through them one elastic recovery at a time.
+* ``rank_failure(step, rank)`` — the rank dies after the step; the
+  supervisor (:mod:`repro.train.supervisor`) shrinks the world N→N-1
+  and resumes elastically from the last recoverable point;
+* ``straggler(step, rank, slowdown)`` — a synchronous step is paced by
+  its slowest rank, so the whole world is charged the penalty;
+* ``degraded_link(src, dst, bandwidth_scale)`` — ring collectives are
+  paced by the slowest link: every collective crossing it slows by
+  ``1 / bandwidth_scale`` (under a :mod:`~repro.dist.topology`, only the
+  intra- or inter-node phase that crosses the validated edge);
+* ``bitrot(step, rank, group)`` — a shard's group payload is corrupted
+  on disk after it is written; every reader checks per-group CRCs, so
+  the next read catches it and recovery re-reads the replica;
+* ``rank_join(step)`` — a fresh rank arrives; the supervisor *grows* the
+  world N→N+1 through the same elastic reshard path;
+* ``preemption(step, rank, restore_after)`` — spot semantics: a
+  ``rank_failure`` now, a ``rank_join`` ``restore_after`` steps later
+  (:meth:`FaultPlan.sample_preemption_trace` samples seeded churn);
+* ``node_failure(step, node)`` — under a topology, one ``rank_failure``
+  per rank the node hosts, recovered one elastic shrink at a time.
 
-Faults compose with cluster topology (:mod:`repro.dist.topology`):
-``degraded_link`` targets topology edges (validated at
-:meth:`FaultPlan.validate` time) and is priced only against the
-hierarchical phase — intra-node or inter-node — that actually crosses
-the degraded link.
-
-Elasticity makes *goodput* — useful steps per simulated second — the
-SLO a chaos run reports: :class:`GoodputReport` splits the fleet's
-simulated time into useful, lost (replayed), and stalled (straggler +
-collective-penalty) seconds, with recovery I/O reported alongside.
-
-:class:`ChaosComm` wraps :class:`~repro.dist.comm.SimComm`: the ring
-byte accounting is unchanged (faults do not change how many bytes move)
-but each collective additionally charges simulated *seconds* —
-``bytes / (link_bandwidth / slowdown)`` — into the trainer's
-:class:`~repro.util.timer.SimClock`, which is how straggler and
-degraded-link penalties become visible in the run record.
-
-:class:`FaultTimeline` is the chaos engine's flight recorder: every
-injected fault and every recovery action lands in it, and the trainer
-attaches it to :class:`~repro.train.trainer.TrainResult`.
+:class:`ChaosComm` wraps :class:`~repro.dist.comm.SimComm`: ring bytes
+are unchanged (faults do not change what moves) but each collective
+charges ``bytes / (link_bandwidth / slowdown)`` simulated seconds into
+the trainer's :class:`~repro.util.timer.SimClock`.
+:class:`GoodputReport` splits a run's simulated time into useful, lost
+(replayed) and stalled seconds — useful steps per stepping second is
+the SLO a chaos run reports — and :class:`FaultTimeline` is the flight
+recorder attached to :class:`~repro.train.trainer.TrainResult`.
 """
 
 from __future__ import annotations
@@ -283,17 +256,14 @@ class FaultPlan:
         Explicit ``rank_failure``/``rank_join`` events plus each
         ``preemption`` expanded into its death and its restore join, and
         each ``node_failure`` expanded into one ``rank_failure`` per rank
-        the named node hosts (all at the same step, all targeting the
-        node's first rank — contiguous renumbering after each shrink
-        walks the block out; each carries ``node`` as provenance).
-        Expanding a ``node_failure`` requires ``topology``
-        (a :class:`~repro.dist.topology.Topology`); plans without node
-        faults never need one.  Ordered by step; ties preserve plan
-        order, which also keeps a preemption's join ahead of any later
-        same-step death.  This is the single schedule the supervisor's
-        pending queue and
-        :func:`~repro.strategies.planner.plan_fault_cost`'s replay both
-        walk, so live and predicted trajectories cannot drift.
+        the node hosts (same step, all targeting the node's first rank —
+        contiguous renumbering after each shrink walks the block out;
+        each carries ``node`` as provenance), which requires
+        ``topology`` (a :class:`~repro.dist.topology.Topology`).
+        Ordered by step; ties preserve plan order, which keeps a
+        preemption's join ahead of any later same-step death.  The one
+        schedule the supervisor's pending queue walks, live or in a
+        :func:`~repro.strategies.planner.plan_fault_cost` dry run.
         """
         expanded: list[FaultEvent] = []
         for ev in self.events:
@@ -383,13 +353,10 @@ class FaultPlan:
         Under a topology the hierarchical phases are independent: a
         degraded NVLink slows only the node-local phase, a degraded
         fabric link only the cross-node phase.  Passing ``topology`` and
-        ``link_class`` (``"intra"`` or ``"inter"``) therefore restricts
-        the link penalty to degradations whose endpoints fall in that
-        class; stragglers always apply (a slow rank paces every phase it
-        participates in).  This is exactly how
-        :class:`ChaosComm` prices a hierarchical communicator's
-        ``<op>/<link_class>`` charges, and how
-        :func:`~repro.strategies.planner.plan_fault_cost` predicts them.
+        ``link_class`` (``"intra"`` / ``"inter"``) restricts the link
+        penalty to degradations in that class; stragglers always apply.
+        This is how :class:`ChaosComm` prices a hierarchical
+        communicator's ``<op>/<link_class>`` charges.
         """
         factor = self.compute_slowdown(step, world_size)
         for ev in self.events:
@@ -417,24 +384,20 @@ class FaultPlan:
 
         Failures and joins move the world size one rank at a time, so
         the schedule is checked as a trajectory: each death must name a
-        rank that still exists *at that point in the walk* and must
-        leave at least one survivor; each join (explicit, or the
-        restore half of a preemption) grows the world back.  A
-        preemption restore scheduled beyond ``total_steps`` is legal —
-        the capacity simply never returns.
+        rank that still exists *at that point in the walk* and leave a
+        survivor; each join (explicit, or a preemption's restore half)
+        grows the world back.  A restore scheduled beyond
+        ``total_steps`` is legal — the capacity simply never returns.
 
         With ``topology`` (a :class:`~repro.dist.topology.Topology`) the
         checks extend to the cluster shape: ``node_failure`` events need
         one (and must name a real, fully occupied node), the trajectory
-        may never grow past the cluster's rank capacity, and every
-        ``degraded_link`` must target an actual topology edge — an
-        intra-node pair or a leader-to-leader pair — whose endpoints
-        still exist at the step the degradation begins (nominal
-        schedule, ignoring replay).  The last rule closes a latent gap:
-        a link that never matches the active world is silently ignored
-        by :meth:`comm_slowdown`, so a plan relying on it was a no-op
-        fault — with a topology that is now a loud validation error,
-        including dangling links left behind by earlier shrinks.
+        may never outgrow the cluster's rank capacity, and every
+        ``degraded_link`` must target an actual topology edge (an
+        intra-node or leader-to-leader pair) whose endpoints still exist
+        when the degradation begins (nominal schedule, ignoring replay)
+        — a link that never matches the active world would be silently
+        ignored by :meth:`comm_slowdown`, a no-op fault.
         """
         for ev in self.events:
             if ev.kind not in _KINDS:
@@ -602,14 +565,12 @@ class FaultPlan:
     ) -> "FaultPlan":
         """Generate a random but fully deterministic plan from a seed.
 
-        The generated plan is :meth:`validate`-d against
-        ``(world_size, total_steps)`` before it is returned — sampling
-        and validation are one path, so a sampled plan can never be
-        rejected later by the trainer.  Bitrot group ids are drawn from
-        ``[0, max_group)``;
-        the smallest model configs have 2L+2 ≥ 6 groups, and an id a
-        particular checkpoint does not carry is skipped (recorded, not
-        fatal) at injection time.
+        The plan is :meth:`validate`-d against ``(world_size,
+        total_steps)`` before it is returned, so a sampled plan can
+        never be rejected later by the trainer.  Bitrot group ids are
+        drawn from ``[0, max_group)`` (the smallest configs have ≥ 6
+        groups); an id a checkpoint does not carry is skipped at
+        injection time (recorded, not fatal).
         """
         if n_failures >= world_size:
             raise ConfigError(
@@ -729,13 +690,9 @@ class FaultPlan:
 # ---------------------------------------------------------------------------
 
 class ChaosCommStats(CommStats):
-    """:class:`~repro.dist.comm.CommStats` plus fault-aware time accounting.
-
-    Every charged collective additionally records ``seconds_by_op`` —
-    the simulated seconds it took under the current fault penalties.
-    The byte/call bookkeeping is inherited, so the two charge contracts
-    cannot drift.
-    """
+    """:class:`~repro.dist.comm.CommStats` plus ``seconds_by_op``: the
+    simulated seconds each charged collective took under the current
+    fault penalties (byte/call bookkeeping is inherited)."""
 
     def __init__(self, seconds_fn) -> None:
         super().__init__()
@@ -770,16 +727,11 @@ class ChaosComm:
     Collective *semantics* and byte accounting are exactly the wrapped
     communicator's (faults never change what data moves); what changes
     is the simulated clock: every charged collective costs
-    ``nbytes / link_bandwidth * comm_slowdown(step)`` seconds, advanced
-    on ``clock`` under the ``"comm"`` category.  The trainer calls
-    :meth:`set_step` at the top of each optimizer step so window-scoped
-    events (stragglers, scoped link degradations) apply to exactly the
-    steps they cover.
-
-    Implemented by delegation so it wraps any communicator honoring the
-    ``SimComm`` interface; ``stats`` is replaced with a
-    :class:`ChaosCommStats` so all existing charge sites fund the time
-    model without modification.
+    ``nbytes / link_bandwidth * comm_slowdown(step)`` seconds under the
+    ``"comm"`` category.  A leg calls :meth:`set_step` at the top of
+    each step so window-scoped events apply to exactly the steps they
+    cover.  Wraps by delegation, replacing ``stats`` with a
+    :class:`ChaosCommStats` so every charge site funds the time model.
     """
 
     def __init__(
@@ -931,25 +883,20 @@ class GoodputReport:
     """Where a chaos run's simulated seconds went, and the goodput SLO.
 
     Splits the fleet's stepping time into three buckets measured off
-    the :class:`~repro.util.timer.SimClock`:
-
-    * **useful** — steps that survived into the final state
-      (``useful_steps × sim_step_seconds``, the ``compute`` category
-      minus replay);
-    * **lost** — steps replayed after failures rolled the run back to a
-      checkpoint (``lost_steps × sim_step_seconds``);
-    * **stall** — straggler tax plus penalized collective seconds (the
-      ``fault_straggler`` and ``comm`` clock categories).
+    the :class:`~repro.util.timer.SimClock`: **useful** — steps that
+    survived into the final state (``useful_steps × sim_step_seconds``);
+    **lost** — steps replayed after a failure rolled the run back
+    (``lost_steps × sim_step_seconds``); **stall** — straggler tax plus
+    penalized collective seconds (the ``fault_straggler`` and ``comm``
+    clock categories).
 
     ``goodput = useful_steps / (useful + lost + stall seconds)`` —
     useful steps per simulated second the fleet spends stepping.
     Recovery I/O (checkpoint reads, join sync writes, merges) is
     reported in ``recovery_seconds`` but kept *out* of the goodput
     denominator: the live storage tier prices actual compressed bytes,
-    which a config-only planner cannot reproduce, and goodput must obey
-    the same exactness contract as the rest of
-    :func:`~repro.strategies.planner.plan_fault_cost` (counts exact,
-    seconds to 1e-6).
+    a config-only dry run nominal ones, and goodput must be *equal*
+    between the two (:func:`~repro.strategies.planner.plan_fault_cost`).
     """
 
     useful_steps: int
@@ -1002,9 +949,7 @@ class FaultTimeline:
     """Chronological record of injected faults and recovery actions.
 
     The chaos engine's flight recorder, attached to
-    :class:`~repro.train.trainer.TrainResult` so a run's failures are
-    part of its record the same way its clock and collective traffic
-    are.
+    :class:`~repro.train.trainer.TrainResult`.
     """
 
     events: list[dict] = field(default_factory=list)

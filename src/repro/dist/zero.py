@@ -60,7 +60,7 @@ from ..numerics.dtypes import DType, quantize
 from ..optim.adam import AdamW
 from ..optim.optimizer import ParamGroup
 from ..util.errors import CheckpointError, ConfigError, DistError
-from .comm import SimComm
+from .comm import SimComm, make_comm
 from .partition import GroupPartition, flatten_arrays, unflatten_array
 
 __all__ = ["SHARD_FORMAT_VERSION", "GroupMeta", "ZeroStage3Engine", "group_payload_crc"]
@@ -134,12 +134,7 @@ class ZeroStage3Engine:
         # inherits the flat collectives' arithmetic verbatim, so the
         # choice only changes byte accounting, never results.
         self.topology = topology
-        if topology is None:
-            self.comm: SimComm = SimComm(world_size)  # validates world_size
-        else:
-            from .topology import HierComm
-
-            self.comm = HierComm(world_size, topology)
+        self.comm: SimComm = make_comm(world_size, topology)  # validates world_size
         self.world_size = self.comm.world_size
         self._dtype: DType = config.storage_dtype
 

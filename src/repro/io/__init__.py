@@ -3,6 +3,7 @@
 from .blobfile import BLOB_VERSION, read_blob, write_blob
 from .layout import (
     CheckpointPaths,
+    RunIndex,
     checkpoint_dir,
     list_checkpoint_steps,
     read_latest,
@@ -25,6 +26,7 @@ __all__ = [
     "IOStats",
     "LUSTRE_DEFAULT",
     "LoadedCheckpoint",
+    "RunIndex",
     "Storage",
     "StorageCostModel",
     "TENSORFILE_VERSION",

@@ -26,11 +26,12 @@ import re
 from pathlib import Path
 from typing import Any
 
-from ..util.errors import CheckpointError
-from ..util.jsonio import read_json, write_json_atomic
+from ..util.errors import CheckpointError, MergeError
+from ..util.jsonio import read_json, write_json_atomic, write_text_atomic
 
 __all__ = [
     "CheckpointPaths",
+    "RunIndex",
     "checkpoint_dir",
     "list_checkpoint_steps",
     "read_latest",
@@ -183,12 +184,113 @@ def list_checkpoint_steps(root: str | Path) -> list[int]:
     return sorted(steps)
 
 
+class RunIndex:
+    """The one reader of a run directory: what is on disk, at what shape.
+
+    ``RunIndex(root)`` scans ``root`` once for ``checkpoint-<step>``
+    directories and reads each manifest at most once, on first use — a
+    snapshot for one decision (where to resume, what to prune, which
+    trail to merge).  ``RunIndex(root, manifests={})`` is the dict-backed
+    form a dry run fills through :meth:`record` instead of writing
+    files: same answers, from memory, never touching disk.  Entries are
+    addressed by step (``checkpoint-<step>``) or by directory name (a
+    merged output such as ``"merged-8"``).
+    """
+
+    def __init__(
+        self, root: str | Path, manifests: dict[str, dict[str, Any]] | None = None
+    ) -> None:
+        self.root = Path(root)
+        self._on_disk = manifests is None
+        self._manifests = {} if manifests is None else manifests
+        self._scanned = list_checkpoint_steps(self.root) if self._on_disk else []
+
+    def record(self, name: str, manifest: dict[str, Any]) -> None:
+        """Enter (or overwrite) a manifest — the dict-backed form's write."""
+        self._manifests[name] = manifest
+
+    def steps(self, upto: int | None = None) -> list[int]:
+        """Checkpoint steps under the root (``<= upto``), ascending."""
+        steps = self._scanned if self._on_disk else (
+            int(m.group(1)) for m in map(_CKPT_RE.match, self._manifests) if m
+        )
+        return sorted(s for s in steps if upto is None or s <= upto)
+
+    def manifest(self, key: "int | str") -> dict[str, Any]:
+        """The manifest of ``checkpoint-<key>`` (int) or directory ``key``."""
+        name = key if isinstance(key, str) else f"checkpoint-{key}"
+        if name not in self._manifests:
+            if not self._on_disk:
+                raise CheckpointError(f"no checkpoint {name!r} under {self.root}")
+            self._manifests[name] = CheckpointPaths(self.root / name).read_manifest()
+        return self._manifests[name]
+
+    def is_complete(self, key: "int | str") -> bool:
+        """Whether the entry is a self-sufficient (every-slot) checkpoint."""
+        return bool(self.manifest(key).get("complete", False))
+
+    def complete_steps(self, upto: int | None = None) -> list[int]:
+        """Steps (``<= upto``) whose manifest marks them complete, ascending."""
+        return [s for s in self.steps(upto) if self.is_complete(s)]
+
+    def world_size(self, key: "int | str") -> int:
+        """The world size the entry's optimizer shards were written at."""
+        return int(self.manifest(key)["world_size"])
+
+    def shard_nbytes(self, key: "int | str") -> int:
+        """Total optimizer-shard bytes of the entry: file sizes on disk,
+        the recorded nominal ``shard_nbytes`` when dict-backed."""
+        manifest = self.manifest(key)
+        if not self._on_disk:
+            return int(manifest["shard_nbytes"])
+        name = key if isinstance(key, str) else f"checkpoint-{key}"
+        # Built from the manifest already in hand: CheckpointPaths.step
+        # would re-read it per shard for a merged-<k> directory.
+        optim_dir = self.root / name / f"global_step{int(manifest['step'])}"
+        return sum(
+            (optim_dir / shard_filename(r)).stat().st_size
+            for r in range(int(manifest["world_size"]))
+        )
+
+    def coverage_map(self) -> dict[int, list[str]]:
+        """Step -> slots saved, for every checkpoint under the root."""
+        return {s: list(self.manifest(s).get("slots", [])) for s in self.steps()}
+
+    def slot_coverage(self, failure_step: int | None = None) -> dict[str, int]:
+        """Map each slot to the newest step (``<= failure_step``) carrying
+        it; :class:`~repro.util.errors.MergeError` when there is nothing
+        to draw from or a slot (manifest ``all_slots``) was never saved."""
+        steps = self.steps(failure_step)
+        if not steps:
+            raise MergeError(
+                f"no usable checkpoints under {self.root}"
+                + (f" at or before step {failure_step}" if failure_step is not None else "")
+            )
+        coverage: dict[str, int] = {}
+        for step in steps:  # ascending: later checkpoints overwrite earlier
+            for slot in self.manifest(step).get("slots", []):
+                coverage[slot] = step
+        missing = [
+            s for s in self.manifest(steps[0]).get("all_slots", []) if s not in coverage
+        ]
+        if missing:
+            raise MergeError(
+                f"slots {missing[:6]} were never checkpointed before step "
+                f"{failure_step}; recovery is impossible — checkpoint strategy bug?"
+            )
+        return coverage
+
+
 def read_latest(root: str | Path) -> CheckpointPaths | None:
     """Resolve the ``latest`` pointer, if present and valid."""
     latest = Path(root) / LATEST_NAME
     if not latest.exists():
         return None
     name = latest.read_text(encoding="utf-8").strip()
+    if not _CKPT_RE.match(name):
+        raise CheckpointError(
+            f"latest pointer {latest} holds {name!r}, not a checkpoint-<step> name"
+        )
     candidate = Path(root) / name
     if not candidate.is_dir():
         raise CheckpointError(f"latest points at missing checkpoint {name!r}")
@@ -196,5 +298,5 @@ def read_latest(root: str | Path) -> CheckpointPaths | None:
 
 
 def write_latest(root: str | Path, step: int) -> None:
-    """Point the run's ``latest`` file at ``checkpoint-<step>``."""
-    (Path(root) / LATEST_NAME).write_text(f"checkpoint-{step}\n", encoding="utf-8")
+    """Atomically point the run's ``latest`` file at ``checkpoint-<step>``."""
+    write_text_atomic(Path(root) / LATEST_NAME, f"checkpoint-{step}\n")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from ..util.errors import CheckpointError
 from ..util.logging import get_logger
-from .layout import checkpoint_dir, list_checkpoint_steps, read_latest
+from .layout import RunIndex, checkpoint_dir, read_latest
 
 __all__ = [
     "coverage_map",
@@ -30,28 +30,14 @@ log = get_logger("io.retention")
 
 def coverage_map(root: str | Path) -> dict[int, list[str]]:
     """Step -> slots saved, for every checkpoint under ``root``."""
-    out: dict[int, list[str]] = {}
-    for step in list_checkpoint_steps(root):
-        manifest = checkpoint_dir(root, step).read_manifest()
-        out[step] = list(manifest.get("slots", []))
-    return out
+    return RunIndex(root).coverage_map()
 
 
 def latest_complete_step(root: str | Path) -> int | None:
-    """Newest checkpoint whose manifest marks it *complete*, or ``None``.
-
-    A complete checkpoint is a self-sufficient, world-size-consistent
-    resume point (every slot present, all shards from one save) — the
-    anchor failure recovery falls back to without a merge.  Partial
-    checkpoints can only be resumed after merging, so retention treats
-    the newest complete one as load-bearing.
-    """
-    newest: int | None = None
-    for step in list_checkpoint_steps(root):
-        manifest = checkpoint_dir(root, step).read_manifest()
-        if manifest.get("complete", False):
-            newest = step  # steps are ascending
-    return newest
+    """Newest checkpoint whose manifest marks it *complete*, or ``None``:
+    the self-sufficient, world-size-consistent resume point failure
+    recovery falls back to without a merge, hence load-bearing."""
+    return max(RunIndex(root).complete_steps(), default=None)
 
 
 def _covered(coverage: dict[int, list[str]], keep: set[int]) -> set[str]:
@@ -77,13 +63,14 @@ def prunable_steps(root: str | Path, keep_last: int) -> list[int]:
     """
     if keep_last < 1:
         raise CheckpointError(f"keep_last must be >= 1, got {keep_last}")
-    coverage = coverage_map(root)
+    index = RunIndex(root)  # one scan, each manifest read once
+    coverage = index.coverage_map()
     steps = sorted(coverage)
     if len(steps) <= keep_last:
         return []
     all_slots = _covered(coverage, set(steps))
     protected = set(steps[-keep_last:])
-    anchor = latest_complete_step(root)
+    anchor = max(index.complete_steps(), default=None)
     if anchor is not None:
         protected.add(anchor)
     keep = set(steps)

@@ -107,7 +107,8 @@ def _weight_nbytes(ckpt: CheckpointPaths) -> int:
 
 
 def _merge_cost(spec: JobSpec, storage: StorageCostModel) -> JobCost:
-    from ..core.recipe import load_recipe, parse_recipe  # lazy: layering
+    from ..core.plan import load_schedule  # lazy: layering
+    from ..core.recipe import load_recipe, parse_recipe
 
     params = spec.params
     if "recipe" in params:
@@ -131,20 +132,12 @@ def _merge_cost(spec: JobSpec, storage: StorageCostModel) -> JobCost:
             sizes = base_sizes
         per_source_sizes[str(source)] = sizes
 
-    # Mirror the engine's load schedule: ``none`` loads the slot's
-    # source once per slot per rank, ``per-checkpoint`` loads each
-    # distinct source once per rank.
-    bytes_read = 0
-    loads = 0
-    if cache_mode == "none":
-        for slot in slots:
-            sizes = per_source_sizes[str(recipe.source_for(slot))]
-            bytes_read += sum(sizes)
-            loads += world_size
-    else:
-        for sizes in per_source_sizes.values():
-            bytes_read += sum(sizes)
-            loads += world_size
+    # The engine's own load schedule, per rank: sum file sizes over it.
+    schedule = load_schedule(
+        slots, lambda slot: str(recipe.source_for(slot)), cache_mode
+    )
+    bytes_read = sum(sum(per_source_sizes[source]) for source, _ in schedule)
+    loads = world_size * len(schedule)
 
     weight_read = sum(
         _weight_nbytes(CheckpointPaths(p)) for p in recipe.distinct_sources()

@@ -47,6 +47,9 @@ __all__ = ["MergeService", "ServeConfig", "serve_in_thread"]
 
 log = get_logger("serve.server")
 
+#: Seconds a graceful stop may take: the thread join, teardown's reply wait.
+STOP_TIMEOUT = 60.0
+
 
 @dataclass
 class ServeConfig:
@@ -117,6 +120,11 @@ class MergeService:
         self._worker_tasks: list[asyncio.Task] = []
         self._stopped = asyncio.Event()
         self._draining = False
+        # Connection handlers between a request line and its flushed
+        # reply; teardown waits for the count to reach zero.
+        self._replies_pending = 0
+        self._replies_flushed = asyncio.Event()
+        self._replies_flushed.set()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._prev_cache = None
         self.endpoints: dict[str, Any] = {}
@@ -212,6 +220,11 @@ class MergeService:
 
         if self._worker_tasks:
             await asyncio.gather(*self._worker_tasks, return_exceptions=True)
+        # A waiter woken by the last job's completion may not have written
+        # its reply yet; returning now lets the loop's exit cancel its
+        # handler, and the client sees a closed connection instead.
+        with contextlib.suppress(asyncio.TimeoutError):
+            await asyncio.wait_for(self._replies_flushed.wait(), STOP_TIMEOUT)
         for server in self._servers:
             server.close()
             await server.wait_closed()
@@ -297,18 +310,25 @@ class MergeService:
                 line = await reader.readline()
                 if not line:
                     return
+                self._replies_pending += 1
+                self._replies_flushed.clear()
                 try:
-                    response = await self._dispatch(decode_line(line))
-                except ReproError as exc:
-                    response = {"ok": False, "error": str(exc)}
-                except Exception as exc:  # never kill the connection
-                    log.exception("request failed")
-                    response = {
-                        "ok": False,
-                        "error": f"internal error: {type(exc).__name__}: {exc}",
-                    }
-                writer.write(encode_line(response))
-                await writer.drain()
+                    try:
+                        response = await self._dispatch(decode_line(line))
+                    except ReproError as exc:
+                        response = {"ok": False, "error": str(exc)}
+                    except Exception as exc:  # never kill the connection
+                        log.exception("request failed")
+                        response = {
+                            "ok": False,
+                            "error": f"internal error: {type(exc).__name__}: {exc}",
+                        }
+                    writer.write(encode_line(response))
+                    await writer.drain()
+                finally:
+                    self._replies_pending -= 1
+                    if not self._replies_pending:
+                        self._replies_flushed.set()
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -423,7 +443,7 @@ class ServeHandle:
         self.service = service
         self.thread = thread
 
-    def stop(self, timeout: float = 60.0) -> None:
+    def stop(self, timeout: float = STOP_TIMEOUT) -> None:
         """Request a graceful drain and join the server thread."""
         self.service.request_shutdown()
         self.thread.join(timeout=timeout)

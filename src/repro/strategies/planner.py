@@ -1,8 +1,10 @@
-"""Analytic checkpoint-overhead planner (paper-scale Tables 3 and 6).
+"""Config-only planners: checkpoint overhead (paper-scale Tables 3 and
+6), step traffic, merge / reshard / serve cost — analytic — and fault
+cost, which is a dry run of the real recovery policy (no model, no files).
 
-Computes, from a model config and a strategy alone (no training), the
-byte volume and simulated time of every checkpoint event over a run —
-usable for the full-scale published models that are never instantiated.
+From a model config and a strategy alone (no training): the byte volume
+and simulated time of every checkpoint event over a run, usable for the
+full-scale published models that are never instantiated.
 
 Cost anatomy per checkpoint (paper §2.2-2.3):
 
@@ -18,12 +20,14 @@ P-parameter decoder, divided by an effective per-GPU throughput.
 
 from __future__ import annotations
 
-import math
+import logging
 from dataclasses import dataclass, field
+from functools import partial
+from pathlib import Path
 
 from ..io.storage import StorageCostModel
 from ..nn.config import ModelConfig
-from ..nn.slots import model_slots, parameter_shapes, slot_param_counts
+from ..nn.slots import model_slots, slot_param_counts
 from ..numerics.dtypes import DType
 from .base import CheckpointStrategy
 
@@ -178,20 +182,16 @@ def plan_step_traffic(
     the per-op fields become class sums (``link_bytes`` carries the
     breakdown).
     """
-    from ..core.groups import tailored_group_specs  # lazy: avoids a cycle
+    from ..core.groups import group_numels  # lazy: avoids a cycle
 
-    shapes = parameter_shapes(config)
-    specs = tailored_group_specs(config, weight_decay)
-    padded_total = 0
-    for spec in specs:
-        numel = sum(math.prod(shapes[name]) for name in spec.param_names)
-        padded_total += -(-numel // world_size) * world_size
+    numels = group_numels(config, weight_decay)
+    padded_total = sum(-(-numel // world_size) * world_size for numel in numels)
     payload = 4.0 * padded_total  # fp32 buffers
     if topology is None:
         per_collective = (world_size - 1) / world_size * payload
         return StepTrafficPlan(
             world_size=world_size,
-            num_groups=len(specs),
+            num_groups=len(numels),
             padded_numel=padded_total,
             reduce_scatter_bytes=per_collective,
             all_gather_bytes=per_collective,
@@ -200,7 +200,7 @@ def plan_step_traffic(
     gather = topology.collective_bytes("all_gather", payload, world_size)
     return StepTrafficPlan(
         world_size=world_size,
-        num_groups=len(specs),
+        num_groups=len(numels),
         padded_numel=padded_total,
         reduce_scatter_bytes=scatter["intra"] + scatter["inter"],
         all_gather_bytes=gather["intra"] + gather["inter"],
@@ -214,12 +214,10 @@ class MergeCostPlan:
     """Analytic LLMTailor merge cost at paper scale (extends Table 7).
 
     Mirrors the real engine's knobs: ``cache_mode`` fixes the load
-    schedule (one load per checkpoint vs one per layer slot) and
-    ``workers`` fans rank shards across processes.  Every load reads a
-    whole shard but decodes only the groups the plan takes from it, so
-    decode cost sums to one shard per rank whatever the schedule.  I/O
-    is charged through the same :class:`StorageCostModel` the
-    checkpoint planner uses.
+    schedule (:func:`repro.core.plan.load_schedule`) and ``workers``
+    fans rank shards across processes.  Every load reads a whole shard
+    but decodes only the groups taken from it, so decode cost sums to
+    one shard per rank whatever the schedule.
     """
 
     model: str
@@ -252,6 +250,8 @@ def plan_merge_cost(
     Works from the config alone (no files), so the published-model
     scales in the paper can be planned without instantiating anything.
     """
+    from ..core.plan import load_schedule  # lazy: avoids a cycle
+
     storage = storage or StorageCostModel()
     counts = slot_param_counts(config)
     slots = model_slots(config)
@@ -259,7 +259,10 @@ def plan_merge_cost(
     optim_bytes = num_params * OPTIMIZER_BYTES_PER_PARAM
     shard_bytes = optim_bytes // max(1, world_size)
 
-    loads_per_rank = len(slots) if cache_mode == "none" else max(1, num_checkpoints)
+    # Slots spread round-robin over the sources, counted by the engine's rule.
+    loads_per_rank = len(load_schedule(
+        range(len(slots)), lambda i: i % max(1, num_checkpoints), cache_mode
+    ))
     bytes_loaded_rank = loads_per_rank * shard_bytes
     # A load decodes only the groups taken from it — across all loads
     # that sums to one shard.
@@ -312,13 +315,12 @@ class ReshardCostPlan:
     seconds: float
     #: Topology shape (e.g. ``"2x4"``) for a placement-aware plan, else None.
     topology: str | None = None
-    #: Logical shard-move bytes per link class (12 bytes per overlapped
+    #: Logical shard-move bytes per link class (12 B per overlapped
     #: element; exactly the live ``ReshardReport`` counters).
     intra_bytes: int = 0
     inter_bytes: int = 0
-    #: Network-transfer seconds per link class at the topology's
-    #: bandwidths (a fabric view of the same move; the storage-model
-    #: ``seconds`` above remains the wall-time estimate).
+    #: Transfer seconds per link class at the topology's bandwidths (a
+    #: fabric view; ``seconds`` above remains the wall-time estimate).
     intra_seconds: float = 0.0
     inter_seconds: float = 0.0
 
@@ -338,18 +340,16 @@ def plan_reshard_cost(
 ) -> ReshardCostPlan:
     """Estimate the wall time and peak memory of an N→M reshard.
 
-    Works from the config alone (no files), like :func:`plan_merge_cost`,
-    so published-model scales can be planned without instantiating
-    anything.  Weights are not charged: the consolidated weight file is
-    world-size independent and carried over verbatim.
+    Config only (no files), like :func:`plan_merge_cost`.  Weights are
+    not charged: the consolidated weight file is world-size independent
+    and carried over verbatim.
 
     With ``topology`` (a :class:`~repro.dist.topology.Topology`) the plan
     gains per-link-class byte and transfer-second breakdowns, computed by
     the same :func:`repro.dist.reshard.placement_transfer_bytes` the live
-    :class:`~repro.dist.reshard.ReshardReport` counts — the two match
-    exactly, byte for byte.  ``weight_decay`` only affects the tailored
-    group split the interval math runs over (pass the training run's
-    value; the default matches :class:`~repro.train.config.TrainConfig`).
+    :class:`~repro.dist.reshard.ReshardReport` counts — byte for byte.
+    ``weight_decay`` only affects the tailored group split the interval
+    math runs over (pass the training run's value).
     """
     if source_world_size < 1 or target_world_size < 1:
         raise ValueError("world sizes must be >= 1")
@@ -368,14 +368,10 @@ def plan_reshard_cost(
     intra_s = inter_s = 0.0
     if topology is not None:
         # Lazy: repro.dist.reshard pulls in repro.io at import time.
-        from ..core.groups import tailored_group_specs
+        from ..core.groups import group_numels
         from ..dist.reshard import placement_transfer_bytes
 
-        shapes = parameter_shapes(config)
-        numels = [
-            sum(math.prod(shapes[name]) for name in spec.param_names)
-            for spec in tailored_group_specs(config, weight_decay)
-        ]
+        numels = group_numels(config, weight_decay)
         intra_bytes, inter_bytes = placement_transfer_bytes(numels, N, M, topology)
         intra_s = intra_bytes / topology.intra_bandwidth
         inter_s = inter_bytes / topology.inter_bandwidth
@@ -398,24 +394,15 @@ def plan_reshard_cost(
 
 @dataclass
 class FaultCostPlan:
-    """Analytic cost of running a fault plan (expected chaos overhead).
+    """What a fault plan costs: a view of one supervisor dry run.
 
-    The executable twin of a :class:`~repro.train.trainer.ChaosSupervisor`
-    run over a *full*-strategy checkpoint cadence: the executed-step
-    trace (including replays after each failure and elastic grows at
-    each join) is reconstructed from the schedule, so ``lost_steps``,
-    ``reshard_loads``, and the straggler/degraded-link clock charges
-    match a live run exactly — ``tests/test_faults.py`` validates them
-    against the live :class:`~repro.dist.faults.FaultTimeline` and
-    simulated clock — and so does the predicted goodput
-    (:meth:`goodput_report`), whose denominator is built from those
-    exact quantities.  ``reshard_bytes`` is an *uncompressed* estimate
-    (12 bytes/param per elastic load); live shard files are compressed,
-    so only the analytic side is byte-exact.  The recovery I/O seconds
-    (``recovery_read_seconds``, ``sync_write_seconds``) are estimates
-    for the same reason, which is why :class:`GoodputReport
-    <repro.dist.faults.GoodputReport>` keeps them out of the goodput
-    denominator.
+    Read off the timeline, clock and goodput report the real
+    :class:`~repro.train.supervisor.ChaosSupervisor` produced over a
+    :class:`~repro.train.supervisor.NullLeg`, so counts, goodput,
+    ``straggler_seconds`` and ``comm_seconds`` *equal* a live run's.
+    Recovery I/O (``recovery_read_seconds``: loads and auto-merges,
+    ``sync_write_seconds``, ``reshard_bytes``) is priced at nominal
+    bytes — live shards are compressed — so goodput leaves it out.
     """
 
     model: str
@@ -423,6 +410,7 @@ class FaultCostPlan:
     final_world_size: int
     total_steps: int
     checkpoint_interval: int
+    strategy: str
     num_failures: int
     num_joins: int
     executed_steps: int
@@ -435,8 +423,12 @@ class FaultCostPlan:
     recovery_read_seconds: float
     sync_write_seconds: float
     sim_step_seconds: float
-    #: Topology shape (e.g. ``"2x4"``) for a hierarchical plan, else None.
-    topology: str | None = None
+    #: Per recovery, in order: ``"checkpoint-<k>"``, ``"merged-<k>"`` or
+    #: ``None`` (restart from initialization).
+    recovery_sources: tuple
+    topology: str | None  # shape, e.g. "2x4", for a hierarchical plan
+    report: "GoodputReport" = field(repr=False)  # the dry run's own
+    timeline: "FaultTimeline" = field(repr=False)  # flight recorder
 
     @property
     def useful_steps(self) -> int:
@@ -446,43 +438,25 @@ class FaultCostPlan:
     @property
     def overhead_seconds(self) -> float:
         """Extra simulated time the faults cost vs a clean run."""
-        return (
-            self.straggler_seconds
-            + self.replay_seconds
-            + self.recovery_read_seconds
-            + self.sync_write_seconds
-        )
+        recovery_io = self.recovery_read_seconds + self.sync_write_seconds
+        return self.straggler_seconds + self.replay_seconds + recovery_io
 
     def goodput_report(self):
-        """Predicted :class:`~repro.dist.faults.GoodputReport`.
-
-        Built from the replayed trace the same way the supervisor
-        builds the live one, so goodput inherits the exactness
-        contract: step counts exact, stall seconds to the comm model's
-        1e-6, recovery I/O an estimate kept out of the denominator.
-        """
-        from ..dist.faults import GoodputReport
-
-        return GoodputReport(
-            useful_steps=self.useful_steps,
-            lost_steps=self.lost_steps,
-            useful_seconds=self.useful_steps * self.sim_step_seconds,
-            lost_seconds=self.replay_seconds,
-            stall_seconds=self.straggler_seconds + self.comm_seconds,
-            recovery_seconds=self.recovery_read_seconds + self.sync_write_seconds,
-        )
+        """The dry run's :class:`~repro.dist.faults.GoodputReport`."""
+        return self.report
 
     @property
     def goodput(self) -> float:
         """Predicted useful steps per simulated stepping second."""
-        return self.goodput_report().goodput
+        return self.report.goodput
 
     def describe(self) -> dict:
         """Flat dict form (for tables and JSON artifacts)."""
-        out = dict(self.__dict__)
-        out["overhead_seconds"] = self.overhead_seconds
-        out["useful_steps"] = self.useful_steps
-        out["goodput"] = self.goodput
+        out = dict(
+            self.__dict__, overhead_seconds=self.overhead_seconds,
+            useful_steps=self.useful_steps, goodput=self.goodput,
+        )
+        del out["report"], out["timeline"]
         return out
 
 
@@ -493,170 +467,72 @@ def plan_fault_cost(
     world_size: int,
     total_steps: int,
     checkpoint_interval: int,
+    strategy: str = "full",
     sim_step_seconds: float = 1.0,
-    link_bandwidth: float | None = None,
     storage: StorageCostModel | None = None,
     topology=None,
 ) -> FaultCostPlan:
     """Expected lost steps, reshard traffic, and slowdown cost of a plan.
 
-    Replays the fault schedule analytically over a full-strategy run
-    (failures, joins, and preemptions expanded via
-    :meth:`~repro.dist.faults.FaultPlan.world_events`):
-
-    * each ``rank_failure`` at step *k* rolls back to the newest
-      checkpoint at or before *k* — a cadence write or a join-sync —
-      replaying the difference and shrinking the world by one;
-    * each ``rank_join`` at step *k* syncs a complete checkpoint at *k*
-      (free when the cadence just wrote one), grows the world by one,
-      and resumes through the elastic reshard path losing no steps;
-    * resuming a checkpoint written at a different world size charges
-      one elastic-reshard load per source shard;
-    * stragglers charge ``(slowdown - 1) * sim_step_seconds`` on every
-      *executed* step in their window (replayed steps pay again, as
-      they do live);
-    * collectives charge ring-model bytes over ``link_bandwidth``,
-      scaled by the worst active straggler/degraded-link factor.
-
-    With ``topology`` (a :class:`~repro.dist.topology.Topology`) the
-    replay prices the hierarchical model instead: per-link-class step
-    bytes (:func:`plan_step_traffic` with ``topology=``) over that
-    class's bandwidth, each scaled by only the faults that touch links
-    of that class — exactly how a live
-    :class:`~repro.dist.faults.ChaosComm` over a hierarchical
-    communicator advances the clock, so predicted and live comm seconds
-    agree to 1e-6.  ``node_failure`` events expand through the same
-    :meth:`~repro.dist.faults.FaultPlan.world_events` the supervisor
-    consumes; ``link_bandwidth`` is ignored when a topology is given
-    (the topology's per-class bandwidths take over).
-
-    Works from the config alone, like the other planners, so paper-scale
-    fleets can be planned without instantiating anything.
+    A *dry run*, not a model of one: runs the real
+    :class:`~repro.train.supervisor.ChaosSupervisor` over a
+    :class:`~repro.train.supervisor.NullLeg` (no model, data, tensors or
+    files), so shrink / grow / recovery-point / join-sync decisions are
+    the supervisor's own for any ``strategy`` (a partial trail is
+    auto-merged, source ``merged-<k>``, exactly when a live run would)
+    and any ``topology``, and every collective and straggler second goes
+    through the :class:`~repro.dist.faults.ChaosComm` and clock a live
+    leg uses.  Milliseconds per plan, config only, nothing on disk.
+    Not priced: ``bitrot`` events (no bytes to corrupt: they neither fire
+    nor cost a repair) and compression — see :class:`FaultCostPlan`.
     """
-    from ..dist.faults import DEFAULT_LINK_BANDWIDTH
+    from ..io.layout import RunIndex
+    from ..train.config import TrainConfig
+    from ..train.supervisor import ChaosSupervisor, NullLeg
 
-    if checkpoint_interval < 1:
-        raise ValueError(f"checkpoint_interval must be >= 1, got {checkpoint_interval}")
-    plan.validate(world_size, total_steps, topology=topology)
-    storage = storage or StorageCostModel()
-    bandwidth = link_bandwidth if link_bandwidth is not None else DEFAULT_LINK_BANDWIDTH
-
-    counts = slot_param_counts(config)
-    num_params = sum(counts[s] for s in model_slots(config))
-    optim_bytes = num_params * OPTIMIZER_BYTES_PER_PARAM
-    weight_bytes = num_params * config.storage_dtype.itemsize
-
-    # Reconstruct the executed-step trace: segments of (start, end, ws),
-    # end inclusive, with the on-disk world size of every checkpoint
-    # (cadence writes and join-sync writes alike).
-    segments: list[tuple[int, int, int]] = []
-    ckpt_ws: dict[int, int] = {}
-    ws = world_size
-    start = 1
-    lost = 0
-    num_failures = 0
-    num_joins = 0
-    reshard_loads = 0
-    reshard_bytes = 0
-    recovery_read_s = 0.0
-    sync_write_s = 0.0
-    for ev in plan.world_events(topology):
-        # A pending event whose slot was passed during a replay fires at
-        # the first step of the new leg, exactly as the callback does; an
-        # event pushed past the horizon (or a restore scheduled beyond
-        # it) never fires at all.
-        k = max(ev.step, start)
-        if k > total_steps:
-            continue
-        segments.append((start, k, ws))
-        for s in range(-(-start // checkpoint_interval) * checkpoint_interval,
-                       k + 1, checkpoint_interval):
-            ckpt_ws[s] = ws
-        if ev.kind == "rank_join":
-            num_joins += 1
-            if ckpt_ws.get(k) != ws:
-                # The supervisor writes a full sync checkpoint at the
-                # join step unless the leg just wrote a complete one.
-                ckpt_ws[k] = ws
-                sync_write_s += storage.write_time(
-                    optim_bytes, files=ws, parallel=ws
-                ) + storage.write_time(weight_bytes, files=1)
-            recovery_read_s += storage.read_time(
-                optim_bytes, files=ws, parallel=ws, decompress=True
-            ) + storage.read_time(weight_bytes, files=1)
-            reshard_loads += ws
-            reshard_bytes += optim_bytes
-            ws += 1
-            start = k + 1
-            continue
-        num_failures += 1
-        j = max((s for s in ckpt_ws if s <= k), default=0)
-        lost += k - j
-        ws -= 1
-        if j > 0:
-            source_world = ckpt_ws[j]
-            recovery_read_s += storage.read_time(
-                optim_bytes, files=source_world, parallel=source_world,
-                decompress=True,
-            ) + storage.read_time(weight_bytes, files=1)
-            if source_world != ws:
-                reshard_loads += source_world
-                reshard_bytes += optim_bytes
-        start = j + 1
-    if start <= total_steps:
-        segments.append((start, total_steps, ws))
-
-    # Per-step penalties over the executed trace.
-    executed = 0
-    straggler_s = 0.0
-    comm_s = 0.0
-    traffic_by_ws: dict[int, StepTrafficPlan] = {}
-    for seg_start, seg_end, seg_ws in segments:
-        if seg_ws not in traffic_by_ws:
-            traffic_by_ws[seg_ws] = plan_step_traffic(
-                config, world_size=seg_ws, topology=topology
-            )
-        traffic = traffic_by_ws[seg_ws]
-        for step in range(seg_start, seg_end + 1):
-            executed += 1
-            slowdown = plan.compute_slowdown(step, seg_ws)
-            if slowdown > 1.0:
-                straggler_s += (slowdown - 1.0) * sim_step_seconds
-            if topology is None:
-                comm_s += (
-                    traffic.total_bytes / bandwidth
-                    * plan.comm_slowdown(step, seg_ws)
-                )
-            else:
-                for link_class in ("intra", "inter"):
-                    comm_s += (
-                        traffic.class_bytes(link_class)
-                        / topology.bandwidth(link_class)
-                        * plan.comm_slowdown(
-                            step, seg_ws,
-                            topology=topology, link_class=link_class,
-                        )
-                    )
-
+    train_config = TrainConfig(
+        model=config.name, output_dir="<dry-run>", world_size=world_size,
+        total_steps=total_steps, checkpoint_strategy=strategy,
+        checkpoint_interval=checkpoint_interval, sim_step_seconds=sim_step_seconds,
+        topology=None if topology is None else topology.to_dict(),
+    )
+    leg = partial(
+        NullLeg, model_config=config, cost_model=storage,
+        disk=RunIndex(Path(train_config.output_dir), manifests={}),
+    )
+    supervisor = ChaosSupervisor(train_config, plan, _leg=leg)
+    train_log = logging.getLogger("repro.train")
+    level = train_log.level
+    train_log.setLevel(logging.ERROR)  # a forecast, not an incident
+    try:
+        result = supervisor.run()
+    finally:
+        train_log.setLevel(level)
+    timeline, report, clock = result.fault_timeline, result.goodput, result.clock
+    sync_write_seconds = sum(
+        v for k, v in clock.items() if k.startswith("checkpoint_write.join_sync")
+    )
     return FaultCostPlan(
-        model=config.name,
-        world_size=world_size,
-        final_world_size=ws,
-        total_steps=total_steps,
-        checkpoint_interval=checkpoint_interval,
-        num_failures=num_failures,
-        num_joins=num_joins,
-        executed_steps=executed,
-        lost_steps=lost,
-        reshard_loads=reshard_loads,
-        reshard_bytes=reshard_bytes,
-        straggler_seconds=straggler_s,
-        comm_seconds=comm_s,
-        replay_seconds=lost * sim_step_seconds,
-        recovery_read_seconds=recovery_read_s,
-        sync_write_seconds=sync_write_s,
+        model=config.name, world_size=world_size, total_steps=total_steps,
+        checkpoint_interval=checkpoint_interval, strategy=strategy,
         sim_step_seconds=sim_step_seconds,
         topology=None if topology is None else topology.shape,
+        final_world_size=supervisor.trainer.config.world_size,
+        num_failures=timeline.recoveries - timeline.grows,
+        num_joins=timeline.grows,
+        executed_steps=report.useful_steps + report.lost_steps,
+        lost_steps=timeline.lost_steps,
+        reshard_loads=timeline.reshard_loads,
+        reshard_bytes=timeline.reshard_bytes,
+        straggler_seconds=clock.get("fault_straggler", 0.0),
+        comm_seconds=clock.get("comm", 0.0),
+        replay_seconds=report.lost_seconds,
+        recovery_read_seconds=timeline.recovery_seconds - sync_write_seconds,
+        sync_write_seconds=sync_write_seconds,
+        recovery_sources=tuple(
+            e["source"] for e in timeline.events if e["kind"] == "recovery"
+        ),
+        report=report, timeline=timeline,
     )
 
 

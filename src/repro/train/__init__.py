@@ -9,7 +9,8 @@ from .callbacks import (
 )
 from .config import TrainConfig
 from .state import TrainerState
-from .trainer import ChaosSupervisor, Trainer, TrainResult, train_with_faults
+from .supervisor import ChaosSupervisor, train_with_faults
+from .trainer import Trainer, TrainResult
 
 __all__ = [
     "Callback",

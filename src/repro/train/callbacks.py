@@ -66,7 +66,8 @@ class CheckpointCallback(Callback):
         if slots is None:
             return
         trainer.write_checkpoint(step, slots=slots, strategy_name=self.strategy.name)
-        self.strategy.log.save(trainer.decision_log_path)
+        if trainer.decision_log_path is not None:
+            self.strategy.log.save(trainer.decision_log_path)
         log.info("checkpoint at step %d: %d slots (%s)", step, len(slots), self.strategy.name)
         if trainer.config.max_checkpoints is not None:
             from ..io.retention import prune_checkpoints
@@ -118,8 +119,8 @@ class ChaosCallback(Callback):
     passes the same lists into every leg so an event consumed before a
     failure is not re-applied when the replayed steps pass its schedule
     slot again.  A pending event whose step falls inside a replayed
-    segment fires at the first step of the new leg — the same clamp
-    (``max(event step, leg start)``) the cost planner replays.
+    segment fires at the first step of the new leg — in a live run and
+    in the planner's dry run alike (it is this callback both times).
     """
 
     def __init__(

@@ -7,24 +7,20 @@ Responsibilities:
 * run deterministic steps — the batch at step ``t`` is a pure function
   of ``(seed, t, rank, accum_index)``, so resumed runs replay the exact
   data order of uninterrupted ones; every micro-batch's forward is one
-  :class:`~repro.autograd.compile.BackwardTape` capture round, so its
-  ``loss.backward()`` records once and replays afterwards (bitwise the
-  interpreted sweep), gradients landing in the engine's staging buffers;
+  :class:`~repro.autograd.compile.BackwardTape` capture round (record
+  once, replay afterwards, bitwise the interpreted sweep), gradients
+  landing in the engine's staging buffers;
 * write full/partial checkpoints per the strategy, with simulated-clock
   charging for compute and I/O;
 * resume from any *complete* checkpoint (including LLMTailor merges),
-  and auto-recover from partial trails via :meth:`auto_recover`; resume
-  is *elastic* — a run configured with ``world_size=M`` loads a
-  checkpoint written at any world size N (the reader reshards the
-  optimizer payloads N→M via :mod:`repro.dist.reshard`), and the
-  world-size-invariant training math keeps the loss curve unchanged;
-* survive a :class:`~repro.dist.faults.FaultPlan`:
-  :class:`ChaosSupervisor` runs training legs under injected faults —
-  on a rank failure it shrinks the world N→N-1, resumes elastically
-  from the last complete checkpoint (or auto-merges the partial trail),
-  repairs bitrot the per-group CRCs catch by re-reading replicas, and
-  records everything in a :class:`~repro.dist.faults.FaultTimeline`
-  attached to the final :class:`TrainResult`.
+  auto-recover from partial trails (:meth:`Trainer.auto_recover`);
+  resume is *elastic* — a checkpoint written at any world size N loads
+  into ``world_size=M`` (the reader reshards N→M in memory) and the
+  world-size-invariant math keeps the loss curve unchanged;
+* run one *leg* of a chaos run: with a
+  :class:`~repro.dist.faults.FaultPlan` attached the collectives charge
+  penalized time and scheduled faults interrupt the loop; the multi-leg
+  recovery policy lives in :mod:`repro.train.supervisor`.
 """
 
 from __future__ import annotations
@@ -41,15 +37,9 @@ from ..data.facts import MedicalKB
 from ..data.synthetic import medqa_like_pairs, pubmed_like_corpus
 from ..data.tokenizer import WordTokenizer
 from ..core.groups import tailored_param_groups
-from ..dist.faults import (
-    ChaosComm,
-    FaultPlan,
-    FaultTimeline,
-    GoodputReport,
-    repair_from_replicas,
-)
+from ..dist.faults import ChaosComm, FaultPlan, FaultTimeline, GoodputReport
 from ..dist.zero import ZeroStage3Engine
-from ..io.layout import CheckpointPaths, checkpoint_dir, list_checkpoint_steps, read_latest
+from ..io.layout import CheckpointPaths, RunIndex, read_latest
 from ..io.reader import load_checkpoint
 from ..io.storage import Storage
 from ..io.writer import save_checkpoint
@@ -58,13 +48,7 @@ from ..nn.model import CausalLM, build_model
 from ..optim.lr_scheduler import build_scheduler
 from ..optim.optimizer import clip_grad_norm_
 from ..strategies.base import build_strategy
-from ..util.errors import (
-    CheckpointError,
-    MergeError,
-    RankJoin,
-    SimulatedFailure,
-    TrainingError,
-)
+from ..util.errors import RankJoin, SimulatedFailure, TrainingError
 from ..util.logging import get_logger
 from .callbacks import (
     Callback,
@@ -76,7 +60,7 @@ from .callbacks import (
 from .config import TrainConfig
 from .state import TrainerState
 
-__all__ = ["ChaosSupervisor", "Trainer", "TrainResult", "train_with_faults"]
+__all__ = ["Trainer", "TrainResult"]
 
 log = get_logger("train.trainer")
 
@@ -96,11 +80,10 @@ class TrainResult:
     # Cumulative ring-model collective traffic from the engine's SimComm
     # (bytes/calls per op), so the sharding tax is part of the run record.
     comm_traffic: dict[str, dict] = field(default_factory=dict)
-    # The rank whose scheduled death interrupted the leg (fault plans
-    # only); the supervisor shrinks the world when this is set.
+    # Fault plans only: the rank whose scheduled death interrupted the
+    # leg (the supervisor shrinks the world), or a scheduled capacity
+    # arrival did (the supervisor grows it).
     failed_rank: int | None = None
-    # A scheduled capacity arrival interrupted the leg (fault plans
-    # only); the supervisor grows the world when this is set.
     rank_joined: bool = False
     # Flight recorder of injected faults and recoveries (fault plans only).
     fault_timeline: FaultTimeline | None = None
@@ -125,12 +108,9 @@ class Trainer:
     """Deterministic simulated ZeRO-3 training runs (see module docs).
 
     Built from one :class:`~repro.train.config.TrainConfig`; an optional
-    ``fault_plan`` attaches the chaos engine to this leg — the engine's
-    collectives are wrapped in a :class:`~repro.dist.faults.ChaosComm`
-    charging penalized time into the simulated clock, and a
-    :class:`~repro.train.callbacks.ChaosCallback` applies scheduled
-    bitrot and rank failures.  Multi-leg recovery (shrink + resume) is
-    :class:`ChaosSupervisor`'s job, not the trainer's.
+    ``fault_plan`` attaches the chaos engine to this leg (see
+    :meth:`_attach_chaos`).  Multi-leg recovery (shrink + resume) is the
+    :class:`~repro.train.supervisor.ChaosSupervisor`'s job.
     """
 
     def __init__(
@@ -183,10 +163,8 @@ class Trainer:
             topology=config.resolved_topology,
         )
         self.scheduler = build_scheduler(
-            config.scheduler,
-            self.engine.reference_optimizer,
-            warmup_steps=config.warmup_steps,
-            total_steps=config.total_steps,
+            config.scheduler, self.engine.reference_optimizer,
+            warmup_steps=config.warmup_steps, total_steps=config.total_steps,
         )
 
         # Backward-tape compiler: record the first micro-batch's backward,
@@ -197,10 +175,8 @@ class Trainer:
         self.tape = BackwardTape(donate=self.engine.grad_donation_views())
 
         self.strategy = build_strategy(
-            config.checkpoint_strategy,
-            self.model_config,
-            config.checkpoint_interval,
-            **config.strategy_kwargs,
+            config.checkpoint_strategy, self.model_config,
+            config.checkpoint_interval, **config.strategy_kwargs,
         )
         self.state = TrainerState()
         self.callbacks: list[Callback] = [
@@ -210,44 +186,53 @@ class Trainer:
         if config.failure_step is not None:
             self.callbacks.append(FailureInjector(config.failure_step))
 
-        # Chaos engine attachment (fault plans): wrap the collectives in
-        # the time-charging communicator and register the fault callback
-        # last, so the step's checkpoint is on disk before bitrot or a
-        # rank failure touches it.
-        self.fault_plan = fault_plan
-        self.fault_timeline = fault_timeline
-        self._chaos: ChaosCallback | None = None
-        if fault_plan is not None:
-            if _chaos_pending is None:
-                # Standalone use: the supervisor validates once up front,
-                # legs after a shrink would fail re-validation (events may
-                # reference ranks the smaller world no longer has).
-                fault_plan.validate(
-                    config.world_size, config.total_steps,
-                    topology=config.resolved_topology,
-                )
-            self.fault_timeline = fault_timeline or FaultTimeline()
-            # ChaosComm adopts the engine communicator's topology (if
-            # hierarchical), pricing each link class at its bandwidth.
-            self.engine.comm = ChaosComm(
-                self.engine.comm, fault_plan, clock=self.storage.clock
-            )
-            pending_world, pending_bitrot = _chaos_pending or (None, None)
-            self._chaos = ChaosCallback(
-                fault_plan,
-                self.fault_timeline,
-                pending_world=pending_world,
-                pending_bitrot=pending_bitrot,
+        self._attach_chaos(fault_plan, fault_timeline, _chaos_pending)
+
+    def _attach_chaos(
+        self, fault_plan: FaultPlan | None, fault_timeline: FaultTimeline | None,
+        pending: tuple[list, list] | None,
+    ) -> None:
+        """Attach the chaos engine to this leg (no-op without a plan):
+        wrap the collectives in the time-charging
+        :class:`~repro.dist.faults.ChaosComm` and register the
+        :class:`~repro.train.callbacks.ChaosCallback` last, so the step's
+        checkpoint is on disk before bitrot or a rank failure touches it.
+        """
+        config = self.config
+        self.fault_plan, self.fault_timeline = fault_plan, fault_timeline
+        if fault_plan is None:
+            return
+        if pending is None:
+            # Standalone use: the supervisor validates once up front,
+            # legs after a shrink would fail re-validation (events may
+            # reference ranks the smaller world no longer has).
+            fault_plan.validate(
+                config.world_size, config.total_steps,
                 topology=config.resolved_topology,
             )
-            self.callbacks.append(self._chaos)
+        self.fault_timeline = fault_timeline or FaultTimeline()
+        # ChaosComm adopts the engine communicator's topology (if
+        # hierarchical), pricing each link class at its bandwidth.
+        self.engine.comm = ChaosComm(
+            self.engine.comm, fault_plan, clock=self.storage.clock
+        )
+        pending_world, pending_bitrot = pending or (None, None)
+        self.callbacks.append(ChaosCallback(
+            fault_plan, self.fault_timeline, topology=config.resolved_topology,
+            pending_world=pending_world, pending_bitrot=pending_bitrot,
+        ))
 
     # -- paths --------------------------------------------------------------------
 
     @property
-    def decision_log_path(self) -> Path:
-        """Where the strategy's checkpoint decisions are persisted."""
+    def decision_log_path(self) -> Path | None:
+        """Where the strategy's checkpoint decisions are persisted
+        (``None``: this leg persists nothing)."""
         return Path(self.config.output_dir) / "ckpt_decisions.json"
+
+    def run_index(self) -> RunIndex:
+        """A fresh snapshot of what this leg's run directory holds."""
+        return RunIndex(self.storage.root)
 
     # -- one training step -----------------------------------------------------------
 
@@ -285,6 +270,12 @@ class Trainer:
             clip_grad_norm_(list(self.model.parameters()), cfg.grad_clip)
         self.engine.step()
         self.scheduler.step()
+        self._charge_step_time(step)
+        return total_loss / n_micro
+
+    def _charge_step_time(self, step: int) -> None:
+        """Charge one step's nominal compute plus the straggler tax."""
+        cfg = self.config
         self.storage.charge_compute(cfg.sim_step_seconds, "compute")
         if self.fault_plan is not None:
             # A synchronous step is paced by its slowest rank: charge the
@@ -294,7 +285,6 @@ class Trainer:
                 self.storage.charge_compute(
                     (slowdown - 1.0) * cfg.sim_step_seconds, "fault_straggler"
                 )
-        return total_loss / n_micro
 
     # -- checkpointing --------------------------------------------------------------------
 
@@ -430,376 +420,3 @@ class Trainer:
         log.info("auto-recovery merge: %s", result.summary().replace("\n", " | "))
         self.resume_from(result.output)
         return result.output
-
-
-# ---------------------------------------------------------------------------
-# Chaos supervisor: multi-leg runs under a fault plan
-# ---------------------------------------------------------------------------
-
-class ChaosSupervisor:
-    """Runs a training experiment to completion under a fault plan.
-
-    Each *leg* is one :class:`Trainer` at a fixed world size.  When a
-    scheduled rank failure interrupts a leg, the supervisor:
-
-    1. shrinks the world to the N-1 survivors,
-    2. resumes from the newest *complete* checkpoint at or before the
-       failure — elastically: the checkpoint's world size need not
-       match, the reader reshards the optimizer payloads in memory — or,
-       when the trail is partial (parity/filtered/magnitude strategies),
-       auto-merges it into a complete checkpoint first,
-    3. on a per-group CRC failure during that load (bitrot), restores
-       the corrupted shards from their ``.replica`` copies and retries
-       the resume — detection is loud, recovery re-reads, and silent
-       corruption is structurally impossible,
-    4. replays the lost steps and continues.
-
-    A scheduled ``rank_join`` (or the restore half of a ``preemption``)
-    runs the same machinery in the *grow* direction: the current world
-    is synced to a complete checkpoint at the join step (reusing the
-    step's own checkpoint when the leg just wrote one), the world grows
-    N→N+1, and the new leg resumes through the elastic reshard path —
-    no steps are lost and the newcomer enters as the highest rank.
-
-    Because training math is world-size invariant and the data order is
-    a pure function of ``(seed, step, rank)``, a chaos run that fails at
-    step *k* and shrinks — or grows at a join — produces
-    **bitwise-identical** final weights to an uninterrupted run at the
-    final world size resumed from the same checkpoint — the invariant
-    ``tests/test_faults.py`` pins for trajectories like 2→3→2.
-
-    The aggregated :class:`TrainResult` sums simulated clock and
-    collective traffic across legs, carries the
-    :class:`~repro.dist.faults.FaultTimeline`, and reports goodput —
-    useful steps per simulated stepping second — via
-    :class:`~repro.dist.faults.GoodputReport`.
-
-    With ``resume=True`` the supervisor continues a previous chaos run
-    (soak continuation): it restarts from the newest complete
-    checkpoint under ``config.output_dir``, treats every scheduled
-    world event at or before that step as already applied (the world
-    size the surviving schedule implies is cross-checked against the
-    checkpoint's manifest), and runs the remaining legs.
-    """
-
-    def __init__(
-        self,
-        config: TrainConfig,
-        plan: FaultPlan,
-        *,
-        merge_workers: int = 1,
-        resume: bool = False,
-    ) -> None:
-        plan.validate(
-            config.world_size, config.total_steps,
-            topology=config.resolved_topology,
-        )
-        self.config = config
-        self.plan = plan
-        self.merge_workers = merge_workers
-        self.resume = resume
-        self.timeline = FaultTimeline()
-        self._pending_world = list(plan.world_events(config.resolved_topology))
-        self._pending_bitrot = list(plan.bitrot_events)
-        self._start_step = 0
-        self.trainer: Trainer | None = None
-
-    def _build(self, config: TrainConfig) -> Trainer:
-        return Trainer(
-            config,
-            fault_plan=self.plan,
-            fault_timeline=self.timeline,
-            _chaos_pending=(self._pending_world, self._pending_bitrot),
-        )
-
-    @staticmethod
-    def _clock_total(trainer: Trainer) -> float:
-        return trainer.storage.clock.snapshot().get("__total__", 0.0)
-
-    def run(self, until_step: int | None = None) -> TrainResult:
-        """Execute every leg and return the aggregated result."""
-        cfg = self.config
-        if self.resume:
-            cfg, start_step = self._continuation_config(cfg)
-            self._start_step = start_step
-            trainer = self._build(cfg)
-            source = checkpoint_dir(trainer.storage.root, start_step)
-            trainer.resume_from(source)
-            self.timeline.record(
-                start_step, "soak_resume", world_size=cfg.world_size,
-                source=source.dir.name,
-            )
-        else:
-            trainer = self._build(cfg)
-        results = [trainer.train(until_step)]
-        while results[-1].failed_rank is not None or results[-1].rank_joined:
-            event_step = results[-1].interrupted_at
-            if results[-1].rank_joined:
-                grown = cfg.world_size + 1
-                # Sync the current world to a complete checkpoint; its
-                # clock/byte deltas are folded back into the leg's
-                # already-snapshotted result.
-                source = self._join_checkpoint(trainer, event_step)
-                results[-1].clock = trainer.storage.clock.snapshot()
-                results[-1].total_checkpoint_bytes = (
-                    trainer.storage.stats.category_bytes("checkpoint_write")
-                )
-                results[-1].checkpoints = list(trainer.state.checkpoints_written)
-                log.warning(
-                    "supervisor: rank joined at step %d; growing world %d -> %d",
-                    event_step, cfg.world_size, grown,
-                )
-                cfg = cfg.replace(world_size=grown)
-                trainer = self._build(cfg)
-                clock0 = self._clock_total(trainer)
-                resume_step = trainer.resume_from(source)
-                self.timeline.recovery_seconds += self._clock_total(trainer) - clock0
-                source_world = int(source.read_manifest()["world_size"])
-                if source_world != cfg.world_size:
-                    self.timeline.reshard_loads += source_world
-                    self.timeline.reshard_bytes += sum(
-                        source.shard(r).stat().st_size for r in range(source_world)
-                    )
-                self.timeline.recoveries += 1
-                self.timeline.grows += 1
-                self.timeline.record(
-                    event_step, "recovery", world_size=grown,
-                    resumed_from=resume_step, lost_steps=0,
-                    source=source.dir.name, grow=True,
-                )
-            else:
-                survivors = cfg.world_size - 1
-                if survivors < 1:  # pragma: no cover - plan.validate() forbids it
-                    raise TrainingError(
-                        f"rank failure at step {event_step} left no survivors"
-                    )
-                log.warning(
-                    "supervisor: rank %d died at step %d; shrinking world %d -> %d",
-                    results[-1].failed_rank, event_step, cfg.world_size, survivors,
-                )
-                cfg = cfg.replace(world_size=survivors)
-                trainer = self._build(cfg)
-                clock0 = self._clock_total(trainer)
-                resume_step, resume_source = self._resume(trainer, event_step)
-                self.timeline.recovery_seconds += self._clock_total(trainer) - clock0
-                lost = event_step - resume_step
-                self.timeline.recoveries += 1
-                self.timeline.lost_steps += lost
-                self.timeline.record(
-                    event_step, "recovery", world_size=survivors,
-                    resumed_from=resume_step, lost_steps=lost, source=resume_source,
-                )
-            results.append(trainer.train(until_step))
-        self.trainer = trainer
-        return self._aggregate(results)
-
-    def _continuation_config(self, cfg: TrainConfig) -> tuple[TrainConfig, int]:
-        """Resolve a soak continuation: adopt the newest complete
-        checkpoint's world size and drop already-applied schedule events.
-
-        Events (world-size changes and bitrot) scheduled at or before
-        the checkpoint step are treated as applied by the previous run;
-        the world size the surviving schedule implies is cross-checked
-        against the checkpoint manifest so a mismatched plan fails
-        loudly instead of resuming into an impossible trajectory.
-        """
-        root = Path(cfg.output_dir)
-        complete = [
-            s for s in list_checkpoint_steps(root)
-            if checkpoint_dir(root, s).read_manifest().get("complete", False)
-        ]
-        if not complete:
-            raise TrainingError(
-                f"soak continuation: no complete checkpoint under {root} "
-                f"to resume the chaos run from"
-            )
-        step = max(complete)
-        manifest_ws = int(checkpoint_dir(root, step).read_manifest()["world_size"])
-        implied_ws = cfg.world_size
-        for ev in list(self._pending_world):
-            if ev.step <= step:
-                self._pending_world.remove(ev)
-                implied_ws += 1 if ev.kind == "rank_join" else -1
-        self._pending_bitrot[:] = [e for e in self._pending_bitrot if e.step > step]
-        if manifest_ws != implied_ws:
-            raise TrainingError(
-                f"soak continuation mismatch: the fault schedule implies "
-                f"world_size {implied_ws} at step {step}, but checkpoint-{step} "
-                f"was written at world_size {manifest_ws} (was the original run "
-                f"started with a different --world-size?)"
-            )
-        return cfg.replace(world_size=manifest_ws), step
-
-    def _join_checkpoint(self, trainer: Trainer, step: int) -> CheckpointPaths:
-        """The complete checkpoint the grown world will resume from.
-
-        Reuses the join step's own checkpoint when the interrupted leg
-        just wrote a complete one; otherwise writes a full sync
-        checkpoint now (the "old" world is still live).  Sync-write time
-        is charged as recovery I/O: it exists only because the fleet is
-        growing.
-        """
-        root = trainer.storage.root
-        if step in list_checkpoint_steps(root):
-            paths = checkpoint_dir(root, step)
-            if paths.read_manifest().get("complete", False):
-                return paths
-        clock0 = self._clock_total(trainer)
-        paths = trainer.write_checkpoint(step, slots=None, strategy_name="join_sync")
-        self.timeline.recovery_seconds += self._clock_total(trainer) - clock0
-        self.timeline.record(
-            step, "join_sync", world_size=trainer.config.world_size,
-            checkpoint=paths.dir.name,
-        )
-        return paths
-
-    def _resume(self, trainer: Trainer, failed_step: int) -> tuple[int, str | None]:
-        """Position a fresh (shrunk) trainer after the last safe point.
-
-        Returns ``(step, source_dir_name)``: the newest complete
-        checkpoint at or before the failure, the auto-merged output of a
-        partial trail, or ``(0, None)`` when nothing was saved yet
-        (deterministic re-initialization *is* the resume point then).
-        Bitrot surfaced by the per-group CRCs is repaired from replicas
-        and the load retried once.
-        """
-        root = trainer.storage.root
-        steps = [s for s in list_checkpoint_steps(root) if s <= failed_step]
-        if not steps:
-            return 0, None
-        complete = [
-            s for s in steps
-            if checkpoint_dir(root, s).read_manifest().get("complete", False)
-        ]
-        # Pick the *freshest* recoverable point: a complete checkpoint
-        # resumes without a merge, but an auto-merged partial trail may
-        # anchor at a newer step (its base is the newest contributing
-        # checkpoint) and replay fewer steps.  Ties go to the complete
-        # checkpoint — it is the cheaper, merge-free path.
-        merge_base: int | None = None
-        try:
-            from ..core.autorecipe import latest_slot_coverage
-
-            coverage, _ = latest_slot_coverage(root, failure_step=failed_step)
-            # A trail that straddles a grow mixes shard world sizes (a
-            # join-sync checkpoint at N next to partials at N+1) and
-            # cannot be merged; only a uniform trail is a candidate.
-            trail_ws = {
-                int(checkpoint_dir(root, s).read_manifest()["world_size"])
-                for s in set(coverage.values())
-            }
-            if len(trail_ws) == 1:
-                merge_base = max(coverage.values())
-        except MergeError:
-            pass  # incomplete coverage: the trail alone cannot recover
-        use_complete = bool(complete) and (
-            merge_base is None or max(complete) >= merge_base
-        )
-        for attempt in (0, 1):
-            try:
-                if use_complete:
-                    source = checkpoint_dir(root, max(complete))
-                    step = trainer.resume_from(source)
-                elif merge_base is not None:
-                    source = CheckpointPaths(
-                        trainer.auto_recover(failed_step, workers=self.merge_workers)
-                    )
-                    step = trainer.state.global_step
-                else:
-                    return 0, None  # nothing recoverable: restart from init
-                break
-            except (CheckpointError, MergeError) as err:
-                repaired = repair_from_replicas(root)
-                if not repaired or attempt:
-                    raise
-                self.timeline.bitrot_detected += 1
-                self.timeline.bitrot_repaired += len(repaired)
-                self.timeline.record(
-                    failed_step, "bitrot_recovery",
-                    repaired=[p.name for p in repaired], error=str(err)[:160],
-                )
-                log.warning(
-                    "supervisor: CRC failure during resume (%s); restored %d "
-                    "replica(s), retrying", err, len(repaired),
-                )
-        source_world = int(source.read_manifest()["world_size"])
-        if source_world != trainer.config.world_size:
-            self.timeline.reshard_loads += source_world
-            self.timeline.reshard_bytes += sum(
-                source.shard(r).stat().st_size for r in range(source_world)
-            )
-        return step, source.dir.name
-
-    def _aggregate(self, results: list[TrainResult]) -> TrainResult:
-        """Fold per-leg results into one run record (clocks/traffic sum)."""
-        final = results[-1]
-        clock: dict[str, float] = {}
-        bytes_by_op: dict[str, float] = {}
-        calls_by_op: dict[str, int] = {}
-        checkpoints: set[int] = set()
-        total_ckpt_bytes = 0.0
-        for r in results:
-            for k, v in r.clock.items():
-                clock[k] = clock.get(k, 0.0) + v
-            for k, v in r.comm_traffic.get("bytes_by_op", {}).items():
-                bytes_by_op[k] = bytes_by_op.get(k, 0.0) + v
-            for k, v in r.comm_traffic.get("calls_by_op", {}).items():
-                calls_by_op[k] = calls_by_op.get(k, 0) + v
-            checkpoints.update(r.checkpoints)
-            total_ckpt_bytes += r.total_checkpoint_bytes
-        # Leg snapshots each carry their own "__total__"; the summed value
-        # is the run's total simulated time — keep it out of the
-        # per-category sum used for the checkpoint-time fraction.
-        total_seconds = clock.pop("__total__", None)
-        if total_seconds is None:
-            total_seconds = sum(clock.values())
-        clock["__total__"] = total_seconds
-        ckpt_seconds = sum(
-            v for k, v in clock.items() if k.startswith("checkpoint_write")
-        )
-        # Goodput: useful steps per simulated second the fleet spends
-        # stepping (useful + replayed + stalled); recovery I/O is
-        # reported alongside but excluded from the denominator — see
-        # GoodputReport.  For soak continuations only the steps this
-        # invocation executed count as useful.
-        useful_steps = max(0, final.final_step - self._start_step)
-        goodput = GoodputReport(
-            useful_steps=useful_steps,
-            lost_steps=self.timeline.lost_steps,
-            useful_seconds=useful_steps * self.config.sim_step_seconds,
-            lost_seconds=self.timeline.lost_steps * self.config.sim_step_seconds,
-            stall_seconds=(
-                clock.get("fault_straggler", 0.0) + clock.get("comm", 0.0)
-            ),
-            recovery_seconds=self.timeline.recovery_seconds,
-        )
-        return TrainResult(
-            final_step=final.final_step,
-            final_train_loss=final.final_train_loss,
-            final_eval_loss=final.final_eval_loss,
-            interrupted_at=final.interrupted_at,
-            checkpoints=sorted(checkpoints),
-            clock=clock,
-            checkpoint_time_fraction=(
-                ckpt_seconds / total_seconds if total_seconds else 0.0
-            ),
-            total_checkpoint_bytes=total_ckpt_bytes,
-            comm_traffic={"bytes_by_op": bytes_by_op, "calls_by_op": calls_by_op},
-            failed_rank=final.failed_rank,
-            rank_joined=final.rank_joined,
-            fault_timeline=self.timeline,
-            goodput=goodput,
-        )
-
-
-def train_with_faults(
-    config: TrainConfig,
-    plan: FaultPlan,
-    *,
-    until_step: int | None = None,
-    merge_workers: int = 1,
-) -> TrainResult:
-    """One-call chaos run: build a :class:`ChaosSupervisor` and run it."""
-    return ChaosSupervisor(config, plan, merge_workers=merge_workers).run(
-        until_step=until_step
-    )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CheckpointError
 
-__all__ = ["read_json", "write_json_atomic", "JsonEncoder"]
+__all__ = ["read_json", "write_json_atomic", "write_text_atomic", "JsonEncoder"]
 
 
 class JsonEncoder(json.JSONEncoder):
@@ -51,15 +51,14 @@ def read_json(path: str | Path) -> Any:
         raise CheckpointError(f"corrupt JSON file {path}: {exc}") from exc
 
 
-def write_json_atomic(path: str | Path, obj: Any, *, indent: int = 2) -> None:
-    """Write JSON via a temp file + rename so readers never see partial files."""
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write text via a temp file + fsync + rename: readers see old or new."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=indent, sort_keys=True, cls=JsonEncoder)
-            fh.write("\n")
+            fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_name, path)
@@ -69,3 +68,10 @@ def write_json_atomic(path: str | Path, obj: Any, *, indent: int = 2) -> None:
         except OSError:
             pass
         raise
+
+
+def write_json_atomic(path: str | Path, obj: Any, *, indent: int = 2) -> None:
+    """Write JSON via :func:`write_text_atomic` so readers never see partial files."""
+    write_text_atomic(
+        path, json.dumps(obj, indent=indent, sort_keys=True, cls=JsonEncoder) + "\n"
+    )

@@ -289,3 +289,35 @@ def trained_run(session_tmp) -> tuple[Trainer, object, Path]:
         result = trainer.train()
         _TRAINED_CACHE[key] = (trainer, result, out)
     return _TRAINED_CACHE[key]
+
+
+def dry_run_of(supervisor):
+    """``plan_fault_cost`` for exactly the run a live supervisor executed."""
+    from repro.strategies import plan_fault_cost
+
+    cfg = supervisor.config
+    return plan_fault_cost(
+        supervisor.trainer.model_config, supervisor.plan,
+        world_size=cfg.world_size, total_steps=cfg.total_steps,
+        checkpoint_interval=cfg.checkpoint_interval,
+        strategy=cfg.checkpoint_strategy, topology=cfg.resolved_topology,
+    )
+
+
+def assert_dry_run_equals_live(cost, supervisor, result) -> None:
+    """Planner-vs-live parity is equality, not a tolerance: the planner
+    runs the same supervisor over a null leg (docs/faults.md)."""
+    timeline = result.fault_timeline
+    assert cost.lost_steps == timeline.lost_steps
+    assert cost.reshard_loads == timeline.reshard_loads
+    assert cost.num_joins == timeline.grows
+    assert cost.executed_steps == supervisor.config.total_steps + timeline.lost_steps
+    assert cost.final_world_size == supervisor.trainer.config.world_size
+    assert cost.comm_seconds == result.clock.get("comm", 0.0)
+    assert cost.straggler_seconds == result.clock.get("fault_straggler", 0.0)
+    assert cost.goodput == result.goodput.goodput
+    assert cost.goodput_report().useful_steps == result.goodput.useful_steps
+    assert cost.timeline.kinds() == timeline.kinds()
+    assert list(cost.recovery_sources) == [
+        e["source"] for e in timeline.events if e["kind"] == "recovery"
+    ]

@@ -103,3 +103,41 @@ class TestCheckpointLevelAtomicity:
             LLMTailor(
                 MergeRecipe(base_checkpoint=storage.root / "checkpoint-20")
             ).merge(output=tmp_path / "m")
+
+
+class TestLatestPointer:
+    """The ``latest`` pointer is published atomically and read strictly."""
+
+    def test_crash_mid_write_keeps_the_old_pointer(self, tmp_path, monkeypatch):
+        import os
+
+        from repro.io import read_latest, write_latest
+
+        (tmp_path / "checkpoint-4").mkdir()
+        (tmp_path / "checkpoint-8").mkdir()
+        write_latest(tmp_path, 4)
+
+        def crash(fd):
+            raise OSError("simulated crash before the pointer is published")
+
+        monkeypatch.setattr(os, "fsync", crash)
+        with pytest.raises(OSError, match="simulated crash"):
+            write_latest(tmp_path, 8)
+        monkeypatch.undo()
+        # Old pointer intact (never truncated), no temp file left behind.
+        assert (tmp_path / "latest").read_text() == "checkpoint-4\n"
+        assert read_latest(tmp_path).step == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint-4", "checkpoint-8", "latest",
+        ]
+
+    @pytest.mark.parametrize("content", ["", "\n", "merged-8\n", "../elsewhere\n"])
+    def test_torn_or_foreign_pointer_fails_loudly(self, tmp_path, content):
+        """An empty ``latest`` used to resolve to the run root itself."""
+        from repro.io import read_latest
+        from repro.util.errors import CheckpointError
+
+        (tmp_path / "merged-8").mkdir()
+        (tmp_path / "latest").write_text(content)
+        with pytest.raises(CheckpointError, match="latest"):
+            read_latest(tmp_path)

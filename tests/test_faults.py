@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.dist import SimComm
 from repro.dist.faults import (
@@ -37,7 +39,7 @@ from repro.util.errors import (
     TrainingError,
 )
 
-from conftest import interpreted_oracle
+from conftest import assert_dry_run_equals_live, dry_run_of, interpreted_oracle
 
 
 def chaos_config(tmp_path, **overrides) -> TrainConfig:
@@ -643,9 +645,8 @@ class TestGoodput:
         assert 0 < report.goodput < 1.0
 
     def test_planner_predicts_live_goodput(self, tmp_path):
-        """plan_fault_cost replays grow events and lands on the same
-        goodput as the live run: lost steps and reshard loads exactly,
-        comm-driven stall to 1e-6."""
+        """plan_fault_cost dry-runs the grow and lands on the same goodput
+        as the live run: counts, stall seconds and goodput all ``==``."""
         plan = FaultPlan(
             events=(
                 preemption(5, 1, restore_after=4),
@@ -667,15 +668,14 @@ class TestGoodput:
         assert cost.num_joins == timeline.grows == 1
         assert cost.sync_write_seconds > 0
         assert cost.useful_steps == result.goodput.useful_steps
-        assert cost.straggler_seconds == pytest.approx(
-            result.clock["fault_straggler"], rel=1e-12
-        )
-        assert cost.comm_seconds == pytest.approx(result.clock["comm"], rel=1e-6)
-        assert cost.goodput == pytest.approx(result.goodput.goodput, rel=1e-6)
+        assert cost.straggler_seconds == result.clock["fault_straggler"]
+        assert cost.comm_seconds == result.clock["comm"]
+        assert cost.goodput == result.goodput.goodput
         # The planner's own report mirrors the live layout.
         planned = cost.goodput_report()
         assert planned.useful_steps == result.goodput.useful_steps
         assert planned.lost_steps == result.goodput.lost_steps
+        assert_dry_run_equals_live(cost, supervisor, result)
 
     def test_soak_continuation_resumes_schedule(self, tmp_path):
         """resume=True restarts a finished soak from its newest complete
@@ -892,10 +892,9 @@ class TestPlanFaultCost:
         assert cost.reshard_loads == timeline.reshard_loads
         assert cost.final_world_size == supervisor.trainer.config.world_size
         assert cost.executed_steps == cfg.total_steps + timeline.lost_steps
-        assert cost.straggler_seconds == pytest.approx(
-            result.clock["fault_straggler"], rel=1e-12
-        )
-        assert cost.comm_seconds == pytest.approx(result.clock["comm"], rel=1e-6)
+        assert cost.straggler_seconds == result.clock["fault_straggler"]
+        assert cost.comm_seconds == result.clock["comm"]
+        assert_dry_run_equals_live(cost, supervisor, result)
 
     def test_two_failures_and_rewritten_checkpoints(self, tmp_path):
         plan = FaultPlan(events=(rank_failure(6, 3), rank_failure(10, 1)))
@@ -910,6 +909,57 @@ class TestPlanFaultCost:
         assert cost.lost_steps == timeline.lost_steps
         assert cost.reshard_loads == timeline.reshard_loads
         assert cost.final_world_size == 2
+        assert_dry_run_equals_live(cost, supervisor, result)
+
+    @pytest.mark.parametrize("strategy, interval, fail_at", [
+        ("parity", 4, 10),    # after the second partial checkpoint (step 8)
+        ("filtered", 2, 9),   # boundary layers every 2, the middle every 10
+    ])
+    def test_selective_strategy_recovers_from_merged_trail(
+        self, tmp_path, strategy, interval, fail_at
+    ):
+        """Dry run and live run both auto-merge the partial trail."""
+        plan = FaultPlan(
+            events=(rank_failure(fail_at, 2), straggler(5, 0, 3.0, duration=4))
+        )
+        cfg = chaos_config(
+            tmp_path, world_size=3, total_steps=16,
+            checkpoint_strategy=strategy, checkpoint_interval=interval,
+        )
+        supervisor = ChaosSupervisor(cfg, plan)
+        result = supervisor.run()
+        cost = dry_run_of(supervisor)
+        assert cost.strategy == strategy
+        assert [s.split("-")[0] for s in cost.recovery_sources] == ["merged"]
+        assert_dry_run_equals_live(cost, supervisor, result)
+
+    def test_failure_before_any_checkpoint_restarts_from_init(self, tmp_path):
+        plan = FaultPlan(events=(rank_failure(3, 2),))
+        supervisor = ChaosSupervisor(chaos_config(tmp_path, world_size=3), plan)
+        result = supervisor.run()
+        cost = dry_run_of(supervisor)
+        recovery = [e for e in cost.timeline.events if e["kind"] == "recovery"]
+        assert [e["resumed_from"] for e in recovery] == [0]
+        assert cost.recovery_sources == (None,) and cost.lost_steps == 3
+        assert_dry_run_equals_live(cost, supervisor, result)
+
+    def test_dry_run_touches_no_file(self, tmp_path, monkeypatch):
+        """plan_fault_cost creates nothing: run it from an empty cwd."""
+        from repro.nn import get_config
+
+        monkeypatch.chdir(tmp_path)
+        for strategy in ("full", "parity"):
+            cost = plan_fault_cost(
+                get_config("tiny-untied"),
+                FaultPlan(events=(preemption(5, 1, restore_after=4),
+                                  rank_failure(14, 0), bitrot(4, 0, 0))),
+                world_size=3, total_steps=16, checkpoint_interval=4,
+                strategy=strategy,
+            )
+            assert cost.num_joins == 1 and cost.num_failures == 2
+            # bitrot is not priced in a dry run: it neither fires nor repairs.
+            assert "bitrot" not in cost.timeline.kinds()
+        assert list(tmp_path.iterdir()) == []
 
     def test_failure_on_checkpoint_step_loses_nothing(self):
         from repro.nn import get_config
@@ -929,6 +979,119 @@ class TestPlanFaultCost:
                 get_config("tiny-untied"), FaultPlan(events=(rank_failure(8, 5),)),
                 world_size=2, total_steps=12, checkpoint_interval=4,
             )
+
+
+# ---------------------------------------------------------------------------
+# The recovery policy as a property: random plans over the null leg only
+# ---------------------------------------------------------------------------
+
+def _null_run(plan, *, world_size, total_steps, interval, strategy, topology):
+    """The supervisor over a null leg, returning the raw TrainResult."""
+    from functools import partial
+    from pathlib import Path
+
+    from repro.io import RunIndex
+    from repro.nn import get_config
+    from repro.train.supervisor import NullLeg
+
+    cfg = TrainConfig(
+        model="tiny-untied", output_dir="<dry-run>", world_size=world_size,
+        total_steps=total_steps, checkpoint_strategy=strategy,
+        checkpoint_interval=interval,
+        topology=None if topology is None else topology.to_dict(),
+    )
+    leg = partial(NullLeg, model_config=get_config("tiny-untied"),
+                  disk=RunIndex(Path(cfg.output_dir), manifests={}))
+    supervisor = ChaosSupervisor(cfg, plan, _leg=leg)
+    return supervisor, supervisor.run()
+
+
+class TestRecoveryPolicyProperties:
+    @staticmethod
+    def _events(draw, world_size, total_steps, topology):
+        step = st.integers(1, total_steps)
+        rank = st.integers(0, world_size - 1)
+        kinds = [
+            st.builds(rank_failure, step, rank),
+            st.builds(rank_join, step),
+            st.builds(preemption, step, rank, st.integers(1, total_steps)),
+            st.builds(straggler, step, rank, st.sampled_from([1.5, 3.0]),
+                      duration=st.integers(1, 4)),
+        ]
+        if topology is not None:
+            from repro.dist.faults import node_failure
+
+            kinds.append(st.builds(node_failure, step, st.integers(0, 1)))
+        return tuple(draw(st.lists(st.one_of(kinds), max_size=5)))
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_random_plans(self, data):
+        from repro.dist.topology import Topology
+
+        world_size = data.draw(st.integers(1, 4), label="world_size")
+        total_steps = data.draw(st.integers(4, 24), label="total_steps")
+        interval = data.draw(st.integers(1, 6), label="interval")
+        strategy = data.draw(st.sampled_from(["full", "parity"]), label="strategy")
+        topology = data.draw(
+            st.sampled_from([None, Topology(nodes=2, ranks_per_node=2)]),
+            label="topology",
+        )
+        plan = FaultPlan(events=self._events(
+            data.draw, world_size, total_steps, topology))
+        try:
+            plan.validate(world_size, total_steps, topology=topology)
+        except ConfigError:
+            assume(False)
+
+        supervisor, result = _null_run(
+            plan, world_size=world_size, total_steps=total_steps,
+            interval=interval, strategy=strategy, topology=topology,
+        )
+        timeline, report = result.fault_timeline, result.goodput
+
+        # The run finishes, and the books balance: every executed step
+        # is either useful or was replayed.
+        assert result.interrupted_at is None
+        assert result.final_step == report.useful_steps == total_steps
+        executed = result.clock["compute"] / supervisor.config.sim_step_seconds
+        assert executed == report.useful_steps + report.lost_steps
+        assert supervisor.trainer.config.world_size >= 1
+
+        synced: list[int] = []  # join-sync checkpoints written so far
+        lost = 0
+        for event in timeline.events:
+            if event["kind"] == "join_sync":
+                synced.append(event["step"])
+            if event["kind"] != "recovery":
+                continue
+            at, resumed = event["step"], event["resumed_from"]
+            assert event["world_size"] >= 1
+            if event.get("grow"):
+                # Growing never loses a step.
+                assert resumed == at and event["lost_steps"] == 0
+                continue
+            assert event["lost_steps"] == at - resumed >= 0
+            lost += at - resumed
+            # Every checkpoint step that exists at the failure: the
+            # cadence writes up to it and the join-syncs before it.
+            cadence = list(range(interval, at + 1, interval))
+            exists = {*cadence, *(s for s in synced if s <= at)}
+            assert resumed in exists | {0}
+            newest = max(exists, default=0)
+            if strategy == "full":
+                # Every checkpoint is complete: resume from the newest.
+                assert resumed == newest
+            else:
+                # Never worse than the newest known-complete checkpoint
+                # (the leg's first cadence write, any join-sync); a
+                # merged trail anchors at the newest checkpoint of all.
+                known_complete = {*cadence[:1], *(s for s in synced if s <= at)}
+                assert resumed >= max(known_complete, default=0)
+                if (event["source"] or "").startswith("merged-"):
+                    assert resumed == newest
+            assert (event["source"] is None) == (resumed == 0)
+        assert lost == timeline.lost_steps == report.lost_steps
 
 
 # ---------------------------------------------------------------------------
@@ -1053,6 +1216,23 @@ class TestCli:
         assert rc == 0
         assert "fault-plan estimate" in out
         assert "lost (replayed) steps  : 7" in out  # failure at 7, interval 10
+        assert "recovery sources       : init" in out
+
+    def test_plan_faults_passes_strategy_and_interval(self, tmp_path, capsys):
+        """STRATEGY reaches the dry run: a parity trail recovers by merge."""
+        from repro.cli import main
+
+        plan_path = tmp_path / "plan.yaml"
+        plan_path.write_text(self.PLAN_YAML.replace("step: 7", "step: 9"))
+        rc = main([
+            "plan", "tiny-untied", "parity", "--steps", "16", "--interval", "4",
+            "--world-size", "3", "--faults", str(plan_path),
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "fault-plan estimate (parity dry run" in out
+        assert "recovery sources       : merged-8" in out
+        assert "lost (replayed) steps  : 1" in out
 
 
 # ---------------------------------------------------------------------------

@@ -726,6 +726,38 @@ class TestServerEndToEnd:
         handle.thread.join(timeout=30)
         assert not handle.thread.is_alive()
 
+    def test_drain_flushes_a_reply_written_after_the_last_job(self, monkeypatch):
+        """Teardown must not outrun a waiter: the final ``wait`` reply is
+        written *after* the --max-jobs drain began (forced here, not left
+        to scheduling), and the client still receives it."""
+        import repro.serve.server as server_mod
+        from repro.serve.server import MergeService
+
+        wait_arrived = threading.Event()
+        real_execute, real_wait = server_mod.execute_job, MergeService._op_wait
+
+        def gated_execute(job, **kwargs):
+            # The job cannot finish before its waiter is parked.
+            assert wait_arrived.wait(timeout=30)
+            return real_execute(job, **kwargs)
+
+        async def slow_wait(self, request):
+            wait_arrived.set()
+            response = await real_wait(self, request)
+            await asyncio.sleep(0.3)  # far past the drain's own few ms
+            return response
+
+        monkeypatch.setattr(server_mod, "execute_job", gated_execute)
+        monkeypatch.setattr(MergeService, "_op_wait", slow_wait)
+        sock = _short_socket()
+        handle = serve_in_thread(
+            ServeConfig(socket_path=sock, workers=1, max_jobs=1))
+        with ServeClient(sock) as client:
+            job = client.submit_and_wait(_plan_spec())
+            assert job["status"] == "done"
+        handle.thread.join(timeout=30)
+        assert not handle.thread.is_alive()
+
     def test_shutdown_op_drains(self):
         sock = _short_socket()
         handle = serve_in_thread(ServeConfig(socket_path=sock, workers=1))
