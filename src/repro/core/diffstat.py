@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..dist.shard import GroupEntry, check_payload
 from ..io.blobfile import read_blob
 from ..io.layout import CheckpointPaths
 from ..io.tensorfile import TensorFile
@@ -37,7 +38,7 @@ class SlotDrift:
     slot: str
     weight_l2: float  # ||w_b - w_a|| / ||w_a||
     weight_max: float  # max |w_b - w_a|
-    momentum_l2: float  # same for exp_avg (0 if shards unavailable)
+    momentum_l2: float  # same for exp_avg (0 unless include_momentum)
     params: int
 
 
@@ -60,39 +61,37 @@ def _slot_weight_drift(
     return rel, max_abs, count
 
 
-def _load_shards(ckpt: CheckpointPaths, world_size: int) -> list[dict] | None:
-    """Every rank's shard payload, decoded once, or ``None`` if unavailable.
+def _load_shards(
+    ckpt: CheckpointPaths, world_size: int, wanted: list[int]
+) -> list[dict[int, GroupEntry]]:
+    """Every rank's checked shard groups, each file decoded exactly once.
 
     Decoding a monolithic shard blob dominates the cost of a diff, so
-    each of the ``2 * world_size`` files is read exactly once and the
-    decoded payloads are shared across every slot's momentum pass (the
-    old per-slot reads decoded the same files ``num_slots`` times —
-    ~90% of ``llmtailor diff`` wall time on a sim-scale run).
+    the decoded groups are shared across every slot's momentum pass.
     """
-    try:
-        return [read_blob(ckpt.shard(rank)) for rank in range(world_size)]
-    except (MergeError, FileNotFoundError):
-        return None
+    return [
+        check_payload(
+            read_blob(path), world_size=world_size, rank=rank, origin=str(path),
+            error=MergeError, wanted=wanted,
+        )
+        for rank, path in enumerate(ckpt.shard_paths(world_size))
+    ]
 
 
 def _slot_momentum_drift(
-    config: ModelConfig,
-    shards_a: list[dict],
-    shards_b: list[dict],
-    slot: str,
+    shards_a: list[dict[int, GroupEntry]],
+    shards_b: list[dict[int, GroupEntry]],
+    groups: list[int],
 ) -> float:
     num = 0.0
     den = 0.0
-    try:
-        for shard_a, shard_b in zip(shards_a, shards_b):
-            for g in groups_for_slot(config, slot):
-                ma = np.asarray(shard_a["state"][g]["exp_avg"], dtype=np.float64)
-                mb = np.asarray(shard_b["state"][g]["exp_avg"], dtype=np.float64)
-                diff = mb - ma
-                num += float(diff @ diff)
-                den += float(ma @ ma)
-    except (KeyError, MergeError):
-        return 0.0
+    for shard_a, shard_b in zip(shards_a, shards_b):
+        for g in groups:
+            ma = shard_a[g].exp_avg.astype(np.float64)
+            mb = shard_b[g].exp_avg.astype(np.float64)
+            diff = mb - ma
+            num += float(diff @ diff)
+            den += float(ma @ ma)
     return float(np.sqrt(num) / (np.sqrt(den) + 1e-12))
 
 
@@ -108,27 +107,38 @@ def diff_checkpoints(
     if not ckpt_a.exists() or not ckpt_b.exists():
         raise MergeError("both checkpoints must exist to diff them")
     config = ModelConfig.from_dict(read_json(ckpt_a.config))
-    manifest_a = ckpt_a.read_manifest()
-    world_size = int(manifest_a.get("world_size", 0))
 
     file_a = TensorFile(ckpt_a.weights)
     file_b = TensorFile(ckpt_b.weights)
     by_slot = slot_parameter_shapes(config)
+    shared = {
+        slot: names
+        for slot in model_slots(config)
+        # a slot absent from either side (partial checkpoints) is skipped
+        if (names := [n for n in by_slot[slot] if n in file_a and n in file_b])
+    }
 
     shards_a = shards_b = None
-    if include_momentum and world_size:
-        shards_a = _load_shards(ckpt_a, world_size)
-        shards_b = _load_shards(ckpt_b, world_size)
+    if include_momentum:
+        world_a, world_b = (
+            int(c.read_manifest().get("world_size", 0)) for c in (ckpt_a, ckpt_b)
+        )
+        if world_a != world_b:
+            raise MergeError(
+                f"cannot diff momentum across world sizes: {ckpt_a.dir} was written "
+                f"at world size {world_a}, {ckpt_b.dir} at {world_b} — convert one "
+                "with `llmtailor reshard` first"
+            )
+        wanted = [g for slot in shared for g in groups_for_slot(config, slot)]
+        shards_a = _load_shards(ckpt_a, world_a, wanted)
+        shards_b = _load_shards(ckpt_b, world_b, wanted)
 
     out: list[SlotDrift] = []
-    for slot in model_slots(config):
-        names = [n for n in by_slot[slot] if n in file_a and n in file_b]
-        if not names:
-            continue  # slot not present in both (partial checkpoints)
+    for slot, names in shared.items():
         w_l2, w_max, count = _slot_weight_drift(file_a, file_b, names)
         m_l2 = (
-            _slot_momentum_drift(config, shards_a, shards_b, slot)
-            if shards_a is not None and shards_b is not None
+            _slot_momentum_drift(shards_a, shards_b, groups_for_slot(config, slot))
+            if include_momentum
             else 0.0
         )
         out.append(SlotDrift(slot=slot, weight_l2=w_l2, weight_max=w_max,

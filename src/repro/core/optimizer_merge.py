@@ -10,8 +10,8 @@ copy itself trivial: a transformer layer owns exactly two group indices
 Every load is a selective read: it walks the monolithic shard
 sequentially (container length and CRC apply) but inflates and
 materializes only the parameter groups the plan takes from that source,
-each checked against its header ``crc32``.  Two load policies reproduce
-the paper's Table 7 regimes:
+each passed through :func:`repro.dist.shard.check_payload` before it is
+copied.  Two load policies reproduce the paper's Table 7 regimes:
 
 * ``per-checkpoint`` — each distinct source blob is read once per rank
   (the "straightforward" mode: layers 1-16 from ckpt A, 17-32 from B);
@@ -33,7 +33,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ..dist.zero import SHARD_FORMAT_VERSION, group_payload_crc
+from ..dist.shard import (
+    GroupEntry,
+    build_payload,
+    check_payload,
+    content_key,
+    metadata_only,
+    select_groups,
+)
 from ..io.blobfile import read_blob_selected, write_blob
 from ..io.layout import CheckpointPaths, shard_filename
 from ..io.storage import GroupCache, group_key
@@ -109,125 +116,53 @@ class RankMergeStats:
         return dict(self.__dict__)
 
 
-def _validate_shard(shard: dict, spec: dict[str, Any], source_dir: str, rank: int) -> None:
-    if shard.get("format_version") != SHARD_FORMAT_VERSION:
-        raise MergeError(
-            f"{source_dir}: unsupported shard format "
-            f"{shard.get('format_version')} for rank {rank}"
-        )
-    if int(shard.get("world_size", -1)) != int(spec["world_size"]):
-        raise MergeError(
-            f"{source_dir}: shard world_size {shard.get('world_size')} != "
-            f"plan world_size {spec['world_size']}"
-        )
-
-
-def _take_groups(
-    shard: dict,
-    source_dir: str,
-    rank: int,
-    slot: str,
-    wanted: list[int],
-    groups_header: dict[int, dict],
-    hyperparams: dict[int, dict],
-    fp32: dict[int, Any],
-    state: dict[int, Any],
-) -> None:
-    """Copy one slot's groups out of a selectively read shard."""
-    available = {h["index"]: h for h in shard["groups"]}
-    available_hyper = {h["index"]: h for h in shard.get("hyperparams", [])}
-    for g in wanted:
-        if (
-            g not in available
-            or g not in shard["fp32_flat_groups"]
-            or g not in shard["state"]
-        ):
-            raise MergeError(
-                f"{source_dir}: rank {rank} shard lacks group {g} "
-                f"(slot {slot!r}); the checkpoint is more partial than its manifest claims"
-            )
-        groups_header[g] = available[g]
-        hyperparams[g] = available_hyper.get(g, {})
-        fp32[g] = shard["fp32_flat_groups"][g]
-        state[g] = shard["state"][g]
+def _shard_file(source_dir: str, rank: int) -> Path:
+    shard_path = CheckpointPaths(source_dir).shard(rank)
+    if not shard_path.exists():
+        raise MergeError(f"missing optimizer shard for rank {rank}: {shard_path}")
+    return shard_path
 
 
 def _extract(
     spec: dict[str, Any], rank: int, source_dir: str, wanted: set[int]
-) -> tuple[dict, float, int]:
+) -> tuple[dict[int, GroupEntry], float, int]:
     """Selectively read one shard, materializing only ``wanted`` groups.
 
-    Returns ``(shard_subset, load_seconds, file_bytes)``.  The whole
-    file is still read and CRC-checked (the blob is monolithic), but
-    skipped groups are neither inflated nor turned into numpy arrays.
+    Returns ``(groups, load_seconds, file_bytes)``.  The whole file is
+    still read and CRC-checked (the blob is monolithic), but skipped
+    groups are neither inflated nor turned into numpy arrays; each
+    materialized group is additionally checked against its own header
+    ``crc32``, which also catches tampering that re-wrote a
+    self-consistent container.
     """
-    shard_path = CheckpointPaths(source_dir).shard(rank)
-    if not shard_path.exists():
-        raise MergeError(f"missing optimizer shard for rank {rank}: {shard_path}")
-
-    def want(path: tuple) -> bool:
-        if len(path) == 2 and path[0] in ("fp32_flat_groups", "state"):
-            return path[1] in wanted
-        return True
-
-    def indexed_filter(path: tuple):
-        if path in (("groups",), ("hyperparams",)):
-            return wanted
-        return None
-
-    # The read drains the whole file, so the container length and CRC
-    # hold; each materialized group is additionally checked against its
-    # own header ``crc32`` below (the per-item integrity model weight
-    # tensors already use), which also catches tampering that re-wrote a
-    # self-consistent container.
+    shard_path = _shard_file(source_dir, rank)
+    want, indexed_filter = select_groups(wanted)
     timer = WallTimer()
     with timer:
         shard = read_blob_selected(shard_path, want, indexed_filter=indexed_filter)
-    headers = {h["index"]: h for h in shard.get("groups", [])}
-    for g in wanted:
-        header = headers.get(g)
-        fp32 = shard.get("fp32_flat_groups", {}).get(g)
-        state = shard.get("state", {}).get(g)
-        if header is None or "crc32" not in header or fp32 is None or state is None:
-            continue  # absence is reported as a merge error downstream
-        actual = group_payload_crc(fp32, state["exp_avg"], state["exp_avg_sq"])
-        if actual != int(header["crc32"]):
-            raise MergeError(
-                f"{shard_path}: CRC mismatch for group {g} in rank {rank} shard "
-                "(corrupt optimizer state)"
-            )
-    _validate_shard(shard, spec, source_dir, rank)
-    return shard, timer.elapsed, shard_path.stat().st_size
+    entries = check_payload(
+        shard, world_size=int(spec["world_size"]), rank=rank, origin=str(shard_path),
+        error=MergeError, wanted=wanted,
+    )
+    return entries, timer.elapsed, shard_path.stat().st_size
 
 
 def read_shard_metadata(shard_path: str | Path) -> dict:
     """One cheap selective pass: the whole shard *except* array payloads.
 
-    Returns the shard dict with ``fp32_flat_groups`` absent and each
-    ``state`` entry reduced to its scalars (``step``), while headers,
-    hyperparams and top-level fields decode normally.  The pass still
-    reads and CRC-checks the whole file but inflates nothing and
-    materializes no numpy arrays, so it costs read bandwidth only — the
-    serve group cache memoizes it per file identity, making repeat
-    requests metadata-free too.
+    Headers, hyperparams, top-level fields and each group's step counter
+    decode normally.  The pass still reads and CRC-checks the whole file
+    but inflates nothing and materializes no numpy arrays, so it costs
+    read bandwidth only — the serve group cache memoizes it per file
+    identity, making repeat requests metadata-free too.
     """
-
-    def want(path: tuple) -> bool:
-        if len(path) == 2 and path[0] == "fp32_flat_groups":
-            return False
-        if len(path) == 3 and path[0] == "state" and path[2] in (
-            "exp_avg", "exp_avg_sq",
-        ):
-            return False
-        return True
-
-    return read_blob_selected(Path(shard_path), want)
+    return read_blob_selected(Path(shard_path), metadata_only)
 
 
 def _extract_cached(
     cache: GroupCache, spec: dict[str, Any], rank: int, source_dir: str,
     wanted: set[int],
-) -> tuple[dict, float, int]:
+) -> tuple[dict[int, GroupEntry], float, int]:
     """Serve one selective load through the cross-request group cache.
 
     Array payloads come from the cache by content key (per-group CRC +
@@ -240,61 +175,39 @@ def _extract_cached(
     metadata read from the source file or array content whose CRC
     matches what the source file declares.
     """
-    shard_path = CheckpointPaths(source_dir).shard(rank)
-    if not shard_path.exists():
-        raise MergeError(f"missing optimizer shard for rank {rank}: {shard_path}")
+    shard_path = _shard_file(source_dir, rank)
+    world_size = int(spec["world_size"])
     timer = WallTimer()
     with timer:
         meta, fresh = cache.metadata(shard_path, read_shard_metadata)
-        headers = {h["index"]: h for h in meta.get("groups", [])}
-        world_size = int(meta.get("world_size", 0))
-        # Shards predating per-group CRCs have no content address: take
-        # the plain selective-read path (whole-payload CRC applies).
-        if world_size < 1 or any(
-            g not in headers or "crc32" not in headers[g] for g in wanted
-        ):
+        entries = check_payload(
+            meta, world_size=world_size, rank=rank, origin=str(shard_path),
+            error=MergeError, wanted=(),
+        )
+        keys = {
+            g: content_key(entries[g].header, world_size) if g in entries else None
+            for g in wanted
+        }
+        # Shards predating per-group CRCs have no content address (and a
+        # missing group or step is the plain path's error to report):
+        # take the plain selective read, whole-payload CRC applies.
+        if any(keys[g] is None or entries[g].step is None for g in wanted):
             return _extract(spec, rank, source_dir, wanted)
         nbytes = shard_path.stat().st_size if fresh else 0
 
-        fp32: dict[int, Any] = {}
-        state: dict[int, Any] = {}
-        missing: set[int] = set()
-        for g in sorted(wanted):
-            shard_numel = int(headers[g]["padded_numel"]) // world_size
-            arrays = cache.get(group_key(headers[g]["crc32"], shard_numel))
-            if arrays is None:
-                missing.add(g)
-                continue
-            fp32[g] = arrays["fp32"]
-            state[g] = {
-                "step": int(meta["state"][g]["step"]),
-                "exp_avg": arrays["exp_avg"],
-                "exp_avg_sq": arrays["exp_avg_sq"],
-            }
+        arrays = {g: cache.get(group_key(*keys[g])) for g in sorted(wanted)}
+        missing = {g for g in wanted if arrays[g] is None}
         if missing:
             # The plain path CRC-verifies exactly the groups it decodes,
             # which is what licenses inserting them under a content key.
             subset, _, sub_nbytes = _extract(spec, rank, source_dir, missing)
             nbytes += sub_nbytes
-            for g in missing:
-                fp32[g] = subset["fp32_flat_groups"][g]
-                state[g] = subset["state"][g]
-                shard_numel = int(headers[g]["padded_numel"]) // world_size
-                cache.put(
-                    group_key(headers[g]["crc32"], shard_numel),
-                    {
-                        "fp32": fp32[g],
-                        "exp_avg": state[g]["exp_avg"],
-                        "exp_avg_sq": state[g]["exp_avg_sq"],
-                    },
-                )
-        shard = {
-            k: v for k, v in meta.items() if k not in ("fp32_flat_groups", "state")
-        }
-        shard["fp32_flat_groups"] = fp32
-        shard["state"] = state
-    _validate_shard(shard, spec, source_dir, rank)
-    return shard, timer.elapsed, nbytes
+            for g in sorted(missing):
+                e = subset[g]
+                arrays[g] = {"fp32": e.fp32, "exp_avg": e.exp_avg, "exp_avg_sq": e.exp_avg_sq}
+                cache.put(group_key(*keys[g]), arrays[g])
+        groups = {g: entries[g]._replace(**arrays[g]) for g in arrays}
+    return groups, timer.elapsed, nbytes
 
 
 def merge_rank_shard(spec: dict[str, Any], rank: int) -> dict[str, Any]:
@@ -316,7 +229,7 @@ def merge_rank_shard(spec: dict[str, Any], rank: int) -> dict[str, Any]:
     ]
     cache = _GROUP_CACHE
 
-    def extract(source_dir: str, wanted: set[int]) -> tuple[dict, float, int]:
+    def extract(source_dir: str, wanted: set[int]):
         if cache is not None:
             return _extract_cached(cache, spec, rank, source_dir, wanted)
         return _extract(spec, rank, source_dir, wanted)
@@ -341,12 +254,9 @@ def merge_rank_shard(spec: dict[str, Any], rank: int) -> dict[str, Any]:
             for (src, _), wanted in zip(tasks, wanted_sets)
         ]
 
-    groups_header: dict[int, dict] = {}
-    hyperparams: dict[int, dict] = {}
-    fp32: dict[int, Any] = {}
-    state: dict[int, Any] = {}
+    merged: dict[int, GroupEntry] = {}
     seen_sources: set[str] = set()
-    for (source_dir, slots), (shard, load_seconds, nbytes) in zip(tasks, loads):
+    for (source_dir, slots), (entries, load_seconds, nbytes) in zip(tasks, loads):
         stats.load_seconds += load_seconds
         stats.files_loaded += 1
         stats.bytes_loaded += nbytes
@@ -354,41 +264,25 @@ def merge_rank_shard(spec: dict[str, Any], rank: int) -> dict[str, Any]:
             seen_sources.add(source_dir)
             stats.checkpoints_touched += 1
         for slot in slots:
-            _take_groups(
-                shard, source_dir, rank, slot, groups_for_slot(config, slot),
-                groups_header, hyperparams, fp32, state,
-            )
+            for g in groups_for_slot(config, slot):
+                merged[g] = entries[g]
             stats.slots_copied += 1
 
-    # Assemble the canonical merged payload and write it.
     num_groups = config.num_param_groups_tailored
-    if set(groups_header) != set(range(num_groups)):
-        missing = sorted(set(range(num_groups)) - set(groups_header))
+    if set(merged) != set(range(num_groups)):
+        missing = sorted(set(range(num_groups)) - set(merged))
         raise MergeError(f"merge produced incomplete group set; missing {missing[:8]}")
-
-    merged = {
-        "format_version": SHARD_FORMAT_VERSION,
-        "zero_stage": 3,
-        "world_size": int(spec["world_size"]),
-        "rank": rank,
-        "num_total_groups": num_groups,
-        "groups": [groups_header[g] for g in range(num_groups)],
-        "hyperparams": [
-            dict(hyperparams[g], index=g) if hyperparams[g] else {"index": g}
-            for g in range(num_groups)
-        ],
-        "fp32_flat_groups": {g: fp32[g] for g in range(num_groups)},
-        "state": {g: state[g] for g in range(num_groups)},
-        "global_step": int(spec["global_step"]),
-        "merged_by": "llmtailor",
-    }
+    payload = build_payload(
+        int(spec["world_size"]), rank, num_groups, merged.values(),
+        {"global_step": int(spec["global_step"]), "merged_by": "llmtailor"},
+    )
 
     out_dir = Path(spec["output"]) / f"global_step{spec['global_step']}"
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / shard_filename(rank)
     timer = WallTimer()
     with timer:
-        stats.bytes_written = write_blob(out_path, merged)
+        stats.bytes_written = write_blob(out_path, payload)
     stats.write_seconds = timer.elapsed
     return stats.as_dict()
 

@@ -140,6 +140,9 @@ def resolve_plan(recipe: MergeRecipe, output: str | Path | None = None) -> Merge
         cp = _checkpoint(Path(source_path), f"slot {slot!r}")
         manifest = manifests.get(cp.dir)
         if manifest is None:
+            if out.resolve() == cp.dir.resolve():
+                # The merge un-publishes its output before the first write.
+                raise MergeError(f"output directory must differ from source checkpoint {cp.dir}")
             manifest = cp.read_manifest()
             manifests[cp.dir] = manifest
         if manifest.get("model_config") != config.name:

@@ -128,6 +128,8 @@ class LLMTailor:
         total.start()
         plan = self.plan(output)
         log.info("merging %d slots into %s", len(plan.slot_sources), plan.output)
+        out_paths = CheckpointPaths(plan.output)
+        out_paths.unpublish()
 
         weight_stats = merge_weight_files(plan)
 
@@ -138,6 +140,7 @@ class LLMTailor:
         )
 
         copied = copy_config_files(plan)
+        out_paths.sweep_stale_shards(spec["global_step"], plan.world_size)
         write_merged_manifest(plan)
 
         report: VerifyReport | None = None
@@ -146,7 +149,7 @@ class LLMTailor:
             report.raise_if_failed()
 
         result = MergeResult(
-            output=CheckpointPaths(plan.output),
+            output=out_paths,
             plan=plan.describe(),
             weight_stats=weight_stats,
             rank_stats=rank_stats,

@@ -9,9 +9,10 @@ in a single process:
   :func:`unflatten_array`) — the flatten/pad/shard arithmetic;
 * :class:`ZeroStage3Engine` — per-rank AdamW over sharded fp32 masters,
   emitting/consuming the per-rank optimizer shard files LLMTailor merges;
-* :func:`reshard_checkpoint` / :func:`reshard_state_dicts` — elastic
-  N→M re-partitioning of those shard files (one read per source shard,
-  bounded memory);
+* :mod:`repro.dist.shard` — the one builder and one checker of that
+  shard payload (``SHARD_FORMAT_VERSION``);
+* :func:`reshard_checkpoint` — elastic N→M re-partitioning of those
+  shard files (one read per source shard, bounded memory);
 * :class:`FaultPlan` / :class:`ChaosComm` — deterministic fault
   injection (rank failures, node failures, joins, spot preemptions,
   stragglers, degraded links, bitrot) over the same machinery, with
@@ -29,12 +30,7 @@ from .zero import SHARD_FORMAT_VERSION, GroupMeta, ZeroStage3Engine
 
 # Imported last: reshard/faults pull in repro.io, which itself imports
 # the modules above from this (then partially initialized) package.
-from .reshard import (  # noqa: E402
-    ReshardReport,
-    reshard_checkpoint,
-    reshard_rank_state_dict,
-    reshard_state_dicts,
-)
+from .reshard import ReshardReport, reshard_checkpoint  # noqa: E402
 from .faults import (  # noqa: E402
     ChaosComm,
     FaultEvent,
@@ -77,8 +73,6 @@ __all__ = [
     "rank_join",
     "repair_from_replicas",
     "reshard_checkpoint",
-    "reshard_rank_state_dict",
-    "reshard_state_dicts",
     "straggler",
     "unflatten_array",
 ]

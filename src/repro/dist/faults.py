@@ -822,8 +822,9 @@ def inject_bitrot(
     *silent* storage bitrot, not a truncated download), but the group's
     header ``crc32`` now disagrees with its payload, which is exactly
     the corruption class the per-group CRCs exist to catch: every
-    reader that materializes the group (engine load, merge, reshard)
-    fails loudly instead of resuming from garbage.
+    reader that materializes the group (engine load, merge, reshard,
+    momentum diff, ``llmtailor verify``) fails loudly instead of
+    resuming from garbage.
 
     With ``keep_replica`` (the default) the pristine file is first
     copied to ``<shard>.replica`` — the simulated second storage

@@ -12,8 +12,8 @@ gather-everything-then-rescatter operation; this module does it as one
   coordinates, so each source shard scatters into the one or two target
   shards it overlaps;
 * every source shard is read exactly once (``N`` loads for any ``M``),
-  in rank order, and each of its groups is checked against its header
-  ``crc32`` before a byte is copied;
+  in rank order, and passes :func:`repro.dist.shard.check_payload`
+  (complete, rank 0's geometry, per-group CRC) before a byte is copied;
 * a target shard is emitted the moment the last source it overlaps has
   been consumed.
 
@@ -33,7 +33,6 @@ from __future__ import annotations
 import re
 import shutil
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -44,34 +43,14 @@ from ..io.layout import CheckpointPaths, shard_filename
 from ..util.errors import ReshardError
 from ..util.timer import WallTimer
 from .partition import GroupPartition
-from .zero import SHARD_FORMAT_VERSION, group_payload_crc
+from .shard import GroupEntry, build_payload, check_payload, payload_extras
 
 __all__ = [
     "ReshardReport",
     "placement_transfer_bytes",
     "reshard_checkpoint",
-    "reshard_rank_state_dict",
-    "reshard_state_dicts",
     "reshard_sweep",
 ]
-
-# Top-level shard payload keys in canonical write order.  Everything
-# else — e.g. ``global_step``, ``merged_by`` — is carried through in
-# source order, *from source rank 0* (rank-0-wins: the engine writes
-# identical extras into every shard, so divergence only arises from
-# hand-assembled files; the semantically critical per-group step
-# counters are validated across ranks separately).
-_CANONICAL_KEYS = (
-    "format_version",
-    "zero_stage",
-    "world_size",
-    "rank",
-    "num_total_groups",
-    "groups",
-    "hyperparams",
-    "fp32_flat_groups",
-    "state",
-)
 
 
 @dataclass
@@ -162,88 +141,6 @@ def placement_transfer_bytes(
 
 
 # ---------------------------------------------------------------------------
-# Validation helpers
-# ---------------------------------------------------------------------------
-
-def _validate_payload(shard: Mapping[str, Any], world_size: int, rank: int, origin: str) -> None:
-    version = shard.get("format_version")
-    if version != SHARD_FORMAT_VERSION:
-        raise ReshardError(f"{origin}: unsupported shard format_version {version!r}")
-    if int(shard.get("world_size", -1)) != world_size:
-        raise ReshardError(
-            f"{origin}: shard world_size {shard.get('world_size')} != expected {world_size}"
-        )
-    if int(shard.get("rank", -1)) != rank:
-        raise ReshardError(
-            f"{origin}: shard carries rank {shard.get('rank')}, expected rank {rank}"
-        )
-
-
-def _complete_headers(shard: Mapping[str, Any], origin: str) -> dict[int, dict]:
-    """The shard's group headers, required to cover every group index."""
-    headers = {int(h["index"]): h for h in shard.get("groups", [])}
-    num_groups = int(shard.get("num_total_groups", len(headers)))
-    missing = sorted(set(range(num_groups)) - set(headers))
-    if missing:
-        raise ReshardError(
-            f"{origin}: shard is partial (missing groups {missing[:8]}"
-            f"{'...' if len(missing) > 8 else ''}); merge the trail into a "
-            "complete checkpoint before resharding"
-        )
-    return headers
-
-
-def _group_step(state_entry: Mapping[str, Any] | None, g: int, origin: str) -> int:
-    if not state_entry or "step" not in state_entry:
-        raise ReshardError(f"{origin}: group {g} state is missing its step counter")
-    return int(state_entry["step"])
-
-
-# ---------------------------------------------------------------------------
-# Target payload assembly
-# ---------------------------------------------------------------------------
-
-def _target_payload(
-    rank: int,
-    target_world_size: int,
-    headers: Mapping[int, dict],
-    hyperparams: Sequence[dict],
-    extras: Mapping[str, Any],
-    fp32: dict[int, np.ndarray],
-    state: dict[int, dict],
-) -> dict[str, Any]:
-    """One target rank's shard payload, in the canonical key order."""
-    out_headers = []
-    for g in sorted(headers):
-        numel = int(headers[g]["numel"])
-        dst = GroupPartition(numel, target_world_size)
-        header = dict(headers[g])  # replaced keys keep their position
-        header["padded_numel"] = dst.padded_numel
-        header["crc32"] = group_payload_crc(
-            fp32[g], state[g]["exp_avg"], state[g]["exp_avg_sq"]
-        )
-        out_headers.append(header)
-    payload: dict[str, Any] = {
-        "format_version": SHARD_FORMAT_VERSION,
-        "zero_stage": 3,
-        "world_size": int(target_world_size),
-        "rank": int(rank),
-        "num_total_groups": len(out_headers),
-        "groups": out_headers,
-        "hyperparams": [dict(h) for h in hyperparams],
-        "fp32_flat_groups": {g: fp32[g] for g in sorted(fp32)},
-        "state": {g: state[g] for g in sorted(state)},
-    }
-    for key, value in extras.items():
-        payload[key] = value
-    return payload
-
-
-def _extras(shard: Mapping[str, Any]) -> dict[str, Any]:
-    return {k: v for k, v in shard.items() if k not in _CANONICAL_KEYS}
-
-
-# ---------------------------------------------------------------------------
 # The source-major sweep
 # ---------------------------------------------------------------------------
 
@@ -256,21 +153,31 @@ class _Sweep:
     """
 
     def __init__(self, source_world_size: int, target_world_size: int) -> None:
-        self.N, self.M = source_world_size, target_world_size
-        self.targets: dict[int, tuple[dict[int, np.ndarray], dict[int, dict]]] = {}
+        self.N, self.M = int(source_world_size), int(target_world_size)
+        if self.N < 1:
+            raise ReshardError("reshard needs at least one source shard")
+        if self.M < 1:
+            raise ReshardError(f"target world_size must be >= 1, got {target_world_size}")
+        # Open targets: m -> {g: (fp32, exp_avg, exp_avg_sq)}.
+        self.targets: dict[int, dict[int, tuple[np.ndarray, ...]]] = {}
         self.emitted = 0
+        self.expect: dict[int, Mapping] | None = None  # rank 0's headers, once adopted
 
-    def _adopt_rank0(self, ref: Mapping[str, Any], headers: dict[int, dict]) -> None:
-        self.headers = headers
-        self.hyperparams = list(ref.get("hyperparams", []))
-        self.extras = _extras(ref)
-        self.steps = {
-            g: _group_step(ref.get("state", {}).get(g), g, "source rank 0")
-            for g in headers
+    def _adopt_rank0(self, shard: Mapping[str, Any], ref: dict[int, GroupEntry]) -> None:
+        # Headers, hyperparams and steps only: holding rank 0's arrays
+        # would keep a whole source shard alive for the entire sweep.
+        self.ref = {
+            g: e._replace(fp32=None, exp_avg=None, exp_avg_sq=None) for g, e in ref.items()
         }
+        self.expect = {g: e.header for g, e in ref.items()}
+        # Non-format top-level keys (``global_step``, ``merged_by``, ...)
+        # travel from source rank 0: the engine writes identical extras
+        # into every shard, so rank 0 wins on hand-made divergence.
+        self.extras = payload_extras(shard)
         self.partitions = {
-            g: (GroupPartition(int(h["numel"]), self.N), GroupPartition(int(h["numel"]), self.M))
-            for g, h in sorted(headers.items())
+            g: (GroupPartition(int(e.header["numel"]), self.N),
+                GroupPartition(int(e.header["numel"]), self.M))
+            for g, e in ref.items()
         }
         # Target m is complete once source ready[m] is in; the running
         # maximum keeps emission in rank order even where tiny groups
@@ -284,82 +191,40 @@ class _Sweep:
             )
             self.ready.append(max(last, self.ready[-1] if m else 0))
 
-    def _check_against_rank0(self, headers: dict[int, dict], origin: str) -> None:
-        if set(headers) != set(self.headers):
-            raise ReshardError(
-                f"{origin}: group set differs from rank 0 "
-                f"({len(headers)} vs {len(self.headers)} groups) — the shards "
-                "belong to different checkpoints"
-            )
-        for g, ref in self.headers.items():
-            if int(headers[g]["numel"]) != int(ref["numel"]) or list(
-                headers[g].get("param_names", [])
-            ) != list(ref.get("param_names", [])):
-                raise ReshardError(
-                    f"{origin}: group {g} geometry differs from rank 0 — "
-                    "the shards belong to different checkpoints"
-                )
-
-    def _open_target(self) -> tuple[dict[int, np.ndarray], dict[int, dict]]:
-        fp32: dict[int, np.ndarray] = {}
-        state: dict[int, dict] = {}
-        for g, (_, dst) in self.partitions.items():
-            fp32[g] = np.zeros(dst.shard_numel, dtype=np.float32)
-            state[g] = {
-                "step": self.steps[g],
-                "exp_avg": np.zeros(dst.shard_numel, dtype=np.float32),
-                "exp_avg_sq": np.zeros(dst.shard_numel, dtype=np.float32),
-            }
-        return fp32, state
+    def _open_target(self) -> dict[int, tuple[np.ndarray, ...]]:
+        return {
+            g: tuple(np.zeros(dst.shard_numel, dtype=np.float32) for _ in range(3))
+            for g, (_, dst) in self.partitions.items()
+        }
 
     def scatter_next(self, sources: Iterator[Mapping[str, Any]], rank: int) -> None:
-        """Pull source ``rank``, verify it, copy its intervals into the targets."""
+        """Pull source ``rank``, check it, copy its intervals into the targets."""
         origin = f"source rank {rank}"
         shard = next(sources, None)
         if shard is None:
             raise ReshardError(f"reshard needs {self.N} source shards, got only {rank}")
-        _validate_payload(shard, self.N, rank, origin)
-        headers = _complete_headers(shard, origin)
+        entries = check_payload(
+            shard, world_size=self.N, rank=rank, origin=origin, error=ReshardError,
+            complete=True, expect=self.expect,
+        )
         if rank == 0:
-            self._adopt_rank0(shard, headers)
-        else:
-            self._check_against_rank0(headers, origin)
+            self._adopt_rank0(shard, entries)
         for g, (src, dst) in self.partitions.items():
-            entry = shard.get("state", {}).get(g) or {}
-            arrays = (
-                shard.get("fp32_flat_groups", {}).get(g),
-                entry.get("exp_avg"),
-                entry.get("exp_avg_sq"),
-            )
-            if any(a is None for a in arrays):
-                raise ReshardError(f"{origin}: group {g} state arrays are missing")
-            arrays = [np.asarray(a, dtype=np.float32) for a in arrays]
-            if any(a.shape != (src.shard_numel,) for a in arrays):
+            e = entries[g]
+            if e.step != self.ref[g].step:
                 raise ReshardError(
-                    f"{origin}: group {g} arrays have shapes "
-                    f"{[a.shape for a in arrays]}, expected ({src.shard_numel},)"
-                )
-            # Pre-CRC shards carry no crc32: container checks already applied.
-            if "crc32" in headers[g] and group_payload_crc(*arrays) != int(headers[g]["crc32"]):
-                raise ReshardError(
-                    f"{origin}: CRC mismatch for group {g} (corrupt optimizer state)"
-                )
-            step = _group_step(entry, g, origin)
-            if step != self.steps[g]:
-                raise ReshardError(
-                    f"{origin}: group {g} step {step} disagrees with "
-                    f"rank 0's {self.steps[g]}"
+                    f"{origin}: group {g} step {e.step} disagrees with "
+                    f"rank 0's {self.ref[g].step}"
                 )
             src_lo, src_hi = src.master_bounds(rank)
             src_base = src.bounds(rank)[0]
             for m in src.overlapping_ranks(rank, dst):
                 if m not in self.targets:
                     self.targets[m] = self._open_target()
-                fp32, state = self.targets[m]
                 dst_lo, dst_hi = dst.master_bounds(m)
                 lo, hi = max(src_lo, dst_lo), min(src_hi, dst_hi)
                 dst_base = dst.bounds(m)[0]
-                for out, arr in zip((fp32[g], state[g]["exp_avg"], state[g]["exp_avg_sq"]), arrays):
+                for out, arr in zip(self.targets[m][g], (e.fp32, e.exp_avg, e.exp_avg_sq)):
                     out[lo - dst_base : hi - dst_base] = arr[lo - src_base : hi - src_base]
 
     def completed(self, rank: int) -> Iterator[dict[str, Any]]:
@@ -367,10 +232,19 @@ class _Sweep:
         while self.emitted < self.M and self.ready[self.emitted] <= rank:
             m = self.emitted
             self.emitted += 1
-            fp32, state = self.targets.pop(m, None) or self._open_target()
-            yield _target_payload(
-                m, self.M, self.headers, self.hyperparams, self.extras, fp32, state
+            arrays = self.targets.pop(m, None) or self._open_target()
+            yield build_payload(
+                self.M, m, len(self.ref),
+                (GroupEntry(e.header, e.hyper, arrays[g][0], e.step, *arrays[g][1:])
+                 for g, e in self.ref.items()),
+                self.extras,
             )
+
+    def run(self, sources: Iterable[Mapping[str, Any]]) -> Iterator[dict[str, Any]]:
+        sources = iter(sources)
+        for rank in range(self.N):
+            self.scatter_next(sources, rank)
+            yield from self.completed(rank)
 
 
 def reshard_sweep(
@@ -382,14 +256,14 @@ def reshard_sweep(
 
     ``sources`` is iterated once, in rank order, one payload at a time —
     pass a generator that reads each shard on demand and the sweep never
-    holds more than one source.  Every source is validated (format,
-    world size, rank, completeness), checked against rank 0 (group set,
-    geometry, per-group step counters) and CRC-verified group by group;
-    its master intervals are then scattered into the target shard(s)
-    they overlap.  Target payloads are yielded in rank order, each as
-    soon as the last source it overlaps has been consumed, so a caller
-    that drops each payload before asking for the next keeps peak
-    memory at one source shard plus the open target(s).
+    holds more than one source.  Every source must be a complete, intact
+    payload of its rank (:func:`~repro.dist.shard.check_payload`) whose
+    geometry and per-group step counters agree with rank 0's; its master
+    intervals are then scattered into the target shard(s) they overlap.
+    Target payloads are yielded in rank order, each as soon as the last
+    source it overlaps has been consumed, so a caller that drops each
+    payload before asking for the next keeps peak memory at one source
+    shard plus the open target(s).
 
     Hyper-parameters and non-canonical top-level keys (``global_step``,
     ``merged_by``, ...) are taken from source rank 0 and replicated to
@@ -400,41 +274,7 @@ def reshard_sweep(
     moments vanish on the padded tail), which is what makes N→M→N
     bitwise.
     """
-    N, M = int(source_world_size), int(target_world_size)
-    if N < 1:
-        raise ReshardError("reshard needs at least one source shard")
-    if M < 1:
-        raise ReshardError(f"target world_size must be >= 1, got {target_world_size}")
-    sources = iter(sources)
-    sweep = _Sweep(N, M)
-    for rank in range(N):
-        sweep.scatter_next(sources, rank)
-        yield from sweep.completed(rank)
-
-
-def reshard_state_dicts(
-    shards: Sequence[Mapping[str, Any]], target_world_size: int
-) -> list[dict[str, Any]]:
-    """Re-partition N complete rank payloads into M (all targets, in memory)."""
-    shards = list(shards)
-    return list(reshard_sweep(shards, len(shards), target_world_size))
-
-
-def reshard_rank_state_dict(
-    shards: Sequence[Mapping[str, Any]], target_world_size: int, rank: int
-) -> dict[str, Any]:
-    """One target rank's resharded payload, stopping the sweep at ``rank``.
-
-    The engine's elastic ``load_rank_state_dict(..., peers=...)`` path
-    uses this.  Callers restoring *all* ranks should drain
-    :func:`reshard_sweep` once instead of calling this M times.
-    """
-    if not 0 <= rank < int(target_world_size):
-        raise ReshardError(
-            f"target rank {rank} out of range for world_size {target_world_size}"
-        )
-    shards = list(shards)
-    return next(islice(reshard_sweep(shards, len(shards), target_world_size), rank, None))
+    return _Sweep(source_world_size, target_world_size).run(sources)
 
 
 def reshard_checkpoint(
@@ -505,6 +345,7 @@ def reshard_checkpoint(
         )
     out_optim_dir = out_paths.dir / f"global_step{step}"
     out_optim_dir.mkdir(parents=True, exist_ok=True)
+    out_paths.unpublish()
 
     total = WallTimer()
     total.start()
@@ -527,27 +368,24 @@ def reshard_checkpoint(
             report.bytes_loaded += shard_path.stat().st_size
             yield read_blob(shard_path)
 
-    sweep = reshard_sweep(read_sources(), N, M)
-    for m in range(M):  # M >= 1: numels is bound below
+    sweep = _Sweep(N, M)
+    payloads = sweep.run(read_sources())
+    for m in range(M):
         timer = WallTimer()
         with timer:
-            payload = next(sweep)
-            numels = [int(h["numel"]) for h in payload["groups"]]
-            report.bytes_written += write_blob(out_optim_dir / shard_filename(m), payload)
-            del payload  # must not outlive the next source read
+            # next() as an argument: no name here keeps the payload alive
+            # while the following source is decoded.
+            report.bytes_written += write_blob(
+                out_optim_dir / shard_filename(m), next(payloads)
+            )
         report.rank_seconds.append(timer.elapsed)
+    numels = [src.numel for src, _ in sweep.partitions.values()]
     report.num_groups = len(numels)
     if topology is not None:
         report.intra_bytes, report.inter_bytes = placement_transfer_bytes(
             numels, N, M, topology
         )
-
-    # Re-using an output directory from an earlier, larger-M reshard must
-    # not leave stale higher-rank shard files behind the new manifest.
-    valid_names = {shard_filename(m) for m in range(M)}
-    for stale in out_optim_dir.glob(shard_filename("*")):
-        if stale.name not in valid_names:
-            stale.unlink()
+    out_paths.sweep_stale_shards(step, M)
 
     # Weights + config files are world-size independent: copy verbatim.
     shutil.copy2(paths.weights, out_paths.dir / paths.weights.name)

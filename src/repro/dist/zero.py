@@ -12,8 +12,9 @@ training math is world-size invariant: ``world_size=1`` and
 ``world_size=4`` produce identical losses and masters (a property the
 test suite pins down).  What sharding *does* change is the checkpoint
 anatomy — :meth:`ZeroStage3Engine.rank_state_dict` emits exactly the
-monolithic per-rank shard payload that LLMTailor's merge tool,
-checkpoint writer/reader, and verifier all operate on.
+monolithic per-rank shard payload (:mod:`repro.dist.shard` owns the
+format) that LLMTailor's merge tool, checkpoint writer/reader, and
+verifier all operate on.
 
 The engine owns persistent per-group buffers: a contiguous padded fp32
 master buffer whose per-rank shards are slice views (gather = a slice),
@@ -25,29 +26,10 @@ allocate-per-step formulation it replaced lives on as the
 ``tests/test_step_fused.py`` pins the two bit-for-bit against each
 other.  Because shards are *views*, any payload that outlives the step
 must copy (the copy-on-save rule in :meth:`rank_state_dict`).
-
-Shard payload (``SHARD_FORMAT_VERSION``)::
-
-    format_version    int
-    zero_stage        3
-    world_size, rank  int
-    num_total_groups  int   (2L + x for the tailored layout)
-    groups            [ {index, name, slot, weight_decay, param_names,
-                         shapes, numel, padded_numel, crc32} ]
-    hyperparams       [ {index, lr, betas, eps, weight_decay} ]
-    fp32_flat_groups  {group index -> fp32 master shard (shard_numel,)}
-    state             {group index -> {step, exp_avg, exp_avg_sq}}
-
-``crc32`` covers the group's fp32 master + both moment buffers (see
-:func:`group_payload_crc`), giving each group the same per-item
-integrity that weight tensors get from the tensor-file format — which
-is what lets a selective reader verify exactly the groups it
-materializes without decoding the whole monolithic blob.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -62,20 +44,15 @@ from ..optim.optimizer import ParamGroup
 from ..util.errors import CheckpointError, ConfigError, DistError
 from .comm import SimComm, make_comm
 from .partition import GroupPartition, flatten_arrays, unflatten_array
+from .shard import (
+    SHARD_FORMAT_VERSION,
+    GroupEntry,
+    build_payload,
+    check_payload,
+    group_payload_crc,
+)
 
 __all__ = ["SHARD_FORMAT_VERSION", "GroupMeta", "ZeroStage3Engine", "group_payload_crc"]
-
-SHARD_FORMAT_VERSION = 1
-
-
-def group_payload_crc(
-    fp32: np.ndarray, exp_avg: np.ndarray, exp_avg_sq: np.ndarray
-) -> int:
-    """CRC-32 over one group's shard data (master + moments, in order)."""
-    crc = 0
-    for arr in (fp32, exp_avg, exp_avg_sq):  # CRC the buffers in place, no copies
-        crc = zlib.crc32(np.ascontiguousarray(arr).reshape(-1).view(np.uint8), crc)
-    return crc
 
 
 @dataclass(frozen=True)
@@ -361,13 +338,10 @@ class ZeroStage3Engine:
         if not 0 <= rank < self.world_size:
             raise DistError(f"rank {rank} out of range for world_size {self.world_size}")
         slot_set = None if slots is None else set(slots)
-        selected = [
-            g
-            for g, meta in enumerate(self.group_meta)
-            if slot_set is None or meta.slot in slot_set
-        ]
-        hyperparams = []
-        for g in selected:
+        entries = []
+        for g, meta in enumerate(self.group_meta):
+            if slot_set is not None and meta.slot not in slot_set:
+                continue
             # Hyper-parameters come from the scheduler-driven *reference*
             # optimizer for every rank: ranks >= 1 only mirror its LR at
             # the top of the next step, so their own copy can be one
@@ -376,77 +350,38 @@ class ZeroStage3Engine:
             # lets the elastic resharder re-partition hyperparams
             # losslessly at any N->M.
             group = self.reference_optimizer.param_groups[g]
-            hyperparams.append(
-                {
-                    "index": g,
-                    "lr": float(group["lr"]),
-                    "betas": [float(b) for b in group["betas"]],
-                    "eps": float(group["eps"]),
-                    "weight_decay": float(group["weight_decay"]),
-                }
+            hyper = {
+                "index": g,
+                "lr": float(group["lr"]),
+                "betas": [float(b) for b in group["betas"]],
+                "eps": float(group["eps"]),
+                "weight_decay": float(group["weight_decay"]),
+            }
+            # Copy-on-save: the shard tensors are views into the group's
+            # live master buffer, which the next step mutates in place — a
+            # payload holding views would silently change after save.
+            moments = self._moment_state(rank, g)
+            entries.append(
+                GroupEntry(
+                    meta.header(), hyper, self._shard_params[g][rank].data.copy(),
+                    moments["step"], moments["exp_avg"], moments["exp_avg_sq"],
+                )
             )
-        # Copy-on-save: the shard tensors are views into the group's live
-        # master buffer, which the next step mutates in place — a payload
-        # holding views would silently change after save.
-        fp32_flat_groups = {
-            g: self._shard_params[g][rank].data.copy() for g in selected
-        }
-        state = {g: self._moment_state(rank, g) for g in selected}
-        groups = []
-        for g in selected:
-            header = self.group_meta[g].header()
-            header["crc32"] = group_payload_crc(
-                fp32_flat_groups[g], state[g]["exp_avg"], state[g]["exp_avg_sq"]
-            )
-            groups.append(header)
-        return {
-            "format_version": SHARD_FORMAT_VERSION,
-            "zero_stage": 3,
-            "world_size": self.world_size,
-            "rank": rank,
-            "num_total_groups": len(self.group_meta),
-            "groups": groups,
-            "hyperparams": hyperparams,
-            "fp32_flat_groups": fp32_flat_groups,
-            "state": state,
-        }
+        return build_payload(self.world_size, rank, len(self.group_meta), entries)
 
     def load_rank_state_dict(
-        self,
-        rank: int,
-        state: dict[str, Any],
-        require_full: bool = True,
-        *,
-        materialize: bool = True,
-        peers: "list[dict[str, Any]] | None" = None,
-        verify_crc: bool = True,
+        self, rank: int, state: dict[str, Any], *, materialize: bool = True
     ) -> None:
         """Restore one rank's shard payload (inverse of :meth:`rank_state_dict`).
 
-        Validates the shard was written by a compatible engine: same
-        format, world size, rank, and — per group — identical parameter
-        membership and geometry.  With ``require_full`` (the default)
-        every group must be present; partial payloads are only loadable
-        when the caller explicitly opts in (the merge tool assembles
-        full ones instead).
-
-        With ``verify_crc`` (the default) every group whose header
-        carries a ``crc32`` is checked against its payload *before*
-        anything is written into the engine, so silent storage bitrot
-        fails the load instead of resuming training from a corrupted
-        master — the engine-side twin of the selective readers'
-        per-group verification.
-
-        A shard written at a *different* world size is accepted when
-        ``peers`` carries the complete set of source rank payloads (rank
-        order): the engine reshards them N→world_size in memory via
-        :func:`repro.dist.reshard.reshard_rank_state_dict` and loads this
-        rank's slice.  Without ``peers`` a mismatch is an error — one
-        mismatched shard alone cannot be re-partitioned.  This is also
-        how a freshly *joined* rank is born: growing N→N+1 the
-        supervisor resumes from a checkpoint written at N, and the new
-        highest rank's shard materializes here out of the resharded
-        source payloads.
+        The payload must be a complete shard written for this engine's
+        world size, rank and group layout (:func:`~repro.dist.shard
+        .check_payload`, every group CRC-verified); nothing is written
+        into the engine until every group passed, so a corrupt group
+        leaves the live masters untouched and the caller can repair the
+        shard and retry.  A checkpoint written at another world size
+        loads through :func:`repro.io.load_checkpoint`, which reshards it
+        on the way.
 
         ``materialize=False`` skips rewriting the model weights from the
         masters — callers restoring every rank in a loop (the checkpoint
@@ -454,136 +389,27 @@ class ZeroStage3Engine:
         """
         if not 0 <= rank < self.world_size:
             raise DistError(f"rank {rank} out of range for world_size {self.world_size}")
-        version = state.get("format_version")
-        if version != SHARD_FORMAT_VERSION:
-            raise CheckpointError(
-                f"unsupported shard format_version {version!r} "
-                f"(engine speaks {SHARD_FORMAT_VERSION})"
-            )
-        if int(state.get("world_size", -1)) != self.world_size:
-            if peers is None:
-                raise CheckpointError(
-                    f"shard world_size {state.get('world_size')} != engine "
-                    f"world_size {self.world_size} (pass peers=<all source rank "
-                    "payloads> to reshard elastically, or run `llmtailor reshard`)"
-                )
-            from .reshard import reshard_rank_state_dict  # imported after this module
-
-            resharded = reshard_rank_state_dict(list(peers), self.world_size, rank)
-            return self.load_rank_state_dict(
-                rank, resharded, require_full,
-                materialize=materialize, verify_crc=verify_crc,
-            )
-        if int(state.get("rank", -1)) != rank:
-            raise CheckpointError(
-                f"shard was written for rank {state.get('rank')}, "
-                f"attempting to load it as rank {rank}"
-            )
-
-        headers = {int(h["index"]): h for h in state.get("groups", [])}
-        for g, header in headers.items():
-            if not 0 <= g < len(self.group_meta):
-                raise CheckpointError(
-                    f"shard group index {g} out of range for "
-                    f"{len(self.group_meta)} tailored groups"
-                )
-            meta = self.group_meta[g]
-            if list(header.get("param_names", [])) != list(meta.param_names):
-                raise CheckpointError(
-                    f"group {g} ({meta.name}): parameter names differ between "
-                    "shard and engine — the checkpoint belongs to a different layout"
-                )
-            if "numel" in header and int(header["numel"]) != meta.numel:
-                raise CheckpointError(
-                    f"group {g} ({meta.name}): shard numel {header['numel']} != "
-                    f"engine numel {meta.numel}"
-                )
-            if "padded_numel" in header and (
-                int(header["padded_numel"]) != meta.partition.padded_numel
-            ):
-                raise CheckpointError(
-                    f"group {g} ({meta.name}): shard padded_numel "
-                    f"{header['padded_numel']} != engine {meta.partition.padded_numel}"
-                )
-            shapes = header.get("shapes")
-            if shapes is not None and [tuple(s) for s in shapes] != list(meta.shapes):
-                raise CheckpointError(
-                    f"group {g} ({meta.name}): parameter shapes differ between "
-                    "shard and engine — same names, different tensor geometry"
-                )
-        if require_full:
-            missing = sorted(set(range(len(self.group_meta))) - set(headers))
-            if missing:
-                raise CheckpointError(
-                    f"shard for rank {rank} is partial: missing groups {missing[:8]}"
-                    f"{'...' if len(missing) > 8 else ''} "
-                    "(pass require_full=False to load a subset)"
-                )
-
-        fp32_groups = state.get("fp32_flat_groups", {})
-        moment_state = state.get("state", {})
-        hyper_by_index = {
-            int(h["index"]): h for h in state.get("hyperparams", []) if "index" in h
-        }
+        entries = check_payload(
+            state, world_size=self.world_size, rank=rank, origin=f"rank {rank} shard",
+            error=CheckpointError, complete=True,
+            expect={m.index: m.header() for m in self.group_meta},
+        )
+        # Owned copies and parsed hyper-parameters, staged before anything mutates.
         opt = self.optimizers[rank]
-        # Validate and (optionally) CRC-check every group BEFORE mutating
-        # the engine: a corrupt group must leave the live masters
-        # untouched so the caller can repair the shard and retry.
-        staged: dict[int, tuple[np.ndarray, dict[str, Any]]] = {}
-        for g in sorted(headers):
-            meta = self.group_meta[g]
-            shard_numel = meta.partition.shard_numel
-            fp32 = np.asarray(fp32_groups.get(g), dtype=np.float32)
-            if fp32.shape != (shard_numel,):
-                raise CheckpointError(
-                    f"group {g} fp32 shard has shape {fp32.shape}, "
-                    f"expected ({shard_numel},)"
-                )
-            entry = moment_state.get(g) or {}
-            restored: dict[str, Any] = {"step": int(entry.get("step", 0))}
-            for key in ("exp_avg", "exp_avg_sq"):
-                raw = entry.get(key)
-                value = (
-                    np.zeros(shard_numel, dtype=np.float32)
-                    if raw is None
-                    else np.array(raw, dtype=np.float32)  # one copy, owned
-                )
-                if value.shape != (shard_numel,):
-                    raise CheckpointError(
-                        f"group {g} {key} has shape {value.shape}, "
-                        f"expected ({shard_numel},)"
-                    )
-                restored[key] = value
-            if verify_crc and "crc32" in headers[g]:
-                actual = group_payload_crc(
-                    fp32, restored["exp_avg"], restored["exp_avg_sq"]
-                )
-                if actual != int(headers[g]["crc32"]):
-                    raise CheckpointError(
-                        f"group {g} ({meta.name}): CRC-32 mismatch on rank "
-                        f"{rank}'s shard payload — the optimizer state is "
-                        "corrupt (bitrot?); re-read the shard or restore a "
-                        "replica before resuming"
-                    )
-            staged[g] = (fp32, restored)
-
-        for g in sorted(headers):
-            fp32, restored = staged[g]
+        staged = []
+        for g, e in entries.items():
+            moments = {
+                "step": e.step, "exp_avg": e.exp_avg.copy(), "exp_avg_sq": e.exp_avg_sq.copy(),
+            }
+            hyper = {k: float(e.hyper[k]) for k in ("lr", "eps", "weight_decay") if k in e.hyper}
+            if "betas" in e.hyper:
+                hyper["betas"] = tuple(float(b) for b in e.hyper["betas"])
+            staged.append((g, e.fp32, moments, hyper))
+        for g, fp32, moments, hyper in staged:
             param = self._shard_params[g][rank]
             param.data[...] = fp32
-            opt.state[id(param)] = restored
-
-            hyper = hyper_by_index.get(g)
-            if hyper:
-                group = opt.param_groups[g]
-                group["lr"] = float(hyper.get("lr", group["lr"]))
-                group["eps"] = float(hyper.get("eps", group["eps"]))
-                group["weight_decay"] = float(
-                    hyper.get("weight_decay", group["weight_decay"])
-                )
-                if "betas" in hyper:
-                    group["betas"] = tuple(float(b) for b in hyper["betas"])
-
+            opt.state[id(param)] = moments
+            opt.param_groups[g].update(hyper)
             # Keep model weights consistent with the (now restored) masters.
             if materialize:
                 self._materialize_group(g)

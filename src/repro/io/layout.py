@@ -28,6 +28,7 @@ from typing import Any
 
 from ..util.errors import CheckpointError, MergeError
 from ..util.jsonio import read_json, write_json_atomic, write_text_atomic
+from ..util.logging import get_logger
 
 __all__ = [
     "CheckpointPaths",
@@ -61,6 +62,8 @@ MANIFEST_NAME = "tailor_manifest.json"
 LATEST_NAME = "latest"
 
 _CKPT_RE = re.compile(r"^checkpoint-(\d+)$")
+
+log = get_logger("io.layout")
 
 
 class CheckpointPaths:
@@ -158,6 +161,24 @@ class CheckpointPaths:
         """Atomically write the manifest JSON."""
         write_json_atomic(self.manifest, manifest)
 
+    def unpublish(self) -> None:
+        """Drop the manifest before the first byte of a rewrite, so new
+        files never sit under the old manifest's geometry: a rewrite that
+        dies midway leaves a directory every reader treats as absent."""
+        self.manifest.unlink(missing_ok=True)
+
+    def sweep_stale_shards(self, step: int, world_size: int) -> None:
+        """Delete what an earlier write at another geometry left in
+        ``global_step<step>/``: shards of ranks ``>= world_size`` and
+        fault-injection replicas (restoring one would resurrect
+        pre-rewrite state).  Call before the manifest-last write."""
+        optim_dir = self.dir / f"global_step{step}"
+        keep = {shard_filename(r) for r in range(world_size)}
+        for name in (shard_filename("*"), "*.replica"):
+            for stale in optim_dir.glob(name):
+                if stale.name not in keep:
+                    stale.unlink()
+
     def nbytes(self) -> int:
         """Total bytes on disk in this checkpoint."""
         return sum(p.stat().st_size for p in self.dir.rglob("*") if p.is_file())
@@ -188,9 +209,10 @@ class RunIndex:
     """The one reader of a run directory: what is on disk, at what shape.
 
     ``RunIndex(root)`` scans ``root`` once for ``checkpoint-<step>``
-    directories and reads each manifest at most once, on first use — a
-    snapshot for one decision (where to resume, what to prune, which
-    trail to merge).  ``RunIndex(root, manifests={})`` is the dict-backed
+    directories that have a manifest (one without is a torn write,
+    skipped with a warning) and reads each manifest at most once, on
+    first use — a snapshot for one decision (where to resume, what to
+    prune, which trail to merge).  ``RunIndex(root, manifests={})`` is the dict-backed
     form a dry run fills through :meth:`record` instead of writing
     files: same answers, from memory, never touching disk.  Entries are
     addressed by step (``checkpoint-<step>``) or by directory name (a
@@ -203,7 +225,18 @@ class RunIndex:
         self.root = Path(root)
         self._on_disk = manifests is None
         self._manifests = {} if manifests is None else manifests
-        self._scanned = list_checkpoint_steps(self.root) if self._on_disk else []
+        self._scanned: list[int] = []
+        if self._on_disk:
+            for step in list_checkpoint_steps(self.root):
+                # Writers publish the manifest last, so a directory
+                # without one is a write that never finished: not there yet.
+                if checkpoint_dir(self.root, step).manifest.exists():
+                    self._scanned.append(step)
+                else:
+                    log.warning(
+                        "ignoring %s/checkpoint-%d: no manifest (torn write)",
+                        self.root, step,
+                    )
 
     def record(self, name: str, manifest: dict[str, Any]) -> None:
         """Enter (or overwrite) a manifest — the dict-backed form's write."""

@@ -94,8 +94,7 @@ def load_checkpoint(
         # (next() as an argument: no name here keeps the payload alive
         # while the following shard is decoded.)
         engine.load_rank_state_dict(
-            rank, next(shards), require_full=True,
-            materialize=rank == engine.world_size - 1,
+            rank, next(shards), materialize=rank == engine.world_size - 1
         )
     if storage is not None:
         storage.charge_read(

@@ -60,6 +60,7 @@ def save_checkpoint(
 
     paths = checkpoint_dir(storage.root, step)
     paths.dir.mkdir(parents=True, exist_ok=True)
+    paths.unpublish()
     slot_set = set(saved_slots)
 
     # 1. Consolidated model weights (bf16, lazy container), rank-0 serial.
@@ -90,18 +91,8 @@ def save_checkpoint(
         shard_bytes += write_blob(paths.shard(rank), shard)
     # Rewriting a step at a smaller world size (elastic shrink replaying
     # a checkpointed step) must not leave the old higher-rank shards
-    # behind the new manifest — stale files with a different geometry.
-    from .layout import shard_filename
-
-    valid_names = {shard_filename(r) for r in range(engine.world_size)}
-    for stale in paths.optim_dir.glob(shard_filename("*")):
-        if stale.name not in valid_names:
-            stale.unlink()
-    # Likewise, fault-injection replicas of overwritten shards are stale:
-    # restoring one over a freshly rewritten checkpoint would resurrect
-    # pre-rewrite state.
-    for stale in paths.optim_dir.glob("*.replica"):
-        stale.unlink()
+    # behind the new manifest.
+    paths.sweep_stale_shards(step, engine.world_size)
     storage.charge_write(
         shard_bytes,
         files=engine.world_size,

@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from ..dist.shard import check_payload, content_key
 from ..io.layout import CheckpointPaths
 from ..io.storage import BlobStore, group_key
-from ..util.errors import ConfigError
+from ..util.errors import ConfigError, MergeError
 from .admission import JobCost
 from .protocol import JobSpec
 
@@ -131,25 +132,21 @@ def _shard_group_keys(ckpt: CheckpointPaths) -> list[str]:
     """
     from ..core.optimizer_merge import read_shard_metadata  # lazy: layering
 
-    manifest = ckpt.read_manifest()
-    world_size = int(manifest.get("world_size", 0))
-    if world_size < 1:
-        return []
+    world_size = int(ckpt.read_manifest().get("world_size", 0))
     keys: list[str] = []
     for rank in range(world_size):
         path = ckpt.shard(rank)
         if not path.exists():
             continue
-        meta = read_shard_metadata(path)
-        shard_ws = int(meta.get("world_size", 0))
-        if shard_ws < 1:
-            continue
-        for header in meta.get("groups", []):
-            crc = header.get("crc32")
-            numel = header.get("padded_numel")
-            if crc is None or numel is None:
-                continue
-            keys.append(group_key(int(crc), int(numel) // shard_ws))
+        entries = check_payload(
+            read_shard_metadata(path), world_size=world_size, rank=rank,
+            origin=str(path), error=MergeError, wanted=(),
+        )
+        keys += [
+            group_key(*key)
+            for entry in entries.values()
+            if (key := content_key(entry.header, world_size)) is not None
+        ]
     return keys
 
 

@@ -141,3 +141,72 @@ class TestLatestPointer:
         (tmp_path / "latest").write_text(content)
         with pytest.raises(CheckpointError, match="latest"):
             read_latest(tmp_path)
+
+
+class TestRewriteInPlace:
+    """Writing into a directory that already holds a checkpoint: the old
+    manifest goes first, stale shards go before the new manifest lands."""
+
+    @staticmethod
+    def _full(root, config, world_size, step=5):
+        model, engine = make_engine(config, world_size=world_size)
+        train_steps(model, engine, config, 1)
+        return save_checkpoint(Storage(root), step=step, model=model, config=config,
+                               engine=engine, trainer_state={"global_step": step})
+
+    def test_remerge_at_a_smaller_world_size_leaves_no_stale_shard(self, tmp_path, untied_config):
+        from repro.core import LLMTailor, MergeRecipe
+        from repro.io import CheckpointPaths, describe_checkpoint
+
+        out = tmp_path / "merged"
+        for world_size in (3, 2):
+            source = self._full(tmp_path / f"ws{world_size}", untied_config, world_size)
+            LLMTailor(MergeRecipe(base_checkpoint=source.dir)).merge(output=out)
+            if world_size == 3:  # a replica of a shard the re-merge overwrites
+                shard = CheckpointPaths(out).shard(0)
+                shard.with_name(shard.name + ".replica").write_bytes(shard.read_bytes())
+        paths = CheckpointPaths(out)
+        assert sorted(p.name for p in paths.optim_dir.iterdir()) == [
+            paths.shard(0).name, paths.shard(1).name,
+        ]
+        assert describe_checkpoint(out)["num_shards"] == paths.read_manifest()["world_size"] == 2
+
+    @pytest.mark.parametrize("writer", ["save", "merge", "reshard"])
+    def test_a_rewrite_that_dies_leaves_no_manifest(
+        self, tmp_path, untied_config, monkeypatch, writer
+    ):
+        """The second shard write of a rewrite raises: the directory must
+        not keep the old ``complete: true`` manifest over mixed shards,
+        and the run index then treats it as not there."""
+        import repro.core.optimizer_merge
+        import repro.dist.reshard
+        import repro.io.writer
+        from repro.core import LLMTailor, MergeRecipe
+        from repro.dist import reshard_checkpoint
+        from repro.io import RunIndex
+
+        root = tmp_path / "run"
+        source = self._full(tmp_path / "source", untied_config, 2)
+        target = root / "checkpoint-5"
+        module, write = {
+            "save": (repro.io.writer, lambda: self._full(root, untied_config, 2)),
+            "merge": (repro.core.optimizer_merge, lambda: LLMTailor(
+                MergeRecipe(base_checkpoint=source.dir)).merge(output=target)),
+            "reshard": (repro.dist.reshard, lambda: reshard_checkpoint(source, target, 2)),
+        }[writer]
+        write()
+        assert RunIndex(root).complete_steps() == [5]
+
+        real, calls = module.write_blob, []
+
+        def dying(path, obj):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("simulated crash in the second shard write")
+            return real(path, obj)
+
+        monkeypatch.setattr(module, "write_blob", dying)
+        with pytest.raises(OSError, match="simulated crash"):
+            write()
+        assert len(calls) == 2 and not (target / "tailor_manifest.json").exists()
+        assert RunIndex(root).steps() == []

@@ -56,6 +56,18 @@ class TestDiffStat:
         )
         assert any(d.momentum_l2 > 0.0 for d in drifts)
 
+    def test_momentum_diff_across_world_sizes_is_refused(self, two_full_checkpoints, tmp_path):
+        """Both trails used to be read at the first one's world size: an
+        untyped broadcast ``ValueError`` one way, a missing file the other."""
+        from repro.dist import reshard_checkpoint
+
+        ckpt = two_full_checkpoints.root / "checkpoint-200"
+        reshard_checkpoint(ckpt, tmp_path / "ws3", 3)
+        for a, b in ((ckpt, tmp_path / "ws3"), (tmp_path / "ws3", ckpt)):
+            with pytest.raises(MergeError, match=r"world size [23].* [23] .*llmtailor reshard"):
+                diff_checkpoints(a, b, include_momentum=True)
+            assert all(d.weight_l2 == 0.0 for d in diff_checkpoints(a, b))
+
     def test_ranking_descending(self, two_full_checkpoints):
         root = two_full_checkpoints.root
         ranked = drift_ranking(

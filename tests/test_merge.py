@@ -173,14 +173,22 @@ class TestMergeValidation:
         assert any("decay" in issue for issue in report.issues)
 
     def test_verify_sources_bitwise(self, checkpoint_run, tmp_path):
+        """Every merged slot carries its source's bits, weights and masters."""
+        from repro.core.groups import groups_for_slot
+        from repro.io import read_blob
+        from repro.nn.slots import slot_parameter_shapes
+
         storage, _, _, config, _ = checkpoint_run
         result = LLMTailor(_parity_recipe(storage, config)).merge(output=tmp_path / "m")
-        sources = {
-            "layers.1": CheckpointPaths(storage.root / "checkpoint-100"),
-            "norm": CheckpointPaths(storage.root / "checkpoint-200"),
-        }
-        report = verify_checkpoint(result.output.dir, sources=sources)
-        assert report.ok, report.issues
+        merged = TensorFile(result.output.weights)
+        for slot, step in (("layers.1", 100), ("norm", 200)):
+            source = CheckpointPaths(storage.root / f"checkpoint-{step}")
+            for name in slot_parameter_shapes(config)[slot]:
+                assert merged.read_raw(name)[0] == TensorFile(source.weights).read_raw(name)[0]
+            for rank in range(2):
+                got, want = read_blob(result.output.shard(rank)), read_blob(source.shard(rank))
+                for g in groups_for_slot(config, slot):
+                    assert np.array_equal(got["fp32_flat_groups"][g], want["fp32_flat_groups"][g])
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.dist.reshard as reshard_module
 from repro.core import LLMTailor, MergeOptions, recipe_from_run, verify_checkpoint
-from repro.dist import GroupPartition, reshard_checkpoint, reshard_state_dicts
+from repro.dist import GroupPartition, reshard_checkpoint
 from repro.dist.reshard import reshard_sweep
 from repro.dist.zero import SHARD_FORMAT_VERSION, group_payload_crc
 from repro.io import CheckpointPaths, Storage, save_checkpoint, load_checkpoint
@@ -221,10 +221,10 @@ def test_sweep_matches_oracle_on_ragged_groups(numels, source, target, seed):
     source boundary — shapes the file-based pairs never reach.
     """
     sources = _synthetic_sources(numels, source, seed)
-    swept = reshard_state_dicts(sources, target)
+    swept = list(reshard_sweep(sources, source, target))
     oracle = _gather_reslice(sources, target)
     assert [encode(p) for p in swept] == [encode(p) for p in oracle]
-    back = reshard_state_dicts(swept, source)
+    back = list(reshard_sweep(swept, target, source))
     assert [encode(p) for p in back] == [encode(p) for p in sources]
 
 
@@ -450,7 +450,7 @@ def test_consume_drains_sources_without_changing_output(untied_config):
     """
     model, engine = make_engine(untied_config, world_size=2)
     train_steps(model, engine, untied_config, 1)
-    kept = reshard_state_dicts([engine.rank_state_dict(r) for r in range(2)], 3)
+    kept = list(reshard_sweep([engine.rank_state_dict(r) for r in range(2)], 2, 3))
 
     pulled = []
 
@@ -472,29 +472,16 @@ def test_bad_target_world_size_rejected(ckpt_factory, tmp_path):
     with pytest.raises(ReshardError, match="world_size"):
         reshard_checkpoint(src, tmp_path / "out", 0)
     with pytest.raises(ReshardError):
-        reshard_state_dicts([], 2)
+        list(reshard_sweep([], 0, 2))
 
 
 # ---------------------------------------------------------------------------
 # Engine and trainer wiring
 # ---------------------------------------------------------------------------
 
-def test_engine_load_with_peers_reshards(untied_config):
-    """load_rank_state_dict accepts a mismatched shard when peers are given."""
-    model, engine = make_engine(untied_config, world_size=2)
-    train_steps(model, engine, untied_config, 2)
-    sources = [engine.rank_state_dict(r) for r in range(2)]
-
-    _, engine3 = make_engine(untied_config, world_size=3, seed=77)
-    for rank in range(3):
-        engine3.load_rank_state_dict(
-            rank, sources[0], peers=sources, materialize=rank == 2
-        )
-    for name, value in engine.master_state_dict().items():
-        np.testing.assert_array_equal(value, engine3.master_state_dict()[name])
-
-
-def test_engine_load_mismatch_without_peers_raises(untied_config):
+def test_engine_load_world_size_mismatch_raises(untied_config):
+    """One mismatched shard alone cannot be re-partitioned: the error points
+    at the elastic paths (`llmtailor reshard` / load_checkpoint)."""
     model, engine = make_engine(untied_config, world_size=2)
     shard = engine.rank_state_dict(0)
     _, engine3 = make_engine(untied_config, world_size=3)

@@ -8,8 +8,12 @@ retention-pruned run — and check it reads each manifest at most once.
 
 from __future__ import annotations
 
+import logging
+import shutil
+
 import pytest
 
+from repro.core import recipe_from_run
 from repro.dist.faults import FaultPlan, rank_join
 from repro.io import (
     RunIndex,
@@ -134,6 +138,40 @@ def test_each_manifest_is_read_at_most_once(parity_run, monkeypatch):
     reads.clear()
     prunable_steps(parity_run, 2)
     assert len(reads) == len(set(reads)) == len(index.steps())
+
+
+def test_torn_newest_checkpoint_is_not_there_yet(parity_run, tmp_path, caplog):
+    """A crash before the manifest-last write leaves a manifest-less
+    directory: recovery, auto-recipe and retention step over it (they
+    used to die on ``missing JSON file``) and say so once."""
+    run = tmp_path / "run"
+    shutil.copytree(parity_run, run)
+    torn = max(list_checkpoint_steps(run))
+    checkpoint_dir(run, torn).manifest.unlink()
+
+    logger = logging.getLogger("repro.io.layout")
+    logger.addHandler(caplog.handler)
+    try:
+        index = RunIndex(run)
+    finally:
+        logger.removeHandler(caplog.handler)
+    assert caplog.text.count(f"checkpoint-{torn}") == 1
+    assert torn in list_checkpoint_steps(run) and torn not in index.steps()
+    assert index.complete_steps() == [3]
+    assert torn not in index.slot_coverage().values()
+
+    sources = {CheckpointPaths(p).step for p in recipe_from_run(run).distinct_sources()}
+    assert sources == {6, 9}
+    trainer = Trainer(_config(run))
+    trainer.auto_recover(torn)
+    assert trainer.state.global_step == 9
+
+    # Retention never counts the torn directory as coverage (or prunes it).
+    gone = tmp_path / "gone"
+    shutil.copytree(parity_run, gone)
+    shutil.rmtree(checkpoint_dir(gone, torn).dir)
+    for keep_last in (1, 2):
+        assert prunable_steps(run, keep_last) == prunable_steps(gone, keep_last)
 
 
 def test_missing_and_empty_runs(tmp_path):

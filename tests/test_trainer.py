@@ -133,6 +133,25 @@ class TestRetiredSurface:
         assert Trainer(quick_config(tmp_path, total_steps=2)).train().final_step == 2
         assert not list(Path("/dev/shm").glob("repro-mp-*"))
 
+    def test_second_elastic_path_and_verify_sources_are_gone(self):
+        """One elastic-resume path (the reader feeding ``reshard_sweep``),
+        one strictness (``check_payload``), one owner of the payload keys."""
+        from repro.core import verify_checkpoint
+
+        load_params = inspect.signature(ZeroStage3Engine.load_rank_state_dict).parameters
+        assert list(load_params) == ["self", "rank", "state", "materialize"]
+        assert not {"reshard_state_dicts", "reshard_rank_state_dict"} & set(repro.dist.__all__)
+        assert not hasattr(repro.dist.reshard, "reshard_state_dicts")
+        assert "sources" not in inspect.signature(verify_checkpoint).parameters
+        src = Path(repro.__file__).parent
+        spelled = sorted(
+            str(path.relative_to(src)) for path in src.rglob("*.py")
+            if "fp32_flat_groups" in path.read_text(encoding="utf-8")
+        )
+        # faults.py: the bitrot injector must bypass the builder's CRC stamp;
+        # blobfile.py: a docstring example of a key path.
+        assert spelled == ["dist/faults.py", "dist/shard.py", "io/blobfile.py"]
+
     def test_checkpoint_carrying_the_retired_key_is_accepted(self, tmp_path):
         """``training_args.json`` is carried, never parsed back into a
         ``TrainConfig`` — so the extra key is inert on every read path."""
