@@ -4,56 +4,31 @@ Metadata files (training args, trainer state with step and learning
 rate, scheduler state, RNG provenance) are copied verbatim from the most
 recent source checkpoint so the Frankenstein checkpoint resumes with the
 correct schedule position.  A fresh manifest marks the output complete
-and records full merge provenance.
+and records full merge provenance.  Both are steps of the merge's
+:meth:`~repro.io.layout.CheckpointPaths.rewrite` transaction ``tx``.
 """
 
 from __future__ import annotations
 
-import shutil
-
-from ..io.layout import CheckpointPaths
 from ..nn.slots import model_slots
-from ..util.errors import MergeError
 from .plan import MergePlan
 
 __all__ = ["copy_config_files", "write_merged_manifest"]
 
 
-def copy_config_files(plan: MergePlan) -> list[str]:
+def copy_config_files(plan: MergePlan, tx) -> list[str]:
     """Copy the metadata files from ``plan.config_source`` to the output.
 
-    Returns the list of files copied.  Missing optional files are
-    tolerated (older checkpoints); a missing ``config.json`` or
-    ``trainer_state.json`` is an error because resume cannot work.
+    Returns the list of files copied.  Missing optional files are tolerated (older
+    checkpoints); without ``config.json`` or ``trainer_state.json`` resume cannot work.
     """
-    plan.output.mkdir(parents=True, exist_ok=True)
-    copied: list[str] = []
-    required = {"config.json", "trainer_state.json"}
-    for name in CheckpointPaths.CONFIG_FILES:
-        src = plan.config_source.dir / name
-        if not src.exists():
-            if name in required:
-                raise MergeError(
-                    f"config source {plan.config_source.dir} is missing required {name}"
-                )
-            continue
-        shutil.copy2(src, plan.output / name)
-        copied.append(name)
-    return copied
+    return tx.copy_configs(plan.config_source)
 
 
-def write_merged_manifest(plan: MergePlan) -> dict:
+def write_merged_manifest(plan: MergePlan, tx) -> dict:
     """Manifest for the merged (complete) checkpoint, with provenance."""
-    manifest = {
-        "format_version": 1,
-        "step": plan.config_source.step,
-        "model_config": plan.config.name,
-        "strategy": "llmtailor-merge",
-        "world_size": plan.world_size,
-        "slots": model_slots(plan.config),
-        "all_slots": model_slots(plan.config),
-        "complete": True,
-        "merge_provenance": plan.describe(),
-    }
-    CheckpointPaths(plan.output).write_manifest(manifest)
-    return manifest
+    slots = model_slots(plan.config)
+    return tx.publish(
+        model_config=plan.config.name, strategy="llmtailor-merge",
+        slots=slots, all_slots=slots, merge_provenance=plan.describe(),
+    )

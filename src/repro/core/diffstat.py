@@ -121,7 +121,7 @@ def diff_checkpoints(
     shards_a = shards_b = None
     if include_momentum:
         world_a, world_b = (
-            int(c.read_manifest().get("world_size", 0)) for c in (ckpt_a, ckpt_b)
+            c.read_manifest()["world_size"] for c in (ckpt_a, ckpt_b)
         )
         if world_a != world_b:
             raise MergeError(

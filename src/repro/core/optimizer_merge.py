@@ -116,13 +116,6 @@ class RankMergeStats:
         return dict(self.__dict__)
 
 
-def _shard_file(source_dir: str, rank: int) -> Path:
-    shard_path = CheckpointPaths(source_dir).shard(rank)
-    if not shard_path.exists():
-        raise MergeError(f"missing optimizer shard for rank {rank}: {shard_path}")
-    return shard_path
-
-
 def _extract(
     spec: dict[str, Any], rank: int, source_dir: str, wanted: set[int]
 ) -> tuple[dict[int, GroupEntry], float, int]:
@@ -135,7 +128,7 @@ def _extract(
     ``crc32``, which also catches tampering that re-wrote a
     self-consistent container.
     """
-    shard_path = _shard_file(source_dir, rank)
+    shard_path = CheckpointPaths(source_dir).shard(rank)
     want, indexed_filter = select_groups(wanted)
     timer = WallTimer()
     with timer:
@@ -175,7 +168,7 @@ def _extract_cached(
     metadata read from the source file or array content whose CRC
     matches what the source file declares.
     """
-    shard_path = _shard_file(source_dir, rank)
+    shard_path = CheckpointPaths(source_dir).shard(rank)
     world_size = int(spec["world_size"])
     timer = WallTimer()
     with timer:
@@ -214,7 +207,8 @@ def merge_rank_shard(spec: dict[str, Any], rank: int) -> dict[str, Any]:
     """Build and write the merged shard for one rank; returns stats.
 
     ``spec`` is the picklable plan description from
-    :meth:`MergePlan.to_worker_spec` plus ``global_step``.  Top-level so
+    :meth:`MergePlan.to_worker_spec` plus ``global_step`` and the
+    ``optim_dir`` the merge's rewrite transaction created.  Top-level so
     ProcessPoolExecutor can pickle it.
     """
     config = ModelConfig.from_dict(spec["config"])
@@ -277,12 +271,11 @@ def merge_rank_shard(spec: dict[str, Any], rank: int) -> dict[str, Any]:
         {"global_step": int(spec["global_step"]), "merged_by": "llmtailor"},
     )
 
-    out_dir = Path(spec["output"]) / f"global_step{spec['global_step']}"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / shard_filename(rank)
     timer = WallTimer()
     with timer:
-        stats.bytes_written = write_blob(out_path, payload)
+        stats.bytes_written = write_blob(
+            Path(spec["optim_dir"]) / shard_filename(rank), payload
+        )
     stats.write_seconds = timer.elapsed
     return stats.as_dict()
 

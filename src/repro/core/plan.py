@@ -98,7 +98,6 @@ class MergePlan:
             "slot_sources": {s: str(cp.dir) for s, cp in self.slot_sources.items()},
             "cache_mode": self.options.cache_mode,
             "workers": self.options.workers,
-            "output": str(self.output),
         }
 
 
@@ -116,14 +115,20 @@ def resolve_plan(recipe: MergeRecipe, output: str | Path | None = None) -> Merge
     base = _checkpoint(recipe.base_checkpoint, "base")
     base_manifest = base.read_manifest()
     config = ModelConfig.from_dict(read_json(base.config))
-    world_size = int(base_manifest["world_size"])
+    world_size = base_manifest["world_size"]
 
     out = output or recipe.output
     if out is None:
         raise RecipeError("no output directory given (recipe 'output' or merge(output=...))")
     out = Path(out)
-    if out.resolve() == base.dir.resolve():
-        raise MergeError("output directory must differ from the base checkpoint")
+    if recipe.options.copy_configs_from == "base":
+        config_source = base
+    else:
+        config_source = _checkpoint(Path(recipe.options.copy_configs_from), "config-source")
+    # Refuse already in a dry run what the merge's rewrite transaction will.
+    CheckpointPaths(out).check_rewritable(
+        config_source.step, [config_source, *recipe.distinct_sources()], MergeError
+    )
 
     slots = model_slots(config)
     unknown = set(recipe.assignments) - set(slots)
@@ -136,36 +141,26 @@ def resolve_plan(recipe: MergeRecipe, output: str | Path | None = None) -> Merge
     slot_sources: dict[str, CheckpointPaths] = {}
     manifests: dict[Path, dict] = {base.dir: base_manifest}
     for slot in slots:
-        source_path = recipe.source_for(slot)
-        cp = _checkpoint(Path(source_path), f"slot {slot!r}")
+        cp = _checkpoint(Path(recipe.source_for(slot)), f"slot {slot!r}")
         manifest = manifests.get(cp.dir)
         if manifest is None:
-            if out.resolve() == cp.dir.resolve():
-                # The merge un-publishes its output before the first write.
-                raise MergeError(f"output directory must differ from source checkpoint {cp.dir}")
-            manifest = cp.read_manifest()
-            manifests[cp.dir] = manifest
-        if manifest.get("model_config") != config.name:
+            manifest = manifests[cp.dir] = cp.read_manifest()
+        if manifest["model_config"] != config.name:
             raise MergeError(
                 f"checkpoint {cp.dir} was written by model "
-                f"{manifest.get('model_config')!r}, base is {config.name!r}"
+                f"{manifest['model_config']!r}, base is {config.name!r}"
             )
-        if int(manifest.get("world_size", -1)) != world_size:
+        if manifest["world_size"] != world_size:
             raise MergeError(
-                f"checkpoint {cp.dir} has world_size {manifest.get('world_size')}, "
+                f"checkpoint {cp.dir} has world_size {manifest['world_size']}, "
                 f"base has {world_size} — shard layouts are incompatible"
             )
-        if slot not in manifest.get("slots", []):
+        if slot not in manifest["slots"]:
             raise MergeError(
                 f"checkpoint {cp.dir} does not contain slot {slot!r} "
-                f"(it saved {manifest.get('slots', [])[:6]}...)"
+                f"(it saved {manifest['slots'][:6]}...)"
             )
         slot_sources[slot] = cp
-
-    if recipe.options.copy_configs_from == "base":
-        config_source = base
-    else:
-        config_source = _checkpoint(Path(recipe.options.copy_configs_from), "config-source")
 
     return MergePlan(
         config=config,

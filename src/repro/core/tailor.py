@@ -13,7 +13,9 @@ Typical use::
 The merge pipeline (paper §4): resolve and validate the plan → merge
 weight files (lazy per-tensor copies) → merge per-rank optimizer shards
 (full-file loads, optionally in parallel) → copy config files → write
-manifest → verify.
+manifest → verify.  Everything after the plan runs inside one
+:meth:`~repro.io.layout.CheckpointPaths.rewrite` transaction on the output:
+un-published first, manifest last, un-published again if verification fails.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from pathlib import Path
 from typing import Any
 
 from ..io.layout import CheckpointPaths
+from ..util.errors import MergeError
 from ..util.logging import get_logger
 from ..util.timer import WallTimer
 from .configs import copy_config_files, write_merged_manifest
@@ -129,24 +132,27 @@ class LLMTailor:
         plan = self.plan(output)
         log.info("merging %d slots into %s", len(plan.slot_sources), plan.output)
         out_paths = CheckpointPaths(plan.output)
-        out_paths.unpublish()
-
-        weight_stats = merge_weight_files(plan)
-
-        spec = plan.to_worker_spec()
-        spec["global_step"] = plan.config_source.step
-        rank_stats = merge_optimizer_shards(
-            spec, world_size=plan.world_size, workers=plan.options.workers
-        )
-
-        copied = copy_config_files(plan)
-        out_paths.sweep_stale_shards(spec["global_step"], plan.world_size)
-        write_merged_manifest(plan)
-
+        step = plan.config_source.step
         report: VerifyReport | None = None
-        if plan.options.verify:
-            report = verify_checkpoint(plan.output)
-            report.raise_if_failed()
+        with out_paths.rewrite(
+            step, plan.world_size, error=MergeError,
+            sources=[plan.config_source, *plan.distinct_sources()],
+        ) as tx:
+            weight_stats = merge_weight_files(plan)
+
+            spec = plan.to_worker_spec()
+            spec.update(global_step=step, optim_dir=str(tx.optim_dir))
+            rank_stats = merge_optimizer_shards(
+                spec, world_size=plan.world_size, workers=plan.options.workers
+            )
+
+            copied = copy_config_files(plan, tx)
+            write_merged_manifest(plan, tx)
+            # Inside the transaction: a merge that fails its own
+            # verification is un-published again, not left resumable.
+            if plan.options.verify:
+                report = verify_checkpoint(plan.output)
+                report.raise_if_failed()
 
         result = MergeResult(
             output=out_paths,

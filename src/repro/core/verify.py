@@ -18,7 +18,7 @@ from ..io.layout import CheckpointPaths
 from ..io.tensorfile import TensorFile
 from ..nn.config import ModelConfig
 from ..nn.slots import parameter_shapes
-from ..util.errors import MergeError
+from ..util.errors import CheckpointError, MergeError
 from ..util.jsonio import read_json
 from .groups import group_numels, tailored_group_specs
 
@@ -65,12 +65,12 @@ def verify_checkpoint(
     if not paths.exists():
         report.note(False, "directory does not exist")
         return report
-    if not paths.manifest.exists():
-        report.note(False, "missing tailor_manifest.json")
+    try:  # missing, malformed, or over a missing shard: all one typed refusal
+        manifest = paths.read_manifest()
+    except CheckpointError as exc:
+        report.note(False, str(exc))
         return report
-
-    manifest = paths.read_manifest()
-    report.note(manifest.get("complete", False) is True, "manifest not marked complete")
+    report.note(manifest["complete"], "manifest not marked complete")
 
     try:
         config = ModelConfig.from_dict(read_json(paths.config))
@@ -97,8 +97,7 @@ def verify_checkpoint(
         return report
 
     # 2. Every rank shard: a complete, intact payload of the canonical layout.
-    world_size = int(manifest.get("world_size", 0))
-    report.note(world_size >= 1, f"bad world_size {world_size} in manifest")
+    world_size = manifest["world_size"]
     specs = tailored_group_specs(config, weight_decay)
     shapes = parameter_shapes(config)
     canonical = {
@@ -109,11 +108,7 @@ def verify_checkpoint(
         }
         for spec, numel in zip(specs, group_numels(config, weight_decay))
     }
-    for rank in range(world_size):
-        shard_path = paths.shard(rank)
-        if not shard_path.exists():
-            report.note(False, f"missing shard for rank {rank}")
-            continue
+    for rank, shard_path in enumerate(paths.shard_paths(world_size)):
         try:
             entries = check_payload(
                 read_blob(shard_path), world_size=world_size, rank=rank,

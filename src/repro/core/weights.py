@@ -84,7 +84,6 @@ def merge_weight_files(plan: MergePlan) -> WeightMergeStats:
     stats = WeightMergeStats()
     timer = WallTimer()
     timer.start()
-    plan.output.mkdir(parents=True, exist_ok=True)
     target_dtype = plan.config.storage_dtype
 
     with TensorFileWriter(

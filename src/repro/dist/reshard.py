@@ -30,8 +30,6 @@ and every other byte is carried or recomputed deterministically.
 
 from __future__ import annotations
 
-import re
-import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -39,7 +37,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from ..io.blobfile import read_blob, write_blob
-from ..io.layout import CheckpointPaths, shard_filename
+from ..io.layout import CheckpointPaths
 from ..util.errors import ReshardError
 from ..util.timer import WallTimer
 from .partition import GroupPartition
@@ -288,7 +286,9 @@ def reshard_checkpoint(
 
     Weights and config/metadata files are carried over verbatim (the
     consolidated weight file is world-size independent); the manifest is
-    rewritten with the target world size plus reshard provenance; the
+    rewritten with the target world size plus reshard provenance, last,
+    by the output's :meth:`~repro.io.layout.CheckpointPaths.rewrite`
+    transaction (an aborted reshard leaves no manifest); the
     optimizer shards are re-partitioned by :func:`reshard_sweep`, fed
     one ``read_blob`` per source shard and drained one ``write_blob``
     per target shard, so peak memory is one source shard plus the open
@@ -300,20 +300,10 @@ def reshard_checkpoint(
     :func:`repro.strategies.plan_reshard_cost`).
     """
     paths = source if isinstance(source, CheckpointPaths) else CheckpointPaths(source)
-    if not paths.exists():
-        raise ReshardError(f"checkpoint directory not found: {paths.dir}")
-    manifest = paths.read_manifest()
-    if not manifest.get("complete", False):
-        missing = sorted(
-            set(manifest.get("all_slots", [])) - set(manifest.get("slots", []))
-        )
-        raise ReshardError(
-            f"{paths.dir} is a partial checkpoint (missing slots {missing[:6]}"
-            f"{'...' if len(missing) > 6 else ''}); merge the trail into a "
-            "complete checkpoint before resharding"
-        )
-    N = int(manifest["world_size"])
-    M = int(target_world_size)
+    manifest = paths.read_complete_manifest(
+        "merge the trail into a complete checkpoint before resharding", ReshardError
+    )
+    N, M = manifest["world_size"], int(target_world_size)
     if M < 1:
         raise ReshardError(f"target world_size must be >= 1, got {target_world_size}")
     if topology is not None and max(N, M) > topology.world_size:
@@ -321,31 +311,7 @@ def reshard_checkpoint(
             f"reshard {N}->{M} does not fit topology {topology.shape} "
             f"(capacity {topology.world_size})"
         )
-
-    step = int(manifest["step"])
     out_paths = CheckpointPaths(output)
-    if out_paths.dir.resolve() == paths.dir.resolve():
-        raise ReshardError(
-            f"cannot reshard {paths.dir} in place: target shards would "
-            "overwrite source shards still being read — use a separate "
-            "output directory"
-        )
-    # The output directory may be arbitrarily named; the optim dir is
-    # derived from the source step rather than out_paths.step (which
-    # would need the manifest — deliberately written last, see below).
-    # One naming trap is rejected outright: a ``checkpoint-<other>``
-    # name would make CheckpointPaths.step prefer the directory name
-    # over the manifest and resolve shards under the wrong global_step.
-    name_match = re.match(r"^checkpoint-(\d+)$", out_paths.dir.name)
-    if name_match and int(name_match.group(1)) != step:
-        raise ReshardError(
-            f"output directory {out_paths.dir.name!r} names step "
-            f"{name_match.group(1)} but the checkpoint is at step {step}; "
-            f"use checkpoint-{step} or a non-checkpoint-<step> name"
-        )
-    out_optim_dir = out_paths.dir / f"global_step{step}"
-    out_optim_dir.mkdir(parents=True, exist_ok=True)
-    out_paths.unpublish()
 
     total = WallTimer()
     total.start()
@@ -360,49 +326,32 @@ def reshard_checkpoint(
     )
 
     def read_sources() -> Iterator[dict[str, Any]]:
-        for r in range(N):
-            shard_path = paths.shard(r)
-            if not shard_path.exists():
-                raise ReshardError(f"missing optimizer shard for rank {r}: {shard_path}")
+        for shard_path in paths.shard_paths(N):
             report.files_loaded += 1
             report.bytes_loaded += shard_path.stat().st_size
             yield read_blob(shard_path)
 
-    sweep = _Sweep(N, M)
-    payloads = sweep.run(read_sources())
-    for m in range(M):
-        timer = WallTimer()
-        with timer:
-            # next() as an argument: no name here keeps the payload alive
-            # while the following source is decoded.
-            report.bytes_written += write_blob(
-                out_optim_dir / shard_filename(m), next(payloads)
+    with out_paths.rewrite(manifest["step"], M, sources=[paths], error=ReshardError) as tx:
+        sweep = _Sweep(N, M)
+        payloads = sweep.run(read_sources())
+        for m in range(M):
+            timer = WallTimer()
+            with timer:
+                # next() as an argument: no name here keeps the payload alive
+                # while the following source is decoded.
+                report.bytes_written += write_blob(tx.shard(m), next(payloads))
+            report.rank_seconds.append(timer.elapsed)
+        numels = [src.numel for src, _ in sweep.partitions.values()]
+        report.num_groups = len(numels)
+        if topology is not None:
+            report.intra_bytes, report.inter_bytes = placement_transfer_bytes(
+                numels, N, M, topology
             )
-        report.rank_seconds.append(timer.elapsed)
-    numels = [src.numel for src, _ in sweep.partitions.values()]
-    report.num_groups = len(numels)
-    if topology is not None:
-        report.intra_bytes, report.inter_bytes = placement_transfer_bytes(
-            numels, N, M, topology
-        )
-    out_paths.sweep_stale_shards(step, M)
-
-    # Weights + config files are world-size independent: copy verbatim.
-    shutil.copy2(paths.weights, out_paths.dir / paths.weights.name)
-    for name in CheckpointPaths.CONFIG_FILES:
-        src_file = paths.dir / name
-        if src_file.exists():
-            shutil.copy2(src_file, out_paths.dir / name)
-
-    # Manifest last (same discipline as save_checkpoint): an aborted
-    # reshard must not leave a complete-marked directory that resume
-    # tooling would pick up with its shards missing.
-    out_manifest = dict(manifest, world_size=M)
-    out_manifest["reshard_provenance"] = {
-        "source": str(paths.dir),
-        "source_world_size": N,
-    }
-    out_paths.write_manifest(out_manifest)
+        # Weights + config files are world-size independent: copy verbatim.
+        tx.copy(paths.weights, paths.weights.name)
+        tx.copy_configs(paths)
+        provenance = {"source": str(paths.dir), "source_world_size": N}
+        tx.publish(**{**manifest, "reshard_provenance": provenance})
 
     report.total_seconds = total.stop()
     return report

@@ -63,6 +63,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from ..util.errors import CheckpointFormatError
+from ..util.jsonio import atomic_path
 
 __all__ = [
     "write_blob",
@@ -547,26 +548,18 @@ def write_blob(path: str | Path, obj: Any) -> int:
     patched in place afterwards), so writing never holds the full
     payload in memory — only one transposed copy of the array in flight.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    try:
-        crc = 0
-        payload_len = 0
-        # A shard is hundreds of plane-sized chunks; the large buffer
-        # turns them into a handful of write syscalls.
-        with tmp.open("wb", buffering=1 << 20) as fh:
-            fh.write(b"\x00" * _HEADER.size)  # placeholder, patched below
-            for chunk in iter_encode(obj):
-                crc = zlib.crc32(chunk, crc)
-                payload_len += len(chunk)
-                fh.write(chunk)
-            fh.seek(0)
-            fh.write(_HEADER.pack(MAGIC, BLOB_VERSION, 0, payload_len, payload_len, crc))
-    except BaseException:
-        tmp.unlink(missing_ok=True)  # no orphan debris on failed saves
-        raise
-    tmp.replace(path)
+    crc = 0
+    payload_len = 0
+    # A shard is hundreds of plane-sized chunks; the large buffer
+    # turns them into a handful of write syscalls.
+    with atomic_path(path) as tmp, open(tmp, "wb", buffering=1 << 20) as fh:
+        fh.write(b"\x00" * _HEADER.size)  # placeholder, patched below
+        for chunk in iter_encode(obj):
+            crc = zlib.crc32(chunk, crc)
+            payload_len += len(chunk)
+            fh.write(chunk)
+        fh.seek(0)
+        fh.write(_HEADER.pack(MAGIC, BLOB_VERSION, 0, payload_len, payload_len, crc))
     return _HEADER.size + payload_len
 
 

@@ -22,7 +22,7 @@ from ..nn.module import Module
 from ..util.errors import CheckpointError
 from ..util.jsonio import read_json
 from .blobfile import read_blob
-from .layout import CheckpointPaths
+from .layout import CheckpointPaths, shard_filename
 from .storage import Storage
 from .tensorfile import TensorFile
 
@@ -50,27 +50,15 @@ def load_checkpoint(
     storage: Storage | None = None,
 ) -> LoadedCheckpoint:
     """Restore a complete checkpoint into ``model`` and ``engine``."""
-    if not paths.exists():
-        raise CheckpointError(f"checkpoint directory not found: {paths.dir}")
-    manifest = paths.read_manifest()
-    if not manifest.get("complete", False):
-        missing = sorted(set(manifest.get("all_slots", [])) - set(manifest.get("slots", [])))
+    manifest = paths.read_complete_manifest(
+        "assemble a complete one with LLMTailor.merge() before resuming"
+    )
+    if manifest["model_config"] != config.name:
         raise CheckpointError(
-            f"{paths.dir} is a partial checkpoint (missing slots {missing[:6]}"
-            f"{'...' if len(missing) > 6 else ''}); assemble a complete one with "
-            "LLMTailor.merge() before resuming"
-        )
-    if manifest.get("model_config") != config.name:
-        raise CheckpointError(
-            f"checkpoint was written for model {manifest.get('model_config')!r}, "
+            f"checkpoint was written for model {manifest['model_config']!r}, "
             f"attempting to load into {config.name!r}"
         )
-    if "world_size" not in manifest:
-        raise CheckpointError(
-            f"{paths.dir} manifest carries no world_size; the checkpoint "
-            "cannot be validated against the engine"
-        )
-    source_world = int(manifest["world_size"])
+    source_world = manifest["world_size"]
 
     # Model weights (informational only for training — the fp32 masters in
     # the shards are authoritative — but loaded for inference parity).
@@ -118,17 +106,15 @@ def load_checkpoint(
 def describe_checkpoint(directory: str | Path) -> dict[str, Any]:
     """Summarize a checkpoint directory (sizes, coverage) for tooling."""
     paths = CheckpointPaths(directory)
-    if not paths.exists():
-        raise CheckpointError(f"no checkpoint at {directory}")
     manifest = paths.read_manifest()
     weights = TensorFile(paths.weights)
-    shards = sorted(paths.optim_dir.glob("zero_pp_rank_*_optim_states.blob"))
+    shards = sorted(paths.optim_dir.glob(shard_filename("*")))
     return {
         "step": manifest["step"],
-        "model_config": manifest.get("model_config"),
-        "strategy": manifest.get("strategy"),
-        "complete": manifest.get("complete"),
-        "slots": manifest.get("slots", []),
+        "model_config": manifest["model_config"],
+        "strategy": manifest["strategy"],
+        "complete": manifest["complete"],
+        "slots": manifest["slots"],
         "num_weight_tensors": len(weights),
         "weight_nbytes": weights.total_nbytes(),
         "num_shards": len(shards),

@@ -11,7 +11,6 @@ paper's prototype, which "can only manipulate local checkpoints", §7).
 
 from __future__ import annotations
 
-import shutil
 from pathlib import Path
 
 from ..util.errors import CheckpointError
@@ -95,7 +94,9 @@ def prune_checkpoints(
 ) -> list[int]:
     """Delete prunable checkpoints; returns the steps removed.
 
-    Never deletes the checkpoint the ``latest`` pointer references.
+    Never deletes the checkpoint the ``latest`` pointer references.  The
+    manifest goes before the tree (:meth:`~repro.io.layout.CheckpointPaths.delete`),
+    so a kill mid-prune leaves a directory every reader skips.
 
     When the run's shard groups were ingested into a serve
     :class:`~repro.io.storage.BlobStore`, pass it (with the ``tenant``
@@ -118,7 +119,7 @@ def prune_checkpoints(
             if blob_store is not None:
                 owner = blob_store.owner_token(tenant or root.name, ckpt.dir)
                 blob_store.release(owner)
-            shutil.rmtree(ckpt.dir)
+            ckpt.delete()
             log.info("pruned checkpoint-%d", step)
         removed.append(step)
     if removed and not dry_run and blob_store is not None:

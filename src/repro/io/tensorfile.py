@@ -37,6 +37,7 @@ import numpy as np
 
 from ..numerics.dtypes import DType, pack_bits, unpack_bits
 from ..util.errors import CheckpointFormatError
+from ..util.jsonio import atomic_path
 
 __all__ = ["write_tensorfile", "TensorFile", "TensorFileWriter", "TENSORFILE_VERSION"]
 
@@ -132,9 +133,8 @@ class TensorFileWriter:
         header = json.dumps(
             {"tensors": self._entries, "metadata": self.metadata}, sort_keys=True
         ).encode("utf-8")
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
         try:
-            with tmp.open("wb") as fh:
+            with atomic_path(self.path) as tmp, open(tmp, "wb") as fh:
                 fh.write(MAGIC)
                 fh.write(struct.pack("<I", TENSORFILE_VERSION))
                 fh.write(struct.pack("<Q", len(header)))
@@ -144,8 +144,6 @@ class TensorFileWriter:
                 else:
                     with self._data_tmp.open("rb") as data:
                         shutil.copyfileobj(data, fh, 1 << 20)
-                fh.flush()
-            tmp.replace(self.path)
         finally:
             if self._data_fh is not None:
                 self._data_tmp.unlink(missing_ok=True)

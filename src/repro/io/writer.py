@@ -3,6 +3,9 @@
 A *full* checkpoint stores every slot; a *partial* one stores only the
 slots a :class:`repro.strategies` policy selected for this step.  Both
 use the identical layout; ``tailor_manifest.json`` records coverage.
+The directory is written inside one
+:meth:`~repro.io.layout.CheckpointPaths.rewrite` transaction, which owns
+the order (un-publish first, manifest last) and the manifest's schema.
 
 Write costs are charged to the storage's simulated clock:
 * consolidated weight file — one serial writer (rank 0), as in §2.3;
@@ -59,72 +62,47 @@ def save_checkpoint(
             raise CheckpointError("refusing to write a checkpoint with zero slots")
 
     paths = checkpoint_dir(storage.root, step)
-    paths.dir.mkdir(parents=True, exist_ok=True)
-    paths.unpublish()
     slot_set = set(saved_slots)
-
-    # 1. Consolidated model weights (bf16, lazy container), rank-0 serial.
-    tensors = {
-        name: value
-        for name, value in model.state_dict().items()
-        if slot_of_param(name) in slot_set
-    }
-    weight_bytes = write_tensorfile(
-        paths.weights,
-        tensors,
-        dtype=config.storage_dtype,
-        metadata={
-            "model": config.name,
-            "step": step,
-            "slots": saved_slots,
-            "strategy": strategy,
-        },
-    )
-    storage.charge_write(weight_bytes, files=1, parallel=1, category="checkpoint_write.weights")
-
-    # 2. Per-rank optimizer shard blobs, written in parallel across ranks.
-    paths.optim_dir.mkdir(parents=True, exist_ok=True)
-    shard_bytes = 0
-    for rank in range(engine.world_size):
-        shard = engine.rank_state_dict(rank, slots=slot_set)
-        shard["global_step"] = step
-        shard_bytes += write_blob(paths.shard(rank), shard)
-    # Rewriting a step at a smaller world size (elastic shrink replaying
-    # a checkpointed step) must not leave the old higher-rank shards
-    # behind the new manifest.
-    paths.sweep_stale_shards(step, engine.world_size)
-    storage.charge_write(
-        shard_bytes,
-        files=engine.world_size,
-        parallel=engine.world_size,
-        category="checkpoint_write.optimizer",
-    )
-
-    # 3. Config / metadata files (paper §4.4).
-    write_json_atomic(paths.config, config.to_dict())
-    write_json_atomic(paths.trainer_state, trainer_state)
-    write_json_atomic(paths.training_args, training_args or {})
-    write_json_atomic(paths.scheduler, scheduler_state or {})
-    write_json_atomic(paths.rng_state, rng_state or {})
-    paths.write_manifest(
-        {
-            "format_version": 1,
-            "step": step,
-            "model_config": config.name,
-            "strategy": strategy,
-            "world_size": engine.world_size,
-            "slots": saved_slots,
-            "all_slots": all_slots,
-            "complete": slot_set == set(all_slots),
+    with paths.rewrite(step, engine.world_size) as tx:
+        # 1. Consolidated model weights (bf16, lazy container), rank-0 serial.
+        tensors = {
+            name: value for name, value in model.state_dict().items()
+            if slot_of_param(name) in slot_set
         }
-    )
+        weight_bytes = write_tensorfile(
+            tx.weights, tensors, dtype=config.storage_dtype,
+            metadata={"model": config.name, "step": step, "slots": saved_slots,
+                      "strategy": strategy},
+        )
+        storage.charge_write(weight_bytes, files=1, parallel=1, category="checkpoint_write.weights")
+
+        # 2. Per-rank optimizer shard blobs, written in parallel across ranks.
+        shard_bytes = 0
+        for rank in range(engine.world_size):
+            shard = engine.rank_state_dict(rank, slots=slot_set)
+            shard["global_step"] = step
+            shard_bytes += write_blob(tx.shard(rank), shard)
+        storage.charge_write(
+            shard_bytes, files=engine.world_size, parallel=engine.world_size,
+            category="checkpoint_write.optimizer",
+        )
+
+        # 3. Config / metadata files (paper §4.4), then the manifest (publish
+        # first sweeps shards a write of this step at a larger world left).
+        write_json_atomic(tx.config, config.to_dict())
+        write_json_atomic(tx.trainer_state, trainer_state)
+        write_json_atomic(tx.training_args, training_args or {})
+        write_json_atomic(tx.scheduler, scheduler_state or {})
+        write_json_atomic(tx.rng_state, rng_state or {})
+        tx.publish(
+            model_config=config.name, strategy=strategy,
+            slots=saved_slots, all_slots=all_slots,
+        )
     config_bytes = sum(
         (paths.dir / name).stat().st_size for name in CheckpointPaths.CONFIG_FILES
     ) + paths.manifest.stat().st_size
     storage.charge_write(
-        config_bytes,
-        files=len(CheckpointPaths.CONFIG_FILES) + 1,
-        parallel=1,
+        config_bytes, files=len(CheckpointPaths.CONFIG_FILES) + 1, parallel=1,
         category="checkpoint_write.config",
     )
 

@@ -89,17 +89,10 @@ class TenantQuota:
             )
 
 
-def _checkpoint_shards(ckpt: CheckpointPaths) -> tuple[int, list[int]]:
-    """A checkpoint's ``(world_size, per-rank shard file sizes)`` from disk."""
-    manifest = ckpt.read_manifest()
-    world_size = int(manifest.get("world_size", 0))
-    if world_size < 1:
-        raise ConfigError(f"{ckpt.dir}: manifest has no world_size")
-    sizes = []
-    for rank in range(world_size):
-        path = ckpt.shard(rank)
-        sizes.append(path.stat().st_size if path.exists() else 0)
-    return world_size, sizes
+def _shard_sizes(ckpt: CheckpointPaths) -> list[int]:
+    """Per-rank shard file sizes.  The checked manifest vouches (one directory
+    listing) for each shard, so a hostile ``world_size`` never gets looped over."""
+    return [p.stat().st_size for p in ckpt.shard_paths(ckpt.read_manifest()["world_size"])]
 
 
 def _weight_nbytes(ckpt: CheckpointPaths) -> int:
@@ -116,9 +109,8 @@ def _merge_cost(spec: JobSpec, storage: StorageCostModel) -> JobCost:
     else:
         recipe = parse_recipe(dict(params["recipe_doc"]))
     base = CheckpointPaths(recipe.base_checkpoint)
-    if not base.exists():
-        raise ConfigError(f"merge base checkpoint not found: {base.dir}")
-    world_size, base_sizes = _checkpoint_shards(base)
+    base_sizes = _shard_sizes(base)
+    world_size = len(base_sizes)
     config = ModelConfig.from_dict(read_json(base.config))
     slots = model_slots(config)
 
@@ -126,11 +118,7 @@ def _merge_cost(spec: JobSpec, storage: StorageCostModel) -> JobCost:
     per_source_sizes: dict[str, list[int]] = {}
     for source in recipe.distinct_sources():
         ckpt = CheckpointPaths(source)
-        if ckpt.exists():
-            _, sizes = _checkpoint_shards(ckpt)
-        else:
-            sizes = base_sizes
-        per_source_sizes[str(source)] = sizes
+        per_source_sizes[str(source)] = _shard_sizes(ckpt) if ckpt.exists() else base_sizes
 
     # The engine's own load schedule, per rank: sum file sizes over it.
     schedule = load_schedule(
@@ -160,8 +148,8 @@ def _reshard_cost(spec: JobSpec, storage: StorageCostModel) -> JobCost:
     ckpt = CheckpointPaths(spec.params["checkpoint"])
     if not ckpt.exists():
         raise ConfigError(f"reshard source checkpoint not found: {ckpt.dir}")
-    N, sizes = _checkpoint_shards(ckpt)
-    M = int(spec.params["target_world_size"])
+    sizes = _shard_sizes(ckpt)
+    N, M = len(sizes), int(spec.params["target_world_size"])
     optim_bytes = sum(sizes)
     weight = _weight_nbytes(ckpt)
     # The sweep reads each of the N source shards exactly once.
@@ -188,7 +176,7 @@ def _diff_cost(spec: JobSpec, storage: StorageCostModel) -> JobCost:
         bytes_read += _weight_nbytes(ckpt)
         files += 1
         if spec.params.get("momentum"):
-            _, sizes = _checkpoint_shards(ckpt)
+            sizes = _shard_sizes(ckpt)
             bytes_read += sum(sizes)
             files += len(sizes)
     seconds = storage.read_time(bytes_read, files=files, decompress=True)

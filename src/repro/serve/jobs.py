@@ -132,12 +132,9 @@ def _shard_group_keys(ckpt: CheckpointPaths) -> list[str]:
     """
     from ..core.optimizer_merge import read_shard_metadata  # lazy: layering
 
-    world_size = int(ckpt.read_manifest().get("world_size", 0))
+    world_size = ckpt.read_manifest()["world_size"]
     keys: list[str] = []
-    for rank in range(world_size):
-        path = ckpt.shard(rank)
-        if not path.exists():
-            continue
+    for rank, path in enumerate(ckpt.shard_paths(world_size)):
         entries = check_payload(
             read_shard_metadata(path), world_size=world_size, rank=rank,
             origin=str(path), error=MergeError, wanted=(),

@@ -20,7 +20,7 @@ from ..core.groups import group_numels
 from ..dist.comm import make_comm
 from ..dist.faults import FaultPlan, FaultTimeline, GoodputReport, repair_from_replicas
 from ..dist.partition import GroupPartition
-from ..io.layout import CheckpointPaths, RunIndex, checkpoint_dir
+from ..io.layout import CheckpointPaths, RunIndex, checkpoint_dir, manifest_doc
 from ..io.storage import IOStats, LUSTRE_DEFAULT, Storage, StorageCostModel
 from ..nn.config import ModelConfig
 from ..nn.slots import model_slots
@@ -434,16 +434,12 @@ class NullLeg(Trainer):
         all_slots = model_slots(self.model_config)
         saved = all_slots if slots is None else [s for s in all_slots if s in set(slots)]
         volume = checkpoint_event_nbytes(self.model_config, saved)
-        manifest = {
-            "step": step,
-            "strategy": strategy,
-            "world_size": world_size or self.config.world_size,
-            "slots": saved,
-            "all_slots": all_slots,
-            "complete": saved == all_slots,
-            "shard_nbytes": volume["optim_bytes"],
-            "weight_nbytes": volume["weight_bytes"],
-        }
+        manifest = manifest_doc(
+            step=step, model_config=self.model_config.name, strategy=strategy,
+            world_size=world_size or self.config.world_size,
+            slots=saved, all_slots=all_slots,
+            shard_nbytes=volume["optim_bytes"], weight_nbytes=volume["weight_bytes"],
+        )
         self._charge(self.storage.charge_write, manifest, f"checkpoint_write.{strategy}")
         self.disk.record(name, manifest)
 

@@ -1,17 +1,17 @@
-"""Atomic JSON reading/writing for checkpoint metadata files.
+"""Atomic file replacement, and JSON reading/writing on top of it.
 
-Checkpoint metadata (``trainer_state.json``, ``config.json``,
-``tailor_manifest.json``) must never be observed half-written: a crash
+No checkpoint file (``model.tsr``, a shard blob, ``trainer_state.json``,
+``tailor_manifest.json``) must ever be observed half-written: a crash
 while checkpointing should leave either the old file or the new file, not
-a truncated one.  Writes therefore go to a temporary sibling and are
-``os.replace``d into place (atomic on POSIX).
+a truncated one.  Every writer therefore fills a temporary sibling
+(:func:`atomic_path`) that is ``os.replace``d into place (atomic on POSIX).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CheckpointError
 
-__all__ = ["read_json", "write_json_atomic", "write_text_atomic", "JsonEncoder"]
+__all__ = ["atomic_path", "read_json", "write_json_atomic", "write_text_atomic", "JsonEncoder"]
 
 
 class JsonEncoder(json.JSONEncoder):
@@ -51,23 +51,27 @@ def read_json(path: str | Path) -> Any:
         raise CheckpointError(f"corrupt JSON file {path}: {exc}") from exc
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write text via a temp file + fsync + rename: readers see old or new."""
+@contextmanager
+def atomic_path(path: str | Path):
+    """Yield a unique ``*.tmp`` sibling of ``path`` to fill: ``os.replace``d over
+    ``path`` on a clean exit, unlinked on failure — every file writer's one spelling."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_name, path)
+        yield tmp
+        os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
+        tmp.unlink(missing_ok=True)  # no orphan debris on failed saves
         raise
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write text via a temp file + fsync + rename: readers see old or new."""
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def write_json_atomic(path: str | Path, obj: Any, *, indent: int = 2) -> None:

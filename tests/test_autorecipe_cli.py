@@ -143,6 +143,36 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(base + ["--stream"])
 
+    def test_merge_into_a_checkpoint_name_of_another_step_is_refused(
+        self, parity_trail, tmp_path, capsys
+    ):
+        """``-o run/checkpoint-7`` for a step-12 merge used to write
+        everything, fail its own verification and stay published — a
+        resume point ``RunIndex`` listed.  Library, ``merge`` and
+        ``auto-merge`` now refuse before the first write."""
+        from repro.io import RunIndex
+
+        root = parity_trail.storage.root
+        wrong, before = root / "checkpoint-7", sorted(p.name for p in root.iterdir())
+        recipe_path = tmp_path / "recipe.yaml"
+        recipe_path.write_text(recipe_from_run(root, failure_step=14).to_yaml())
+        for attempt in (
+            lambda: LLMTailor.from_checkpoints(root, failure_step=14).merge(wrong),
+            lambda: main(["merge", "-r", str(recipe_path), "-o", str(wrong)]),
+            lambda: main(["auto-merge", str(root), "--failure-step", "14", "-o", str(wrong)]),
+        ):
+            with pytest.raises(MergeError, match="names step 7 .* at step 12"):
+                attempt()
+            assert sorted(p.name for p in root.iterdir()) == before
+        assert RunIndex(root).complete_steps() == [4]
+        # The matching name (elsewhere: in the run it is a source) still works.
+        right = tmp_path / "checkpoint-12"
+        assert main(["auto-merge", str(root), "--failure-step", "14", "-o", str(right)]) == 0
+        assert main(["verify", str(right)]) == 0
+        with pytest.raises(MergeError, match="in place"):
+            main(["auto-merge", str(root), "--failure-step", "14", "-o", str(root / "checkpoint-12")])
+        assert RunIndex(root).steps() == [4, 8, 12]  # the refused source is still published
+
     def test_plan_merge_estimate(self, capsys):
         rc = main([
             "plan", "llama3.1-8b", "parity", "--interval", "100", "--steps", "400",

@@ -9,6 +9,8 @@ outcome.
 
 from __future__ import annotations
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,40 @@ class TestRewriteInPlace:
         ]
         assert describe_checkpoint(out)["num_shards"] == paths.read_manifest()["world_size"] == 2
 
+    def test_a_merge_that_fails_its_own_verification_is_unpublished(
+        self, tmp_path, untied_config, monkeypatch
+    ):
+        """Verification runs after the manifest is written (it reads it);
+        a failure used to leave that manifest — a resume point — behind."""
+        import repro.core.tailor
+        from repro.core import LLMTailor, MergeRecipe, VerifyReport
+        from repro.io import RunIndex
+        from repro.util.errors import MergeError
+
+        source = self._full(tmp_path / "source", untied_config, 2)
+        target = tmp_path / "run" / "checkpoint-5"
+        seen = []
+
+        def failing(directory):
+            seen.append((target / "tailor_manifest.json").exists())
+            return VerifyReport(path=directory, issues=["simulated defect"], checks_run=1)
+
+        monkeypatch.setattr(repro.core.tailor, "verify_checkpoint", failing)
+        with pytest.raises(MergeError, match="simulated defect"):
+            LLMTailor(MergeRecipe(base_checkpoint=source.dir)).merge(output=target)
+        assert seen == [True] and not (target / "tailor_manifest.json").exists()
+        assert RunIndex(tmp_path / "run").steps() == []
+
+    def test_opening_a_rewrite_removes_a_killed_writers_tmp_debris(self, tmp_path, untied_config):
+        paths = self._full(tmp_path / "run", untied_config, 2)
+        debris = [paths.dir / "model.tsr.0123abcd.tmp", paths.dir / "model.tsr.data.tmp",
+                  paths.shard(0).with_name(paths.shard(0).name + ".feedbeef.tmp")]
+        for path in debris:
+            path.write_bytes(b"half a file")
+        before = {p: p.read_bytes() for p in paths.dir.rglob("*") if p.is_file() and p not in debris}
+        self._full(tmp_path / "run", untied_config, 2)
+        assert {p: p.read_bytes() for p in paths.dir.rglob("*") if p.is_file()} == before
+
     @pytest.mark.parametrize("writer", ["save", "merge", "reshard"])
     def test_a_rewrite_that_dies_leaves_no_manifest(
         self, tmp_path, untied_config, monkeypatch, writer
@@ -210,3 +246,203 @@ class TestRewriteInPlace:
             write()
         assert len(calls) == 2 and not (target / "tailor_manifest.json").exists()
         assert RunIndex(root).steps() == []
+
+
+class _Killed(BaseException):
+    """The process died: not an ``Exception`` a writer's handler may swallow."""
+
+
+class _CrashAt:
+    """Kill the writer at its k-th filesystem mutation — an ``open`` for
+    writing, ``os.replace``, ``os.unlink``, ``os.mkdir`` or ``os.rmdir`` —
+    and at every mutation after it (a dead process cleans nothing up).
+    ``k=None`` only counts."""
+
+    def __init__(self, k=None):
+        self.k, self.count, self._patch = k, 0, pytest.MonkeyPatch()
+
+    def _mutation(self, real):
+        def shim(*args, **kwargs):
+            self.count += 1
+            if self.k is not None and self.count >= self.k:
+                raise _Killed(f"killed at filesystem mutation {self.count}")
+            return real(*args, **kwargs)
+        return shim
+
+    def __enter__(self):
+        import builtins
+        import io
+        import os
+
+        mutating, real_open = self._mutation(io.open), io.open
+
+        def opening(file, mode="r", *args, **kwargs):
+            write = set(mode) & set("wax+")
+            return (mutating if write else real_open)(file, mode, *args, **kwargs)
+
+        for module in (builtins, io):
+            self._patch.setattr(module, "open", opening)
+        for name in ("replace", "unlink", "mkdir", "rmdir"):
+            self._patch.setattr(os, name, self._mutation(getattr(os, name)))
+        return self
+
+    def __exit__(self, *exc):
+        self._patch.undo()
+        return exc[0] is _Killed
+
+
+def _tree(root):
+    """Every file under ``root`` (relative name -> bytes)."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestCrashPointBattery:
+    """Kill each writer of a checkpoint directory at *every* filesystem
+    mutation it makes.  After each kill the readers see the previous
+    consistent state or a typed "not there" — never a manifest over
+    missing or mixed data — and a clean rerun over the debris converges
+    on the bytes of an uninterrupted run, leaving no ``.tmp``."""
+
+    STABLE = (3, 6)  # a full and a partial checkpoint no operation below touches
+
+    @pytest.fixture(scope="class")
+    def pristine(self, tmp_path_factory):
+        """run/: full@3 (ws 3), parity halves @6 and @9, full@12, the live
+        (model, engine) at ws 3 and at ws 2, and a merge + reshard output."""
+        from repro.core import LLMTailor
+        from repro.dist import reshard_checkpoint
+        from repro.nn import get_config, model_slots
+
+        config = get_config("tiny-untied")
+        base = tmp_path_factory.mktemp("battery")
+        storage = Storage(base / "run")
+        model, engine = make_engine(config, world_size=3)
+        slots = model_slots(config)
+        halves = {6: slots[0::2], 9: slots[1::2]}
+        for step in (3, 6, 9, 12):
+            train_steps(model, engine, config, 1, seed=step)
+            save_checkpoint(storage, step=step, model=model, config=config, engine=engine,
+                            trainer_state={"global_step": step}, slots=halves.get(step),
+                            strategy="parity" if step in halves else "full")
+        LLMTailor.from_checkpoints(storage.root, failure_step=9).merge(base / "run" / "merged")
+        reshard_checkpoint(storage.root / "checkpoint-12", base / "run" / "re4", 4)
+        small = make_engine(config, world_size=2)
+        train_steps(*small, config, 1, seed=12)
+        return {"root": base / "run", "config": config, "slots": slots,
+                "ws3": (model, engine), "ws2": small}
+
+    def _operations(self, root, env):
+        from repro.core import LLMTailor
+        from repro.dist import reshard_checkpoint
+        from repro.io import prune_checkpoints
+
+        def save(step, which, slots=None):
+            model, engine = env[which]
+            return lambda: save_checkpoint(
+                Storage(root), step=step, model=model, config=env["config"], engine=engine,
+                trainer_state={"global_step": step}, slots=slots,
+                strategy="full" if slots is None else "parity")
+
+        return {  # name -> (operation, directory it (re)writes)
+            "full save": (save(15, "ws3"), "checkpoint-15"),
+            "partial save": (save(15, "ws3", env["slots"][0::2]), "checkpoint-15"),
+            "rewrite at a smaller world size": (save(12, "ws2"), "checkpoint-12"),
+            "merge": (lambda: LLMTailor.from_checkpoints(root, failure_step=9, workers=1)
+                      .merge(root / "merged"), "merged"),
+            "reshard": (lambda: reshard_checkpoint(root / "checkpoint-12", root / "re4", 2), "re4"),
+            "prune": (lambda: prune_checkpoints(root, keep_last=1), None),
+        }
+
+    _known_good: set = set()  # digests of states already examined (kills repeat them)
+
+    def _assert_consistent(self, root, env, pristine_tree, when):
+        """What every reader may rely on after a kill."""
+        import hashlib
+
+        from repro.core import LLMTailor, verify_checkpoint
+        from repro.io import CheckpointPaths, RunIndex, load_checkpoint
+        from repro.util.errors import CheckpointError
+
+        def fresh(*prefixes):  # readers never look at *.tmp, so neither does the digest
+            h = hashlib.sha256(repr(prefixes).encode())
+            for name, data in tree.items():
+                if name.startswith(prefixes) and not name.endswith(".tmp"):
+                    h.update(name.encode() + hashlib.sha256(data).digest())
+            known = h.hexdigest() in self._known_good
+            self._known_good.add(h.hexdigest())
+            return not known
+
+        tree, index = _tree(root), RunIndex(root)
+        published = sorted(p.parent for p in root.glob("*/tailor_manifest.json"))
+        assert set(index.steps()) == {CheckpointPaths(d).step for d in published
+                                      if d.name.startswith("checkpoint-")}, when
+        for directory in published:
+            paths = CheckpointPaths(directory)
+            manifest = paths.read_manifest()  # typed and present: shards, geometry
+            if not fresh(directory.name + "/"):
+                continue
+            assert all((directory / name).exists() for name in paths.CONFIG_FILES), when
+            shards = sorted(p.name for p in paths.optim_dir.glob("*.blob"))
+            assert shards == [p.name for p in paths.shard_paths(manifest["world_size"])], when
+            assert TensorFile(paths.weights).metadata["slots"] == manifest["slots"], when
+            for rank, shard in enumerate(paths.shard_paths(manifest["world_size"])):
+                payload = read_blob(shard)
+                assert (payload["global_step"], payload["rank"]) == (manifest["step"], rank), when
+            if manifest["complete"]:
+                assert verify_checkpoint(directory).ok, when
+        # A directory that lost its manifest is typed "not there" to a resume.
+        for directory in set(root.glob("*/")) - set(published):
+            with pytest.raises(CheckpointError):
+                CheckpointPaths(directory).read_manifest()
+        # The previous state survives: untouched checkpoints bit for bit...
+        for step in self.STABLE:
+            prefix = f"checkpoint-{step}/"
+            if step in index.steps():
+                assert {k: v for k, v in tree.items() if k.startswith(prefix)} == \
+                       {k: v for k, v in pristine_tree.items() if k.startswith(prefix)}, when
+        # ...and recovery works from whatever is published: resume the newest
+        # complete checkpoint, auto-merge the trail.
+        if fresh(*(f"checkpoint-{step}/" for step in index.steps())):
+            newest = max(index.complete_steps())
+            model, engine = make_engine(env["config"], seed=7)
+            loaded = load_checkpoint(CheckpointPaths(root / f"checkpoint-{newest}"),
+                                     model=model, config=env["config"], engine=engine)
+            assert loaded.step == newest, when
+            merged = LLMTailor.from_checkpoints(root, workers=1).merge(root.parent / "recovered")
+            assert merged.verify_report.ok, when
+            shutil.rmtree(merged.output.dir)
+
+    @pytest.mark.parametrize("name", [
+        "full save", "partial save", "rewrite at a smaller world size",
+        "merge", "reshard", "prune",
+    ])
+    def test_every_crash_point(self, pristine, tmp_path, name):
+        root, pristine_tree = tmp_path / "run", _tree(pristine["root"])
+
+        def reset():
+            shutil.rmtree(tmp_path / "run", ignore_errors=True)
+            shutil.copytree(pristine["root"], root)
+            return self._operations(root, pristine)[name]
+
+        operation, target = reset()
+        with _CrashAt() as counting:
+            operation()
+        clean, mutations = _tree(root), counting.count
+        assert mutations >= 4 and not [f for f in clean if f.endswith(".tmp")]
+        self._assert_consistent(root, pristine, pristine_tree, f"{name}: uninterrupted")
+
+        for k in range(1, mutations + 1):
+            operation, target = reset()
+            with _CrashAt(k) as crash:
+                operation()
+                raise AssertionError(f"{name}: mutation {k} of {mutations} never happened")
+            assert crash.count >= k
+            self._assert_consistent(root, pristine, pristine_tree, f"{name}: killed at {k}")
+            operation()  # a clean rerun over whatever the kill left behind
+            after = _tree(root)
+            assert not [f for f in after if f.endswith(".tmp")], f"{name}: debris after {k}"
+            if target is not None:  # (a killed prune leaves a manifest-less husk behind)
+                assert after == clean, f"{name}: rerun after kill at {k} differs"
+            else:
+                self._assert_consistent(root, pristine, pristine_tree, f"{name}: rerun after {k}")

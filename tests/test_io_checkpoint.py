@@ -38,8 +38,11 @@ class TestLayout:
         paths = CheckpointPaths(d)
         with pytest.raises(CheckpointError):
             _ = paths.step
-        paths.write_manifest({"step": 77})
-        assert paths.step == 77
+        with paths.rewrite(77, 1) as tx:  # the one way to publish a manifest
+            tx.shard(0).write_bytes(b"")
+            tx.publish(model_config="m", strategy="merged", slots=["a"], all_slots=["a"])
+        assert paths.step == CheckpointPaths(d).step == 77
+        assert paths.optim_dir.name == "global_step77"
 
     def test_list_checkpoint_steps_sorted(self, tmp_path):
         for s in (300, 100, 200):

@@ -13,8 +13,10 @@ from repro.core import (
     verify_checkpoint,
 )
 from repro.io import CheckpointPaths, Storage, load_checkpoint, save_checkpoint, TensorFile
+from repro.io.layout import manifest_doc
 from repro.nn import slot_of_param
-from repro.util.errors import MergeError
+from repro.util.errors import CheckpointError, MergeError
+from repro.util.jsonio import write_json_atomic
 
 from conftest import make_engine, train_steps
 
@@ -138,7 +140,8 @@ class TestMergeValidation:
         storage, _, _, config, _ = checkpoint_run
         shard = CheckpointPaths(storage.root / "checkpoint-100").shard(1)
         shard.unlink()
-        with pytest.raises(MergeError, match="missing optimizer shard"):
+        # A manifest over a missing shard is refused where it is read.
+        with pytest.raises(CheckpointError, match="missing shard for rank 1"):
             LLMTailor(_parity_recipe(storage, config)).merge(output=tmp_path / "m")
 
     def test_manifest_lies_about_slots_detected(self, checkpoint_run, tmp_path):
@@ -146,8 +149,10 @@ class TestMergeValidation:
         storage, _, _, config, _ = checkpoint_run
         paths = CheckpointPaths(storage.root / "checkpoint-100")
         manifest = paths.read_manifest()
-        manifest["slots"] = manifest["all_slots"]  # lie: claim everything
-        paths.write_manifest(manifest)
+        # lie: claim everything (``complete`` follows, the schema ties them)
+        write_json_atomic(
+            paths.manifest, manifest_doc(**{**manifest, "slots": manifest["all_slots"]})
+        )
         odd, even = _odd_even_sets(config)
         # Ask for an even layer from checkpoint-100, which never saved it.
         recipe = MergeRecipe(

@@ -384,7 +384,7 @@ def test_aborted_reshard_leaves_no_complete_manifest(ckpt_factory, tmp_path):
     copy = reshard_checkpoint(src, tmp_path / "victim-abort", 2)
     CheckpointPaths(copy.output).shard(1).unlink()
     out = tmp_path / "out-abort"
-    with pytest.raises(ReshardError):
+    with pytest.raises(CheckpointError, match="missing shard for rank 1"):
         reshard_checkpoint(copy.output, out, 3)
     assert not CheckpointPaths(out).manifest.exists()
 

@@ -87,6 +87,36 @@ class TestPrune:
         assert read_latest(root) is not None
 
 
+    def test_a_kill_mid_prune_leaves_a_directory_every_reader_skips(
+        self, parity_run, monkeypatch
+    ):
+        """The manifest goes before the tree (it used to stay behind while
+        ``rmtree`` had already taken the config files)."""
+        import shutil
+
+        from repro.io import RunIndex, write_latest
+
+        root = parity_run.storage.root
+        victim = prunable_steps(root, keep_last=2)[0]
+        seen = []
+
+        def killed(path):
+            seen.append(sorted(p.name for p in path.iterdir()))
+            raise KeyboardInterrupt("killed before the first unlink of rmtree")
+
+        monkeypatch.setattr(shutil, "rmtree", killed)
+        with pytest.raises(KeyboardInterrupt):
+            prune_checkpoints(root, keep_last=2)
+        assert "tailor_manifest.json" not in seen[0] and "config.json" in seen[0]
+        assert victim in list_checkpoint_steps(root) and victim not in RunIndex(root).steps()
+        assert victim not in RunIndex(root).slot_coverage().values()
+        # Even pointed at on purpose, the husk is a typed refusal.
+        write_latest(root, victim)
+        assert read_latest(root).step == victim
+        with pytest.raises(CheckpointError, match="tailor_manifest.json"):
+            parity_run.resume_latest()
+
+
 class TestCompleteCheckpointAnchor:
     """Retention must never evict the last complete checkpoint set."""
 

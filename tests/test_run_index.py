@@ -23,7 +23,7 @@ from repro.io import (
     list_checkpoint_steps,
     prunable_steps,
 )
-from repro.io.layout import CheckpointPaths
+from repro.io.layout import CheckpointPaths, manifest_doc
 from repro.train import ChaosSupervisor, TrainConfig, Trainer
 from repro.util.errors import CheckpointError, MergeError
 
@@ -185,16 +185,15 @@ def test_missing_and_empty_runs(tmp_path):
 
 def test_dict_backed_index_answers_from_memory(tmp_path):
     index = RunIndex(tmp_path / "never-created", manifests={})
-    index.record("checkpoint-4", {
-        "step": 4, "world_size": 2, "complete": True, "slots": ["a", "b"],
-        "all_slots": ["a", "b"], "shard_nbytes": 96,
-    })
-    index.record("checkpoint-8", {
-        "step": 8, "world_size": 2, "complete": False, "slots": ["b"],
-        "all_slots": ["a", "b"], "shard_nbytes": 48,
-    })
-    index.record("merged-8", {"step": 8, "world_size": 2, "complete": True,
-                              "shard_nbytes": 96})
+    def doc(step, slots, nbytes):
+        return manifest_doc(step=step, model_config="m", strategy="parity", world_size=2,
+                            slots=slots, all_slots=["a", "b"], shard_nbytes=nbytes)
+
+    index.record("checkpoint-4", doc(4, ["a", "b"], 96))
+    index.record("checkpoint-8", doc(8, ["b"], 48))
+    index.record("merged-8", doc(8, ["a", "b"], 96))
+    with pytest.raises(CheckpointError, match="bad manifest"):  # same schema as on disk
+        index.record("checkpoint-9", {"step": 9, "world_size": 2, "complete": True})
     assert index.steps() == [4, 8] and index.complete_steps() == [4]
     assert index.slot_coverage(9) == {"a": 4, "b": 8}
     assert index.shard_nbytes("merged-8") == 96 and index.is_complete("merged-8")

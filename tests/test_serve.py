@@ -589,6 +589,29 @@ class TestServerEndToEnd:
                 assert "not found" in response["error"]
                 assert client.stats()["jobs"]["submitted"] == 0
 
+    def test_hostile_manifest_costs_one_listing_not_the_submit_path(self, run_dir, tmp_path):
+        """``world_size: 10**7`` used to make the estimate stat ten million
+        shard paths inside the daemon; the checked manifest refuses it."""
+        import shutil
+        from time import perf_counter
+
+        from repro.util.jsonio import read_json, write_json_atomic
+
+        hostile = tmp_path / "checkpoint-16"
+        shutil.copytree(run_dir / "checkpoint-16", hostile)
+        manifest = hostile / "tailor_manifest.json"
+        write_json_atomic(manifest, {**read_json(manifest), "world_size": 10**7})
+        sock = _short_socket()
+        with serve_in_thread(ServeConfig(socket_path=sock, workers=1)):
+            with ServeClient(sock) as client:
+                start = perf_counter()
+                response = client.submit({"tenant": "t", "kind": "reshard", "params": {
+                    "checkpoint": str(hostile), "output": str(tmp_path / "out"),
+                    "target_world_size": 3}})
+                assert perf_counter() - start < 1.0
+                assert not response["ok"] and "missing shard for rank 2" in response["error"]
+                assert client.stats()["jobs"]["submitted"] == 0
+
     def test_failed_job_reports_error(self, run_dir, tmp_path):
         # A job that passes admission but whose engine run fails turns
         # into status=failed with the engine error, not a dead server.

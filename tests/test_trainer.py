@@ -152,6 +152,27 @@ class TestRetiredSurface:
         # blobfile.py: a docstring example of a key path.
         assert spelled == ["dist/faults.py", "dist/shard.py", "io/blobfile.py"]
 
+    def test_the_checkpoint_directory_has_one_owner(self):
+        """``repro.io.layout`` alone spells ``global_step<step>/``, compares
+        a manifest's ``format_version`` and sequences a directory's writes:
+        the hand-ordered ``unpublish`` / ``sweep_stale_shards`` /
+        ``write_manifest`` steps left ``CheckpointPaths``'s public surface."""
+        src = Path(repro.__file__).parent
+        text = {str(p.relative_to(src)): p.read_text(encoding="utf-8") for p in src.rglob("*.py")}
+
+        def spelled(needle):
+            return sorted(name for name, body in text.items() if needle in body)
+
+        assert spelled('f"global_step') == spelled("MANIFEST_FORMAT_VERSION") == ["io/layout.py"]
+        assert spelled('"format_version"') == ["dist/shard.py", "io/layout.py"]  # the shard payload's own
+        assert text["io/layout.py"].count("!= MANIFEST_FORMAT_VERSION") == 1
+        assert text["io/layout.py"].count('"format_version":') == 2  # the builder's stamp, the schema row
+        for name in ("unpublish", "sweep_stale_shards", "write_manifest"):
+            assert not hasattr(CheckpointPaths, name)
+            assert not [f for f, body in text.items() if f".{name}(" in body]
+        assert spelled("copy2") == ["core/mergekit.py", "dist/faults.py"]
+        assert spelled("mkstemp") == [] and spelled('+ ".tmp"') == []
+
     def test_checkpoint_carrying_the_retired_key_is_accepted(self, tmp_path):
         """``training_args.json`` is carried, never parsed back into a
         ``TrainConfig`` — so the extra key is inert on every read path."""
