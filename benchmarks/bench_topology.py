@@ -1,17 +1,17 @@
 """Hierarchical topology: flat ring vs 2x4 vs 4x2 at world size 8.
 
-The hierarchical communicator is a *cost model*, not a different
-algorithm: it inherits the flat ring's arithmetic verbatim and only the
-byte accounting changes (intra-node vs inter-node link classes).  This
-scenario gates the two contracts the topology subsystem ships on:
+A topology is the communicator's *cost model*, not a different
+algorithm: the collectives' arithmetic does not know it exists and only
+the byte accounting changes (intra-node vs inter-node link classes).
+This scenario gates the two contracts the topology subsystem ships on:
 
 * **bitwise identity** — the final checkpoint of a 2x4 and a 4x2 run
   must be byte-for-byte identical to the flat-ring run (same model,
   seed, and world size; only the cluster shape differs);
-* **planner fidelity** — ``plan_step_traffic(topology=...)`` must match
-  the live per-link-class byte counters to 1e-6 relative, and
-  ``plan_fault_cost(topology=...)`` — a dry run of the same supervisor —
-  must *equal* a chaotic 2x2 run's stall seconds and goodput (``==``).
+* **planner fidelity** — the live per-link-class byte counters must
+  *equal* the same charge sequence run dry (``plan_step_traffic`` is one
+  such step), and ``plan_fault_cost(topology=...)`` — a dry run of the
+  same supervisor — a chaotic 2x2 run's stall seconds and goodput (``==``).
 
 Wall time measures the accounting overhead of the hierarchical charge
 path; the byte and goodput numbers come off the deterministic cost
@@ -26,6 +26,8 @@ from pathlib import Path
 
 from _bench_common import ROUNDS, WARMUP_ROUNDS, emit
 
+from repro.core.groups import group_numels
+from repro.dist import SimComm
 from repro.dist.faults import FaultPlan, degraded_link, preemption, straggler
 from repro.dist.topology import Topology
 from repro.strategies import plan_fault_cost, plan_step_traffic
@@ -39,7 +41,6 @@ _digests: dict[str, str] = {}
 TOTAL_STEPS = 8
 INTERVAL = 4
 WORLD_SIZE = 8
-REL_TOL = 1e-6
 
 # Chaos leg: a 2x2 cluster with one intra-node and one inter-node
 # degraded link, a straggler window, and a preemption mid-run.
@@ -115,17 +116,19 @@ def _run_and_measure(benchmark, tmp_path, tag: str,
 
 
 def _assert_traffic_parity(bytes_by_op: dict, topology: Topology) -> None:
-    """Live per-link counters == plan_step_traffic to 1e-6 relative."""
+    """Live per-link counters == the same charges run dry, exactly."""
+    dry = SimComm(WORLD_SIZE, topology)
+    numels = group_numels(_model_config())
+    dry.charge_step(numels)
     traffic = plan_step_traffic(
         _model_config(), world_size=WORLD_SIZE, topology=topology
     )
-    for op in ("reduce_scatter", "all_gather"):
-        for link_class in ("intra", "inter"):
-            planned = TOTAL_STEPS * traffic.link_bytes[op][link_class]
-            live = bytes_by_op.get(f"{op}/{link_class}", 0.0)
-            assert abs(live - planned) <= REL_TOL * max(planned, 1.0), (
-                f"{op}/{link_class}: planned {planned}, live {live}"
-            )
+    assert traffic.link_bytes == {
+        op: dry.class_bytes(op) for op in ("reduce_scatter", "all_gather")
+    }
+    for _ in range(TOTAL_STEPS - 1):
+        dry.charge_step(numels)
+    assert bytes_by_op == dry.stats.bytes_by_op
 
 
 def _model_config():

@@ -46,6 +46,7 @@ from .core.autorecipe import recipe_from_run
 from .io.reader import describe_checkpoint
 from .nn.config import get_config, list_configs
 from .strategies import build_strategy, plan_strategy
+from .util.errors import ConfigError
 from .util.humanize import format_bytes, format_pct
 from .util.tables import Table
 
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "fault schedule")
     p_train.add_argument("--topology", default=None, metavar="CLUSTER_YAML",
                          help="cluster topology YAML (see docs/topology.md); "
-                              "runs the hierarchical communicator with "
+                              "the communicator's cost model, with "
                               "per-link-class byte accounting — results are "
                               "bitwise-identical to the flat ring")
 
@@ -401,6 +402,11 @@ def _cmd_plan(args) -> int:
         from .dist.topology import Topology
 
         topology = Topology.from_yaml(args.topology)
+    fault_plan = None
+    if args.faults is not None:
+        from .dist.faults import FaultPlan
+
+        fault_plan = FaultPlan.from_yaml(args.faults)  # before anything prints
     if args.async_writer:
         from .strategies import plan_strategy_async
 
@@ -472,11 +478,9 @@ def _cmd_plan(args) -> int:
                   f"({reshard.intra_seconds:.3f}s)")
             print(f"  inter-node moves       : {format_bytes(reshard.inter_bytes)} "
                   f"({reshard.inter_seconds:.3f}s)")
-    if args.faults is not None:
-        from .dist.faults import FaultPlan
+    if fault_plan is not None:
         from .strategies import plan_fault_cost
 
-        fault_plan = FaultPlan.from_yaml(args.faults)
         faults = plan_fault_cost(
             config, fault_plan, world_size=args.world_size,
             total_steps=args.steps, checkpoint_interval=args.interval,
@@ -660,6 +664,9 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except BrokenPipeError:  # e.g. `llmtailor describe ... | head`: not an error
         return 0
+    except ConfigError as err:  # e.g. a malformed --faults document
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 Everything the paper's ZeRO-3 setting needs, reproduced deterministically
 in a single process:
 
-* :class:`SimComm` — in-process collectives with ring-model byte
-  accounting;
+* :class:`SimComm` — in-process collectives, the only communicator;
+  what they cost is its :class:`Topology` (none: the flat ring);
 * :class:`GroupPartition` (+ :func:`flatten_arrays` /
   :func:`unflatten_array`) — the flatten/pad/shard arithmetic;
 * :class:`ZeroStage3Engine` — per-rank AdamW over sharded fp32 masters,
@@ -13,18 +13,18 @@ in a single process:
   shard payload (``SHARD_FORMAT_VERSION``);
 * :func:`reshard_checkpoint` — elastic N→M re-partitioning of those
   shard files (one read per source shard, bounded memory);
-* :class:`FaultPlan` / :class:`ChaosComm` — deterministic fault
-  injection (rank failures, node failures, joins, spot preemptions,
-  stragglers, degraded links, bitrot) over the same machinery, with
-  penalized time accounting and :class:`GoodputReport` goodput
+* :class:`FaultPlan` — deterministic fault injection (rank failures,
+  node failures, joins, spot preemptions, stragglers, degraded links,
+  bitrot) over the same machinery, priced by the communicator
+  (:meth:`SimComm.price_faults`), with :class:`GoodputReport` goodput
   bookkeeping;
-* :class:`Topology` / :class:`HierComm` — hierarchical (nodes ×
-  ranks-per-node) process groups with per-link-class byte accounting,
-  bitwise-identical to the flat ring.
+* :class:`Topology` — hierarchical (nodes × ranks-per-node) cost model
+  with per-link-class byte accounting; results are bitwise-identical
+  to the flat ring's.
 """
 
 from .comm import CommStats, SimComm
-from .topology import HierComm, Topology
+from .topology import Topology
 from .partition import GroupPartition, flatten_arrays, unflatten_array
 from .zero import SHARD_FORMAT_VERSION, GroupMeta, ZeroStage3Engine
 
@@ -32,7 +32,6 @@ from .zero import SHARD_FORMAT_VERSION, GroupMeta, ZeroStage3Engine
 # the modules above from this (then partially initialized) package.
 from .reshard import ReshardReport, reshard_checkpoint  # noqa: E402
 from .faults import (  # noqa: E402
-    ChaosComm,
     FaultEvent,
     FaultPlan,
     FaultTimeline,
@@ -49,7 +48,6 @@ from .faults import (  # noqa: E402
 )
 
 __all__ = [
-    "ChaosComm",
     "CommStats",
     "FaultEvent",
     "FaultPlan",
@@ -57,7 +55,6 @@ __all__ = [
     "GoodputReport",
     "GroupMeta",
     "GroupPartition",
-    "HierComm",
     "ReshardReport",
     "SHARD_FORMAT_VERSION",
     "SimComm",

@@ -25,10 +25,11 @@ pinned bitwise against a fault-free reference (``docs/faults.md``):
 * ``node_failure(step, node)`` — under a topology, one ``rank_failure``
   per rank the node hosts, recovered one elastic shrink at a time.
 
-:class:`ChaosComm` wraps :class:`~repro.dist.comm.SimComm`: ring bytes
-are unchanged (faults do not change what moves) but each collective
-charges ``bytes / (link_bandwidth / slowdown)`` simulated seconds into
-the trainer's :class:`~repro.util.timer.SimClock`.
+Pricing lives on the communicator
+(:meth:`SimComm.price_faults <repro.dist.comm.SimComm.price_faults>`):
+bytes are unchanged (faults do not change what moves) but each collective
+costs ``bytes / bandwidth * slowdown`` simulated seconds of its link
+class on the trainer's :class:`~repro.util.timer.SimClock`.
 :class:`GoodputReport` splits a run's simulated time into useful, lost
 (replayed) and stalled seconds — useful steps per stepping second is
 the SLO a chaos run reports — and :class:`FaultTimeline` is the flight
@@ -47,13 +48,9 @@ import numpy as np
 
 from ..util.errors import CheckpointError, ConfigError
 from ..util.miniyaml import dump_file, load_file
-from .comm import CommStats
 
 __all__ = [
-    "DEFAULT_LINK_BANDWIDTH",
     "REPLICA_SUFFIX",
-    "ChaosComm",
-    "ChaosCommStats",
     "FaultEvent",
     "FaultPlan",
     "FaultTimeline",
@@ -69,10 +66,6 @@ __all__ = [
     "straggler",
 ]
 
-# Ring link bandwidth the time model charges collectives against
-# (InfiniBand-ish, matching the Lustre-over-IB storage cost model).
-DEFAULT_LINK_BANDWIDTH = 25e9  # bytes/s
-
 # A pristine copy of a shard kept next to the corrupted file — the
 # simulated "second storage replica" recovery re-reads from.
 REPLICA_SUFFIX = ".replica"
@@ -81,6 +74,24 @@ _KINDS = (
     "rank_failure", "straggler", "degraded_link", "bitrot",
     "rank_join", "preemption", "node_failure",
 )
+
+# Every FaultEvent field but ``kind`` and ``step``, in serialization
+# order; all are integers except the two factors.
+_OPTIONAL_FIELDS = ("rank", "group", "src", "dst", "slowdown",
+                    "bandwidth_scale", "duration", "restore_after", "node")
+_NUMBER_FIELDS = ("slowdown", "bandwidth_scale")
+
+
+def _checked(where: str, name: str, value: Any) -> Any:
+    """A fault document's field, type-checked before anything compares
+    or computes with it: a finite number for the two factors, else an
+    integer (a bool, ``1.5`` or ``"3"`` is not one)."""
+    number = name in _NUMBER_FIELDS
+    ok = isinstance(value, (int, float) if number else int) and not isinstance(value, bool)
+    if not ok or (isinstance(value, float) and not math.isfinite(value)):
+        kind = "a finite number" if number else "an integer"
+        raise ConfigError(f"{where}: {name} must be {kind}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -117,26 +128,28 @@ class FaultEvent:
     def to_dict(self) -> dict[str, Any]:
         """Serializable form: ``kind`` plus the fields that are set."""
         out: dict[str, Any] = {"kind": self.kind, "step": self.step}
-        for key in ("rank", "group", "src", "dst", "slowdown",
-                    "bandwidth_scale", "duration", "restore_after", "node"):
+        for key in _OPTIONAL_FIELDS:
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
         return out
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultEvent":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
+    def from_dict(
+        cls, data: Mapping[str, Any], *, where: str = "fault event"
+    ) -> "FaultEvent":
+        """Inverse of :meth:`to_dict`; unknown keys and mistyped values
+        are rejected, naming ``where`` the event sits in its document."""
+        if not isinstance(data, Mapping):
+            raise ConfigError(f"{where} must be a mapping, got {type(data).__name__}")
         data = dict(data)
         kind = data.pop("kind", None)
         if kind not in _KINDS:
-            raise ConfigError(f"fault event kind must be one of {_KINDS}, got {kind!r}")
-        known = {"step", "rank", "group", "src", "dst", "slowdown",
-                 "bandwidth_scale", "duration", "restore_after", "node"}
-        unknown = set(data) - known
+            raise ConfigError(f"{where}: kind must be one of {_KINDS}, got {kind!r}")
+        unknown = set(data) - {"step", *_OPTIONAL_FIELDS}
         if unknown:
-            raise ConfigError(f"unknown fault event keys: {sorted(unknown)}")
-        return cls(kind=kind, **data)
+            raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        return cls(kind=kind, **{k: _checked(where, k, v) for k, v in data.items()})
 
 
 def rank_failure(step: int, rank: int) -> FaultEvent:
@@ -355,8 +368,9 @@ class FaultPlan:
         fabric link only the cross-node phase.  Passing ``topology`` and
         ``link_class`` (``"intra"`` / ``"inter"``) restricts the link
         penalty to degradations in that class; stragglers always apply.
-        This is how :class:`ChaosComm` prices a hierarchical
-        communicator's ``<op>/<link_class>`` charges.
+        This is how :meth:`SimComm.charge
+        <repro.dist.comm.SimComm.charge>` prices each link class (the
+        flat ring passes no topology: every link paces its one class).
         """
         factor = self.compute_slowdown(step, world_size)
         for ev in self.events:
@@ -534,8 +548,11 @@ class FaultPlan:
         if not isinstance(events, (list, tuple)):
             raise ConfigError("fault plan 'events' must be a sequence")
         return cls(
-            events=tuple(FaultEvent.from_dict(e) for e in events),
-            seed=int(data.get("seed", 0)),
+            events=tuple(
+                FaultEvent.from_dict(e, where=f"fault plan events[{i}]")
+                for i, e in enumerate(events)
+            ),
+            seed=_checked("fault plan", "seed", data.get("seed", 0)),
         )
 
     @classmethod
@@ -683,128 +700,6 @@ class FaultPlan:
         plan = cls(events=tuple(events), seed=int(seed))
         plan.validate(world_size, total_steps)
         return plan
-
-
-# ---------------------------------------------------------------------------
-# Chaos communicator
-# ---------------------------------------------------------------------------
-
-class ChaosCommStats(CommStats):
-    """:class:`~repro.dist.comm.CommStats` plus ``seconds_by_op``: the
-    simulated seconds each charged collective took under the current
-    fault penalties (byte/call bookkeeping is inherited)."""
-
-    def __init__(self, seconds_fn) -> None:
-        super().__init__()
-        self.seconds_by_op: dict[str, float] = {}
-        self._seconds_fn = seconds_fn
-
-    def charge(self, op: str, nbytes: float) -> None:
-        """Record one collective's bytes and its penalized seconds.
-
-        The op name is forwarded to the pricing function so hierarchical
-        charges (``"<op>/intra"`` / ``"<op>/inter"``) can be priced at
-        their link class's bandwidth.
-        """
-        super().charge(op, nbytes)
-        self.seconds_by_op[op] = self.seconds_by_op.get(op, 0.0) + self._seconds_fn(
-            float(nbytes), op
-        )
-
-    def total_seconds(self) -> float:
-        """Sum of simulated collective seconds over all ops."""
-        return float(sum(self.seconds_by_op.values()))
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        super().reset()
-        self.seconds_by_op.clear()
-
-
-class ChaosComm:
-    """A :class:`~repro.dist.comm.SimComm` that charges fault penalties.
-
-    Collective *semantics* and byte accounting are exactly the wrapped
-    communicator's (faults never change what data moves); what changes
-    is the simulated clock: every charged collective costs
-    ``nbytes / link_bandwidth * comm_slowdown(step)`` seconds under the
-    ``"comm"`` category.  A leg calls :meth:`set_step` at the top of
-    each step so window-scoped events apply to exactly the steps they
-    cover.  Wraps by delegation, replacing ``stats`` with a
-    :class:`ChaosCommStats` so every charge site funds the time model.
-    """
-
-    def __init__(
-        self,
-        comm,
-        plan: FaultPlan,
-        *,
-        clock=None,
-        link_bandwidth: float = DEFAULT_LINK_BANDWIDTH,
-        topology=None,
-    ) -> None:
-        if link_bandwidth <= 0:
-            raise ConfigError(f"link_bandwidth must be > 0, got {link_bandwidth}")
-        self._comm = comm
-        self.plan = plan
-        self.clock = clock
-        self.link_bandwidth = float(link_bandwidth)
-        # A hierarchical communicator carries its Topology; adopt it so
-        # per-link-class charges are priced at that class's bandwidth
-        # and only penalized by faults on links of the same class.
-        self.topology = topology if topology is not None else getattr(
-            comm, "topology", None
-        )
-        self.current_step = 1
-        comm.stats = ChaosCommStats(self._collective_seconds)
-
-    @property
-    def world_size(self) -> int:
-        """The wrapped communicator's world size."""
-        return self._comm.world_size
-
-    @property
-    def stats(self) -> ChaosCommStats:
-        """The shared byte+time accounting (lives on the wrapped comm)."""
-        return self._comm.stats
-
-    def set_step(self, step: int) -> None:
-        """Position the fault schedule at a global step."""
-        self.current_step = int(step)
-
-    def slowdown(self, link_class: str | None = None) -> float:
-        """The collective-time multiplier active at the current step.
-
-        With a topology and a ``link_class``, only degradations on links
-        of that class apply (stragglers always do) — see
-        :meth:`FaultPlan.comm_slowdown`.
-        """
-        return self.plan.comm_slowdown(
-            self.current_step, self.world_size,
-            topology=self.topology, link_class=link_class,
-        )
-
-    def _collective_seconds(self, nbytes: float, op: str = "") -> float:
-        link_class = op.rsplit("/", 1)[1] if "/" in op else None
-        if self.topology is not None and link_class is not None:
-            bandwidth = self.topology.bandwidth(link_class)
-        else:
-            bandwidth = self.link_bandwidth
-        dt = nbytes / bandwidth * self.slowdown(link_class)
-        if self.clock is not None and dt > 0.0:
-            self.clock.advance(dt, "comm")
-        return dt
-
-    # Collectives delegate verbatim; they charge through self.stats.
-    def __getattr__(self, name: str):
-        return getattr(self._comm, name)
-
-    def __repr__(self) -> str:
-        return (
-            f"ChaosComm(world_size={self.world_size}, "
-            f"slowdown={self.slowdown():.2f}, "
-            f"events={len(self.plan.events)})"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,48 +1,45 @@
-"""Cluster topology: hierarchical process groups behind the ``SimComm`` interface.
+"""Cluster topology: the cost model of the simulated collectives.
 
 Real fleets are not flat rings: ranks within one node talk over fast
 links (NVLink / shared memory, hundreds of GB/s) while nodes talk over a
 much slower fabric (tens of GB/s).  :class:`Topology` describes such a
 cluster as ``nodes x ranks_per_node`` with one bandwidth per **link
-class** (``"intra"`` within a node, ``"inter"`` between nodes), and
-:class:`HierComm` runs every collective as a 2D hierarchical schedule
-over it — node-local reduce-scatter, cross-node all-reduce over one
-leader rank per node, node-local all-gather.
+class** (``"intra"`` within a node, ``"inter"`` between nodes) and
+prices every collective as a 2D hierarchical schedule over it —
+node-local reduce-scatter, cross-node all-reduce over one leader rank
+per node, node-local all-gather.
 
 Two invariants anchor the design, both pinned by ``tests/test_topology.py``:
 
-* **Bitwise identity.**  The *arithmetic* of every collective is
-  inherited verbatim from :class:`~repro.dist.comm.SimComm` — same mean,
-  same left-to-right accumulation order — so a hierarchical run produces
-  bit-for-bit the same masters, moments, and bf16 weights as the flat
-  ring (the same contract ``AdamW(fused=True)`` honours).  The
-  hierarchy lives entirely in the *cost model*, exactly like the flat
-  ring-algorithm accounting is itself a model over sequential
-  in-process arithmetic.
-* **Closed-form accounting.**  Each collective charges two suffixed ops,
-  ``"<op>/intra"`` and ``"<op>/inter"``, with per-link-class bytes given
-  by :meth:`Topology.collective_bytes`.  The planner
-  (:func:`repro.strategies.plan_step_traffic` with ``topology=``) and
-  :class:`~repro.dist.faults.ChaosComm` price the very same formulas, so
-  predicted step/fault seconds match live accounting to 1e-6.
+* **Bitwise identity.**  The hierarchy lives entirely in the *cost
+  model*: :class:`~repro.dist.comm.SimComm` takes a topology to decide
+  what a collective costs, never what it computes, so a hierarchical run
+  produces bit-for-bit the same masters, moments, and bf16 weights as
+  the flat ring — exactly like the flat ring-algorithm accounting is
+  itself a model over sequential in-process arithmetic.
+* **One formula.**  :meth:`Topology.collective_bytes` is the only place
+  the ring algebra is written: the communicator charges it live, the
+  planners (:func:`repro.strategies.plan_step_traffic`,
+  :func:`repro.strategies.plan_fault_cost`) run that communicator dry,
+  so predicted and live bytes and seconds are equal by construction.
 
 Placement is **block** placement: rank ``r`` lives on node
 ``r // ranks_per_node``.  An elastic world size below capacity occupies
 a prefix of the grid (the last node may be partially filled); the
 formulas use ``r_max = min(ws, ranks_per_node)`` ranks per node and
-``ceil(ws / ranks_per_node)`` occupied nodes, so they degrade exactly to
-the flat ring when ``nodes == 1`` (all intra) or ``ranks_per_node == 1``
-(all inter).
+``ceil(ws / ranks_per_node)`` occupied nodes.  The flat ring is the
+degenerate shape ``ranks_per_node == 1`` (one rank per node: nothing is
+node-local, everything crosses the fabric); ``nodes == 1`` is all intra.
 
 The 2D collective algebra, for payload ``B`` at world size ``ws`` with
 ``R = r_max`` and ``N = occupied nodes`` (``f_i = (R-1)/R``,
-``f_n = (N-1)/N`` are the usual ring fractions):
+``f_n = (N-1)/N`` are the ring fractions of Thakur et al., IJHPCA '05):
 
-* ``all_reduce``:     intra ``2 * f_i * B``, inter ``2 * f_n * B / R``
+* ``all_reduce``:     intra ``2 * f_i * B``, inter ``2 * f_n / R * B``
   (node-local reduce-scatter + all-gather touch the full payload; the
   cross-node phase runs over leaders on the ``1/R`` slice each leader owns);
-* ``reduce_scatter``: intra ``f_i * B``,     inter ``f_n * B / R``;
-* ``all_gather``:     intra ``f_i * B``,     inter ``f_n * B / R``
+* ``reduce_scatter``: intra ``f_i * B``,     inter ``f_n / R * B``;
+* ``all_gather``:     intra ``f_i * B``,     inter ``f_n / R * B``
   (``B`` is the total gathered payload, as in the flat model);
 * ``broadcast``:      intra ``f_i * B``,     inter ``f_n * B``
   (leaders relay the full buffer across nodes, then fan out locally).
@@ -59,12 +56,10 @@ from typing import Any
 
 from ..util.errors import DistError
 from ..util.miniyaml import dump_file, load_file
-from .comm import SimComm
 
 __all__ = [
     "DEFAULT_INTER_BANDWIDTH",
     "DEFAULT_INTRA_BANDWIDTH",
-    "HierComm",
     "LINK_CLASSES",
     "Topology",
 ]
@@ -76,9 +71,9 @@ LINK_CLASSES = ("intra", "inter")
 #: Default intra-node bandwidth, bytes/second (NVLink-class fabric).
 DEFAULT_INTRA_BANDWIDTH = 300e9
 
-#: Default inter-node bandwidth, bytes/second.  Matches
-#: :data:`repro.dist.faults.DEFAULT_LINK_BANDWIDTH`, so a flat run and a
-#: ``ranks_per_node == 1`` hierarchical run price comm time identically.
+#: Default inter-node bandwidth, bytes/second (InfiniBand-ish, matching
+#: the Lustre-over-IB storage cost model).  The flat ring is one rank per
+#: node, so this is also what a topology-less run prices collectives at.
 DEFAULT_INTER_BANDWIDTH = 25e9
 
 _FIELDS = ("nodes", "ranks_per_node", "intra_bandwidth", "inter_bandwidth")
@@ -212,30 +207,22 @@ class Topology:
     ) -> dict[str, float]:
         """Per-link-class bytes for one collective over ``nbytes`` of payload.
 
-        Implements the 2D collective algebra documented in the module
-        docstring; returns ``{"intra": ..., "inter": ...}`` (both keys
-        always present, zero when a phase is degenerate).  ``nbytes`` is
-        the logical payload — the full gradient buffer, or the total
-        gathered tensor for ``all_gather`` — matching what
-        :meth:`SimComm._charge_collective` receives.
+        The module docstring's 2D algebra, written here and nowhere else;
+        both keys are always present, zero when a phase is degenerate.
+        ``nbytes`` is the logical payload — the full gradient buffer, or
+        the total gathered tensor for ``all_gather`` — and the *last*
+        factor, so :class:`~repro.dist.comm.SimComm` can precompute the
+        bytes per payload byte and still charge exactly these values.
         """
         occupied, per_group = self.group_shape(world_size)
-        intra_frac = (per_group - 1) / per_group
-        inter_frac = (occupied - 1) / occupied
-        payload = float(nbytes)
-        if op == "all_reduce":
-            return {
-                "intra": 2.0 * intra_frac * payload,
-                "inter": 2.0 * inter_frac * payload / per_group,
-            }
-        if op in ("reduce_scatter", "all_gather"):
-            return {
-                "intra": intra_frac * payload,
-                "inter": inter_frac * payload / per_group,
-            }
-        if op == "broadcast":
-            return {"intra": intra_frac * payload, "inter": inter_frac * payload}
-        raise DistError(f"topology: unknown collective op {op!r}")
+        phases = 2.0 if op == "all_reduce" else 1.0
+        intra = phases * ((per_group - 1) / per_group)
+        inter = phases * ((occupied - 1) / occupied)
+        if op in ("all_reduce", "reduce_scatter", "all_gather"):
+            inter /= per_group  # each leader owns a 1/R slice
+        elif op != "broadcast":
+            raise DistError(f"topology: unknown collective op {op!r}")
+        return {"intra": intra * float(nbytes), "inter": inter * float(nbytes)}
 
     # -- serialization ------------------------------------------------------
 
@@ -290,45 +277,4 @@ class Topology:
             f"{self.shape} ({self.world_size} ranks; "
             f"intra {self.intra_bandwidth / 1e9:.0f} GB/s, "
             f"inter {self.inter_bandwidth / 1e9:.0f} GB/s)"
-        )
-
-
-class HierComm(SimComm):
-    """Topology-aware :class:`~repro.dist.comm.SimComm`.
-
-    Inherits every collective's arithmetic verbatim (bitwise-identical
-    results to the flat ring at any world size) and replaces only the
-    byte accounting with the hierarchical per-link-class model — see the
-    module docstring for the algebra and the identity argument.
-    """
-
-    def __init__(self, world_size: int, topology: Topology) -> None:
-        super().__init__(world_size)
-        if not isinstance(topology, Topology):
-            raise DistError(
-                f"topology must be a Topology, got {type(topology).__name__}"
-            )
-        if self.world_size > topology.world_size:
-            raise DistError(
-                f"world_size {self.world_size} exceeds topology {topology.shape} "
-                f"capacity {topology.world_size}"
-            )
-        self.topology = topology
-
-    def _charge_collective(self, op: str, nbytes: float) -> None:
-        """Charge ``<op>/intra`` and ``<op>/inter`` per the 2D cost model.
-
-        Both link classes are always charged (possibly 0.0 bytes) so
-        per-class call counts stay one-per-collective and downstream
-        pricing (:class:`~repro.dist.faults.ChaosComm`) can key purely
-        off the op suffix.
-        """
-        split = self.topology.collective_bytes(op, nbytes, self.world_size)
-        for link_class in LINK_CLASSES:
-            self.stats.charge(f"{op}/{link_class}", split[link_class])
-
-    def __repr__(self) -> str:
-        return (
-            f"HierComm(world_size={self.world_size}, topology={self.topology.shape}, "
-            f"total_bytes={self.stats.total_bytes():.0f})"
         )

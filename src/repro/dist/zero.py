@@ -42,7 +42,7 @@ from ..numerics.dtypes import DType, quantize
 from ..optim.adam import AdamW
 from ..optim.optimizer import ParamGroup
 from ..util.errors import CheckpointError, ConfigError, DistError
-from .comm import SimComm, make_comm
+from .comm import SimComm
 from .partition import GroupPartition, flatten_arrays, unflatten_array
 from .shard import (
     SHARD_FORMAT_VERSION,
@@ -107,11 +107,9 @@ class ZeroStage3Engine:
             )
         self.model = model
         self.config = config
-        # With a topology the hierarchical communicator swaps in; it
-        # inherits the flat collectives' arithmetic verbatim, so the
-        # choice only changes byte accounting, never results.
-        self.topology = topology
-        self.comm: SimComm = make_comm(world_size, topology)  # validates world_size
+        # A topology is the communicator's cost model: it changes byte
+        # accounting, never results.
+        self.comm = SimComm(world_size, topology)  # validates world_size
         self.world_size = self.comm.world_size
         self._dtype: DType = config.storage_dtype
 

@@ -1,6 +1,6 @@
 """Config-only planners: checkpoint overhead (paper-scale Tables 3 and
-6), step traffic, merge / reshard / serve cost — analytic — and fault
-cost, which is a dry run of the real recovery policy (no model, no files).
+6) and merge / reshard / serve cost, analytic; step traffic and fault cost,
+dry runs of the real communicator and recovery policy (no model, no files).
 
 From a model config and a strategy alone (no training): the byte volume
 and simulated time of every checkpoint event over a run, usable for the
@@ -108,13 +108,10 @@ def checkpoint_event_seconds(
 
 @dataclass(frozen=True)
 class StepTrafficPlan:
-    """Per-optimizer-step collective traffic under the ring cost model.
-
-    This is the analytic twin of the live accounting in
-    :class:`repro.dist.comm.CommStats`: every training step the ZeRO-3
-    engine reduce-scatters each group's padded fp32 gradient and
-    all-gathers the updated masters, each moving ``(n-1)/n`` of the
-    buffer per rank around the ring.  ``llmtailor plan`` prints it so the
+    """Per-optimizer-step collective traffic: a view of the
+    :class:`~repro.dist.comm.CommStats` of a communicator that charged
+    one step dry (:func:`plan_step_traffic`), so it equals the live
+    accounting by construction.  ``llmtailor plan`` prints it so the
     sharding tax of a world size is visible without running anything.
     """
 
@@ -123,12 +120,11 @@ class StepTrafficPlan:
     padded_numel: int  # sum of per-group padded group sizes
     reduce_scatter_bytes: float  # per step, per rank
     all_gather_bytes: float  # per step, per rank
-    #: Topology shape (e.g. ``"2x4"``) for a hierarchical plan, else None.
-    topology: str | None = None
-    #: ``{op: {"intra": bytes, "inter": bytes}}`` under a topology — the
-    #: analytic twin of HierComm's ``<op>/<link_class>`` charges; the
-    #: headline per-op fields above are then the class sums.
-    link_bytes: dict | None = None
+    topology: str | None  # shape, e.g. "2x4", for a hierarchical plan
+    #: ``{op: {link_class: bytes}}`` as the communicator charged them (the
+    #: flat ring, one rank per node, has only ``"inter"``); the per-op
+    #: fields above are the class sums.
+    link_bytes: dict
 
     @property
     def total_bytes(self) -> float:
@@ -136,10 +132,8 @@ class StepTrafficPlan:
         return self.reduce_scatter_bytes + self.all_gather_bytes
 
     def class_bytes(self, link_class: str) -> float:
-        """Per-step bytes on one link class (0.0 for a flat plan)."""
-        if not self.link_bytes:
-            return 0.0
-        return float(sum(split[link_class] for split in self.link_bytes.values()))
+        """Per-step bytes on one link class."""
+        return float(sum(s.get(link_class, 0.0) for s in self.link_bytes.values()))
 
     def describe(self) -> dict:
         """Flat dict form (for tables and JSON artifacts)."""
@@ -153,7 +147,7 @@ class StepTrafficPlan:
         }
         if self.topology is not None:
             out["topology"] = self.topology
-            for op, split in (self.link_bytes or {}).items():
+            for op, split in self.link_bytes.items():
                 for link_class, value in split.items():
                     out[f"{op}_{link_class}_bytes"] = value
         return out
@@ -166,46 +160,30 @@ def plan_step_traffic(
     weight_decay: float = 0.01,
     topology=None,
 ) -> StepTrafficPlan:
-    """Ring-model bytes one optimizer step moves at the given world size.
+    """Cost-model bytes one optimizer step moves at the given world size.
 
-    Derived from the tailored 2L+x group layout analytically (no model
-    instantiation): each group's flat fp32 gradient is padded to a
-    multiple of ``world_size``, reduce-scattered, and the updated master
-    all-gathered — ``2 * (n-1)/n * 4 * padded_numel`` bytes per step in
-    total.  At ``world_size == 1`` every collective is local and the
-    traffic is zero, matching :class:`repro.dist.comm.SimComm`.
-
-    With ``topology`` (a :class:`~repro.dist.topology.Topology`) the
-    same payload is split per link class through
-    :meth:`~repro.dist.topology.Topology.collective_bytes` — the exact
-    formulas :class:`~repro.dist.topology.HierComm` charges live — and
-    the per-op fields become class sums (``link_bytes`` carries the
-    breakdown).
+    A *dry run*: builds the :class:`~repro.dist.comm.SimComm` a live
+    engine would (``topology`` is its cost model, ``None`` the flat
+    ring), charges one step's collectives from the tailored 2L+x group
+    layout (no model, no buffers) and reads its stats.  At ``world_size
+    == 1`` every collective is local and the traffic is zero.
     """
     from ..core.groups import group_numels  # lazy: avoids a cycle
+    from ..dist.comm import SimComm
+    from ..dist.partition import GroupPartition
 
     numels = group_numels(config, weight_decay)
-    padded_total = sum(-(-numel // world_size) * world_size for numel in numels)
-    payload = 4.0 * padded_total  # fp32 buffers
-    if topology is None:
-        per_collective = (world_size - 1) / world_size * payload
-        return StepTrafficPlan(
-            world_size=world_size,
-            num_groups=len(numels),
-            padded_numel=padded_total,
-            reduce_scatter_bytes=per_collective,
-            all_gather_bytes=per_collective,
-        )
-    scatter = topology.collective_bytes("reduce_scatter", payload, world_size)
-    gather = topology.collective_bytes("all_gather", payload, world_size)
+    comm = SimComm(world_size, topology)
+    comm.charge_step(numels)
+    link_bytes = {op: comm.class_bytes(op) for op in ("reduce_scatter", "all_gather")}
     return StepTrafficPlan(
         world_size=world_size,
         num_groups=len(numels),
-        padded_numel=padded_total,
-        reduce_scatter_bytes=scatter["intra"] + scatter["inter"],
-        all_gather_bytes=gather["intra"] + gather["inter"],
-        topology=topology.shape,
-        link_bytes={"reduce_scatter": scatter, "all_gather": gather},
+        padded_numel=sum(GroupPartition(n, world_size).padded_numel for n in numels),
+        reduce_scatter_bytes=sum(link_bytes["reduce_scatter"].values()),
+        all_gather_bytes=sum(link_bytes["all_gather"].values()),
+        topology=topology and topology.shape,
+        link_bytes=link_bytes,
     )
 
 
@@ -481,8 +459,8 @@ def plan_fault_cost(
     the supervisor's own for any ``strategy`` (a partial trail is
     auto-merged, source ``merged-<k>``, exactly when a live run would)
     and any ``topology``, and every collective and straggler second goes
-    through the :class:`~repro.dist.faults.ChaosComm` and clock a live
-    leg uses.  Milliseconds per plan, config only, nothing on disk.
+    through the fault-priced :class:`~repro.dist.comm.SimComm` and clock
+    a live leg uses.  Milliseconds per plan, config only, nothing on disk.
     Not priced: ``bitrot`` events (no bytes to corrupt: they neither fire
     nor cost a repair) and compression — see :class:`FaultCostPlan`.
     """

@@ -50,7 +50,7 @@ class LoggingCallback(Callback):
             lr = trainer.scheduler.get_last_lr()[0]
             # Cumulative ring-model bytes the engine's collectives moved
             # so far — per-step traffic is the delta between log entries.
-            comm_bytes = trainer.engine.comm.stats.total_bytes()
+            comm_bytes = trainer.comm.stats.total_bytes()
             trainer.state.log(step, loss=loss, lr=lr, comm_bytes=comm_bytes)
             log.info("step %d loss %.4f lr %.2e comm %.0fB", step, loss, lr, comm_bytes)
 

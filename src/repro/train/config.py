@@ -31,10 +31,9 @@ class TrainConfig:
     micro_batch_size: int = 2
     grad_accum_steps: int = 2
     # Cluster topology (repro.dist.topology.Topology.to_dict() form, or
-    # None for the flat ring).  With a topology the engine runs the
-    # hierarchical communicator — bitwise-identical results, per-link-
-    # class byte/seconds accounting — and world_size may be anything up
-    # to the cluster's rank capacity (elastic runs shrink below it).
+    # None for the flat ring): the communicator's cost model — results
+    # are bitwise-identical, bytes/seconds are accounted per link class —
+    # and world_size may be anything up to the cluster's rank capacity.
     topology: dict[str, Any] | None = None
 
     # Sequences / data.

@@ -12,14 +12,12 @@ over it, so planned and live numbers are equal by construction.
 
 from __future__ import annotations
 
-import types
 from pathlib import Path
 from typing import Callable
 
 from ..core.groups import group_numels
-from ..dist.comm import make_comm
+from ..dist.comm import SimComm
 from ..dist.faults import FaultPlan, FaultTimeline, GoodputReport, repair_from_replicas
-from ..dist.partition import GroupPartition
 from ..io.layout import CheckpointPaths, RunIndex, checkpoint_dir, manifest_doc
 from ..io.storage import IOStats, LUSTRE_DEFAULT, Storage, StorageCostModel
 from ..nn.config import ModelConfig
@@ -364,11 +362,10 @@ class NullLeg(Trainer):
 
     :meth:`Trainer.train` and the callbacks are inherited; the work is
     replaced, the accounting is not.  A step charges the engine's
-    collectives — per tailored group a ``reduce_scatter`` then an
-    ``all_gather`` of ``4 × padded_numel`` bytes, in the engine's order —
-    through the same ``SimComm``/``HierComm`` →
-    :class:`~repro.dist.faults.ChaosComm` → clock chain a live leg
-    builds, then :meth:`Trainer._charge_step_time`.  Checkpoint writes,
+    collectives (:meth:`SimComm.charge_step
+    <repro.dist.comm.SimComm.charge_step>`) to the same fault-priced
+    :class:`~repro.dist.comm.SimComm` and clock a live leg builds, then
+    :meth:`Trainer._charge_step_time`.  Checkpoint writes,
     resumes and merges charge *nominal* bytes (12 B/param optimizer +
     storage-dtype weights) to the storage ledger and keep manifests in
     ``disk``, the dict-backed :class:`~repro.io.layout.RunIndex` every
@@ -389,13 +386,8 @@ class NullLeg(Trainer):
         self.model = None
         self.disk = disk
         self.storage = _LedgerStorage(disk.root, cost_model)
-        self.engine = types.SimpleNamespace(
-            comm=make_comm(config.world_size, config.resolved_topology)
-        )
-        self._payload_nbytes = [
-            4 * GroupPartition(numel, config.world_size).padded_numel
-            for numel in group_numels(model_config, config.weight_decay)
-        ]
+        self.comm = SimComm(config.world_size, config.resolved_topology)
+        self._group_numels = group_numels(model_config, config.weight_decay)
         self.strategy = build_strategy(
             config.checkpoint_strategy, model_config,
             config.checkpoint_interval, **config.strategy_kwargs,
@@ -408,11 +400,8 @@ class NullLeg(Trainer):
         return self.disk
 
     def train_step(self, step: int) -> float:
-        comm = self.engine.comm
-        comm.set_step(step)
-        for op in ("reduce_scatter", "all_gather"):
-            for nbytes in self._payload_nbytes:
-                comm._charge_collective(op, nbytes)
+        self.comm.set_step(step)
+        self.comm.charge_step(self._group_numels)
         self._charge_step_time(step)
         return float("nan")
 

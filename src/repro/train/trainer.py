@@ -37,7 +37,7 @@ from ..data.facts import MedicalKB
 from ..data.synthetic import medqa_like_pairs, pubmed_like_corpus
 from ..data.tokenizer import WordTokenizer
 from ..core.groups import tailored_param_groups
-from ..dist.faults import ChaosComm, FaultPlan, FaultTimeline, GoodputReport
+from ..dist.faults import FaultPlan, FaultTimeline, GoodputReport
 from ..dist.zero import ZeroStage3Engine
 from ..io.layout import CheckpointPaths, RunIndex, read_latest
 from ..io.reader import load_checkpoint
@@ -162,6 +162,8 @@ class Trainer:
             eps=config.eps,
             topology=config.resolved_topology,
         )
+        #: The leg's communicator (a model-free leg has one and no engine).
+        self.comm = self.engine.comm
         self.scheduler = build_scheduler(
             config.scheduler, self.engine.reference_optimizer,
             warmup_steps=config.warmup_steps, total_steps=config.total_steps,
@@ -193,10 +195,10 @@ class Trainer:
         pending: tuple[list, list] | None,
     ) -> None:
         """Attach the chaos engine to this leg (no-op without a plan):
-        wrap the collectives in the time-charging
-        :class:`~repro.dist.faults.ChaosComm` and register the
-        :class:`~repro.train.callbacks.ChaosCallback` last, so the step's
-        checkpoint is on disk before bitrot or a rank failure touches it.
+        have the communicator price its collectives under the plan and
+        register the :class:`~repro.train.callbacks.ChaosCallback` last,
+        so the step's checkpoint is on disk before bitrot or a rank
+        failure touches it.
         """
         config = self.config
         self.fault_plan, self.fault_timeline = fault_plan, fault_timeline
@@ -211,11 +213,7 @@ class Trainer:
                 topology=config.resolved_topology,
             )
         self.fault_timeline = fault_timeline or FaultTimeline()
-        # ChaosComm adopts the engine communicator's topology (if
-        # hierarchical), pricing each link class at its bandwidth.
-        self.engine.comm = ChaosComm(
-            self.engine.comm, fault_plan, clock=self.storage.clock
-        )
+        self.comm.price_faults(fault_plan, self.storage.clock)
         pending_world, pending_bitrot = pending or (None, None)
         self.callbacks.append(ChaosCallback(
             fault_plan, self.fault_timeline, topology=config.resolved_topology,
@@ -247,10 +245,9 @@ class Trainer:
         ``loss.backward()`` runs through :attr:`tape`.
         """
         cfg = self.config
-        if self.fault_plan is not None:
-            # Position the fault schedule before the step's collectives
-            # so window-scoped penalties charge exactly their steps.
-            self.engine.comm.set_step(step)
+        # Position the fault schedule (if any) before the step's collectives
+        # so window-scoped penalties charge exactly their steps.
+        self.comm.set_step(step)
         self.engine.zero_grad()
         n_micro = cfg.world_size * cfg.grad_accum_steps
         total_loss = 0.0
@@ -341,7 +338,7 @@ class Trainer:
             final_train = float("nan")
         final_eval = self.eval_loss()
         clock = self.storage.clock.snapshot()
-        comm = self.engine.comm.stats
+        comm = self.comm.stats
         return TrainResult(
             final_step=self.state.global_step,
             final_train_loss=final_train,

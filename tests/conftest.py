@@ -291,6 +291,20 @@ def trained_run(session_tmp) -> tuple[Trainer, object, Path]:
     return _TRAINED_CACHE[key]
 
 
+def dry_comm_stats(model_config, world_size, steps, *, topology=None, weight_decay=0.01):
+    """The ``CommStats`` of ``steps`` optimizer steps charged dry: the
+    engine's charge sequence with no model behind it.  A live run's
+    counters must *equal* these — same charges, same accumulation order
+    (``plan_step_traffic`` is the ``steps == 1`` case)."""
+    from repro.core.groups import group_numels
+
+    comm = SimComm(world_size, topology)
+    numels = group_numels(model_config, weight_decay)
+    for _ in range(steps):
+        comm.charge_step(numels)
+    return comm.stats
+
+
 def dry_run_of(supervisor):
     """``plan_fault_cost`` for exactly the run a live supervisor executed."""
     from repro.strategies import plan_fault_cost

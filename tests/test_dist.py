@@ -67,6 +67,25 @@ class TestSimComm:
         with pytest.raises(DistError):
             SimComm(0)
 
+    def test_mean_refuses_non_floating_buffers(self):
+        """One typed refusal from every mean-reducing collective (the
+        allocating reduce-scatter used to promote int32 to float32
+        silently, its ``_into`` twin leaked numpy's ``UFuncTypeError``);
+        collectives that only move data accept any dtype."""
+        comm = SimComm(2)
+        ints = [np.arange(4, dtype=np.int32), np.arange(4, dtype=np.int32)]
+        for reduce in (
+            comm.all_reduce_mean,
+            comm.reduce_scatter_mean,
+            lambda bufs: comm.reduce_scatter_mean_into(bufs, out=np.zeros(4, dtype=np.int32)),
+        ):
+            with pytest.raises(DistError, match="int32"):
+                reduce(ints)
+        assert comm.stats.total_bytes() == 0.0  # refused before anything is charged
+        assert comm.all_gather(ints).dtype == np.int32
+        assert comm.all_gather_into(ints, out=np.zeros(8, dtype=np.int32)).dtype == np.int32
+        assert comm.broadcast(ints[0])[1].dtype == np.int32
+
 
 class TestPartition:
     def test_padding_math(self):

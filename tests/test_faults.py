@@ -15,9 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.dist import SimComm
+from repro.dist import SimComm, Topology
 from repro.dist.faults import (
-    ChaosComm,
     FaultPlan,
     GoodputReport,
     bitrot,
@@ -92,6 +91,41 @@ class TestFaultPlan:
             FaultPlan.from_dict(
                 {"events": [{"kind": "rank_failure", "step": 1, "gpu": 3}]}
             )
+
+    @pytest.mark.parametrize("doc, names", [
+        ({"events": [{"kind": "rank_failure", "step": "3", "rank": 0}]}, "events[0]: step"),
+        ({"events": [{"kind": "rank_failure", "step": 1.5, "rank": 0}]}, "events[0]: step"),
+        ({"events": [{"kind": "straggler", "step": 1, "rank": 0, "slowdown": "fast"}]},
+         "events[0]: slowdown"),
+        ({"events": [rank_failure(1, 0).to_dict(), "x"]}, "events[1] must be a mapping"),
+        ({"seed": "abc", "events": []}, "seed"),
+        ({"events": [{"kind": "degraded_link", "src": 0, "dst": 1,
+                      "bandwidth_scale": None}]}, "events[0]: bandwidth_scale"),
+        ({"events": [{"kind": "bitrot", "step": 2, "rank": True, "group": 0}]},
+         "events[0]: rank"),
+        ({"events": [{"kind": "straggler", "step": 1, "rank": 0,
+                      "slowdown": float("inf")}]}, "events[0]: slowdown"),
+    ])
+    def test_mistyped_fields_rejected_typed(self, tmp_path, capsys, doc, names):
+        """A hostile document fails in ``from_dict`` with a ``ConfigError``
+        naming the event and field — never a ``TypeError`` / ``ValueError``
+        from deep inside ``validate``, never accepted — and both CLI
+        commands that read one exit 2 with that message."""
+        from repro.cli import main
+        from repro.util.miniyaml import dump_file
+
+        with pytest.raises(ConfigError) as caught:
+            FaultPlan.from_dict(doc)
+        assert names in str(caught.value)
+        dump_file(tmp_path / "plan.yaml", doc)
+        for argv in (
+            ["plan", "tiny-untied", "full", "--faults", str(tmp_path / "plan.yaml")],
+            ["train", "-o", str(tmp_path / "run"), "--faults", str(tmp_path / "plan.yaml")],
+        ):
+            assert main(argv) == 2
+            streams = capsys.readouterr()
+            assert streams.out == "" and names in streams.err
+        assert not (tmp_path / "run").exists()
 
     def test_validate_step_range(self):
         with pytest.raises(ConfigError):
@@ -207,14 +241,28 @@ class TestFaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# ChaosComm: ring bytes unchanged, penalized seconds charged
+# Fault pricing on the communicator: bytes unchanged, penalized seconds charged
 # ---------------------------------------------------------------------------
 
+def priced_comm(world_size: int, plan: FaultPlan, *, bandwidth=None, clock=None) -> SimComm:
+    """A fault-priced flat-equivalent communicator; a custom bandwidth is
+    spelled as the one-rank-per-node topology the flat ring is."""
+    topology = None if bandwidth is None else Topology(
+        nodes=world_size, ranks_per_node=1, inter_bandwidth=bandwidth
+    )
+    comm = SimComm(world_size, topology)
+    comm.price_faults(plan, clock)
+    return comm
+
+
 class TestChaosComm:
+    """``SimComm.price_faults`` (the retired ``ChaosComm`` wrapper's tests,
+    ported to the one communicator)."""
+
     def test_bytes_match_plain_simcomm(self):
         plan = FaultPlan(events=(degraded_link(0, 1, 0.5),))
         plain = SimComm(4)
-        chaos = ChaosComm(SimComm(4), plan)
+        chaos = priced_comm(4, plan)
         bufs = [np.arange(8, dtype=np.float32) for _ in range(4)]
         plain.all_reduce_mean(bufs)
         out_plain = plain.reduce_scatter_mean([b.copy() for b in bufs])
@@ -222,12 +270,14 @@ class TestChaosComm:
         out_chaos = chaos.reduce_scatter_mean([b.copy() for b in bufs])
         assert plain.stats.bytes_by_op == chaos.stats.bytes_by_op
         assert plain.stats.calls_by_op == chaos.stats.calls_by_op
+        assert plain.stats.seconds_by_op == {}  # empty until faults are attached
+        assert set(chaos.stats.seconds_by_op) == set(chaos.stats.bytes_by_op)
         for a, b in zip(out_plain, out_chaos):
             np.testing.assert_array_equal(a, b)
 
     def test_seconds_scale_with_slowdown(self):
         plan = FaultPlan(events=(straggler(10, 0, 4.0, duration=1),))
-        comm = ChaosComm(SimComm(2), plan, link_bandwidth=1e6)
+        comm = priced_comm(2, plan, bandwidth=1e6)
         buf = np.ones(1000, dtype=np.float32)
         comm.set_step(1)
         comm.all_reduce_mean([buf, buf])
@@ -241,15 +291,47 @@ class TestChaosComm:
         from repro.util.timer import SimClock
 
         clock = SimClock()
-        plan = FaultPlan()
-        comm = ChaosComm(SimComm(2), plan, clock=clock, link_bandwidth=1e6)
+        comm = priced_comm(2, FaultPlan(), bandwidth=1e6, clock=clock)
         comm.broadcast(np.ones(512, dtype=np.float32))
         assert clock.by_category["comm"] == pytest.approx(comm.stats.total_seconds())
 
     def test_world_size_one_is_free(self):
-        comm = ChaosComm(SimComm(1), FaultPlan(), link_bandwidth=1.0)
+        comm = priced_comm(1, FaultPlan(), bandwidth=1.0)
         comm.all_reduce_mean([np.ones(4, dtype=np.float32)])
         assert comm.stats.total_seconds() == 0.0
+
+    def test_attaching_faults_keeps_the_counters(self):
+        """The wrapper replaced ``comm.stats``: bytes charged before it was
+        attached vanished from the run's traffic."""
+        comm = SimComm(2)
+        buf = np.ones(4, dtype=np.float32)
+        comm.all_reduce_mean([buf, buf])
+        stats, before = comm.stats, comm.stats.total_bytes()
+        assert before == 16.0
+        comm.price_faults(FaultPlan())
+        assert comm.stats is stats and comm.stats.total_bytes() == before
+        comm.all_reduce_mean([buf, buf])
+        assert comm.stats.bytes_by_op == {"all_reduce": 32.0}
+        assert comm.stats.calls_by_op == {"all_reduce": 2}
+        assert list(comm.stats.seconds_by_op) == ["all_reduce"]  # the priced call only
+
+    def test_flat_ring_cannot_be_priced_under_a_foreign_topology(self):
+        """The cost model is the communicator's own: the flat ring prices at
+        the inter-node default with every degraded link in class."""
+        import inspect
+
+        from repro.dist.topology import DEFAULT_INTER_BANDWIDTH
+
+        assert list(inspect.signature(SimComm.price_faults).parameters) == [
+            "self", "plan", "clock",
+        ]
+        for link in ((0, 1), (0, 2), (1, 3)):  # intra, leader, non-edge under 2x2
+            comm = SimComm(4)
+            comm.price_faults(FaultPlan(events=(degraded_link(*link, 0.25),)))
+            comm.charge("reduce_scatter", 4096)
+            assert comm.stats.seconds_by_op == {
+                "reduce_scatter": 0.75 * 4096 / DEFAULT_INTER_BANDWIDTH * 4.0
+            }
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from repro.optim import AdamW
 from repro.optim.lr_scheduler import WarmupCosine
 from repro.util.errors import DistError
 
-from conftest import ReferenceZeroEngine, make_engine, train_steps
+from conftest import ReferenceZeroEngine, dry_comm_stats, make_engine, train_steps
 
 
 def _engine_pair(config, world_size, *, lr=1e-3, seed=1):
@@ -355,11 +355,16 @@ class TestCommTrafficSurfacing:
 
         model, engine = make_engine(untied_config, world_size=3)
         train_steps(model, engine, untied_config, 4)
+        # Equal, not approximately: the planner charges the communicator dry.
+        dry = dry_comm_stats(untied_config, 3, 4)
+        assert engine.comm.stats.bytes_by_op == dry.bytes_by_op
+        assert engine.comm.stats.calls_by_op == dry.calls_by_op
         plan = plan_step_traffic(untied_config, world_size=3)
-        live = engine.comm.stats.bytes_by_op
-        assert live["reduce_scatter"] / 4 == pytest.approx(plan.reduce_scatter_bytes)
-        assert live["all_gather"] / 4 == pytest.approx(plan.all_gather_bytes)
+        one = dry_comm_stats(untied_config, 3, 1).bytes_by_op
+        assert plan.reduce_scatter_bytes == one["reduce_scatter"]
+        assert plan.all_gather_bytes == one["all_gather"]
         assert plan.num_groups == len(engine.group_meta)
+        assert plan.padded_numel == sum(m.partition.padded_numel for m in engine.group_meta)
 
     def test_plan_step_traffic_zero_at_world_size_one(self, untied_config):
         from repro.strategies import plan_step_traffic

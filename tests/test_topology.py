@@ -4,9 +4,10 @@ The tentpole invariant is absolute: a hierarchical run over any
 ``nodes x ranks_per_node`` cluster produces **bitwise-identical**
 masters, Adam moments, and bf16 weights to the flat ring at the same
 world size — the hierarchy lives entirely in the cost model.  The
-property battery sweeps cluster shapes over world sizes 2–8 and pins
+property battery sweeps cluster shapes over world sizes 1–8 and pins
 every collective's per-link-class byte accounting to the closed-form
-2D algebra; the trainer-level tests extend the identity through chaos
+2D algebra (``Topology.collective_bytes`` and what ``SimComm.charge``
+records); the trainer-level tests extend the identity through chaos
 recovery and the compiled tape; the validation tests close the dangling
 degraded-link gap.
 """
@@ -20,9 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dist import HierComm, SimComm, Topology, reshard_checkpoint
+from repro.dist import SimComm, Topology, reshard_checkpoint
 from repro.dist.faults import (
-    ChaosComm,
     FaultPlan,
     degraded_link,
     node_failure,
@@ -41,7 +41,12 @@ from repro.strategies import (
 from repro.train import ChaosSupervisor, TrainConfig, Trainer
 from repro.util.errors import ConfigError, DistError
 
-from conftest import assert_dry_run_equals_live, dry_run_of, interpreted_oracle
+from conftest import (
+    assert_dry_run_equals_live,
+    dry_comm_stats,
+    dry_run_of,
+    interpreted_oracle,
+)
 
 REL = 1e-9
 
@@ -194,6 +199,9 @@ def _clusters(draw):
     return Topology(nodes=nodes, ranks_per_node=ranks_per_node), ws
 
 
+OPS = ("all_reduce", "reduce_scatter", "all_gather", "broadcast")
+
+
 def _closed_form(topo: Topology, op: str, nbytes: float, ws: int) -> dict:
     """The documented 2D algebra, re-derived independently of the code."""
     occupied = math.ceil(ws / topo.ranks_per_node)
@@ -241,6 +249,41 @@ class TestCollectiveAlgebra:
             assert split["intra"] == 0.0
             assert split["inter"] == pytest.approx(flat, rel=REL)
 
+    @settings(max_examples=200, deadline=None)
+    @given(nodes=st.integers(min_value=1, max_value=5),
+           ranks_per_node=st.integers(min_value=1, max_value=5),
+           fill=st.floats(min_value=0.0, max_value=1.0),
+           op=st.sampled_from(OPS),
+           nbytes=st.integers(min_value=0, max_value=2**34))
+    def test_charge_states_the_algebra_literally(self, nodes, ranks_per_node, fill, op, nbytes):
+        """What the one communicator records, against the cost algebra
+        written out: the four rows of docs/topology.md under a topology,
+        ``(n-1)/n * B`` (x2 for all-reduce) on the flat ring — which is
+        the one-rank-per-node topology, bit for bit."""
+        topo = Topology(nodes=nodes, ranks_per_node=ranks_per_node)
+        ws = 1 + round(fill * (topo.world_size - 1))  # any ws <= capacity
+        hier = SimComm(ws, topo)
+        hier.charge(op, nbytes)
+        expected = _closed_form(topo, op, float(nbytes), ws)
+        assert hier.stats.bytes_by_op == {
+            f"{op}/{c}": pytest.approx(expected[c], rel=REL, abs=0.0) for c in LINK_CLASSES
+        }
+        assert hier.stats.calls_by_op == {f"{op}/intra": 1, f"{op}/inter": 1}
+
+        flat = SimComm(ws)
+        flat.charge(op, nbytes)
+        ring = (2 if op == "all_reduce" else 1) * (ws - 1) / ws * nbytes
+        assert flat.stats.bytes_by_op == {op: pytest.approx(ring, rel=REL, abs=0.0)}
+        assert flat.stats.calls_by_op == {op: 1}
+        per_node = SimComm(ws, Topology(nodes=ws, ranks_per_node=1))
+        per_node.charge(op, nbytes)
+        assert per_node.stats.bytes_by_op == {
+            f"{op}/intra": 0.0, f"{op}/inter": flat.stats.bytes_by_op[op],
+        }
+        # The communicator precomputes bytes per payload byte; the formula
+        # itself must agree with what it charges exactly.
+        assert hier.class_bytes(op) == topo.collective_bytes(op, nbytes, ws)
+
     def test_world_size_one_is_free(self):
         topo = Topology(nodes=2, ranks_per_node=2)
         for op in ("all_reduce", "reduce_scatter", "all_gather", "broadcast"):
@@ -252,14 +295,16 @@ class TestCollectiveAlgebra:
 
 
 class TestHierCommBitwise:
-    """HierComm == SimComm bitwise, per collective, across shapes."""
+    """A communicator with a topology == one without, bitwise, per
+    collective, across shapes (the retired ``HierComm`` subclass's
+    battery, ported: the topology is a constructor argument now)."""
 
     @settings(max_examples=60, deadline=None)
     @given(cluster=_clusters(), shard=st.integers(min_value=1, max_value=8),
            seed=st.integers(min_value=0, max_value=2**31 - 1))
     def test_all_collectives_bitwise_and_accounted(self, cluster, shard, seed):
         topo, ws = cluster
-        flat, hier = SimComm(ws), HierComm(ws, topo)
+        flat, hier = SimComm(ws), SimComm(ws, topo)
         rng = np.random.default_rng(seed)
         bufs = [rng.standard_normal(ws * shard).astype(np.float32)
                 for _ in range(ws)]
@@ -298,13 +343,13 @@ class TestHierCommBitwise:
 
     def test_capacity_check(self):
         with pytest.raises(DistError):
-            HierComm(5, Topology(nodes=2, ranks_per_node=2))
+            SimComm(5, Topology(nodes=2, ranks_per_node=2))
         with pytest.raises(DistError):
-            HierComm(2, topology="2x2")
+            SimComm(2, topology="2x2")
 
     def test_single_node_totals_match_flat(self):
         """A 1xR cluster charges the flat ring's bytes, all intra."""
-        flat, hier = SimComm(4), HierComm(4, Topology(nodes=1, ranks_per_node=4))
+        flat, hier = SimComm(4), SimComm(4, Topology(nodes=1, ranks_per_node=4))
         bufs = [np.ones(8, dtype=np.float32) for _ in range(4)]
         flat.all_reduce_mean(bufs)
         hier.all_reduce_mean(bufs)
@@ -341,17 +386,29 @@ class TestTrainerBitwise:
         assert_trainers_bitwise(interp, compiled)
 
     def test_live_bytes_match_planner(self, tmp_path):
-        topo = Topology(nodes=2, ranks_per_node=2)
-        trainer = Trainer(topo_config(tmp_path, topology=topo))
-        trainer.train()
-        traffic = plan_step_traffic(
-            get_config("tiny-untied"), world_size=4, topology=topo
-        )
-        live = trainer.engine.comm.stats.bytes_by_op
-        for op in ("reduce_scatter", "all_gather"):
-            for link_class in LINK_CLASSES:
-                planned = 6 * traffic.link_bytes[op][link_class]
-                assert live[f"{op}/{link_class}"] == pytest.approx(planned, rel=1e-6)
+        """Live counters == the same charges run dry, with ``==``: the
+        planner runs the communicator.  Shapes include the flat ring and
+        a partially filled last node."""
+        model = get_config("tiny-untied")
+        for shape, ws in ((None, 3), ("2x2", 4), ("2x4", 5), ("2x4", 7)):
+            topo = shape and Topology.from_shape(shape)
+            trainer = Trainer(topo_config(
+                tmp_path / f"{shape}-{ws}", topology=topo, world_size=ws,
+                total_steps=3, checkpoint_interval=3,
+            ))
+            trainer.train()
+            live = trainer.engine.comm.stats
+            dry = dry_comm_stats(model, ws, 3, topology=topo)
+            assert live.bytes_by_op == dry.bytes_by_op
+            assert live.calls_by_op == dry.calls_by_op
+            traffic = plan_step_traffic(model, world_size=ws, topology=topo)
+            one = dry_comm_stats(model, ws, 1, topology=topo).bytes_by_op
+            planned = {
+                (f"{op}/{c}" if topo else op): value
+                for op, split in traffic.link_bytes.items() for c, value in split.items()
+            }
+            assert planned == one
+            assert traffic.total_bytes == sum(one.values())
 
     def test_config_capacity_and_round_trip(self, tmp_path):
         topo = Topology(nodes=2, ranks_per_node=2)
@@ -513,11 +570,15 @@ class TestDegradedLinkValidation:
 
 
 class TestChaosCommPricing:
+    """Per-link-class fault pricing (``ChaosComm(HierComm(...))`` of old:
+    one ``SimComm`` with a topology and ``price_faults``)."""
+
     def test_per_link_class_seconds(self):
         """Each link class is priced at its own bandwidth."""
         topo = Topology(nodes=2, ranks_per_node=2,
                         intra_bandwidth=1e6, inter_bandwidth=1e3)
-        comm = ChaosComm(HierComm(4, topo), FaultPlan())
+        comm = SimComm(4, topo)
+        comm.price_faults(FaultPlan())
         buf = np.ones(4096, dtype=np.float32)
         comm.all_reduce_mean([buf, buf, buf, buf])
         split = topo.collective_bytes("all_reduce", buf.nbytes, 4)
@@ -533,7 +594,8 @@ class TestChaosCommPricing:
         topo = Topology(nodes=2, ranks_per_node=2,
                         intra_bandwidth=1e6, inter_bandwidth=1e6)
         plan = FaultPlan(events=(degraded_link(0, 1, 0.25, step=1),))  # intra
-        comm = ChaosComm(HierComm(4, topo), plan)
+        comm = SimComm(4, topo)
+        comm.price_faults(plan)
         comm.set_step(1)
         buf = np.ones(4096, dtype=np.float32)
         comm.all_reduce_mean([buf, buf, buf, buf])

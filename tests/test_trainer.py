@@ -173,6 +173,39 @@ class TestRetiredSurface:
         assert spelled("copy2") == ["core/mergekit.py", "dist/faults.py"]
         assert spelled("mkstemp") == [] and spelled('+ ".tmp"') == []
 
+    def test_one_communicator_one_ring_formula(self):
+        """``SimComm`` is the only communicator and
+        ``Topology.collective_bytes`` the only ring algebra: the subclass,
+        the proxy, its stats subclass, the factory and the second
+        bandwidth constant left with no alias."""
+        import re
+
+        import repro.dist.comm, repro.dist.faults, repro.dist.topology  # noqa: E401
+
+        retired = ("HierComm", "ChaosComm", "ChaosCommStats", "make_comm",
+                   "DEFAULT_LINK_BANDWIDTH")
+        for module in (repro.dist, repro.dist.comm, repro.dist.faults, repro.dist.topology):
+            assert not set(retired) & set(module.__all__)
+            assert not [name for name in retired if hasattr(module, name)]
+        src = Path(repro.__file__).parent
+        text = {str(p.relative_to(src)): p.read_text(encoding="utf-8") for p in src.rglob("*.py")}
+
+        def matching(pattern):
+            return sorted(name for name, body in text.items() if re.search(pattern, body))
+
+        assert matching(r"link_bandwidth|_charge_collective|_ring_fraction") == []
+        assert matching(r"(?m)^class \w*Comm\b") == ["dist/comm.py"]
+        assert len(re.findall(r"(?m)^class \w*Comm\b", text["dist/comm.py"])) == 1
+        # Ring-fraction arithmetic, `(x - 1) / x`, is written in one function:
+        # once per link class.
+        assert matching(r"- 1\) / \w") == ["dist/topology.py"]
+        assert len(re.findall(r"- 1\) / \w", text["dist/topology.py"])) == 2
+        assert matching(r"(?m)^\w*BANDWIDTH = ") == ["dist/topology.py"]
+        for name in ("dist/faults.py", "train/supervisor.py"):
+            assert 'rsplit("/"' not in text[name] and "SimpleNamespace" not in text[name]
+        from repro.strategies import plan_step_traffic
+        assert "if topology" not in inspect.getsource(plan_step_traffic)
+
     def test_checkpoint_carrying_the_retired_key_is_accepted(self, tmp_path):
         """``training_args.json`` is carried, never parsed back into a
         ``TrainConfig`` — so the extra key is inert on every read path."""
