@@ -43,10 +43,11 @@ import sys
 from . import __version__
 from .core import LLMTailor, group_layout_table, verify_checkpoint
 from .core.autorecipe import recipe_from_run
+from .core.recipe import CACHE_MODES
 from .io.reader import describe_checkpoint
 from .nn.config import get_config, list_configs
 from .strategies import build_strategy, plan_strategy
-from .util.errors import ConfigError
+from .util.errors import ConfigError, ReproError
 from .util.humanize import format_bytes, format_pct
 from .util.tables import Table
 
@@ -103,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_merge.add_argument("-o", "--output", help="output checkpoint directory")
     p_merge.add_argument("--workers", type=int, default=None,
                          help="override recipe options.workers (parallel fan-out)")
-    p_merge.add_argument("--cache-mode", choices=("per-checkpoint", "none"),
+    p_merge.add_argument("--cache-mode", choices=CACHE_MODES,
                          default=None, help="override recipe options.cache_mode")
 
     p_auto = sub.add_parser("auto-merge", help="auto-merge a partial checkpoint trail")
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_auto.add_argument("-o", "--output", required=True)
     p_auto.add_argument("--workers", type=int, default=1)
     p_auto.add_argument(
-        "--cache-mode", choices=("per-checkpoint", "none"), default="per-checkpoint"
+        "--cache-mode", choices=CACHE_MODES, default="per-checkpoint"
     )
 
     p_reshard = sub.add_parser(
@@ -139,17 +140,17 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("full", "parity", "filtered", "magnitude"))
     p_plan.add_argument("--interval", type=int, default=100)
     p_plan.add_argument("--steps", type=int, default=1600)
-    p_plan.add_argument("--world-size", type=int, default=8)
+    p_plan.add_argument("--world-size", type=_count, default=8)
     p_plan.add_argument("--async-writer", action="store_true",
                         help="model an overlapped (CheckFreq-style) writer")
-    p_plan.add_argument("--merge-checkpoints", type=int, default=None, metavar="N",
+    p_plan.add_argument("--merge-checkpoints", type=_count, default=None, metavar="N",
                         help="also estimate merging N source checkpoints")
-    p_plan.add_argument("--reshard-to", type=int, default=None, metavar="M",
+    p_plan.add_argument("--reshard-to", type=_count, default=None, metavar="M",
                         help="also estimate resharding a --world-size checkpoint "
                              "to M ranks")
-    p_plan.add_argument("--workers", type=int, default=1,
+    p_plan.add_argument("--workers", type=_count, default=1,
                         help="merge estimate: parallel workers")
-    p_plan.add_argument("--cache-mode", choices=("per-checkpoint", "none"),
+    p_plan.add_argument("--cache-mode", choices=CACHE_MODES,
                         default="per-checkpoint", help="merge estimate: load policy")
     p_plan.add_argument("--faults", default=None, metavar="PLAN_YAML",
                         help="also dry-run a fault-injection plan under "
@@ -250,6 +251,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_client.add_argument("--timeout", type=float, default=None,
                           help="per-job wait timeout in seconds")
     return parser
+
+
+def _count(text: str) -> int:
+    """An argparse type: an int >= 1 (a count of ranks, sources or workers)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def _cmd_train(args) -> int:
@@ -402,6 +414,10 @@ def _cmd_plan(args) -> int:
         from .dist.topology import Topology
 
         topology = Topology.from_yaml(args.topology)
+        needed = max(args.world_size, args.reshard_to or 0)
+        if topology.world_size < needed:  # before anything prints
+            raise ConfigError(f"topology {topology.shape} holds {topology.world_size} "
+                              f"ranks; the plan needs {needed}")
     fault_plan = None
     if args.faults is not None:
         from .dist.faults import FaultPlan
@@ -664,7 +680,9 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except BrokenPipeError:  # e.g. `llmtailor describe ... | head`: not an error
         return 0
-    except ConfigError as err:  # e.g. a malformed --faults document
+    except ReproError as err:  # a malformed --faults document; any refused plan
+        if not isinstance(err, ConfigError) and args.command != "plan":
+            raise
         print(f"error: {err}", file=sys.stderr)
         return 2
 

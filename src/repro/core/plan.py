@@ -1,4 +1,5 @@
-"""Merge plans: a recipe resolved against real checkpoints on disk.
+"""Merge plans: a recipe resolved against real checkpoints on disk, and
+the merge's one price.
 
 Resolution validates everything the merge will rely on:
 
@@ -9,25 +10,31 @@ Resolution validates everything the merge will rely on:
 * every slot of the model is covered (falling back to the base).
 
 The plan also fixes the group → slot arithmetic (via
-:mod:`repro.core.groups`) and the per-rank load order, including the
-"interleaved parity" order of paper §5.4 where each layer forces a
-reload of its source checkpoint.
+:mod:`repro.core.groups`) and the per-rank load order,
+:func:`load_schedule`, including the "interleaved parity" order of paper
+§5.4 where each layer forces a reload of its source checkpoint.  The
+engine executes that schedule; :func:`price_merge` runs it dry against a
+:class:`~repro.io.storage.Ledger` — the one price of a merge, fed sizes on
+disk by admission control and nominal sizes by the planners.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
+from typing import Any, Callable, Mapping
 
-from ..io.layout import CheckpointPaths
+from ..io.layout import CheckpointPaths, CheckpointSizes
+from ..io.storage import Ledger
 from ..nn.config import ModelConfig
-from ..nn.slots import model_slots
+from ..nn.slots import model_slots, slot_param_counts, slot_parameter_shapes
 from ..util.errors import MergeError, RecipeError
 from ..util.jsonio import read_json
 from .groups import slot_of_group
 from .recipe import MergeOptions, MergeRecipe
 
-__all__ = ["MergePlan", "load_schedule", "resolve_plan"]
+__all__ = ["MergePlan", "load_schedule", "price_merge", "resolve_plan"]
 
 
 def load_schedule(slots, source_of, cache_mode: str) -> list[tuple]:
@@ -36,8 +43,7 @@ def load_schedule(slots, source_of, cache_mode: str) -> list[tuple]:
     ``cache_mode="none"`` keeps the paper's interleaved one-load-per-slot
     sequence; ``per-checkpoint`` coalesces every slot taken from the same
     source into one pass over that shard.  The engine executes it per
-    rank, admission control sums file sizes over it, and
-    :func:`~repro.strategies.planner.plan_merge_cost` counts it.
+    rank and :func:`price_merge` prices it.
     """
     if cache_mode == "none":
         return [(source_of(slot), [slot]) for slot in slots]
@@ -45,6 +51,58 @@ def load_schedule(slots, source_of, cache_mode: str) -> list[tuple]:
     for slot in slots:
         by_source.setdefault(source_of(slot), []).append(slot)
     return list(by_source.items())
+
+
+def price_merge(
+    ledger: Ledger, config: ModelConfig, slot_sources: Mapping[str, Any],
+    sizes: Callable[[Any], CheckpointSizes], *, cache_mode: str, workers: int = 1,
+) -> list[tuple]:
+    """Charge ``ledger`` what the engine's own schedule moves; returns it.
+
+    Per rank, each :func:`load_schedule` load reads its source's whole rank
+    shard; the groups selected from all loads — each source's share of its
+    shard pro rata to the parameters taken from it, one shard in all — are
+    inflated once and written as the merged shard; ranks run ``workers`` at
+    a time.  Weights are read lazily: the taken tensors' bytes, one file
+    open per distinct source in slot order, then written once.
+    ``slot_sources`` maps every slot to a key of ``sizes`` (a path on disk,
+    a step of a dry run's :class:`~repro.io.layout.RunIndex`).
+    """
+    slots = model_slots(config)
+    schedule = load_schedule(slots, slot_sources.__getitem__, cache_mode)
+    looked = {src: sizes(src) for src in dict.fromkeys(slot_sources[s] for s in slots)}
+    params, taken = slot_param_counts(config), dict.fromkeys(looked, 0)
+    for slot in slots:
+        if slot not in looked[slot_sources[slot]].slots:
+            raise MergeError(f"checkpoint {slot_sources[slot]} does not contain slot {slot!r}")
+        taken[slot_sources[slot]] += params[slot]
+    world_sizes = sorted({len(s.shards) for s in looked.values()})
+    if len(world_sizes) != 1:
+        raise MergeError(f"merge sources have world sizes {world_sizes}: shard layouts differ")
+    share = {
+        src: Fraction(taken[src], sum(params.get(x, 0) for x in s.slots))
+        for src, s in looked.items()
+    }
+    lanes = [ledger.lane() for _ in range(world_sizes[0])]
+    for rank, lane in enumerate(lanes):
+        for src, _ in schedule:
+            lane.charge_read(looked[src].shards[rank], category="merge.optimizer.read")
+        merged = int(sum(s.shards[rank] * share[src] for src, s in looked.items()))
+        lane.charge_inflate(merged, category="merge.optimizer.inflate")
+        lane.charge_write(merged, category="merge.optimizer.write")
+    for wave in range(0, len(lanes), workers):
+        ledger.clock.advance(max(lane.clock.total() for lane in lanes[wave : wave + workers]),
+                             "merge.optimizer")
+    shapes, total = slot_parameter_shapes(config), 0
+    for src, s in looked.items():
+        nbytes = sum(
+            s.tensors.get(name, 0)
+            for slot in slots if slot_sources[slot] == src for name in shapes[slot]
+        )
+        ledger.charge_read(nbytes, category="merge.weights.read")
+        total += nbytes
+    ledger.charge_write(total, category="merge.weights.write")
+    return schedule
 
 
 @dataclass

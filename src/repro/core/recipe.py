@@ -37,9 +37,9 @@ from typing import Any
 from ..util import miniyaml
 from ..util.errors import RecipeError
 
-__all__ = ["MergeOptions", "MergeRecipe", "parse_recipe", "load_recipe"]
+__all__ = ["CACHE_MODES", "MergeOptions", "MergeRecipe", "parse_recipe", "load_recipe"]
 
-_CACHE_MODES = ("per-checkpoint", "none")
+CACHE_MODES = ("per-checkpoint", "none")
 _SLOT_RE = re.compile(r"^(layers\.(\d+)(-(\d+))?|embed_tokens|norm|lm_head)$")
 
 
@@ -60,9 +60,9 @@ class MergeOptions:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise RecipeError(f"options.workers must be >= 1, got {self.workers}")
-        if self.cache_mode not in _CACHE_MODES:
+        if self.cache_mode not in CACHE_MODES:
             raise RecipeError(
-                f"options.cache_mode must be one of {_CACHE_MODES}, got {self.cache_mode!r}"
+                f"options.cache_mode must be one of {CACHE_MODES}, got {self.cache_mode!r}"
             )
 
 

@@ -17,6 +17,12 @@ gather-everything-then-rescatter operation; this module does it as one
 * a target shard is emitted the moment the last source it overlaps has
   been consumed.
 
+:func:`price_reshard` is that sweep run dry against a
+:class:`~repro.io.storage.Ledger` — the one price of a reshard, fed sizes
+on disk by admission control and nominal sizes by the planner — and
+:func:`placement_transfer_bytes` its per-link-class bytes, which the live
+:class:`ReshardReport` counts with the same function.
+
 Peak memory is one decoded source shard plus the open target shard(s) —
 never the full master state — so N→M stays cheap even when neither N
 nor M is 1.  ``N→1`` degenerates to a merge-style full consolidation
@@ -37,7 +43,8 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from ..io.blobfile import read_blob, write_blob
-from ..io.layout import CheckpointPaths
+from ..io.layout import CheckpointPaths, CheckpointSizes
+from ..io.storage import Ledger
 from ..util.errors import ReshardError
 from ..util.timer import WallTimer
 from .partition import GroupPartition
@@ -46,6 +53,7 @@ from .shard import GroupEntry, build_payload, check_payload, payload_extras
 __all__ = [
     "ReshardReport",
     "placement_transfer_bytes",
+    "price_reshard",
     "reshard_checkpoint",
     "reshard_sweep",
 ]
@@ -136,6 +144,24 @@ def placement_transfer_bytes(
                 else:
                     inter += moved
     return intra, inter
+
+
+def price_reshard(ledger: Ledger, sizes: CheckpointSizes, target_world_size: int) -> None:
+    """Charge ``ledger`` what :func:`reshard_checkpoint` moves.
+
+    The sweep reads and inflates each of the N source shards once, in rank
+    order, and writes M target shards (the same state, split evenly); the
+    weight file is copied — read and written, not inflated.
+    """
+    if target_world_size < 1:
+        raise ReshardError(f"target world_size must be >= 1, got {target_world_size}")
+    for nbytes in sizes.shards:
+        ledger.charge_read(nbytes, decompress=True, category="reshard.optimizer.read")
+    ledger.charge_write(
+        sum(sizes.shards), files=target_world_size, category="reshard.optimizer.write"
+    )
+    ledger.charge_read(sizes.weights, category="reshard.weights.read")
+    ledger.charge_write(sizes.weights, category="reshard.weights.write")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from .blobfile import BLOB_VERSION, read_blob, write_blob
 from .layout import (
     CheckpointPaths,
+    CheckpointSizes,
     RunIndex,
     checkpoint_dir,
     list_checkpoint_steps,
@@ -16,15 +17,17 @@ from .retention import (
     prunable_steps,
     prune_checkpoints,
 )
-from .storage import LUSTRE_DEFAULT, IOStats, Storage, StorageCostModel
+from .storage import LUSTRE_DEFAULT, IOStats, Ledger, Storage, StorageCostModel
 from .tensorfile import TENSORFILE_VERSION, TensorFile, write_tensorfile
 from .writer import save_checkpoint
 
 __all__ = [
     "BLOB_VERSION",
     "CheckpointPaths",
+    "CheckpointSizes",
     "IOStats",
     "LUSTRE_DEFAULT",
+    "Ledger",
     "LoadedCheckpoint",
     "RunIndex",
     "Storage",

@@ -29,10 +29,12 @@ directory without a manifest is not there; one with has every shard declared.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import shutil
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -43,6 +45,7 @@ from ..util.logging import get_logger
 __all__ = [
     "CheckpointPaths",
     "CheckpointRewrite",
+    "CheckpointSizes",
     "RunIndex",
     "check_manifest",
     "checkpoint_dir",
@@ -330,6 +333,52 @@ class CheckpointRewrite(CheckpointPaths):
         doc = manifest_doc(**{**fields, "step": self._step, "world_size": self.world_size})
         write_json_atomic(self.manifest, doc)
         return doc
+
+
+@dataclass(frozen=True)
+class CheckpointSizes:
+    """The bytes a dry run prices one checkpoint at — the one size lookup of
+    the merge, reshard and diff prices, with two sources: :meth:`on_disk`
+    and :meth:`nominal`."""
+
+    slots: tuple[str, ...]  # the slots it saved
+    shards: tuple[int, ...]  # per-rank optimizer shard bytes
+    weights: int  # the consolidated weight file
+    tensors: dict[str, int]  # per weight tensor (weights are read lazily)
+
+    @classmethod
+    def on_disk(
+        cls, directory: "str | Path", error=CheckpointError, role: str = ""
+    ) -> "CheckpointSizes":
+        """``stat`` of the files the checked manifest vouches for (``error``,
+        as the engine words it, when the checkpoint does not exist)."""
+        from .tensorfile import TensorFile  # lazy: the layout stays format-free
+
+        ckpt = CheckpointPaths(directory)
+        if not ckpt.exists():
+            raise error(f"{role} checkpoint not found: {ckpt.dir}".lstrip())
+        manifest = ckpt.read_manifest()
+        weights = TensorFile(ckpt.weights)
+        return cls(
+            tuple(manifest["slots"]),
+            tuple(p.stat().st_size for p in ckpt.shard_paths(manifest["world_size"])),
+            ckpt.weights.stat().st_size, {n: weights.nbytes(n) for n in weights.names},
+        )
+
+    @classmethod
+    def nominal(cls, manifest: dict[str, Any], config) -> "CheckpointSizes":
+        """A dry run's manifest: its nominal ``shard_nbytes`` split over its
+        ranks, ``weight_nbytes``, and each saved tensor at the storage dtype."""
+        from ..nn.slots import slot_parameter_shapes  # lazy: io stays below nn
+
+        ws, total = manifest["world_size"], manifest["shard_nbytes"]
+        shapes, itemsize = slot_parameter_shapes(config), config.storage_dtype.itemsize
+        return cls(
+            tuple(manifest["slots"]), tuple(total // ws + (r < total % ws) for r in range(ws)),
+            manifest["weight_nbytes"],
+            {n: math.prod(shape) * itemsize
+             for s in manifest["slots"] for n, shape in shapes[s].items()},
+        )
 
 
 def checkpoint_dir(root: str | Path, step: int) -> CheckpointPaths:

@@ -43,6 +43,7 @@ __all__ = [
     "GroupCache",
     "IOStats",
     "LUSTRE_DEFAULT",
+    "Ledger",
     "Storage",
     "StorageCostModel",
     "group_key",
@@ -59,17 +60,21 @@ class IOStats:
     files_read: int = 0
     by_category: dict[str, float] = field(default_factory=dict)
 
-    def record_write(self, nbytes: float, category: str) -> None:
-        """Count one write of ``nbytes`` under a category."""
-        self.bytes_written += nbytes
-        self.files_written += 1
+    def record(self, nbytes: float, category: str) -> None:
+        """Count ``nbytes`` under a category (no file moved: e.g. an inflate)."""
         self.by_category[category] = self.by_category.get(category, 0.0) + nbytes
 
-    def record_read(self, nbytes: float, category: str) -> None:
-        """Count one read of ``nbytes`` under a category."""
+    def record_write(self, nbytes: float, category: str, files: int = 1) -> None:
+        """Count a write of ``nbytes`` over ``files`` files under a category."""
+        self.bytes_written += nbytes
+        self.files_written += files
+        self.record(nbytes, category)
+
+    def record_read(self, nbytes: float, category: str, files: int = 1) -> None:
+        """Count a read of ``nbytes`` over ``files`` files under a category."""
         self.bytes_read += nbytes
-        self.files_read += 1
-        self.by_category[category] = self.by_category.get(category, 0.0) + nbytes
+        self.files_read += files
+        self.record(nbytes, category)
 
     def category_bytes(self, prefix: str) -> float:
         """Total bytes recorded under categories starting with ``prefix``."""
@@ -120,8 +125,12 @@ class StorageCostModel:
         parallel = max(1, min(parallel or 1, self.concurrent_writers))
         bw_time = nbytes / self.read_bandwidth
         lat_time = self.file_latency * files / parallel
-        extra = nbytes / (self.decompress_bandwidth * parallel) if decompress else 0.0
+        extra = self.inflate_time(nbytes, parallel) if decompress else 0.0
         return bw_time + lat_time + extra
+
+    def inflate_time(self, nbytes: float, parallel: int = 1) -> float:
+        """Seconds to decompress ``nbytes`` already read, on ``parallel`` cores."""
+        return nbytes / (self.decompress_bandwidth * parallel)
 
 
 LUSTRE_DEFAULT = StorageCostModel()
@@ -164,7 +173,7 @@ class Storage:
         """Record a write and advance the simulated clock; returns dt."""
         dt = self.cost_model.write_time(nbytes, files=files, parallel=parallel)
         self.clock.advance(dt, category)
-        self.stats.record_write(nbytes, category)
+        self.stats.record_write(nbytes, category, files)
         return dt
 
     def charge_read(
@@ -181,7 +190,15 @@ class Storage:
             nbytes, files=files, parallel=parallel, decompress=decompress
         )
         self.clock.advance(dt, category)
-        self.stats.record_read(nbytes, category)
+        self.stats.record_read(nbytes, category, files)
+        return dt
+
+    def charge_inflate(self, nbytes: float, *, category: str = "checkpoint_read") -> float:
+        """Record decompressing ``nbytes`` already read (a selective read
+        inflates less than it reads) and advance the clock; returns dt."""
+        dt = self.cost_model.inflate_time(nbytes)
+        self.clock.advance(dt, category)
+        self.stats.record(nbytes, category)
         return dt
 
     def charge_compute(self, seconds: float, category: str = "compute") -> float:
@@ -199,6 +216,32 @@ class Storage:
         if base.is_file():
             return base.stat().st_size
         return sum(p.stat().st_size for p in base.rglob("*") if p.is_file())
+
+
+class Ledger(Storage):
+    """A :class:`Storage` that only keeps the books: no directory, no files.
+
+    Every dry run charges one — a checkpoint event
+    (:func:`~repro.strategies.planner.checkpoint_event_seconds`), a merge,
+    reshard or diff price (:func:`~repro.core.plan.price_merge`,
+    :func:`~repro.dist.reshard.price_reshard`), the supervisor's null leg —
+    and its callers read their numbers off ``stats`` and ``clock``.
+    """
+
+    def __init__(self, cost_model: StorageCostModel | None = None,
+                 root: str | Path = "<ledger>") -> None:
+        self.root = Path(root)
+        self.cost_model = cost_model or LUSTRE_DEFAULT
+        self.clock = SimClock()
+        self.stats = IOStats()
+
+    def lane(self) -> "Ledger":
+        """A ledger on these books with a clock of its own: one of several
+        workers running concurrently (the caller advances this clock by the
+        slowest lane's time)."""
+        lane = Ledger(self.cost_model, self.root)
+        lane.stats = self.stats
+        return lane
 
 
 # ---------------------------------------------------------------------------

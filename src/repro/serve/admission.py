@@ -1,12 +1,13 @@
 """Per-tenant quotas and admission control for the merge service.
 
-Admission is driven by *deterministic* per-job cost estimates computed
-from the job spec plus on-disk state (manifests and actual file sizes)
-through the same :class:`~repro.io.storage.StorageCostModel` the
-analytic planners use.  Because the estimate is a pure function of
-(job, disk), ``llmtailor plan --serve`` reproduces the live server's
-accounting exactly — the same pattern ``plan_step_traffic`` and
-``plan_fault_cost`` establish for the trainer (see
+Admission is driven by *deterministic* per-job cost estimates: the job's
+own price — the engine's schedule run dry against a
+:class:`~repro.io.storage.Ledger`
+(:func:`~repro.core.plan.price_merge`,
+:func:`~repro.dist.reshard.price_reshard`), fed the sizes on disk of the
+files each checked manifest vouches for.  Because the estimate is a pure
+function of (job, disk), ``llmtailor plan --serve`` reproduces the live
+server's accounting exactly (see
 :func:`repro.strategies.planner.plan_serve_cost`, which simply calls
 :func:`estimate_job_cost`).
 
@@ -27,13 +28,15 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
-from ..io.layout import CheckpointPaths
-from ..io.storage import LUSTRE_DEFAULT, StorageCostModel
+from ..dist.reshard import price_reshard
+from ..io.layout import CheckpointPaths, CheckpointSizes
+from ..io.storage import Ledger, StorageCostModel
 from ..nn.config import ModelConfig
 from ..nn.slots import model_slots
-from ..util.errors import ConfigError
+from ..util.errors import ConfigError, MergeError
 from ..util.jsonio import read_json
 from .protocol import JobSpec
 
@@ -89,98 +92,19 @@ class TenantQuota:
             )
 
 
-def _shard_sizes(ckpt: CheckpointPaths) -> list[int]:
-    """Per-rank shard file sizes.  The checked manifest vouches (one directory
-    listing) for each shard, so a hostile ``world_size`` never gets looped over."""
-    return [p.stat().st_size for p in ckpt.shard_paths(ckpt.read_manifest()["world_size"])]
-
-
-def _weight_nbytes(ckpt: CheckpointPaths) -> int:
-    return ckpt.weights.stat().st_size if ckpt.weights.exists() else 0
-
-
-def _merge_cost(spec: JobSpec, storage: StorageCostModel) -> JobCost:
-    from ..core.plan import load_schedule  # lazy: layering
+def _price_merge_job(ledger: Ledger, params: dict[str, Any]) -> None:
+    from ..core.plan import price_merge  # lazy: layering
     from ..core.recipe import load_recipe, parse_recipe
 
-    params = spec.params
-    if "recipe" in params:
-        recipe = load_recipe(params["recipe"])
-    else:
-        recipe = parse_recipe(dict(params["recipe_doc"]))
-    base = CheckpointPaths(recipe.base_checkpoint)
-    base_sizes = _shard_sizes(base)
-    world_size = len(base_sizes)
-    config = ModelConfig.from_dict(read_json(base.config))
-    slots = model_slots(config)
-
-    cache_mode = str(params.get("cache_mode", recipe.options.cache_mode))
-    per_source_sizes: dict[str, list[int]] = {}
-    for source in recipe.distinct_sources():
-        ckpt = CheckpointPaths(source)
-        per_source_sizes[str(source)] = _shard_sizes(ckpt) if ckpt.exists() else base_sizes
-
-    # The engine's own load schedule, per rank: sum file sizes over it.
-    schedule = load_schedule(
-        slots, lambda slot: str(recipe.source_for(slot)), cache_mode
+    recipe = (load_recipe(params["recipe"]) if "recipe" in params
+              else parse_recipe(dict(params["recipe_doc"])))
+    config = ModelConfig.from_dict(read_json(CheckpointPaths(recipe.base_checkpoint).config))
+    price_merge(
+        ledger, config, {slot: recipe.source_for(slot) for slot in model_slots(config)},
+        partial(CheckpointSizes.on_disk, error=MergeError, role="merge source"),
+        cache_mode=params.get("cache_mode", recipe.options.cache_mode),
+        workers=params.get("workers", 1),  # a served merge's default, as execute_job's
     )
-    bytes_read = sum(sum(per_source_sizes[source]) for source, _ in schedule)
-    loads = world_size * len(schedule)
-
-    weight_read = sum(
-        _weight_nbytes(CheckpointPaths(p)) for p in recipe.distinct_sources()
-    )
-    bytes_written = sum(base_sizes) + _weight_nbytes(base)
-    seconds = (
-        storage.read_time(bytes_read + weight_read, files=loads + 1, decompress=True)
-        + storage.write_time(bytes_written, files=world_size + 1)
-    )
-    return JobCost(
-        kind="merge",
-        bytes_read=bytes_read + weight_read,
-        bytes_written=bytes_written,
-        files=loads + 1,
-        est_seconds=seconds,
-    )
-
-
-def _reshard_cost(spec: JobSpec, storage: StorageCostModel) -> JobCost:
-    ckpt = CheckpointPaths(spec.params["checkpoint"])
-    if not ckpt.exists():
-        raise ConfigError(f"reshard source checkpoint not found: {ckpt.dir}")
-    sizes = _shard_sizes(ckpt)
-    N, M = len(sizes), int(spec.params["target_world_size"])
-    optim_bytes = sum(sizes)
-    weight = _weight_nbytes(ckpt)
-    # The sweep reads each of the N source shards exactly once.
-    bytes_read = bytes_written = optim_bytes + weight
-    seconds = storage.read_time(
-        bytes_read, files=N + 1, decompress=True
-    ) + storage.write_time(bytes_written, files=M + 1)
-    return JobCost(
-        kind="reshard",
-        bytes_read=bytes_read,
-        bytes_written=bytes_written,
-        files=N + 1,
-        est_seconds=seconds,
-    )
-
-
-def _diff_cost(spec: JobSpec, storage: StorageCostModel) -> JobCost:
-    bytes_read = 0
-    files = 0
-    for key in ("checkpoint_a", "checkpoint_b"):
-        ckpt = CheckpointPaths(spec.params[key])
-        if not ckpt.exists():
-            raise ConfigError(f"diff checkpoint not found: {ckpt.dir}")
-        bytes_read += _weight_nbytes(ckpt)
-        files += 1
-        if spec.params.get("momentum"):
-            sizes = _shard_sizes(ckpt)
-            bytes_read += sum(sizes)
-            files += len(sizes)
-    seconds = storage.read_time(bytes_read, files=files, decompress=True)
-    return JobCost(kind="diff", bytes_read=bytes_read, files=files, est_seconds=seconds)
 
 
 def estimate_job_cost(
@@ -190,16 +114,31 @@ def estimate_job_cost(
 
     A pure function of the job spec and current disk state — the live
     server and ``llmtailor plan --serve`` both call it, which is what
-    makes their accounting match byte for byte.
+    makes their accounting match byte for byte.  Each job kind is charged
+    to a :class:`~repro.io.storage.Ledger` at its sizes on disk
+    (:meth:`~repro.io.layout.CheckpointSizes.on_disk`): a merge or reshard
+    by the engine's own price, a diff as two weight-file reads (plus every
+    shard, inflated, with ``momentum``); ``plan`` touches no checkpoint.
     """
-    storage = storage or LUSTRE_DEFAULT
+    ledger, params = Ledger(storage), spec.params
     if spec.kind == "merge":
-        return _merge_cost(spec, storage)
-    if spec.kind == "reshard":
-        return _reshard_cost(spec, storage)
-    if spec.kind == "diff":
-        return _diff_cost(spec, storage)
-    return JobCost(kind=spec.kind)  # plan: analytic, no checkpoint bytes
+        _price_merge_job(ledger, params)
+    elif spec.kind == "reshard":
+        sizes = CheckpointSizes.on_disk(params["checkpoint"], ConfigError, "reshard source")
+        price_reshard(ledger, sizes, params["target_world_size"])
+    elif spec.kind == "diff":
+        for key in ("checkpoint_a", "checkpoint_b"):
+            sizes = CheckpointSizes.on_disk(params[key], ConfigError, "diff")
+            ledger.charge_read(sizes.weights, category="diff.weights")
+            for nbytes in sizes.shards if params.get("momentum") else ():
+                ledger.charge_read(nbytes, decompress=True, category="diff.optimizer")
+    else:
+        return JobCost(kind=spec.kind)  # plan: analytic, no checkpoint bytes
+    return JobCost(
+        kind=spec.kind, bytes_read=int(ledger.stats.bytes_read),
+        bytes_written=int(ledger.stats.bytes_written), files=ledger.stats.files_read,
+        est_seconds=ledger.clock.total(),
+    )
 
 
 @dataclass
@@ -244,30 +183,19 @@ class AdmissionController:
         quota = self.quota_for(spec.tenant)
         with self._lock:
             state = self._tenants.setdefault(spec.tenant, _TenantState())
+            queued = state.queued_bytes + cost.total_bytes
             if state.inflight + 1 > quota.max_inflight:
-                state.rejected += 1
-                return Admission(
-                    accepted=False,
-                    reason=f"tenant {spec.tenant!r} at max_inflight "
-                    f"({quota.max_inflight})",
-                    retry_after=self._retry_after(state),
-                    cost=cost,
-                )
-            if state.queued_bytes + cost.total_bytes > quota.max_queued_bytes:
-                state.rejected += 1
-                return Admission(
-                    accepted=False,
-                    reason=f"tenant {spec.tenant!r} over max_queued_bytes "
-                    f"({state.queued_bytes + cost.total_bytes} > "
-                    f"{quota.max_queued_bytes})",
-                    retry_after=self._retry_after(state),
-                    cost=cost,
-                )
-            state.inflight += 1
-            state.queued_bytes += cost.total_bytes
-            state.outstanding_seconds += cost.est_seconds
-            state.admitted += 1
-            return Admission(accepted=True, cost=cost)
+                reason = f"at max_inflight ({quota.max_inflight})"
+            elif queued > quota.max_queued_bytes:
+                reason = f"over max_queued_bytes ({queued} > {quota.max_queued_bytes})"
+            else:
+                self._charge(state, cost)
+                return Admission(accepted=True, cost=cost)
+            state.rejected += 1
+            return Admission(
+                accepted=False, reason=f"tenant {spec.tenant!r} {reason}",
+                retry_after=self._retry_after(state), cost=cost,
+            )
 
     def force_admit(self, spec: JobSpec, cost: JobCost) -> None:
         """Charge a tenant's budget without checking limits.
@@ -279,11 +207,14 @@ class AdmissionController:
         taken instead of draining budget newly admitted jobs hold.
         """
         with self._lock:
-            state = self._tenants.setdefault(spec.tenant, _TenantState())
-            state.inflight += 1
-            state.queued_bytes += cost.total_bytes
-            state.outstanding_seconds += cost.est_seconds
-            state.admitted += 1
+            self._charge(self._tenants.setdefault(spec.tenant, _TenantState()), cost)
+
+    @staticmethod
+    def _charge(state: _TenantState, cost: JobCost) -> None:
+        state.inflight += 1
+        state.queued_bytes += cost.total_bytes
+        state.outstanding_seconds += cost.est_seconds
+        state.admitted += 1
 
     @staticmethod
     def _retry_after(state: _TenantState) -> float:

@@ -92,6 +92,30 @@ class JobSpec:
         }
 
 
+def _check_param_types(kind: str, params: Mapping[str, Any]) -> None:
+    """The params pricing and execution read, by type (``ConfigError`` naming
+    the field): counts are ints >= 1 (``type`` is exact: a bool is no count),
+    paths strings, ``recipe_doc`` a mapping, ``momentum`` a bool and
+    ``cache_mode`` one of the recipe's modes."""
+    from ..core.recipe import CACHE_MODES  # lazy: the wire format stays light
+
+    def fail(key: str, what: str):
+        raise ConfigError(f"{kind} job param {key!r} must be {what}, got {params[key]!r:.80}")
+
+    for key, value in params.items():
+        if key in ("target_world_size", "workers") and (type(value) is not int or value < 1):
+            fail(key, "an int >= 1")
+        if key in ("recipe", "output", "checkpoint", "checkpoint_a", "checkpoint_b") \
+                and not isinstance(value, str):
+            fail(key, "a path string")
+        if key == "recipe_doc" and not isinstance(value, Mapping):
+            fail(key, "a mapping")
+        if key == "momentum" and not isinstance(value, bool):
+            fail(key, "true or false")
+        if key == "cache_mode" and value not in CACHE_MODES:
+            fail(key, f"one of {CACHE_MODES}")
+
+
 def parse_job(doc: Mapping[str, Any]) -> JobSpec:
     """Validate a job document into a :class:`JobSpec`.
 
@@ -112,7 +136,7 @@ def parse_job(doc: Mapping[str, Any]) -> JobSpec:
         raise ConfigError(f"job kind must be one of {JOB_KINDS}, got {kind!r}")
     try:
         priority = int(doc.get("priority", 0))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"job priority must be an int, got {doc.get('priority')!r}")
     params = doc.get("params") or {}
     if not isinstance(params, Mapping):
@@ -128,8 +152,7 @@ def parse_job(doc: Mapping[str, Any]) -> JobSpec:
         raise ConfigError(
             "merge job needs exactly one of 'recipe' (path) or 'recipe_doc' (inline)"
         )
-    if kind == "reshard" and int(params["target_world_size"]) < 1:
-        raise ConfigError("reshard target_world_size must be >= 1")
+    _check_param_types(kind, params)
     return JobSpec(
         tenant=str(tenant), kind=str(kind), params=dict(params), priority=priority
     )

@@ -37,7 +37,7 @@ from typing import Any
 from ..io.storage import BlobStore, GroupCache, StorageCostModel
 from ..util.errors import ConfigError, ReproError
 from ..util.logging import get_logger
-from .admission import AdmissionController, TenantQuota, estimate_job_cost
+from .admission import AdmissionController, JobCost, TenantQuota, estimate_job_cost
 from .jobs import TERMINAL_STATES, Job, execute_job
 from .journal import JobJournal, replay_journal
 from .protocol import decode_line, encode_line, parse_job
@@ -146,8 +146,13 @@ class MergeService:
                 # these jobs were already admitted once, and re-checking
                 # could wedge a tenant that crashed at its inflight
                 # limit — but still charges the budget, so the release
-                # in _finish stays symmetric.
-                cost = self._estimate(spec)
+                # in _finish stays symmetric.  A job that can no longer
+                # be priced (its checkpoint or recipe source is gone)
+                # fails, journaled, instead of stopping the daemon.
+                try:
+                    cost, error = self._estimate(spec), None
+                except ReproError as exc:
+                    cost, error = JobCost(kind=spec.kind), f"not replayable: {exc}"
                 self.admission.force_admit(spec, cost)
                 job = Job(id=job_id, spec=spec, cost=cost)
                 job.timeline.record("replayed")
@@ -155,9 +160,12 @@ class MergeService:
                 match = re.fullmatch(r"job-(\d+)", job_id)
                 if match:
                     self._job_seq = max(self._job_seq, int(match.group(1)))
-                await self.queue.put(job)
                 self.counters["replayed"] += 1
                 log.info("replayed journaled job %s (%s)", job_id, spec.kind)
+                if error is not None:
+                    self._finish(job, "failed", error=error)
+                else:
+                    await self.queue.put(job)
         if self.config.socket_path is not None:
             server = await asyncio.start_unix_server(
                 self._handle_connection, path=self.config.socket_path

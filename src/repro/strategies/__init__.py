@@ -17,6 +17,7 @@ from .planner import (
     StrategyPlan,
     checkpoint_event_nbytes,
     checkpoint_event_seconds,
+    nominal_manifest,
     plan_fault_cost,
     plan_merge_cost,
     plan_reshard_cost,
@@ -44,6 +45,7 @@ __all__ = [
     "build_strategy",
     "checkpoint_event_nbytes",
     "checkpoint_event_seconds",
+    "nominal_manifest",
     "plan_fault_cost",
     "plan_merge_cost",
     "plan_reshard_cost",

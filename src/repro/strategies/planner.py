@@ -1,10 +1,10 @@
-"""Config-only planners: checkpoint overhead (paper-scale Tables 3 and
-6) and merge / reshard / serve cost, analytic; step traffic and fault cost,
-dry runs of the real communicator and recovery policy (no model, no files).
-
-From a model config and a strategy alone (no training): the byte volume
-and simulated time of every checkpoint event over a run, usable for the
-full-scale published models that are never instantiated.
+"""Config-only planners, all dry runs of the real thing (no model, no
+files): checkpoint overhead (paper-scale Tables 3 and 6) charges a
+:class:`~repro.io.storage.Ledger`; merge and reshard cost are the engines'
+own prices (:func:`~repro.core.plan.price_merge`,
+:func:`~repro.dist.reshard.price_reshard`) over nominal sizes; step traffic
+and fault cost run the real communicator and recovery policy; serve cost
+is admission control's own estimate.
 
 Cost anatomy per checkpoint (paper §2.2-2.3):
 
@@ -25,10 +25,12 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from ..io.storage import StorageCostModel
+from ..io.layout import CheckpointSizes, manifest_doc
+from ..io.storage import Ledger, StorageCostModel
 from ..nn.config import ModelConfig
 from ..nn.slots import model_slots, slot_param_counts
 from ..numerics.dtypes import DType
+from ..util.errors import ConfigError
 from .base import CheckpointStrategy
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "StrategyPlan",
     "checkpoint_event_nbytes",
     "checkpoint_event_seconds",
+    "nominal_manifest",
     "plan_fault_cost",
     "plan_merge_cost",
     "plan_reshard_cost",
@@ -99,11 +102,27 @@ def checkpoint_event_seconds(
     follow), as in the DeepSpeed save path.
     """
     volume = checkpoint_event_nbytes(config, slots, dtype=dtype)
-    t_weights = storage.write_time(volume["weight_bytes"], files=1, parallel=1)
-    t_optim = storage.write_time(
-        volume["optim_bytes"], files=world_size, parallel=world_size
+    ledger = Ledger(storage)
+    ledger.charge_write(volume["weight_bytes"], files=1, parallel=1)
+    ledger.charge_write(volume["optim_bytes"], files=world_size, parallel=world_size)
+    return ledger.clock.total()
+
+
+def nominal_manifest(
+    config: ModelConfig, slots, *, world_size: int, step: int = 0, strategy: str = "plan"
+) -> dict:
+    """The manifest a dry run records for one checkpoint event saving
+    ``slots``: the checked schema plus the event's nominal ``shard_nbytes``
+    (all ranks) and ``weight_nbytes`` — what
+    :meth:`~repro.io.layout.CheckpointSizes.nominal` reads back."""
+    all_slots = model_slots(config)
+    saved = [s for s in all_slots if s in set(slots)]
+    volume = checkpoint_event_nbytes(config, saved)
+    return manifest_doc(
+        step=step, model_config=config.name, strategy=strategy, world_size=world_size,
+        slots=saved, all_slots=all_slots,
+        shard_nbytes=volume["optim_bytes"], weight_nbytes=volume["weight_bytes"],
     )
-    return t_weights + t_optim
 
 
 @dataclass(frozen=True)
@@ -189,13 +208,13 @@ def plan_step_traffic(
 
 @dataclass
 class MergeCostPlan:
-    """Analytic LLMTailor merge cost at paper scale (extends Table 7).
+    """LLMTailor merge cost at paper scale (extends Table 7): a view of the
+    ledger :func:`~repro.core.plan.price_merge` charged.
 
-    Mirrors the real engine's knobs: ``cache_mode`` fixes the load
-    schedule (:func:`repro.core.plan.load_schedule`) and ``workers``
-    fans rank shards across processes.  Every load reads a whole shard
-    but decodes only the groups taken from it, so decode cost sums to
-    one shard per rank whatever the schedule.
+    ``cache_mode`` fixes the load schedule and ``workers`` fans rank shards
+    out, as in the engine.  Every load reads a whole shard but inflates
+    only the groups taken from it, so ``bytes_decoded`` sums to one shard
+    per rank whatever the schedule.
     """
 
     model: str
@@ -225,62 +244,41 @@ def plan_merge_cost(
 ) -> MergeCostPlan:
     """Estimate the wall time of merging ``num_checkpoints`` sources.
 
-    Works from the config alone (no files), so the published-model
-    scales in the paper can be planned without instantiating anything.
+    The merge's one price, run over ``num_checkpoints`` nominal full
+    checkpoints that provide the slots round-robin: config only, so the
+    published-model scales in the paper are planned without files.
     """
-    from ..core.plan import load_schedule  # lazy: avoids a cycle
+    from ..core.plan import price_merge  # lazy: avoids a cycle
 
-    storage = storage or StorageCostModel()
-    counts = slot_param_counts(config)
+    if num_checkpoints < 1 or workers < 1:
+        raise ConfigError(f"merge needs num_checkpoints and workers >= 1, "
+                          f"got {num_checkpoints} and {workers}")
     slots = model_slots(config)
-    num_params = sum(counts[s] for s in slots)
-    optim_bytes = num_params * OPTIMIZER_BYTES_PER_PARAM
-    shard_bytes = optim_bytes // max(1, world_size)
-
-    # Slots spread round-robin over the sources, counted by the engine's rule.
-    loads_per_rank = len(load_schedule(
-        range(len(slots)), lambda i: i % max(1, num_checkpoints), cache_mode
-    ))
-    bytes_loaded_rank = loads_per_rank * shard_bytes
-    # A load decodes only the groups taken from it — across all loads
-    # that sums to one shard.
-    bytes_decoded_rank = shard_bytes
-
-    read_s = storage.read_time(bytes_loaded_rank, files=loads_per_rank, parallel=1)
-    decode_s = bytes_decoded_rank / storage.decompress_bandwidth
-    write_s = storage.write_time(shard_bytes, files=1, parallel=1)
-    per_rank_s = read_s + decode_s + write_s
-    waves = -(-world_size // max(1, workers))  # ceil division
-    optim_s = per_rank_s * waves
-
-    # Weight merge: lazy per-tensor copies, read + write of the bf16 file.
-    weight_bytes = num_params * config.storage_dtype.itemsize
-    weights_s = storage.read_time(weight_bytes, files=num_checkpoints) + storage.write_time(
-        weight_bytes, files=1
+    sizes = CheckpointSizes.nominal(nominal_manifest(config, slots, world_size=world_size), config)
+    ledger = Ledger(storage)
+    schedule = price_merge(
+        ledger, config, {slot: i % num_checkpoints for i, slot in enumerate(slots)},
+        lambda _: sizes, cache_mode=cache_mode, workers=workers,
     )
-
     return MergeCostPlan(
-        model=config.name,
-        world_size=world_size,
-        num_checkpoints=num_checkpoints,
-        cache_mode=cache_mode,
-        workers=workers,
-        loads_per_rank=loads_per_rank,
-        bytes_loaded=bytes_loaded_rank * world_size,
-        bytes_decoded=bytes_decoded_rank * world_size,
-        bytes_written=shard_bytes * world_size + weight_bytes,
-        seconds=optim_s + weights_s,
+        model=config.name, world_size=world_size, num_checkpoints=num_checkpoints,
+        cache_mode=cache_mode, workers=workers, loads_per_rank=len(schedule),
+        bytes_loaded=int(ledger.stats.category_bytes("merge.optimizer.read")),
+        bytes_decoded=int(ledger.stats.category_bytes("merge.optimizer.inflate")),
+        bytes_written=int(ledger.stats.bytes_written), seconds=ledger.clock.total(),
     )
 
 
 @dataclass
 class ReshardCostPlan:
-    """Analytic elastic-reshard cost at paper scale.
+    """Elastic-reshard cost at paper scale: a view of the ledger
+    :func:`~repro.dist.reshard.price_reshard` charged.
 
-    Mirrors :func:`repro.dist.reshard.reshard_checkpoint`: the sweep
-    reads every source shard exactly once (``loads == N`` for any M) and
-    writes M target shards.  ``peak_bytes`` is the memory guarantee, not
-    a time input: one source shard plus one target shard.
+    The sweep reads every source shard exactly once (``loads == N`` for
+    any M), writes M target shards and copies the weight file (in
+    ``seconds``; the byte fields count shards, as the live
+    :class:`~repro.dist.reshard.ReshardReport` does).  ``peak_bytes`` is
+    the memory guarantee, not a time input: one source plus one target shard.
     """
 
     model: str
@@ -318,55 +316,37 @@ def plan_reshard_cost(
 ) -> ReshardCostPlan:
     """Estimate the wall time and peak memory of an N→M reshard.
 
-    Config only (no files), like :func:`plan_merge_cost`.  Weights are
-    not charged: the consolidated weight file is world-size independent
-    and carried over verbatim.
-
-    With ``topology`` (a :class:`~repro.dist.topology.Topology`) the plan
-    gains per-link-class byte and transfer-second breakdowns, computed by
-    the same :func:`repro.dist.reshard.placement_transfer_bytes` the live
-    :class:`~repro.dist.reshard.ReshardReport` counts — byte for byte.
-    ``weight_decay`` only affects the tailored group split the interval
-    math runs over (pass the training run's value).
+    The reshard's one price over a nominal full checkpoint at N ranks,
+    config only, like :func:`plan_merge_cost`.  With ``topology`` (a
+    :class:`~repro.dist.topology.Topology`) the plan gains per-link-class
+    bytes from :func:`~repro.dist.reshard.placement_transfer_bytes`, the
+    function the live :class:`~repro.dist.reshard.ReshardReport` counts
+    with.  ``weight_decay`` only affects the tailored group split the
+    interval math runs over (pass the training run's value).
     """
+    from ..core.groups import group_numels  # lazy: avoids a cycle
+    from ..dist.reshard import placement_transfer_bytes, price_reshard
+
     if source_world_size < 1 or target_world_size < 1:
-        raise ValueError("world sizes must be >= 1")
-    storage = storage or StorageCostModel()
-    counts = slot_param_counts(config)
-    num_params = sum(counts[s] for s in model_slots(config))
-    optim_bytes = num_params * OPTIMIZER_BYTES_PER_PARAM
+        raise ConfigError("world sizes must be >= 1")
     N, M = int(source_world_size), int(target_world_size)
-    src_shard = optim_bytes // N
-    dst_shard = optim_bytes // M
-
-    bytes_loaded = N * src_shard  # every source shard, exactly once
-    read_s = storage.read_time(bytes_loaded, files=N, decompress=True)
-    write_s = storage.write_time(optim_bytes, files=M)
-    intra_bytes = inter_bytes = 0
-    intra_s = inter_s = 0.0
+    sizes = CheckpointSizes.nominal(
+        nominal_manifest(config, model_slots(config), world_size=N), config
+    )
+    ledger = Ledger(storage)
+    price_reshard(ledger, sizes, M)
+    intra = inter = 0
     if topology is not None:
-        # Lazy: repro.dist.reshard pulls in repro.io at import time.
-        from ..core.groups import group_numels
-        from ..dist.reshard import placement_transfer_bytes
-
-        numels = group_numels(config, weight_decay)
-        intra_bytes, inter_bytes = placement_transfer_bytes(numels, N, M, topology)
-        intra_s = intra_bytes / topology.intra_bandwidth
-        inter_s = inter_bytes / topology.inter_bandwidth
+        intra, inter = placement_transfer_bytes(group_numels(config, weight_decay), N, M, topology)
     return ReshardCostPlan(
-        model=config.name,
-        source_world_size=N,
-        target_world_size=M,
-        loads=N,
-        bytes_loaded=bytes_loaded,
-        bytes_written=dst_shard * M,
-        peak_bytes=src_shard + dst_shard,
-        seconds=read_s + write_s,
-        topology=None if topology is None else topology.shape,
-        intra_bytes=intra_bytes,
-        inter_bytes=inter_bytes,
-        intra_seconds=intra_s,
-        inter_seconds=inter_s,
+        model=config.name, source_world_size=N, target_world_size=M, loads=N,
+        bytes_loaded=int(ledger.stats.category_bytes("reshard.optimizer.read")),
+        bytes_written=int(ledger.stats.category_bytes("reshard.optimizer.write")),
+        peak_bytes=max(sizes.shards) + -(-sum(sizes.shards) // M),
+        seconds=ledger.clock.total(),
+        topology=topology and topology.shape, intra_bytes=intra, inter_bytes=inter,
+        intra_seconds=intra / topology.intra_bandwidth if topology else 0.0,
+        inter_seconds=inter / topology.inter_bandwidth if topology else 0.0,
     )
 
 

@@ -16,17 +16,17 @@ from pathlib import Path
 from typing import Callable
 
 from ..core.groups import group_numels
+from ..core.plan import price_merge
 from ..dist.comm import SimComm
 from ..dist.faults import FaultPlan, FaultTimeline, GoodputReport, repair_from_replicas
-from ..io.layout import CheckpointPaths, RunIndex, checkpoint_dir, manifest_doc
-from ..io.storage import IOStats, LUSTRE_DEFAULT, Storage, StorageCostModel
+from ..io.layout import CheckpointPaths, CheckpointSizes, RunIndex, checkpoint_dir
+from ..io.storage import Ledger, StorageCostModel
 from ..nn.config import ModelConfig
 from ..nn.slots import model_slots
 from ..strategies.base import build_strategy
-from ..strategies.planner import checkpoint_event_nbytes
+from ..strategies.planner import nominal_manifest
 from ..util.errors import CheckpointError, MergeError, TrainingError
 from ..util.logging import get_logger
-from ..util.timer import SimClock
 from .callbacks import CheckpointCallback
 from .config import TrainConfig
 from .state import TrainerState
@@ -347,16 +347,6 @@ def train_with_faults(
 # The null leg: the supervisor's dry run
 # ---------------------------------------------------------------------------
 
-class _LedgerStorage(Storage):
-    """A :class:`Storage` that only keeps the books: no directory is made."""
-
-    def __init__(self, root: Path, cost_model: StorageCostModel | None) -> None:
-        self.root = root
-        self.cost_model = cost_model or LUSTRE_DEFAULT
-        self.clock = SimClock()
-        self.stats = IOStats()
-
-
 class NullLeg(Trainer):
     """A training leg with no model, data, tensors or disk.
 
@@ -365,12 +355,13 @@ class NullLeg(Trainer):
     collectives (:meth:`SimComm.charge_step
     <repro.dist.comm.SimComm.charge_step>`) to the same fault-priced
     :class:`~repro.dist.comm.SimComm` and clock a live leg builds, then
-    :meth:`Trainer._charge_step_time`.  Checkpoint writes,
-    resumes and merges charge *nominal* bytes (12 B/param optimizer +
-    storage-dtype weights) to the storage ledger and keep manifests in
-    ``disk``, the dict-backed :class:`~repro.io.layout.RunIndex` every
-    leg of the run shares.  ``bitrot`` events are not priced: there are
-    no bytes to corrupt.
+    :meth:`Trainer._charge_step_time`.  Checkpoint writes and resumes
+    charge *nominal* bytes (12 B/param optimizer + storage-dtype weights)
+    to the storage :class:`~repro.io.storage.Ledger`, a merge charges the
+    merge's one price (:func:`~repro.core.plan.price_merge`) over those
+    sizes, and manifests live in ``disk``, the dict-backed
+    :class:`~repro.io.layout.RunIndex` every leg of the run shares.
+    ``bitrot`` events are not priced: there are no bytes to corrupt.
     """
 
     decision_log_path = None  # nothing is persisted
@@ -385,7 +376,7 @@ class NullLeg(Trainer):
         self.model_config = model_config
         self.model = None
         self.disk = disk
-        self.storage = _LedgerStorage(disk.root, cost_model)
+        self.storage = Ledger(cost_model, root=disk.root)
         self.comm = SimComm(config.world_size, config.resolved_topology)
         self._group_numels = group_numels(model_config, config.weight_decay)
         self.strategy = build_strategy(
@@ -416,27 +407,18 @@ class NullLeg(Trainer):
         charge(manifest["shard_nbytes"], files=ws, parallel=ws,
                category=f"{category}.optimizer", **optim_kw)
 
-    def _write(self, name: str, step: int, slots: list[str] | None,
-               strategy: str, world_size: int | None = None) -> None:
-        """Index what ``save_checkpoint`` would record (plus the nominal
-        bytes) and charge its write."""
-        all_slots = model_slots(self.model_config)
-        saved = all_slots if slots is None else [s for s in all_slots if s in set(slots)]
-        volume = checkpoint_event_nbytes(self.model_config, saved)
-        manifest = manifest_doc(
-            step=step, model_config=self.model_config.name, strategy=strategy,
-            world_size=world_size or self.config.world_size,
-            slots=saved, all_slots=all_slots,
-            shard_nbytes=volume["optim_bytes"], weight_nbytes=volume["weight_bytes"],
-        )
-        self._charge(self.storage.charge_write, manifest, f"checkpoint_write.{strategy}")
-        self.disk.record(name, manifest)
-
     def write_checkpoint(
         self, step: int, *, slots: list[str] | None, strategy_name: str
     ) -> CheckpointPaths:
+        """Index what ``save_checkpoint`` would record (plus the nominal
+        bytes) and charge its write."""
         self.state.checkpoints_written.append(step)
-        self._write(f"checkpoint-{step}", step, slots, strategy_name)
+        manifest = nominal_manifest(
+            self.model_config, model_slots(self.model_config) if slots is None else slots,
+            world_size=self.config.world_size, step=step, strategy=strategy_name,
+        )
+        self._charge(self.storage.charge_write, manifest, f"checkpoint_write.{strategy_name}")
+        self.disk.record(f"checkpoint-{step}", manifest)
         return checkpoint_dir(self.storage.root, step)
 
     def resume_from(self, checkpoint: str | Path | CheckpointPaths) -> int:
@@ -446,14 +428,19 @@ class NullLeg(Trainer):
         return manifest["step"]
 
     def auto_recover(self, failure_step: int, *, workers: int = 1) -> CheckpointPaths:
-        sources = sorted(set(self.disk.slot_coverage(failure_step).values()))
-        # A merge reads every source and keeps the base's (the newest
-        # source's) step and shard geometry.
-        for step in sources:
-            self._charge(self.storage.charge_read, self.disk.manifest(step),
-                         "checkpoint_read", decompress=True)
-        output = CheckpointPaths(self.storage.root / f"merged-{sources[-1]}")
-        self._write(output.dir.name, sources[-1], None, "merged",
-                    world_size=self.disk.world_size(sources[-1]))
+        """The merge's one price over the indexed trail, then the resume; the
+        output keeps the base's (the newest source's) step and geometry."""
+        coverage = self.disk.slot_coverage(failure_step)
+        price_merge(
+            self.storage, self.model_config, coverage,
+            lambda step: CheckpointSizes.nominal(self.disk.manifest(step), self.model_config),
+            cache_mode="per-checkpoint", workers=workers,
+        )
+        base = max(coverage.values())
+        output = CheckpointPaths(self.storage.root / f"merged-{base}")
+        self.disk.record(output.dir.name, nominal_manifest(
+            self.model_config, model_slots(self.model_config),
+            world_size=self.disk.world_size(base), step=base, strategy="merged",
+        ))
         self.resume_from(output)
         return output

@@ -15,12 +15,14 @@ import json
 import os
 import re
 import shutil
+import sys
 import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.tailor import LLMTailor
 from repro.dist.reshard import reshard_checkpoint
@@ -95,6 +97,32 @@ def run_dir(tmp_path_factory) -> Path:
 # protocol
 # ---------------------------------------------------------------------------
 
+# Tier-1 is derandomized; the nightly's --hypothesis-seed=random draws afresh.
+_NIGHTLY = any(arg.startswith("--hypothesis-seed") for arg in sys.argv)
+
+
+def _json_docs():
+    """Arbitrary JSON, most of it job-shaped: each kind's required params
+    present (with arbitrary values) plus arbitrary optional ones."""
+    scalar = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+              | st.text(max_size=8))
+    value = st.recursive(
+        scalar, lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=3), max_leaves=8,
+    )
+    required = {"merge": ["recipe"], "reshard": ["checkpoint", "output", "target_world_size"],
+                "diff": ["checkpoint_a", "checkpoint_b"], "plan": ["model", "strategy"]}
+    optional = {"merge": ["output", "workers", "cache_mode"], "reshard": [],
+                "diff": ["momentum"], "plan": ["interval", "steps", "world_size"]}
+    jobs = [st.fixed_dictionaries({
+        "tenant": st.just("t") | value, "kind": st.just(kind),
+        "params": st.fixed_dictionaries(
+            {key: value for key in required[kind]},
+            optional={key: value for key in optional[kind]}),
+    }, optional={"priority": value}) for kind in required]
+    return st.one_of(*jobs) | value
+
+
 class TestProtocol:
     def test_parse_valid_job(self):
         spec = parse_job({"tenant": "a", "kind": "plan", "priority": 2,
@@ -126,6 +154,49 @@ class TestProtocol:
     def test_parse_rejects_malformed(self, doc):
         with pytest.raises(ConfigError):
             parse_job(doc)
+
+    @pytest.mark.parametrize("kind, key, value", [
+        *[("reshard", "target_world_size", v) for v in ("abc", None, [3], True, 2.5, "3")],
+        *[("merge", "workers", v) for v in ("abc", -4, True, 0, 1.0)],
+        ("merge", "cache_mode", "bogus"),
+        ("merge", "cache_mode", None),
+        ("merge", "recipe", 5),
+        ("merge", "recipe_doc", ["base_checkpoint"]),
+        ("diff", "momentum", "no"),
+        ("diff", "momentum", 0),
+        ("diff", "checkpoint_a", None),
+    ])
+    def test_parse_refuses_mistyped_params_naming_the_field(self, kind, key, value):
+        """Only typed refusals reach the pricing and the engines: at the
+        parent ``"abc"`` raised ValueError, ``None`` / ``[3]`` TypeError,
+        and ``True``, ``2.5``, ``-4``, ``"bogus"`` and a truthy ``"no"``
+        were admitted and charged."""
+        params = {
+            "reshard": {"checkpoint": "c", "output": "o", "target_world_size": 2},
+            "merge": {"recipe": "r.yaml"},
+            "diff": {"checkpoint_a": "a", "checkpoint_b": "b"},
+        }[kind]
+        if key == "recipe_doc":
+            params = {}
+        with pytest.raises(ConfigError, match=rf"param '{key}' must be"):
+            parse_job({"tenant": "t", "kind": kind, "params": {**params, key: value}})
+
+    def test_parse_accepts_well_typed_params(self):
+        spec = parse_job({"tenant": "t", "kind": "merge", "params": {
+            "recipe_doc": {"base_checkpoint": "b"}, "workers": 3, "cache_mode": "none"}})
+        assert spec.params["workers"] == 3
+        assert parse_job({"tenant": "t", "kind": "diff", "params": {
+            "checkpoint_a": "a", "checkpoint_b": "b", "momentum": True}}).params["momentum"]
+
+    @given(doc=_json_docs())
+    @settings(max_examples=300, deadline=None, derandomize=not _NIGHTLY)
+    def test_parse_job_raises_only_config_error(self, doc):
+        """Arbitrary JSON is a job or a ``ConfigError`` — nothing else escapes."""
+        try:
+            spec = parse_job(doc)
+        except ConfigError:
+            return
+        assert parse_job(spec.to_dict()) == spec
 
     def test_job_file_single_and_list(self, tmp_path):
         single = tmp_path / "one.json"
@@ -511,6 +582,35 @@ class TestJournal:
             with ServeClient(sock) as client:
                 assert client.stats()["jobs"]["replayed"] == 0
 
+    def test_job_whose_checkpoint_vanished_fails_instead_of_wedging_start(
+        self, run_dir, tmp_path
+    ):
+        """At the parent ``start`` raised ``ConfigError: reshard source
+        checkpoint not found`` on every restart: the daemon never came up."""
+        gone = tmp_path / "checkpoint-24"
+        shutil.copytree(run_dir / "checkpoint-24", gone)
+        path = tmp_path / "j.jsonl"
+        journal = JobJournal(path)
+        journal.submitted("job-000007", JobSpec(tenant="t", kind="reshard", params={
+            "checkpoint": str(gone), "output": str(tmp_path / "o"), "target_world_size": 3}))
+        journal.close()
+        shutil.rmtree(gone)
+        sock = _short_socket()
+        config = ServeConfig(socket_path=sock, workers=1, journal_path=str(path))
+        with serve_in_thread(config):
+            with ServeClient(sock) as client:
+                assert client.ping()
+                job = client.status("job-000007")["job"]
+                assert job["status"] == "failed"
+                assert "checkpoint not found" in job["error"]
+                stats = client.stats()
+                assert stats["jobs"]["replayed"] == 1 and stats["jobs"]["failed"] == 1
+                assert stats["tenants"]["t"]["inflight"] == 0
+        assert replay_journal(path) == []  # journaled failed: a restart replays nothing
+        with serve_in_thread(config):
+            with ServeClient(sock) as client:
+                assert client.stats()["jobs"]["replayed"] == 0
+
     def test_pending_job_with_removed_param_names_line_and_key(self, tmp_path):
         path = tmp_path / "j.jsonl"
         self._journal_with_removed_param(path, finished=False)
@@ -548,8 +648,16 @@ class TestServerEndToEnd:
                 "checkpoint_b": str(run_dir / "checkpoint-24")}},
             {"tenant": "t", "kind": "plan", "params": {
                 "model": "tiny-qwen", "strategy": "full"}},
+            *({"tenant": "t", "kind": "merge", "params": {
+                "recipe_doc": _recipe_doc(run_dir), "cache_mode": mode,
+                "output": str(tmp_path / mode)}} for mode in ("per-checkpoint", "none")),
+            {"tenant": "t", "kind": "reshard", "params": {
+                "checkpoint": str(run_dir / "checkpoint-24"),
+                "output": str(tmp_path / "re3"), "target_world_size": 3}},
         ]}))
         offline = plan_serve_cost(job_file)
+        assert [e["kind"] for e in offline.entries] == [
+            "diff", "plan", "merge", "merge", "reshard"]
         sock = _short_socket()
         with serve_in_thread(ServeConfig(socket_path=sock, workers=1)):
             with ServeClient(sock) as client:
@@ -612,23 +720,47 @@ class TestServerEndToEnd:
                 assert not response["ok"] and "missing shard for rank 2" in response["error"]
                 assert client.stats()["jobs"]["submitted"] == 0
 
+    @pytest.mark.parametrize("defect", ["missing source", "bogus cache_mode"])
+    def test_unpriceable_merge_refused_at_submit_and_charges_nothing(
+        self, run_dir, tmp_path, defect
+    ):
+        """At the parent a merge naming a missing source was admitted and
+        charged as if it were the base, and ``cache_mode: bogus`` was
+        admitted and charged, failing only at execution."""
+        doc, params = _recipe_doc(run_dir), {}
+        if defect == "missing source":
+            doc["slices"] = [{"slot": "layers.0", "source": str(tmp_path / "missing-ckpt")}]
+        else:
+            params["cache_mode"] = "bogus"
+        sock = _short_socket()
+        with serve_in_thread(ServeConfig(socket_path=sock, workers=1)):
+            with ServeClient(sock) as client:
+                response = client.submit({"tenant": "t", "kind": "merge", "params": {
+                    "recipe_doc": doc, "output": str(tmp_path / "m"), **params}})
+                assert not response["ok"] and "cost" not in response
+                assert ("checkpoint not found" if defect == "missing source"
+                        else "cache_mode") in response["error"]
+                stats = client.stats()
+                assert stats["jobs"]["submitted"] == 0
+                assert stats["tenants"].get("t", {"queued_bytes": 0})["queued_bytes"] == 0
+
     def test_failed_job_reports_error(self, run_dir, tmp_path):
         # A job that passes admission but whose engine run fails turns
         # into status=failed with the engine error, not a dead server.
-        doc = _recipe_doc(run_dir)
-        doc["slices"] = [{"slot": "layers.0",
-                          "source": str(tmp_path / "missing-ckpt")}]
+        # (A missing source no longer passes admission: the merge's price
+        # looks every source up.  Writing over a source is the engine's
+        # refusal, before anything is written.)
         sock = _short_socket()
         with serve_in_thread(ServeConfig(socket_path=sock, workers=1)):
             with ServeClient(sock) as client:
                 response = client.submit({
                     "tenant": "t", "kind": "merge",
-                    "params": {"recipe_doc": doc,
-                               "output": str(tmp_path / "doomed")}})
+                    "params": {"recipe_doc": _recipe_doc(run_dir),
+                               "output": str(run_dir / "checkpoint-24")}})
                 assert response["ok"]
                 job = client.wait(response["id"], timeout=120)["job"]
                 assert job["status"] == "failed"
-                assert job["error"]
+                assert "in place" in job["error"]
                 assert client.ping()  # service survived the failure
 
     def test_job_timeline_in_response(self, run_dir, tmp_path):

@@ -206,6 +206,28 @@ class TestRetiredSurface:
         from repro.strategies import plan_step_traffic
         assert "if topology" not in inspect.getsource(plan_step_traffic)
 
+    def test_one_price_per_offline_operation(self):
+        """Merge, reshard and diff are priced once, by the engines' own
+        schedules over one ledger: the planner's and admission's formulas,
+        their size helpers and the null leg's private ledger left with no
+        alias, and only the cost model itself turns bytes into seconds."""
+        import re
+
+        src = Path(repro.__file__).parent
+        text = {str(p.relative_to(src)): p.read_text(encoding="utf-8") for p in src.rglob("*.py")}
+
+        def matching(pattern):
+            return sorted(name for name, body in text.items() if re.search(pattern, body))
+
+        assert matching(r"\.read_time\(|\.write_time\(|decompress_bandwidth") == ["io/storage.py"]
+        retired = (r"\b(_merge_cost|_reshard_cost|_diff_cost|_shard_sizes|_weight_nbytes"
+                   r"|_LedgerStorage)\b")
+        assert matching(retired) == []
+        calls = {name: len(re.findall(r"(?<!def )\bload_schedule\(", body))
+                 for name, body in text.items()}
+        assert {name: n for name, n in calls.items() if n} == {
+            "core/optimizer_merge.py": 1, "core/plan.py": 1}
+
     def test_checkpoint_carrying_the_retired_key_is_accepted(self, tmp_path):
         """``training_args.json`` is carried, never parsed back into a
         ``TrainConfig`` — so the extra key is inert on every read path."""
