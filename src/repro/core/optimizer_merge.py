@@ -11,7 +11,10 @@ Every load is a selective read: it walks the monolithic shard
 sequentially (container length and CRC apply) but inflates and
 materializes only the parameter groups the plan takes from that source,
 each passed through :func:`repro.dist.shard.check_payload` before it is
-copied.  Two load policies reproduce the paper's Table 7 regimes:
+copied — as records of their stored bytes (:class:`repro.io.blobfile.Record`),
+each decoded once for its CRC check and written back verbatim, the way
+the weight merge copies tensor bytes.  Two load policies reproduce the
+paper's Table 7 regimes:
 
 * ``per-checkpoint`` — each distinct source blob is read once per rank
   (the "straightforward" mode: layers 1-16 from ckpt A, 17-32 from B);
@@ -38,6 +41,7 @@ from ..dist.shard import (
     build_payload,
     check_payload,
     content_key,
+    group_array,
     metadata_only,
     select_groups,
 )
@@ -126,17 +130,20 @@ def _extract(
     groups are neither inflated nor turned into numpy arrays; each
     materialized group is additionally checked against its own header
     ``crc32``, which also catches tampering that re-wrote a
-    self-consistent container.
+    self-consistent container.  The taken arrays stay records (pre-CRC
+    groups excepted), decoded one at a time for that check only.
     """
     shard_path = CheckpointPaths(source_dir).shard(rank)
     want, indexed_filter = select_groups(wanted)
     timer = WallTimer()
-    with timer:
-        shard = read_blob_selected(shard_path, want, indexed_filter=indexed_filter)
-    entries = check_payload(
-        shard, world_size=int(spec["world_size"]), rank=rank, origin=str(shard_path),
-        error=MergeError, wanted=wanted,
-    )
+    with timer:  # the read, and the one decode of each taken array (its CRC check)
+        shard = read_blob_selected(
+            shard_path, want, indexed_filter=indexed_filter, as_record=group_array
+        )
+        entries = check_payload(
+            shard, world_size=int(spec["world_size"]), rank=rank, origin=str(shard_path),
+            error=MergeError, wanted=wanted,
+        )
     return entries, timer.elapsed, shard_path.stat().st_size
 
 
@@ -163,10 +170,10 @@ def _extract_cached(
     come from *this* file's metadata pass, so content-identical groups
     with different schedules cannot cross-contaminate.  Groups the cache
     does not hold fall back to the normal selective read (which CRC-
-    verifies them) and are inserted for the next request.  Output is
-    bitwise-identical to the uncached path: every byte written is either
-    metadata read from the source file or array content whose CRC
-    matches what the source file declares.
+    verifies them) and are inserted, as records, for the next request.
+    Output is bitwise-identical to the uncached path: every byte written
+    is either metadata read from the source file or array content whose
+    CRC (the content key's) matches what the source file declares.
     """
     shard_path = CheckpointPaths(source_dir).shard(rank)
     world_size = int(spec["world_size"])
@@ -199,7 +206,7 @@ def _extract_cached(
                 e = subset[g]
                 arrays[g] = {"fp32": e.fp32, "exp_avg": e.exp_avg, "exp_avg_sq": e.exp_avg_sq}
                 cache.put(group_key(*keys[g]), arrays[g])
-        groups = {g: entries[g]._replace(**arrays[g]) for g in arrays}
+        groups = {g: entries[g]._replace(**arrays[g], crc=keys[g][0]) for g in arrays}
     return groups, timer.elapsed, nbytes
 
 

@@ -28,11 +28,13 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from ..io.blobfile import Record
+from ..util.errors import CheckpointFormatError
 from .partition import GroupPartition
 
 __all__ = [
     "SHARD_FORMAT_VERSION", "GroupEntry", "build_payload", "check_payload", "content_key",
-    "group_payload_crc", "metadata_only", "payload_extras", "select_groups",
+    "group_array", "group_payload_crc", "metadata_only", "payload_extras", "select_groups",
 ]
 
 SHARD_FORMAT_VERSION = 1
@@ -53,6 +55,7 @@ class GroupEntry(NamedTuple):
     step: int
     exp_avg: np.ndarray
     exp_avg_sq: np.ndarray
+    crc: int | None = None  # the group CRC check_payload verified for these arrays
 
 
 def group_payload_crc(fp32: np.ndarray, exp_avg: np.ndarray, exp_avg_sq: np.ndarray) -> int:
@@ -68,13 +71,16 @@ def build_payload(
     groups: Iterable[GroupEntry], extras: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
     """One rank's payload in canonical key order, groups ascending, every
-    header's ``padded_numel`` and ``crc32`` re-stamped for what is written."""
+    header's ``padded_numel`` and ``crc32`` re-stamped for what is written: a
+    group of three records takes the ``crc`` :func:`check_payload` verified."""
     headers, hypers, fp32, state = [], [], {}, {}
     for e in sorted(groups, key=lambda e: e.header["index"]):
         g = int(e.header["index"])
         header = dict(e.header)  # replaced keys keep their position
         header["padded_numel"] = GroupPartition(int(header["numel"]), world_size).padded_numel
-        header["crc32"] = group_payload_crc(e.fp32, e.exp_avg, e.exp_avg_sq)
+        arrays = (e.fp32, e.exp_avg, e.exp_avg_sq)
+        verified = e.crc is not None and all(isinstance(a, Record) for a in arrays)
+        header["crc32"] = e.crc if verified else group_payload_crc(*arrays)
         headers.append(header)
         hypers.append(dict(e.hyper, index=g))
         fp32[g] = e.fp32
@@ -120,7 +126,9 @@ def check_payload(
     missing; with ``expect`` (``{g: reference header}``) ``param_names`` /
     ``numel`` / ``shapes``; for every ``wanted`` group (default: all present)
     float32 arrays of the rank-local length, a step counter and the header
-    ``crc32`` if any.  Raises only ``error``; sizes nothing by the payload.
+    ``crc32`` if any, then carried as ``crc``.  Arrays may be records: each
+    is decoded once for the CRC (and kept decoded if the group has none).
+    Raises only ``error``; sizes nothing by the payload.
     """
     def fail(message: str):
         raise error(f"{origin}: {message}")
@@ -165,16 +173,24 @@ def check_payload(
         if g not in entries:
             fail(f"rank {rank} shard lacks group {g}: more partial than its manifest claims")
         e = entries[g]
-        shape = (e.header["padded_numel"] // world_size,)
-        for name, arr in zip(_ARRAYS, (e.fp32, e.exp_avg, e.exp_avg_sq)):
-            if not isinstance(arr, np.ndarray) or arr.dtype != np.float32 or arr.shape != shape:
+        shape, arrays = (e.header["padded_numel"] // world_size,), (e.fp32, e.exp_avg, e.exp_avg_sq)
+        for name, arr in zip(_ARRAYS, arrays):
+            if not isinstance(arr, (np.ndarray, Record)) or (arr.dtype, arr.shape) != (
+                np.float32, shape
+            ):
                 got = f"{getattr(arr, 'dtype', type(arr).__name__)}{getattr(arr, 'shape', '')}"
                 fail(f"group {g} {name} shard malformed: {got}, expected float32{shape}")
         if e.step is None:
             fail(f"group {g} state is missing its step counter")
         crc = e.header.get("crc32")  # pre-CRC shards: container checks already applied
-        if crc is not None and group_payload_crc(e.fp32, e.exp_avg, e.exp_avg_sq) != _int(crc):
+        try:  # a record's planes are checked here, as it is decoded
+            actual = None if crc is None else group_payload_crc(*arrays)
+            decoded = [np.asarray(a) for a in arrays] if crc is None else arrays
+        except CheckpointFormatError as exc:
+            fail(f"group {g} arrays undecodable: {exc}")
+        if actual != _int(crc):
             fail(f"CRC mismatch for group {g} in rank {rank} shard (corrupt optimizer state)")
+        entries[g] = GroupEntry(e.header, e.hyper, decoded[0], e.step, *decoded[1:], actual)
     return entries
 
 
@@ -187,11 +203,16 @@ def select_groups(wanted: "set[int]") -> tuple[Callable, Callable]:
     )
 
 
+def group_array(path: tuple) -> bool:
+    """Whether a payload key path names one of a group's arrays (master or moment)."""
+    if len(path) == 2 and path[0] == "fp32_flat_groups":
+        return True
+    return len(path) == 3 and path[0] == "state" and path[2] in _ARRAYS
+
+
 def metadata_only(path: tuple) -> bool:
     """``want`` for ``read_blob_selected``: everything but the array payloads."""
-    if len(path) == 2 and path[0] == "fp32_flat_groups":
-        return False
-    return not (len(path) == 3 and path[0] == "state" and path[2] in _ARRAYS)
+    return not group_array(path)
 
 
 def content_key(header: Mapping[str, Any], world_size: int) -> tuple[int, int] | None:

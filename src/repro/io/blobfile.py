@@ -49,6 +49,11 @@ verify the whole file: every byte enters the container CRC and the
 payload length is checked, exactly as in :func:`read_blob`.  Decoders
 raise :class:`CheckpointFormatError` on any malformed byte and never
 allocate from a declared length before that many bytes are present.
+
+**Records.**  A selective read can hand back chosen arrays undecoded, as
+the immutable :class:`Record` of their exact ``A``/``P`` bytes, which
+:func:`iter_encode` copies verbatim: a merge writes what fresh arrays
+would give without deflating a plane.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ import math
 import os
 import struct
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -73,6 +79,7 @@ __all__ = [
     "iter_encode",
     "decode",
     "BLOB_VERSION",
+    "Record",
 ]
 
 MAGIC = b"REPROBLB"
@@ -120,12 +127,36 @@ def _pack_plane(plane: np.ndarray) -> bytes | None:
     return packed if len(packed) < plane.size else None
 
 
+def _planar(dtype: np.dtype, nbytes: int) -> bool:
+    """Whether the encoder writes an array of this dtype and size as ``P``."""
+    return dtype.kind in "iufc" and dtype.itemsize >= 2 and nbytes >= _PLANAR_MIN_BYTES
+
+
+@dataclass(frozen=True, eq=False)
+class Record:
+    """One array exactly as a blob stored it: its whole ``A`` or ``P`` TLV record.
+
+    Immutable; ``np.asarray(record)`` decodes (and checks) a plain writeable
+    copy.  Written verbatim when its tag is the one the encoder would pick
+    for the array, so a v1 ``A`` record of a planar array is re-encoded.
+    """
+
+    data: bytes
+    dtype: np.dtype
+    shape: tuple
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        src = _Reader(self.data)
+        return np.asarray(_decode_leaf(src, bytes(src.take(1))), dtype=dtype)
+
+
 def iter_encode(obj: Any) -> Iterator[bytes | memoryview]:
     """Yield the TLV encoding of ``obj`` as a stream of bytes-like chunks.
 
     Array data is yielded as separate chunks (raw byte planes as views of
     one transposed copy), so a writer can push them straight to a file
-    without concatenating the whole payload in memory first.
+    without concatenating the whole payload in memory first.  A
+    :class:`Record` of the tag the array would get is yielded as is.
     """
     if obj is None:
         yield b"N"
@@ -155,13 +186,13 @@ def iter_encode(obj: Any) -> Iterator[bytes | memoryview]:
                 )
             yield from iter_encode(int(key) if isinstance(key, np.integer) else key)
             yield from iter_encode(value)
-    elif isinstance(obj, np.ndarray):
+    elif isinstance(obj, Record) and obj.data[:1] == (
+        b"P" if _planar(obj.dtype, math.prod(obj.shape) * obj.dtype.itemsize) else b"A"
+    ):
+        yield obj.data
+    elif isinstance(obj, (np.ndarray, Record)):
         arr = np.ascontiguousarray(obj).reshape(obj.shape)  # keeps 0-dim 0-dim
-        planar = (
-            arr.dtype.kind in "iufc"
-            and arr.itemsize >= 2
-            and arr.nbytes >= _PLANAR_MIN_BYTES
-        )
+        planar = _planar(arr.dtype, arr.nbytes)
         dtype_str = arr.dtype.str.encode("ascii")
         yield (
             (b"P" if planar else b"A")
@@ -363,6 +394,8 @@ class _StreamSource:
         self._pos = 0  # consumed prefix of _buf
         self.crc = 0
         self.consumed = 0  # payload bytes handed out or skipped
+        self.as_record: Callable[[tuple], bool] | None = None  # paths kept undecoded
+        self.tape: list | None = None  # bytes taken while capturing one record
 
     def _next_chunk(self, size: int) -> bytes | None:
         """The next ``size`` file bytes as payload bytes; None at the end."""
@@ -404,6 +437,8 @@ class _StreamSource:
         out = self._buf[self._pos : end]
         self._pos = end
         self.consumed += n
+        if self.tape is not None:
+            self.tape.append(out)
         return out
 
     def skip(self, n: int) -> None:
@@ -534,7 +569,19 @@ def _decode_value_of_tag(
             else:
                 _skip_value(src)
         return out
-    return _decode_leaf(src, tag)
+    if tag not in (b"A", b"P") or src.as_record is None or not src.as_record(path):
+        return _decode_leaf(src, tag)
+    # Take the array's bytes as they are: its header is checked here, its
+    # planes when the record is decoded.
+    src.tape = [tag]
+    dtype, shape, nbytes = _array_header(src)
+    if tag == b"A":
+        src.take(nbytes)
+    else:
+        for _ in range(dtype.itemsize):
+            src.take(_plane_header(src, nbytes // dtype.itemsize)[1])
+    data, src.tape = b"".join(src.tape), None
+    return Record(data, dtype, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +644,7 @@ def read_blob_selected(
     want: Callable[[tuple], bool],
     *,
     indexed_filter: Callable[[tuple], "set | None"] | None = None,
+    as_record: Callable[[tuple], bool] | None = None,
 ) -> Any:
     """Decode a blob, materializing only subtrees the predicate accepts.
 
@@ -612,11 +660,15 @@ def read_blob_selected(
     peak memory is bounded by the *selected* data, not the shard size.
     Every call reads to the end of the payload and applies the same
     length and CRC checks as :func:`read_blob`, whatever was selected.
+    An array at a path ``as_record`` accepts is not decoded: it comes back
+    as the :class:`Record` of its bytes, whose planes are checked when it
+    is decoded.
     """
     path = Path(path)
     fh, compressed, payload_len, raw_len, crc = _open_payload(path)
     with fh:
         src = _StreamSource(fh, payload_len, compressed)
+        src.as_record = as_record
         try:
             obj = _decode_selected(src, want, (), indexed_filter)
         except RecursionError as exc:

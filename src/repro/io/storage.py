@@ -18,7 +18,7 @@ The module also hosts the multi-tenant service's storage layer
   to one stored copy; ownership is tracked per ``(tenant, checkpoint)``
   so no tenant's retention pass can delete a group another tenant still
   references (see :func:`repro.io.retention.prune_checkpoints`).
-* :class:`GroupCache` — a thread-safe, byte-bounded LRU of *decoded*
+* :class:`GroupCache` — a thread-safe, byte-bounded LRU of *verified*
   shard groups plus a per-file metadata memo, shared across requests by
   the serve worker pool and optionally backed by a :class:`BlobStore`.
   The merge engine consults it through
@@ -35,7 +35,9 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
+from ..util.errors import CheckpointFormatError
 from ..util.jsonio import read_json, write_json_atomic
+from .blobfile import Record, read_blob, write_blob
 from ..util.timer import SimClock
 
 __all__ = [
@@ -278,7 +280,7 @@ class BlobStore:
 
     All mutating operations are serialized by an internal lock; the
     refs file is rewritten atomically, so a crash never leaves a
-    half-written ownership table.
+    half-written ownership table (reopening removes a killed writer's temp files).
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -288,6 +290,8 @@ class BlobStore:
         self._refs_path = self.root / "refs.json"
         self._lock = threading.Lock()
         self._refs: dict[str, list[str]] = {}
+        for debris in (*self.objects_dir.glob("*.tmp"), *self.root.glob("*.tmp")):
+            debris.unlink()
         if self._refs_path.exists():
             self._refs = {
                 k: list(v) for k, v in read_json(self._refs_path).items()
@@ -310,20 +314,18 @@ class BlobStore:
         """Whether a payload object for ``key`` is stored."""
         return self._object_path(key).exists()
 
-    def put(self, key: str, arrays: Mapping[str, np.ndarray]) -> bool:
+    def put(self, key: str, arrays: Mapping[str, Any]) -> bool:
         """Store one group's arrays under ``key``; returns True if written.
 
         A key that already has a payload is left untouched (content
         addressing makes rewrites pointless) — that no-op *is* the
         dedup: the second tenant's identical group costs zero bytes.
         """
-        from .blobfile import write_blob  # local: storage stays import-light
-
         path = self._object_path(key)
         with self._lock:
             if path.exists():
                 return False
-            write_blob(path, {k: np.ascontiguousarray(v) for k, v in arrays.items()})
+            write_blob(path, dict(arrays))
             return True
 
     def get(self, key: str) -> dict[str, np.ndarray] | None:
@@ -333,9 +335,6 @@ class BlobStore:
         pass) may unlink the object between lookup and read; that race
         degrades to a miss rather than failing the caller's job.
         """
-        from .blobfile import read_blob
-        from ..util.errors import CheckpointFormatError
-
         path = self._object_path(key)
         if not path.exists():
             return None
@@ -443,12 +442,13 @@ class GroupCacheStats:
 
 
 class GroupCache:
-    """Byte-bounded LRU of decoded shard groups, keyed by content.
+    """Byte-bounded LRU of verified shard groups, keyed by content.
 
     Two layers, both thread-safe:
 
-    * the *group* layer maps :func:`group_key` -> decoded arrays
-      (``fp32``/``exp_avg``/``exp_avg_sq``); a miss optionally falls
+    * the *group* layer maps :func:`group_key` -> ``fp32``/``exp_avg``/
+      ``exp_avg_sq`` records (arrays when read back from the store), its
+      bound counting resident bytes; a miss optionally falls
       through to a backing :class:`BlobStore` before giving up, so a
       group any tenant ever merged can be served without touching the
       owning tenant's checkpoint again;
@@ -456,7 +456,7 @@ class GroupCache:
       ``(path, size, mtime_ns)`` — a changed or rewritten shard file
       never serves stale headers.
 
-    Bitwise safety: cached entries are only ever *content* (arrays whose
+    Bitwise safety: cached entries are only ever *content* (records whose
     per-group CRC the engine verified on first decode).  Headers,
     hyperparameters and step counters always come from the actual source
     file's metadata pass, so two content-identical groups with different
@@ -470,15 +470,16 @@ class GroupCache:
         self.store = store
         self.stats = GroupCacheStats()
         self._lock = threading.Lock()
-        self._groups: OrderedDict[str, dict[str, np.ndarray]] = OrderedDict()
+        self._groups: OrderedDict[str, dict[str, Any]] = OrderedDict()
         self._meta: dict[tuple, dict] = {}
         self._nbytes = 0
 
     @staticmethod
-    def _entry_nbytes(arrays: Mapping[str, np.ndarray]) -> int:
-        return sum(int(a.nbytes) for a in arrays.values())
+    def _entry_nbytes(arrays: Mapping[str, Any]) -> int:
+        return sum(len(a.data) if isinstance(a, Record) else int(a.nbytes)
+                   for a in arrays.values())
 
-    def get(self, key: str) -> dict[str, np.ndarray] | None:
+    def get(self, key: str) -> dict[str, Any] | None:
         """Look one group up by content key (LRU touch on hit)."""
         with self._lock:
             entry = self._groups.get(key)
@@ -498,20 +499,23 @@ class GroupCache:
             self.stats.misses += 1
         return None
 
-    def put(self, key: str, arrays: Mapping[str, np.ndarray]) -> None:
-        """Insert one decoded group (write-through to the blob store)."""
+    def put(self, key: str, arrays: Mapping[str, Any]) -> None:
+        """Insert one verified group (write-through to the blob store)."""
         self._insert(key, dict(arrays))
         if self.store is not None:
             self.store.put(key, arrays)
 
-    def _insert(self, key: str, arrays: dict[str, np.ndarray]) -> None:
+    def _insert(self, key: str, arrays: dict[str, Any]) -> None:
         with self._lock:
             if key in self._groups:
                 self._groups.move_to_end(key)
                 return
+            nbytes = self._entry_nbytes(arrays)
+            if nbytes > self.max_bytes:
+                return
             self._groups[key] = arrays
-            self._nbytes += self._entry_nbytes(arrays)
-            while self._nbytes > self.max_bytes and len(self._groups) > 1:
+            self._nbytes += nbytes
+            while self._nbytes > self.max_bytes:
                 _, evicted = self._groups.popitem(last=False)
                 self._nbytes -= self._entry_nbytes(evicted)
                 self.stats.evictions += 1
@@ -539,7 +543,7 @@ class GroupCache:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of decoded arrays currently resident."""
+        """Bytes of records (and store-read arrays) currently resident."""
         with self._lock:
             return self._nbytes
 

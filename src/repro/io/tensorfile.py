@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import os
 import shutil
 import struct
 import zlib
@@ -192,31 +194,69 @@ def write_tensorfile(
     return Path(path).stat().st_size
 
 
+_ITEMSIZE = {d.value: d.itemsize for d in DType}
+
+
+def _checked_entries(header: Any, data_len: int) -> dict[str, dict[str, Any]]:
+    """The header's tensor table, every entry proven readable; else a reason."""
+    if not isinstance(header, dict) or not isinstance(header.get("metadata", {}), dict):
+        raise ValueError("header is not a JSON object with a metadata object")
+    entries = header.get("tensors", {})
+    if not isinstance(entries, dict):
+        raise ValueError("'tensors' is not a JSON object")
+    for name, e in entries.items():
+        try:  # hashable JSON scalars only: a list or object dtype is no key
+            offset, nbytes, crc, shape = e["offset"], e["nbytes"], e["crc32"], e["shape"]
+            itemsize = _ITEMSIZE[e["dtype"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"tensor {name!r}: missing or unknown field {exc}") from exc
+        if not (type(offset) is type(nbytes) is type(crc) is int and min(offset, nbytes, crc) >= 0):
+            raise ValueError(f"tensor {name!r}: offset, nbytes and crc32 must be ints >= 0")
+        if type(shape) is not list or not all(type(d) is int and d >= 0 for d in shape):
+            raise ValueError(f"tensor {name!r}: shape {shape!r} is not a list of ints >= 0")
+        if math.prod(shape) * itemsize != nbytes:
+            raise ValueError(f"tensor {name!r}: shape {shape} of {e['dtype']} != {nbytes} bytes")
+        if offset + nbytes > data_len:
+            raise ValueError(f"tensor {name!r} ends past the data section ({data_len} bytes)")
+    return entries
+
+
 class TensorFile:
-    """Lazy reader: the header is parsed eagerly, data only on demand."""
+    """Lazy reader: the header is parsed eagerly, data only on demand.
+
+    The constructor checks the whole header against the file's size, so
+    a hostile or truncated file fails here with :class:`CheckpointFormatError`
+    and nothing is ever sized by a declared length.
+    """
+
+    _PREAMBLE = struct.Struct("<8sIQ")  # magic, version, header length
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         if not self.path.exists():
             raise CheckpointFormatError(f"tensor file not found: {self.path}")
         with self.path.open("rb") as fh:
-            magic = fh.read(len(MAGIC))
-            if magic != MAGIC:
+            size = os.fstat(fh.fileno()).st_size
+            preamble = fh.read(self._PREAMBLE.size)
+            if preamble[: len(MAGIC)] != MAGIC:
                 raise CheckpointFormatError(
-                    f"{self.path}: bad magic {magic!r} (not a repro tensor file)"
+                    f"{self.path}: bad magic {preamble[: len(MAGIC)]!r} (not a repro tensor file)"
                 )
-            (version,) = struct.unpack("<I", fh.read(4))
+            if len(preamble) != self._PREAMBLE.size:
+                raise CheckpointFormatError(f"{self.path}: truncated tensor file preamble")
+            _, version, header_len = self._PREAMBLE.unpack(preamble)
             if version != TENSORFILE_VERSION:
                 raise CheckpointFormatError(
                     f"{self.path}: unsupported tensor file version {version}"
                 )
-            (header_len,) = struct.unpack("<Q", fh.read(8))
+            self._data_start = self._PREAMBLE.size + header_len
             try:
+                if self._data_start > size:
+                    raise ValueError(f"header length {header_len} exceeds the file")
                 header = json.loads(fh.read(header_len).decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                self._entries = _checked_entries(header, size - self._data_start)
+            except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors included
                 raise CheckpointFormatError(f"{self.path}: corrupt header: {exc}") from exc
-            self._data_start = len(MAGIC) + 4 + 8 + header_len
-        self._entries: dict[str, dict[str, Any]] = header.get("tensors", {})
         self.metadata: dict[str, Any] = header.get("metadata", {})
 
     # -- introspection ----------------------------------------------------------
@@ -258,14 +298,7 @@ class TensorFile:
 
     def read(self, name: str) -> np.ndarray:
         """Read one tensor (seek + read of just its bytes) as float32."""
-        entry = self._entry(name)
-        with self.path.open("rb") as fh:
-            fh.seek(self._data_start + entry["offset"])
-            raw = fh.read(entry["nbytes"])
-        if len(raw) != entry["nbytes"]:
-            raise CheckpointFormatError(f"{self.path}: truncated tensor {name!r}")
-        if zlib.crc32(raw) != entry["crc32"]:
-            raise CheckpointFormatError(f"{self.path}: CRC mismatch for tensor {name!r}")
+        raw, entry = self.read_raw(name)
         dt = DType.parse(entry["dtype"])
         buffer = np.frombuffer(raw, dtype=dt.packed_numpy)
         return unpack_bits(buffer, dt).reshape(entry["shape"])
@@ -276,6 +309,8 @@ class TensorFile:
         with self.path.open("rb") as fh:
             fh.seek(self._data_start + entry["offset"])
             raw = fh.read(entry["nbytes"])
+        if len(raw) != entry["nbytes"]:
+            raise CheckpointFormatError(f"{self.path}: truncated tensor {name!r}")
         if zlib.crc32(raw) != entry["crc32"]:
             raise CheckpointFormatError(f"{self.path}: CRC mismatch for tensor {name!r}")
         return raw, dict(entry)

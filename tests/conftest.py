@@ -196,6 +196,37 @@ def reference_merged_shard(recipe, config, rank: int) -> dict:
     }
 
 
+def count_packed_planes(monkeypatch) -> list[int]:
+    """Record the length of every byte plane the blob encoder packs from here on."""
+    import repro.io.blobfile as blobfile
+
+    real, planes = blobfile._pack_plane, []
+
+    def counting(plane):
+        planes.append(plane.size)
+        return real(plane)
+
+    monkeypatch.setattr(blobfile, "_pack_plane", counting)
+    return planes
+
+
+def shard_arrays(payload: dict, groups=None) -> list:
+    """A rank payload's optimizer arrays (fp32 master + both moments) of ``groups``."""
+    return [
+        arr for g, state in payload["state"].items() if groups is None or g in groups
+        for arr in (payload["fp32_flat_groups"][g], state["exp_avg"], state["exp_avg_sq"])
+    ]
+
+
+def planar_planes(arrays) -> int:
+    """Planes the encoder packs for fresh ``arrays``: every plane of each
+    tag-``P`` array (numeric, itemsize >= 2, at least 4 KiB)."""
+    return sum(
+        a.dtype.itemsize for a in arrays
+        if a.dtype.kind in "iufc" and a.dtype.itemsize >= 2 and a.nbytes >= 4096
+    )
+
+
 def peak_outside_writes(monkeypatch, module, run) -> int:
     """tracemalloc peak of ``run()``, not counting time inside ``module.write_blob``.
 

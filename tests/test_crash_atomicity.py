@@ -413,6 +413,52 @@ class TestCrashPointBattery:
             assert merged.verify_report.ok, when
             shutil.rmtree(merged.output.dir)
 
+    def test_blob_store_every_crash_point(self, pristine, tmp_path):
+        """The serve blob store under the same kills: ``put`` of a merged
+        shard's records, then ``refs.json``.  After each kill ``get`` returns
+        a whole group or ``None``, and a rerun converges on the files of an
+        uninterrupted run."""
+        from repro.dist.shard import content_key, group_array
+        from repro.io import CheckpointPaths
+        from repro.io.blobfile import read_blob_selected
+        from repro.io.storage import BlobStore, group_key
+
+        shard = read_blob_selected(CheckpointPaths(pristine["root"] / "merged").shard(0),
+                                   lambda _p: True, as_record=group_array)
+        groups = {
+            group_key(*content_key(header, 3)): {
+                "fp32": shard["fp32_flat_groups"][header["index"]],
+                "exp_avg": shard["state"][header["index"]]["exp_avg"],
+                "exp_avg_sq": shard["state"][header["index"]]["exp_avg_sq"],
+            }
+            for header in shard["groups"][:3]
+        }
+
+        def operation(root):
+            store = BlobStore(root)
+            for key, arrays in groups.items():
+                store.put(key, arrays)
+            store.add_refs(groups, "tenant:/run/merged")
+
+        with _CrashAt() as counting:
+            operation(tmp_path / "clean")
+        clean, mutations = _tree(tmp_path / "clean"), counting.count
+        assert mutations >= len(groups) + 2
+
+        for k in range(1, mutations + 1):
+            root = tmp_path / f"killed-{k}"
+            with _CrashAt(k):
+                operation(root)
+                raise AssertionError(f"mutation {k} of {mutations} never happened")
+            store = BlobStore(root)
+            for key, arrays in groups.items():
+                got = store.get(key)
+                assert got is None or (got.keys() == arrays.keys() and all(
+                    np.array_equal(got[n], np.asarray(arrays[n])) for n in arrays)), k
+                assert store.owners(key) in ([], ["tenant:/run/merged"]), k
+            operation(root)
+            assert _tree(root) == clean, f"rerun after kill at {k} differs"
+
     @pytest.mark.parametrize("name", [
         "full save", "partial save", "rewrite at a smaller world size",
         "merge", "reshard", "prune",

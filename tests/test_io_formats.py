@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.io.blobfile import (
@@ -20,6 +22,9 @@ from repro.numerics import DType, quantize
 from repro.util.errors import CheckpointFormatError
 
 from conftest import write_blob_v1
+
+# The nightly passes --hypothesis-seed=random, which a derandomized test ignores.
+_NIGHTLY = any(arg.startswith("--hypothesis-seed") for arg in sys.argv)
 
 
 class TestTensorFile:
@@ -104,6 +109,105 @@ class TestTensorFile:
     def test_atomic_write_no_tmp_left(self, tmp_path, rng):
         write_tensorfile(tmp_path / "m.tsr", self._sample(rng))
         assert not list(tmp_path.glob("*.tmp"))
+
+
+def _tensorfile_with_header(path, header, *, header_len=None, data=bytes(128)):
+    """A tensor file whose JSON header (and its declared length) is ``header``."""
+    import json
+    import struct
+
+    text = json.dumps(header).encode()
+    declared = len(text) if header_len is None else header_len
+    path.write_bytes(b"REPROTSR" + struct.pack("<IQ", 1, declared) + text + data)
+    return path
+
+
+def _opens_and_reads_typed(path) -> None:
+    """Open the file and read every tensor both ways: success or a typed error only."""
+    try:
+        tf = TensorFile(path)
+    except CheckpointFormatError:
+        return
+    for name in tf.names:
+        for read in (tf.read, tf.read_raw):
+            try:
+                read(name)
+            except CheckpointFormatError:
+                pass
+
+
+_GOOD_ENTRY = {"dtype": "bf16", "shape": [4, 4], "offset": 0, "nbytes": 32, "crc32": 0}
+_HOSTILE_HEADERS = {
+    "header longer than the file": ({"tensors": {}}, 2**40),
+    "nbytes beyond the data": ({"tensors": {"w": dict(_GOOD_ENTRY, shape=[2**49], nbytes=2**50)}},
+                               None),
+    "nbytes not an int": ({"tensors": {"w": dict(_GOOD_ENTRY, nbytes="abc")}}, None),
+    "offset beyond the data": ({"tensors": {"w": dict(_GOOD_ENTRY, offset=10**11)}}, None),
+    "shape not a list": ({"tensors": {"w": dict(_GOOD_ENTRY, shape="x")}}, None),
+    "unknown dtype": ({"tensors": {"w": dict(_GOOD_ENTRY, dtype="nope")}}, None),
+    "header is a list": ([{"tensors": {}}], None),
+    "tensors not a mapping": ({"tensors": "zzz"}, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HOSTILE_HEADERS))
+def test_tensorfile_rejects_hostile_header_typed(tmp_path, name):
+    """Each header is refused by the constructor with CheckpointFormatError."""
+    header, header_len = _HOSTILE_HEADERS[name]
+    path = _tensorfile_with_header(tmp_path / "h.tsr", header, header_len=header_len)
+    with pytest.raises(CheckpointFormatError):
+        TensorFile(path)
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**64), 2**64), st.floats(allow_nan=False),
+    st.text(max_size=6), st.lists(st.integers(-3, 2**40), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+_FIELDS = st.sampled_from(["dtype", "shape", "offset", "nbytes", "crc32", None])
+
+
+@settings(max_examples=200, deadline=None, derandomize=not _NIGHTLY)
+@given(
+    edits=st.lists(st.tuples(st.sampled_from(["w", "b"]), _FIELDS, _JUNK), min_size=1, max_size=3),
+    header_len=st.one_of(st.none(), st.integers(0, 2**63)),
+    top=st.one_of(st.none(), _JUNK),
+)
+@example(edits=[("w", "nbytes", 2**50)], header_len=None, top=None)
+@example(edits=[("w", "offset", 10**11)], header_len=None, top=None)
+@example(edits=[("w", "shape", "x")], header_len=None, top=None)
+@example(edits=[("w", "dtype", None)], header_len=2**40, top=None)
+def test_tensorfile_mutated_headers_fail_typed_and_bounded(tmp_path_factory, edits, header_len,
+                                                          top):
+    """A valid header with fields swapped for junk (a field removed for
+    ``None``, an entry replaced for a ``None`` field name, the whole
+    header replaced for ``top``, a lying declared length) opens and reads
+    or fails with CheckpointFormatError — within a fixed memory budget."""
+    import copy
+    import tracemalloc
+
+    header = {"metadata": {}, "tensors": {
+        "w": dict(_GOOD_ENTRY), "b": dict(_GOOD_ENTRY, shape=[3], offset=64, nbytes=6),
+    }}
+    for name, field, junk in edits:
+        entry = header["tensors"][name]
+        if field is None:
+            header["tensors"][name] = copy.deepcopy(junk)
+        elif isinstance(entry, dict) and junk is None:
+            entry.pop(field, None)
+        elif isinstance(entry, dict):
+            entry[field] = copy.deepcopy(junk)
+    if top is not None:
+        header = top
+    path = _tensorfile_with_header(tmp_path_factory.mktemp("tsr") / "h.tsr", header,
+                                   header_len=header_len)
+    tracemalloc.start()
+    try:
+        _opens_and_reads_typed(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 class TestBlobEncoding:

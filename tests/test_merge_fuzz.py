@@ -10,6 +10,8 @@ Frankenstein checkpoint.
 
 from __future__ import annotations
 
+import dataclasses
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +21,15 @@ from hypothesis import strategies as st
 
 from repro.core import LLMTailor, MergeOptions, MergeRecipe, verify_checkpoint
 from repro.core.groups import groups_for_slot
-from repro.io import Storage, read_blob, save_checkpoint
+from repro.io import Storage, read_blob, save_checkpoint, write_blob
 from repro.io.layout import CheckpointPaths
 from repro.io.tensorfile import TensorFile
 from repro.nn import get_config, model_slots, slot_parameter_shapes
 
-from conftest import make_engine, train_steps
+from conftest import (
+    count_packed_planes, make_engine, planar_planes, reference_merged_shard, shard_arrays,
+    train_steps, write_blob_v1,
+)
 
 CONFIG = get_config("tiny-untied")
 WORLD = 2
@@ -120,3 +125,61 @@ def test_random_assignments_merge_faithfully(checkpoint_pool, tmp_path, assignme
                     np.testing.assert_array_equal(
                         merged_shard["state"][g][key], src_shard["state"][g][key]
                     )
+
+
+# The nightly passes --hypothesis-seed=random, which a derandomized test ignores.
+_NIGHTLY = any(arg.startswith("--hypothesis-seed") for arg in sys.argv)
+
+
+@settings(
+    max_examples=15, deadline=None, derandomize=not _NIGHTLY,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    layers=st.integers(1, 3), tied=st.booleans(), world_size=st.integers(1, 4),
+    v1_steps=st.sets(st.sampled_from([1, 2, 3])), compress_v1=st.booleans(),
+    data=st.data(),
+)
+def test_any_layout_merges_to_the_serial_reference_copying_v2_records(
+    tmp_path_factory, layers, tied, world_size, v1_steps, compress_v1, data
+):
+    """A random 2L+x layout at world size 1-4, three full checkpoints of
+    which some are rewritten as blob v1, a random slot assignment: every
+    merged shard is byte for byte the serial reference's, and the plane
+    encoder runs only for the planar arrays taken from v1 shards."""
+    config = dataclasses.replace(
+        CONFIG, name="fuzz-layout", num_hidden_layers=layers, tie_word_embeddings=tied
+    )
+    root = tmp_path_factory.mktemp("layout")
+    storage = Storage(root / "run")
+    model, engine = make_engine(config, world_size=world_size)
+    for step in (1, 2, 3):
+        train_steps(model, engine, config, 1, seed=step)
+        save_checkpoint(storage, step=step, model=model, config=config, engine=engine,
+                        trainer_state={"global_step": step}, strategy="full")
+    v1_dirs = {storage.root / f"checkpoint-{step}" for step in v1_steps}
+    for ckpt in v1_dirs:
+        for rank in range(world_size):
+            shard = CheckpointPaths(ckpt).shard(rank)
+            write_blob_v1(shard, read_blob(shard), compress=compress_v1)
+    slots = model_slots(config)
+    steps = data.draw(st.lists(st.sampled_from([1, 2, 3]), min_size=len(slots),
+                               max_size=len(slots)))
+    recipe = MergeRecipe(
+        base_checkpoint=storage.root / "checkpoint-3",
+        assignments={slot: storage.root / f"checkpoint-{step}"
+                     for slot, step in zip(slots, steps) if step != 3},
+        options=MergeOptions(verify=False, workers=1),  # in-process: counted
+    )
+
+    with pytest.MonkeyPatch.context() as patch:
+        planes = count_packed_planes(patch)
+        merged = LLMTailor(recipe).merge(output=root / "merged").output
+    from_v1 = {g for slot in slots if recipe.source_for(slot) in v1_dirs
+               for g in groups_for_slot(config, slot)}
+    expected = 0
+    for rank in range(world_size):
+        write_blob(root / "ref.blob", reference_merged_shard(recipe, config, rank))
+        assert merged.shard(rank).read_bytes() == (root / "ref.blob").read_bytes(), rank
+        expected += planar_planes(shard_arrays(read_blob(merged.shard(rank)), from_v1))
+    assert len(planes) == expected

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import LLMTailor, MergeOptions, MergeRecipe, recipe_from_run
+from repro.dist.shard import group_array
 from repro.io import CheckpointPaths, Storage, save_checkpoint
 from repro.io.blobfile import read_blob, read_blob_selected, write_blob
 from repro.io.tensorfile import TensorFile, write_tensorfile
@@ -25,7 +26,8 @@ from repro.strategies import build_strategy
 from repro.util.errors import CheckpointFormatError, MergeError
 
 from conftest import (
-    decoded_nbytes, make_engine, peak_outside_writes, reference_merged_shard, train_steps,
+    count_packed_planes, decoded_nbytes, make_engine, peak_outside_writes, planar_planes,
+    reference_merged_shard, shard_arrays, train_steps,
 )
 
 WORLD_SIZES = [1, 2, 4]
@@ -255,6 +257,172 @@ def test_stream_peak_memory_bounded(tmp_path, untied_config, monkeypatch):
     assert peak <= 2 * shard_bytes + (64 << 10), (
         f"merge peak {peak} exceeds one source + one output shard ({2 * shard_bytes})"
     )
+
+
+class TestVerifiedRecords:
+    """A merge copies each taken array's verified record instead of encoding it again."""
+
+    def test_writer_and_resharder_encode_every_planar_array(
+        self, tmp_path, untied_config, monkeypatch
+    ):
+        """Fresh arrays still go through the plane encoder, every plane of each."""
+        from repro.dist import reshard_checkpoint
+
+        planes = count_packed_planes(monkeypatch)
+        ckpt = CheckpointPaths(_full_trail(tmp_path, untied_config, steps=(1,)).root
+                               / "checkpoint-1")
+        written = [read_blob(ckpt.shard(rank)) for rank in range(2)]
+        assert len(planes) == sum(planar_planes(shard_arrays(p)) for p in written) > 0
+        planes.clear()
+        reshard_checkpoint(ckpt.dir, tmp_path / "re3", 3)
+        out = [read_blob(CheckpointPaths(tmp_path / "re3").shard(rank)) for rank in range(3)]
+        assert len(planes) == sum(planar_planes(shard_arrays(p)) for p in out) > 0
+
+    def test_merge_encodes_only_v1_sourced_planar_arrays(
+        self, tmp_path, untied_config, monkeypatch
+    ):
+        """A v2 trail merges with no plane encoded; a mixed trail encodes
+        exactly the planes of the planar arrays it takes from v1 shards."""
+        from conftest import write_blob_v1
+        from repro.core.groups import groups_for_slot
+
+        config = untied_config
+        storage = _full_trail(tmp_path, config, steps=(1, 2, 3))
+        slots = model_slots(config)
+        v1 = storage.root / "checkpoint-1"
+        recipe = MergeRecipe(
+            base_checkpoint=storage.root / "checkpoint-3",
+            assignments={slot: storage.root / f"checkpoint-{1 + i % 3}"
+                         for i, slot in enumerate(slots) if i % 3 != 2},
+            options=MergeOptions(verify=False, workers=1),  # in-process: counted
+        )
+        planes = count_packed_planes(monkeypatch)
+        LLMTailor(recipe).merge(output=tmp_path / "v2")
+        assert planes == []
+
+        for rank in range(2):
+            shard = CheckpointPaths(v1).shard(rank)
+            write_blob_v1(shard, read_blob(shard))
+        out = LLMTailor(recipe).merge(output=tmp_path / "mixed").output
+        from_v1 = {g for slot in slots if recipe.source_for(slot) == v1
+                   for g in groups_for_slot(config, slot)}
+        expected = sum(planar_planes(shard_arrays(read_blob(out.shard(rank)), from_v1))
+                       for rank in range(2))
+        assert len(planes) == expected > 0
+
+    def test_records_are_immutable_and_resume_from_them_is_unchanged(
+        self, tmp_path, untied_config
+    ):
+        """Writing into a record raises, decoding one yields a plain array of
+        its own, and training on from a merged checkpoint saves the same bytes
+        as training on from its freshly encoded twin."""
+        import shutil
+
+        from repro.io import load_checkpoint
+        from repro.io.blobfile import encode
+
+        config = untied_config
+        storage = _full_trail(tmp_path, config)
+        shard = CheckpointPaths(storage.root / "checkpoint-1").shard(0)
+        records = read_blob_selected(shard, lambda _p: True, as_record=group_array)
+        record, original = records["fp32_flat_groups"][0], read_blob(shard)["fp32_flat_groups"][0]
+        with pytest.raises(TypeError):
+            record[0] = 1.0
+        with pytest.raises(AttributeError):
+            record.data = b""
+        decoded = np.asarray(record)
+        assert type(decoded) is np.ndarray and decoded.flags.writeable
+        decoded += 1.0
+        np.testing.assert_array_equal(np.asarray(record), original)
+        assert encode(record) == encode(original)
+
+        recipe = MergeRecipe(
+            base_checkpoint=storage.root / "checkpoint-2",
+            assignments={"embed_tokens": storage.root / "checkpoint-1"},
+            options=MergeOptions(verify=False),
+        )
+        merged = LLMTailor(recipe).merge(output=tmp_path / "merged").output
+        fresh = CheckpointPaths(shutil.copytree(merged.dir, tmp_path / "fresh"))
+        for rank in range(2):
+            write_blob(fresh.shard(rank), reference_merged_shard(recipe, config, rank))
+
+        def train_on(source, name):
+            model, engine = make_engine(config, world_size=2, seed=9)
+            load_checkpoint(source, model=model, config=config, engine=engine)
+            train_steps(model, engine, config, 2, seed=5)
+            out = Storage(tmp_path / name)
+            save_checkpoint(out, step=4, model=model, config=config, engine=engine,
+                            trainer_state={"global_step": 4}, strategy="full")
+            return {p.name: p.read_bytes() for p in sorted(out.root.rglob("*"))
+                    if p.suffix in (".blob", ".tsr")}
+
+        assert train_on(merged, "a") == train_on(fresh, "b")
+
+    @pytest.mark.parametrize("codec, refusal", [
+        (0, "CRC mismatch for group {}"),  # a stored mantissa plane: decodes, wrong CRC
+        (1, "group {} arrays undecodable"),  # the deflated exponent plane: fails to inflate
+    ])
+    def test_tampered_plane_is_refused_before_any_output_byte(
+        self, checkpoint_run, tmp_path, monkeypatch, codec, refusal
+    ):
+        """A flipped byte inside a taken group's stored ``P`` plane, in a
+        container whose CRC was recomputed over it, is refused at load —
+        before the merge writes anything of the output shard."""
+        import struct
+        import zlib
+
+        import repro.core.optimizer_merge as engine
+        from repro.core.groups import groups_for_slot
+        from repro.io.blobfile import encode
+
+        storage, _, _, config, _ = checkpoint_run
+        shard_path = CheckpointPaths(storage.root / "checkpoint-100").shard(0)
+        (group,) = groups_for_slot(config, "embed_tokens")
+        arr = read_blob(shard_path)["fp32_flat_groups"][group]
+        record, raw = encode(arr), shard_path.read_bytes()
+        assert record[:1] == b"P"
+        body = bytearray(raw[33:])
+        at = bytes(body).index(record) + 3 + len(arr.dtype.str) + 8 * arr.ndim + 8  # plane 0
+        while body[at] != codec:  # plane records: codec u8, stored length u64, bytes
+            at += 9 + struct.unpack_from("<Q", body, at + 1)[0]
+        body[at + 9 + struct.unpack_from("<Q", body, at + 1)[0] // 2] ^= 0x01
+        shard_path.write_bytes(
+            struct.pack("<8sIBQQI", b"REPROBLB", 2, 0, len(body), len(body), zlib.crc32(body))
+            + bytes(body)
+        )
+
+        writes = []
+        monkeypatch.setattr(engine, "write_blob", lambda path, obj: writes.append(path))
+        recipe = _odd_parity_recipe(storage, config, workers=1)
+        with pytest.raises(MergeError, match=refusal.format(group)):
+            LLMTailor(recipe).merge(output=tmp_path / "m")
+        assert writes == [] and not list(tmp_path.rglob("m/**/*.blob"))
+
+    @pytest.mark.parametrize("bound", ["below one group", "a third", "everything"])
+    def test_group_cache_holds_at_most_its_bound_in_record_bytes(
+        self, tmp_path, untied_config, bound
+    ):
+        from repro.io.storage import GroupCache
+
+        storage = _full_trail(tmp_path, untied_config, steps=(1,))
+        shard = read_blob_selected(
+            CheckpointPaths(storage.root / "checkpoint-1").shard(0), lambda _p: True,
+            as_record=group_array,
+        )
+        groups = {
+            f"g{g}": {"fp32": shard["fp32_flat_groups"][g], "exp_avg": state["exp_avg"],
+                      "exp_avg_sq": state["exp_avg_sq"]}
+            for g, state in shard["state"].items()
+        }
+        size = {k: sum(len(r.data) for r in v.values()) for k, v in groups.items()}
+        limit = {"below one group": max(size.values()) - 1, "a third": sum(size.values()) // 3,
+                 "everything": sum(size.values())}[bound]
+        cache = GroupCache(max_bytes=limit)
+        for key, arrays in groups.items():
+            cache.put(key, arrays)
+            resident = sum(size[k] for k in groups if cache.get(k) is not None)
+            assert cache.nbytes == resident <= limit
+        assert (cache.nbytes == sum(size.values())) == (bound == "everything")
 
 
 def test_tensorfile_writer_spill_path_bitwise(tmp_path, monkeypatch):
