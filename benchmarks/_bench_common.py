@@ -3,22 +3,13 @@ module name cannot collide with tests/conftest.py)."""
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
-# The runner redirects artifacts with --out by exporting this variable,
-# so a --quick run cannot overwrite the committed full-mode tables.
-RESULTS_DIR = Path(
-    os.environ.get("REPRO_BENCH_RESULTS_DIR") or Path(__file__).parent / "results"
-)
+RESULTS_DIR = Path(__file__).parent / "results"
 
-# Quick mode (set by `repro.bench.runner run --quick`): fewer timing
-# rounds so the CI gate finishes fast.  Quick rounds run after one
-# warmup so they measure warm-cache behaviour; the gate compares
-# best-of-rounds (min), which is robust to one-sided scheduler noise.
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-ROUNDS = 2 if QUICK else 3
-WARMUP_ROUNDS = 1 if QUICK else 0
+# Timing rounds per measured case; every table reads the mean of these.
+ROUNDS = 3
+WARMUP_ROUNDS = 0
 
 # Sim-scale experiment shape shared by every use-case pipeline.
 SIM_STEPS = 100

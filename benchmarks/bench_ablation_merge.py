@@ -14,7 +14,7 @@ import itertools
 
 import pytest
 
-from _bench_common import QUICK, ROUNDS, WARMUP_ROUNDS, emit
+from _bench_common import ROUNDS, WARMUP_ROUNDS, emit
 
 from repro.core import LLMTailor, MergeOptions, MergeRecipe
 from repro.core.groups import tailored_param_groups
@@ -24,6 +24,8 @@ from repro.nn import build_model, get_config, model_slots
 from repro.util.tables import Table
 
 _counter = itertools.count()
+POOL_WORKERS = (1, 2, 4)
+FAN_OUT_WORKERS = (1, 4)
 _worker_times: dict[int, float] = {}
 
 
@@ -55,7 +57,15 @@ def _recipe(storage, odd, *, workers: int, cache_mode: str) -> MergeRecipe:
     )
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
+def _complete(times: dict[int, float], workers: tuple[int, ...], what: str) -> None:
+    """Tables render only complete: skip (writing nothing) when a run
+    measured a subset of the worker counts (``-k``)."""
+    missing = [w for w in workers if w not in times]
+    if missing:
+        pytest.skip(f"{what} is incomplete; workers not measured: {missing}")
+
+
+@pytest.mark.parametrize("workers", POOL_WORKERS)
 def test_ablation_worker_pool(benchmark, parity_trail_ws4, tmp_path, workers):
     """§4.2: ProcessPoolExecutor parallelism across rank shards."""
     storage, config, odd = parity_trail_ws4
@@ -68,7 +78,8 @@ def test_ablation_worker_pool(benchmark, parity_trail_ws4, tmp_path, workers):
 
     benchmark.pedantic(run, rounds=ROUNDS, iterations=1, warmup_rounds=WARMUP_ROUNDS)
     _worker_times[workers] = benchmark.stats["mean"]
-    if workers == 4 and 1 in _worker_times:
+    if workers == POOL_WORKERS[-1]:
+        _complete(_worker_times, POOL_WORKERS, "the worker-pool table")
         table = Table(["Workers", "Merge time (s)"],
                       title="Ablation: ProcessPoolExecutor workers (4 rank shards)")
         for w, t in sorted(_worker_times.items()):
@@ -79,7 +90,7 @@ def test_ablation_worker_pool(benchmark, parity_trail_ws4, tmp_path, workers):
 _interleaved_times: dict[int, float] = {}
 
 
-@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("workers", FAN_OUT_WORKERS)
 def test_ablation_streaming_engine(benchmark, parity_trail_ws4, tmp_path, workers):
     """Worker fan-out on the interleaved parity workload (one load per slot).
 
@@ -99,18 +110,16 @@ def test_ablation_streaming_engine(benchmark, parity_trail_ws4, tmp_path, worker
     _interleaved_times[workers] = benchmark.stats["mean"]
     # Same interleaved load schedule regardless of fan-out.
     assert holder["result"].optimizer_files_loaded == config.num_model_slots * 4
-    if workers == 4 and 1 in _interleaved_times:
+    if workers == FAN_OUT_WORKERS[-1]:
+        _complete(_interleaved_times, FAN_OUT_WORKERS, "the fan-out table")
         table = Table(["Workers", "Merge time (s)"],
                       title="Ablation: load fan-out (interleaved parity, ws=4)")
         for key, seconds in sorted(_interleaved_times.items()):
             table.add_row([key, round(seconds, 4)])
         emit("ablation_streaming_engine", table.render())
-        # Single quick rounds are too noisy for timing assertions; the CI
-        # gate's baseline comparison covers quick mode instead.
-        if not QUICK:
-            assert _interleaved_times[4] < _interleaved_times[1] * 1.5, (
-                "fan-out should not be drastically slower than in-process loads"
-            )
+        assert _interleaved_times[4] < _interleaved_times[1] * 1.5, (
+            "fan-out should not be drastically slower than in-process loads"
+        )
 
 
 @pytest.mark.parametrize("cache_mode", ["per-checkpoint", "none"])

@@ -7,16 +7,14 @@ cross-request group cache and content-addressed blob store let many
 tenants pay the decode cost once.  This scenario drives a realistic
 mix (plan/diff/merge/reshard) from four tenant threads through one
 service and reports what the one-shot CLI cannot: request latency
-percentiles (p50/p99) and the service-wide cache hit rate, both
-embedded in ``BENCH_serve.json`` via ``extra_info``.
+percentiles (p50/p99) and the service-wide cache hit rate.
 
 Every merge and reshard output is verified bitwise-identical to a
 serial one-shot run of the same job (modulo the manifest's
 self-referential output path), and the run *fails* if the cache hit
-rate falls below threshold — the CI bench-gate therefore gates service
-behaviour, not just wall time.
+rate falls below threshold.
 
-Full mode: 1000 requests across 4 tenants.  Quick mode: 80.
+1000 requests across 4 tenants.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from _bench_common import QUICK, emit
+from _bench_common import emit
 
 from repro.core.tailor import LLMTailor
 from repro.dist.reshard import reshard_checkpoint
@@ -40,7 +38,7 @@ from repro.train import TrainConfig, Trainer
 from repro.util.tables import Table
 
 TENANTS = ("alpha", "beta", "gamma", "delta")
-REQUESTS_PER_TENANT = 20 if QUICK else 250  # 80 quick / 1000 full, total
+REQUESTS_PER_TENANT = 250  # 1000 in total
 # Per 10 requests: 5 plan, 3 diff, 1 merge, 1 reshard.
 MIX = ("plan", "diff", "plan", "merge", "plan", "diff", "reshard",
        "plan", "diff", "plan")
@@ -183,23 +181,10 @@ def test_serve_mixed_workload(benchmark, tenant_runs, tmp_path):
         f"cache hit rate {hit_rate:.2%} below floor {HIT_RATE_FLOOR:.0%}")
     assert dedup >= 2.0, f"dedup factor {dedup} (identical tenants should share)"
 
-    flat = sorted(x for v in latencies.values() for x in v)
-    p50 = statistics.median(flat)
-    p99 = flat[min(len(flat) - 1, int(len(flat) * 0.99))]
-    benchmark.extra_info["requests"] = total
-    benchmark.extra_info["tenants"] = len(TENANTS)
-    benchmark.extra_info["latency_p50_s"] = round(p50, 6)
-    benchmark.extra_info["latency_p99_s"] = round(p99, 6)
-    benchmark.extra_info["cache_hit_rate"] = round(hit_rate, 4)
-    benchmark.extra_info["dedup_factor"] = round(dedup, 4)
-    benchmark.extra_info["outputs_verified_bitwise"] = len(verified)
-
     table = Table(["Kind", "Requests", "p50 (s)", "p99 (s)"],
                   title=f"Merge service: {total} requests, {len(TENANTS)} "
                         f"tenants, hit rate {hit_rate:.1%}, dedup {dedup:.1f}x")
     for kind, vals in latencies.items():
-        if not vals:
-            continue
         svals = sorted(vals)
         table.add_row([kind, len(vals), round(statistics.median(svals), 4),
                        round(svals[min(len(svals) - 1,

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from _bench_common import QUICK, ROUNDS, WARMUP_ROUNDS, emit
+from _bench_common import ROUNDS, WARMUP_ROUNDS, emit
 
 from repro.core import LLMTailor, MergeOptions, MergeRecipe
 from repro.core.groups import tailored_param_groups
@@ -37,6 +37,7 @@ from repro.nn import build_model, get_config, model_slots
 from repro.util.tables import Table
 
 WORLD = 2
+MODELS = ("llama3.2-1b-sim", "llama3.1-8b-sim")
 _counter = itertools.count()
 _RESULTS: dict[tuple[str, str], dict] = {}
 
@@ -111,7 +112,7 @@ def _parity_recipe(
 @pytest.fixture(scope="module")
 def trails(tmp_path_factory):
     out = {}
-    for name in ("llama3.2-1b-sim", "llama3.1-8b-sim"):
+    for name in MODELS:
         out[name] = _build_trail(name, tmp_path_factory.mktemp(name))
     return out
 
@@ -142,11 +143,9 @@ def _run_case(trail, case: str, tmp_root: Path):
 
 
 CASES = ["baseline-1", "ckpts-2", "parity-2", "parity-2-w4", "ckpts-8", "ckpts-N"]
-CKPTS_INCLUDED = {"baseline-1": 1, "ckpts-2": 2, "parity-2": 2, "parity-2-w4": 2,
-                  "ckpts-8": 8}
 
 
-@pytest.mark.parametrize("model_name", ["llama3.2-1b-sim", "llama3.1-8b-sim"])
+@pytest.mark.parametrize("model_name", MODELS)
 @pytest.mark.parametrize("case", CASES)
 def test_table7_loading_time(benchmark, trails, tmp_path, model_name, case):
     trail = trails[model_name]
@@ -167,7 +166,7 @@ def test_table7_loading_time(benchmark, trails, tmp_path, model_name, case):
         "bytes_loaded": (
             merge_result.optimizer_bytes_loaded if merge_result else 0
         ),
-        "ckpts_included": CKPTS_INCLUDED.get(case, len(slots)),
+        "slots": len(slots),
     }
     _RESULTS[(model_name, case)] = stats
 
@@ -179,51 +178,45 @@ def test_table7_loading_time(benchmark, trails, tmp_path, model_name, case):
         assert merge_result.optimizer_files_loaded == 2 * WORLD
 
 
-def test_table7_render(benchmark, trails):
-    """Assemble the Table 7 rows measured above (run last in file order)."""
+def test_table7_render():
+    """Assemble the Table 7 rows measured above (run last in file order).
 
-    def build():
-        table = Table(
-            ["Model", "Total slots", "CKPTs included", "Files loaded", "Time (s)"],
-            title="Table 7: loading/merging time for different checkpoint layouts",
-        )
-        for model_name in ("llama3.2-1b-sim", "llama3.1-8b-sim"):
-            slots = trails[model_name][4]
-            for case in CASES:
-                stats = _RESULTS.get((model_name, case))
-                if stats is None:
-                    continue
-                label = {"baseline-1": "Baseline: 1", "ckpts-2": "2",
-                         "parity-2": "parity (2)",
-                         "parity-2-w4": "parity (2) w4",
-                         "ckpts-8": "8", "ckpts-N": str(len(slots))}[case]
-                table.add_row([model_name, len(slots), label,
-                               stats["files_loaded"], round(stats["seconds"], 4)])
-        return table
+    The table renders only complete: a run that measured a subset of the
+    rows (``-k``) skips here and leaves the committed table as it was.
+    """
+    missing = [f"{model_name}/{case}" for model_name in MODELS for case in CASES
+               if (model_name, case) not in _RESULTS]
+    if missing:
+        pytest.skip(f"Table 7 is incomplete; not measured: {', '.join(missing)}")
 
-    table = benchmark.pedantic(build, rounds=1, iterations=1)
+    table = Table(
+        ["Model", "Total slots", "CKPTs included", "Files loaded", "Time (s)"],
+        title="Table 7: loading/merging time for different checkpoint layouts",
+    )
+    for model_name in MODELS:
+        for case in CASES:
+            stats = _RESULTS[(model_name, case)]
+            label = {"baseline-1": "Baseline: 1", "ckpts-2": "2",
+                     "parity-2": "parity (2)",
+                     "parity-2-w4": "parity (2) w4",
+                     "ckpts-8": "8", "ckpts-N": str(stats["slots"])}[case]
+            table.add_row([model_name, stats["slots"], label,
+                           stats["files_loaded"], round(stats["seconds"], 4)])
     emit("table7_loading_time", table.render())
 
     # Paper's §5.4 headline: interleaved parity is the most expensive
-    # merge mode for the same two checkpoints.  Quick mode times a single
-    # round, too noisy for ordering assertions — there the orderings are
-    # enforced statistically by the committed full-mode baselines that
-    # the CI gate compares against, not per-run.
-    if QUICK:
-        return
-    for model_name in ("llama3.2-1b-sim", "llama3.1-8b-sim"):
-        two = _RESULTS.get((model_name, "ckpts-2"))
-        parity = _RESULTS.get((model_name, "parity-2"))
-        parity_w4 = _RESULTS.get((model_name, "parity-2-w4"))
-        if two and parity:
-            assert parity["seconds"] > two["seconds"], (
-                f"{model_name}: parity-interleave {parity['seconds']:.4f}s should "
-                f"exceed straightforward {two['seconds']:.4f}s"
-            )
-            assert parity["bytes_loaded"] > two["bytes_loaded"]
-        if parity_w4 and two:
-            assert parity_w4["seconds"] > two["seconds"], (
-                f"{model_name}: even fanned out, interleaved parity "
-                f"{parity_w4['seconds']:.4f}s should stay slower than the "
-                f"straightforward merge {two['seconds']:.4f}s"
-            )
+    # merge mode for the same two checkpoints, with or without fan-out.
+    for model_name in MODELS:
+        two = _RESULTS[(model_name, "ckpts-2")]
+        parity = _RESULTS[(model_name, "parity-2")]
+        parity_w4 = _RESULTS[(model_name, "parity-2-w4")]
+        assert parity["seconds"] > two["seconds"], (
+            f"{model_name}: parity-interleave {parity['seconds']:.4f}s should "
+            f"exceed straightforward {two['seconds']:.4f}s"
+        )
+        assert parity["bytes_loaded"] > two["bytes_loaded"]
+        assert parity_w4["seconds"] > two["seconds"], (
+            f"{model_name}: even fanned out, interleaved parity "
+            f"{parity_w4['seconds']:.4f}s should stay slower than the "
+            f"straightforward merge {two['seconds']:.4f}s"
+        )

@@ -1,6 +1,5 @@
-"""Benchmark harness shared by the ``benchmarks/`` suite, plus the
-unified runner (``python -m repro.bench.runner``) that executes every
-``bench_*.py`` scenario and emits normalized ``BENCH_*.json`` artifacts."""
+"""The paper's use-case pipelines and paper-scale overhead model, shared
+by the ``benchmarks/`` suite that renders Tables 1-7 and Figures 1-3."""
 
 from .experiments import (
     PAPER_SETTINGS,
@@ -9,41 +8,9 @@ from .experiments import (
     run_use_case_pipeline,
 )
 
-_RUNNER_EXPORTS = (
-    "ARTIFACT_SCHEMA",
-    "Scenario",
-    "ScenarioResult",
-    "compare_artifacts",
-    "discover_scenarios",
-    "load_artifact",
-    "normalize_raw",
-    "render_summary",
-    "run_scenario",
-)
-
-
-def __getattr__(name: str):
-    # Lazy re-export: keeps `python -m repro.bench.runner` from importing
-    # the runner twice (once via this package, once as __main__).
-    if name in _RUNNER_EXPORTS:
-        from . import runner
-
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "ARTIFACT_SCHEMA",
     "PAPER_SETTINGS",
     "PipelineResult",
-    "Scenario",
-    "ScenarioResult",
-    "compare_artifacts",
-    "discover_scenarios",
-    "load_artifact",
-    "normalize_raw",
     "paper_scale_overhead",
-    "render_summary",
-    "run_scenario",
     "run_use_case_pipeline",
 ]

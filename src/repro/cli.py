@@ -22,8 +22,6 @@ Mirrors the paper artifact's workflow:
 * ``llmtailor plan MODEL STRATEGY`` — analytic size/time plan for a
   strategy (paper Tables 3/6 methodology), plus ``--merge-checkpoints``
   for the analytic merge-cost estimate;
-* ``llmtailor bench ...`` — forwards to :mod:`repro.bench.runner` (run
-  the benchmark suite, emit/gate ``BENCH_*.json`` artifacts);
 * ``llmtailor serve --socket PATH`` — run the multi-tenant merge
   service daemon (priority queue, per-tenant quotas, cross-request
   group cache, content-addressed dedup; see docs/serve.md);
@@ -185,12 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_faults.add_argument("--min-world-size", type=int, default=1,
                           help="preemptions that would shrink below this floor "
                                "are skipped")
-
-    p_bench = sub.add_parser(
-        "bench", help="benchmark runner (discover/run/compare BENCH_*.json artifacts)"
-    )
-    p_bench.add_argument("bench_args", nargs=argparse.REMAINDER,
-                         help="arguments forwarded to repro.bench.runner")
 
     p_diff = sub.add_parser("diff", help="layer-wise drift between two checkpoints")
     p_diff.add_argument("checkpoint_a")
@@ -549,11 +541,6 @@ def _cmd_faults(args) -> int:
     return 0
 
 
-# NOTE: `bench` is forwarded by the argv intercept at the top of main()
-# (argparse's REMAINDER cannot pass through leading-dash arguments); the
-# p_bench subparser exists only so `llmtailor --help` lists the command.
-
-
 def _cmd_diff(args) -> int:
     from .core.diffstat import diff_checkpoints, nonuniformity_index
 
@@ -652,14 +639,6 @@ def _cmd_client(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point: dispatch ``argv`` to the matching subcommand handler."""
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "bench":
-        # Forward verbatim: argparse's REMAINDER mishandles leading-dash
-        # arguments (e.g. `bench --quick run`), so bypass it entirely.
-        from .bench.runner import main as bench_main
-
-        return bench_main(argv[1:])
     args = build_parser().parse_args(argv)
     handlers = {
         "train": _cmd_train,
