@@ -40,13 +40,13 @@ from __future__ import annotations
 
 import math
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
 
-from ..util.errors import CheckpointError, ConfigError
+from ..util.errors import CheckpointError, ConfigError, YamlError
 from ..util.miniyaml import dump_file, load_file
 
 __all__ = [
@@ -70,10 +70,20 @@ __all__ = [
 # simulated "second storage replica" recovery re-reads from.
 REPLICA_SUFFIX = ".replica"
 
-_KINDS = (
-    "rank_failure", "straggler", "degraded_link", "bitrot",
-    "rank_join", "preemption", "node_failure",
-)
+# Each kind with the fields it cannot do without.
+_REQUIRED = {
+    "rank_failure": ("rank",),
+    "straggler": ("rank", "slowdown"),
+    "degraded_link": ("src", "dst", "bandwidth_scale"),
+    "bitrot": ("rank", "group"),
+    "rank_join": (),
+    "preemption": ("rank", "restore_after"),
+    "node_failure": ("node",),
+}
+_KINDS = tuple(_REQUIRED)
+# The least value each numeric field may take, whatever the run.
+_FLOORS = {"rank": 0, "group": 0, "node": 0, "src": 0, "dst": 0,
+           "duration": 1, "restore_after": 1, "slowdown": 1.0}
 
 # Every FaultEvent field but ``kind`` and ``step``, in serialization
 # order; all are integers except the two factors.
@@ -105,6 +115,12 @@ class FaultEvent:
     active at (``degraded_link`` defaults to 1: the whole run);
     ``duration`` is the window length in steps, ``None`` meaning "until
     the run ends".
+
+    Construction refuses what no run shape can fix: a missing field, a
+    negative rank, group or node, a window or restore shorter than one
+    step, a speed-up, a link scale outside ``(0, 1]`` or a link from a
+    rank to itself.  What depends on the world size, the horizon or the
+    topology is :meth:`FaultPlan.validate`'s.
     """
 
     kind: str
@@ -118,6 +134,25 @@ class FaultEvent:
     duration: int | None = None
     restore_after: int | None = None
     node: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in _REQUIRED:
+            raise ConfigError(f"unknown fault kind {self.kind!r}")
+        where = f"{self.kind} at step {self.step}"
+        for name in _REQUIRED[self.kind]:
+            if getattr(self, name) is None:
+                raise ConfigError(f"{where}: {name} is required")
+        for name, floor in _FLOORS.items():
+            value = getattr(self, name)
+            if value is not None and value < floor:
+                raise ConfigError(f"{where}: {name} must be >= {floor}, got {value}")
+        if self.bandwidth_scale is not None and not 0.0 < self.bandwidth_scale <= 1.0:
+            raise ConfigError(
+                f"degraded_link: bandwidth_scale must be in (0, 1], "
+                f"got {self.bandwidth_scale}"
+            )
+        if self.src is not None and self.src == self.dst:
+            raise ConfigError(f"degraded_link: ({self.src}, {self.dst}) is not a ring link")
 
     def active_at(self, step: int) -> bool:
         """Whether this event's window covers the given global step."""
@@ -149,7 +184,11 @@ class FaultEvent:
         unknown = set(data) - {"step", *_OPTIONAL_FIELDS}
         if unknown:
             raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-        return cls(kind=kind, **{k: _checked(where, k, v) for k, v in data.items()})
+        fields = {k: _checked(where, k, v) for k, v in data.items()}
+        try:
+            return cls(kind=kind, **fields)
+        except ConfigError as err:
+            raise ConfigError(f"{where}: {err}") from None
 
 
 def rank_failure(step: int, rank: int) -> FaultEvent:
@@ -237,6 +276,9 @@ class FaultPlan:
 
     # -- queries ------------------------------------------------------------
 
+    def _of_kind(self, kind: str) -> list[FaultEvent]:
+        return sorted((e for e in self.events if e.kind == kind), key=lambda e: e.step)
+
     @property
     def rank_failures(self) -> list[FaultEvent]:
         """Scheduled rank deaths, ordered by step.
@@ -258,10 +300,22 @@ class FaultPlan:
     @property
     def preemptions(self) -> list[FaultEvent]:
         """Scheduled spot preemptions (unexpanded), ordered by step."""
-        return sorted(
-            (e for e in self.events if e.kind == "preemption"),
-            key=lambda e: e.step,
-        )
+        return self._of_kind("preemption")
+
+    @property
+    def stragglers(self) -> list[FaultEvent]:
+        """Scheduled straggler windows, ordered by step."""
+        return self._of_kind("straggler")
+
+    @property
+    def degraded_links(self) -> list[FaultEvent]:
+        """Scheduled link degradations, ordered by step."""
+        return self._of_kind("degraded_link")
+
+    @property
+    def bitrot_events(self) -> list[FaultEvent]:
+        """Scheduled checkpoint corruptions, ordered by step."""
+        return self._of_kind("bitrot")
 
     def world_events(self, topology=None) -> list[FaultEvent]:
         """The world-size schedule: every shrink and grow, in firing order.
@@ -272,33 +326,34 @@ class FaultPlan:
         the node hosts (same step, all targeting the node's first rank —
         contiguous renumbering after each shrink walks the block out;
         each carries ``node`` as provenance), which requires
-        ``topology`` (a :class:`~repro.dist.topology.Topology`).
-        Ordered by step; ties preserve plan order, which keeps a
-        preemption's join ahead of any later same-step death.  The one
-        schedule the supervisor's pending queue walks, live or in a
-        :func:`~repro.strategies.planner.plan_fault_cost` dry run.
+        ``topology`` (a :class:`~repro.dist.topology.Topology`) with
+        such a node.  Ordered by step; ties preserve plan order, which
+        keeps a preemption's join ahead of any later same-step death.
+        :meth:`trajectory` pairs each with the world it leaves.
         """
         expanded: list[FaultEvent] = []
         for ev in self.events:
             if ev.kind in ("rank_failure", "rank_join"):
                 expanded.append(ev)
             elif ev.kind == "preemption":
-                expanded.append(
-                    FaultEvent(
-                        kind="rank_failure", step=ev.step, rank=ev.rank,
-                        restore_after=ev.restore_after,
-                    )
-                )
-                expanded.append(
-                    FaultEvent(kind="rank_join", step=ev.step + int(ev.restore_after))
-                )
+                expanded += [
+                    FaultEvent(kind="rank_failure", step=ev.step, rank=ev.rank,
+                               restore_after=ev.restore_after),
+                    FaultEvent(kind="rank_join", step=ev.step + ev.restore_after),
+                ]
             elif ev.kind == "node_failure":
                 if topology is None:
                     raise ConfigError(
                         f"node_failure at step {ev.step} requires a topology to "
-                        f"resolve node {ev.node}'s ranks (pass topology=...)"
+                        f"resolve node {ev.node}'s ranks (run with --topology / "
+                        f"TrainConfig(topology=...))"
                     )
-                first = topology.node_ranks(int(ev.node))[0]
+                if ev.node >= topology.nodes:
+                    raise ConfigError(
+                        f"node_failure at step {ev.step}: node {ev.node} out of "
+                        f"range for topology {topology.shape}"
+                    )
+                first = topology.node_ranks(ev.node)[0]
                 expanded.extend(
                     FaultEvent(
                         kind="rank_failure", step=ev.step, rank=first, node=ev.node,
@@ -307,26 +362,58 @@ class FaultPlan:
                 )
         return sorted(expanded, key=lambda e: e.step)
 
-    @property
-    def stragglers(self) -> list[FaultEvent]:
-        """Scheduled straggler windows, ordered by step."""
-        return sorted(
-            (e for e in self.events if e.kind == "straggler"), key=lambda e: e.step
-        )
+    def trajectory(
+        self, world_size: int, *, topology=None
+    ) -> list[tuple[FaultEvent, int]]:
+        """:meth:`world_events` in firing order, each paired with the
+        world size once it has fired.
 
-    @property
-    def degraded_links(self) -> list[FaultEvent]:
-        """Scheduled link degradations, ordered by step."""
-        return sorted(
-            (e for e in self.events if e.kind == "degraded_link"),
-            key=lambda e: e.step,
-        )
+        The one definition of how the world moves: a failure removes one
+        rank and a join adds one, from the step after its own.
+        :meth:`validate`, both samplers and the
+        :class:`~repro.train.supervisor.ChaosSupervisor` (whose next leg
+        runs at the fired entry's world) all read it.  Raises
+        :class:`~repro.util.errors.ConfigError` when a death would leave
+        no survivor or names a rank the world does not have at that
+        point, or a join would outgrow ``topology``.
+        """
+        entries: list[tuple[FaultEvent, int]] = []
+        ws = world_size
+        for ev in self.world_events(topology):
+            if ev.kind == "rank_join":
+                ws += 1
+                if topology is not None and ws > topology.world_size:
+                    raise ConfigError(
+                        f"rank_join at step {ev.step} would grow the world to "
+                        f"{ws}, beyond topology {topology.shape} capacity "
+                        f"{topology.world_size}"
+                    )
+            else:
+                if ws <= 1:
+                    raise ConfigError(
+                        f"rank_failure at step {ev.step} would leave no survivors "
+                        f"(world is down to {ws} rank(s) at that point)"
+                    )
+                if ev.rank >= ws:
+                    detail = (
+                        f"node_failure of node {ev.node}"
+                        if ev.node is not None else "rank_failure"
+                    )
+                    raise ConfigError(
+                        f"{detail} at step {ev.step}: rank {ev.rank} does not "
+                        f"exist in the world of {ws} at that point"
+                    )
+                ws -= 1
+            entries.append((ev, ws))
+        return entries
 
-    @property
-    def bitrot_events(self) -> list[FaultEvent]:
-        """Scheduled checkpoint corruptions, ordered by step."""
-        return sorted(
-            (e for e in self.events if e.kind == "bitrot"), key=lambda e: e.step
+    def world_size_at(self, world_size: int, step: int, *, topology=None) -> int:
+        """The world that executes global ``step``: the :meth:`trajectory`
+        from ``world_size`` after every world event before ``step``."""
+        return next(
+            (ws for ev, ws in reversed(self.trajectory(world_size, topology=topology))
+             if ev.step < step),
+            world_size,
         )
 
     def compute_slowdown(self, step: int, world_size: int) -> float:
@@ -339,12 +426,7 @@ class FaultPlan:
         """
         factor = 1.0
         for ev in self.events:
-            if (
-                ev.kind == "straggler"
-                and ev.active_at(step)
-                and ev.rank is not None
-                and ev.rank < world_size
-            ):
+            if ev.kind == "straggler" and ev.active_at(step) and ev.rank < world_size:
                 factor = max(factor, float(ev.slowdown))
         return factor
 
@@ -375,38 +457,36 @@ class FaultPlan:
         factor = self.compute_slowdown(step, world_size)
         for ev in self.events:
             if (
-                ev.kind == "degraded_link"
-                and ev.active_at(step)
-                and ev.src is not None
-                and ev.dst is not None
-                and ev.src < world_size
-                and ev.dst < world_size
+                ev.kind != "degraded_link"
+                or not ev.active_at(step)
+                or max(ev.src, ev.dst) >= world_size
+                or (topology is not None and link_class is not None
+                    and topology.link_class(ev.src, ev.dst) != link_class)
             ):
-                if (
-                    topology is not None
-                    and link_class is not None
-                    and topology.link_class(ev.src, ev.dst) != link_class
-                ):
-                    continue
-                factor = max(factor, 1.0 / float(ev.bandwidth_scale))
+                continue
+            factor = max(factor, 1.0 / float(ev.bandwidth_scale))
         return factor
 
     # -- validation ---------------------------------------------------------
 
-    def validate(self, world_size: int, total_steps: int, *, topology=None) -> None:
-        """Check the plan is executable for a run of this shape.
+    def validate(
+        self, world_size: int, total_steps: int, *, topology=None
+    ) -> list[tuple[FaultEvent, int]]:
+        """Check the plan is executable for a run of this shape, and
+        return the :meth:`trajectory` it checked.
 
-        Failures and joins move the world size one rank at a time, so
-        the schedule is checked as a trajectory: each death must name a
-        rank that still exists *at that point in the walk* and leave a
-        survivor; each join (explicit, or a preemption's restore half)
-        grows the world back.  A restore scheduled beyond
-        ``total_steps`` is legal — the capacity simply never returns.
+        Every event must fall in ``[1, total_steps]``; the world-size
+        checks are the :meth:`trajectory`'s — each death must name a
+        rank that still exists *at that point* and leave a survivor, and
+        each join (explicit, or a preemption's restore half) grows the
+        world back.  A restore scheduled beyond ``total_steps`` is legal
+        — the capacity simply never returns.  Stragglers and degraded
+        links must name ranks of the starting world.
 
         With ``topology`` (a :class:`~repro.dist.topology.Topology`) the
         checks extend to the cluster shape: ``node_failure`` events need
-        one (and must name a real, fully occupied node), the trajectory
-        may never outgrow the cluster's rank capacity, and every
+        one (and must name a real node), neither the starting world nor
+        the trajectory may outgrow the cluster's rank capacity, and every
         ``degraded_link`` must target an actual topology edge (an
         intra-node or leader-to-leader pair) whose endpoints still exist
         when the degradation begins (nominal schedule, ignoring replay)
@@ -414,121 +494,45 @@ class FaultPlan:
         ignored by :meth:`comm_slowdown`, a no-op fault.
         """
         for ev in self.events:
-            if ev.kind not in _KINDS:
-                raise ConfigError(f"unknown fault kind {ev.kind!r}")
             if not 1 <= ev.step <= total_steps:
                 raise ConfigError(
                     f"{ev.kind} step {ev.step} outside [1, {total_steps}]"
-                )
-            if ev.duration is not None and ev.duration < 1:
-                raise ConfigError(f"{ev.kind} duration must be >= 1, got {ev.duration}")
-            if ev.kind == "node_failure":
-                if topology is None:
-                    raise ConfigError(
-                        f"node_failure at step {ev.step} requires a topology "
-                        f"(run with --topology / TrainConfig(topology=...))"
-                    )
-                if ev.node is None or not 0 <= ev.node < topology.nodes:
-                    raise ConfigError(
-                        f"node_failure at step {ev.step}: node {ev.node} out of "
-                        f"range for topology {topology.shape}"
-                    )
-        for ev in self.preemptions:
-            if ev.rank is None or ev.rank < 0:
-                raise ConfigError(f"preemption at step {ev.step}: rank must be >= 0")
-            if ev.restore_after is None or ev.restore_after < 1:
-                raise ConfigError(
-                    f"preemption at step {ev.step}: restore_after must be >= 1, "
-                    f"got {ev.restore_after}"
                 )
         if topology is not None and world_size > topology.world_size:
             raise ConfigError(
                 f"world_size {world_size} exceeds topology {topology.shape} "
                 f"capacity {topology.world_size}"
             )
-        ws = world_size
-        for ev in self.world_events(topology):
-            if ev.kind == "rank_join":
-                ws += 1
-                if topology is not None and ws > topology.world_size:
-                    raise ConfigError(
-                        f"rank_join at step {ev.step} would grow the world to "
-                        f"{ws}, beyond topology {topology.shape} capacity "
-                        f"{topology.world_size}"
-                    )
-                continue
-            if ws <= 1:
-                raise ConfigError(
-                    f"rank_failure at step {ev.step} would leave no survivors "
-                    f"(world is down to {ws} rank(s) at that point)"
-                )
-            if ev.rank is None or not 0 <= ev.rank < ws:
-                detail = (
-                    f"node_failure of node {ev.node}"
-                    if ev.node is not None else "rank_failure"
-                )
-                raise ConfigError(
-                    f"{detail} at step {ev.step}: rank {ev.rank} does not "
-                    f"exist in the world of {ws} at that point"
-                )
-            ws -= 1
+        trajectory = self.trajectory(world_size, topology=topology)
         for ev in self.stragglers:
-            if ev.rank is None or not 0 <= ev.rank < world_size:
+            if ev.rank >= world_size:
                 raise ConfigError(
                     f"straggler at step {ev.step}: rank {ev.rank} out of range "
                     f"for world_size {world_size}"
                 )
-            if ev.slowdown is None or ev.slowdown < 1.0:
-                raise ConfigError(
-                    f"straggler at step {ev.step}: slowdown must be >= 1.0, "
-                    f"got {ev.slowdown}"
-                )
-        world_deltas = [
-            (ev.step, 1 if ev.kind == "rank_join" else -1)
-            for ev in self.world_events(topology)
-        ]
-
-        def ws_at(step: int) -> int:
-            # Nominal world size while executing ``step``: world events
-            # take effect after their own step completes.
-            return world_size + sum(d for s, d in world_deltas if s < step)
-
         for ev in self.degraded_links:
-            if (
-                ev.src is None or ev.dst is None
-                or not 0 <= ev.src < world_size
-                or not 0 <= ev.dst < world_size
-                or ev.src == ev.dst
-            ):
+            if ev.src >= world_size or ev.dst >= world_size:
                 raise ConfigError(
                     f"degraded_link: ({ev.src}, {ev.dst}) is not a ring link "
                     f"at world_size {world_size}"
                 )
-            if topology is not None:
-                if not topology.has_link(ev.src, ev.dst):
-                    raise ConfigError(
-                        f"degraded_link: ({ev.src}, {ev.dst}) is not an edge of "
-                        f"topology {topology.shape} (intra-node pairs and "
-                        f"leader-to-leader pairs only)"
-                    )
-                alive = ws_at(ev.step)
-                if ev.src >= alive or ev.dst >= alive:
-                    raise ConfigError(
-                        f"degraded_link at step {ev.step}: ({ev.src}, {ev.dst}) "
-                        f"dangles — the world is down to {alive} rank(s) when "
-                        f"the degradation begins, so it would be silently "
-                        f"ignored"
-                    )
-            if ev.bandwidth_scale is None or not 0.0 < ev.bandwidth_scale <= 1.0:
+            if topology is None:
+                continue
+            if not topology.has_link(ev.src, ev.dst):
                 raise ConfigError(
-                    f"degraded_link: bandwidth_scale must be in (0, 1], "
-                    f"got {ev.bandwidth_scale}"
+                    f"degraded_link: ({ev.src}, {ev.dst}) is not an edge of "
+                    f"topology {topology.shape} (intra-node pairs and "
+                    f"leader-to-leader pairs only)"
                 )
-        for ev in self.bitrot_events:
-            if ev.rank is None or ev.rank < 0 or ev.group is None or ev.group < 0:
+            alive = self.world_size_at(world_size, ev.step, topology=topology)
+            if max(ev.src, ev.dst) >= alive:
                 raise ConfigError(
-                    f"bitrot at step {ev.step}: rank and group must be >= 0"
+                    f"degraded_link at step {ev.step}: ({ev.src}, {ev.dst}) "
+                    f"dangles — the world is down to {alive} rank(s) when "
+                    f"the degradation begins, so it would be silently "
+                    f"ignored"
                 )
+        return trajectory
 
     # -- (de)serialization --------------------------------------------------
 
@@ -557,8 +561,13 @@ class FaultPlan:
 
     @classmethod
     def from_yaml(cls, path: "str | Path") -> "FaultPlan":
-        """Load a plan from a YAML file (the mini-YAML subset)."""
-        return cls.from_dict(load_file(path) or {})
+        """Load a plan from a YAML file (the mini-YAML subset); a document
+        the parser refuses is a :class:`ConfigError` naming the file."""
+        try:
+            document = load_file(path)
+        except YamlError as err:
+            raise ConfigError(f"fault plan {path}: {err}") from None
+        return cls.from_dict(document or {})
 
     def to_yaml(self, path: "str | Path") -> None:
         """Write the plan as YAML (round-trips :meth:`from_yaml`)."""
@@ -601,8 +610,9 @@ class FaultPlan:
                     np.arange(1, total_steps + 1), size=n_failures, replace=False
                 )
             )
-            for i, step in enumerate(steps):
-                events.append(rank_failure(step, int(rng.integers(world_size - i))))
+            for step in steps:
+                alive = cls(tuple(events)).world_size_at(world_size, step)
+                events.append(rank_failure(step, int(rng.integers(alive))))
         for _ in range(n_stragglers):
             start = int(rng.integers(1, total_steps + 1))
             events.append(
@@ -675,7 +685,6 @@ class FaultPlan:
             raise ConfigError("interarrival and restore means must be > 0")
         rng = np.random.default_rng(seed)
         events: list[FaultEvent] = []
-        restores: list[int] = []  # scheduled join steps, possibly past horizon
         t = 0.0
         last_step = 0
         while True:
@@ -684,19 +693,14 @@ class FaultPlan:
             if step > total_steps:
                 break
             last_step = step
-            # World size once everything scheduled at/before this step
-            # has fired (a restore tying with this arrival fires first).
-            ws_now = (
-                world_size
-                - len(events)
-                + sum(1 for r in restores if r <= step)
-            )
-            if ws_now <= min_world_size:
+            # The world once everything scheduled at/before this step has
+            # fired (a restore tying with this arrival fires first).
+            alive = cls(tuple(events)).world_size_at(world_size, step + 1)
+            if alive <= min_world_size:
                 continue  # fleet at its floor; the arrival finds no spare rank
-            rank = int(rng.integers(ws_now))
+            rank = int(rng.integers(alive))
             restore_after = max(1, int(round(float(rng.exponential(mean_restore)))))
             events.append(preemption(step, rank, restore_after))
-            restores.append(step + restore_after)
         plan = cls(events=tuple(events), seed=int(seed))
         plan.validate(world_size, total_steps)
         return plan
@@ -815,15 +819,7 @@ class GoodputReport:
 
     def to_dict(self) -> dict[str, Any]:
         """Serializable form, including the derived goodput."""
-        return {
-            "useful_steps": self.useful_steps,
-            "lost_steps": self.lost_steps,
-            "useful_seconds": self.useful_seconds,
-            "lost_seconds": self.lost_seconds,
-            "stall_seconds": self.stall_seconds,
-            "recovery_seconds": self.recovery_seconds,
-            "goodput": self.goodput,
-        }
+        return {**asdict(self), "goodput": self.goodput}
 
     def summary(self) -> str:
         """One-line human-readable recap."""
@@ -870,17 +866,7 @@ class FaultTimeline:
 
     def to_dict(self) -> dict[str, Any]:
         """Serializable form (stable keys, JSON-friendly values)."""
-        return {
-            "events": [dict(e) for e in self.events],
-            "lost_steps": self.lost_steps,
-            "recoveries": self.recoveries,
-            "grows": self.grows,
-            "reshard_loads": self.reshard_loads,
-            "reshard_bytes": self.reshard_bytes,
-            "bitrot_detected": self.bitrot_detected,
-            "bitrot_repaired": self.bitrot_repaired,
-            "recovery_seconds": self.recovery_seconds,
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         """A short human-readable recap of the run's faults."""

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import typing
 
+from ..dist.faults import FaultPlan, FaultTimeline, inject_bitrot
+from ..io.layout import checkpoint_dir
 from ..strategies.base import CheckpointStrategy
-from ..util.errors import RankFailure, RankJoin, SimulatedFailure
+from ..util.errors import CheckpointError, RankFailure, RankJoin, SimulatedFailure
 from ..util.logging import get_logger
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..dist.faults import FaultPlan, FaultTimeline
     from .trainer import Trainer
 
 __all__ = [
@@ -112,35 +113,32 @@ class ChaosCallback(Callback):
       which the supervisor turns into an elastic world shrink;
     * **rank_join**: raises :class:`~repro.util.errors.RankJoin`, which
       the supervisor turns into an elastic world *grow* (N→N+1).
-      Preemptions arrive here pre-expanded into their failure and
-      restore halves by :meth:`~repro.dist.faults.FaultPlan.world_events`.
 
-    The ``pending_*`` lists are shared, mutable state: the supervisor
-    passes the same lists into every leg so an event consumed before a
-    failure is not re-applied when the replayed steps pass its schedule
-    slot again.  A pending event whose step falls inside a replayed
-    segment fires at the first step of the new leg — in a live run and
-    in the planner's dry run alike (it is this callback both times).
+    ``pending_world`` is the rest of the plan's
+    :meth:`~repro.dist.faults.FaultPlan.trajectory` (preemptions and
+    node failures already expanded), ``pending_bitrot`` the bitrot
+    events not yet injected.  Both are shared, mutable state: the
+    supervisor passes the same lists into every leg so an event consumed
+    before a failure is not re-applied when the replayed steps pass its
+    schedule slot again.  The callback raises at the trajectory's head
+    entry and leaves it there; the supervisor pops it and builds the
+    next leg at the entry's world.  A pending event whose step falls
+    inside a replayed segment fires at the first step of the new leg —
+    in a live run and in the planner's dry run alike (it is this
+    callback both times).
     """
 
     def __init__(
         self,
-        plan: "FaultPlan",
-        timeline: "FaultTimeline",
-        *,
-        pending_world: list | None = None,
-        pending_bitrot: list | None = None,
-        topology=None,
+        plan: FaultPlan,
+        timeline: FaultTimeline,
+        pending_world: list,
+        pending_bitrot: list,
     ) -> None:
         self.plan = plan
         self.timeline = timeline
-        self.pending_world = (
-            list(plan.world_events(topology))
-            if pending_world is None else pending_world
-        )
-        self.pending_bitrot = (
-            list(plan.bitrot_events) if pending_bitrot is None else pending_bitrot
-        )
+        self.pending_world = pending_world
+        self.pending_bitrot = pending_bitrot
 
     def on_train_start(self, trainer: "Trainer") -> None:
         # Record whole-run link degradations once, not once per leg.
@@ -160,7 +158,7 @@ class ChaosCallback(Callback):
     def on_step_end(self, trainer: "Trainer", step: int, loss: float) -> None:
         world_size = trainer.config.world_size
         for ev in self.plan.stragglers:
-            if ev.step == step and ev.rank is not None and ev.rank < world_size:
+            if ev.step == step and ev.rank < world_size:
                 # A straggler window whose start step falls inside a
                 # replayed segment would otherwise be re-recorded by the
                 # post-recovery leg (the time penalty *is* re-charged —
@@ -183,14 +181,10 @@ class ChaosCallback(Callback):
             trainer.state.checkpoints_written
             and trainer.state.checkpoints_written[-1] == step
         ):
-            from ..dist.faults import inject_bitrot
-            from ..io.layout import checkpoint_dir
-            from ..util.errors import CheckpointError
-
             for ev in [e for e in self.pending_bitrot if e.step <= step]:
-                if ev.rank is None or ev.rank >= world_size:
+                if ev.rank >= world_size:
                     continue  # the target rank no longer exists
-                if ev.group is None or ev.group >= len(trainer.engine.group_meta):
+                if ev.group >= len(trainer.engine.group_meta):
                     # The model has no such group: the event can never
                     # fire — drop it loudly instead of crashing the run.
                     self.pending_bitrot.remove(ev)
@@ -218,19 +212,18 @@ class ChaosCallback(Callback):
                     step, ev.rank, ev.group,
                 )
 
-        for ev in list(self.pending_world):
-            if ev.step <= step:
-                self.pending_world.remove(ev)
-                if ev.kind == "rank_join":
-                    self.timeline.record(step, "rank_join", world_size=world_size)
-                    log.warning("rank join at step %d (world %d→%d)",
-                                step, world_size, world_size + 1)
-                    raise RankJoin(step)
-                detail: dict = {"rank": ev.rank, "world_size": world_size}
-                if ev.restore_after is not None:
-                    # The death half of a preemption; the restore join
-                    # is a separate pending event.
-                    detail["restore_after"] = ev.restore_after
-                self.timeline.record(step, "rank_failure", **detail)
-                log.warning("rank %d failed at step %d", ev.rank, step)
-                raise RankFailure(step, ev.rank)
+        if not self.pending_world or self.pending_world[0][0].step > step:
+            return
+        ev, world = self.pending_world[0]
+        if ev.kind == "rank_join":
+            self.timeline.record(step, "rank_join", world_size=world_size)
+            log.warning("rank join at step %d (world %d→%d)", step, world_size, world)
+            raise RankJoin(step)
+        detail: dict = {"rank": ev.rank, "world_size": world_size}
+        if ev.restore_after is not None:
+            # The death half of a preemption; the restore join is a
+            # separate pending entry.
+            detail["restore_after"] = ev.restore_after
+        self.timeline.record(step, "rank_failure", **detail)
+        log.warning("rank %d failed at step %d", ev.rank, step)
+        raise RankFailure(step, ev.rank)

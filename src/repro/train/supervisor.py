@@ -80,9 +80,10 @@ class ChaosSupervisor:
         resume: bool = False,
         _leg: Callable[..., Trainer] = Trainer,
     ) -> None:
-        plan.validate(
-            config.world_size, config.total_steps,
-            topology=config.resolved_topology,
+        # The world trajectory still to fire: the callback raises at the
+        # head entry, and ``run`` pops it to build the next leg at its world.
+        self._pending_world = plan.validate(
+            config.world_size, config.total_steps, topology=config.resolved_topology
         )
         self.config = config
         self.plan = plan
@@ -90,7 +91,6 @@ class ChaosSupervisor:
         self.resume = resume
         self.timeline = FaultTimeline()
         self._leg = _leg
-        self._pending_world = list(plan.world_events(config.resolved_topology))
         self._pending_bitrot = list(plan.bitrot_events)
         self._start_step = 0
         self.trainer: Trainer | None = None
@@ -120,6 +120,7 @@ class ChaosSupervisor:
         while results[-1].failed_rank is not None or results[-1].rank_joined:
             last, event_step = results[-1], results[-1].interrupted_at
             grow = last.rank_joined
+            _, world = self._pending_world.pop(0)
             if grow:
                 # Sync the current world to a complete checkpoint; its
                 # clock/byte deltas are folded back into the leg's
@@ -130,7 +131,6 @@ class ChaosSupervisor:
                     trainer.storage.stats.category_bytes("checkpoint_write")
                 )
                 last.checkpoints = list(trainer.state.checkpoints_written)
-            world = cfg.world_size + (1 if grow else -1)  # >= 1: plan.validate()
             log.warning(
                 "supervisor: %s at step %d; world %d -> %d",
                 "rank joined" if grow else f"rank {last.failed_rank} died",
@@ -174,16 +174,14 @@ class ChaosSupervisor:
             )
         step = max(complete)
         manifest_ws = index.world_size(step)
-        implied_ws = cfg.world_size
-        for ev in list(self._pending_world):
-            if ev.step <= step:
-                self._pending_world.remove(ev)
-                implied_ws += 1 if ev.kind == "rank_join" else -1
+        applied = [e for e in self._pending_world if e[0].step <= step]
+        del self._pending_world[:len(applied)]
+        world = applied[-1][1] if applied else cfg.world_size
         self._pending_bitrot[:] = [e for e in self._pending_bitrot if e.step > step]
-        if manifest_ws != implied_ws:
+        if manifest_ws != world:
             raise TrainingError(
                 f"soak continuation mismatch: the fault schedule implies "
-                f"world_size {implied_ws} at step {step}, but checkpoint-{step} "
+                f"world_size {world} at step {step}, but checkpoint-{step} "
                 f"was written at world_size {manifest_ws} (was the original run "
                 f"started with a different --world-size?)"
             )

@@ -208,17 +208,13 @@ class Trainer:
             # Standalone use: the supervisor validates once up front,
             # legs after a shrink would fail re-validation (events may
             # reference ranks the smaller world no longer has).
-            fault_plan.validate(
-                config.world_size, config.total_steps,
-                topology=config.resolved_topology,
+            trajectory = fault_plan.validate(
+                config.world_size, config.total_steps, topology=config.resolved_topology
             )
+            pending = (trajectory, list(fault_plan.bitrot_events))
         self.fault_timeline = fault_timeline or FaultTimeline()
         self.comm.price_faults(fault_plan, self.storage.clock)
-        pending_world, pending_bitrot = pending or (None, None)
-        self.callbacks.append(ChaosCallback(
-            fault_plan, self.fault_timeline, topology=config.resolved_topology,
-            pending_world=pending_world, pending_bitrot=pending_bitrot,
-        ))
+        self.callbacks.append(ChaosCallback(fault_plan, self.fault_timeline, *pending))
 
     # -- paths --------------------------------------------------------------------
 

@@ -14,8 +14,9 @@ supported subset covers everything MergeKit-style recipes need:
 * ``#`` comments and blank lines.
 
 Not supported (raises :class:`YamlError` where detectable): anchors,
-aliases, tags, multi-line block scalars, multi-document streams.  The
-dumper emits documents this parser round-trips.
+aliases, tags, multi-line block scalars, multi-document streams, and
+nesting deeper than :data:`MAX_DEPTH` levels.  The dumper emits
+documents this parser round-trips.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ from typing import Any
 
 from .errors import YamlError
 
-__all__ = ["loads", "dumps", "load_file", "dump_file"]
+__all__ = ["MAX_DEPTH", "loads", "dumps", "load_file", "dump_file"]
+
+# The deepest a document may nest, counted separately for block and flow
+# collections.  Recipes and fault plans use a handful of levels; the
+# bound refuses a hostile document with a YamlError naming its line
+# instead of exhausting the interpreter's recursion limit.
+MAX_DEPTH = 64
 
 
 # --------------------------------------------------------------------------
@@ -93,7 +100,7 @@ _BOOLS = {"true": True, "false": False, "yes": True, "no": False, "on": True, "o
 _NULLS = {"null", "~", ""}
 
 
-def _parse_scalar(token: str, line_no: int) -> Any:
+def _parse_scalar(token: str, line_no: int, depth: int = 0) -> Any:
     token = token.strip()
     if token.startswith(("'", '"')):
         if len(token) < 2 or token[-1] != token[0]:
@@ -109,7 +116,7 @@ def _parse_scalar(token: str, line_no: int) -> Any:
             )
         return body
     if token.startswith("[") or token.startswith("{"):
-        return _parse_flow(token, line_no)
+        return _parse_flow(token, line_no, depth + 1)
     low = token.lower()
     if low in _NULLS:
         return None
@@ -165,7 +172,11 @@ def _split_flow_items(body: str, line_no: int) -> list[str]:
     return items
 
 
-def _parse_flow(token: str, line_no: int) -> Any:
+def _parse_flow(token: str, line_no: int, depth: int) -> Any:
+    if depth > MAX_DEPTH:
+        raise YamlError(
+            f"line {line_no}: flow collections nested deeper than {MAX_DEPTH} levels"
+        )
     token = token.strip()
     if token.startswith("["):
         if not token.endswith("]"):
@@ -173,7 +184,7 @@ def _parse_flow(token: str, line_no: int) -> Any:
         body = token[1:-1].strip()
         if not body:
             return []
-        return [_parse_scalar(item, line_no) for item in _split_flow_items(body, line_no)]
+        return [_parse_scalar(item, line_no, depth) for item in _split_flow_items(body, line_no)]
     if token.startswith("{"):
         if not token.endswith("}"):
             raise YamlError(f"line {line_no}: unterminated flow mapping: {token!r}")
@@ -185,7 +196,7 @@ def _parse_flow(token: str, line_no: int) -> Any:
             key, sep, value = item.partition(":")
             if not sep:
                 raise YamlError(f"line {line_no}: flow mapping entry missing ':': {item!r}")
-            out[str(_parse_scalar(key, line_no))] = _parse_scalar(value, line_no)
+            out[str(_parse_scalar(key, line_no, depth))] = _parse_scalar(value, line_no, depth)
         return out
     raise YamlError(f"line {line_no}: not a flow collection: {token!r}")
 
@@ -223,6 +234,19 @@ class _Parser:
     def __init__(self, lines: list[_Line]) -> None:
         self.lines = lines
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, parse, indent: int) -> Any:
+        """``parse(indent)`` one block level down, refused past MAX_DEPTH."""
+        if self.depth == MAX_DEPTH:
+            raise YamlError(
+                f"line {self.peek().number}: block collections nested deeper "
+                f"than {MAX_DEPTH} levels"
+            )
+        self.depth += 1
+        value = parse(indent)  # a raise abandons the whole parse
+        self.depth -= 1
+        return value
 
     def peek(self) -> _Line | None:
         return self.lines[self.pos] if self.pos < len(self.lines) else None
@@ -232,8 +256,8 @@ class _Parser:
         if line is None:
             return None
         if line.content.startswith("- ") or line.content == "-":
-            return self.parse_sequence(line.indent)
-        return self.parse_mapping(line.indent)
+            return self.nested(self.parse_sequence, line.indent)
+        return self.nested(self.parse_mapping, line.indent)
 
     def parse_mapping(self, indent: int) -> dict[str, Any]:
         out: dict[str, Any] = {}
@@ -286,14 +310,14 @@ class _Parser:
                 # Nested sequence in compact form ("- - item"): rewrite the
                 # line at the item indent and recurse.
                 self.lines[self.pos] = _Line(item_indent, rest, line.number)
-                out.append(self.parse_sequence(item_indent))
+                out.append(self.nested(self.parse_sequence, item_indent))
                 continue
             split = _split_key(rest, line.number)
             if split is not None:
                 # Compact "- key: value" form: rewrite the first line as a
                 # mapping entry at the item indent and parse the mapping.
                 self.lines[self.pos] = _Line(item_indent, rest, line.number)
-                out.append(self.parse_mapping(item_indent))
+                out.append(self.nested(self.parse_mapping, item_indent))
             else:
                 self.pos += 1
                 out.append(_parse_scalar(rest, line.number))

@@ -22,6 +22,7 @@ from repro.dist.faults import (
     bitrot,
     degraded_link,
     inject_bitrot,
+    node_failure,
     preemption,
     rank_failure,
     rank_join,
@@ -238,6 +239,50 @@ class TestFaultPlan:
             else:
                 ws -= 1
             assert ws >= 1
+
+    def test_trajectory_pairs_each_world_event_with_its_world(self):
+        plan = FaultPlan(events=(rank_join(4), preemption(6, 2, restore_after=2)))
+        entries = [(ev.kind, ev.step, ws) for ev, ws in plan.trajectory(2)]
+        assert entries == [
+            ("rank_join", 4, 3), ("rank_failure", 6, 2), ("rank_join", 8, 3),
+        ]
+        # The world executing a step: every world event before it has fired.
+        assert [plan.world_size_at(2, step) for step in (4, 5, 6, 7, 8, 9)] == [
+            2, 3, 3, 2, 2, 3,
+        ]
+        assert FaultPlan().trajectory(3) == []
+
+    def test_trajectory_raises_the_world_refusals(self):
+        with pytest.raises(ConfigError, match="survivor"):
+            FaultPlan(events=(rank_failure(2, 0), rank_failure(4, 0))).trajectory(2)
+        with pytest.raises(ConfigError, match="rank 2 does not exist in the world of 2"):
+            FaultPlan(events=(rank_failure(2, 2), rank_failure(4, 2))).trajectory(3)
+        with pytest.raises(ConfigError, match="beyond topology 1x2"):
+            FaultPlan(events=(rank_join(3),)).trajectory(
+                2, topology=Topology(nodes=1, ranks_per_node=2)
+            )
+
+    @pytest.mark.parametrize("make, names", [
+        (lambda: straggler(1, 0, 0.5), "slowdown must be >= 1.0"),
+        (lambda: degraded_link(2, 2, 0.5), "is not a ring link"),
+        (lambda: degraded_link(0, 1, 0.0), "bandwidth_scale must be in (0, 1]"),
+        (lambda: preemption(4, 0, restore_after=0), "restore_after must be >= 1"),
+        (lambda: bitrot(3, 0, -1), "group must be >= 0"),
+        (lambda: rank_failure(3, -2), "rank must be >= 0"),
+        (lambda: straggler(1, 0, 2.0, duration=0), "duration must be >= 1"),
+    ])
+    def test_world_free_checks_refuse_at_construction(self, make, names):
+        """Checks that need no world size, horizon or topology refuse the
+        event itself, before any plan is validated."""
+        with pytest.raises(ConfigError) as caught:
+            make()
+        assert names in str(caught.value)
+
+    def test_document_names_the_event_a_construction_check_refuses(self):
+        with pytest.raises(ConfigError, match=r"events\[1\]: .*slowdown is required"):
+            FaultPlan.from_dict({"events": [
+                rank_failure(1, 0).to_dict(), {"kind": "straggler", "step": 1, "rank": 0},
+            ]})
 
 
 # ---------------------------------------------------------------------------
@@ -1176,6 +1221,67 @@ class TestRecoveryPolicyProperties:
         assert lost == timeline.lost_steps == report.lost_steps
 
 
+class TestLegWorldsFollowTrajectory:
+    """Every leg the supervisor builds runs at the world the plan's
+    trajectory names, in a dry run and live."""
+
+    @staticmethod
+    def _trajectory_worlds(plan, cfg):
+        entries = plan.trajectory(cfg.world_size, topology=cfg.resolved_topology)
+        return [cfg.world_size] + [
+            world for ev, world in entries if ev.step <= cfg.total_steps
+        ]
+
+    @staticmethod
+    def _leg_worlds(cfg, plan, leg):
+        worlds: list[int] = []
+
+        def build(config, **kwargs):
+            worlds.append(config.world_size)
+            return leg(config, **kwargs)
+
+        ChaosSupervisor(cfg, plan, _leg=build).run()
+        return worlds
+
+    @staticmethod
+    def _null_leg(cfg):
+        from functools import partial
+        from pathlib import Path
+
+        from repro.io import RunIndex
+        from repro.nn import get_config
+        from repro.train.supervisor import NullLeg
+
+        return partial(NullLeg, model_config=get_config("tiny-untied"),
+                       disk=RunIndex(Path(cfg.output_dir), manifests={}))
+
+    # Shrink, grow, then a node's two deaths at one step in separate legs.
+    NODE_PLAN = FaultPlan(events=(
+        preemption(3, 1, restore_after=4),
+        node_failure(9, 1),
+    ))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_sampled_preemption_traces_dry_run(self, seed):
+        plan = FaultPlan.sample_preemption_trace(seed=seed, world_size=3, total_steps=60)
+        cfg = TrainConfig(model="tiny-untied", output_dir="<dry-run>", world_size=3,
+                          total_steps=60, checkpoint_interval=4)
+        expected = self._trajectory_worlds(plan, cfg)
+        assert len(expected) > 1
+        assert self._leg_worlds(cfg, plan, self._null_leg(cfg)) == expected
+
+    def test_node_failure_under_topology_dry_run_and_live(self, tmp_path):
+        topology = Topology(nodes=2, ranks_per_node=2).to_dict()
+        dry = TrainConfig(model="tiny-untied", output_dir="<dry-run>", world_size=4,
+                          total_steps=12, checkpoint_interval=3, topology=topology)
+        expected = self._trajectory_worlds(self.NODE_PLAN, dry)
+        assert expected == [4, 3, 4, 3, 2]
+        assert self._leg_worlds(dry, self.NODE_PLAN, self._null_leg(dry)) == expected
+        live = chaos_config(tmp_path, world_size=4, checkpoint_interval=3,
+                            topology=topology)
+        assert self._leg_worlds(live, self.NODE_PLAN, Trainer) == expected
+
+
 # ---------------------------------------------------------------------------
 # CLI: llmtailor train --faults / plan --faults
 # ---------------------------------------------------------------------------
@@ -1210,6 +1316,26 @@ class TestCli:
         assert "rank_failure" in out and "recovery" in out
         # The run survived the shrink: checkpoints exist and latest loads.
         assert list_checkpoint_steps(tmp_path / "run") == [4, 8]
+
+    @pytest.mark.parametrize("document", [
+        "events: " + "[" * 5000 + "]" * 5000 + "\n",
+        "".join(" " * i + f"k{i}:\n" for i in range(3000)),
+        "".join("  " * i + "-\n" for i in range(3000)),
+    ], ids=["flow-list", "block-map", "block-list"])
+    def test_deeply_nested_document_exits_2(self, tmp_path, capsys, document):
+        from repro.cli import main
+
+        (tmp_path / "deep.yaml").write_text(document)
+        for argv in (
+            ["plan", "tiny-untied", "full", "--faults", str(tmp_path / "deep.yaml")],
+            ["train", "-o", str(tmp_path / "run"), "--faults", str(tmp_path / "deep.yaml")],
+        ):
+            assert main(argv) == 2
+            streams = capsys.readouterr()
+            assert streams.out == ""
+            assert streams.err.startswith("error: fault plan ")
+            assert "line " in streams.err and "nested deeper than" in streams.err
+        assert not (tmp_path / "run").exists()
 
     SOAK_PART_A = (
         "events:\n"

@@ -110,6 +110,55 @@ class TestErrors:
             miniyaml.loads("a: 1\n- b")
 
 
+def deep_flow_list(depth: int) -> str:
+    return "a: " + "[" * depth + "]" * depth + "\n"
+
+
+def deep_block_map(depth: int) -> str:
+    return "".join(" " * i + f"k{i}:\n" for i in range(depth - 1)) + " " * (depth - 1) + "k: 1\n"
+
+
+def deep_block_list(depth: int) -> str:
+    return "".join("  " * i + "-\n" for i in range(depth - 1)) + "  " * (depth - 1) + "- 1\n"
+
+
+class TestNestingBound:
+    """Hostile nesting fails typed and names its line, never recursing
+    until the interpreter gives up."""
+
+    @pytest.mark.parametrize("document, line", [
+        (deep_flow_list(5000), 1),
+        ("a: " + "{b: " * 5000 + "1" + "}" * 5000 + "\n", 1),
+        (deep_block_map(3000), miniyaml.MAX_DEPTH + 1),
+        (deep_block_list(3000), miniyaml.MAX_DEPTH + 1),
+        ("- " * 3000 + "x\n", 1),
+    ], ids=["flow-list", "flow-map", "block-map", "block-list", "compact-list"])
+    def test_deep_documents_rejected(self, document, line):
+        with pytest.raises(YamlError, match=f"line {line}: .*nested deeper than"):
+            miniyaml.loads(document)
+
+    def test_documents_at_the_bound_parse(self):
+        depth = miniyaml.MAX_DEPTH
+        value = miniyaml.loads(deep_flow_list(depth))["a"]
+        for _ in range(depth - 1):
+            (value,) = value
+        assert value == []
+        value = miniyaml.loads(deep_block_map(depth))
+        for i in range(depth - 1):
+            value = value[f"k{i}"]
+        assert value == {"k": 1}
+        value = miniyaml.loads(deep_block_list(depth))
+        for _ in range(depth - 1):
+            (value,) = value
+        assert value == [1]
+        with pytest.raises(YamlError):
+            miniyaml.loads(deep_flow_list(depth + 1))
+        with pytest.raises(YamlError):
+            miniyaml.loads(deep_block_map(depth + 1))
+        with pytest.raises(YamlError):
+            miniyaml.loads(deep_block_list(depth + 1))
+
+
 class TestDumper:
     def test_roundtrip_recipe_like_doc(self):
         doc = {
