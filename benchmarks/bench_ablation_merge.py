@@ -4,8 +4,8 @@ The paper attributes LLMTailor's time overhead to: (i) loaded
 checkpoint size, (ii) number of loaded checkpoints, (iii) the layer
 load mode, and (iv) the number of total layers.  §4.2 additionally
 credits ProcessPoolExecutor parallelism with reducing I/O latency.
-This file sweeps each knob in isolation, plus the per-rank load fan-out
-on the interleaved schedule (selective group decode, workers 1 vs 4).
+This file sweeps each knob in isolation, plus the rank process pool on
+the interleaved schedule (selective group decode, workers 1 vs 4).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from _bench_common import ROUNDS, WARMUP_ROUNDS, emit
 
 from repro.core import LLMTailor, MergeOptions, MergeRecipe
 from repro.core.groups import tailored_param_groups
+from repro.core.optimizer_merge import worker_budget
 from repro.dist import ZeroStage3Engine
 from repro.io import Storage, save_checkpoint
 from repro.nn import build_model, get_config, model_slots
@@ -25,7 +26,7 @@ from repro.util.tables import Table
 
 _counter = itertools.count()
 POOL_WORKERS = (1, 2, 4)
-FAN_OUT_WORKERS = (1, 4)
+INTERLEAVED_WORKERS = (1, 4)
 _worker_times: dict[int, float] = {}
 
 
@@ -90,12 +91,13 @@ def test_ablation_worker_pool(benchmark, parity_trail_ws4, tmp_path, workers):
 _interleaved_times: dict[int, float] = {}
 
 
-@pytest.mark.parametrize("workers", FAN_OUT_WORKERS)
-def test_ablation_streaming_engine(benchmark, parity_trail_ws4, tmp_path, workers):
-    """Worker fan-out on the interleaved parity workload (one load per slot).
+@pytest.mark.parametrize("workers", INTERLEAVED_WORKERS)
+def test_ablation_rank_pool_interleaved(benchmark, parity_trail_ws4, tmp_path, workers):
+    """The rank process pool on the interleaved parity workload (one load
+    per slot): ``workers=4`` runs min(4, ranks, cores) rank processes.
 
-    The merged output is bitwise-identical at any fan-out (pinned by
-    tier-1 tests), so this measures what the pools cost or save.
+    The merged output is bitwise-identical at any ``workers`` (pinned by
+    tier-1 tests), so this measures what the pool costs or saves.
     """
     storage, config, odd = parity_trail_ws4
     holder = {}
@@ -110,15 +112,17 @@ def test_ablation_streaming_engine(benchmark, parity_trail_ws4, tmp_path, worker
     _interleaved_times[workers] = benchmark.stats["mean"]
     # Same interleaved load schedule regardless of fan-out.
     assert holder["result"].optimizer_files_loaded == config.num_model_slots * 4
-    if workers == FAN_OUT_WORKERS[-1]:
-        _complete(_interleaved_times, FAN_OUT_WORKERS, "the fan-out table")
-        table = Table(["Workers", "Merge time (s)"],
-                      title="Ablation: load fan-out (interleaved parity, ws=4)")
+    if workers == INTERLEAVED_WORKERS[-1]:
+        _complete(_interleaved_times, INTERLEAVED_WORKERS, "the interleaved rank-pool table")
+        table = Table(
+            ["Workers", "Rank processes", "Merge time (s)"],
+            title="Ablation: rank process pool (interleaved parity, ws=4)",
+        )
         for key, seconds in sorted(_interleaved_times.items()):
-            table.add_row([key, round(seconds, 4)])
-        emit("ablation_streaming_engine", table.render())
+            table.add_row([key, worker_budget(key, 4), round(seconds, 4)])
+        emit("ablation_rank_pool_interleaved", table.render())
         assert _interleaved_times[4] < _interleaved_times[1] * 1.5, (
-            "fan-out should not be drastically slower than in-process loads"
+            "the rank pool should not be drastically slower than in-process ranks"
         )
 
 

@@ -13,9 +13,11 @@ checkpoints.  Key observations reproduced:
 * overall overhead scales with bytes loaded x files loaded.
 
 The ``parity-2-w4`` row extends the table past the paper: the same
-interleaved parity merge with ``--workers 4``.  Parity must remain the
-slowest layout with or without the fan-out (the §5.4 headline); whether
-the pools pay for themselves at sim scale is reported, not asserted.
+interleaved parity merge with recipe ``workers: 4``, which at this
+table's world size of 2 runs the two rank shards in two processes.
+Parity must remain the slowest layout with or without the pool (the
+§5.4 headline); whether the pool pays for itself at sim scale is
+reported, not asserted.
 
 Timings are real wall clock on real files at sim scale.
 """

@@ -56,7 +56,7 @@ def main() -> None:
     print("\n=== filtered checkpointing with a crash at step 70 ===")
     trainer, interrupted = run("filtered", workdir / "filtered", failure_step=70)
     print(interrupted.summary())
-    trainer.auto_recover(70, workers=2)
+    trainer.auto_recover(70)
     resumed = trainer.train()
     print(resumed.summary())
     filtered_bytes = run_bytes(workdir / "filtered")

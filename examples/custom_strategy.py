@@ -85,7 +85,7 @@ def main() -> None:
     print(f"\ntotal checkpoint bytes on disk: {format_bytes(total)}")
 
     print("\nrecovering from step 42 with the generic machinery...")
-    trainer.auto_recover(42, workers=2)
+    trainer.auto_recover(42)
     final = trainer.train()
     print(final.summary())
     print("\ncustom strategy + unchanged merge tooling: recovery works.")

@@ -56,7 +56,7 @@ def main() -> None:
         )
 
     print("\n=== phase 2: LLMTailor auto-merge (recipe from manifests) ===")
-    merged = trainer.auto_recover(failure_step=45, workers=2)
+    merged = trainer.auto_recover(failure_step=45)
     info = describe_checkpoint(merged)
     print(f"merged checkpoint: {merged.dir}")
     print(f"  complete={info['complete']}, size={format_bytes(info['total_nbytes'])}")

@@ -47,7 +47,7 @@ def main() -> None:
     print("\n=== parity SFT run, crash at 70, recover, finish ===")
     parity = make_trainer(workdir / "parity", 70, "parity")
     print(parity.train().summary())
-    parity.auto_recover(70, workers=2)
+    parity.auto_recover(70)
     print(parity.train().summary())
 
     print("\n=== zero-shot evaluation (paper Table 2 analogue) ===")

@@ -28,8 +28,8 @@ Mirrors the paper artifact's workflow:
 * ``llmtailor client JOBFILE --socket PATH`` — submit a job file to a
   running service and wait for the results.
 
-``merge``/``auto-merge`` take ``--workers`` (fan-out over ranks and
-per-rank loads) and ``--cache-mode`` (Table 7's two load regimes).
+``merge``/``auto-merge`` take ``--workers`` (rank shards merged in
+parallel processes) and ``--cache-mode`` (Table 7's two load regimes).
 """
 
 from __future__ import annotations

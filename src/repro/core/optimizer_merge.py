@@ -22,19 +22,20 @@ paper's Table 7 regimes:
   "interleaved parity" mode, which loads and discards checkpoints N
   times and dominates merge time).
 
-Ranks are processed in parallel with ``ProcessPoolExecutor`` (§4.2) and
-a rank's independent loads fan across a ``ThreadPoolExecutor``; both
-share one worker budget and fall back to in-process execution when
-multiprocessing is unavailable or ``workers == 1``.
+Ranks are the merge's one unit of parallelism (§4.2): the recipe's
+``workers`` sizes a ``ProcessPoolExecutor`` over them, clamped by
+:func:`worker_budget`.  Within a rank the loads run one after another.
+The merge runs in-process when ``workers == 1`` or when multiprocessing
+is unavailable.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any
 
 from ..dist.shard import (
     GroupEntry,
@@ -48,12 +49,11 @@ from ..dist.shard import (
 from ..io.blobfile import read_blob_selected, write_blob
 from ..io.layout import CheckpointPaths, shard_filename
 from ..io.storage import GroupCache, group_key
-from ..nn.config import ModelConfig
 from ..nn.slots import model_slots
 from ..util.errors import MergeError
 from ..util.timer import WallTimer
 from .groups import groups_for_slot
-from .plan import load_schedule
+from .plan import MergePlan, load_schedule
 
 __all__ = [
     "RankMergeStats",
@@ -78,8 +78,8 @@ def set_group_cache(cache: GroupCache | None) -> GroupCache | None:
 
     Returns the previously installed cache so callers can restore it.
     Only in-process rank merges consult the cache; rank fan-out
-    through a process pool cannot see it, so services that want cache
-    hits run rank merges in threads (``workers=1`` per job).
+    through a process pool cannot see it, which is why a served merge
+    always runs in its worker thread (``workers=1``).
     """
     global _GROUP_CACHE
     previous = _GROUP_CACHE
@@ -115,13 +115,9 @@ class RankMergeStats:
     checkpoints_touched: int = 0
     slots_copied: int = 0
 
-    def as_dict(self) -> dict[str, Any]:
-        """Flat dict form for JSON artifacts and result summaries."""
-        return dict(self.__dict__)
-
 
 def _extract(
-    spec: dict[str, Any], rank: int, source_dir: str, wanted: set[int]
+    world_size: int, rank: int, source_dir: Path, wanted: set[int]
 ) -> tuple[dict[int, GroupEntry], float, int]:
     """Selectively read one shard, materializing only ``wanted`` groups.
 
@@ -141,7 +137,7 @@ def _extract(
             shard_path, want, indexed_filter=indexed_filter, as_record=group_array
         )
         entries = check_payload(
-            shard, world_size=int(spec["world_size"]), rank=rank, origin=str(shard_path),
+            shard, world_size=world_size, rank=rank, origin=str(shard_path),
             error=MergeError, wanted=wanted,
         )
     return entries, timer.elapsed, shard_path.stat().st_size
@@ -160,7 +156,7 @@ def read_shard_metadata(shard_path: str | Path) -> dict:
 
 
 def _extract_cached(
-    cache: GroupCache, spec: dict[str, Any], rank: int, source_dir: str,
+    cache: GroupCache, world_size: int, rank: int, source_dir: Path,
     wanted: set[int],
 ) -> tuple[dict[int, GroupEntry], float, int]:
     """Serve one selective load through the cross-request group cache.
@@ -176,7 +172,6 @@ def _extract_cached(
     CRC (the content key's) matches what the source file declares.
     """
     shard_path = CheckpointPaths(source_dir).shard(rank)
-    world_size = int(spec["world_size"])
     timer = WallTimer()
     with timer:
         meta, fresh = cache.metadata(shard_path, read_shard_metadata)
@@ -192,7 +187,7 @@ def _extract_cached(
         # missing group or step is the plain path's error to report):
         # take the plain selective read, whole-payload CRC applies.
         if any(keys[g] is None or entries[g].step is None for g in wanted):
-            return _extract(spec, rank, source_dir, wanted)
+            return _extract(world_size, rank, source_dir, wanted)
         nbytes = shard_path.stat().st_size if fresh else 0
 
         arrays = {g: cache.get(group_key(*keys[g])) for g in sorted(wanted)}
@@ -200,7 +195,7 @@ def _extract_cached(
         if missing:
             # The plain path CRC-verifies exactly the groups it decodes,
             # which is what licenses inserting them under a content key.
-            subset, _, sub_nbytes = _extract(spec, rank, source_dir, missing)
+            subset, _, sub_nbytes = _extract(world_size, rank, source_dir, missing)
             nbytes += sub_nbytes
             for g in sorted(missing):
                 e = subset[g]
@@ -210,54 +205,28 @@ def _extract_cached(
     return groups, timer.elapsed, nbytes
 
 
-def merge_rank_shard(spec: dict[str, Any], rank: int) -> dict[str, Any]:
-    """Build and write the merged shard for one rank; returns stats.
+def merge_rank_shard(
+    plan: MergePlan, global_step: int, optim_dir: str | Path, rank: int
+) -> RankMergeStats:
+    """Build and write the merged shard for one rank into ``optim_dir``
+    (the merge's rewrite transaction created it); returns its stats.
 
-    ``spec`` is the picklable plan description from
-    :meth:`MergePlan.to_worker_spec` plus ``global_step`` and the
-    ``optim_dir`` the merge's rewrite transaction created.  Top-level so
-    ProcessPoolExecutor can pickle it.
+    Top-level, and ``plan`` pickles, so a ``ProcessPoolExecutor`` can run it.
     """
-    config = ModelConfig.from_dict(spec["config"])
+    config, world_size = plan.config, plan.world_size
     stats = RankMergeStats(rank=rank)
-
     tasks = load_schedule(
-        model_slots(config), spec["slot_sources"].__getitem__, spec["cache_mode"]
+        model_slots(config), lambda slot: plan.slot_sources[slot].dir,
+        plan.options.cache_mode,
     )
-    wanted_sets = [
-        {g for slot in slots for g in groups_for_slot(config, slot)}
-        for _, slots in tasks
-    ]
     cache = _GROUP_CACHE
-
-    def extract(source_dir: str, wanted: set[int]):
-        if cache is not None:
-            return _extract_cached(cache, spec, rank, source_dir, wanted)
-        return _extract(spec, rank, source_dir, wanted)
-
-    # Threads only pay off when cores can inflate and CRC concurrently
-    # (zlib releases the GIL); never oversubscribe a small machine.  When the
-    # rank-level process pool is active, ``load_threads`` carries this
-    # rank's share of the worker budget so the levels do not multiply.
-    budget = int(spec.get("load_threads", spec.get("workers", 1)))
-    workers = worker_budget(budget, len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            loads = list(
-                pool.map(
-                    lambda args: extract(args[0], args[1]),
-                    zip((src for src, _ in tasks), wanted_sets),
-                )
-            )
-    else:
-        loads = [
-            extract(src, wanted)
-            for (src, _), wanted in zip(tasks, wanted_sets)
-        ]
+    extract = _extract if cache is None else partial(_extract_cached, cache)
 
     merged: dict[int, GroupEntry] = {}
-    seen_sources: set[str] = set()
-    for (source_dir, slots), (entries, load_seconds, nbytes) in zip(tasks, loads):
+    seen_sources: set[Path] = set()
+    for source_dir, slots in tasks:
+        wanted = {g for slot in slots for g in groups_for_slot(config, slot)}
+        entries, load_seconds, nbytes = extract(world_size, rank, source_dir, wanted)
         stats.load_seconds += load_seconds
         stats.files_loaded += 1
         stats.bytes_loaded += nbytes
@@ -274,48 +243,31 @@ def merge_rank_shard(spec: dict[str, Any], rank: int) -> dict[str, Any]:
         missing = sorted(set(range(num_groups)) - set(merged))
         raise MergeError(f"merge produced incomplete group set; missing {missing[:8]}")
     payload = build_payload(
-        int(spec["world_size"]), rank, num_groups, merged.values(),
-        {"global_step": int(spec["global_step"]), "merged_by": "llmtailor"},
+        world_size, rank, num_groups, merged.values(),
+        {"global_step": global_step, "merged_by": "llmtailor"},
     )
 
     timer = WallTimer()
     with timer:
-        stats.bytes_written = write_blob(
-            Path(spec["optim_dir"]) / shard_filename(rank), payload
-        )
+        stats.bytes_written = write_blob(Path(optim_dir) / shard_filename(rank), payload)
     stats.write_seconds = timer.elapsed
-    return stats.as_dict()
-
-
-def _worker_entry(args: tuple[dict, int]) -> dict[str, Any]:
-    spec, rank = args
-    return merge_rank_shard(spec, rank)
+    return stats
 
 
 def merge_optimizer_shards(
-    spec: dict[str, Any], world_size: int, workers: int
+    plan: MergePlan, global_step: int, optim_dir: str | Path
 ) -> list[RankMergeStats]:
-    """Merge every rank's shard, in parallel across ranks when possible.
+    """Merge every rank's shard, ``plan.options.workers`` ranks at a time.
 
-    Returns per-rank stats in rank order (stable regardless of worker
-    scheduling).
+    Returns per-rank stats in rank order.
     """
-    results: list[dict[str, Any]]
-    max_workers = worker_budget(workers, world_size)
-    # Split the worker budget across the two levels of parallelism: with
-    # P rank processes in flight, each rank gets workers/P load threads,
-    # so total concurrency never exceeds the requested fan-out.
-    spec = dict(spec, load_threads=max(1, workers // max(1, max_workers)))
-    jobs = [(spec, r) for r in range(world_size)]
+    merge_rank = partial(merge_rank_shard, plan, global_step, optim_dir)
+    ranks = range(plan.world_size)
+    max_workers = worker_budget(plan.options.workers, plan.world_size)
     if max_workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                results = list(pool.map(_worker_entry, jobs))
+                return list(pool.map(merge_rank, ranks))
         except (OSError, PermissionError):
-            # Sandboxes without fork/semaphores: degrade gracefully.
-            results = [merge_rank_shard(spec, r) for r in range(world_size)]
-    else:
-        results = [merge_rank_shard(spec, r) for r in range(world_size)]
-    stats = [RankMergeStats(**r) for r in results]
-    stats.sort(key=lambda s: s.rank)
-    return stats
+            pass  # sandboxes without fork/semaphores: merge in-process
+    return [merge_rank(r) for r in ranks]

@@ -148,16 +148,6 @@ class MergePlan:
             },
         }
 
-    def to_worker_spec(self) -> dict:
-        """Picklable description for ProcessPoolExecutor workers."""
-        return {
-            "config": self.config.to_dict(),
-            "world_size": self.world_size,
-            "slot_sources": {s: str(cp.dir) for s, cp in self.slot_sources.items()},
-            "cache_mode": self.options.cache_mode,
-            "workers": self.options.workers,
-        }
-
 
 def _checkpoint(path: Path, role: str) -> CheckpointPaths:
     cp = CheckpointPaths(path)

@@ -48,8 +48,8 @@ class MergeOptions:
     """Execution knobs for the merge engine.
 
     ``cache_mode`` picks the paper's Table 7 load regime (one selective
-    pass per distinct source, or one per slot); ``workers`` is the
-    fan-out budget shared by rank processes and per-rank load threads.
+    pass per distinct source, or one per slot); ``workers`` is how many
+    rank shards are merged at once, each in its own process.
     """
 
     workers: int = 1

@@ -140,11 +140,7 @@ class LLMTailor:
         ) as tx:
             weight_stats = merge_weight_files(plan)
 
-            spec = plan.to_worker_spec()
-            spec.update(global_step=step, optim_dir=str(tx.optim_dir))
-            rank_stats = merge_optimizer_shards(
-                spec, world_size=plan.world_size, workers=plan.options.workers
-            )
+            rank_stats = merge_optimizer_shards(plan, step, tx.optim_dir)
 
             copied = copy_config_files(plan, tx)
             write_merged_manifest(plan, tx)

@@ -99,11 +99,11 @@ def _price_merge_job(ledger: Ledger, params: dict[str, Any]) -> None:
     recipe = (load_recipe(params["recipe"]) if "recipe" in params
               else parse_recipe(dict(params["recipe_doc"])))
     config = ModelConfig.from_dict(read_json(CheckpointPaths(recipe.base_checkpoint).config))
+    # Ranks one at a time: a served merge runs in its worker thread.
     price_merge(
         ledger, config, {slot: recipe.source_for(slot) for slot in model_slots(config)},
         partial(CheckpointSizes.on_disk, error=MergeError, role="merge source"),
         cache_mode=params.get("cache_mode", recipe.options.cache_mode),
-        workers=params.get("workers", 1),  # a served merge's default, as execute_job's
     )
 
 

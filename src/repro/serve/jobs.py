@@ -183,11 +183,11 @@ def _run_merge(job: Job, store: BlobStore | None) -> dict[str, Any]:
     else:
         recipe = parse_recipe(dict(params["recipe_doc"]))
     # The service's thread pool is the concurrency unit (sized by
-    # worker_budget); inside a job the engine stays thread-based so the
-    # shared group cache remains visible.
+    # worker_budget); a job's merge runs in its worker thread, where the
+    # shared group cache is visible, so no recipe fans it out.
     options = dataclasses.replace(
         recipe.options,
-        workers=int(params.get("workers", 1)),
+        workers=1,
         cache_mode=str(params.get("cache_mode", recipe.options.cache_mode)),
     )
     recipe = dataclasses.replace(recipe, options=options)

@@ -20,7 +20,8 @@ Job kinds and their ``params`` (unknown keys are rejected so a typo'd
 option fails at submit, not silently at run time):
 
 * ``merge``   — ``recipe`` (YAML path) or ``recipe_doc`` (inline
-  mapping), optional ``output``, ``workers``, ``cache_mode``;
+  mapping), optional ``output``, ``cache_mode`` (no ``workers``: a
+  served merge runs in its worker thread, ranks in turn);
 * ``reshard`` — ``checkpoint``, ``output``, ``target_world_size``;
 * ``diff``    — ``checkpoint_a``, ``checkpoint_b``, optional
   ``momentum``;
@@ -55,7 +56,7 @@ JOB_KINDS = ("merge", "reshard", "diff", "plan")
 # Allowed params per kind; values are the required subset.
 _PARAM_KEYS: dict[str, tuple[set, set]] = {
     "merge": (
-        {"recipe", "recipe_doc", "output", "workers", "cache_mode"},
+        {"recipe", "recipe_doc", "output", "cache_mode"},
         set(),  # recipe/recipe_doc checked separately (exactly one)
     ),
     "reshard": (
@@ -103,7 +104,7 @@ def _check_param_types(kind: str, params: Mapping[str, Any]) -> None:
         raise ConfigError(f"{kind} job param {key!r} must be {what}, got {params[key]!r:.80}")
 
     for key, value in params.items():
-        if key in ("target_world_size", "workers") and (type(value) is not int or value < 1):
+        if key == "target_world_size" and (type(value) is not int or value < 1):
             fail(key, "an int >= 1")
         if key in ("recipe", "output", "checkpoint", "checkpoint_a", "checkpoint_b") \
                 and not isinstance(value, str):

@@ -76,7 +76,6 @@ class ChaosSupervisor:
         config: TrainConfig,
         plan: FaultPlan,
         *,
-        merge_workers: int = 1,
         resume: bool = False,
         _leg: Callable[..., Trainer] = Trainer,
     ) -> None:
@@ -87,7 +86,6 @@ class ChaosSupervisor:
         )
         self.config = config
         self.plan = plan
-        self.merge_workers = merge_workers
         self.resume = resume
         self.timeline = FaultTimeline()
         self._leg = _leg
@@ -241,9 +239,7 @@ class ChaosSupervisor:
                     source = checkpoint_dir(root, max(complete))
                     step = trainer.resume_from(source)
                 elif merge_base is not None:
-                    source = CheckpointPaths(
-                        trainer.auto_recover(failed_step, workers=self.merge_workers)
-                    )
+                    source = CheckpointPaths(trainer.auto_recover(failed_step))
                     step = trainer.state.global_step
                 else:
                     return 0, None  # nothing recoverable: restart from init
@@ -334,10 +330,9 @@ def train_with_faults(
     plan: FaultPlan,
     *,
     until_step: int | None = None,
-    merge_workers: int = 1,
 ) -> TrainResult:
     """One-call chaos run: build a :class:`ChaosSupervisor` and run it."""
-    supervisor = ChaosSupervisor(config, plan, merge_workers=merge_workers)
+    supervisor = ChaosSupervisor(config, plan)
     return supervisor.run(until_step=until_step)
 
 
@@ -425,14 +420,14 @@ class NullLeg(Trainer):
         self.state = TrainerState(global_step=manifest["step"])
         return manifest["step"]
 
-    def auto_recover(self, failure_step: int, *, workers: int = 1) -> CheckpointPaths:
+    def auto_recover(self, failure_step: int) -> CheckpointPaths:
         """The merge's one price over the indexed trail, then the resume; the
         output keeps the base's (the newest source's) step and geometry."""
         coverage = self.disk.slot_coverage(failure_step)
         price_merge(
             self.storage, self.model_config, coverage,
             lambda step: CheckpointSizes.nominal(self.disk.manifest(step), self.model_config),
-            cache_mode="per-checkpoint", workers=workers,
+            cache_mode="per-checkpoint",
         )
         base = max(coverage.values())
         output = CheckpointPaths(self.storage.root / f"merged-{base}")

@@ -398,15 +398,14 @@ class Trainer:
             raise TrainingError(f"no 'latest' checkpoint under {self.storage.root}")
         return self.resume_from(paths)
 
-    def auto_recover(self, failure_step: int, *, workers: int = 1) -> CheckpointPaths:
+    def auto_recover(self, failure_step: int) -> CheckpointPaths:
         """Merge the partial-checkpoint trail and resume (paper T2+T3).
 
-        Builds the recipe from the manifests on disk, merges into
-        ``<output_dir>/merged-<step>``, loads it, and returns its paths.
+        Builds the recipe from the manifests on disk (default merge
+        options), merges into ``<output_dir>/merged-<step>``, loads it,
+        and returns its paths.
         """
-        tailor = LLMTailor.from_checkpoints(
-            self.storage.root, failure_step=failure_step, workers=workers
-        )
+        tailor = LLMTailor.from_checkpoints(self.storage.root, failure_step=failure_step)
         base_step = CheckpointPaths(tailor.recipe.base_checkpoint).step
         output = Path(self.storage.root) / f"merged-{base_step}"
         result = tailor.merge(output=output)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import os
+
 import numpy as np
 import pytest
 
+import repro.core.optimizer_merge as optimizer_merge
 from repro.core import (
     LLMTailor,
     MergeOptions,
@@ -93,19 +97,37 @@ class TestParityMerge:
         for name in a.names:
             np.testing.assert_array_equal(a.read(name), b.read(name))
 
-    def test_parallel_workers_match_sequential(self, checkpoint_run, tmp_path):
+    def test_parallel_workers_match_sequential(self, checkpoint_run, tmp_path, monkeypatch):
+        """The rank process pool runs whatever the box's core count, and its
+        output equals the in-process merge's file by file, byte for byte."""
+        pools = []
+
+        class CountingPool(optimizer_merge.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(optimizer_merge, "ProcessPoolExecutor", CountingPool)
         storage, _, _, config, _ = checkpoint_run
         seq = LLMTailor(_parity_recipe(storage, config, workers=1)).merge(output=tmp_path / "s")
+        assert pools == []
         par = LLMTailor(_parity_recipe(storage, config, workers=2)).merge(output=tmp_path / "p")
-        from repro.io import read_blob
+        assert pools == [2]
 
-        for rank in range(2):
-            a = read_blob(seq.output.shard(rank))
-            b = read_blob(par.output.shard(rank))
-            for g in a["fp32_flat_groups"]:
-                np.testing.assert_array_equal(
-                    a["fp32_flat_groups"][g], b["fp32_flat_groups"][g]
-                )
+        files = sorted(p.relative_to(seq.output.dir) for p in seq.output.dir.rglob("*")
+                       if p.is_file())
+        assert files == sorted(p.relative_to(par.output.dir) for p in par.output.dir.rglob("*")
+                               if p.is_file())
+        for rel in files:
+            a, b = (seq.output.dir / rel).read_bytes(), (par.output.dir / rel).read_bytes()
+            if rel.name == "tailor_manifest.json":
+                # The manifest records its own output and the options it ran with.
+                a, b = json.loads(a), json.loads(b)
+                for doc, workers in ((a, 1), (b, 2)):
+                    doc["merge_provenance"].pop("output")
+                    assert doc["merge_provenance"].pop("options")["workers"] == workers
+            assert a == b, rel
 
     def test_rank_stats_in_rank_order(self, checkpoint_run, tmp_path):
         storage, _, _, config, _ = checkpoint_run

@@ -117,9 +117,9 @@ def test_same_sizes_same_ledger_for_planner_and_admission(run2, nominal_disk, ca
            "slices": [{"slot": s, "source": other} for s in slots[1::2] if s.startswith("layers.")],
            "aux": {s: other for s in slots[1::2] if not s.startswith("layers.")}}
     cost = estimate_job_cost(JobSpec(tenant="t", kind="merge", params={
-        "recipe_doc": doc, "cache_mode": cache_mode, "workers": 2}))
+        "recipe_doc": doc, "cache_mode": cache_mode}))
     plan = plan_merge_cost(CONFIG, world_size=2, num_checkpoints=2,
-                           cache_mode=cache_mode, workers=2)
+                           cache_mode=cache_mode, workers=1)  # a served merge's ranks, in turn
     assert cost.bytes_read == plan.bytes_loaded + nominal_disk.weights
     assert cost.bytes_written == plan.bytes_written
     assert cost.files == 2 * plan.loads_per_rank + 2

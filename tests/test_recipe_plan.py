@@ -178,6 +178,7 @@ class TestResolvePlan:
             resolve_plan(parse_recipe(doc), output=tmp_path / "out")
 
     def test_worker_spec_is_serializable(self, checkpoint_run, tmp_path):
+        """Rank processes receive the ``MergePlan`` itself: it pickles."""
         import pickle
 
         storage, _, _, config, _ = checkpoint_run
@@ -190,5 +191,11 @@ class TestResolvePlan:
             "aux": {"embed_tokens": odd["embed_tokens"]},
         }
         plan = resolve_plan(parse_recipe(doc), output=tmp_path / "out")
-        spec = plan.to_worker_spec()
-        assert pickle.loads(pickle.dumps(spec)) == spec
+        back = pickle.loads(pickle.dumps(plan))
+        # ``CheckpointPaths`` has no ``__eq__``: compare the directories.
+        assert (back.config, back.world_size, back.options, back.output, back.num_groups) == (
+            plan.config, plan.world_size, plan.options, plan.output, plan.num_groups)
+        assert back.base.dir == plan.base.dir
+        assert back.config_source.dir == plan.config_source.dir
+        assert {s: cp.dir for s, cp in back.slot_sources.items()} == {
+            s: cp.dir for s, cp in plan.slot_sources.items()}

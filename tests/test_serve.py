@@ -112,7 +112,7 @@ def _json_docs():
     )
     required = {"merge": ["recipe"], "reshard": ["checkpoint", "output", "target_world_size"],
                 "diff": ["checkpoint_a", "checkpoint_b"], "plan": ["model", "strategy"]}
-    optional = {"merge": ["output", "workers", "cache_mode"], "reshard": [],
+    optional = {"merge": ["output", "cache_mode"], "reshard": [],
                 "diff": ["momentum"], "plan": ["interval", "steps", "world_size"]}
     jobs = [st.fixed_dictionaries({
         "tenant": st.just("t") | value, "kind": st.just(kind),
@@ -157,6 +157,7 @@ class TestProtocol:
 
     @pytest.mark.parametrize("kind, key, value", [
         *[("reshard", "target_world_size", v) for v in ("abc", None, [3], True, 2.5, "3")],
+        # A merge job's ``workers`` param is removed: refused whatever its value.
         *[("merge", "workers", v) for v in ("abc", -4, True, 0, 1.0)],
         ("merge", "cache_mode", "bogus"),
         ("merge", "cache_mode", None),
@@ -178,13 +179,15 @@ class TestProtocol:
         }[kind]
         if key == "recipe_doc":
             params = {}
-        with pytest.raises(ConfigError, match=rf"param '{key}' must be"):
+        refusal = (rf"unknown params: \['{key}'\]" if key == "workers"
+                   else rf"param '{key}' must be")
+        with pytest.raises(ConfigError, match=refusal):
             parse_job({"tenant": "t", "kind": kind, "params": {**params, key: value}})
 
     def test_parse_accepts_well_typed_params(self):
         spec = parse_job({"tenant": "t", "kind": "merge", "params": {
-            "recipe_doc": {"base_checkpoint": "b"}, "workers": 3, "cache_mode": "none"}})
-        assert spec.params["workers"] == 3
+            "recipe_doc": {"base_checkpoint": "b"}, "cache_mode": "none"}})
+        assert spec.params["cache_mode"] == "none"
         assert parse_job({"tenant": "t", "kind": "diff", "params": {
             "checkpoint_a": "a", "checkpoint_b": "b", "momentum": True}}).params["momentum"]
 
@@ -616,6 +619,12 @@ class TestJournal:
         self._journal_with_removed_param(path, finished=False)
         with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: .*'stream'"):
             replay_journal(path)
+        # A merge journaled by a daemon that still accepted ``workers``.
+        job = {"tenant": "t", "kind": "merge", "priority": 0, "params": {
+            "recipe": "r.yaml", "workers": 2}}
+        path.write_text(json.dumps({"event": "submit", "id": "job-1", "job": job}) + "\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:1: .*'workers'"):
+            replay_journal(path)
 
 
 # ---------------------------------------------------------------------------
@@ -923,6 +932,41 @@ class TestServerEndToEnd:
         handle.thread.join(timeout=30)
         assert not handle.thread.is_alive()
         assert handle.service.jobs[response["id"]].status == "done"  # drained
+
+    def test_served_merge_never_leaves_its_worker_thread(
+        self, run_dir, tmp_path, monkeypatch
+    ):
+        """A merge job's ``workers`` param once forked the daemon and
+        bypassed its group cache.  The param is refused at submit, and a
+        recipe's ``options.workers`` runs in-process, where the cache is."""
+        import repro.core.optimizer_merge as optimizer_merge
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a served merge created a process pool")
+
+        # Cores to spare, so only the forced ``workers=1`` keeps the merge in-process.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(optimizer_merge, "ProcessPoolExecutor", no_pool)
+        doc = {**_recipe_doc(run_dir), "options": {"workers": 4}}
+        sock = _short_socket()
+        with serve_in_thread(ServeConfig(socket_path=sock, workers=1)):
+            with ServeClient(sock) as client:
+                refused = client.submit({"tenant": "t", "kind": "merge", "params": {
+                    "recipe_doc": _recipe_doc(run_dir), "output": str(tmp_path / "w"),
+                    "workers": 2}})
+                assert not refused["ok"] and "'workers'" in refused["error"]
+                assert client.stats()["jobs"]["submitted"] == 0
+                runs = []
+                for i in range(2):
+                    job = client.submit_and_wait({"tenant": "t", "kind": "merge", "params": {
+                        "recipe_doc": doc, "output": str(tmp_path / f"m{i}")}})
+                    assert job["status"] == "done", job
+                    runs.append(client.stats()["cache"])
+        first, second = runs
+        assert first["hits"] == 0 and first["misses"] > 0
+        assert second["hits"] - first["hits"] == first["misses"]
+        assert second["misses"] == first["misses"]
+        assert _digest(tmp_path / "m0") == _digest(tmp_path / "m1")
 
 
 class TestSigterm:
