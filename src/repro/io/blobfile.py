@@ -37,18 +37,20 @@ written as ``P``, everything else as ``A``.
 
 **Versions.**  :func:`write_blob` writes version 2: flag bit 0 clear, the
 payload is the TLV stream itself.  Version 1 files (whole payload in one
-zlib stream, arrays under ``A`` only) stay readable by both readers.
+zlib stream, arrays under ``A`` only) stay readable; their stream must
+inflate to exactly the declared length and end the file.
 
-Because every value carries its length up front, the payload can also be
-decoded *selectively*: :func:`read_blob_selected` walks the TLV stream
-sequentially in bounded chunks and skips any subtree a predicate rejects
-(in a v2 file without inflating a byte of it), so a merge tool can pull a
-handful of parameter groups out of a multi-gigabyte shard without ever
-materializing the whole checkpoint.  Selective reads still read and
-verify the whole file: every byte enters the container CRC and the
-payload length is checked, exactly as in :func:`read_blob`.  Decoders
-raise :class:`CheckpointFormatError` on any malformed byte and never
-allocate from a declared length before that many bytes are present.
+**One decoder.**  Every value carries its length up front, so one walker
+reads the TLV stream sequentially in bounded chunks and skips any subtree
+a predicate rejects (in a v2 file without inflating a byte of it): a
+merge tool pulls a handful of parameter groups out of a multi-gigabyte
+shard without materializing the whole checkpoint, and :func:`read_blob`
+is the same read with nothing skipped, holding the decoded data plus one
+chunk.  Every read still verifies the whole file: every byte enters the
+container CRC and the payload length is checked.  :func:`decode` runs the
+walker over bytes in memory.  It raises :class:`CheckpointFormatError` on
+any malformed byte and never allocates from a declared length before that
+many bytes are present.
 
 **Records.**  A selective read can hand back chosen arrays undecoded, as
 the immutable :class:`Record` of their exact ``A``/``P`` bytes, which
@@ -146,8 +148,7 @@ class Record:
     shape: tuple
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        src = _Reader(self.data)
-        return np.asarray(_decode_leaf(src, bytes(src.take(1))), dtype=dtype)
+        return np.asarray(decode(self.data), dtype=dtype)
 
 
 def iter_encode(obj: Any) -> Iterator[bytes | memoryview]:
@@ -231,6 +232,7 @@ class _Reader:
     """Byte source over an in-memory payload; ``take`` returns views of it."""
 
     __slots__ = ("buf", "pos")
+    as_record = None  # every array is decoded
 
     def __init__(self, buf: bytes) -> None:
         self.buf = memoryview(buf)
@@ -305,8 +307,20 @@ def _read_planes(src, itemsize: int, count: int) -> np.ndarray:
     return out
 
 
+def _pass_array(src, tag: bytes, consume: Callable[[int], Any]) -> tuple[np.dtype, tuple]:
+    """Check an ``A``/``P`` array's header, then ``consume`` the lengths of
+    its data (the raw buffer, or each plane after its record)."""
+    dtype, shape, nbytes = _array_header(src)
+    if tag == b"A":
+        consume(nbytes)
+    else:
+        for _ in range(dtype.itemsize):
+            consume(_plane_header(src, nbytes // dtype.itemsize)[1])
+    return dtype, shape
+
+
 def _decode_leaf(src, tag: bytes) -> Any:
-    """Decode one non-container value; shared by the bulk and streaming decoders."""
+    """Decode one non-container value."""
     if tag == b"N":
         return None
     if tag == b"T":
@@ -345,26 +359,15 @@ def _decode_key(key: Any) -> Any:
     return key
 
 
-def _decode_one(r: _Reader) -> Any:
-    tag = bytes(r.take(1))
-    if tag == b"L":
-        (n,) = _U32.unpack(r.take(4))
-        return [_decode_one(r) for _ in range(n)]
-    if tag == b"M":
-        (n,) = _U32.unpack(r.take(4))
-        out: dict[Any, Any] = {}
-        for _ in range(n):
-            key = _decode_key(_decode_one(r))
-            out[key] = _decode_one(r)
-        return out
-    return _decode_leaf(r, tag)
+def _everything(path: tuple) -> bool:
+    return True
 
 
 def decode(payload: bytes) -> Any:
     """Decode one TLV payload produced by :func:`encode` back into Python objects."""
     r = _Reader(payload)
     try:
-        obj = _decode_one(r)
+        obj = _decode_selected(r, _everything, ())
     except RecursionError as exc:
         raise CheckpointFormatError("blob nesting too deep") from exc
     if r.pos != len(payload):
@@ -373,23 +376,23 @@ def decode(payload: bytes) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Streaming (selective) decoding
+# The walker
 # ---------------------------------------------------------------------------
 
 class _StreamSource:
     """Sequential byte source over a blob payload on disk.
 
-    Reads (and, for a v1 payload, inflates) in bounded chunks; the
-    running CRC is folded in once per chunk, not per token read, so
-    selective reads keep :func:`read_blob`'s corruption detection at a
-    negligible per-value cost.  ``skip`` discards whole chunks without
-    copying them — skipped tensor data only ever passes through the CRC.
+    Reads (and, for a v1 payload, inflates no further than ``raw_len``) in
+    bounded chunks; the running CRC is folded in once per chunk, not per
+    token read.  ``skip`` discards whole chunks without copying them —
+    skipped tensor data only ever passes through the CRC.
     """
 
-    def __init__(self, fh, payload_len: int, compressed: bool) -> None:
+    def __init__(self, fh, payload_len: int, raw_len: int, compressed: bool) -> None:
         self._fh = fh
         self._remaining_file = payload_len
         self._inflater = zlib.decompressobj() if compressed else None
+        self._owed = raw_len  # inflated bytes the header still promises
         self._buf = b""
         self._pos = 0  # consumed prefix of _buf
         self.crc = 0
@@ -401,23 +404,24 @@ class _StreamSource:
         """The next ``size`` file bytes as payload bytes; None at the end."""
         while True:
             if self._remaining_file <= 0:
-                chunk = b""
-                if self._inflater is not None and not self._inflater.eof:
-                    chunk = self._inflater.flush()
+                return None
+            chunk = self._fh.read(min(size, self._remaining_file))
+            if not chunk:
+                raise CheckpointFormatError("blob payload truncated")
+            self._remaining_file -= len(chunk)
+            if self._inflater is not None:
+                # Short of max_length, decompress consumes all its input.
+                try:
+                    chunk = self._inflater.decompress(chunk, self._owed + 1)
+                except zlib.error as exc:
+                    raise CheckpointFormatError(f"decompression failed: {exc}") from exc
+                self._owed -= len(chunk)
+                if self._owed < 0:
+                    raise CheckpointFormatError("v1 payload inflates past its declared length")
+                if self._inflater.eof and (self._inflater.unused_data or self._remaining_file):
+                    raise CheckpointFormatError("bytes after the v1 payload stream")
                 if not chunk:
-                    return None
-            else:
-                chunk = self._fh.read(min(size, self._remaining_file))
-                if not chunk:
-                    raise CheckpointFormatError("blob payload truncated")
-                self._remaining_file -= len(chunk)
-                if self._inflater is not None:
-                    try:
-                        chunk = self._inflater.decompress(chunk)
-                    except zlib.error as exc:
-                        raise CheckpointFormatError(f"decompression failed: {exc}") from exc
-                    if not chunk:
-                        continue  # compressed chunk produced no output yet
+                    continue  # compressed chunk produced no output yet
             self.crc = zlib.crc32(chunk, self.crc)
             return chunk
 
@@ -479,12 +483,8 @@ def _skip_value(src: _StreamSource) -> None:
         for _ in range(n):
             _skip_value(src)  # key
             _skip_value(src)  # value
-    elif tag == b"A":
-        src.skip(_array_header(src)[2])
-    elif tag == b"P":
-        dtype, _, nbytes = _array_header(src)
-        for _ in range(dtype.itemsize):
-            src.skip(_plane_header(src, nbytes // dtype.itemsize)[1])
+    elif tag == b"A" or tag == b"P":
+        _pass_array(src, tag, src.skip)
     else:
         raise CheckpointFormatError(f"unknown blob tag {tag!r}")
 
@@ -512,7 +512,7 @@ def _decode_indexed_element(
     """
     tag = src.take(1)
     if tag != b"M":
-        return _decode_value_of_tag(src, want, path, tag)
+        return _decode_selected(src, want, path, tag=tag)
     (n,) = _U32.unpack(src.take(4))
     out: dict[Any, Any] = {}
     for i in range(n):
@@ -532,18 +532,11 @@ def _decode_selected(
     want: Callable[[tuple], bool],
     path: tuple,
     indexed_filter: Callable[[tuple], "set | None"] | None = None,
+    tag: bytes | None = None,
 ) -> Any:
-    """Decode one value, pruning map subtrees the predicate rejects."""
-    return _decode_value_of_tag(src, want, path, src.take(1), indexed_filter)
-
-
-def _decode_value_of_tag(
-    src: _StreamSource,
-    want: Callable[[tuple], bool],
-    path: tuple,
-    tag: bytes,
-    indexed_filter: Callable[[tuple], "set | None"] | None = None,
-) -> Any:
+    """Decode one value (after its ``tag``, if already taken), pruning map
+    subtrees the predicate rejects."""
+    tag = bytes(src.take(1)) if tag is None else tag
     if tag == b"L":
         (n,) = _U32.unpack(src.take(4))
         keep = indexed_filter(path) if indexed_filter is not None else None
@@ -574,12 +567,7 @@ def _decode_value_of_tag(
     # Take the array's bytes as they are: its header is checked here, its
     # planes when the record is decoded.
     src.tape = [tag]
-    dtype, shape, nbytes = _array_header(src)
-    if tag == b"A":
-        src.take(nbytes)
-    else:
-        for _ in range(dtype.itemsize):
-            src.take(_plane_header(src, nbytes // dtype.itemsize)[1])
+    dtype, shape = _pass_array(src, tag, src.take)
     data, src.tape = b"".join(src.tape), None
     return Record(data, dtype, shape)
 
@@ -639,6 +627,31 @@ def _open_payload(path: Path):
     return fh, bool(flags & _FLAG_COMPRESSED), payload_len, raw_len, crc
 
 
+def _read(
+    path: str | Path,
+    want: Callable[[tuple], bool],
+    indexed_filter: Callable[[tuple], "set | None"] | None,
+    as_record: Callable[[tuple], bool] | None,
+) -> Any:
+    """The one blob read: walk the payload stream, then check its length and CRC."""
+    path = Path(path)
+    fh, compressed, payload_len, raw_len, crc = _open_payload(path)
+    with fh:
+        src = _StreamSource(fh, payload_len, raw_len, compressed)
+        src.as_record = as_record
+        try:
+            obj = _decode_selected(src, want, (), indexed_filter)
+        except RecursionError as exc:
+            raise CheckpointFormatError(f"{path}: blob nesting too deep") from exc
+        if src.consumed != raw_len or not src.at_end():
+            raise CheckpointFormatError(
+                f"{path}: payload length mismatch ({src.consumed} vs {raw_len})"
+            )
+        if src.crc != crc:
+            raise CheckpointFormatError(f"{path}: CRC mismatch (corrupt blob)")
+    return obj
+
+
 def read_blob_selected(
     path: str | Path,
     want: Callable[[tuple], bool],
@@ -664,41 +677,10 @@ def read_blob_selected(
     as the :class:`Record` of its bytes, whose planes are checked when it
     is decoded.
     """
-    path = Path(path)
-    fh, compressed, payload_len, raw_len, crc = _open_payload(path)
-    with fh:
-        src = _StreamSource(fh, payload_len, compressed)
-        src.as_record = as_record
-        try:
-            obj = _decode_selected(src, want, (), indexed_filter)
-        except RecursionError as exc:
-            raise CheckpointFormatError(f"{path}: blob nesting too deep") from exc
-        if src.consumed != raw_len or not src.at_end():
-            raise CheckpointFormatError(
-                f"{path}: payload length mismatch ({src.consumed} vs {raw_len})"
-            )
-        if src.crc != crc:
-            raise CheckpointFormatError(f"{path}: CRC mismatch (corrupt blob)")
-    return obj
+    return _read(path, want, indexed_filter, as_record)
 
 
 def read_blob(path: str | Path) -> Any:
-    """Read and fully deserialize a blob file (inherently non-lazy)."""
-    path = Path(path)
-    fh, compressed, payload_len, raw_len, crc = _open_payload(path)
-    with fh:
-        payload = fh.read(payload_len)
-    if len(payload) != payload_len:
-        raise CheckpointFormatError(f"{path}: truncated blob payload")
-    if compressed:
-        try:
-            payload = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise CheckpointFormatError(f"{path}: decompression failed: {exc}") from exc
-    if len(payload) != raw_len:
-        raise CheckpointFormatError(
-            f"{path}: payload length mismatch ({len(payload)} vs {raw_len})"
-        )
-    if zlib.crc32(payload) != crc:
-        raise CheckpointFormatError(f"{path}: CRC mismatch (corrupt blob)")
-    return decode(payload)
+    """Read and fully deserialize a blob file (inherently non-lazy); peak
+    memory is the decoded data plus one read chunk."""
+    return _read(path, _everything, None, None)

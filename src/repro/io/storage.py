@@ -35,9 +35,10 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
+from ..dist.shard import group_payload_crc
 from ..util.errors import CheckpointFormatError
 from ..util.jsonio import read_json, write_json_atomic
-from .blobfile import Record, read_blob, write_blob
+from .blobfile import Record, read_blob_selected, write_blob
 from ..util.timer import SimClock
 
 __all__ = [
@@ -262,12 +263,27 @@ def group_key(crc32: int, numel: int) -> str:
     return f"{int(crc32) & 0xFFFFFFFF:08x}-{int(numel)}"
 
 
+def _is_group(group: Any, key: str) -> bool:
+    """Whether ``group`` is one shard group's records whose content is
+    ``key``: float32 vectors of one length whose group CRC
+    (:func:`~repro.dist.shard.group_payload_crc`) is the key's."""
+    names = ("fp32", "exp_avg", "exp_avg_sq")
+    if not isinstance(group, dict) or group.keys() != set(names):
+        return False
+    arrays = [group[name] for name in names]
+    if not all(isinstance(a, Record) and a.dtype == np.float32 and len(a.shape) == 1
+               and a.shape == arrays[0].shape for a in arrays):
+        return False
+    return group_key(group_payload_crc(*arrays), arrays[0].shape[0]) == key
+
+
 class BlobStore:
     """Content-addressed, reference-counted store for shard groups.
 
     Objects live under ``<root>/objects/<key>.blob`` (the standard TLV
-    blob container, so they inherit its whole-payload CRC); references
-    live in ``<root>/refs.json`` mapping key -> sorted owner tokens.
+    blob container, so they inherit its whole-payload CRC, and ``get``
+    checks each against its key); references live in ``<root>/refs.json``
+    mapping key -> sorted owner tokens.
     An *owner* is an opaque string — the serve daemon uses
     :meth:`owner_token` (``tenant:resolved-checkpoint-dir``) so each
     tenant's claim on each source checkpoint is tracked independently.
@@ -328,8 +344,9 @@ class BlobStore:
             write_blob(path, dict(arrays))
             return True
 
-    def get(self, key: str) -> dict[str, np.ndarray] | None:
-        """Load one group's arrays, or ``None`` if the key has no payload.
+    def get(self, key: str) -> dict[str, Record] | None:
+        """Load one group's records, or ``None`` if the key has no payload
+        or its payload is not the key's content (a rejected object stays).
 
         A concurrent :meth:`sweep` (e.g. another tenant's retention
         pass) may unlink the object between lookup and read; that race
@@ -339,7 +356,8 @@ class BlobStore:
         if not path.exists():
             return None
         try:
-            return read_blob(path)
+            group = read_blob_selected(path, lambda _p: True, as_record=lambda _p: True)
+            return group if _is_group(group, key) else None
         except (OSError, CheckpointFormatError):
             return None
 
@@ -447,20 +465,20 @@ class GroupCache:
     Two layers, both thread-safe:
 
     * the *group* layer maps :func:`group_key` -> ``fp32``/``exp_avg``/
-      ``exp_avg_sq`` records (arrays when read back from the store), its
-      bound counting resident bytes; a miss optionally falls
-      through to a backing :class:`BlobStore` before giving up, so a
-      group any tenant ever merged can be served without touching the
-      owning tenant's checkpoint again;
+      ``exp_avg_sq`` records, its bound counting their bytes; a miss
+      optionally falls through to a backing :class:`BlobStore` before
+      giving up, so a group any tenant ever merged can be served without
+      touching the owning tenant's checkpoint again;
     * the *metadata* layer memoizes per-file header passes keyed by
       ``(path, size, mtime_ns)`` — a changed or rewritten shard file
       never serves stale headers.
 
     Bitwise safety: cached entries are only ever *content* (records whose
-    per-group CRC the engine verified on first decode).  Headers,
-    hyperparameters and step counters always come from the actual source
-    file's metadata pass, so two content-identical groups with different
-    schedules can never cross-contaminate.
+    per-group CRC the engine verified on first decode, or the store
+    checked against the key on read).  Headers, hyperparameters and step
+    counters always come from the actual source file's metadata pass, so
+    two content-identical groups with different schedules can never
+    cross-contaminate.
     """
 
     def __init__(
@@ -475,12 +493,11 @@ class GroupCache:
         self._nbytes = 0
 
     @staticmethod
-    def _entry_nbytes(arrays: Mapping[str, Any]) -> int:
-        return sum(len(a.data) if isinstance(a, Record) else int(a.nbytes)
-                   for a in arrays.values())
+    def _entry_nbytes(records: Mapping[str, Record]) -> int:
+        return sum(len(r.data) for r in records.values())
 
-    def get(self, key: str) -> dict[str, Any] | None:
-        """Look one group up by content key (LRU touch on hit)."""
+    def get(self, key: str) -> dict[str, Record] | None:
+        """Look one group's records up by content key (LRU touch on hit)."""
         with self._lock:
             entry = self._groups.get(key)
             if entry is not None:
@@ -499,21 +516,21 @@ class GroupCache:
             self.stats.misses += 1
         return None
 
-    def put(self, key: str, arrays: Mapping[str, Any]) -> None:
-        """Insert one verified group (write-through to the blob store)."""
-        self._insert(key, dict(arrays))
+    def put(self, key: str, records: Mapping[str, Record]) -> None:
+        """Insert one verified group's records (write-through to the blob store)."""
+        self._insert(key, dict(records))
         if self.store is not None:
-            self.store.put(key, arrays)
+            self.store.put(key, records)
 
-    def _insert(self, key: str, arrays: dict[str, Any]) -> None:
+    def _insert(self, key: str, records: dict[str, Record]) -> None:
         with self._lock:
             if key in self._groups:
                 self._groups.move_to_end(key)
                 return
-            nbytes = self._entry_nbytes(arrays)
+            nbytes = self._entry_nbytes(records)
             if nbytes > self.max_bytes:
                 return
-            self._groups[key] = arrays
+            self._groups[key] = records
             self._nbytes += nbytes
             while self._nbytes > self.max_bytes:
                 _, evicted = self._groups.popitem(last=False)
@@ -543,7 +560,7 @@ class GroupCache:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of records (and store-read arrays) currently resident."""
+        """Bytes of records currently resident."""
         with self._lock:
             return self._nbytes
 

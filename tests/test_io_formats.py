@@ -318,6 +318,23 @@ class TestBlobFile:
         out = read_blob(tmp_path / "k.blob")
         assert set(out["groups"]) == {0, 7}
 
+    def test_whole_read_holds_one_chunk_not_the_file(self, tmp_path, rng):
+        """A whole read streams: beyond the decoded arrays it holds about one
+        read chunk and one array's planes, never the file's payload."""
+        import tracemalloc
+
+        obj = {g: rng.standard_normal(64 << 10).astype(np.float32) for g in range(20)}
+        decoded = sum(a.nbytes for a in obj.values())
+        assert write_blob(tmp_path / "big.blob", obj) >= 4_000_000
+        tracemalloc.start()
+        try:
+            out = read_blob(tmp_path / "big.blob")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert encode(out) == encode(obj)
+        assert peak - decoded <= 1 << 20, peak - decoded
+
 
 def _bits(arr: np.ndarray) -> np.ndarray:
     """The array's bytes in C order, for comparisons NaN != NaN cannot fool."""
@@ -553,6 +570,39 @@ class TestHostileBytes:
             assert self._survives(self._file(tmp_path, payload)) == 3, name
         # A header that claims more payload than the file holds.
         assert self._survives(self._file(tmp_path, b"N", declared=huge)) == 3
+
+    def test_v1_stream_is_bounded_by_its_header(self, tmp_path):
+        """A v1 stream inflates at most to the header's length, and nothing
+        may follow it; refusing either holds a bounded amount of memory."""
+        import struct
+        import tracemalloc
+        import zlib
+
+        def v1(name, stream, raw_len, crc):
+            path = tmp_path / name
+            header = struct.pack("<IBQQI", 1, 1, len(stream), raw_len, crc)
+            path.write_bytes(b"REPROBLB" + header + stream)
+            return path
+
+        raw = encode({"x": 1})
+        cases = {  # the bomb is 64 MiB of zeros in ~65 kB behind a 9-byte header
+            "past its declared length": v1(
+                "bomb.blob", zlib.compress(bytes(64 << 20), 9), 9, zlib.crc32(bytes(9))
+            ),
+            "after the v1 payload stream": v1(
+                "junk.blob", zlib.compress(raw) + b"junk!", len(raw), zlib.crc32(raw)
+            ),
+        }
+        for refusal, path in cases.items():
+            tracemalloc.start()
+            try:
+                assert self._survives(path) == 3, refusal
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 << 20, (refusal, peak)
+            with pytest.raises(CheckpointFormatError, match=refusal):
+                read_blob(path)
 
     def test_plane_stream_must_end_exactly_at_its_record(self, tmp_path):
         import struct

@@ -26,6 +26,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.tailor import LLMTailor
 from repro.dist.reshard import reshard_checkpoint
+from repro.dist.shard import group_payload_crc
+from repro.io.blobfile import Record, encode
 from repro.io.retention import prune_checkpoints
 from repro.io.storage import BlobStore, GroupCache, group_key
 from repro.serve import (
@@ -365,15 +367,27 @@ class TestJobQueue:
 # blob store + group cache
 # ---------------------------------------------------------------------------
 
+def _group(seed: int, numel: int = 10) -> tuple[str, dict[str, Record]]:
+    """One shard group's records under its real content key."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.standard_normal(numel).astype(np.float32) for _ in range(3)]
+    records = {name: Record(encode(a), a.dtype, a.shape)
+               for name, a in zip(("fp32", "exp_avg", "exp_avg_sq"), arrays)}
+    return group_key(group_payload_crc(*arrays), numel), records
+
+
+def _same_records(got, records) -> bool:
+    return got.keys() == records.keys() and all(
+        isinstance(got[n], Record) and got[n].data == records[n].data for n in records)
+
+
 class TestBlobStore:
     def test_put_dedups(self, tmp_path):
         store = BlobStore(tmp_path / "blobs")
-        arrays = {"fp32": np.arange(6, dtype=np.float32)}
-        key = group_key(0xABCD, 6)
-        assert store.put(key, arrays) is True
-        assert store.put(key, arrays) is False  # dedup: no-op
-        got = store.get(key)
-        np.testing.assert_array_equal(got["fp32"], arrays["fp32"])
+        key, records = _group(0, 6)
+        assert store.put(key, records) is True
+        assert store.put(key, records) is False  # dedup: no-op
+        assert _same_records(store.get(key), records)
         assert store.get("ffffffff-1") is None
 
     def test_get_races_sweep_as_miss(self, tmp_path):
@@ -423,27 +437,51 @@ class TestBlobStore:
 
 class TestGroupCache:
     def test_hit_miss_and_eviction(self):
-        cache = GroupCache(max_bytes=2 * 40)  # room for two 10-float groups
-        a = {"fp32": np.zeros(10, dtype=np.float32)}
-        assert cache.get("k1") is None
-        cache.put("k1", a)
-        assert cache.get("k1") is not None
-        cache.put("k2", a)
-        cache.put("k3", a)  # evicts the LRU entry (k1)
-        assert cache.get("k1") is None
-        assert cache.stats.evictions >= 1
+        (k1, a), (k2, b), (k3, c) = (_group(seed) for seed in range(3))
+        size = sum(len(r.data) for r in a.values())
+        cache = GroupCache(max_bytes=2 * size)  # room for two 10-float groups
+        assert cache.get(k1) is None
+        cache.put(k1, a)
+        assert cache.get(k1) is not None
+        cache.put(k2, b)
+        cache.put(k3, c)  # evicts the LRU entry (k1)
+        assert cache.get(k1) is None
+        assert cache.stats.evictions >= 1 and cache.nbytes == 2 * size
         assert 0.0 < cache.stats.hit_rate < 1.0
 
     def test_store_write_through_and_fallback(self, tmp_path):
         store = BlobStore(tmp_path / "blobs")
         cache = GroupCache(max_bytes=1 << 20, store=store)
-        arrays = {"fp32": np.arange(4, dtype=np.float32)}
-        cache.put("k", arrays)
-        assert store.contains("k")  # write-through
+        key, records = _group(0, 4)
+        cache.put(key, records)
+        assert store.contains(key)  # write-through
         cold = GroupCache(max_bytes=1 << 20, store=store)  # fresh process
-        got = cold.get("k")
-        np.testing.assert_array_equal(got["fp32"], arrays["fp32"])
+        assert _same_records(cold.get(key), records)
         assert cold.stats.store_hits == 1
+
+    def test_a_rewritten_store_object_cannot_enter_a_merge(self, run_dir, tmp_path):
+        """A store object rewritten as a valid blob of other content is a
+        miss: that group is read from its source and the merge is unchanged."""
+        from repro.core.optimizer_merge import set_group_cache
+        from repro.core.verify import verify_checkpoint
+        from repro.io.blobfile import read_blob, write_blob
+
+        cache = GroupCache(store=BlobStore(tmp_path / "blobs"))
+        previous = set_group_cache(cache)
+        try:
+            LLMTailor.from_dict(_recipe_doc(run_dir)).merge(tmp_path / "first")
+            victim = sorted((tmp_path / "blobs" / "objects").glob("*.blob"))[0]
+            group = read_blob(victim)
+            write_blob(victim, dict(group, exp_avg=group["exp_avg"] + 1))
+            cache.clear()
+            misses, store_hits = cache.stats.misses, cache.stats.store_hits
+            LLMTailor.from_dict(_recipe_doc(run_dir)).merge(tmp_path / "second")
+        finally:
+            set_group_cache(previous)
+        assert cache.stats.misses - misses == 1 and cache.stats.store_hits > store_hits
+        assert verify_checkpoint(tmp_path / "second").ok
+        assert _digest(tmp_path / "second") == _digest(tmp_path / "first")
+        assert victim.exists() and BlobStore(tmp_path / "blobs").get(victim.stem) is None
 
     def test_metadata_memo(self, tmp_path):
         path = tmp_path / "f.bin"
