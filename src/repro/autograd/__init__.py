@@ -2,12 +2,10 @@
 
 Every differentiable op declares its one VJP in the op registry
 (:mod:`repro.autograd.tensor`, :mod:`repro.autograd.functional`);
-:meth:`Tensor.backward` is the one backward entry point, sweeping the
-graph interpreted or — for a root captured by a :class:`BackwardTape`
-round — replaying the recorded program over the same VJPs.
+:meth:`Tensor.backward` is the one backward, a topological sweep over
+those VJPs.
 """
 
-from .compile import BackwardTape, TapeStats
 from .functional import (
     IGNORE_INDEX,
     apply_rope,
@@ -28,8 +26,6 @@ from .tensor import Tensor, cat, is_grad_enabled, no_grad, stack
 
 __all__ = [
     "IGNORE_INDEX",
-    "BackwardTape",
-    "TapeStats",
     "Tensor",
     "apply_rope",
     "cat",

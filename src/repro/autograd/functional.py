@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..util.errors import ShapeError
-from .tensor import Tensor, _like_out, defvjp
+from .tensor import Tensor, defvjp
 
 __all__ = [
     "softmax",
@@ -32,12 +32,12 @@ __all__ = [
 IGNORE_INDEX = -100
 
 
-@defvjp(bufs=_like_out(1))
-def _softmax(node, g, out):
+@defvjp()
+def _softmax(node, g):
     # d softmax: s * (g - sum(g * s))
     (axis,) = node._saved
     s = node.data
-    t = np.multiply(g, s, out=out[0])
+    t = np.multiply(g, s)
     dot = t.sum(axis=axis, keepdims=True)
     np.subtract(g, dot, out=t)
     return (np.multiply(s, t, out=t),)
@@ -51,7 +51,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 @defvjp()
-def _log_softmax(node, g, out):
+def _log_softmax(node, g):
     axis, probs = node._saved
     return (g - probs * g.sum(axis=axis, keepdims=True),)
 
@@ -64,10 +64,10 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(out_data, (x,), _log_softmax, (axis, np.exp(out_data)))
 
 
-@defvjp(bufs=lambda node: (node._saved[0].shape,))
-def _cross_entropy(node, g, out):
+@defvjp()
+def _cross_entropy(node, g):
     log_probs, rows, safe_targets, valid, count = node._saved
-    grad = np.exp(log_probs, out=out[0])
+    grad = np.exp(log_probs)
     grad[rows, safe_targets] -= 1.0
     np.multiply(grad, (valid / count)[:, None], out=grad)
     np.multiply(grad, np.asarray(g), out=grad)  # scalar chain factor
@@ -107,12 +107,12 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = IGNOR
     return Tensor._make(out_data, (logits,), _cross_entropy, saved)
 
 
-@defvjp(bufs=_like_out(2))
-def _silu(node, g, out):
+@defvjp()
+def _silu(node, g):
     # g * (sig + x * sig * (1 - sig))
     (sig,) = node._saved
-    t = np.multiply(node._prev[0].data, sig, out=out[0])
-    u = np.subtract(1.0, sig, out=out[1])
+    t = np.multiply(node._prev[0].data, sig)
+    u = np.subtract(1.0, sig)
     np.multiply(t, u, out=t)
     np.add(sig, t, out=t)
     return (np.multiply(g, t, out=t),)
@@ -131,7 +131,7 @@ def relu(x: Tensor) -> Tensor:
 
 
 @defvjp()
-def _gelu(node, g, out):
+def _gelu(node, g):
     c, t = node._saved
     x = node._prev[0].data
     d_inner = c * (1.0 + 3 * 0.044715 * x**2)
@@ -146,18 +146,18 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._make(0.5 * x.data * (1.0 + t), (x,), _gelu, (c, t))
 
 
-@defvjp(bufs=_like_out(2))
-def _rms_norm(node, g, out):
+@defvjp()
+def _rms_norm(node, g):
     x, weight = node._prev
     inv, normed = node._saved
     n = g.shape[-1]
     gx = gweight = None
     if weight.requires_grad:
-        gweight = np.multiply(g, normed, out=out[0]).reshape(-1, n).sum(axis=0)
+        gweight = np.multiply(g, normed).reshape(-1, n).sum(axis=0)
     if x.requires_grad:
         # inv * gw - (inv**3 / n) * sum(gw * x) * x, with gw = g * weight
-        gw = np.multiply(g, weight.data, out=out[0])
-        t = np.multiply(gw, x.data, out=out[1])
+        gw = np.multiply(g, weight.data)
+        t = np.multiply(gw, x.data)
         dot = t.sum(axis=-1, keepdims=True)
         np.multiply(inv, gw, out=gw)
         np.multiply((inv**3 / n) * dot, x.data, out=t)
@@ -179,7 +179,7 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
 
 
 @defvjp()
-def _layer_norm(node, g, out):
+def _layer_norm(node, g):
     x, weight, bias = node._prev
     inv, normed = node._saved
     n = g.shape[-1]
@@ -207,15 +207,11 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     return Tensor._make(out_data, (x, weight, bias), _layer_norm, (inv, normed))
 
 
-@defvjp(bufs=lambda node: (node._prev[0].data.shape,))
-def _embedding(node, g, out):
+@defvjp()
+def _embedding(node, g):
     (ids,) = node._saved
     weight = node._prev[0].data
-    full = out[0]
-    if full is None:
-        full = np.zeros_like(weight)
-    else:
-        full[...] = 0.0
+    full = np.zeros_like(weight)
     np.add.at(full, ids.reshape(-1), g.reshape(-1, weight.shape[1]))
     return (full,)
 
@@ -249,15 +245,15 @@ def _rotate_half(x: np.ndarray) -> np.ndarray:
     return np.concatenate([-x[..., half:], x[..., :half]], axis=-1)
 
 
-@defvjp(bufs=_like_out(3))
-def _apply_rope(node, g, out):
+@defvjp()
+def _apply_rope(node, g):
     # g * cos + R^T(g * sin), R^T the transpose of the rotate-half map:
     # concatenate([y[..., half:], -y[..., :half]]) written as two half-writes.
     cos, sin = node._saved
     half = g.shape[-1] // 2
-    t = np.multiply(g, cos, out=out[0])
-    y = np.multiply(g, sin, out=out[1])
-    rot = np.empty_like(y) if out[2] is None else out[2]
+    t = np.multiply(g, cos)
+    y = np.multiply(g, sin)
+    rot = np.empty_like(y)
     rot[..., :half] = y[..., half:]
     np.negative(y[..., :half], out=rot[..., half:])
     return (np.add(t, rot, out=t),)

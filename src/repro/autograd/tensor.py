@@ -4,10 +4,9 @@ A deliberately small tape-based autograd engine — the substrate standing
 in for PyTorch.  Tensors wrap ``numpy.ndarray`` data; every differentiable
 operation stores an :class:`Op` record (its one VJP, declared with
 :func:`defvjp` next to the forward) plus the tuple it saved;
-:meth:`Tensor.backward` — the one public backward — runs a topological
-sweep and accumulates gradients into ``.grad`` (plain NumPy arrays, never
-Tensors), or hands a root captured by a live
-:class:`~repro.autograd.compile.BackwardTape` round to that tape.
+:meth:`Tensor.backward` — the one backward — runs a topological sweep
+and accumulates gradients into ``.grad`` (plain NumPy arrays, never
+Tensors).
 
 Design choices (following the HPC guides: vectorise, avoid copies):
 
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,16 +31,6 @@ from ..util.errors import GradError, ShapeError
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "cat", "stack"]
 
 _grad_enabled: bool = True
-
-# Set by a BackwardTape (see repro.autograd.compile).  While its capture
-# is open, _tape_sink is the tape's node list: _make appends every
-# grad-bearing node it creates, so creation order doubles as a valid
-# topological order for binding a recorded backward program to a freshly
-# built graph.  From capture() until the round's backward has run,
-# _tape_round is the tape's entry point: Tensor.backward offers it every
-# root, and it returns False for one the round did not capture.
-_tape_sink: list["Tensor"] | None = None
-_tape_round: Callable[["Tensor", np.ndarray | None], bool] | None = None
 
 
 @contextlib.contextmanager
@@ -95,61 +84,31 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Op:
     """One differentiable op's backward rule, shared by every node it makes.
 
-    ``vjp(node, g, out)`` returns one gradient per parent of ``node``
+    ``vjp(node, g)`` returns one gradient per parent of ``node``
     (``None`` where none flows) from the incoming ``g``, the forward
     result ``node.data``, the operands ``node._prev`` and the tuple the
-    forward saved, ``node._saved``.  It is written in ``out=`` ufunc
-    form: the interpreted sweep passes :data:`_ALLOCATE` and NumPy
-    allocates each result; a compiled tape passes the buffers
-    ``bufs(node)`` sized once — the same ufuncs on the same operands in
-    the same order either way, hence the same bits.
+    forward saved, ``node._saved``.
 
     ``fresh`` says, per parent (or with one bool for all of them),
     whether that gradient is a newly computed array that the first
     accumulation may adopt, or the incoming ``g`` / a view of it, which
     must be copied.
-
-    ``bufs(node)`` is the tuple of scratch-buffer shapes ``vjp`` indexes
-    as ``out[k]`` (``None`` for one this node does not need), or ``None``
-    when this node's operands take a path that cannot write into
-    buffers.  Ops that leave ``bufs`` unset always run allocating.
     """
 
-    __slots__ = ("name", "vjp", "fresh", "bufs")
+    __slots__ = ("name", "vjp", "fresh")
 
-    def __init__(self, vjp, fresh, bufs) -> None:
+    def __init__(self, vjp, fresh) -> None:
         self.name = vjp.__name__.lstrip("_")
         self.vjp = vjp
         self.fresh = fresh if isinstance(fresh, tuple) else itertools.repeat(fresh)
-        self.bufs = bufs
 
     def __repr__(self) -> str:
         return f"Op({self.name})"
 
 
-def defvjp(*, fresh: bool | tuple[bool, ...] = True, bufs=None):
+def defvjp(*, fresh: bool | tuple[bool, ...] = True):
     """Declare the decorated function as an op's one VJP (see :class:`Op`)."""
-    return lambda vjp: Op(vjp, fresh, bufs)
-
-
-# What the interpreted sweep passes as ``out``: every ufunc allocates.
-# As long as the largest ``bufs`` declaration (apply_rope's three).
-_ALLOCATE = (None, None, None)
-
-
-def _views(node) -> tuple:
-    """``bufs`` of an op whose gradients are ``g`` or views of it."""
-    return ()
-
-
-def _like_out(count: int):
-    """``bufs`` of an op that needs ``count`` buffers shaped like its result."""
-    return lambda node: (node.data.shape,) * count
-
-
-def _like_out_per_parent(node) -> tuple:
-    """``bufs`` with one result-shaped buffer per grad-requiring parent."""
-    return tuple(node.data.shape if p.requires_grad else None for p in node._prev)
+    return lambda vjp: Op(vjp, fresh)
 
 
 class Tensor:
@@ -243,8 +202,6 @@ class Tensor:
             out._backward = op
             out._saved = saved
             out._prev = tuple(parents)
-            if _tape_sink is not None:
-                _tape_sink.append(out)
         else:
             out._backward = None
             out._saved = out._prev = ()
@@ -279,14 +236,12 @@ class Tensor:
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
 
-        The one public backward: a root captured by a live
-        :class:`~repro.autograd.compile.BackwardTape` round runs that
-        tape (record, or guard then replay); any other root runs the
-        interpreted sweep.
+        Seeds ``grad`` (default: ones for a scalar root), then sweeps the
+        graph in reverse topological order, releasing each node as it
+        runs (see :func:`_sweep`).
         """
-        if _tape_round is None or not _tape_round(self, grad):
-            _seed(self, grad)
-            _sweep(_toposort(self))
+        _seed(self, grad)
+        _sweep(_toposort(self))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -295,8 +250,8 @@ class Tensor:
             np.asarray(other, dtype=self.data.dtype)
         )
 
-    @defvjp(fresh=False, bufs=_views)
-    def _add(node, g, out):
+    @defvjp(fresh=False)
+    def _add(node, g):
         return g, g
 
     def __add__(self, other) -> "Tensor":
@@ -305,19 +260,16 @@ class Tensor:
 
     __radd__ = __add__
 
-    @defvjp(bufs=_like_out(1))
-    def _neg(node, g, out):
-        return (np.negative(g, out=out[0]),)
+    @defvjp()
+    def _neg(node, g):
+        return (-g,)
 
     def __neg__(self) -> "Tensor":
         return Tensor._make(-self.data, (self,), Tensor._neg)
 
-    @defvjp(
-        fresh=(False, True),
-        bufs=lambda node: (node.data.shape if node._prev[1].requires_grad else None,),
-    )
-    def _sub(node, g, out):
-        return g, np.negative(g, out=out[0]) if node._prev[1].requires_grad else None
+    @defvjp(fresh=(False, True))
+    def _sub(node, g):
+        return g, -g if node._prev[1].requires_grad else None
 
     def __sub__(self, other) -> "Tensor":
         other = self._coerce(other)
@@ -326,12 +278,12 @@ class Tensor:
     def __rsub__(self, other) -> "Tensor":
         return self._coerce(other) - self
 
-    @defvjp(bufs=_like_out_per_parent)
-    def _mul(node, g, out):
+    @defvjp()
+    def _mul(node, g):
         a, b = node._prev
         return (
-            np.multiply(g, b.data, out=out[0]) if a.requires_grad else None,
-            np.multiply(g, a.data, out=out[1]) if b.requires_grad else None,
+            g * b.data if a.requires_grad else None,
+            g * a.data if b.requires_grad else None,
         )
 
     def __mul__(self, other) -> "Tensor":
@@ -341,7 +293,7 @@ class Tensor:
     __rmul__ = __mul__
 
     @defvjp()
-    def _div(node, g, out):
+    def _div(node, g):
         a, b = node._prev
         return g / b.data, -g * a.data / (b.data * b.data)
 
@@ -353,7 +305,7 @@ class Tensor:
         return self._coerce(other) / self
 
     @defvjp()
-    def _pow(node, g, out):
+    def _pow(node, g):
         (exponent,) = node._saved
         if np.ndim(exponent) == 0 and exponent == 0:
             # x**0 is constant, also at x == 0, where the general
@@ -366,32 +318,20 @@ class Tensor:
             raise GradError("tensor exponents are not supported; use exp/log")
         return Tensor._make(self.data**exponent, (self,), Tensor._pow, (exponent,))
 
-    def _matmul_bufs(node):
-        a, b = node._prev
-        if a.data.ndim < 2 or b.data.ndim < 2:
-            return None  # 1-D operands take the outer-product path
-        out = node.data.shape
-        return (
-            np.broadcast_shapes(out[:-2], b.shape[:-2]) + (out[-2], b.shape[-2])
-            if a.requires_grad else None,
-            np.broadcast_shapes(out[:-2], a.shape[:-2]) + (a.shape[-1], out[-1])
-            if b.requires_grad else None,
-        )
-
-    @defvjp(bufs=_matmul_bufs)
-    def _matmul(node, g, out):
+    @defvjp()
+    def _matmul(node, g):
         a, b = node._prev
         ga = gb = None
         if a.requires_grad:
             if b.data.ndim == 1:
                 ga = np.multiply.outer(g, b.data) if g.ndim else g * b.data
             else:
-                ga = np.matmul(g, b.data.swapaxes(-1, -2), out=out[0])
+                ga = g @ b.data.swapaxes(-1, -2)
         if b.requires_grad:
             if a.data.ndim == 1:
                 gb = np.multiply.outer(a.data, g)
             else:
-                gb = np.matmul(a.data.swapaxes(-1, -2), g, out=out[1])
+                gb = a.data.swapaxes(-1, -2) @ g
         return ga, gb
 
     def __matmul__(self, other) -> "Tensor":
@@ -401,7 +341,7 @@ class Tensor:
     # -- elementwise functions --------------------------------------------------
 
     @defvjp()
-    def _exp(node, g, out):
+    def _exp(node, g):
         return (g * node.data,)
 
     def exp(self) -> "Tensor":
@@ -409,7 +349,7 @@ class Tensor:
         return Tensor._make(np.exp(self.data), (self,), Tensor._exp)
 
     @defvjp()
-    def _log(node, g, out):
+    def _log(node, g):
         return (g / node._prev[0].data,)
 
     def log(self) -> "Tensor":
@@ -417,7 +357,7 @@ class Tensor:
         return Tensor._make(np.log(self.data), (self,), Tensor._log)
 
     @defvjp()
-    def _sqrt(node, g, out):
+    def _sqrt(node, g):
         return (g * 0.5 / node.data,)
 
     def sqrt(self) -> "Tensor":
@@ -425,7 +365,7 @@ class Tensor:
         return Tensor._make(np.sqrt(self.data), (self,), Tensor._sqrt)
 
     @defvjp()
-    def _tanh(node, g, out):
+    def _tanh(node, g):
         return (g * (1.0 - node.data * node.data),)
 
     def tanh(self) -> "Tensor":
@@ -433,7 +373,7 @@ class Tensor:
         return Tensor._make(np.tanh(self.data), (self,), Tensor._tanh)
 
     @defvjp()
-    def _sigmoid(node, g, out):
+    def _sigmoid(node, g):
         return (g * node.data * (1.0 - node.data),)
 
     def sigmoid(self) -> "Tensor":
@@ -442,7 +382,7 @@ class Tensor:
         return Tensor._make(0.5 * (np.tanh(0.5 * self.data) + 1.0), (self,), Tensor._sigmoid)
 
     @defvjp()
-    def _abs(node, g, out):
+    def _abs(node, g):
         return (g * np.sign(node._prev[0].data),)
 
     def abs(self) -> "Tensor":
@@ -452,7 +392,7 @@ class Tensor:
     # -- reductions ---------------------------------------------------------------
 
     @defvjp(fresh=False)
-    def _sum(node, g, out):
+    def _sum(node, g):
         axis, keepdims = node._saved
         grad = np.asarray(g)
         if axis is not None and not keepdims:
@@ -477,8 +417,8 @@ class Tensor:
 
     # -- shape manipulation ----------------------------------------------------------
 
-    @defvjp(fresh=False, bufs=_views)
-    def _reshape(node, g, out):
+    @defvjp(fresh=False)
+    def _reshape(node, g):
         return (g.reshape(node._prev[0].data.shape),)
 
     def reshape(self, *shape) -> "Tensor":
@@ -487,8 +427,8 @@ class Tensor:
             shape = tuple(shape[0])
         return Tensor._make(self.data.reshape(shape), (self,), Tensor._reshape)
 
-    @defvjp(fresh=False, bufs=_views)
-    def _transpose(node, g, out):
+    @defvjp(fresh=False)
+    def _transpose(node, g):
         (axes,) = node._saved
         # The inverse permutation (an argsort) is worked out here, not in
         # the forward: it only matters on the grad-requiring path.
@@ -502,8 +442,8 @@ class Tensor:
             axes = tuple(reversed(range(self.data.ndim)))
         return Tensor._make(self.data.transpose(axes), (self,), Tensor._transpose, (axes,))
 
-    @defvjp(fresh=False, bufs=_views)
-    def _swapaxes(node, g, out):
+    @defvjp(fresh=False)
+    def _swapaxes(node, g):
         return (np.swapaxes(g, *node._saved),)
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
@@ -516,7 +456,7 @@ class Tensor:
         return self.transpose()
 
     @defvjp()
-    def _getitem(node, g, out):
+    def _getitem(node, g):
         (idx,) = node._saved
         full = np.zeros_like(node._prev[0].data)
         if _is_fancy(idx):
@@ -531,7 +471,7 @@ class Tensor:
     # -- misc ------------------------------------------------------------------------
 
     @defvjp()
-    def _mask(node, g, out):
+    def _mask(node, g):
         """Shared by every op whose gradient is ``g`` gated by a saved mask."""
         return (g * node._saved[0],)
 
@@ -569,7 +509,7 @@ def _is_fancy(idx) -> bool:
     return False
 
 
-# -- the interpreted backward ------------------------------------------------------
+# -- the backward sweep --------------------------------------------------------------
 
 def _seed(root: Tensor, grad: np.ndarray | None) -> None:
     """Validate ``grad`` (default: ones for a scalar) and write it into ``root.grad``."""
@@ -610,31 +550,25 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return topo
 
 
-def _backprop(node: Tensor) -> None:
-    """Run ``node``'s VJP, allocating, and accumulate into its parents."""
-    op = node._backward
-    for parent, g, fresh in zip(node._prev, op.vjp(node, node.grad, _ALLOCATE), op.fresh):
-        if g is not None:
-            parent._accum(g, fresh)
-
-
-def _sweep(topo: list[Tensor], release: bool = True) -> None:
+def _sweep(topo: list[Tensor]) -> None:
     """Backpropagate through ``topo`` in reverse, from gradients already seeded.
 
-    ``release`` drops each node's op, saved tuple and parents once it has
-    run, so intermediate buffers free as the sweep proceeds; a tape's
-    record round keeps them to size its buffers from.
+    Each node's op, saved tuple and parents are dropped once it has run,
+    so intermediate buffers free as the sweep proceeds and a second
+    ``backward()`` on the same root reaches nothing.
     """
     for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            _backprop(node)
-            if release:
-                node._backward = None
-                node._saved = node._prev = ()
+        op = node._backward
+        if op is not None and node.grad is not None:
+            for parent, g, fresh in zip(node._prev, op.vjp(node, node.grad), op.fresh):
+                if g is not None:
+                    parent._accum(g, fresh)
+            node._backward = None
+            node._saved = node._prev = ()
 
 
 @defvjp(fresh=False)
-def _cat(node, g, out):
+def _cat(node, g):
     axis, offsets = node._saved
     slicer = [slice(None)] * g.ndim
     grads = []
@@ -655,7 +589,7 @@ def cat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 
 @defvjp(fresh=False)
-def _stack(node, g, out):
+def _stack(node, g):
     (axis,) = node._saved
     return [np.squeeze(part, axis=axis) for part in np.split(g, len(node._prev), axis=axis)]
 

@@ -18,11 +18,12 @@ verifier all operate on.
 
 The engine owns persistent per-group buffers: a contiguous padded fp32
 master buffer whose per-rank shards are slice views (gather = a slice),
-a padded gradient staging buffer the reduce-scatter slices in place, and
-a shared quantize scratch for the single vectorized re-quantize pass per
-group — so a step allocates nothing proportional to the model size.  The
-allocate-per-step formulation it replaced lives on as the
-``ReferenceZeroEngine`` test oracle (``tests/conftest.py``);
+a padded gradient staging buffer that :meth:`ZeroStage3Engine.step`
+copies each parameter's ``.grad`` into and the reduce-scatter slices in
+place, and a shared quantize scratch for the single vectorized
+re-quantize pass per group — so a step allocates nothing proportional to
+the model size.  The allocate-per-step formulation it replaced lives on
+as the ``ReferenceZeroEngine`` test oracle (``tests/conftest.py``);
 ``tests/test_step_fused.py`` pins the two bit-for-bit against each
 other.  Because shards are *views*, any payload that outlives the step
 must copy (the copy-on-save rule in :meth:`rank_state_dict`).
@@ -163,9 +164,6 @@ class ZeroStage3Engine:
         self.group_meta: tuple[GroupMeta, ...] = tuple(metas)
         max_padded = max(m.partition.padded_numel for m in self.group_meta)
         self._quant_buf: np.ndarray = np.zeros(max_padded, dtype=np.float32)
-        # id(param) -> grad staging slice, built on demand by
-        # grad_donation_views().
-        self._donated: dict[int, np.ndarray] = {}
 
         # One AdamW per rank over that rank's shard of every group.
         self.optimizers: list[AdamW] = []
@@ -221,27 +219,6 @@ class ZeroStage3Engine:
 
     # -- training ----------------------------------------------------------
 
-    def grad_donation_views(self) -> dict[int, np.ndarray]:
-        """Per-parameter views into the grad staging buffers.
-
-        Maps ``id(param)`` to the parameter-shaped slice of the group's
-        persistent reduce-scatter staging buffer.  A caller (the backward
-        tape) that writes gradients straight into these views makes them
-        the collective's inputs with no flatten-copy: :meth:`step`
-        recognizes a donated ``p.grad`` by identity and skips the copy.
-        """
-        if not self._donated:
-            for g, params in enumerate(self._params):
-                buf = self._grad_bufs[g]
-                offset = 0
-                for p in params:
-                    n = p.data.size
-                    self._donated[id(p)] = buf[offset : offset + n].reshape(
-                        p.data.shape
-                    )
-                    offset += n
-        return self._donated
-
     def zero_grad(self) -> None:
         """Clear gradients on every model parameter and every rank's shards."""
         for params, shards in zip(self._params, self._shard_params):
@@ -270,8 +247,6 @@ class ZeroStage3Engine:
                 n = p.data.size
                 if p.grad is None:
                     buf[offset : offset + n] = 0.0
-                elif p.grad is self._donated.get(id(p)):
-                    pass  # tape-donated: already accumulated in place
                 else:
                     np.copyto(buf[offset : offset + n], p.grad.reshape(-1))
                 offset += n

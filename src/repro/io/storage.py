@@ -459,6 +459,13 @@ class GroupCacheStats:
         return out
 
 
+class _ThreadLookups(threading.local):
+    """One thread's group-lookup counts (a served job runs on one thread)."""
+
+    hits = 0
+    misses = 0
+
+
 class GroupCache:
     """Byte-bounded LRU of verified shard groups, keyed by content.
 
@@ -487,6 +494,8 @@ class GroupCache:
         self.max_bytes = int(max_bytes)
         self.store = store
         self.stats = GroupCacheStats()
+        #: ``hits`` / ``misses`` of the calling thread's lookups alone.
+        self.thread_lookups = _ThreadLookups()
         self._lock = threading.Lock()
         self._groups: OrderedDict[str, dict[str, Any]] = OrderedDict()
         self._meta: dict[tuple, dict] = {}
@@ -503,6 +512,7 @@ class GroupCache:
             if entry is not None:
                 self._groups.move_to_end(key)
                 self.stats.hits += 1
+                self.thread_lookups.hits += 1
                 return entry
         if self.store is not None:
             from_store = self.store.get(key)
@@ -510,10 +520,12 @@ class GroupCache:
                 with self._lock:
                     self.stats.hits += 1
                     self.stats.store_hits += 1
+                self.thread_lookups.hits += 1
                 self._insert(key, from_store)
                 return from_store
         with self._lock:
             self.stats.misses += 1
+        self.thread_lookups.misses += 1
         return None
 
     def put(self, key: str, records: Mapping[str, Record]) -> None:

@@ -17,14 +17,15 @@ marked done on completion; on restart, unfinished jobs replay with
 their tenant budget force-charged (quota limits are not re-checked, so
 a tenant that crashed at its inflight cap cannot wedge its own
 replay).  ``SIGTERM`` triggers a graceful drain — the queue
-closes, in-flight and queued jobs finish, then the sockets come down.
+closes, in-flight and queued jobs finish, the listeners close, and open
+connections are served until their clients close them (for at most
+:data:`STOP_TIMEOUT` seconds).
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import functools
 import re
 import signal
 import threading
@@ -47,7 +48,9 @@ __all__ = ["MergeService", "ServeConfig", "serve_in_thread"]
 
 log = get_logger("serve.server")
 
-#: Seconds a graceful stop may take: the thread join, teardown's reply wait.
+#: Seconds a graceful stop may take: the thread join, and teardown's wait
+#: for open connections — so an idle client holds a draining daemon open
+#: this long at most.
 STOP_TIMEOUT = 60.0
 
 
@@ -120,11 +123,10 @@ class MergeService:
         self._worker_tasks: list[asyncio.Task] = []
         self._stopped = asyncio.Event()
         self._draining = False
-        # Connection handlers between a request line and its flushed
-        # reply; teardown waits for the count to reach zero.
-        self._replies_pending = 0
-        self._replies_flushed = asyncio.Event()
-        self._replies_flushed.set()
+        # Open client connections; teardown waits for the count to reach zero.
+        self._connections = 0
+        self._connections_closed = asyncio.Event()
+        self._connections_closed.set()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._prev_cache = None
         self.endpoints: dict[str, Any] = {}
@@ -228,13 +230,15 @@ class MergeService:
 
         if self._worker_tasks:
             await asyncio.gather(*self._worker_tasks, return_exceptions=True)
-        # A waiter woken by the last job's completion may not have written
-        # its reply yet; returning now lets the loop's exit cancel its
-        # handler, and the client sees a closed connection instead.
-        with contextlib.suppress(asyncio.TimeoutError):
-            await asyncio.wait_for(self._replies_flushed.wait(), STOP_TIMEOUT)
+        # Returning with a connection open would let the loop's exit cancel
+        # its handler: a request read after the drain began (a ``wait`` whose
+        # job finished first) would get a closed connection, not its reply.
+        # So stop accepting, then serve open connections until they close.
         for server in self._servers:
             server.close()
+        with contextlib.suppress(asyncio.TimeoutError):
+            await asyncio.wait_for(self._connections_closed.wait(), STOP_TIMEOUT)
+        for server in self._servers:
             await server.wait_closed()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
@@ -292,11 +296,9 @@ class MergeService:
                 return
             job.status = "running"
             job.timeline.record("start", worker=index)
-            hits0, misses0 = self.cache.stats.hits, self.cache.stats.misses
             try:
                 result = await self._loop.run_in_executor(
-                    self._executor,
-                    functools.partial(execute_job, job, blob_store=self.blob_store),
+                    self._executor, self._execute, job
                 )
             except ReproError as exc:
                 self._finish(job, "failed", error=str(exc))
@@ -304,45 +306,55 @@ class MergeService:
                 log.exception("job %s crashed", job.id)
                 self._finish(job, "failed", error=f"{type(exc).__name__}: {exc}")
             else:
-                job.timeline.cache_hits = self.cache.stats.hits - hits0
-                job.timeline.cache_misses = self.cache.stats.misses - misses0
                 self._finish(job, "done", result=result)
+
+    def _execute(self, job: Job) -> dict[str, Any]:
+        """Run ``job`` on this pool thread and count its cache lookups.
+
+        A served job runs on one thread, so the cache's per-thread
+        counters are its own lookups, whatever other workers look up
+        meanwhile.
+        """
+        mine = self.cache.thread_lookups
+        hits0, misses0 = mine.hits, mine.misses
+        result = execute_job(job, blob_store=self.blob_store)
+        job.timeline.cache_hits = mine.hits - hits0
+        job.timeline.cache_misses = mine.misses - misses0
+        return result
 
     # -- protocol ------------------------------------------------------------
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._connections += 1
+        self._connections_closed.clear()
         try:
             while True:
                 line = await reader.readline()
                 if not line:
                     return
-                self._replies_pending += 1
-                self._replies_flushed.clear()
                 try:
-                    try:
-                        response = await self._dispatch(decode_line(line))
-                    except ReproError as exc:
-                        response = {"ok": False, "error": str(exc)}
-                    except Exception as exc:  # never kill the connection
-                        log.exception("request failed")
-                        response = {
-                            "ok": False,
-                            "error": f"internal error: {type(exc).__name__}: {exc}",
-                        }
-                    writer.write(encode_line(response))
-                    await writer.drain()
-                finally:
-                    self._replies_pending -= 1
-                    if not self._replies_pending:
-                        self._replies_flushed.set()
+                    response = await self._dispatch(decode_line(line))
+                except ReproError as exc:
+                    response = {"ok": False, "error": str(exc)}
+                except Exception as exc:  # never kill the connection
+                    log.exception("request failed")
+                    response = {
+                        "ok": False,
+                        "error": f"internal error: {type(exc).__name__}: {exc}",
+                    }
+                writer.write(encode_line(response))
+                await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
+            self._connections -= 1
+            if not self._connections:
+                self._connections_closed.set()
 
     async def _dispatch(self, request: dict[str, Any]) -> dict[str, Any]:
         op = request.get("op")

@@ -6,10 +6,9 @@ Responsibilities:
   param groups → ZeRO engine → scheduler → strategy callbacks);
 * run deterministic steps — the batch at step ``t`` is a pure function
   of ``(seed, t, rank, accum_index)``, so resumed runs replay the exact
-  data order of uninterrupted ones; every micro-batch's forward is one
-  :class:`~repro.autograd.compile.BackwardTape` capture round (record
-  once, replay afterwards, bitwise the interpreted sweep), gradients
-  landing in the engine's staging buffers;
+  data order of uninterrupted ones; every micro-batch's ``loss.backward()``
+  accumulates into the parameters' ``.grad``, which the engine's step
+  copies into its staging buffers;
 * write full/partial checkpoints per the strategy, with simulated-clock
   charging for compute and I/O;
 * resume from any *complete* checkpoint (including LLMTailor merges),
@@ -30,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..autograd.compile import BackwardTape
 from ..core.tailor import LLMTailor
 from ..data.datasets import Batch, CPTDataset, SFTDataset
 from ..data.facts import MedicalKB
@@ -169,13 +167,6 @@ class Trainer:
             warmup_steps=config.warmup_steps, total_steps=config.total_steps,
         )
 
-        # Backward-tape compiler: record the first micro-batch's backward,
-        # replay it for every later one (bitwise-identical).  Gradients
-        # are donated straight into the engine's reduce-scatter staging
-        # buffers, so the tape's terminal writes are the collective's
-        # inputs.
-        self.tape = BackwardTape(donate=self.engine.grad_donation_views())
-
         self.strategy = build_strategy(
             config.checkpoint_strategy, self.model_config,
             config.checkpoint_interval, **config.strategy_kwargs,
@@ -235,11 +226,7 @@ class Trainer:
         return self.dataset.batch_at_step(step, self.config.micro_batch_size, tag=tag)
 
     def train_step(self, step: int) -> float:
-        """Forward/backward over every rank's micro-batches, then update.
-
-        Each micro-batch is one tape round: the forward is captured and
-        ``loss.backward()`` runs through :attr:`tape`.
-        """
+        """Forward/backward over every rank's micro-batches, then update."""
         cfg = self.config
         # Position the fault schedule (if any) before the step's collectives
         # so window-scoped penalties charge exactly their steps.
@@ -250,8 +237,7 @@ class Trainer:
         for rank in range(cfg.world_size):
             for accum in range(cfg.grad_accum_steps):
                 batch = self._micro_batch(step, rank, accum)
-                with self.tape.capture():
-                    loss = self.model.loss(batch.input_ids, batch.labels)
+                loss = self.model.loss(batch.input_ids, batch.labels)
                 loss.backward()
                 total_loss += loss.item()
         # Average accumulated gradients over all micro-batches.

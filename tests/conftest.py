@@ -114,17 +114,6 @@ class ReferenceZeroEngine:
         return {"fp32_flat_groups": {g: t.data for g, t in enumerate(mine)}, "state": state}
 
 
-def interpreted_oracle(tape):
-    """Test oracle: put ``tape`` into the product's own disabled state — every later round runs the
-    interpreted sweep — by giving it a captured root over a graph that reaches outside the capture."""
-    outside = Tensor(np.ones(1), requires_grad=True) * 1.0
-    with tape.capture():
-        loss = outside.sum()
-    loss.backward()
-    assert tape.stats.disabled_reason is not None
-    return tape
-
-
 def _encode_blob_v1(obj) -> bytes:
     """The version-1 TLV encoding: every ndarray under tag ``A``, no planes."""
     if obj is None:

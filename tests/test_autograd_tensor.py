@@ -104,6 +104,48 @@ class TestBackwardBasics:
         assert not y.requires_grad
 
 
+class TestOneBackward:
+    """Properties of the one backward, the sweep in ``Tensor.backward``."""
+
+    def test_negative_zero_first_contribution_is_adopted(self):
+        """A pre-zeroed accumulator would turn -0.0 into +0.0
+        (0.0 + -0.0 == +0.0): the first contribution is adopted, never
+        added to a zeroed buffer."""
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        (x * -0.0 + x * -0.0).sum().backward()
+        assert np.signbit(x.grad).all()
+
+    def test_accumulation_order_canary(self):
+        """float32 accumulation is not associative, so ``x.grad`` pins the
+        order contributions arrive in: the sweep reaches ``x * c0`` and
+        ``x * c1`` before ``x * c2``, giving ``(c0 + c1) + c2``.  The two
+        constant sets tell every pairing apart: the first would read 1.0
+        had ``c0`` met ``c2`` first, the second 0.0 had either met ``c2``
+        first."""
+        for (c0, c1, c2), expected in (((1e8, 1.0, -1e8), 0.0), ((1e8, -1e8, 1.0), 1.0)):
+            x = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+            (x * c0 + x * c1 + x * c2).sum().backward()
+            c = [np.float32(v) for v in (c0, c1, c2)]
+            assert (c[0] + c[1]) + c[2] == expected
+            np.testing.assert_array_equal(x.grad, np.full(2, expected, dtype=np.float32))
+
+    def test_graph_released_after_backward(self, untied_config):
+        """The sweep drops each node once it has run: the loss holds no
+        graph afterwards, and a second ``backward()`` reaches no parameter."""
+        from repro.nn import build_model
+
+        model = build_model(untied_config, seed=1)
+        ids = np.random.default_rng(9).integers(0, untied_config.vocab_size, size=(2, 16))
+        loss = model.loss(ids, np.roll(ids, -1, axis=1))
+        loss.backward()
+        assert loss._prev == () and loss._backward is None
+        grads = {name: p.grad.copy() for name, p in model.named_parameters()}
+        assert grads
+        loss.backward()
+        for name, p in model.named_parameters():
+            np.testing.assert_array_equal(p.grad, grads[name], err_msg=name)
+
+
 class TestGradCheckPrimitives:
     """Every primitive against central finite differences (float64)."""
 

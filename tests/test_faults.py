@@ -39,7 +39,7 @@ from repro.util.errors import (
     TrainingError,
 )
 
-from conftest import assert_dry_run_equals_live, dry_run_of, interpreted_oracle
+from conftest import assert_dry_run_equals_live, dry_run_of
 
 
 def chaos_config(tmp_path, **overrides) -> TrainConfig:
@@ -599,13 +599,11 @@ class TestGrowInvariant:
     wins it back.  Either way the chaos run's final masters, Adam
     moments, and bf16 weights must be bitwise equal to an uninterrupted
     reference resumed from the last recovery point at the final world
-    size — the reference taped like the chaos legs, or the interpreted
-    oracle.
+    size.
     """
 
-    @pytest.mark.parametrize("taped_reference", [False, True])
     @pytest.mark.parametrize("trajectory", sorted(GROW_TRAJECTORIES))
-    def test_grow_then_shrink_bitwise(self, tmp_path, trajectory, taped_reference):
+    def test_grow_then_shrink_bitwise(self, tmp_path, trajectory):
         world_size, events, final_ws = GROW_TRAJECTORIES[trajectory]
         plan = FaultPlan(events=events)
         cfg = chaos_config(
@@ -627,8 +625,6 @@ class TestGrowInvariant:
                 tmp_path / "ref", world_size=final_ws, total_steps=14,
             )
         )
-        if not taped_reference:
-            interpreted_oracle(ref.tape)
         source = supervisor.trainer.storage.root / recovery["source"]
         assert ref.resume_from(CheckpointPaths(source)) == recovery["resumed_from"]
         ref_result = ref.train()

@@ -960,6 +960,60 @@ class TestServerEndToEnd:
         handle.thread.join(timeout=30)
         assert not handle.thread.is_alive()
 
+    def test_max_jobs_drain_answers_a_request_sent_after_the_last_job(self):
+        """The job beats its own ``wait`` line: the --max-jobs drain has
+        begun before the request arrives, and the open connection is
+        still served until the client closes it."""
+        import time
+
+        sock = _short_socket()
+        handle = serve_in_thread(
+            ServeConfig(socket_path=sock, workers=1, max_jobs=1))
+        with ServeClient(sock) as client:
+            response = client.submit(_plan_spec())
+            assert response["ok"]
+            deadline = time.monotonic() + 60
+            while handle.service.counters["completed"] < 1:
+                assert time.monotonic() < deadline, "the job never finished"
+                time.sleep(0.01)
+            time.sleep(1.0)  # the drain runs to its wait for open connections
+            assert handle.thread.is_alive()
+            job = client.wait(response["id"], timeout=60)["job"]
+            assert job["status"] == "done"
+            assert client.submit(_plan_spec())["error"] == "service is draining"
+        handle.thread.join(timeout=30)
+        assert not handle.thread.is_alive()
+
+    def test_cache_counts_are_the_jobs_own_lookups(self, monkeypatch):
+        """Two jobs overlap on two workers, making 3 and 5 cache misses:
+        each timeline counts its own lookups, not the shared counters'
+        movement while it ran."""
+        import repro.serve.server as server_mod
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the pool is min(workers, cpus)
+        both_running, both_looked_up = threading.Barrier(2), threading.Barrier(2)
+        sock = _short_socket()
+        handle = serve_in_thread(ServeConfig(socket_path=sock, workers=2))
+        misses = {"a": 3, "b": 5}
+
+        def overlapping_lookups(job, **kwargs):
+            both_running.wait(timeout=30)
+            for i in range(misses[job.spec.tenant]):
+                assert handle.service.cache.get(f"absent-{job.spec.tenant}-{i}") is None
+            both_looked_up.wait(timeout=30)
+            return {}
+
+        monkeypatch.setattr(server_mod, "execute_job", overlapping_lookups)
+        with handle, ServeClient(sock) as client:
+            ids = {t: client.submit(_plan_spec(t))["id"] for t in misses}
+            for tenant, job_id in ids.items():
+                job = client.wait(job_id, timeout=60)["job"]
+                assert job["status"] == "done", job
+                assert job["timeline"]["cache_misses"] == misses[tenant]
+                assert job["timeline"]["cache_hits"] == 0
+            assert client.stats()["cache"]["misses"] == 8
+        assert not handle.thread.is_alive()
+
     def test_shutdown_op_drains(self):
         sock = _short_socket()
         handle = serve_in_thread(ServeConfig(socket_path=sock, workers=1))

@@ -8,8 +8,7 @@ property battery sweeps cluster shapes over world sizes 1–8 and pins
 every collective's per-link-class byte accounting to the closed-form
 2D algebra (``Topology.collective_bytes`` and what ``SimComm.charge``
 records); the trainer-level tests extend the identity through chaos
-recovery and the compiled tape; the validation tests close the dangling
-degraded-link gap.
+recovery; the validation tests close the dangling degraded-link gap.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from conftest import (
     assert_dry_run_equals_live,
     dry_comm_stats,
     dry_run_of,
-    interpreted_oracle,
 )
 
 REL = 1e-9
@@ -375,16 +373,6 @@ class TestTrainerBitwise:
         ops = hier.engine.comm.stats.bytes_by_op
         assert ops and all("/" in op for op in ops)
 
-    def test_compiled_equals_interpreted_under_topology(self, tmp_path):
-        topo = Topology(nodes=2, ranks_per_node=2)
-        interp = Trainer(topo_config(tmp_path / "i", topology=topo))
-        interpreted_oracle(interp.tape)
-        interp.train()
-        compiled = Trainer(topo_config(tmp_path / "c", topology=topo))
-        compiled.train()
-        assert compiled.tape.stats.replays and not interp.tape.stats.replays
-        assert_trainers_bitwise(interp, compiled)
-
     def test_live_bytes_match_planner(self, tmp_path):
         """Live counters == the same charges run dry, with ``==``: the
         planner runs the communicator.  Shapes include the flat ring and
@@ -425,10 +413,8 @@ class TestTrainerBitwise:
 # ---------------------------------------------------------------------------
 
 class TestChaosUnderTopology:
-    @pytest.mark.parametrize("taped_reference", [False, True])
-    def test_grow_then_shrink_bitwise(self, tmp_path, taped_reference):
-        """2→3→2 chaos under 2x2 == clean reference at the final world
-        (the reference taped like the chaos legs, or the interpreted oracle)."""
+    def test_grow_then_shrink_bitwise(self, tmp_path):
+        """2→3→2 chaos under 2x2 == clean reference at the final world."""
         topo = Topology(nodes=2, ranks_per_node=2)
         plan = FaultPlan(events=(rank_join(6), rank_failure(10, 2)))
         cfg = topo_config(
@@ -446,8 +432,6 @@ class TestChaosUnderTopology:
             tmp_path / "ref", topology=topo, world_size=2, total_steps=14,
             checkpoint_interval=4,
         ))
-        if not taped_reference:
-            interpreted_oracle(ref.tape)
         source = supervisor.trainer.storage.root / recovery["source"]
         assert ref.resume_from(CheckpointPaths(source)) == recovery["resumed_from"]
         assert ref.train().interrupted_at is None

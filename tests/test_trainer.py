@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import repro.dist
-from repro.autograd import BackwardTape
 from repro.cli import main
 from repro.dist import ZeroStage3Engine, reshard_checkpoint
 from repro.io import (
@@ -110,7 +109,8 @@ class TestTrainingLoop:
 
 class TestRetiredSurface:
     """The ``mp`` process-pool backend, the engine's ``fused=False``
-    layout and the tape's ``compile`` switch left with no shim — and
+    layout, the tape's ``compile`` switch and the backward-tape compiler
+    left with no shim — and
     checkpoints written while the ``comm_backend`` / ``compile`` config
     keys existed keep loading."""
 
@@ -119,7 +119,6 @@ class TestRetiredSurface:
         assert [n for n in repro.dist.__all__ if n.startswith(retired)] == []
         engine_params = inspect.signature(ZeroStage3Engine).parameters
         assert not {"fused", "comm_backend"} & set(engine_params)
-        assert not hasattr(BackwardTape, "backward")
         for key, value, flag in (
             ("comm_backend", "auto", ["--comm-backend", "sim"]),
             ("compile", False, ["--compile"]),
@@ -134,6 +133,30 @@ class TestRetiredSurface:
         monkeypatch.setenv("REPRO_COMM_BACKEND", "mp")
         assert Trainer(quick_config(tmp_path, total_steps=2)).train().final_step == 2
         assert not list(Path("/dev/shm").glob("repro-mp-*"))
+
+    def test_one_backward(self):
+        """The backward-tape compiler left with no shim: ``Tensor.backward``
+        is the one backward, every VJP takes ``(node, g)`` and writes no
+        ``out=`` buffer, and the engine copies every gradient into its
+        staging buffer."""
+        import repro.autograd
+        from repro.autograd import functional, tensor
+
+        for name in ("BackwardTape", "TapeStats"):
+            assert name not in repro.autograd.__all__
+            assert not hasattr(repro.autograd, name)
+        with pytest.raises(ModuleNotFoundError):
+            import repro.autograd.compile  # noqa: F401
+        assert not hasattr(ZeroStage3Engine, "grad_donation_views")
+        ops = {id(op): op for holder in (vars(tensor), vars(tensor.Tensor), vars(functional))
+               for op in holder.values() if isinstance(op, tensor.Op)}
+        assert len(ops) >= 30
+        for op in ops.values():
+            assert list(inspect.signature(op.vjp).parameters) == ["node", "g"], op
+            assert not hasattr(op, "bufs")
+        src = Path(repro.__file__).parent
+        hooked = [p.name for p in src.rglob("*.py") if "_tape_" in p.read_text(encoding="utf-8")]
+        assert hooked == []
 
     def test_second_elastic_path_and_verify_sources_are_gone(self):
         """One elastic-resume path (the reader feeding ``reshard_sweep``),
