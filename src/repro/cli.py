@@ -136,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("model", nargs="?", default=None)
     p_plan.add_argument("strategy", nargs="?", default=None,
                         choices=("full", "parity", "filtered", "magnitude"))
-    p_plan.add_argument("--interval", type=int, default=100)
-    p_plan.add_argument("--steps", type=int, default=1600)
+    p_plan.add_argument("--interval", type=_count, default=100)
+    p_plan.add_argument("--steps", type=_count, default=1600)
     p_plan.add_argument("--world-size", type=_count, default=8)
     p_plan.add_argument("--async-writer", action="store_true",
                         help="model an overlapped (CheckFreq-style) writer")
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _count(text: str) -> int:
-    """An argparse type: an int >= 1 (a count of ranks, sources or workers)."""
+    """An argparse type: an int >= 1 (a count of ranks, steps, sources or workers)."""
     try:
         value = int(text)
     except ValueError:

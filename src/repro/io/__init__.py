@@ -10,7 +10,7 @@ from .layout import (
     read_latest,
     write_latest,
 )
-from .reader import LoadedCheckpoint, describe_checkpoint, load_checkpoint
+from .reader import LoadedCheckpoint, describe_checkpoint, load_checkpoint, price_resume
 from .retention import (
     coverage_map,
     latest_complete_step,
@@ -19,7 +19,7 @@ from .retention import (
 )
 from .storage import LUSTRE_DEFAULT, IOStats, Ledger, Storage, StorageCostModel
 from .tensorfile import TENSORFILE_VERSION, TensorFile, write_tensorfile
-from .writer import save_checkpoint
+from .writer import price_save, save_checkpoint
 
 __all__ = [
     "BLOB_VERSION",
@@ -42,6 +42,8 @@ __all__ = [
     "prune_checkpoints",
     "list_checkpoint_steps",
     "load_checkpoint",
+    "price_resume",
+    "price_save",
     "read_blob",
     "read_latest",
     "save_checkpoint",

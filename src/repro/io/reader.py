@@ -8,6 +8,9 @@ Resume is *elastic*: a checkpoint written at world size N loads into an
 engine running at world size M — the reader reshards the optimizer
 payloads N→M in memory (:func:`repro.dist.reshard.reshard_sweep`) as it
 hands them to the engine.
+
+A resume's one price is :func:`price_resume`: the reader charges it the
+files' sizes on disk, the supervisor's null leg nominal ones.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .layout import CheckpointPaths, shard_filename
 from .storage import Storage
 from .tensorfile import TensorFile
 
-__all__ = ["LoadedCheckpoint", "load_checkpoint", "describe_checkpoint"]
+__all__ = ["LoadedCheckpoint", "describe_checkpoint", "load_checkpoint", "price_resume"]
 
 
 @dataclass
@@ -39,6 +42,15 @@ class LoadedCheckpoint:
     scheduler_state: dict[str, Any]
     rng_state: dict[str, Any]
     manifest: dict[str, Any]
+
+
+def price_resume(storage: Storage, weight_bytes: int, shard_bytes: int, world_size: int) -> None:
+    """Charge ``storage`` one resume: the weight file by one reader, then
+    the ``world_size`` optimizer shards (``shard_bytes`` over all ranks)
+    concurrently, inflated."""
+    storage.charge_read(weight_bytes, files=1, category="checkpoint_read.weights")
+    storage.charge_read(shard_bytes, files=world_size, parallel=world_size, decompress=True,
+                        category="checkpoint_read.optimizer")
 
 
 def load_checkpoint(
@@ -62,10 +74,7 @@ def load_checkpoint(
 
     # Model weights (informational only for training — the fp32 masters in
     # the shards are authoritative — but loaded for inference parity).
-    weights = TensorFile(paths.weights)
-    model.load_state_dict(weights.read_all(), strict=True)
-    if storage is not None:
-        storage.charge_read(weights.total_nbytes(), files=1, category="checkpoint_read.weights")
+    model.load_state_dict(TensorFile(paths.weights).read_all(), strict=True)
 
     # Optimizer shards: full files, one per rank (no lazy load), read on
     # demand so one is resident at a time.  When the checkpoint's world
@@ -85,12 +94,9 @@ def load_checkpoint(
             rank, next(shards), materialize=rank == engine.world_size - 1
         )
     if storage is not None:
-        storage.charge_read(
-            sum(p.stat().st_size for p in paths.shard_paths(source_world)),
-            files=source_world,
-            parallel=source_world,
-            decompress=True,
-            category="checkpoint_read.optimizer",
+        price_resume(
+            storage, paths.weights.stat().st_size,
+            sum(p.stat().st_size for p in paths.shard_paths(source_world)), source_world,
         )
 
     return LoadedCheckpoint(

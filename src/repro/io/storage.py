@@ -224,9 +224,10 @@ class Storage:
 class Ledger(Storage):
     """A :class:`Storage` that only keeps the books: no directory, no files.
 
-    Every dry run charges one — a checkpoint event
-    (:func:`~repro.strategies.planner.checkpoint_event_seconds`), a merge,
-    reshard or diff price (:func:`~repro.core.plan.price_merge`,
+    Every dry run charges one — a checkpoint save or resume price
+    (:func:`~repro.io.writer.price_save`,
+    :func:`~repro.io.reader.price_resume`), a merge, reshard or diff price
+    (:func:`~repro.core.plan.price_merge`,
     :func:`~repro.dist.reshard.price_reshard`), the supervisor's null leg —
     and its callers read their numbers off ``stats`` and ``clock``.
     """

@@ -7,9 +7,9 @@ The directory is written inside one
 :meth:`~repro.io.layout.CheckpointPaths.rewrite` transaction, which owns
 the order (un-publish first, manifest last) and the manifest's schema.
 
-Write costs are charged to the storage's simulated clock:
-* consolidated weight file — one serial writer (rank 0), as in §2.3;
-* optimizer shards — one file per rank, written in parallel.
+A save's one price is :func:`price_save` (the weight file by rank 0
+alone, as in §2.3, then one shard per rank in parallel); dry runs charge
+it nominal bytes.  Only the writer charges config files.
 """
 
 from __future__ import annotations
@@ -27,7 +27,20 @@ from .layout import CheckpointPaths, checkpoint_dir, write_latest
 from .storage import Storage
 from .tensorfile import write_tensorfile
 
-__all__ = ["save_checkpoint"]
+__all__ = ["price_save", "save_checkpoint"]
+
+
+def price_save(
+    storage: Storage, weight_bytes: int, shard_bytes: int, world_size: int,
+    category: str = "checkpoint_write",
+) -> None:
+    """Charge ``storage`` one checkpoint save: the weight file by one
+    writer, then the ``world_size`` optimizer shards (``shard_bytes`` over
+    all ranks) concurrently — the two phases are sequential, as in the
+    DeepSpeed save path."""
+    storage.charge_write(weight_bytes, files=1, parallel=1, category=f"{category}.weights")
+    storage.charge_write(shard_bytes, files=world_size, parallel=world_size,
+                         category=f"{category}.optimizer")
 
 
 def save_checkpoint(
@@ -74,7 +87,6 @@ def save_checkpoint(
             metadata={"model": config.name, "step": step, "slots": saved_slots,
                       "strategy": strategy},
         )
-        storage.charge_write(weight_bytes, files=1, parallel=1, category="checkpoint_write.weights")
 
         # 2. Per-rank optimizer shard blobs, written in parallel across ranks.
         shard_bytes = 0
@@ -82,10 +94,7 @@ def save_checkpoint(
             shard = engine.rank_state_dict(rank, slots=slot_set)
             shard["global_step"] = step
             shard_bytes += write_blob(tx.shard(rank), shard)
-        storage.charge_write(
-            shard_bytes, files=engine.world_size, parallel=engine.world_size,
-            category="checkpoint_write.optimizer",
-        )
+        price_save(storage, weight_bytes, shard_bytes, engine.world_size)
 
         # 3. Config / metadata files (paper §4.4), then the manifest (publish
         # first sweeps shards a write of this step at a larger world left).

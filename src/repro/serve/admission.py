@@ -11,7 +11,7 @@ server's accounting exactly (see
 :func:`repro.strategies.planner.plan_serve_cost`, which simply calls
 :func:`estimate_job_cost`).
 
-A tenant is bounded on two axes:
+Every tenant is bounded by the service's one quota, on two axes:
 
 * ``max_inflight`` — jobs admitted but not yet finished (queued or
   running);
@@ -163,24 +163,15 @@ class Admission:
 class AdmissionController:
     """Charges each tenant's budget on admit, releases it on finish."""
 
-    def __init__(
-        self,
-        quota: TenantQuota | None = None,
-        *,
-        overrides: dict[str, TenantQuota] | None = None,
-    ) -> None:
-        self.default_quota = quota or TenantQuota()
-        self.overrides = dict(overrides or {})
+    def __init__(self, quota: TenantQuota | None = None) -> None:
+        self.quota = quota or TenantQuota()
         self._tenants: dict[str, _TenantState] = {}
         self._lock = threading.Lock()
 
-    def quota_for(self, tenant: str) -> TenantQuota:
-        """The quota governing one tenant (override or default)."""
-        return self.overrides.get(tenant, self.default_quota)
-
     def admit(self, spec: JobSpec, cost: JobCost) -> Admission:
-        """Admit or reject one job against its tenant's budget."""
-        quota = self.quota_for(spec.tenant)
+        """Admit or reject one job against its tenant's budget (every
+        tenant has the same ``quota``)."""
+        quota = self.quota
         with self._lock:
             state = self._tenants.setdefault(spec.tenant, _TenantState())
             queued = state.queued_bytes + cost.total_bytes
@@ -189,7 +180,7 @@ class AdmissionController:
             elif queued > quota.max_queued_bytes:
                 reason = f"over max_queued_bytes ({queued} > {quota.max_queued_bytes})"
             else:
-                self._charge(state, cost)
+                self._take_budget(state, cost)
                 return Admission(accepted=True, cost=cost)
             state.rejected += 1
             return Admission(
@@ -207,10 +198,10 @@ class AdmissionController:
         taken instead of draining budget newly admitted jobs hold.
         """
         with self._lock:
-            self._charge(self._tenants.setdefault(spec.tenant, _TenantState()), cost)
+            self._take_budget(self._tenants.setdefault(spec.tenant, _TenantState()), cost)
 
     @staticmethod
-    def _charge(state: _TenantState, cost: JobCost) -> None:
+    def _take_budget(state: _TenantState, cost: JobCost) -> None:
         state.inflight += 1
         state.queued_bytes += cost.total_bytes
         state.outstanding_seconds += cost.est_seconds

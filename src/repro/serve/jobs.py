@@ -270,14 +270,12 @@ def _run_plan(job: Job) -> dict[str, Any]:
 
     params = job.spec.params
     config = get_config(str(params["model"]))
-    strategy = build_strategy(
-        str(params["strategy"]), config, int(params.get("interval", 100))
-    )
+    strategy = build_strategy(str(params["strategy"]), config, params.get("interval", 100))
     plan = plan_strategy(
         config,
         strategy,
-        total_steps=int(params.get("steps", 1600)),
-        world_size=int(params.get("world_size", 8)),
+        total_steps=params.get("steps", 1600),
+        world_size=params.get("world_size", 8),
     )
     job.timeline.record("planned", strategy=plan.strategy, events=plan.num_events)
     return {

@@ -104,7 +104,8 @@ def _check_param_types(kind: str, params: Mapping[str, Any]) -> None:
         raise ConfigError(f"{kind} job param {key!r} must be {what}, got {params[key]!r:.80}")
 
     for key, value in params.items():
-        if key == "target_world_size" and (type(value) is not int or value < 1):
+        if key in ("target_world_size", "interval", "steps", "world_size") \
+                and (type(value) is not int or value < 1):
             fail(key, "an int >= 1")
         if key in ("recipe", "output", "checkpoint", "checkpoint_a", "checkpoint_b") \
                 and not isinstance(value, str):

@@ -63,7 +63,6 @@ class ServeConfig:
     port: int = 0
     workers: int = 2
     quota: TenantQuota = field(default_factory=TenantQuota)
-    quota_overrides: dict[str, TenantQuota] = field(default_factory=dict)
     cache_bytes: int = 256 << 20
     blob_root: str | None = None
     journal_path: str | None = None
@@ -92,9 +91,7 @@ class MergeService:
 
         self.config = config
         self.queue = JobQueue()
-        self.admission = AdmissionController(
-            config.quota, overrides=config.quota_overrides
-        )
+        self.admission = AdmissionController(config.quota)
         self.blob_store = (
             BlobStore(config.blob_root) if config.blob_root is not None else None
         )

@@ -16,7 +16,6 @@ from .planner import (
     StepTrafficPlan,
     StrategyPlan,
     checkpoint_event_nbytes,
-    checkpoint_event_seconds,
     nominal_manifest,
     plan_fault_cost,
     plan_merge_cost,
@@ -44,7 +43,6 @@ __all__ = [
     "UpdateMagnitudeStrategy",
     "build_strategy",
     "checkpoint_event_nbytes",
-    "checkpoint_event_seconds",
     "nominal_manifest",
     "plan_fault_cost",
     "plan_merge_cost",

@@ -10,7 +10,9 @@ module models that composition analytically:
 * a background **flush** writes to storage overlapped with subsequent
   compute; if the next checkpoint event arrives before the previous
   flush drained, training stalls until it finishes (single in-flight
-  flush, as in CheckFreq).
+  flush, as in CheckFreq).  The flush takes what the blocking writer
+  would: ``plan_strategy_async`` is one pass over :func:`plan_strategy`'s
+  events, each priced by :func:`~repro.io.writer.price_save`.
 
 Combining a selective strategy (fewer bytes) with the async writer
 (overlap) multiplies the savings — see the composability ablation
@@ -24,12 +26,7 @@ from dataclasses import dataclass
 from ..io.storage import StorageCostModel
 from ..nn.config import ModelConfig
 from .base import CheckpointStrategy
-from .planner import (
-    ComputeCostModel,
-    StrategyPlan,
-    checkpoint_event_nbytes,
-    checkpoint_event_seconds,
-)
+from .planner import ComputeCostModel, StrategyPlan, plan_strategy
 
 __all__ = ["AsyncCheckpointModel", "plan_strategy_async"]
 
@@ -56,55 +53,38 @@ def plan_strategy_async(
     compute: ComputeCostModel | None = None,
     async_model: AsyncCheckpointModel | None = None,
 ) -> StrategyPlan:
-    """Like :func:`plan_strategy` but with an overlapped writer.
+    """Like :func:`plan_strategy` but with an overlapped writer: one pass
+    over its events.
 
     Per event, the charged time is the *stall*: any leftover flush from
     the previous event that didn't drain during the interval's compute
-    window, plus the blocking snapshot.  The event's own flush then
+    window, plus the blocking snapshot.  The event's own flush — the
+    blocking plan's write, kept as ``write_seconds_background`` — then
     proceeds in the background.
     """
     from ..nn.slots import model_slots, slot_param_counts
 
-    storage = storage or StorageCostModel()
     compute = compute or ComputeCostModel()
     async_model = async_model or AsyncCheckpointModel()
-    strategy.reset()
-
+    plan = plan_strategy(
+        config, strategy, total_steps=total_steps, world_size=world_size,
+        tokens_per_step_per_gpu=tokens_per_step_per_gpu, storage=storage, compute=compute,
+    )
+    plan.strategy = f"{plan.strategy}+async"
     counts = slot_param_counts(config)
     num_params = sum(counts[s] for s in model_slots(config))
     step_seconds = compute.step_seconds(num_params, tokens_per_step_per_gpu)
 
-    plan = StrategyPlan(
-        strategy=f"{strategy.name}+async",
-        total_steps=total_steps,
-        interval=strategy.interval,
-        train_seconds=step_seconds * total_steps,
-    )
     pending_flush = 0.0  # background write seconds still outstanding
     last_event_step = 0
-    for step in range(1, total_steps + 1):
-        slots = strategy.plan_step(step)
-        if slots is None:
-            continue
-        volume = checkpoint_event_nbytes(config, slots)
-        write_seconds = checkpoint_event_seconds(
-            config, slots, world_size=world_size, storage=storage
-        )
+    for event in plan.events:
         # The previous flush drained during this interval's compute.
-        window = step_seconds * (step - last_event_step)
+        window = step_seconds * (event["step"] - last_event_step)
         leftover = max(0.0, pending_flush - window)
-        stall = leftover + async_model.snapshot_seconds(volume["total_bytes"])
-        pending_flush = write_seconds
-        last_event_step = step
-        plan.events.append(
-            {
-                "step": step,
-                "slots": list(slots),
-                "num_slots": len(slots),
-                **volume,
-                "seconds": stall,
-                "write_seconds_background": write_seconds,
-                "flush_leftover_stall": leftover,
-            }
+        pending_flush, last_event_step = event["seconds"], event["step"]
+        event.update(
+            seconds=leftover + async_model.snapshot_seconds(event["total_bytes"]),
+            write_seconds_background=pending_flush,
+            flush_leftover_stall=leftover,
         )
     return plan

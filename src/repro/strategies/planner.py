@@ -1,7 +1,8 @@
 """Config-only planners, all dry runs of the real thing (no model, no
-files): checkpoint overhead (paper-scale Tables 3 and 6) charges a
-:class:`~repro.io.storage.Ledger`; merge and reshard cost are the engines'
-own prices (:func:`~repro.core.plan.price_merge`,
+files): checkpoint overhead (paper-scale Tables 3 and 6) is the live
+writer's own price (:func:`~repro.io.writer.price_save`) charged to a
+:class:`~repro.io.storage.Ledger` per event; merge and reshard cost are
+the engines' own prices (:func:`~repro.core.plan.price_merge`,
 :func:`~repro.dist.reshard.price_reshard`) over nominal sizes; step traffic
 and fault cost run the real communicator and recovery policy; serve cost
 is admission control's own estimate.
@@ -27,6 +28,7 @@ from pathlib import Path
 
 from ..io.layout import CheckpointSizes, manifest_doc
 from ..io.storage import Ledger, StorageCostModel
+from ..io.writer import price_save
 from ..nn.config import ModelConfig
 from ..nn.slots import model_slots, slot_param_counts
 from ..numerics.dtypes import DType
@@ -43,7 +45,6 @@ __all__ = [
     "StepTrafficPlan",
     "StrategyPlan",
     "checkpoint_event_nbytes",
-    "checkpoint_event_seconds",
     "nominal_manifest",
     "plan_fault_cost",
     "plan_merge_cost",
@@ -84,28 +85,6 @@ def checkpoint_event_nbytes(
         "optim_bytes": optim_bytes,
         "total_bytes": weight_bytes + optim_bytes,
     }
-
-
-def checkpoint_event_seconds(
-    config: ModelConfig,
-    slots: list[str],
-    *,
-    world_size: int,
-    storage: StorageCostModel,
-    dtype: DType | None = None,
-) -> float:
-    """Simulated wall time of one checkpoint event.
-
-    The consolidated weight file is written by rank 0 alone; the
-    ``world_size`` optimizer shards are written concurrently — the two
-    phases are sequential (weights consolidate after the step, shards
-    follow), as in the DeepSpeed save path.
-    """
-    volume = checkpoint_event_nbytes(config, slots, dtype=dtype)
-    ledger = Ledger(storage)
-    ledger.charge_write(volume["weight_bytes"], files=1, parallel=1)
-    ledger.charge_write(volume["optim_bytes"], files=world_size, parallel=world_size)
-    return ledger.clock.total()
 
 
 def nominal_manifest(
@@ -542,7 +521,6 @@ def plan_strategy(
     strategies degrade to their model-free behaviour (documented as full
     checkpointing) since no weights exist here.
     """
-    storage = storage or StorageCostModel()
     compute = compute or ComputeCostModel()
     strategy.reset()
 
@@ -561,16 +539,15 @@ def plan_strategy(
         if slots is None:
             continue
         volume = checkpoint_event_nbytes(config, slots)
-        seconds = checkpoint_event_seconds(
-            config, slots, world_size=world_size, storage=storage
-        )
+        ledger = Ledger(storage)
+        price_save(ledger, volume["weight_bytes"], volume["optim_bytes"], world_size)
         plan.events.append(
             {
                 "step": step,
                 "slots": list(slots),
                 "num_slots": len(slots),
                 **volume,
-                "seconds": seconds,
+                "seconds": ledger.clock.total(),
             }
         )
     return plan

@@ -20,7 +20,9 @@ from ..core.plan import price_merge
 from ..dist.comm import SimComm
 from ..dist.faults import FaultPlan, FaultTimeline, GoodputReport, repair_from_replicas
 from ..io.layout import CheckpointPaths, CheckpointSizes, RunIndex, checkpoint_dir
+from ..io.reader import price_resume
 from ..io.storage import Ledger, StorageCostModel
+from ..io.writer import price_save
 from ..nn.config import ModelConfig
 from ..nn.slots import model_slots
 from ..strategies.base import build_strategy
@@ -349,10 +351,12 @@ class NullLeg(Trainer):
     <repro.dist.comm.SimComm.charge_step>`) to the same fault-priced
     :class:`~repro.dist.comm.SimComm` and clock a live leg builds, then
     :meth:`Trainer._charge_step_time`.  Checkpoint writes and resumes
-    charge *nominal* bytes (12 B/param optimizer + storage-dtype weights)
-    to the storage :class:`~repro.io.storage.Ledger`, a merge charges the
-    merge's one price (:func:`~repro.core.plan.price_merge`) over those
-    sizes, and manifests live in ``disk``, the dict-backed
+    charge the live prices (:func:`~repro.io.writer.price_save`,
+    :func:`~repro.io.reader.price_resume`) *nominal* bytes (12 B/param
+    optimizer + storage-dtype weights) on the storage
+    :class:`~repro.io.storage.Ledger`, a merge charges the merge's one
+    price (:func:`~repro.core.plan.price_merge`) over those sizes, and
+    manifests live in ``disk``, the dict-backed
     :class:`~repro.io.layout.RunIndex` every leg of the run shares.
     ``bitrot`` events are not priced: there are no bytes to corrupt.
     """
@@ -392,14 +396,6 @@ class NullLeg(Trainer):
     def eval_loss(self, max_batches: int = 6) -> float:
         return float("nan")
 
-    def _charge(self, charge, manifest: dict, category: str, **optim_kw) -> None:
-        """One checkpoint directory's I/O: the serial weight file, then the
-        per-rank optimizer shards in parallel."""
-        ws = manifest["world_size"]
-        charge(manifest["weight_nbytes"], files=1, category=f"{category}.weights")
-        charge(manifest["shard_nbytes"], files=ws, parallel=ws,
-               category=f"{category}.optimizer", **optim_kw)
-
     def write_checkpoint(
         self, step: int, *, slots: list[str] | None, strategy_name: str
     ) -> CheckpointPaths:
@@ -410,13 +406,15 @@ class NullLeg(Trainer):
             self.model_config, model_slots(self.model_config) if slots is None else slots,
             world_size=self.config.world_size, step=step, strategy=strategy_name,
         )
-        self._charge(self.storage.charge_write, manifest, f"checkpoint_write.{strategy_name}")
+        price_save(self.storage, manifest["weight_nbytes"], manifest["shard_nbytes"],
+                   manifest["world_size"], category=f"checkpoint_write.{strategy_name}")
         self.disk.record(f"checkpoint-{step}", manifest)
         return checkpoint_dir(self.storage.root, step)
 
     def resume_from(self, checkpoint: str | Path | CheckpointPaths) -> int:
         manifest = self.disk.manifest(CheckpointPaths(checkpoint).dir.name)
-        self._charge(self.storage.charge_read, manifest, "checkpoint_read", decompress=True)
+        price_resume(self.storage, manifest["weight_nbytes"], manifest["shard_nbytes"],
+                     manifest["world_size"])
         self.state = TrainerState(global_step=manifest["step"])
         return manifest["step"]
 

@@ -1,5 +1,6 @@
-"""One price per offline operation: merge and reshard are priced by the
-engines' own schedules run dry against a :class:`~repro.io.storage.Ledger`.
+"""One price per checkpoint operation: merge and reshard are priced by the
+engines' own schedules run dry against a :class:`~repro.io.storage.Ledger`,
+a save and a resume by the writer's and reader's own prices.
 
 On-disk sizes make the dry run equal the live engine's counters (``==``,
 never ``approx``); nominal sizes make it the planner; the same sizes give
@@ -17,7 +18,7 @@ from repro.core.recipe import parse_recipe
 from repro.core.tailor import LLMTailor
 from repro.dist.reshard import price_reshard, reshard_checkpoint
 from repro.dist.topology import Topology
-from repro.io import CheckpointSizes, Ledger
+from repro.io import CheckpointSizes, Ledger, price_resume, price_save
 from repro.nn import get_config
 from repro.nn.slots import model_slots
 from repro.serve import JobSpec, estimate_job_cost
@@ -96,6 +97,42 @@ def test_reshard_dry_run_equals_live_counters(trail, tmp_path):
     assert plan.loads == live.files_loaded
 
 
+def _books(storage, prefix: str) -> dict:
+    """Per-category bytes and seconds charged under ``prefix``."""
+    return {k: (v, storage.clock.by_category[k])
+            for k, v in storage.stats.by_category.items() if k.startswith(prefix)}
+
+
+@pytest.mark.parametrize("resume_world_size", [2, 3])
+def test_save_and_resume_live_counters_equal_the_price(tmp_path, resume_world_size):
+    """A trainer's save and resume charge ``price_save`` / ``price_resume``
+    over the on-disk sizes, category by category.  At the parent the resume
+    charged the weight file's payload without its header."""
+    def trainer(world_size: int) -> Trainer:
+        return Trainer(TrainConfig(
+            model="tiny-untied", task="cpt", total_steps=8, checkpoint_strategy="full",
+            checkpoint_interval=8, output_dir=str(tmp_path / f"ws{world_size}"),
+            world_size=world_size, micro_batch_size=2, grad_accum_steps=1, seq_len=32,
+            log_every=100,
+        ))
+
+    saver = trainer(2)
+    saver.train()
+    checkpoint = tmp_path / "ws2" / "checkpoint-8"
+    sizes = CheckpointSizes.on_disk(checkpoint)
+    priced = Ledger()
+    price_save(priced, sizes.weights, sum(sizes.shards), len(sizes.shards))
+    live = _books(saver.storage, "checkpoint_write")
+    assert live.pop("checkpoint_write.config")[0] > 0  # the writer's alone
+    assert live == _books(priced, "checkpoint_write")
+
+    loader = trainer(resume_world_size)
+    assert loader.resume_from(checkpoint) == 8
+    priced = Ledger()
+    price_resume(priced, sizes.weights, sum(sizes.shards), len(sizes.shards))
+    assert _books(loader.storage, "checkpoint_read") == _books(priced, "checkpoint_read")
+
+
 @pytest.fixture
 def nominal_disk(monkeypatch):
     """Make the on-disk lookup answer with the planner's nominal sizes."""
@@ -153,6 +190,11 @@ def test_a_missing_source_is_the_engines_typed_error(run2):
     ["--world-size", "8", "--topology", "1x4"],
     ["--world-size", "4", "--reshard-to", "8", "--topology", "1x4"],
     ["--serve", "missing-source"],
+    ["--steps", "-5"],
+    ["--steps", "0"],
+    ["--steps", "abc"],
+    ["--interval", "0"],
+    ["--interval", "2.5"],
 ], ids=lambda argv: " ".join(argv))
 def test_plan_refuses_bad_input_typed_with_exit_2(argv, run2, tmp_path, capsys):
     """At the parent these printed ``loads per rank 1`` for zero sources or

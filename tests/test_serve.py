@@ -168,6 +168,8 @@ class TestProtocol:
         ("diff", "momentum", "no"),
         ("diff", "momentum", 0),
         ("diff", "checkpoint_a", None),
+        *[("plan", key, v) for key in ("interval", "steps", "world_size")
+          for v in (0, -5, 2.5, True, "abc")],
     ])
     def test_parse_refuses_mistyped_params_naming_the_field(self, kind, key, value):
         """Only typed refusals reach the pricing and the engines: at the
@@ -178,6 +180,7 @@ class TestProtocol:
             "reshard": {"checkpoint": "c", "output": "o", "target_world_size": 2},
             "merge": {"recipe": "r.yaml"},
             "diff": {"checkpoint_a": "a", "checkpoint_b": "b"},
+            "plan": {"model": "m", "strategy": "full"},
         }[kind]
         if key == "recipe_doc":
             params = {}
