@@ -4,7 +4,7 @@
 The paper closes by arguing that *dynamic* strategies should outperform
 rule-based ones (§5.3).  This example shows the extension surface:
 subclass :class:`CheckpointStrategy`, register it, and the trainer,
-decision log, auto-recipe and merge tooling all work unchanged.
+run index, auto-recipe and merge tooling all work unchanged.
 
 The demo strategy checkpoints the K slots whose weights drifted most
 since their last save — a simple "save what trained fastest" policy —
@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import TrainConfig, Trainer
+from repro.io import RunIndex, checkpoint_dir
 from repro.nn import model_slots, slot_of_param
 from repro.strategies import CheckpointStrategy, register_strategy
 from repro.util.humanize import format_bytes
@@ -77,11 +78,12 @@ def main() -> None:
     result = trainer.train()
     print(result.summary())
 
-    print("\ncheckpoint decisions (step -> slots saved):")
-    for record in trainer.strategy.log.records:
-        print(f"  step {record['step']:>3}: {record['slots']}")
+    index = RunIndex(trainer.storage.root)
+    print("\ncheckpoint manifests (step -> slots saved):")
+    for step, slots in index.coverage_map().items():
+        print(f"  step {step:>3}: {slots}")
 
-    total = trainer.storage.tree_nbytes()
+    total = sum(checkpoint_dir(index.root, step).nbytes() for step in index.steps())
     print(f"\ntotal checkpoint bytes on disk: {format_bytes(total)}")
 
     print("\nrecovering from step 42 with the generic machinery...")

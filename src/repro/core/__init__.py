@@ -1,6 +1,6 @@
 """LLMTailor core: parameter regrouping, recipes, checkpoint merging."""
 
-from .autorecipe import latest_slot_coverage, recipe_from_decision_log, recipe_from_run
+from .autorecipe import recipe_from_run
 from .diffstat import SlotDrift, diff_checkpoints, drift_ranking, nonuniformity_index
 from .groups import (
     GroupSpec,
@@ -35,7 +35,6 @@ __all__ = [
     "group_layout_table",
     "groups_for_slot",
     "nonuniformity_index",
-    "latest_slot_coverage",
     "load_recipe",
     "merge_optimizer_shards",
     "merge_rank_shard",
@@ -43,7 +42,6 @@ __all__ = [
     "mergekit_merge",
     "mergekit_merge_from_yaml",
     "parse_recipe",
-    "recipe_from_decision_log",
     "recipe_from_run",
     "resolve_plan",
     "slot_of_group",

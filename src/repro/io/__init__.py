@@ -11,12 +11,7 @@ from .layout import (
     write_latest,
 )
 from .reader import LoadedCheckpoint, describe_checkpoint, load_checkpoint, price_resume
-from .retention import (
-    coverage_map,
-    latest_complete_step,
-    prunable_steps,
-    prune_checkpoints,
-)
+from .retention import prunable_steps, prune_checkpoints
 from .storage import LUSTRE_DEFAULT, IOStats, Ledger, Storage, StorageCostModel
 from .tensorfile import TENSORFILE_VERSION, TensorFile, write_tensorfile
 from .writer import price_save, save_checkpoint
@@ -35,8 +30,6 @@ __all__ = [
     "TENSORFILE_VERSION",
     "TensorFile",
     "checkpoint_dir",
-    "coverage_map",
-    "latest_complete_step",
     "describe_checkpoint",
     "prunable_steps",
     "prune_checkpoints",

@@ -25,7 +25,7 @@ from ..nn.module import Module
 from ..util.errors import CheckpointError
 from ..util.jsonio import read_json
 from .blobfile import read_blob
-from .layout import CheckpointPaths, shard_filename
+from .layout import CheckpointPaths, CheckpointSizes
 from .storage import Storage
 from .tensorfile import TensorFile
 
@@ -110,20 +110,20 @@ def load_checkpoint(
 
 
 def describe_checkpoint(directory: str | Path) -> dict[str, Any]:
-    """Summarize a checkpoint directory (sizes, coverage) for tooling."""
+    """Summarize a checkpoint directory (sizes, coverage) for tooling; the
+    sizes are :meth:`CheckpointSizes.on_disk`'s, the ones every price uses."""
+    sizes = CheckpointSizes.on_disk(directory)
     paths = CheckpointPaths(directory)
     manifest = paths.read_manifest()
-    weights = TensorFile(paths.weights)
-    shards = sorted(paths.optim_dir.glob(shard_filename("*")))
     return {
         "step": manifest["step"],
         "model_config": manifest["model_config"],
         "strategy": manifest["strategy"],
         "complete": manifest["complete"],
         "slots": manifest["slots"],
-        "num_weight_tensors": len(weights),
-        "weight_nbytes": weights.total_nbytes(),
-        "num_shards": len(shards),
-        "shard_nbytes": sum(p.stat().st_size for p in shards),
+        "num_weight_tensors": len(sizes.tensors),
+        "weight_nbytes": sizes.weights,
+        "num_shards": len(sizes.shards),
+        "shard_nbytes": sum(sizes.shards),
         "total_nbytes": paths.nbytes(),
     }

@@ -15,28 +15,11 @@ from pathlib import Path
 
 from ..util.errors import CheckpointError
 from ..util.logging import get_logger
-from .layout import RunIndex, checkpoint_dir, read_latest
+from .layout import RunIndex, checkpoint_dir, list_checkpoint_steps, read_latest
 
-__all__ = [
-    "coverage_map",
-    "latest_complete_step",
-    "prunable_steps",
-    "prune_checkpoints",
-]
+__all__ = ["prunable_steps", "prune_checkpoints"]
 
 log = get_logger("io.retention")
-
-
-def coverage_map(root: str | Path) -> dict[int, list[str]]:
-    """Step -> slots saved, for every checkpoint under ``root``."""
-    return RunIndex(root).coverage_map()
-
-
-def latest_complete_step(root: str | Path) -> int | None:
-    """Newest checkpoint whose manifest marks it *complete*, or ``None``:
-    the self-sufficient, world-size-consistent resume point failure
-    recovery falls back to without a merge, hence load-bearing."""
-    return max(RunIndex(root).complete_steps(), default=None)
 
 
 def _covered(coverage: dict[int, list[str]], keep: set[int]) -> set[str]:
@@ -92,11 +75,14 @@ def prune_checkpoints(
     blob_store=None,
     tenant: str | None = None,
 ) -> list[int]:
-    """Delete prunable checkpoints; returns the steps removed.
+    """Delete prunable checkpoints and husks; returns the steps removed.
 
-    Never deletes the checkpoint the ``latest`` pointer references.  The
+    A husk is a ``checkpoint-<k>`` directory without a manifest, older
+    than the newest published checkpoint: what a killed prune or a
+    killed save leaves behind, and what every reader already skips.
+    Never deletes the directory the ``latest`` pointer names.  The
     manifest goes before the tree (:meth:`~repro.io.layout.CheckpointPaths.delete`),
-    so a kill mid-prune leaves a directory every reader skips.
+    so a kill mid-prune leaves a husk the next prune collects.
 
     When the run's shard groups were ingested into a serve
     :class:`~repro.io.storage.BlobStore`, pass it (with the ``tenant``
@@ -110,8 +96,11 @@ def prune_checkpoints(
     root = Path(root)
     latest = read_latest(root)
     latest_step = latest.step if latest is not None else None
+    published = RunIndex(root).steps()
+    husks = [s for s in list_checkpoint_steps(root)
+             if s not in published and s < max(published, default=0)]
     removed: list[int] = []
-    for step in prunable_steps(root, keep_last):
+    for step in sorted(prunable_steps(root, keep_last) + husks):
         if step == latest_step:
             continue
         if not dry_run:

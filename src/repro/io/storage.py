@@ -209,17 +209,6 @@ class Storage:
         self.clock.advance(seconds, category)
         return seconds
 
-    # -- disk usage -------------------------------------------------------------
-
-    def tree_nbytes(self, *parts: str) -> int:
-        """Actual bytes on disk under a subdirectory."""
-        base = self.path(*parts)
-        if not base.exists():
-            return 0
-        if base.is_file():
-            return base.stat().st_size
-        return sum(p.stat().st_size for p in base.rglob("*") if p.is_file())
-
 
 class Ledger(Storage):
     """A :class:`Storage` that only keeps the books: no directory, no files.

@@ -284,10 +284,6 @@ class TensorFile:
         """On-disk payload bytes of one named tensor."""
         return int(self._entry(name)["nbytes"])
 
-    def total_nbytes(self) -> int:
-        """Sum of all tensors' payload bytes."""
-        return sum(int(e["nbytes"]) for e in self._entries.values())
-
     def _entry(self, name: str) -> dict[str, Any]:
         try:
             return self._entries[name]

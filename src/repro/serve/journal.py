@@ -60,7 +60,8 @@ def replay_journal(path: str | Path) -> list[tuple[str, JobSpec]]:
     """Jobs submitted but never finished, in submit order.
 
     Reads the JSONL journal tolerantly: a torn final line (crash
-    mid-write) is ignored, anything else malformed raises
+    mid-write) is ignored, anything else malformed (not JSON, not an
+    object, an unknown event) raises
     :class:`~repro.util.errors.ConfigError` (prefixed ``path:line``)
     since silently skipping a *valid-looking* but unparseable record
     could drop a tenant's job.  Only still-pending submits are
@@ -73,16 +74,18 @@ def replay_journal(path: str | Path) -> list[tuple[str, JobSpec]]:
     # a finished job recorded under an older protocol (a param this
     # version no longer accepts) must not stop the daemon from starting.
     pending: dict[str, tuple[int, Any]] = {}
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = path.read_bytes().splitlines()
     for i, line in enumerate(lines):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
+            record = json.loads(line)  # bytes: bad UTF-8 is a ValueError too
+        except (ValueError, RecursionError):
             if i == len(lines) - 1:
                 break  # torn final line from a crash mid-append
             raise ConfigError(f"{path}:{i + 1}: malformed journal line") from None
+        if not isinstance(record, dict):
+            raise ConfigError(f"{path}:{i + 1}: journal line is not a JSON object")
         event = record.get("event")
         job_id = str(record.get("id"))
         if event == "submit":

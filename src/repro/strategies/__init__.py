@@ -1,7 +1,7 @@
 """Selective checkpoint strategies and the analytic overhead planner."""
 
 from .async_model import AsyncCheckpointModel, plan_strategy_async
-from .base import CheckpointStrategy, DecisionLog, build_strategy, register_strategy
+from .base import CheckpointStrategy, build_strategy, register_strategy
 from .filtered import FilteredStrategy
 from .full import FullStrategy
 from .magnitude import UpdateMagnitudeStrategy
@@ -29,7 +29,6 @@ __all__ = [
     "AsyncCheckpointModel",
     "CheckpointStrategy",
     "ComputeCostModel",
-    "DecisionLog",
     "FaultCostPlan",
     "FilteredStrategy",
     "FullStrategy",

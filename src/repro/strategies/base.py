@@ -3,56 +3,22 @@
 A strategy answers one question per training step: *"should we
 checkpoint now, and if so, which layer slots?"* (``None`` = no
 checkpoint, a list of slots = write a partial checkpoint with exactly
-those).  Every decision is appended to a JSON decision log — the file
-the paper's T1 workflow emits and T2 consumes to auto-generate a merge
-recipe.
+those).  What each checkpoint holds is recorded once, in its manifest;
+the paper's T2 step (generating the merge recipe) reads those manifests
+through :class:`~repro.io.layout.RunIndex`
+(:func:`~repro.core.autorecipe.recipe_from_run`).
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 from ..nn.config import ModelConfig
 from ..nn.module import Module
 from ..util.errors import ConfigError
-from ..util.jsonio import read_json, write_json_atomic
 
-__all__ = ["CheckpointStrategy", "DecisionLog", "register_strategy", "build_strategy"]
-
-
-@dataclass
-class DecisionLog:
-    """Append-only record of (step, slots) checkpoint decisions."""
-
-    strategy: str
-    records: list[dict[str, Any]] = field(default_factory=list)
-
-    def add(self, step: int, slots: list[str]) -> None:
-        """Record one checkpoint decision (step + slots saved)."""
-        self.records.append({"step": int(step), "slots": list(slots)})
-
-    def save(self, path: str | Path) -> None:
-        """Write the decisions as JSON (atomic)."""
-        write_json_atomic(path, {"strategy": self.strategy, "records": self.records})
-
-    @classmethod
-    def load(cls, path: str | Path) -> "DecisionLog":
-        """Read a decision log written by :meth:`save`."""
-        data = read_json(path)
-        return cls(strategy=data.get("strategy", "?"), records=list(data.get("records", [])))
-
-    def slots_saved_before(self, step: int) -> dict[str, int]:
-        """Latest save step per slot at or before ``step``."""
-        coverage: dict[str, int] = {}
-        for record in sorted(self.records, key=lambda r: r["step"]):
-            if record["step"] > step:
-                break
-            for slot in record["slots"]:
-                coverage[slot] = record["step"]
-        return coverage
+__all__ = ["CheckpointStrategy", "register_strategy", "build_strategy"]
 
 
 class CheckpointStrategy(abc.ABC):
@@ -65,7 +31,6 @@ class CheckpointStrategy(abc.ABC):
             raise ConfigError(f"checkpoint interval must be >= 1, got {interval}")
         self.config = config
         self.interval = interval
-        self.log = DecisionLog(strategy=self.name)
         self._events_fired = 0
 
     # -- the decision ---------------------------------------------------------
@@ -84,7 +49,6 @@ class CheckpointStrategy(abc.ABC):
             return None
         slots = self.slots_for_event(self._events_fired, step, model=model)
         self._events_fired += 1
-        self.log.add(step, slots)
         return slots
 
     # -- bookkeeping ------------------------------------------------------------
@@ -92,7 +56,6 @@ class CheckpointStrategy(abc.ABC):
     def reset(self) -> None:
         """Clear decision state so a plan replay starts fresh."""
         self._events_fired = 0
-        self.log = DecisionLog(strategy=self.name)
 
     def describe(self) -> dict[str, Any]:
         """Serializable description of the strategy and its knobs."""

@@ -67,8 +67,6 @@ class CheckpointCallback(Callback):
         if slots is None:
             return
         trainer.write_checkpoint(step, slots=slots, strategy_name=self.strategy.name)
-        if trainer.decision_log_path is not None:
-            self.strategy.log.save(trainer.decision_log_path)
         log.info("checkpoint at step %d: %d slots (%s)", step, len(slots), self.strategy.name)
         if trainer.config.max_checkpoints is not None:
             from ..io.retention import prune_checkpoints
@@ -82,7 +80,7 @@ class FailureInjector(Callback):
     """Simulate a crash after the given step completes (paper T3).
 
     The checkpoint callback runs first (trainer preserves registration
-    order), so the decisions for the failing step land on disk — exactly
+    order), so the failing step's checkpoint lands on disk — exactly
     what a real crash after a completed save looks like.
     """
 

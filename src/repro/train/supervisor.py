@@ -361,8 +361,6 @@ class NullLeg(Trainer):
     ``bitrot`` events are not priced: there are no bytes to corrupt.
     """
 
-    decision_log_path = None  # nothing is persisted
-
     def __init__(
         self, config: TrainConfig, *, model_config: ModelConfig, disk: RunIndex,
         cost_model: StorageCostModel | None = None,

@@ -209,12 +209,6 @@ class Trainer:
 
     # -- paths --------------------------------------------------------------------
 
-    @property
-    def decision_log_path(self) -> Path | None:
-        """Where the strategy's checkpoint decisions are persisted
-        (``None``: this leg persists nothing)."""
-        return Path(self.config.output_dir) / "ckpt_decisions.json"
-
     def run_index(self) -> RunIndex:
         """A fresh snapshot of what this leg's run directory holds."""
         return RunIndex(self.storage.root)

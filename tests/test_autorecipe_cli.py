@@ -7,12 +7,10 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core import LLMTailor, recipe_from_decision_log, recipe_from_run
-from repro.core.autorecipe import latest_slot_coverage
-from repro.io import CheckpointPaths
+from repro.core import LLMTailor, recipe_from_run
+from repro.io import CheckpointPaths, CheckpointSizes, RunIndex
 from repro.train import TrainConfig, Trainer
 from repro.util.errors import MergeError
-from repro.util.jsonio import write_json_atomic
 
 
 @pytest.fixture
@@ -32,49 +30,35 @@ def parity_trail(tmp_path):
 
 class TestAutoRecipe:
     def test_coverage_prefers_latest(self, parity_trail):
-        coverage, config = latest_slot_coverage(parity_trail.storage.root, failure_step=14)
+        coverage = RunIndex(parity_trail.storage.root).slot_coverage(14)
         # Checkpoint 4 = full, 8 = odd set, 12 = even set.
         assert coverage["layers.0"] == 12  # even layer: latest at 12
         assert coverage["layers.1"] == 8  # odd layer: latest at 8
         assert coverage["norm"] == 12
 
     def test_failure_step_filters(self, parity_trail):
-        coverage, _ = latest_slot_coverage(parity_trail.storage.root, failure_step=9)
+        coverage = RunIndex(parity_trail.storage.root).slot_coverage(9)
         assert max(coverage.values()) == 8
 
     def test_no_checkpoints_raises(self, tmp_path):
         with pytest.raises(MergeError, match="no usable checkpoints"):
-            latest_slot_coverage(tmp_path, failure_step=10)
+            recipe_from_run(tmp_path, failure_step=10)
 
     def test_recipe_from_run_merges(self, parity_trail, tmp_path):
         recipe = recipe_from_run(parity_trail.storage.root, failure_step=14)
         assert recipe.base_checkpoint.name == "checkpoint-12"
+        # Odd layers must come from checkpoint-8.
+        assert recipe.assignments["layers.1"].name == "checkpoint-8"
         result = LLMTailor(recipe).merge(output=tmp_path / "merged")
         assert result.output.read_manifest()["complete"]
 
-    def test_recipe_from_decision_log(self, parity_trail, tmp_path):
-        recipe = recipe_from_decision_log(
-            parity_trail.decision_log_path, parity_trail.storage.root, failure_step=14
-        )
-        assert recipe.base_checkpoint.name == "checkpoint-12"
-        # Odd layers must come from checkpoint-8.
-        assert recipe.assignments["layers.1"].name == "checkpoint-8"
-
-    def test_decision_log_ignores_pruned_checkpoints(self, parity_trail, tmp_path):
+    def test_recipe_from_run_never_draws_from_a_pruned_checkpoint(self, parity_trail):
         import shutil
 
         shutil.rmtree(parity_trail.storage.root / "checkpoint-8")
-        recipe = recipe_from_decision_log(
-            parity_trail.decision_log_path, parity_trail.storage.root, failure_step=14
-        )
+        recipe = recipe_from_run(parity_trail.storage.root, failure_step=14)
         # Fallback: odd layers last seen in the full checkpoint-4.
         assert recipe.assignments["layers.1"].name == "checkpoint-4"
-
-    def test_empty_decision_log_raises(self, tmp_path):
-        path = tmp_path / "log.json"
-        write_json_atomic(path, {"strategy": "parity", "records": []})
-        with pytest.raises(MergeError, match="no records"):
-            recipe_from_decision_log(path, tmp_path)
 
 
 class TestCLI:
@@ -95,6 +79,20 @@ class TestCLI:
         info = json.loads(capsys.readouterr().out)
         assert info["step"] == 4
         assert main(["verify", ckpt]) == 0
+
+    def test_describe_reports_the_sizes_every_price_uses(self, parity_trail, capsys):
+        """One size per file: ``weight_nbytes`` is the weight file on disk,
+        header included, as :meth:`CheckpointSizes.on_disk` and the save and
+        resume prices have it."""
+        for step in (4, 8):
+            ckpt = parity_trail.storage.root / f"checkpoint-{step}"
+            assert main(["describe", str(ckpt)]) == 0
+            info = json.loads(capsys.readouterr().out)
+            sizes = CheckpointSizes.on_disk(ckpt)
+            assert info["weight_nbytes"] == sizes.weights
+            assert info["shard_nbytes"] == sum(sizes.shards)
+            assert (info["num_shards"], info["num_weight_tensors"]) == (
+                len(sizes.shards), len(sizes.tensors))
 
     def test_auto_merge_command(self, parity_trail, tmp_path, capsys):
         out_dir = str(tmp_path / "cli-merged")

@@ -344,14 +344,14 @@ class TestCrashPointBattery:
                 trainer_state={"global_step": step}, slots=slots,
                 strategy="full" if slots is None else "parity")
 
-        return {  # name -> (operation, directory it (re)writes)
-            "full save": (save(15, "ws3"), "checkpoint-15"),
-            "partial save": (save(15, "ws3", env["slots"][0::2]), "checkpoint-15"),
-            "rewrite at a smaller world size": (save(12, "ws2"), "checkpoint-12"),
-            "merge": (lambda: LLMTailor.from_checkpoints(root, failure_step=9, workers=1)
-                      .merge(root / "merged"), "merged"),
-            "reshard": (lambda: reshard_checkpoint(root / "checkpoint-12", root / "re4", 2), "re4"),
-            "prune": (lambda: prune_checkpoints(root, keep_last=1), None),
+        return {
+            "full save": save(15, "ws3"),
+            "partial save": save(15, "ws3", env["slots"][0::2]),
+            "rewrite at a smaller world size": save(12, "ws2"),
+            "merge": lambda: LLMTailor.from_checkpoints(root, failure_step=9, workers=1)
+                     .merge(root / "merged"),
+            "reshard": lambda: reshard_checkpoint(root / "checkpoint-12", root / "re4", 2),
+            "prune": lambda: prune_checkpoints(root, keep_last=1),
         }
 
     _known_good: set = set()  # digests of states already examined (kills repeat them)
@@ -471,7 +471,7 @@ class TestCrashPointBattery:
             shutil.copytree(pristine["root"], root)
             return self._operations(root, pristine)[name]
 
-        operation, target = reset()
+        operation = reset()
         with _CrashAt() as counting:
             operation()
         clean, mutations = _tree(root), counting.count
@@ -479,7 +479,7 @@ class TestCrashPointBattery:
         self._assert_consistent(root, pristine, pristine_tree, f"{name}: uninterrupted")
 
         for k in range(1, mutations + 1):
-            operation, target = reset()
+            operation = reset()
             with _CrashAt(k) as crash:
                 operation()
                 raise AssertionError(f"{name}: mutation {k} of {mutations} never happened")
@@ -488,7 +488,5 @@ class TestCrashPointBattery:
             operation()  # a clean rerun over whatever the kill left behind
             after = _tree(root)
             assert not [f for f in after if f.endswith(".tmp")], f"{name}: debris after {k}"
-            if target is not None:  # (a killed prune leaves a manifest-less husk behind)
-                assert after == clean, f"{name}: rerun after kill at {k} differs"
-            else:
-                self._assert_consistent(root, pristine, pristine_tree, f"{name}: rerun after {k}")
+            # A killed prune leaves a manifest-less husk; the rerun collects it.
+            assert after == clean, f"{name}: rerun after kill at {k} differs"

@@ -508,16 +508,14 @@ class TestChaosResumeInvariant:
         checkpoint and a merge trail whose base is also 4.  The
         supervisor must take the cheaper, merge-free path.
         """
-        from repro.core.autorecipe import latest_slot_coverage
+        from repro.io import RunIndex
 
         plan = FaultPlan(events=(rank_failure(6, 1),))
         cfg = chaos_config(tmp_path, world_size=2, checkpoint_strategy="parity")
         supervisor = ChaosSupervisor(cfg, plan)
         result = supervisor.run()
         # Prove this really is a tie: the merge trail anchors at 4 too.
-        coverage, _ = latest_slot_coverage(
-            supervisor.trainer.storage.root, failure_step=6
-        )
+        coverage = RunIndex(supervisor.trainer.storage.root).slot_coverage(6)
         assert max(coverage.values()) == 4
         recovery = [
             e for e in result.fault_timeline.events if e["kind"] == "recovery"

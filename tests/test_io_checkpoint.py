@@ -86,14 +86,6 @@ class TestStorageCostModel:
         assert st.clock.fraction("checkpoint_write") == pytest.approx(0.05)
         assert st.stats.bytes_written == 5e8
 
-    def test_tree_nbytes(self, tmp_path):
-        st = Storage(tmp_path)
-        sub = tmp_path / "a"
-        sub.mkdir()
-        (sub / "x.bin").write_bytes(b"\x00" * 100)
-        assert st.tree_nbytes("a") == 100
-        assert st.tree_nbytes("missing") == 0
-
 
 class TestSaveLoad:
     def test_full_checkpoint_roundtrip_bitwise(self, tmp_path, untied_config):

@@ -6,9 +6,8 @@ import pytest
 
 from repro.core import LLMTailor
 from repro.io import (
+    RunIndex,
     checkpoint_dir,
-    coverage_map,
-    latest_complete_step,
     list_checkpoint_steps,
     prunable_steps,
     prune_checkpoints,
@@ -33,7 +32,7 @@ def parity_run(tmp_path):
 
 class TestCoverageMap:
     def test_maps_all_checkpoints(self, parity_run):
-        cov = coverage_map(parity_run.storage.root)
+        cov = RunIndex(parity_run.storage.root).coverage_map()
         assert sorted(cov) == [4, 8, 12, 16, 20, 24]
         # The first parity checkpoint is full; later ones are halves.
         assert len(cov[4]) == parity_run.model_config.num_model_slots
@@ -49,7 +48,7 @@ class TestPrunable:
         root = parity_run.storage.root
         prunable = prunable_steps(root, keep_last=2)
         survivors = set(list_checkpoint_steps(root)) - set(prunable)
-        cov = coverage_map(root)
+        cov = RunIndex(root).coverage_map()
         all_slots = set().union(*cov.values())
         surviving_slots = set().union(*(cov[s] for s in survivors))
         assert surviving_slots == all_slots
@@ -116,13 +115,35 @@ class TestPrune:
         with pytest.raises(CheckpointError, match="tailor_manifest.json"):
             parity_run.resume_latest()
 
+    def test_prune_collects_husks_older_than_the_newest_checkpoint(self, parity_run):
+        """A manifest-less ``checkpoint-<k>`` (a killed prune or save) below
+        the newest published step is removed; one above it, one ``latest``
+        names, and anything under ``dry_run`` are left alone."""
+        from repro.io import write_latest
+
+        root = parity_run.storage.root
+        for step in (8, 16):
+            checkpoint_dir(root, step).manifest.unlink()
+        (root / "checkpoint-30" / "global_step30").mkdir(parents=True)
+        before = list_checkpoint_steps(root)
+        keep_all = len(before)
+        assert prune_checkpoints(root, keep_all, dry_run=True) == [8, 16]
+        assert list_checkpoint_steps(root) == before
+        write_latest(root, 16)
+        assert prune_checkpoints(root, keep_all) == [8]
+        assert list_checkpoint_steps(root) == [4, 12, 16, 20, 24, 30]
+        write_latest(root, 24)
+        assert prune_checkpoints(root, keep_all) == [16]
+        assert list_checkpoint_steps(root) == [4, 12, 20, 24, 30]
+        assert RunIndex(root).steps() == [4, 12, 20, 24]
+
 
 class TestCompleteCheckpointAnchor:
     """Retention must never evict the last complete checkpoint set."""
 
     def test_latest_complete_step_finds_full_snapshot(self, parity_run):
         # Parity's initial full snapshot at step 4 is the only complete one.
-        assert latest_complete_step(parity_run.storage.root) == 4
+        assert RunIndex(parity_run.storage.root).complete_steps() == [4]
 
     def test_latest_complete_step_none_without_full(self, tmp_path):
         cfg = TrainConfig(
@@ -133,7 +154,7 @@ class TestCompleteCheckpointAnchor:
             micro_batch_size=2, grad_accum_steps=1, seq_len=32,
         )
         Trainer(cfg).train()
-        assert latest_complete_step(tmp_path / "run") is None
+        assert RunIndex(tmp_path / "run").complete_steps() == []
 
     def test_newest_complete_checkpoint_protected(self, parity_run):
         """Partial coverage of step 4's slots must not make it prunable.
@@ -143,7 +164,7 @@ class TestCompleteCheckpointAnchor:
         only merge-free, world-size-consistent resume point.
         """
         root = parity_run.storage.root
-        cov = coverage_map(root)
+        cov = RunIndex(root).coverage_map()
         later = set().union(*(cov[s] for s in cov if s > 4))
         assert later == set(cov[4])  # coverage alone would allow pruning 4
         assert 4 not in prunable_steps(root, keep_last=2)
@@ -168,7 +189,7 @@ class TestCompleteCheckpointAnchor:
         assert result.interrupted_at is None
         assert result.final_step == 24
         # The complete anchor was never evicted along the way.
-        assert latest_complete_step(tmp_path / "run") is not None
+        assert RunIndex(tmp_path / "run").complete_steps()
 
 
 class TestTrainerIntegration:

@@ -103,15 +103,20 @@ def run_dir(tmp_path_factory) -> Path:
 _NIGHTLY = any(arg.startswith("--hypothesis-seed") for arg in sys.argv)
 
 
-def _json_docs():
-    """Arbitrary JSON, most of it job-shaped: each kind's required params
-    present (with arbitrary values) plus arbitrary optional ones."""
+def _json_values():
+    """Arbitrary JSON values."""
     scalar = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
               | st.text(max_size=8))
-    value = st.recursive(
+    return st.recursive(
         scalar, lambda inner: st.lists(inner, max_size=3)
         | st.dictionaries(st.text(max_size=8), inner, max_size=3), max_leaves=8,
     )
+
+
+def _json_docs():
+    """Arbitrary JSON, most of it job-shaped: each kind's required params
+    present (with arbitrary values) plus arbitrary optional ones."""
+    value = _json_values()
     required = {"merge": ["recipe"], "reshard": ["checkpoint", "output", "target_world_size"],
                 "diff": ["checkpoint_a", "checkpoint_b"], "plan": ["model", "strategy"]}
     optional = {"merge": ["output", "cache_mode"], "reshard": [],
@@ -123,6 +128,17 @@ def _json_docs():
             optional={key: value for key in optional[kind]}),
     }, optional={"priority": value}) for kind in required]
     return st.one_of(*jobs) | value
+
+
+def _journal_records():
+    """Arbitrary JSON values, most of them journal-shaped: a ``submit`` of
+    an arbitrary (mostly job-shaped) document or a ``done``, under ids
+    that often pair up."""
+    ids = st.sampled_from(["job-1", "job-2"]) | _json_values()
+    return (st.fixed_dictionaries({"event": st.just("submit"), "id": ids, "job": _json_docs()})
+            | st.fixed_dictionaries({"event": st.just("done"), "id": ids},
+                                    optional={"status": _json_values()})
+            | _json_values())
 
 
 class TestProtocol:
@@ -604,6 +620,31 @@ class TestJournal:
 
     def test_missing_journal_is_empty(self, tmp_path):
         assert replay_journal(tmp_path / "absent.jsonl") == []
+
+    @pytest.mark.parametrize("line", [
+        "[1,2]", "3", '"submit"', "null", "1" * 5000, "[" * 100_000 + "]" * 100_000,
+    ], ids=["array", "number", "string", "null", "5000-digit number", "100000-deep array"])
+    def test_a_line_that_is_not_an_object_names_its_line(self, tmp_path, line):
+        """A refusal naming ``path:line``, never an ``AttributeError``,
+        ``ValueError`` or ``RecursionError`` out of ``MergeService.start``."""
+        path = tmp_path / "j.jsonl"
+        path.write_text(line + "\n" + json.dumps({"event": "done", "id": "x"}) + "\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:1: "):
+            replay_journal(path)
+
+    @given(records=st.lists(_journal_records(), max_size=5))
+    @settings(max_examples=300, deadline=None, derandomize=not _NIGHTLY)
+    def test_replay_journal_raises_only_config_error(self, tmp_path_factory, records):
+        """Any sequence of JSON lines replays to jobs or is refused with a
+        ``ConfigError`` naming ``path:line`` — nothing else escapes."""
+        path = tmp_path_factory.getbasetemp() / "journal-property.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        try:
+            replay = replay_journal(path)
+        except ConfigError as exc:
+            assert str(exc).startswith(f"{path}:")
+            return
+        assert all(isinstance(spec, JobSpec) for _, spec in replay)
 
     @staticmethod
     def _journal_with_removed_param(path, *, finished: bool) -> None:

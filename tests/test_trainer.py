@@ -72,9 +72,26 @@ class TestTrainingLoop:
         assert list_checkpoint_steps(out) == [8, 16, 24]
         assert read_latest(out).step == 24
 
-    def test_decision_log_written(self, trained_run):
-        trainer, _, out = trained_run
-        assert trainer.decision_log_path.exists()
+    def test_run_root_holds_only_checkpoints_and_latest(self, tmp_path, capsys):
+        """The manifests are the one record of what a checkpoint holds: a
+        plain run, a ``--resume`` run and a chaos run with one recovery
+        leave nothing else at the run root."""
+        from repro.dist.faults import FaultPlan, rank_failure
+
+        def entries(root):
+            return {"checkpoint-*" if p.is_dir() and p.name.startswith("checkpoint-")
+                    else p.name for p in root.iterdir()}
+
+        run = ["train", "-o", str(tmp_path / "run"), "--interval", "4"]
+        assert main([*run, "--steps", "8"]) == 0
+        assert entries(tmp_path / "run") == {"checkpoint-*", "latest"}
+        assert main([*run, "--steps", "12", "--resume"]) == 0
+        assert entries(tmp_path / "run") == {"checkpoint-*", "latest"}
+        FaultPlan(events=(rank_failure(6, 1),)).to_yaml(tmp_path / "plan.yaml")
+        assert main(["train", "-o", str(tmp_path / "chaos"), "--steps", "12",
+                     "--interval", "4", "--faults", str(tmp_path / "plan.yaml")]) == 0
+        assert "recovery" in capsys.readouterr().out
+        assert entries(tmp_path / "chaos") == {"checkpoint-*", "latest"}
 
     def test_clock_accounting(self, trained_run):
         _, result, _ = trained_run
@@ -392,9 +409,7 @@ class TestStrategyIntegration:
         trainer = Trainer(cfg)
         trainer.train()
         # Every slot recoverable at the end.
-        from repro.core.autorecipe import latest_slot_coverage
-
-        coverage, _ = latest_slot_coverage(trainer.storage.root, failure_step=12)
+        coverage = trainer.run_index().slot_coverage(12)
         from repro.nn import model_slots
 
         assert set(coverage) == set(model_slots(trainer.model_config))
