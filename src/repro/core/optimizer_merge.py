@@ -13,8 +13,11 @@ materializes only the parameter groups the plan takes from that source,
 each passed through :func:`repro.dist.shard.check_payload` before it is
 copied — as records of their stored bytes (:class:`repro.io.blobfile.Record`),
 each decoded once for its CRC check and written back verbatim, the way
-the weight merge copies tensor bytes.  Two load policies reproduce the
-paper's Table 7 regimes:
+the weight merge copies tensor bytes.  That decode is the merge's only
+one: each written group's :func:`~repro.dist.shard.group_digest` goes back
+in :class:`RankMergeStats`, and the merge's verify matches the output's
+records to it instead of decoding them again.  Two load policies
+reproduce the paper's Table 7 regimes:
 
 * ``per-checkpoint`` — each distinct source blob is read once per rank
   (the "straightforward" mode: layers 1-16 from ckpt A, 17-32 from B);
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -43,6 +46,7 @@ from ..dist.shard import (
     check_payload,
     content_key,
     group_array,
+    group_digest,
     metadata_only,
     select_groups,
 )
@@ -104,7 +108,9 @@ def worker_budget(workers: int, tasks: int) -> int:
 
 @dataclass
 class RankMergeStats:
-    """Per-rank accounting for the merge-overhead experiments (Table 7)."""
+    """Per-rank accounting for the merge-overhead experiments (Table 7),
+    plus ``digests``: the :func:`~repro.dist.shard.group_digest` of every
+    group written from checked records, which the merge's verify takes."""
 
     rank: int
     files_loaded: int = 0
@@ -114,6 +120,7 @@ class RankMergeStats:
     bytes_written: int = 0
     checkpoints_touched: int = 0
     slots_copied: int = 0
+    digests: dict[int, tuple] = field(default_factory=dict)
 
 
 def _extract(
@@ -246,6 +253,7 @@ def merge_rank_shard(
         world_size, rank, num_groups, merged.values(),
         {"global_step": global_step, "merged_by": "llmtailor"},
     )
+    stats.digests = {g: d for g, e in merged.items() if (d := group_digest(e)) is not None}
 
     timer = WallTimer()
     with timer:

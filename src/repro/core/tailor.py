@@ -13,9 +13,11 @@ Typical use::
 The merge pipeline (paper §4): resolve and validate the plan → merge
 weight files (lazy per-tensor copies) → merge per-rank optimizer shards
 (full-file loads, optionally in parallel) → copy config files → write
-manifest → verify.  Everything after the plan runs inside one
-:meth:`~repro.io.layout.CheckpointPaths.rewrite` transaction on the output:
-un-published first, manifest last, un-published again if verification fails.
+manifest → verify (each output group by the records its load already
+checked, :func:`~repro.core.verify.verify_checkpoint`).  Everything after
+the plan runs inside one :meth:`~repro.io.layout.CheckpointPaths.rewrite`
+transaction on the output: un-published first, manifest last, un-published
+again if verification fails.
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ class LLMTailor:
             # Inside the transaction: a merge that fails its own
             # verification is un-published again, not left resumable.
             if plan.options.verify:
-                report = verify_checkpoint(plan.output)
+                report = verify_checkpoint(plan.output, digests=[s.digests for s in rank_stats])
                 report.raise_if_failed()
 
         result = MergeResult(

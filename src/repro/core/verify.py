@@ -5,15 +5,21 @@ result is a well-formed *complete* checkpoint: the weight file covers
 the exact parameter set, and every rank shard is a complete, intact
 payload (:func:`repro.dist.shard.check_payload`) of the canonical 2L+x
 layout with the right decay settings.
+
+Each shard is read once, arrays as records (container length and CRC
+over every byte; dtype and shape from the record headers), and each
+group decoded for its ``crc32`` — unless its writer's ``digests`` show
+its records are the ones the merge's load already decoded and checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping, Sequence
 
-from ..dist.shard import check_payload
-from ..io.blobfile import read_blob
+from ..dist.shard import check_payload, group_array
+from ..io.blobfile import read_blob_selected
 from ..io.layout import CheckpointPaths
 from ..io.tensorfile import TensorFile
 from ..nn.config import ModelConfig
@@ -57,8 +63,10 @@ def verify_checkpoint(
     directory: str | Path,
     *,
     weight_decay: float = 0.01,
+    digests: Sequence[Mapping[int, tuple]] | None = None,
 ) -> VerifyReport:
-    """Run structural checks; returns a report (never raises directly)."""
+    """Run structural checks; returns a report (never raises directly).
+    ``digests``: per rank, the merge's ``RankMergeStats.digests``."""
     paths = CheckpointPaths(directory)
     report = VerifyReport(path=Path(directory))
 
@@ -111,9 +119,10 @@ def verify_checkpoint(
     for rank, shard_path in enumerate(paths.shard_paths(world_size)):
         try:
             entries = check_payload(
-                read_blob(shard_path), world_size=world_size, rank=rank,
-                origin=f"rank {rank} shard", error=MergeError, complete=True,
-                expect=canonical,
+                read_blob_selected(shard_path, lambda path: True, as_record=group_array),
+                world_size=world_size, rank=rank, origin=f"rank {rank} shard",
+                error=MergeError, complete=True, expect=canonical,
+                digests=digests[rank] if digests is not None else None,
             )
         except Exception as exc:  # noqa: BLE001
             report.note(False, str(exc))

@@ -38,6 +38,7 @@ recorder attached to :class:`~repro.train.trainer.TrainResult`.
 
 from __future__ import annotations
 
+import heapq
 import math
 import shutil
 from dataclasses import asdict, dataclass, field
@@ -687,6 +688,8 @@ class FaultPlan:
         events: list[FaultEvent] = []
         t = 0.0
         last_step = 0
+        alive = world_size
+        restores: list[int] = []  # heap: steps the reclaimed ranks rejoin at
         while True:
             t += float(rng.exponential(mean_interarrival))
             step = max(int(math.ceil(t)), last_step + 1)
@@ -694,13 +697,18 @@ class FaultPlan:
                 break
             last_step = step
             # The world once everything scheduled at/before this step has
-            # fired (a restore tying with this arrival fires first).
-            alive = cls(tuple(events)).world_size_at(world_size, step + 1)
+            # fired (a restore tying with this arrival fires first): the
+            # trajectory's world at this step, kept as it goes.
+            while restores and restores[0] <= step:
+                heapq.heappop(restores)
+                alive += 1
             if alive <= min_world_size:
                 continue  # fleet at its floor; the arrival finds no spare rank
             rank = int(rng.integers(alive))
             restore_after = max(1, int(round(float(rng.exponential(mean_restore)))))
             events.append(preemption(step, rank, restore_after))
+            alive -= 1
+            heapq.heappush(restores, step + restore_after)
         plan = cls(events=tuple(events), seed=int(seed))
         plan.validate(world_size, total_steps)
         return plan

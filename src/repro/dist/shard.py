@@ -16,8 +16,10 @@ every writer goes through :func:`build_payload`, every reader through :func:`che
 
 ``crc32`` (:func:`group_payload_crc`) gives each group its own integrity
 check, so a selective reader verifies exactly the groups it materializes;
-shards written before it carry none and stay loadable.  The wire format
-stays a plain dict; callers exchange per-group :class:`GroupEntry` tuples.
+shards written before it carry none and stay loadable; a writer of checked
+records vouches for them by :func:`group_digest` instead of a second decode.
+The wire format stays a plain dict; callers exchange per-group
+:class:`GroupEntry` tuples.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from .partition import GroupPartition
 
 __all__ = [
     "SHARD_FORMAT_VERSION", "GroupEntry", "build_payload", "check_payload", "content_key",
-    "group_array", "group_payload_crc", "metadata_only", "payload_extras", "select_groups",
+    "group_array", "group_digest", "group_payload_crc", "metadata_only", "payload_extras",
+    "select_groups",
 ]
 
 SHARD_FORMAT_VERSION = 1
@@ -55,7 +58,16 @@ class GroupEntry(NamedTuple):
     step: int
     exp_avg: np.ndarray
     exp_avg_sq: np.ndarray
-    crc: int | None = None  # the group CRC check_payload verified for these arrays
+    crc: int | None = None  # the group CRC they were checked against (decoded or by digest)
+
+
+def group_digest(entry: GroupEntry) -> tuple | None:
+    """``(crc, (zlib.crc32, length) of each record's bytes)`` of a group of three
+    checked records, else ``None``: what their writer hands :func:`check_payload`."""
+    arrays = (entry.fp32, entry.exp_avg, entry.exp_avg_sq)
+    if entry.crc is None or not all(isinstance(a, Record) for a in arrays):
+        return None
+    return (entry.crc, *((zlib.crc32(a.data), len(a.data)) for a in arrays))
 
 
 def group_payload_crc(fp32: np.ndarray, exp_avg: np.ndarray, exp_avg_sq: np.ndarray) -> int:
@@ -118,6 +130,7 @@ def check_payload(
     payload: Mapping[str, Any], *, world_size: int, rank: int, origin: str,
     error: type[Exception], complete: bool = False,
     expect: Mapping[int, Mapping[str, Any]] | None = None, wanted: Iterable[int] | None = None,
+    digests: Mapping[int, tuple] | None = None,
 ) -> dict[int, GroupEntry]:
     """Validate one rank's payload; returns its groups, ascending.
 
@@ -127,7 +140,10 @@ def check_payload(
     ``numel`` / ``shapes``; for every ``wanted`` group (default: all present)
     float32 arrays of the rank-local length, a step counter and the header
     ``crc32`` if any, then carried as ``crc``.  Arrays may be records: each
-    is decoded once for the CRC (and kept decoded if the group has none).
+    is decoded once for the CRC (and kept decoded if the group has none),
+    unless ``digests`` (``{g: group_digest}`` of the records a writer checked
+    and wrote) holds the group's digest under its header ``crc32``: those
+    are the checked bytes, so the group counts as checked undecoded.
     Raises only ``error``; sizes nothing by the payload.
     """
     def fail(message: str):
@@ -183,6 +199,11 @@ def check_payload(
         if e.step is None:
             fail(f"group {g} state is missing its step counter")
         crc = e.header.get("crc32")  # pre-CRC shards: container checks already applied
+        if digests and g in digests and digests[g] == group_digest(
+            vouched := e._replace(crc=_int(crc))
+        ):
+            entries[g] = vouched  # the checked records, byte for byte: no decode
+            continue
         try:  # a record's planes are checked here, as it is decoded
             actual = None if crc is None else group_payload_crc(*arrays)
             decoded = [np.asarray(a) for a in arrays] if crc is None else arrays

@@ -11,15 +11,25 @@ paper's prototype, which "can only manipulate local checkpoints", §7).
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 from ..util.errors import CheckpointError
 from ..util.logging import get_logger
-from .layout import RunIndex, checkpoint_dir, list_checkpoint_steps, read_latest
+from .layout import (
+    CheckpointPaths,
+    RunIndex,
+    checkpoint_dir,
+    list_checkpoint_steps,
+    read_latest,
+)
 
 __all__ = ["prunable_steps", "prune_checkpoints"]
 
 log = get_logger("io.retention")
+
+# What a merging recovery writes at a run's root (``Trainer.auto_recover``).
+_MERGED_RE = re.compile(r"^merged-(\d+)$")
 
 
 def _covered(coverage: dict[int, list[str]], keep: set[int]) -> set[str]:
@@ -75,14 +85,19 @@ def prune_checkpoints(
     blob_store=None,
     tenant: str | None = None,
 ) -> list[int]:
-    """Delete prunable checkpoints and husks; returns the steps removed.
+    """Delete prunable checkpoints, husks and stale recovery merges;
+    returns the checkpoint steps removed.
 
     A husk is a ``checkpoint-<k>`` directory without a manifest, older
     than the newest published checkpoint: what a killed prune or a
-    killed save leaves behind, and what every reader already skips.
-    Never deletes the directory the ``latest`` pointer names.  The
-    manifest goes before the tree (:meth:`~repro.io.layout.CheckpointPaths.delete`),
-    so a kill mid-prune leaves a husk the next prune collects.
+    killed save leaves behind, and what every reader already skips.  A
+    ``merged-<k>`` directory (a merging recovery's output, never a merge
+    source) is stale once a published ``checkpoint-<j>``, ``j > k``,
+    exists: the run has checkpointed past the point it resumed from.
+    Never deletes the directory the ``latest`` pointer names, and nothing
+    under ``dry_run``.  The manifest goes before the tree
+    (:meth:`~repro.io.layout.CheckpointPaths.delete`), so a kill mid-prune
+    leaves a husk (or a manifest-less ``merged-<k>``) the next prune collects.
 
     When the run's shard groups were ingested into a serve
     :class:`~repro.io.storage.BlobStore`, pass it (with the ``tenant``
@@ -97,21 +112,23 @@ def prune_checkpoints(
     latest = read_latest(root)
     latest_step = latest.step if latest is not None else None
     published = RunIndex(root).steps()
-    husks = [s for s in list_checkpoint_steps(root)
-             if s not in published and s < max(published, default=0)]
-    removed: list[int] = []
-    for step in sorted(prunable_steps(root, keep_last) + husks):
-        if step == latest_step:
-            continue
-        if not dry_run:
-            ckpt = checkpoint_dir(root, step)
-            if blob_store is not None:
-                owner = blob_store.owner_token(tenant or root.name, ckpt.dir)
-                blob_store.release(owner)
-            ckpt.delete()
-            log.info("pruned checkpoint-%d", step)
-        removed.append(step)
-    if removed and not dry_run and blob_store is not None:
+    newest = max(published, default=0)
+    husks = [s for s in list_checkpoint_steps(root) if s not in published and s < newest]
+    removed = [s for s in sorted(prunable_steps(root, keep_last) + husks) if s != latest_step]
+    doomed = [checkpoint_dir(root, s) for s in removed]
+    if root.is_dir():
+        doomed += [
+            CheckpointPaths(child) for child in sorted(root.iterdir())
+            if (m := _MERGED_RE.match(child.name)) and child.is_dir() and int(m.group(1)) < newest
+        ]
+    if dry_run:
+        return removed
+    for ckpt in doomed:
+        if blob_store is not None:
+            blob_store.release(blob_store.owner_token(tenant or root.name, ckpt.dir))
+        ckpt.delete()
+        log.info("pruned %s", ckpt.dir.name)
+    if doomed and blob_store is not None:
         swept = blob_store.sweep()
         if swept:
             log.info("blob store sweep reclaimed %d object(s)", len(swept))

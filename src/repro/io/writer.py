@@ -88,7 +88,8 @@ def save_checkpoint(
                       "strategy": strategy},
         )
 
-        # 2. Per-rank optimizer shard blobs, written in parallel across ranks.
+        # 2. Per-rank optimizer shard blobs, written one rank after another
+        # (only price_save models the ranks writing concurrently).
         shard_bytes = 0
         for rank in range(engine.world_size):
             shard = engine.rank_state_dict(rank, slots=slot_set)

@@ -187,7 +187,7 @@ class TestRewriteInPlace:
         target = tmp_path / "run" / "checkpoint-5"
         seen = []
 
-        def failing(directory):
+        def failing(directory, digests=None):
             seen.append((target / "tailor_manifest.json").exists())
             return VerifyReport(path=directory, issues=["simulated defect"], checks_run=1)
 

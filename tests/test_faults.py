@@ -240,6 +240,63 @@ class TestFaultPlan:
                 ws -= 1
             assert ws >= 1
 
+    @staticmethod
+    def _preemption_trace_oracle(seed, world_size, total_steps, mean_interarrival):
+        """The sampler as first written: the world re-derived from the whole
+        trajectory so far at every arrival (quadratic, kept as the oracle)."""
+        import math
+
+        mean_restore = max(1.0, mean_interarrival / 2.0)
+        rng = np.random.default_rng(seed)
+        events, t, last_step = [], 0.0, 0
+        while True:
+            t += float(rng.exponential(mean_interarrival))
+            step = max(int(math.ceil(t)), last_step + 1)
+            if step > total_steps:
+                break
+            last_step = step
+            alive = FaultPlan(tuple(events)).world_size_at(world_size, step + 1)
+            if alive <= 1:
+                continue
+            rank = int(rng.integers(alive))
+            restore_after = max(1, int(round(float(rng.exponential(mean_restore)))))
+            events.append(preemption(step, rank, restore_after))
+        return FaultPlan(events=tuple(events), seed=seed)
+
+    @pytest.mark.parametrize("mean_interarrival", [None, 1.0])
+    def test_sample_preemption_trace_matches_the_whole_trajectory_oracle(
+        self, mean_interarrival
+    ):
+        total_steps = 60
+        mean = max(1.0, total_steps / 8.0) if mean_interarrival is None else mean_interarrival
+        for seed in range(200):
+            plan = FaultPlan.sample_preemption_trace(
+                seed=seed, world_size=4, total_steps=total_steps,
+                mean_interarrival=mean_interarrival,
+            )
+            assert plan == self._preemption_trace_oracle(seed, 4, total_steps, mean), seed
+
+    def test_sample_preemption_trace_builds_one_trajectory_per_sample(self, monkeypatch):
+        """The running world is kept incrementally: the trajectory is built
+        by the final validate only, however many arrivals the trace draws."""
+        calls = []
+        trajectory = FaultPlan.trajectory
+
+        def counting(self, *args, **kwargs):
+            calls.append(len(self.events))
+            return trajectory(self, *args, **kwargs)
+
+        monkeypatch.setattr(FaultPlan, "trajectory", counting)
+        counts = []
+        for total_steps in (50, 2000):
+            calls.clear()
+            plan = FaultPlan.sample_preemption_trace(
+                seed=0, world_size=4, total_steps=total_steps, mean_interarrival=1.0
+            )
+            counts.append(len(calls))
+        assert len(plan.events) > 500
+        assert counts == [1, 1]
+
     def test_trajectory_pairs_each_world_event_with_its_world(self):
         plan = FaultPlan(events=(rank_join(4), preemption(6, 2, restore_after=2)))
         entries = [(ev.kind, ev.step, ws) for ev, ws in plan.trajectory(2)]

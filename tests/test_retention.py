@@ -192,6 +192,43 @@ class TestCompleteCheckpointAnchor:
         assert RunIndex(tmp_path / "run").complete_steps()
 
 
+    def test_chaos_recoveries_leave_no_merged_directories(self, tmp_path):
+        """Each merging recovery writes ``merged-<base>``; once the run has
+        checkpointed past it, retention collects it with the rest."""
+        from repro.dist.faults import FaultPlan, rank_failure
+        from repro.train import train_with_faults
+
+        cfg = TrainConfig(
+            model="tiny-untied", task="cpt", total_steps=24,
+            checkpoint_strategy="parity", checkpoint_interval=4,
+            max_checkpoints=2,
+            output_dir=str(tmp_path / "run"), world_size=3,
+            micro_batch_size=2, grad_accum_steps=1, seq_len=32,
+        )
+        plan = FaultPlan(events=(rank_failure(10, 1), rank_failure(18, 1)))
+        result = train_with_faults(cfg, plan)
+        assert result.final_step == 24
+        names = sorted(p.name for p in (tmp_path / "run").iterdir())
+        assert all(n == "latest" or n.startswith("checkpoint-") for n in names), names
+
+    def test_merged_directory_is_collected_once_a_newer_checkpoint_is_published(
+        self, parity_run, tmp_path
+    ):
+        root = parity_run.storage.root
+        stale = parity_run.auto_recover(20)  # merged-20 < checkpoint-24
+        fresh = LLMTailor.from_checkpoints(root, failure_step=24).merge(root / "merged-24")
+        husk = root / "merged-12"  # a kill mid-delete: manifest gone, tree left
+        husk.mkdir()
+        (husk / "model.tsr").write_bytes(b"half")
+        before = sorted(p.name for p in root.iterdir())
+        would = prune_checkpoints(root, keep_last=2, dry_run=True)
+        assert sorted(p.name for p in root.iterdir()) == before
+        assert prune_checkpoints(root, keep_last=2) == would
+        assert not stale.dir.exists() and not husk.exists()
+        assert fresh.output.read_manifest()["complete"]  # not past checkpoint-24
+        assert read_latest(root).step == 24
+
+
 class TestTrainerIntegration:
     def test_max_checkpoints_prunes_during_training(self, tmp_path):
         cfg = TrainConfig(
