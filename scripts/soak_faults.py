@@ -27,6 +27,25 @@ import sys
 import tempfile
 
 
+def _soak_supervisor(config, plan):
+    """A :class:`ChaosSupervisor` that also totals, in
+    ``join_config_seconds``, what its join-sync saves charge for config
+    and manifest files (``checkpoint_write.config``)."""
+    from repro.train import ChaosSupervisor
+
+    class Supervisor(ChaosSupervisor):
+        join_config_seconds = 0.0
+
+        def _join_checkpoint(self, trainer, step):
+            charged = trainer.storage.clock.by_category
+            before = charged.get("checkpoint_write.config", 0.0)
+            paths = super()._join_checkpoint(trainer, step)
+            self.join_config_seconds += charged.get("checkpoint_write.config", 0.0) - before
+            return paths
+
+    return Supervisor(config, plan)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=400)
@@ -53,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.dist.faults import FaultPlan
     from repro.strategies import plan_fault_cost
-    from repro.train import ChaosSupervisor, TrainConfig
+    from repro.train import TrainConfig
 
     topology = None
     if args.topology is not None:
@@ -85,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
         log_every=max(1, args.steps // 10),
         topology=None if topology is None else topology.to_dict(),
     )
-    supervisor = ChaosSupervisor(config, plan)
+    supervisor = _soak_supervisor(config, plan)
     result = supervisor.run()
     if result.interrupted_at is not None:
         print(f"FAIL: soak interrupted at step {result.interrupted_at}")
@@ -100,7 +119,13 @@ def main(argv: list[str] | None = None) -> int:
         total_steps=args.steps, checkpoint_interval=args.interval,
         strategy=args.strategy, topology=topology,
     )
-    print("predicted:", cost.goodput_report().summary())
+    predicted = cost.goodput_report()
+    print("predicted:", predicted.summary())
+    # The null leg prices no config files: read the dry run's recovery I/O
+    # beside the live figure less its join-sync saves' config charges.
+    print(f"recovery I/O: live {live.recovery_seconds:.3f}s, live less "
+          f"join-sync config files {live.recovery_seconds - supervisor.join_config_seconds:.3f}s, "
+          f"dry run {predicted.recovery_seconds:.3f}s")
 
     failures = []
     if cost.lost_steps != timeline.lost_steps:

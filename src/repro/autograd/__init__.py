@@ -14,6 +14,7 @@ from .functional import (
     embedding,
     gelu,
     layer_norm,
+    linear,
     log_softmax,
     relu,
     rms_norm,
@@ -36,6 +37,7 @@ __all__ = [
     "gelu",
     "is_grad_enabled",
     "layer_norm",
+    "linear",
     "log_softmax",
     "no_grad",
     "numerical_grad",

@@ -1,9 +1,9 @@
 """Fused differentiable operations used by the transformer stack.
 
 These are implemented as single tape nodes (rather than compositions of
-primitives) for numerical stability and speed: softmax, log-softmax,
-cross-entropy, RMS norm, SiLU, embedding lookup, and rotary position
-embedding.  Each has a hand-derived backward verified by numerical
+primitives) for numerical stability and speed: the linear map, softmax,
+log-softmax, cross-entropy, RMS norm, SiLU, embedding lookup, and rotary
+position embedding.  Each has a hand-derived backward verified by numerical
 gradient checking in the test suite.
 """
 
@@ -12,9 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..util.errors import ShapeError
-from .tensor import Tensor, defvjp
+from .tensor import Tensor, defvjp, unbroadcast
 
 __all__ = [
+    "linear",
     "softmax",
     "log_softmax",
     "cross_entropy",
@@ -30,6 +31,32 @@ __all__ = [
 ]
 
 IGNORE_INDEX = -100
+
+
+@defvjp(fresh=(True, False))
+def _linear(node, g):
+    # The matmul, unbroadcast and transpose nodes' arithmetic; ``gw`` is a
+    # transposed view, so the weight's first accumulation copies it.
+    x, weight = node._prev
+    gx = g @ weight.data if x.requires_grad else None
+    gw = None
+    if weight.requires_grad:
+        if x.data.ndim == 1:
+            gw = np.multiply.outer(x.data, g).T
+        else:
+            gw = unbroadcast(x.data.swapaxes(-1, -2) @ g, weight.data.shape[::-1]).T
+    return gx, gw
+
+
+def linear(x: Tensor, weight: Tensor) -> Tensor:
+    """``x @ weight.T`` as one graph node; ``weight`` is ``(out, in)``.
+
+    A batch of rows is multiplied by a C-contiguous copy of ``weight.T``,
+    which BLAS runs faster than the transposed view; one row (1-D ``x``)
+    takes the view, since the copy would cost as much as the product.
+    """
+    wt = weight.data.T if x.data.ndim == 1 else np.ascontiguousarray(weight.data.T)
+    return Tensor._make(x.data @ wt, (x, weight), _linear)
 
 
 @defvjp()

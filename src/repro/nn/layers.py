@@ -42,7 +42,7 @@ class Linear(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         """Affine map ``x @ W.T (+ b)`` over the last axis."""
-        out = x @ self.weight.transpose(1, 0)
+        out = F.linear(x, self.weight)
         if self.bias is not None:
             out = out + self.bias
         return out

@@ -89,7 +89,10 @@ class CausalLM(Module):
         hidden = self.model(input_ids, self._rope_cos, self._rope_sin)
         if self.lm_head is not None:
             return self.lm_head(hidden)
-        # Weight tying: output projection is the embedding matrix.
+        # Weight tying: output projection is the embedding matrix.  Not
+        # F.linear: as one node the head would add its gradient to the tied
+        # weight before the embedding lookup does, so with micro-batches
+        # accumulated the sum would run in another order (other bits).
         return hidden @ self.model.embed_tokens.weight.transpose(1, 0)
 
     def loss(self, input_ids: np.ndarray, labels: np.ndarray) -> Tensor:

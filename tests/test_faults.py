@@ -10,6 +10,10 @@ partial trails).
 
 from __future__ import annotations
 
+import importlib.util
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -1050,6 +1054,22 @@ class TestBitrot:
 # ---------------------------------------------------------------------------
 
 class TestPlanFaultCost:
+    def test_soak_script_prices_join_sync_config_files_apart(self, tmp_path, capsys):
+        """The null leg prices no config files: the soak prints live
+        recovery I/O with and without the join-sync saves' config
+        charges, and only compression (live bytes below nominal) is
+        left between the second figure and the dry run's."""
+        path = Path(__file__).resolve().parents[1] / "scripts" / "soak_faults.py"
+        spec = importlib.util.spec_from_file_location("soak_faults", path)
+        soak = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(soak)
+        assert soak.main(["--steps", "40", "-o", str(tmp_path / "run")]) == 0
+        line = next(
+            ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("recovery I/O:")
+        )
+        live, less_config, dry = (float(v) for v in re.findall(r"([\d.]+)s", line))
+        assert less_config < dry < live
+
     def test_matches_live_run(self, tmp_path):
         plan = FaultPlan(
             events=(
