@@ -57,7 +57,8 @@ class LoggingCallback(Callback):
 
 
 class CheckpointCallback(Callback):
-    """Drives a :class:`CheckpointStrategy` and writes partial checkpoints."""
+    """Drives a :class:`CheckpointStrategy` and writes partial checkpoints
+    (pruned to ``max_checkpoints`` after each, when the config sets it)."""
 
     def __init__(self, strategy: CheckpointStrategy) -> None:
         self.strategy = strategy
@@ -66,22 +67,18 @@ class CheckpointCallback(Callback):
         slots = self.strategy.plan_step(step, model=trainer.model)
         if slots is None:
             return
-        trainer.write_checkpoint(step, slots=slots, strategy_name=self.strategy.name)
+        trainer.write_checkpoint(step, slots=slots, strategy_name=self.strategy.name,
+                                 keep_last=trainer.config.max_checkpoints)
         log.info("checkpoint at step %d: %d slots (%s)", step, len(slots), self.strategy.name)
-        if trainer.config.max_checkpoints is not None:
-            from ..io.retention import prune_checkpoints
-
-            pruned = prune_checkpoints(trainer.storage.root, trainer.config.max_checkpoints)
-            if pruned:
-                log.info("retention pruned checkpoints %s", pruned)
 
 
 class FailureInjector(Callback):
     """Simulate a crash after the given step completes (paper T3).
 
     The checkpoint callback runs first (trainer preserves registration
-    order), so the failing step's checkpoint lands on disk — exactly
-    what a real crash after a completed save looks like.
+    order), so the failing step's checkpoint is taken, and the end of the
+    leg joins its write — exactly what a real crash after a completed
+    save looks like.
     """
 
     def __init__(self, failure_step: int) -> None:
@@ -99,12 +96,13 @@ class ChaosCallback(Callback):
     """Applies a :class:`~repro.dist.faults.FaultPlan` to a live leg.
 
     Runs *after* the checkpoint callback (the trainer preserves
-    registration order), so the step's checkpoint — if any — is on disk
+    registration order), so the step's checkpoint — if any — is taken
     before bitrot corrupts it or a rank failure interrupts the leg:
 
     * **bitrot**: each pending event corrupts the first checkpoint
       written at or after its step (rank's shard, one group), keeping a
-      pristine ``.replica`` copy for recovery to re-read from;
+      pristine ``.replica`` copy for recovery to re-read from; it joins
+      the checkpoint's write first;
     * **straggler**: window activations are recorded in the timeline
       (the time penalty itself is charged by the trainer's step);
     * **rank_failure**: raises :class:`~repro.util.errors.RankFailure`,
@@ -191,6 +189,7 @@ class ChaosCallback(Callback):
                         reason="group does not exist",
                     )
                     continue
+                trainer.join_checkpoint()  # the checkpoint must be on disk to rot
                 try:
                     shard = inject_bitrot(
                         checkpoint_dir(trainer.storage.root, step), ev.rank, ev.group

@@ -196,8 +196,9 @@ class ChaosSupervisor:
         index = trainer.run_index()
         if step in index.steps() and index.is_complete(step):
             return checkpoint_dir(trainer.storage.root, step)
-        clock0 = trainer.storage.clock.total()
+        clock0 = trainer.storage.clock.total()  # run_index joined any write in flight
         paths = trainer.write_checkpoint(step, slots=None, strategy_name="join_sync")
+        trainer.join_checkpoint()
         self.timeline.recovery_seconds += trainer.storage.clock.total() - clock0
         self.timeline.record(
             step, "join_sync", world_size=trainer.config.world_size,
@@ -395,10 +396,11 @@ class NullLeg(Trainer):
         return float("nan")
 
     def write_checkpoint(
-        self, step: int, *, slots: list[str] | None, strategy_name: str
+        self, step: int, *, slots: list[str] | None, strategy_name: str,
+        keep_last: int | None = None,
     ) -> CheckpointPaths:
         """Index what ``save_checkpoint`` would record (plus the nominal
-        bytes) and charge its write."""
+        bytes) and charge its write; nothing is in flight, nothing pruned."""
         self.state.checkpoints_written.append(step)
         manifest = nominal_manifest(
             self.model_config, model_slots(self.model_config) if slots is None else slots,

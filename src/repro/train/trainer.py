@@ -10,7 +10,17 @@ Responsibilities:
   accumulates into the parameters' ``.grad``, which the engine's step
   copies into its staging buffers;
 * write full/partial checkpoints per the strategy, with simulated-clock
-  charging for compute and I/O;
+  charging for compute and I/O.  A save stalls the training thread only
+  for its snapshot (:func:`~repro.io.writer.snapshot_checkpoint`); one
+  writer thread persists it (and runs retention's prune after it) while
+  training goes on.  At most one write is in flight, and it is *joined*
+  — waited for, its error re-raised here, its simulated I/O charged
+  here, in save order — by :meth:`Trainer.join_checkpoint`: at the
+  next save, at the end of every :meth:`Trainer.train` leg (before
+  ``on_train_end``, on every exit) and before anything reads the run
+  directory (:meth:`Trainer.run_index`, ``resume_*``,
+  :meth:`Trainer.auto_recover`, bitrot injection).  A checkpoint is on
+  disk once its write is joined;
 * resume from any *complete* checkpoint (including LLMTailor merges),
   auto-recover from partial trails (:meth:`Trainer.auto_recover`);
   resume is *elastic* — a checkpoint written at any world size N loads
@@ -24,6 +34,7 @@ Responsibilities:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,10 +48,11 @@ from ..data.tokenizer import WordTokenizer
 from ..core.groups import tailored_param_groups
 from ..dist.faults import FaultPlan, FaultTimeline, GoodputReport
 from ..dist.zero import ZeroStage3Engine
-from ..io.layout import CheckpointPaths, RunIndex, read_latest
+from ..io.layout import CheckpointPaths, RunIndex, checkpoint_dir, read_latest
 from ..io.reader import load_checkpoint
+from ..io.retention import prune_checkpoints
 from ..io.storage import Storage
-from ..io.writer import save_checkpoint
+from ..io.writer import CheckpointSnapshot, SavedCheckpoint, persist_checkpoint, snapshot_checkpoint
 from ..nn.config import ModelConfig, get_config
 from ..nn.model import CausalLM, build_model
 from ..optim.lr_scheduler import build_scheduler
@@ -102,6 +114,28 @@ class TrainResult:
         )
 
 
+class _CheckpointWrite(threading.Thread):
+    """The write in flight: persist one snapshot, then prune to ``keep_last``."""
+
+    def __init__(self, root: Path, snapshot: CheckpointSnapshot, keep_last: int | None) -> None:
+        super().__init__(name=f"checkpoint-writer-{snapshot.step}")
+        self._job: tuple | None = (root, snapshot, keep_last)
+        self.saved: SavedCheckpoint | None = None
+        self.error: BaseException | None = None
+        self.start()
+
+    def run(self) -> None:
+        (root, snapshot, keep_last), self._job = self._job, None
+        try:
+            self.saved = persist_checkpoint(root, snapshot)
+            if keep_last is not None:
+                pruned = prune_checkpoints(root, keep_last)
+                if pruned:
+                    log.info("retention pruned checkpoints %s", pruned)
+        except BaseException as exc:  # re-raised on the training thread by the join
+            self.error = exc
+
+
 class Trainer:
     """Deterministic simulated ZeRO-3 training runs (see module docs).
 
@@ -110,6 +144,9 @@ class Trainer:
     :meth:`_attach_chaos`).  Multi-leg recovery (shrink + resume) is the
     :class:`~repro.train.supervisor.ChaosSupervisor`'s job.
     """
+
+    #: The checkpoint write in flight, if any (see :meth:`join_checkpoint`).
+    _write: _CheckpointWrite | None = None
 
     def __init__(
         self,
@@ -211,6 +248,7 @@ class Trainer:
 
     def run_index(self) -> RunIndex:
         """A fresh snapshot of what this leg's run directory holds."""
+        self.join_checkpoint()
         return RunIndex(self.storage.root)
 
     # -- one training step -----------------------------------------------------------
@@ -261,12 +299,19 @@ class Trainer:
 
     # -- checkpointing --------------------------------------------------------------------
 
-    def write_checkpoint(self, step: int, *, slots: list[str] | None, strategy_name: str) -> CheckpointPaths:
-        """Write a (possibly partial) checkpoint for ``step`` and record it."""
+    def write_checkpoint(
+        self, step: int, *, slots: list[str] | None, strategy_name: str,
+        keep_last: int | None = None,
+    ) -> CheckpointPaths:
+        """Snapshot a (possibly partial) checkpoint for ``step``, record it,
+        and hand its write to the writer thread, which then prunes the run
+        to ``keep_last`` checkpoints (:func:`~repro.io.retention.prune_checkpoints`;
+        ``None`` keeps all).  Joins the previous write first.  The returned
+        paths are on disk once :meth:`join_checkpoint` returns."""
+        self.join_checkpoint()
         self.state.learning_rate = self.scheduler.get_last_lr()[0]
         self.state.checkpoints_written.append(step)
-        return save_checkpoint(
-            self.storage,
+        snapshot = snapshot_checkpoint(
             step=step,
             model=self.model,
             config=self.model_config,
@@ -278,6 +323,24 @@ class Trainer:
             slots=slots,
             strategy=strategy_name,
         )
+        self._write = _CheckpointWrite(self.storage.root, snapshot, keep_last)
+        self.storage.clock.open_gap()
+        return checkpoint_dir(self.storage.root, step)
+
+    def join_checkpoint(self) -> None:
+        """Wait for the checkpoint write in flight, if any, then charge its
+        simulated I/O (:meth:`~repro.io.writer.SavedCheckpoint.charge`) at
+        the point of the clock where it was snapshotted, or re-raise its
+        exception, with its type."""
+        write, self._write = self._write, None
+        if write is None:
+            return
+        write.join()
+        error, write.error = write.error, None
+        with self.storage.clock.fill_gap():
+            if error is not None:
+                raise error
+            write.saved.charge(self.storage)
 
     # -- the loop ----------------------------------------------------------------------------
 
@@ -306,6 +369,8 @@ class Trainer:
             interrupted = failure.step
             failed_rank = getattr(failure, "rank", None)
             rank_joined = isinstance(failure, RankJoin)
+        finally:
+            self.join_checkpoint()
         for cb in self.callbacks:
             cb.on_train_end(self)
 
@@ -356,6 +421,7 @@ class Trainer:
         resume), so shrinking or growing the simulated fleet between
         runs needs no separate conversion step.
         """
+        self.join_checkpoint()
         paths = checkpoint if isinstance(checkpoint, CheckpointPaths) else CheckpointPaths(checkpoint)
         loaded = load_checkpoint(
             paths,
@@ -373,6 +439,7 @@ class Trainer:
 
     def resume_latest(self) -> int:
         """Resume from the run's ``latest`` pointer; returns the step."""
+        self.join_checkpoint()
         paths = read_latest(self.storage.root)
         if paths is None:
             raise TrainingError(f"no 'latest' checkpoint under {self.storage.root}")
@@ -385,6 +452,7 @@ class Trainer:
         options), merges into ``<output_dir>/merged-<step>``, loads it,
         and returns its paths.
         """
+        self.join_checkpoint()
         tailor = LLMTailor.from_checkpoints(self.storage.root, failure_step=failure_step)
         base_step = CheckpointPaths(tailor.recipe.base_checkpoint).step
         output = Path(self.storage.root) / f"merged-{base_step}"

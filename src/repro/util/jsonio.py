@@ -19,7 +19,15 @@ import numpy as np
 
 from .errors import CheckpointError
 
-__all__ = ["atomic_path", "read_json", "write_json_atomic", "write_text_atomic", "JsonEncoder"]
+__all__ = [
+    "JsonEncoder",
+    "atomic_path",
+    "dump_json",
+    "fsync_file",
+    "read_json",
+    "write_json_atomic",
+    "write_text_atomic",
+]
 
 
 class JsonEncoder(json.JSONEncoder):
@@ -74,8 +82,20 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         os.fsync(fh.fileno())
 
 
+def fsync_file(path: str | Path) -> None:
+    """Flush a written file's data to the device (the file, not its directory entry)."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def dump_json(obj: Any, *, indent: int = 2) -> str:
+    """The text :func:`write_json_atomic` writes for ``obj``."""
+    return json.dumps(obj, indent=indent, sort_keys=True, cls=JsonEncoder) + "\n"
+
+
 def write_json_atomic(path: str | Path, obj: Any, *, indent: int = 2) -> None:
     """Write JSON via :func:`write_text_atomic` so readers never see partial files."""
-    write_text_atomic(
-        path, json.dumps(obj, indent=indent, sort_keys=True, cls=JsonEncoder) + "\n"
-    )
+    write_text_atomic(path, dump_json(obj, indent=indent))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -70,6 +71,8 @@ class SimClock:
 
     now: float = 0.0
     by_category: dict[str, float] = field(default_factory=lambda: defaultdict(float))
+    # (now at open_gap, every dt advanced since), while a gap is open.
+    _gap: tuple[float, list[float]] | None = field(default=None, repr=False, compare=False)
 
     def advance(self, dt: float, category: str = "other") -> float:
         """Move time forward by ``dt`` and charge it to ``category``."""
@@ -77,7 +80,26 @@ class SimClock:
             raise ValueError(f"cannot advance clock by negative dt={dt}")
         self.now += dt
         self.by_category[category] += dt
+        if self._gap is not None:
+            self._gap[1].append(dt)
         return self.now
+
+    def open_gap(self) -> None:
+        """Leave room here for charges that are due now but known only
+        later (a checkpoint write in flight); see :meth:`fill_gap`."""
+        self._gap = (self.now, [])
+
+    @contextmanager
+    def fill_gap(self):
+        """Charges made in this block land in the open gap: ``now`` is
+        re-summed with them before every advance made since
+        :meth:`open_gap`, so it is the float a charge made on time gives."""
+        (self.now, later), self._gap = self._gap, None
+        try:
+            yield
+        finally:
+            for dt in later:
+                self.now += dt
 
     def total(self) -> float:
         """Total elapsed simulated seconds."""
@@ -103,3 +125,4 @@ class SimClock:
         """Zero the clock and all categories."""
         self.now = 0.0
         self.by_category.clear()
+        self._gap = None
